@@ -8,7 +8,9 @@
 // Every pipeline stage records into the process-wide default registry
 // (MetricsRegistry::Default()); benches export the registry as JSON
 // through the common/json writer so perf trajectories are
-// machine-readable.
+// machine-readable. The service layer (src/service/) does not record
+// here: each service component counts its events in its own
+// per-instance stats, exported by the `stats`/`health` verbs.
 //
 // Instrument names use a "subsystem/metric" convention, e.g.
 // "kmeans/iterations" or "session/optimize_seconds". Instruments are

@@ -12,7 +12,6 @@
 #include "ml/decision_tree.h"
 #include "ml/knn.h"
 #include "ml/naive_bayes.h"
-#include "ml/random_forest.h"
 #include "transform/sparse_matrix.h"
 
 namespace adahealth {
@@ -32,8 +31,6 @@ ml::ClassifierFactory MakeFactory(RobustnessModel model) {
       return [] { return std::make_unique<ml::GaussianNaiveBayes>(); };
     case RobustnessModel::kNearestNeighbors:
       return [] { return std::make_unique<ml::KnnClassifier>(); };
-    case RobustnessModel::kRandomForest:
-      return [] { return std::make_unique<ml::RandomForestClassifier>(); };
   }
   return [] { return std::make_unique<ml::DecisionTreeClassifier>(); };
 }

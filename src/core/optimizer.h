@@ -26,7 +26,6 @@ enum class RobustnessModel {
   kDecisionTree,  // The paper's choice.
   kNaiveBayes,
   kNearestNeighbors,
-  kRandomForest,
 };
 
 struct OptimizerOptions {

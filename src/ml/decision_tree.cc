@@ -122,6 +122,13 @@ int32_t DecisionTreeClassifier::BuildNode(
         best_gain = gain;
         best_feature = static_cast<int32_t>(f);
         best_threshold = 0.5 * (value + next_value);
+        // The midpoint of two values one ulp apart can round up to
+        // next_value (and a sum of huge magnitudes overflows to ±inf);
+        // either would send both sides of the split the same way.
+        // `value` itself always separates them under the `<=` rule.
+        if (!(value <= best_threshold && best_threshold < next_value)) {
+          best_threshold = value;
+        }
       }
     }
   }

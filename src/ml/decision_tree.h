@@ -36,12 +36,6 @@ class DecisionTreeClassifier final : public Classifier {
 
   int32_t Predict(std::span<const double> features) const override;
 
-  /// Number of nodes in the fitted tree (0 before Fit).
-  size_t num_nodes() const { return nodes_.size(); }
-  /// Depth of the fitted tree (0 for a single-leaf tree).
-  int32_t depth() const { return depth_; }
-
- private:
   struct Node {
     // Internal nodes: route left when features[feature] <= threshold.
     int32_t feature = -1;
@@ -54,6 +48,14 @@ class DecisionTreeClassifier final : public Classifier {
     bool is_leaf() const { return left < 0; }
   };
 
+  /// Number of nodes in the fitted tree (0 before Fit).
+  size_t num_nodes() const { return nodes_.size(); }
+  /// Depth of the fitted tree (0 for a single-leaf tree).
+  int32_t depth() const { return depth_; }
+  /// The fitted nodes in build order (root first; preorder).
+  const std::vector<Node>& nodes() const { return nodes_; }
+
+ private:
   int32_t BuildNode(const transform::Matrix& features,
                     const std::vector<int32_t>& labels,
                     std::vector<size_t>& sample_ids, size_t begin, size_t end,

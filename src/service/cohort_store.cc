@@ -12,7 +12,6 @@
 #include "common/csv.h"
 #include "common/failpoint.h"
 #include "common/logging.h"
-#include "common/metrics.h"
 #include "common/string_util.h"
 
 namespace adahealth {
@@ -125,10 +124,6 @@ int64_t ReadInt(const Json& object, std::string_view key, int64_t fallback) {
   if (field == nullptr || !field->is_number()) return fallback;
   return field->is_int() ? field->AsInt()
                          : static_cast<int64_t>(field->AsDouble());
-}
-
-common::Counter& IngestCounter(const char* name) {
-  return common::MetricsRegistry::Default().GetCounter(name);
 }
 
 }  // namespace
@@ -371,9 +366,6 @@ StatusOr<IngestResult> CohortStore::Ingest(
 
   stats_.batches += 1;
   stats_.records += static_cast<int64_t>(rows.size());
-  IngestCounter("service/ingest_batches").Increment();
-  IngestCounter("service/ingest_records")
-      .Increment(static_cast<int64_t>(rows.size()));
 
   IngestResult result;
   result.generation = state.generation;
@@ -407,13 +399,11 @@ StatusOr<JobRequest> CohortStore::BuildCohortJob(const std::string& cohort) {
                   : 0.0;
   if (drift > options_.drift_threshold) {
     stats_.cold_fallbacks += 1;
-    IngestCounter("service/ingest_cold_fallbacks").Increment();
     return request;
   }
   Status adapted = ADA_FAILPOINT("service.ingest.adapt");
   if (!adapted.ok()) {
     stats_.cold_fallbacks += 1;
-    IngestCounter("service/ingest_cold_fallbacks").Increment();
     return request;
   }
   request.options.warm.centroids = state.warm_centroids;
@@ -426,7 +416,6 @@ StatusOr<JobRequest> CohortStore::BuildCohortJob(const std::string& cohort) {
   // hint's K first (keyed off warm_centroids, which is excluded from
   // the signature) so the sweep still seeds from the prior best K.
   stats_.warm_starts += 1;
-  IngestCounter("service/ingest_warm_starts").Increment();
   return request;
 }
 
@@ -468,7 +457,6 @@ void CohortStore::OnAnalysisCommitted(const std::string& cohort,
     // Degrade to cold: an uninstallable warm state is dropped, never
     // half-trusted — the next job re-analyzes from scratch.
     stats_.snapshot_failures += 1;
-    IngestCounter("service/ingest_snapshot_failures").Increment();
     ADA_LOG(kWarning) << "cohort '" << cohort
                       << "': warm-state snapshot failed, next job runs cold ("
                       << persisted.ToString() << ")";

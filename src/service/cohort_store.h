@@ -41,8 +41,7 @@
 // and the post-analysis warm-state one; a failed warm snapshot drops
 // the warm state, degrading the next job to a cold run), and
 // "service.ingest.adapt" (warm-hint attachment; a failure falls back
-// to cold). Metrics: "service/ingest_batches", "_records",
-// "_warm_starts", "_cold_fallbacks", "_snapshot_failures" counters.
+// to cold).
 #ifndef ADAHEALTH_SERVICE_COHORT_STORE_H_
 #define ADAHEALTH_SERVICE_COHORT_STORE_H_
 

@@ -4,7 +4,6 @@
 
 #include <utility>
 
-#include "common/metrics.h"
 #include "common/string_util.h"
 #include "service/protocol.h"
 
@@ -13,22 +12,13 @@ namespace service {
 
 using common::Status;
 
-namespace {
-
-void CountServerError() {
-  common::MetricsRegistry::Default()
-      .GetCounter("service/server_errors")
-      .Increment();
-}
-
-}  // namespace
-
 Connection::Connection(int64_t id, FileDescriptor fd, EventLoop* loop,
-                       size_t max_line_bytes)
+                       size_t max_line_bytes, std::atomic<int64_t>* errors)
     : id_(id),
       fd_(std::move(fd)),
       loop_(loop),
       max_line_bytes_(max_line_bytes),
+      errors_(errors),
       last_activity_(std::chrono::steady_clock::now()) {}
 
 Connection::~Connection() {
@@ -61,7 +51,7 @@ void Connection::HandleReadable() {
   while (!closed_ && !peer_eof_ && !close_after_flush_) {
     auto read = RecvNonBlocking(fd_, chunk, sizeof(chunk));
     if (!read.ok()) {
-      CountServerError();
+      errors_->fetch_add(1);
       CloseNow();
       return;
     }
@@ -114,7 +104,7 @@ void Connection::DispatchLine(std::string line) {
 }
 
 void Connection::FailOversizedLine() {
-  CountServerError();
+  errors_->fetch_add(1);
   inbuf_.clear();
   scan_pos_ = 0;
   // Set before enqueueing: the response usually flushes in full right
@@ -169,7 +159,7 @@ void Connection::FlushOutput() {
   while (!closed_ && !outbuf_.empty()) {
     auto sent = SendNonBlocking(fd_, outbuf_);
     if (!sent.ok()) {
-      CountServerError();
+      errors_->fetch_add(1);
       CloseNow();
       return;
     }

@@ -14,6 +14,7 @@
 #ifndef ADAHEALTH_SERVICE_CONNECTION_H_
 #define ADAHEALTH_SERVICE_CONNECTION_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -33,8 +34,11 @@ class Connection {
   /// connection with PauseRequests() and responds later.
   using RequestHandler = std::function<void(Connection&, std::string line)>;
 
+  /// `errors` is the owning server's error counter: socket failures
+  /// and oversized lines on this connection are counted into it. It
+  /// must stay valid while the connection handles events.
   Connection(int64_t id, FileDescriptor fd, EventLoop* loop,
-             size_t max_line_bytes);
+             size_t max_line_bytes, std::atomic<int64_t>* errors);
   /// Unwatches and releases the socket if still open.
   ~Connection();
 
@@ -95,6 +99,7 @@ class Connection {
   EventLoop* loop_;
   RequestHandler on_request_;
   const size_t max_line_bytes_;
+  std::atomic<int64_t>* errors_;
 
   std::string inbuf_;
   size_t scan_pos_ = 0;  // inbuf_ prefix already scanned for '\n'.

@@ -8,7 +8,6 @@
 #include "common/failpoint.h"
 #include "common/json.h"
 #include "common/logging.h"
-#include "common/metrics.h"
 #include "service/net_socket.h"
 #include "service/protocol.h"
 
@@ -58,7 +57,6 @@ void LogShipper::Stop() {
 }
 
 void LogShipper::Enqueue(CachedAnalysis entry) {
-  common::MetricsRegistry& metrics = common::MetricsRegistry::Default();
   MutexLock lock(&mutex_);
   queue_.push_back(std::move(entry));
   while (queue_.size() > options_.max_queue) {
@@ -67,11 +65,8 @@ void LogShipper::Enqueue(CachedAnalysis entry) {
     // follower is most likely to be asked about first.
     queue_.pop_front();
     ++stats_.dropped;
-    metrics.GetCounter("service/replication_dropped").Increment();
   }
   stats_.queue_depth = queue_.size();
-  metrics.GetGauge("service/replication_queue")
-      .Set(static_cast<double>(queue_.size()));
   wake_.NotifyAll();
 }
 
@@ -89,7 +84,6 @@ ReplicationStats LogShipper::stats() const {
 }
 
 void LogShipper::ShipLoop() {
-  common::MetricsRegistry& metrics = common::MetricsRegistry::Default();
   FileDescriptor socket;
   std::unique_ptr<LineReader> reader;
   double backoff_millis = options_.reconnect_backoff_millis;
@@ -128,8 +122,6 @@ void LogShipper::ShipLoop() {
       queue_.pop_front();
       in_flight_ = true;
       stats_.queue_depth = queue_.size();
-      metrics.GetGauge("service/replication_queue")
-          .Set(static_cast<double>(queue_.size()));
     }
     Status shipped = ShipEntry(socket, *reader, entry);
     {
@@ -137,18 +129,14 @@ void LogShipper::ShipLoop() {
       in_flight_ = false;
       if (shipped.ok()) {
         ++stats_.shipped;
-        metrics.GetCounter("service/replication_shipped").Increment();
         if (queue_.empty()) drained_.NotifyAll();
       } else {
         ++stats_.send_failures;
         stats_.connected = false;
-        metrics.GetCounter("service/replication_send_failures").Increment();
         // At-least-once: the failed entry goes back to the front so the
         // reconnect ships it (again after the snapshot — idempotent).
         queue_.push_front(std::move(entry));
         stats_.queue_depth = queue_.size();
-        metrics.GetGauge("service/replication_queue")
-            .Set(static_cast<double>(queue_.size()));
       }
     }
     if (!shipped.ok()) {
@@ -161,7 +149,6 @@ void LogShipper::ShipLoop() {
 }
 
 FileDescriptor LogShipper::ConnectAndCatchUp() {
-  common::MetricsRegistry& metrics = common::MetricsRegistry::Default();
   common::StatusOr<FileDescriptor> connected =
       ConnectLoopback(options_.follower_port);
   if (!connected.ok()) return FileDescriptor();
@@ -182,17 +169,14 @@ FileDescriptor LogShipper::ConnectAndCatchUp() {
                         << shipped.ToString();
       MutexLock lock(&mutex_);
       ++stats_.send_failures;
-      metrics.GetCounter("service/replication_send_failures").Increment();
       return FileDescriptor();
     }
     MutexLock lock(&mutex_);
     ++stats_.shipped;
-    metrics.GetCounter("service/replication_shipped").Increment();
   }
   MutexLock lock(&mutex_);
   ++stats_.reconnects;
   stats_.connected = true;
-  metrics.GetCounter("service/replication_reconnects").Increment();
   return socket;
 }
 

@@ -24,9 +24,6 @@
 // on overflow; the next reconnect snapshot re-covers them).
 //
 // Failpoints: "service.replication.send" before every wire send.
-// Metrics: "service/replication_shipped", "_send_failures",
-// "_reconnects", "_dropped" counters; "service/replication_queue"
-// gauge.
 #ifndef ADAHEALTH_SERVICE_REPLICATION_H_
 #define ADAHEALTH_SERVICE_REPLICATION_H_
 

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/failpoint.h"
-#include "common/metrics.h"
 #include "kdb/database.h"
 
 namespace adahealth {
@@ -87,16 +86,10 @@ std::optional<CachedAnalysis> ResultCache::Lookup(
   auto it = index_.find(fingerprint);
   if (it == index_.end()) {
     ++misses_;
-    common::MetricsRegistry::Default()
-        .GetCounter("service/cache_misses")
-        .Increment();
     return std::nullopt;
   }
   lru_.splice(lru_.begin(), lru_, it->second);
   ++hits_;
-  common::MetricsRegistry::Default()
-      .GetCounter("service/cache_hits")
-      .Increment();
   return *it->second;
 }
 
@@ -133,22 +126,14 @@ void ResultCache::Insert(CachedAnalysis entry) {
       index_.erase(victim->fingerprint);
       victim = lru_.erase(victim);
       ++superseded_;
-      common::MetricsRegistry::Default()
-          .GetCounter("service/cache_superseded")
-          .Increment();
     }
     if (stale) {
       ++superseded_;
-      common::MetricsRegistry::Default()
-          .GetCounter("service/cache_superseded")
-          .Increment();
-      TouchMetricsLocked();
       return;
     }
   }
   size_t entry_bytes = entry.ByteSize();
   if (entry_bytes > max_bytes_) {
-    TouchMetricsLocked();
     return;  // Larger than the whole budget: never cacheable.
   }
   lru_.push_front(std::move(entry));
@@ -156,7 +141,6 @@ void ResultCache::Insert(CachedAnalysis entry) {
   bytes_ += entry_bytes;
   ++dirty_;
   EvictLocked();
-  TouchMetricsLocked();
 }
 
 void ResultCache::Clear() {
@@ -164,7 +148,6 @@ void ResultCache::Clear() {
   lru_.clear();
   index_.clear();
   bytes_ = 0;
-  TouchMetricsLocked();
 }
 
 size_t ResultCache::entries() const {
@@ -214,16 +197,7 @@ void ResultCache::EvictLocked() {
     index_.erase(victim.fingerprint);
     lru_.pop_back();
     ++evictions_;
-    common::MetricsRegistry::Default()
-        .GetCounter("service/cache_evictions")
-        .Increment();
   }
-}
-
-void ResultCache::TouchMetricsLocked() {
-  common::MetricsRegistry::Default()
-      .GetGauge("service/cache_bytes")
-      .Set(static_cast<double>(bytes_));
 }
 
 Status ResultCache::Persist(const std::string& directory) const {
@@ -277,7 +251,6 @@ Status ResultCache::Restore(const std::string& directory) {
     EvictLocked();
   }
   dirty_ = 0;  // The restored contents are exactly what is on disk.
-  TouchMetricsLocked();
   return common::OkStatus();
 }
 

@@ -54,10 +54,8 @@ struct CachedAnalysis {
 
 /// Thread-safe LRU cache of CachedAnalysis keyed by fingerprint.
 ///
-/// Metrics (MetricsRegistry::Default()): "service/cache_hits",
-/// "service/cache_misses", "service/cache_evictions" counters and the
-/// "service/cache_bytes" gauge. Failpoints: "service.cache.store"
-/// (Persist) and "service.cache.load" (Restore).
+/// Failpoints: "service.cache.store" (Persist) and "service.cache.load"
+/// (Restore).
 class ResultCache {
  public:
   /// `max_bytes` bounds the sum of entry ByteSize()s; an entry larger
@@ -75,9 +73,9 @@ class ResultCache {
   /// Inserts (or refreshes) an entry, then evicts least-recently-used
   /// entries until the byte budget holds. A cohort-versioned entry
   /// additionally evicts every cached older generation of its cohort
-  /// exactly once ("service/cache_superseded" counter) — the cache
-  /// serves only the latest consistent snapshot — and is itself dropped
-  /// when a newer generation is already cached.
+  /// exactly once (counted by superseded()) — the cache serves only
+  /// the latest consistent snapshot — and is itself dropped when a
+  /// newer generation is already cached.
   void Insert(CachedAnalysis entry) ADA_EXCLUDES(mutex_);
 
   /// Drops every entry (counters are not reset).
@@ -121,7 +119,6 @@ class ResultCache {
 
  private:
   void EvictLocked() ADA_REQUIRES(mutex_);
-  void TouchMetricsLocked() ADA_REQUIRES(mutex_);
 
   const size_t max_bytes_;
   mutable common::Mutex mutex_;

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "common/metrics.h"
 #include "common/retry.h"
 #include "common/string_util.h"
 #include "service/fingerprint.h"
@@ -265,9 +264,6 @@ void Router::ServeClient(ClientConn* conn) {
 }
 
 std::string Router::HandleLine(ClientConn* conn, const std::string& line) {
-  common::MetricsRegistry::Default()
-      .GetCounter("service/router_requests")
-      .Increment();
   auto request = ParseRequest(line);
   if (!request.ok()) return ErrorResponse(request.status());
   const std::string& verb = request.value().verb;
@@ -739,7 +735,6 @@ void Router::HandleShardFailure(size_t shard, uint64_t observed_generation) {
                     << (has_follower ? "promoting follower"
                                      : "no follower left");
   const bool promoted = has_follower && PromoteAndRedrive(state, shard);
-  common::MetricsRegistry& metrics = common::MetricsRegistry::Default();
   MutexLock lock(&mutex_);
   if (promoted) {
     state.active_port = state.endpoints.follower_port;
@@ -747,14 +742,12 @@ void Router::HandleShardFailure(size_t shard, uint64_t observed_generation) {
     state.consecutive_probe_failures = 0;
     ++state.generation;
     ++stats_.failovers;
-    metrics.GetCounter("service/router_failovers").Increment();
     ADA_LOG(kInfo) << "router: shard " << shard << " now served by port "
                    << state.active_port;
   } else {
     state.alive = false;
     ++state.generation;
     ++stats_.dead_shards;
-    metrics.GetCounter("service/router_dead_shards").Increment();
     for (auto& [id, route] : routes_) {
       if (route.shard == shard && route.redrive_failure.ok() &&
           !route.terminal) {
@@ -819,9 +812,6 @@ bool Router::PromoteAndRedrive(ShardState& state, size_t shard) {
     }
     it->second.local_id = local_id->AsInt();
     ++stats_.redriven;
-    common::MetricsRegistry::Default()
-        .GetCounter("service/router_redriven")
-        .Increment();
   }
   return true;
 }

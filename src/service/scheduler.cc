@@ -6,7 +6,6 @@
 
 #include "common/failpoint.h"
 #include "common/logging.h"
-#include "common/metrics.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
@@ -132,12 +131,10 @@ Scheduler::~Scheduler() {
 }
 
 StatusOr<JobId> Scheduler::Submit(JobRequest request) {
-  common::MetricsRegistry& metrics = common::MetricsRegistry::Default();
   common::Status admission = ADA_FAILPOINT("service.admission");
   if (!admission.ok()) {
     common::MutexLock lock(&mutex_);
     ++stats_.shed;
-    metrics.GetCounter("service/jobs_shed").Increment();
     return admission;
   }
   if (request.log.num_patients() == 0 || request.log.num_records() == 0) {
@@ -184,7 +181,6 @@ StatusOr<JobId> Scheduler::Submit(JobRequest request) {
   // queued job at all.
   if (pending_.size() - superseded.size() >= options_.max_queue_depth) {
     ++stats_.shed;
-    metrics.GetCounter("service/jobs_shed").Increment();
     return common::ResourceExhaustedError(common::StrFormat(
         "admission queue is full (%zu queued, bound %zu)", pending_.size(),
         options_.max_queue_depth));
@@ -194,7 +190,6 @@ StatusOr<JobId> Scheduler::Submit(JobRequest request) {
     pending_.erase(
         PendingKey(-static_cast<int64_t>(queued.request.priority), stale));
     ++stats_.superseded;
-    metrics.GetCounter("service/jobs_superseded").Increment();
     FinishJob(queued, JobState::kCancelled,
               common::FailedPreconditionError(common::StrFormat(
                   "superseded by cohort '%s' generation %lld",
@@ -217,8 +212,6 @@ StatusOr<JobId> Scheduler::Submit(JobRequest request) {
   pending_.emplace(-static_cast<int64_t>(job->request.priority), id);
   jobs_.emplace(id, std::move(job));
   ++stats_.submitted;
-  metrics.GetCounter("service/jobs_submitted").Increment();
-  UpdateGaugesLocked();
   const bool drain_inline = SpawnWorkersLocked();
   lock.Unlock();
   FireNotifications(notifications);
@@ -371,6 +364,8 @@ Json Scheduler::StatsJson() const {
   object["jobs_shed"] = Json(stats.shed);
   object["cache_served"] = Json(stats.cache_served);
   object["sessions_executed"] = Json(stats.sessions_executed);
+  object["cache_persist_failures"] = Json(stats.cache_persist_failures);
+  object["cache_persist_skipped"] = Json(stats.cache_persist_skipped);
   object["queue_depth"] = Json(static_cast<int64_t>(stats.queue_depth));
   object["active_workers"] = Json(static_cast<int64_t>(stats.active_workers));
   Json::Object cache;
@@ -393,7 +388,6 @@ bool Scheduler::SpawnWorkersLocked() {
                                     active_workers_ + pending_.size())) {
     if (active_workers_ >= options_.max_workers) break;
     ++active_workers_;
-    UpdateGaugesLocked();
     bool scheduled =
         common::ThreadPool::Shared().TrySchedule([this] { DrainLoop(); });
     if (!scheduled) {
@@ -407,7 +401,6 @@ bool Scheduler::SpawnWorkersLocked() {
 }
 
 void Scheduler::DrainLoop() {
-  common::MetricsRegistry& metrics = common::MetricsRegistry::Default();
   common::MutexLock lock(&mutex_);
   while (!paused_ && !pending_.empty()) {
     auto first = pending_.begin();
@@ -416,10 +409,8 @@ void Scheduler::DrainLoop() {
     Job& job = *jobs_.at(id);
     auto now = std::chrono::steady_clock::now();
     job.wait_seconds = SecondsBetween(job.enqueue_time, now);
-    metrics.GetHistogram("service/job_wait_seconds").Record(job.wait_seconds);
     if (job.has_deadline && now > job.deadline) {
       ++stats_.expired;
-      metrics.GetCounter("service/jobs_expired").Increment();
       std::vector<Notification> notifications;
       FinishJob(job, JobState::kExpired,
                 common::DeadlineExceededError(common::StrFormat(
@@ -435,18 +426,15 @@ void Scheduler::DrainLoop() {
       continue;
     }
     job.state = JobState::kRunning;
-    UpdateGaugesLocked();
     lock.Unlock();
     RunJob(job);
     lock.Lock();
   }
   --active_workers_;
-  UpdateGaugesLocked();
   workers_idle_.NotifyAll();
 }
 
 void Scheduler::RunJob(Job& job) {
-  common::MetricsRegistry& metrics = common::MetricsRegistry::Default();
   common::Status injected = ADA_FAILPOINT("service.worker.session");
   if (!injected.ok()) {
     std::vector<Notification> notifications;
@@ -470,7 +458,6 @@ void Scheduler::RunJob(Job& job) {
       job.report = std::move(cached->report);
       job.knowledge_items = cached->knowledge_items;
       ++stats_.cache_served;
-      metrics.GetCounter("service/cache_served_jobs").Increment();
       FinishJob(job, JobState::kDone, common::OkStatus(), &notifications);
     }
     FireNotifications(notifications);
@@ -486,8 +473,6 @@ void Scheduler::RunJob(Job& job) {
       job.request.taxonomy.has_value() ? &*job.request.taxonomy : nullptr;
   auto result = session.Run(job.request.log, taxonomy, job.request.options);
   double run_seconds = timer.ElapsedSeconds();
-  metrics.GetHistogram("service/job_run_seconds").Record(run_seconds);
-  metrics.GetCounter("service/sessions_executed").Increment();
 
   if (!result.ok()) {
     std::vector<Notification> notifications;
@@ -532,7 +517,6 @@ void Scheduler::RunJob(Job& job) {
 }
 
 void Scheduler::CommitCacheEntry(CachedAnalysis entry, bool fire_hook) {
-  common::MetricsRegistry& metrics = common::MetricsRegistry::Default();
   CachedAnalysis committed = entry;  // The hook sees the full record.
   cache_.Insert(std::move(entry));
   if (!options_.cache_directory.empty()) {
@@ -545,12 +529,14 @@ void Scheduler::CommitCacheEntry(CachedAnalysis entry, bool fire_hook) {
       if (!persisted.ok()) {
         // Persistence is an optimization for the next boot; a failed
         // write degrades to in-memory caching only.
-        metrics.GetCounter("service/cache_persist_failures").Increment();
         ADA_LOG(kWarning) << "service: cache persist failed: "
                           << persisted.ToString();
+        common::MutexLock lock(&mutex_);
+        ++stats_.cache_persist_failures;
       }
     } else {
-      metrics.GetCounter("service/cache_persist_skipped").Increment();
+      common::MutexLock lock(&mutex_);
+      ++stats_.cache_persist_skipped;
     }
   }
   if (fire_hook && options_.on_result_committed) {
@@ -560,28 +546,23 @@ void Scheduler::CommitCacheEntry(CachedAnalysis entry, bool fire_hook) {
 
 void Scheduler::FinishJob(Job& job, JobState state, common::Status status,
                           std::vector<Notification>* notifications) {
-  common::MetricsRegistry& metrics = common::MetricsRegistry::Default();
   job.state = state;
   job.status = std::move(status);
   switch (state) {
     case JobState::kDone:
       ++stats_.completed;
-      metrics.GetCounter("service/jobs_completed").Increment();
       break;
     case JobState::kFailed:
       ++stats_.failed;
-      metrics.GetCounter("service/jobs_failed").Increment();
       break;
     case JobState::kCancelled:
       ++stats_.cancelled;
-      metrics.GetCounter("service/jobs_cancelled").Increment();
       break;
     case JobState::kExpired:
     case JobState::kQueued:
     case JobState::kRunning:
       break;  // kExpired counters are bumped at the shed site.
   }
-  UpdateGaugesLocked();
   state_changed_.NotifyAll();
   // Extract (and retire) this job's completion subscriptions. The
   // callbacks are deliberately NOT invoked here: firing them with
@@ -606,14 +587,6 @@ void Scheduler::FireNotifications(std::vector<Notification>& notifications) {
     notification.callback(notification.snapshot);
   }
   notifications.clear();
-}
-
-void Scheduler::UpdateGaugesLocked() const {
-  common::MetricsRegistry& metrics = common::MetricsRegistry::Default();
-  metrics.GetGauge("service/queue_depth")
-      .Set(static_cast<double>(pending_.size()));
-  metrics.GetGauge("service/active_workers")
-      .Set(static_cast<double>(active_workers_));
 }
 
 }  // namespace service

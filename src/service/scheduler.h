@@ -23,10 +23,7 @@
 // independent and each job gets a private K-DB instance).
 //
 // Failpoints: "service.admission" (Submit), "service.worker.session"
-// (evaluated once per job before the session runs). Metrics:
-// "service/jobs_*" counters, "service/job_wait_seconds" and
-// "service/job_run_seconds" histograms, "service/queue_depth" and
-// "service/active_workers" gauges.
+// (evaluated once per job before the session runs).
 #ifndef ADAHEALTH_SERVICE_SCHEDULER_H_
 #define ADAHEALTH_SERVICE_SCHEDULER_H_
 
@@ -148,8 +145,8 @@ struct SchedulerOptions {
       on_session_success;
 };
 
-/// Monotonic per-scheduler counters (the global metrics registry is
-/// shared across schedulers and tests; these are exact per-instance).
+/// Monotonic per-scheduler counters, exported by StatsJson — the only
+/// place a scheduler event is counted.
 struct SchedulerStats {
   int64_t submitted = 0;
   int64_t completed = 0;          // kDone, including cache hits.
@@ -160,6 +157,8 @@ struct SchedulerStats {
   int64_t shed = 0;               // Admission-time rejections.
   int64_t cache_served = 0;       // kDone answered by the cache.
   int64_t sessions_executed = 0;  // Actual AnalysisSession::Run calls.
+  int64_t cache_persist_failures = 0;  // Failed cache-file rewrites.
+  int64_t cache_persist_skipped = 0;   // Inserts below the threshold.
   size_t queue_depth = 0;
   size_t active_workers = 0;
 };
@@ -291,7 +290,6 @@ class Scheduler {
       ADA_REQUIRES(mutex_);
   void FireNotifications(std::vector<Notification>& notifications)
       ADA_EXCLUDES(mutex_);
-  void UpdateGaugesLocked() const ADA_REQUIRES(mutex_);
 
   const SchedulerOptions options_;
   ResultCache cache_;

@@ -10,7 +10,6 @@
 
 #include "common/failpoint.h"
 #include "common/logging.h"
-#include "common/metrics.h"
 #include "common/string_util.h"
 
 namespace adahealth {
@@ -166,7 +165,6 @@ void AnalysisServer::Wait() {
 }
 
 void AnalysisServer::OnAcceptable() {
-  common::MetricsRegistry& metrics = common::MetricsRegistry::Default();
   for (;;) {
     auto accepted = listener_.TryAccept();
     if (!accepted.ok()) {
@@ -174,20 +172,18 @@ void AnalysisServer::OnAcceptable() {
       // A transient accept failure (injected or EMFILE-style) must not
       // kill the server; level-triggered epoll re-reports the pending
       // backlog on the next iteration.
-      metrics.GetCounter("service/server_errors").Increment();
+      errors_.fetch_add(1);
       ADA_LOG(kWarning) << "service: accept failed: "
                         << accepted.status().message();
       return;
     }
     if (!accepted.value().valid()) return;  // Backlog drained.
     total_connections_.fetch_add(1);
-    metrics.GetCounter("service/server_connections").Increment();
     if (connections_.size() >= max_connections_) {
       // Shed: tell the client why (best-effort single write — the
       // socket buffer of a fresh connection is empty, so this
       // virtually always lands) and drop the connection.
       shed_connections_.fetch_add(1);
-      metrics.GetCounter("service/connections_shed").Increment();
       (void)SendNonBlocking(
           accepted.value(),
           ErrorResponse(common::ResourceExhaustedError(common::StrFormat(
@@ -196,7 +192,7 @@ void AnalysisServer::OnAcceptable() {
     }
     const int64_t id = next_connection_id_++;
     auto conn = std::make_unique<Connection>(
-        id, std::move(accepted).value(), &loop_, max_line_bytes_);
+        id, std::move(accepted).value(), &loop_, max_line_bytes_, &errors_);
     Connection* raw = conn.get();
     Status registered = raw->Register(
         [this, id](uint32_t events) { OnConnectionEvent(id, events); },
@@ -204,7 +200,7 @@ void AnalysisServer::OnAcceptable() {
           OnRequestLine(id, c, std::move(line));
         });
     if (!registered.ok()) {
-      metrics.GetCounter("service/server_errors").Increment();
+      errors_.fetch_add(1);
       ADA_LOG(kWarning) << "service: failed to register connection: "
                         << registered.ToString();
       continue;  // conn goes out of scope and releases the socket.
@@ -213,8 +209,6 @@ void AnalysisServer::OnAcceptable() {
     entry.conn = std::move(conn);
     connections_.emplace(id, std::move(entry));
     open_connections_.store(static_cast<int64_t>(connections_.size()));
-    metrics.GetGauge("service/open_connections")
-        .Set(static_cast<double>(connections_.size()));
   }
 }
 
@@ -238,11 +232,9 @@ void AnalysisServer::OnRequestLine(int64_t id, Connection& conn,
                     << killed.ToString();
     std::_Exit(137);
   }
-  common::MetricsRegistry& metrics = common::MetricsRegistry::Default();
-  metrics.GetCounter("service/server_requests").Increment();
   auto request = ParseRequest(line);
   if (!request.ok()) {
-    metrics.GetCounter("service/server_errors").Increment();
+    errors_.fetch_add(1);
     conn.EnqueueResponse(ErrorResponse(request.status()));
     return;
   }
@@ -433,9 +425,6 @@ void AnalysisServer::ForceCloseAll() {
   }
   connections_.clear();
   open_connections_.store(0);
-  common::MetricsRegistry::Default()
-      .GetGauge("service/open_connections")
-      .Set(0.0);
 }
 
 void AnalysisServer::RemoveConnection(int64_t id) {
@@ -445,9 +434,6 @@ void AnalysisServer::RemoveConnection(int64_t id) {
   it->second.conn->CloseNow();
   connections_.erase(it);
   open_connections_.store(static_cast<int64_t>(connections_.size()));
-  common::MetricsRegistry::Default()
-      .GetGauge("service/open_connections")
-      .Set(static_cast<double>(connections_.size()));
   if (draining_ && connections_.empty()) loop_.Quit();
 }
 
@@ -471,9 +457,6 @@ void AnalysisServer::SweepIdleConnections() {
   }
   for (int64_t id : idle) {
     idle_disconnects_.fetch_add(1);
-    common::MetricsRegistry::Default()
-        .GetCounter("service/idle_disconnects")
-        .Increment();
     RemoveConnection(id);
   }
   if (!draining_) {
@@ -619,6 +602,7 @@ std::string AnalysisServer::Dispatch(const Request& request) {
     server["total_connections"] = Json(total_connections_.load());
     server["shed_connections"] = Json(shed_connections_.load());
     server["idle_disconnects"] = Json(idle_disconnects_.load());
+    server["errors"] = Json(errors_.load());
     server["role"] = Json(std::string(ServerRoleName(role_.load())));
     fields["server"] = Json(std::move(server));
     fields["ingest"] = cohort_store_->StatsJson();

@@ -19,11 +19,6 @@
 // verb or Stop()) drains gracefully: the listener stops accepting,
 // pending responses are flushed, parked waits are resolved with
 // UNAVAILABLE, and a failsafe timer bounds the drain.
-//
-// Metrics: "service/server_connections", "service/server_requests",
-// "service/server_errors", "service/connections_shed",
-// "service/idle_disconnects" counters; "service/open_connections"
-// gauge.
 #ifndef ADAHEALTH_SERVICE_SERVER_H_
 #define ADAHEALTH_SERVICE_SERVER_H_
 
@@ -228,6 +223,9 @@ class AnalysisServer {
   std::atomic<int64_t> total_connections_{0};
   std::atomic<int64_t> shed_connections_{0};
   std::atomic<int64_t> idle_disconnects_{0};
+  /// Failed accepts/registrations, unparsable request lines, and
+  /// connection I/O failures (counted by each Connection).
+  std::atomic<int64_t> errors_{0};
 
   const uint16_t requested_port_;
   const size_t max_connections_;

@@ -1,6 +1,13 @@
 #include "ml/decision_tree.h"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <numeric>
+
 #include <gtest/gtest.h>
+#include "common/rng.h"
+#include "ml/metrics.h"
 #include "test_util.h"
 
 namespace adahealth {
@@ -132,6 +139,270 @@ TEST(DecisionTreeTest, RejectsInvalidInput) {
   bad.min_samples_split = 1;
   DecisionTreeClassifier bad_tree(bad);
   EXPECT_FALSE(bad_tree.Fit(features, {0, 1, 1}, 2).ok());
+}
+
+TEST(DecisionTreeTest, SplitsValuesWhoseMidpointRoundsOntoTheUpperOne) {
+  // Each pair's upper value is the node maximum, so a threshold equal
+  // to it (or beyond it) would send every sample left.
+  const double max = std::numeric_limits<double>::max();
+  // 1 + ulp has an odd significand: its midpoint with the next double
+  // ties to even, which rounds up to that next double.
+  const double odd = std::nextafter(1.0, 2.0);
+  const double denormal = std::numeric_limits<double>::denorm_min();
+  const std::pair<double, double> pairs[] = {
+      {odd, std::nextafter(odd, 2.0)},
+      {denormal, 2.0 * denormal},  // 1.5 denormals ties up to 2.
+      {0.75 * max, max},           // The sum overflows to +inf.
+      {-max, -0.75 * max},         // The sum overflows to -inf.
+  };
+  for (const auto& [low, high] : pairs) {
+    const double midpoint = 0.5 * (low + high);
+    ASSERT_FALSE(low <= midpoint && midpoint < high) << low << " " << high;
+    Matrix features(4, 1);
+    features.At(0, 0) = low;
+    features.At(1, 0) = low;
+    features.At(2, 0) = high;
+    features.At(3, 0) = high;
+    DecisionTreeClassifier tree;
+    ASSERT_TRUE(tree.Fit(features, {0, 0, 1, 1}, 2).ok());
+    ASSERT_EQ(tree.num_nodes(), 3u);
+    EXPECT_EQ(tree.nodes()[0].threshold, low);
+    EXPECT_EQ(tree.Predict(std::vector<double>{low}), 0);
+    EXPECT_EQ(tree.Predict(std::vector<double>{high}), 1);
+  }
+}
+
+// ---------------------------------------------------------------------
+// Generated property test. Feature columns mix ulp neighbours,
+// denormals, negatives, duplicates, constant columns and huge
+// magnitudes; on every input Fit must succeed and every split must
+// leave both children non-empty. Where the plain midpoint of every
+// pair of distinct column values falls in [lower, upper), the tree
+// must equal, node for node, the one the midpoint rule alone builds.
+
+using Node = DecisionTreeClassifier::Node;
+
+/// The CART builder with the plain midpoint threshold and no guard —
+/// the oracle for inputs whose midpoints all separate their pair.
+class MidpointOracle {
+ public:
+  MidpointOracle(const Matrix& features, const std::vector<int32_t>& labels,
+                 int32_t num_classes, DecisionTreeOptions options)
+      : features_(features),
+        labels_(labels),
+        num_classes_(num_classes),
+        options_(options) {}
+
+  std::vector<Node> Build() {
+    std::vector<size_t> ids(features_.rows());
+    std::iota(ids.begin(), ids.end(), 0u);
+    BuildNode(ids, 0, ids.size(), 0);
+    return nodes_;
+  }
+
+ private:
+  int32_t BuildNode(std::vector<size_t>& ids, size_t begin, size_t end,
+                    int32_t depth) {
+    const int32_t node_id = static_cast<int32_t>(nodes_.size());
+    nodes_.emplace_back();
+    std::vector<int64_t> counts(static_cast<size_t>(num_classes_), 0);
+    for (size_t i = begin; i < end; ++i) {
+      ++counts[static_cast<size_t>(labels_[ids[i]])];
+    }
+    int32_t majority = 0;
+    for (int32_t c = 1; c < num_classes_; ++c) {
+      if (counts[static_cast<size_t>(c)] >
+          counts[static_cast<size_t>(majority)]) {
+        majority = c;
+      }
+    }
+    nodes_[static_cast<size_t>(node_id)].label = majority;
+    const int64_t n = static_cast<int64_t>(end - begin);
+    const double node_impurity = GiniImpurity(counts);
+    if (depth >= options_.max_depth || n < options_.min_samples_split ||
+        node_impurity == 0.0) {
+      return node_id;
+    }
+    double best_gain = options_.min_impurity_decrease;
+    int32_t best_feature = -1;
+    double best_threshold = 0.0;
+    std::vector<size_t> order(end - begin);
+    for (size_t f = 0; f < features_.cols(); ++f) {
+      for (size_t i = 0; i < order.size(); ++i) order[i] = ids[begin + i];
+      std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return features_.At(a, f) < features_.At(b, f);
+      });
+      std::vector<int64_t> left(static_cast<size_t>(num_classes_), 0);
+      for (size_t i = 0; i + 1 < order.size(); ++i) {
+        ++left[static_cast<size_t>(labels_[order[i]])];
+        const double value = features_.At(order[i], f);
+        const double next_value = features_.At(order[i + 1], f);
+        if (value == next_value) continue;
+        const int64_t left_n = static_cast<int64_t>(i + 1);
+        const int64_t right_n = n - left_n;
+        if (left_n < options_.min_samples_leaf ||
+            right_n < options_.min_samples_leaf) {
+          continue;
+        }
+        std::vector<int64_t> right(counts);
+        for (size_t c = 0; c < right.size(); ++c) right[c] -= left[c];
+        const double weighted =
+            (static_cast<double>(left_n) * GiniImpurity(left) +
+             static_cast<double>(right_n) * GiniImpurity(right)) /
+            static_cast<double>(n);
+        const double gain = node_impurity - weighted;
+        if (gain > best_gain) {
+          best_gain = gain;
+          best_feature = static_cast<int32_t>(f);
+          best_threshold = 0.5 * (value + next_value);
+        }
+      }
+    }
+    if (best_feature < 0) return node_id;
+    auto middle = std::stable_partition(
+        ids.begin() + static_cast<ptrdiff_t>(begin),
+        ids.begin() + static_cast<ptrdiff_t>(end), [&](size_t id) {
+          return features_.At(id, static_cast<size_t>(best_feature)) <=
+                 best_threshold;
+        });
+    const size_t split = static_cast<size_t>(middle - ids.begin());
+    nodes_[static_cast<size_t>(node_id)].feature = best_feature;
+    nodes_[static_cast<size_t>(node_id)].threshold = best_threshold;
+    const int32_t left = BuildNode(ids, begin, split, depth + 1);
+    const int32_t right = BuildNode(ids, split, end, depth + 1);
+    nodes_[static_cast<size_t>(node_id)].left = left;
+    nodes_[static_cast<size_t>(node_id)].right = right;
+    return node_id;
+  }
+
+  const Matrix& features_;
+  const std::vector<int32_t>& labels_;
+  const int32_t num_classes_;
+  const DecisionTreeOptions options_;
+  std::vector<Node> nodes_;
+};
+
+/// Fills column `col` with one generated value family.
+void FillColumn(common::Rng& rng, Matrix& features, size_t col) {
+  const double max = std::numeric_limits<double>::max();
+  const double denormal = std::numeric_limits<double>::denorm_min();
+  const double bases[] = {1.0, -2.5, 0.1, 3.0e5, 1e-300, -7.0e200};
+  const double base = bases[rng.UniformUint64(std::size(bases))];
+  const int64_t family = rng.UniformInt(0, 5);
+  for (size_t row = 0; row < features.rows(); ++row) {
+    double value = base;
+    switch (family) {
+      case 0:  // Small integers: negatives and many duplicates.
+        value = static_cast<double>(rng.UniformInt(-4, 4));
+        break;
+      case 1:  // Constant column.
+        break;
+      case 2:  // Up to three ulps above (or below) the base.
+        for (int64_t step = rng.UniformInt(0, 3); step > 0; --step) {
+          value = std::nextafter(value, base > 0 ? max : -max);
+        }
+        break;
+      case 3:  // Denormals around zero.
+        value = static_cast<double>(rng.UniformInt(-3, 3)) * denormal;
+        break;
+      case 4: {  // Huge magnitudes, up to ±DBL_MAX.
+        const double scales[] = {0.5, 0.75, 0.9, 1.0};
+        value = (rng.Bernoulli(0.5) ? max : -max) *
+                scales[rng.UniformUint64(std::size(scales))];
+        break;
+      }
+      default:  // Ordinary reals.
+        value = rng.UniformDouble(-100.0, 100.0);
+        break;
+    }
+    features.At(row, col) = value;
+  }
+}
+
+/// True when, in every column, the midpoint of every pair of distinct
+/// values lies in [lower, upper) — where the oracle's rule is safe.
+bool MidpointsSeparateEveryPair(const Matrix& features) {
+  for (size_t col = 0; col < features.cols(); ++col) {
+    std::vector<double> values;
+    for (size_t row = 0; row < features.rows(); ++row) {
+      values.push_back(features.At(row, col));
+    }
+    std::sort(values.begin(), values.end());
+    values.erase(std::unique(values.begin(), values.end()), values.end());
+    for (size_t i = 0; i < values.size(); ++i) {
+      for (size_t j = i + 1; j < values.size(); ++j) {
+        const double midpoint = 0.5 * (values[i] + values[j]);
+        if (!(values[i] <= midpoint && midpoint < values[j])) return false;
+      }
+    }
+  }
+  return true;
+}
+
+/// Routes `rows` through node `id` and checks that every split sends
+/// at least one training sample each way.
+void ExpectNonEmptySplits(const DecisionTreeClassifier& tree,
+                          const Matrix& features, int32_t id,
+                          const std::vector<size_t>& rows) {
+  const Node& node = tree.nodes()[static_cast<size_t>(id)];
+  if (node.is_leaf()) return;
+  std::vector<size_t> left;
+  std::vector<size_t> right;
+  for (size_t row : rows) {
+    (features.At(row, static_cast<size_t>(node.feature)) <= node.threshold
+         ? left
+         : right)
+        .push_back(row);
+  }
+  EXPECT_FALSE(left.empty()) << "node " << id;
+  EXPECT_FALSE(right.empty()) << "node " << id;
+  ExpectNonEmptySplits(tree, features, node.left, left);
+  ExpectNonEmptySplits(tree, features, node.right, right);
+}
+
+TEST(DecisionTreePropertyTest, GeneratedColumnsNeverAbortAndMatchOracle) {
+  common::Rng rng(20160416);
+  int oracle_cases = 0;
+  int guarded_cases = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const size_t rows = static_cast<size_t>(rng.UniformInt(2, 40));
+    const size_t cols = static_cast<size_t>(rng.UniformInt(1, 4));
+    const int32_t num_classes = static_cast<int32_t>(rng.UniformInt(2, 3));
+    Matrix features(rows, cols);
+    for (size_t col = 0; col < cols; ++col) FillColumn(rng, features, col);
+    std::vector<int32_t> labels(rows);
+    for (int32_t& label : labels) {
+      label = static_cast<int32_t>(rng.UniformInt(0, num_classes - 1));
+    }
+    DecisionTreeOptions options;
+    options.min_samples_leaf = static_cast<int32_t>(rng.UniformInt(1, 3));
+    DecisionTreeClassifier tree(options);
+    ASSERT_TRUE(tree.Fit(features, labels, num_classes).ok())
+        << "trial " << trial;
+    std::vector<size_t> all(rows);
+    std::iota(all.begin(), all.end(), 0u);
+    ExpectNonEmptySplits(tree, features, 0, all);
+
+    if (!MidpointsSeparateEveryPair(features)) {
+      ++guarded_cases;
+      continue;
+    }
+    ++oracle_cases;
+    std::vector<Node> expected =
+        MidpointOracle(features, labels, num_classes, options).Build();
+    ASSERT_EQ(tree.nodes().size(), expected.size()) << "trial " << trial;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      const Node& got = tree.nodes()[i];
+      EXPECT_EQ(got.feature, expected[i].feature) << trial << "/" << i;
+      EXPECT_EQ(got.threshold, expected[i].threshold) << trial << "/" << i;
+      EXPECT_EQ(got.left, expected[i].left) << trial << "/" << i;
+      EXPECT_EQ(got.right, expected[i].right) << trial << "/" << i;
+      EXPECT_EQ(got.label, expected[i].label) << trial << "/" << i;
+    }
+  }
+  // Both halves of the property must actually be exercised.
+  EXPECT_GE(oracle_cases, 100);
+  EXPECT_GE(guarded_cases, 100);
 }
 
 }  // namespace

@@ -698,10 +698,6 @@ TEST_F(FaultInjectionServiceTest, CacheStoreFailureDegradesNotFails) {
   // failure is hit by this very job.
   options.cache_persist_threshold = 1;
   service::Scheduler scheduler(options);
-  int64_t persist_failures_before =
-      common::MetricsRegistry::Default()
-          .GetCounter("service/cache_persist_failures")
-          .value();
   ScopedFailpoint fp("service.cache.store",
                      OneShotError(StatusCode::kUnavailable));
   auto id = scheduler.Submit(MakeJob("store-degraded"));
@@ -711,10 +707,7 @@ TEST_F(FaultInjectionServiceTest, CacheStoreFailureDegradesNotFails) {
   // The job completes; only the cache's durability degraded.
   EXPECT_EQ(snapshot->state, service::JobState::kDone);
   EXPECT_FALSE(snapshot->report.empty());
-  EXPECT_EQ(common::MetricsRegistry::Default()
-                .GetCounter("service/cache_persist_failures")
-                .value(),
-            persist_failures_before + 1);
+  EXPECT_EQ(scheduler.stats().cache_persist_failures, 1);
   // The in-memory entry is still there: a repeat is served from cache.
   auto repeat = scheduler.Submit(MakeJob("store-degraded"));
   ASSERT_TRUE(repeat.ok());
@@ -782,17 +775,20 @@ TEST_F(FaultInjectionServiceTest, WorkerSessionFailureIsConfinedToOneJob) {
 // the server.
 
 namespace {
-int64_t ServerErrorCount() {
-  return common::MetricsRegistry::Default()
-      .GetCounter("service/server_errors")
-      .value();
+/// The server's own error counter, as its `stats` verb reports it.
+int64_t ServerErrorCount(service::AnalysisServer& server) {
+  service::Request request;
+  request.verb = "stats";
+  auto stats = service::ParseResponse(server.Dispatch(request));
+  if (!stats.ok()) return -1;
+  return stats->Find("server")->Find("errors")->AsInt();
 }
 
-/// Spins until the server_errors counter moves past `floor` (the
+/// Spins until the server's error counter moves past `floor` (the
 /// injected failure is processed on the event-loop thread, not ours).
-bool AwaitServerErrorsAbove(int64_t floor) {
+bool AwaitServerErrorsAbove(service::AnalysisServer& server, int64_t floor) {
   for (int attempt = 0; attempt < 250; ++attempt) {
-    if (ServerErrorCount() > floor) return true;
+    if (ServerErrorCount(server) > floor) return true;
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   return false;
@@ -802,7 +798,7 @@ bool AwaitServerErrorsAbove(int64_t floor) {
 TEST_F(FaultInjectionServiceTest, AcceptFailpointIsRetriedByTheEventLoop) {
   service::AnalysisServer server(service::ServerOptions{});
   ASSERT_TRUE(server.Start().ok());
-  int64_t errors_before = ServerErrorCount();
+  int64_t errors_before = ServerErrorCount(server);
   ScopedFailpoint fp("service.net.accept",
                      OneShotError(StatusCode::kUnavailable, "accept blip"));
   // The first accept attempt eats the injected failure; level-triggered
@@ -811,7 +807,7 @@ TEST_F(FaultInjectionServiceTest, AcceptFailpointIsRetriedByTheEventLoop) {
   auto client = service::AnalysisClient::Connect(server.port());
   ASSERT_TRUE(client.ok());
   EXPECT_TRUE(client->Call("ping").ok());
-  EXPECT_GE(ServerErrorCount(), errors_before + 1);
+  EXPECT_EQ(ServerErrorCount(server), errors_before + 1);
   server.Stop();
 }
 
@@ -820,14 +816,14 @@ TEST_F(FaultInjectionServiceTest, ReadFailpointFailsOneConnectionNotServer) {
   ASSERT_TRUE(server.Start().ok());
   auto doomed = service::ConnectLoopback(server.port());
   ASSERT_TRUE(doomed.ok());
-  int64_t errors_before = ServerErrorCount();
+  int64_t errors_before = ServerErrorCount(server);
   ScopedFailpoint fp("service.net.read",
                      OneShotError(StatusCode::kUnavailable, "read blip"));
   // This send is fine (only reads are poisoned); the server's recv on
   // the event loop hits the failpoint and drops the connection.
   ASSERT_TRUE(
       service::SendAll(doomed.value(), "{\"verb\":\"ping\"}\n").ok());
-  ASSERT_TRUE(AwaitServerErrorsAbove(errors_before));
+  ASSERT_TRUE(AwaitServerErrorsAbove(server, errors_before));
   // Only that connection died: it sees EOF, a fresh client is served.
   service::LineReader reader(doomed.value());
   EXPECT_FALSE(reader.ReadLine().ok());
@@ -849,7 +845,7 @@ TEST_F(FaultInjectionServiceTest, WriteFailpointFailsOneConnectionNotServer) {
       service::SendAll(doomed.value(), "{\"verb\":\"ping\"}\n").ok());
   ASSERT_TRUE(reader.ReadLine().ok());
 
-  int64_t errors_before = ServerErrorCount();
+  int64_t errors_before = ServerErrorCount(server);
   ScopedFailpoint fp("service.net.write",
                      OneShotError(StatusCode::kUnavailable, "write blip"));
   // Raw ::send so the client-side SendAll helper cannot eat the
@@ -858,7 +854,7 @@ TEST_F(FaultInjectionServiceTest, WriteFailpointFailsOneConnectionNotServer) {
   ASSERT_GT(::send(doomed->get(), request,  // ada-lint: allow(raw-socket)
                    sizeof(request) - 1, MSG_NOSIGNAL),
             0);
-  ASSERT_TRUE(AwaitServerErrorsAbove(errors_before));
+  ASSERT_TRUE(AwaitServerErrorsAbove(server, errors_before));
   // The response write failed: connection dropped, no reply; the
   // server itself keeps serving.
   EXPECT_FALSE(reader.ReadLine().ok());

@@ -59,6 +59,14 @@ struct IndexSweepCase {
   uint64_t seed;
 };
 
+// Without a printer gtest dumps the raw bytes, including the padding after
+// `k`, and that dump becomes the discovered CTest name, which then changes
+// from run to run. Print the fields instead so the name is stable.
+void PrintTo(const IndexSweepCase& c, std::ostream* os) {
+  *os << "k=" << c.k << " per_cluster=" << c.per_cluster
+      << " spread=" << c.spread << " seed=" << c.seed;
+}
+
 class QualityIndexSweep : public testing::TestWithParam<IndexSweepCase> {};
 
 TEST_P(QualityIndexSweep, AllIndicesPreferTrueStructure) {

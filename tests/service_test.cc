@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 #include "common/failpoint.h"
-#include "common/metrics.h"
 #include "common/status.h"
 #include "core/report.h"
 #include "core/session.h"
@@ -455,9 +454,6 @@ TEST(SchedulerTest, CachePersistenceBatchesOnDirtyThreshold) {
   service::SchedulerOptions options;
   options.cache_directory = dir;
   options.cache_persist_threshold = 4;
-  int64_t skipped_before = common::MetricsRegistry::Default()
-                               .GetCounter("service/cache_persist_skipped")
-                               .value();
   {
     service::Scheduler scheduler(options);
     auto id = scheduler.Submit(MakeJob(96, "batched"));
@@ -467,10 +463,7 @@ TEST(SchedulerTest, CachePersistenceBatchesOnDirtyThreshold) {
     // hit the disk, the skipped persist was counted, and the entry
     // stays marked dirty for the eventual flush.
     EXPECT_TRUE(std::filesystem::is_empty(dir));
-    EXPECT_EQ(common::MetricsRegistry::Default()
-                  .GetCounter("service/cache_persist_skipped")
-                  .value(),
-              skipped_before + 1);
+    EXPECT_EQ(scheduler.stats().cache_persist_skipped, 1);
     EXPECT_EQ(scheduler.cache().dirty_entries(), 1u);
   }  // The destructor flushes whatever is still dirty.
   EXPECT_FALSE(std::filesystem::is_empty(dir));
@@ -515,9 +508,6 @@ TEST(SchedulerTest, DestructorFlushCoversFailedThresholdPersist) {
   service::SchedulerOptions options;
   options.cache_directory = dir;
   options.cache_persist_threshold = 1;
-  int64_t failures_before = common::MetricsRegistry::Default()
-                                .GetCounter("service/cache_persist_failures")
-                                .value();
   {
     service::Scheduler scheduler(options);
     {
@@ -535,10 +525,7 @@ TEST(SchedulerTest, DestructorFlushCoversFailedThresholdPersist) {
     }
     EXPECT_TRUE(std::filesystem::is_empty(dir));
     EXPECT_EQ(scheduler.cache().dirty_entries(), 1u);
-    EXPECT_EQ(common::MetricsRegistry::Default()
-                  .GetCounter("service/cache_persist_failures")
-                  .value(),
-              failures_before + 1);
+    EXPECT_EQ(scheduler.stats().cache_persist_failures, 1);
   }  // Failpoint disarmed: the destructor flush settles the debt.
   EXPECT_FALSE(std::filesystem::is_empty(dir));
   service::Scheduler revived(options);

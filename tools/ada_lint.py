@@ -68,6 +68,16 @@ Rules
                     through the K-DB storage layer (as the result cache
                     does), so the atomic-rename discipline and its
                     failpoints live in exactly two audited places.
+  service-metrics   src/service/ neither includes common/metrics.h nor
+                    names MetricsRegistry. MetricsRegistry::Default() is
+                    the pipeline layers' registry; a service component
+                    counts its events once, in its own per-instance stats
+                    (SchedulerStats, RouterStats, ReplicationStats,
+                    CohortStoreStats, the server's atomics, the result
+                    cache's counters), which the `stats`/`health` verbs
+                    export. A second, process-global copy of a service
+                    counter would be shared by every in-process server
+                    and read by nothing.
   raw-mutex         std::mutex / std::lock_guard / std::unique_lock /
                     std::condition_variable (and their scoped/shared/
                     timed variants, plus the <mutex>,
@@ -117,6 +127,8 @@ FILE_IO_CALL_RE = re.compile(
     r"(?<![\w.>])(fopen|fwrite|fread|fflush|fsync|ftruncate|truncate"
     r"|rename|unlink|mkdir|rmdir)\s*\(")
 FILE_IO_INCLUDE_RE = re.compile(r"#\s*include\s*<(fstream|filesystem)>")
+METRICS_INCLUDE_RE = re.compile(r'#\s*include\s*"common/metrics\.h"')
+METRICS_REGISTRY_RE = re.compile(r"\bMetricsRegistry\b")
 RAW_MUTEX_RE = re.compile(
     r"std::(recursive_mutex|timed_mutex|recursive_timed_mutex|"
     r"shared_mutex|shared_timed_mutex|mutex|lock_guard|unique_lock|"
@@ -341,6 +353,23 @@ def lint_file(path, rel_path):
                     f"#include <{m.group(1)}> in src/service/ outside "
                     "cohort_store.cc; service-layer persistence goes "
                     "through the K-DB storage layer or the cohort store"))
+
+        # --- service-metrics --------------------------------------------
+        if in_service and not allowed(lineno, "service-metrics"):
+            # Include paths are string literals, which `code` has
+            # stripped; match the include on the raw line instead.
+            if (code.lstrip().startswith("#")
+                    and METRICS_INCLUDE_RE.search(raw_lines[lineno - 1])):
+                findings.append(Finding(
+                    rel_path, lineno, "service-metrics",
+                    "#include \"common/metrics.h\" in src/service/; count "
+                    "service events in the owner's per-instance stats"))
+            if METRICS_REGISTRY_RE.search(code):
+                findings.append(Finding(
+                    rel_path, lineno, "service-metrics",
+                    "MetricsRegistry in src/service/; count service "
+                    "events in the owner's per-instance stats, which "
+                    "`stats`/`health` export"))
 
         # --- raw-mutex ---------------------------------------------------
         if not is_sync:
