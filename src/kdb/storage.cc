@@ -55,9 +55,8 @@ Status RestoreLine(Collection& collection, const std::string& name,
   return common::OkStatus();
 }
 
-/// Writes `contents` to `path` atomically: `<path>.tmp` + fsync +
-/// rename. Any failure removes the temporary file and leaves a
-/// previous `path` untouched.
+}  // namespace
+
 Status AtomicWriteFile(const std::string& path, std::string_view contents) {
   const std::string tmp_path = path + ".tmp";
   auto fail = [&tmp_path](Status status) {
@@ -115,8 +114,6 @@ Status AtomicWriteFile(const std::string& path, std::string_view contents) {
   }
   return common::OkStatus();
 }
-
-}  // namespace
 
 std::string SerializeCollection(const Collection& collection) {
   std::string out;

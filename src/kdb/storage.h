@@ -10,19 +10,27 @@
 // how much was dropped.
 //
 // Failpoints (common/failpoint.h): "kdb.storage.write",
-// "kdb.storage.fsync", "kdb.storage.rename" fire inside SaveCollection
-// before the corresponding syscall; "kdb.storage.read" fires inside
+// "kdb.storage.fsync", "kdb.storage.rename" fire inside AtomicWriteFile
+// (so in SaveCollection and in cohort manifest writes) before the
+// corresponding syscall; "kdb.storage.read" fires inside
 // LoadCollection/LoadCollectionSalvage before the file is opened.
 #ifndef ADAHEALTH_KDB_STORAGE_H_
 #define ADAHEALTH_KDB_STORAGE_H_
 
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "kdb/collection.h"
 
 namespace adahealth {
 namespace kdb {
+
+/// Writes `contents` to `path` atomically (`<path>.tmp` + fsync +
+/// rename + directory fsync). Any failure removes the temporary file
+/// and leaves a previous `path` untouched.
+[[nodiscard]] common::Status AtomicWriteFile(const std::string& path,
+                                             std::string_view contents);
 
 /// Serializes every document of `collection` as one JSON line.
 std::string SerializeCollection(const Collection& collection);

@@ -15,8 +15,12 @@ namespace service {
 using common::Json;
 using common::StatusOr;
 
-StatusOr<AnalysisClient> AnalysisClient::Connect(uint16_t port) {
+StatusOr<AnalysisClient> AnalysisClient::Connect(uint16_t port,
+                                                 double recv_timeout_millis) {
   ADA_ASSIGN_OR_RETURN(FileDescriptor connection, ConnectLoopback(port));
+  if (recv_timeout_millis > 0.0) {
+    ADA_RETURN_IF_ERROR(SetRecvTimeout(connection, recv_timeout_millis));
+  }
   AnalysisClient client;
   client.connection_ =
       std::make_unique<FileDescriptor>(std::move(connection));
@@ -28,8 +32,8 @@ StatusOr<AnalysisClient> AnalysisClient::Connect(
     uint16_t port, const ConnectOptions& options) {
   common::RetryPolicy policy;
   policy.max_attempts = std::max(1, options.retries + 1);
-  policy.initial_backoff_millis = options.initial_backoff_millis;
-  policy.max_backoff_millis = options.max_backoff_millis;
+  policy.initial_backoff_millis = 25.0;
+  policy.max_backoff_millis = 500.0;
   // Only UNAVAILABLE (ECONNREFUSED, nothing bound yet) is worth
   // waiting out at connect time; anything else is a caller bug.
   policy.retryable_codes = {common::StatusCode::kUnavailable};
@@ -43,9 +47,16 @@ StatusOr<AnalysisClient> AnalysisClient::Connect(
   return connected;
 }
 
+StatusOr<std::string> AnalysisClient::Exchange(std::string_view line) {
+  std::string framed;
+  framed.reserve(line.size() + 1);
+  framed.append(line).push_back('\n');
+  ADA_RETURN_IF_ERROR(SendAll(*connection_, framed));
+  return reader_->ReadLine();
+}
+
 StatusOr<Json> AnalysisClient::Call(const Json::Object& request) {
-  ADA_RETURN_IF_ERROR(SendAll(*connection_, Json(request).Dump() + "\n"));
-  ADA_ASSIGN_OR_RETURN(std::string line, reader_->ReadLine());
+  ADA_ASSIGN_OR_RETURN(std::string line, Exchange(Json(request).Dump()));
   return ParseResponse(line);
 }
 
@@ -81,6 +92,8 @@ std::vector<StatusOr<Json>> AnalysisClient::CallPipelined(
   }
   return responses;
 }
+
+void AnalysisClient::Interrupt() const { ShutdownConnection(*connection_); }
 
 }  // namespace service
 }  // namespace adahealth

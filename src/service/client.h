@@ -1,12 +1,14 @@
 // Client-side NDJSON protocol bindings: one connection, one or more
-// request-response exchanges. The `ada_client` CLI (tools/) and the
-// end-to-end tests are the two consumers.
+// request-response exchanges. The one outbound connection of the
+// service layer (ada_lint `service-outbound`): the router, the
+// replication shipper, the `ada_client` CLI and the tests use it.
 #ifndef ADAHEALTH_SERVICE_CLIENT_H_
 #define ADAHEALTH_SERVICE_CLIENT_H_
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.h"
@@ -22,30 +24,35 @@ struct ConnectOptions {
   /// retryable error (ECONNREFUSED surfaces as UNAVAILABLE) — the
   /// server may still be binding its port, or a router failover may be
   /// mid-promotion. 0 = single attempt, exactly the old behaviour.
+  /// Attempts back off exponentially from 25 ms to 500 ms.
   int retries = 0;
-  /// Exponential backoff between attempts (common/retry.h semantics).
-  double initial_backoff_millis = 25.0;
-  double max_backoff_millis = 500.0;
 };
 
 /// A connected protocol client. Requests run sequentially on the one
 /// connection (the protocol is strictly request-response).
 class AnalysisClient {
  public:
-  /// Connects to the server on 127.0.0.1:`port`. UNAVAILABLE when
-  /// nothing listens there.
-  [[nodiscard]] static common::StatusOr<AnalysisClient> Connect(uint16_t port);
+  /// Connects to the server on 127.0.0.1:`port` in one attempt.
+  /// UNAVAILABLE when nothing listens there. A `recv_timeout_millis`
+  /// > 0 bounds every read: a wedged server fails it with UNAVAILABLE.
+  [[nodiscard]] static common::StatusOr<AnalysisClient> Connect(
+      uint16_t port, double recv_timeout_millis = 0.0);
 
-  /// As above, retrying refused/unavailable connects with exponential
-  /// backoff per `options`. Returns the final attempt's error when the
-  /// budget is exhausted.
+  /// As above (no receive deadline), retrying refused/unavailable
+  /// connects with exponential backoff per `options`. Returns the
+  /// final attempt's error when the budget is exhausted.
   [[nodiscard]] static common::StatusOr<AnalysisClient> Connect(
       uint16_t port, const ConnectOptions& options);
 
+  /// Sends one request line (no trailing newline) and returns the raw,
+  /// unparsed response line. Transport failures are UNAVAILABLE (or
+  /// OUT_OF_RANGE when the server hung up).
+  [[nodiscard]] common::StatusOr<std::string> Exchange(std::string_view line);
+
   /// Sends one request object (the "verb" field must be set) and
   /// returns the parsed success response. A server-side error response
-  /// is surfaced as its reconstructed Status; transport failures are
-  /// UNAVAILABLE (or OUT_OF_RANGE when the server hung up).
+  /// is surfaced as its reconstructed Status; transport failures as in
+  /// Exchange.
   [[nodiscard]] common::StatusOr<common::Json> Call(
       const common::Json::Object& request);
 
@@ -58,6 +65,10 @@ class AnalysisClient {
   /// transport failure fills the remaining entries with its status.
   [[nodiscard]] std::vector<common::StatusOr<common::Json>> CallPipelined(
       const std::vector<common::Json::Object>& requests);
+
+  /// Thread-safe: wakes a call blocked on the server's reply, which
+  /// then fails. The socket stays open until destruction.
+  void Interrupt() const;
 
  private:
   AnalysisClient() = default;

@@ -1,7 +1,6 @@
 #include "service/cohort_store.h"
 
 #include <dirent.h>
-#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -13,6 +12,7 @@
 #include "common/failpoint.h"
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "kdb/storage.h"
 
 namespace adahealth {
 namespace service {
@@ -27,59 +27,10 @@ constexpr char kRecordsHeader[] = "patient_id,exam_type,day\n";
 constexpr char kRecordsSuffix[] = ".records";
 constexpr char kManifestSuffix[] = ".manifest.json";
 constexpr size_t kMaxCohortName = 64;
-
-/// Same tmp + fsync + rename + directory-fsync discipline as the K-DB
-/// (kdb/storage.cc), with the ingest snapshot failpoint in place of the
-/// storage ones. Any failure removes the temporary file and leaves a
-/// previous `path` untouched.
-Status AtomicWriteFile(const std::string& path, std::string_view contents) {
-  const std::string tmp_path = path + ".tmp";
-  auto fail = [&tmp_path](Status status) {
-    std::remove(tmp_path.c_str());
-    return status;
-  };
-
-  Status injected = ADA_FAILPOINT("service.ingest.snapshot");
-  if (!injected.ok()) return fail(injected);
-
-  std::FILE* file = std::fopen(tmp_path.c_str(), "wb");
-  if (file == nullptr) {
-    return common::UnavailableError("cannot open temp file for writing: " +
-                                    tmp_path);
-  }
-  size_t written = std::fwrite(contents.data(), 1, contents.size(), file);
-  if (written != contents.size() || std::fflush(file) != 0) {
-    std::fclose(file);
-    return fail(common::DataLossError("write error on file: " + tmp_path));
-  }
-  if (::fsync(::fileno(file)) != 0) {
-    std::fclose(file);
-    return fail(common::DataLossError("fsync failed on file: " + tmp_path));
-  }
-  if (std::fclose(file) != 0) {
-    return fail(common::DataLossError("close failed on file: " + tmp_path));
-  }
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    return fail(common::UnavailableError("rename failed: " + tmp_path +
-                                         " -> " + path));
-  }
-
-  // Make the rename itself durable. Best-effort: a directory that
-  // cannot be fsynced only weakens durability, it does not corrupt
-  // either file version.
-  std::string directory = path;
-  size_t slash = directory.find_last_of('/');
-  directory = slash == std::string::npos ? "." : directory.substr(0, slash);
-  int dir_fd = ::open(directory.c_str(), O_RDONLY);
-  if (dir_fd >= 0) {
-    if (::fsync(dir_fd) != 0) {
-      ADA_LOG(kWarning) << "directory fsync failed for " << directory;
-    }
-    // Scoped open/fsync/close of a directory fd, not a socket.
-    ::close(dir_fd);  // ada-lint: allow(raw-socket)
-  }
-  return common::OkStatus();
-}
+/// Warm-start drift gate: when more than this fraction of the cohort's
+/// records arrived after the last analyzed generation, the prior
+/// centroids are considered stale and the next job runs cold.
+constexpr double kDriftThreshold = 0.5;
 
 Json MatrixToJson(const transform::Matrix& matrix) {
   Json::Array rows;
@@ -214,14 +165,12 @@ Json CohortStore::ManifestJson(const std::string& cohort,
 
 Status CohortStore::WriteManifest(const std::string& cohort,
                                   const CohortState& state) {
-  if (options_.directory.empty()) {
-    // In-memory store: nothing to persist, but the failpoint still
-    // governs the commit so tests can exercise the degradation paths
-    // without a disk.
-    return ADA_FAILPOINT("service.ingest.snapshot");
-  }
-  return AtomicWriteFile(ManifestPath(cohort),
-                         ManifestJson(cohort, state).Pretty() + "\n");
+  // The failpoint governs the commit of an in-memory store too, so
+  // tests can exercise the degradation paths without a disk.
+  ADA_RETURN_IF_ERROR(ADA_FAILPOINT("service.ingest.snapshot"));
+  if (options_.directory.empty()) return common::OkStatus();
+  return kdb::AtomicWriteFile(ManifestPath(cohort),
+                              ManifestJson(cohort, state).Pretty() + "\n");
 }
 
 Status CohortStore::AppendRecordsFile(const std::string& cohort,
@@ -397,7 +346,7 @@ StatusOr<JobRequest> CohortStore::BuildCohortJob(const std::string& cohort) {
   const double drift =
       records > 0 ? static_cast<double>(fresh) / static_cast<double>(records)
                   : 0.0;
-  if (drift > options_.drift_threshold) {
+  if (drift > kDriftThreshold) {
     stats_.cold_fallbacks += 1;
     return request;
   }

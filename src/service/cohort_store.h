@@ -31,8 +31,8 @@
 // persists the selected centroids, the exam types their columns mean,
 // and the best K. The next BuildCohortJob attaches them as a
 // SessionOptions warm hint unless the cohort drifted too far since
-// the analyzed generation (drift_threshold), in which case the job
-// runs cold. The hint is identity-gated inside the session (see
+// the analyzed generation (more than half of its records arrived
+// since), in which case the job runs cold. The hint is identity-gated inside the session (see
 // core::WarmStartOptions): it can speed the sweep up but never
 // changes what a cold run on the same data would report.
 //
@@ -67,10 +67,6 @@ struct CohortStoreOptions {
   /// in-memory store (tests, demos): nothing survives the process, but
   /// every other contract holds.
   std::string directory;
-  /// Warm-start drift gate: when more than this fraction of the
-  /// cohort's records arrived after the last analyzed generation, the
-  /// prior centroids are considered stale and the next job runs cold.
-  double drift_threshold = 0.5;
 };
 
 /// What one committed ingest batch did.

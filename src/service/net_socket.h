@@ -123,8 +123,8 @@ void ShutdownConnection(const FileDescriptor& fd);
 
 /// Arms SO_RCVTIMEO: a blocking read on `fd` fails with UNAVAILABLE
 /// (EAGAIN) after `timeout_millis` instead of parking the thread
-/// forever — how the router and the replication shipper bound reads
-/// against a wedged (but not dead) peer. <= 0 restores block-forever.
+/// forever — AnalysisClient's receive deadline against a wedged (but
+/// not dead) peer. <= 0 restores block-forever.
 [[nodiscard]] common::Status SetRecvTimeout(const FileDescriptor& fd,
                                             double timeout_millis);
 

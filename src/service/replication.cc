@@ -1,15 +1,12 @@
 #include "service/replication.h"
 
 #include <algorithm>
-#include <memory>
-#include <string>
+#include <optional>
 #include <utility>
 
 #include "common/failpoint.h"
 #include "common/json.h"
 #include "common/logging.h"
-#include "service/net_socket.h"
-#include "service/protocol.h"
 
 namespace adahealth {
 namespace service {
@@ -84,8 +81,7 @@ ReplicationStats LogShipper::stats() const {
 }
 
 void LogShipper::ShipLoop() {
-  FileDescriptor socket;
-  std::unique_ptr<LineReader> reader;
+  std::optional<AnalysisClient> follower;
   double backoff_millis = options_.reconnect_backoff_millis;
   for (;;) {
     {
@@ -95,9 +91,9 @@ void LogShipper::ShipLoop() {
       });
       if (stopping_) return;
     }
-    if (!socket.valid()) {
-      socket = ConnectAndCatchUp();
-      if (!socket.valid()) {
+    if (!follower.has_value()) {
+      follower = ConnectAndCatchUp();
+      if (!follower.has_value()) {
         MutexLock lock(&mutex_);
         // The backoff sleep stays responsive to Stop().
         if (wake_.WaitFor(mutex_, backoff_millis,
@@ -108,9 +104,6 @@ void LogShipper::ShipLoop() {
                                   options_.max_reconnect_backoff_millis);
         continue;
       }
-      // The reader buffers per-connection bytes, so it must be rebuilt
-      // whenever the socket changes.
-      reader = std::make_unique<LineReader>(socket);
       backoff_millis = options_.reconnect_backoff_millis;
     }
     CachedAnalysis entry;
@@ -123,7 +116,7 @@ void LogShipper::ShipLoop() {
       in_flight_ = true;
       stats_.queue_depth = queue_.size();
     }
-    Status shipped = ShipEntry(socket, *reader, entry);
+    Status shipped = ShipEntry(*follower, entry);
     {
       MutexLock lock(&mutex_);
       in_flight_ = false;
@@ -142,34 +135,29 @@ void LogShipper::ShipLoop() {
     if (!shipped.ok()) {
       ADA_LOG(kWarning) << "replication: ship failed, reconnecting: "
                         << shipped.ToString();
-      socket.Close();
-      reader.reset();
+      follower.reset();
     }
   }
 }
 
-FileDescriptor LogShipper::ConnectAndCatchUp() {
-  common::StatusOr<FileDescriptor> connected =
-      ConnectLoopback(options_.follower_port);
-  if (!connected.ok()) return FileDescriptor();
-  FileDescriptor socket = std::move(connected).value();
-  if (!SetRecvTimeout(socket, kAckTimeoutMillis).ok()) {
-    return FileDescriptor();
-  }
+std::optional<AnalysisClient> LogShipper::ConnectAndCatchUp() {
+  common::StatusOr<AnalysisClient> connected =
+      AnalysisClient::Connect(options_.follower_port, kAckTimeoutMillis);
+  if (!connected.ok()) return std::nullopt;
+  AnalysisClient follower = std::move(connected).value();
   // Snapshot catch-up: ship the full cache (most recent first) before
   // the live tail, so a follower that was down — or never saw the
   // dropped-on-overflow entries — converges on this connection.
-  LineReader reader(socket);
   std::vector<CachedAnalysis> snapshot =
       snapshot_ ? snapshot_() : std::vector<CachedAnalysis>();
   for (const CachedAnalysis& entry : snapshot) {
-    Status shipped = ShipEntry(socket, reader, entry);
+    Status shipped = ShipEntry(follower, entry);
     if (!shipped.ok()) {
       ADA_LOG(kWarning) << "replication: catch-up failed: "
                         << shipped.ToString();
       MutexLock lock(&mutex_);
       ++stats_.send_failures;
-      return FileDescriptor();
+      return std::nullopt;
     }
     MutexLock lock(&mutex_);
     ++stats_.shipped;
@@ -177,19 +165,16 @@ FileDescriptor LogShipper::ConnectAndCatchUp() {
   MutexLock lock(&mutex_);
   ++stats_.reconnects;
   stats_.connected = true;
-  return socket;
+  return follower;
 }
 
-Status LogShipper::ShipEntry(const FileDescriptor& socket, LineReader& reader,
+Status LogShipper::ShipEntry(AnalysisClient& follower,
                              const CachedAnalysis& entry) {
   ADA_RETURN_IF_ERROR(ADA_FAILPOINT("service.replication.send"));
   Json::Object request;
   request["verb"] = Json("replicate");
   request["entry"] = entry.ToJson();
-  ADA_RETURN_IF_ERROR(SendAll(socket, Json(std::move(request)).Dump() + "\n"));
-  common::StatusOr<std::string> line = reader.ReadLine();
-  ADA_RETURN_IF_ERROR(line.status());
-  return ParseResponse(*line).status();
+  return follower.Call(request).status();
 }
 
 }  // namespace service

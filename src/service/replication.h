@@ -17,6 +17,9 @@
 // tail. Combined with the follower's own salvage-mode restore of its
 // JSONL log at boot, a follower is consistent after any crash order.
 //
+// The link is one AnalysisClient (5 s receive deadline) shared by
+// catch-up and the live tail; each entry is one `replicate` Call.
+//
 // Delivery is at-least-once; `replicate` application is idempotent
 // (cache Insert refreshes an existing fingerprint), so duplicates are
 // harmless. The ship loop never blocks a scheduler worker: Enqueue is
@@ -30,13 +33,13 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <thread>
 #include <vector>
 
-#include "common/retry.h"
 #include "common/status.h"
 #include "common/sync.h"
-#include "service/net_socket.h"
+#include "service/client.h"
 #include "service/result_cache.h"
 
 namespace adahealth {
@@ -100,12 +103,12 @@ class LogShipper {
 
  private:
   void ShipLoop() ADA_EXCLUDES(mutex_);
-  /// One connect + snapshot attempt. Returns the connected socket (an
-  /// invalid descriptor on failure).
-  [[nodiscard]] FileDescriptor ConnectAndCatchUp() ADA_EXCLUDES(mutex_);
+  /// One connect + snapshot attempt. Returns the connected client
+  /// (nullopt on failure).
+  [[nodiscard]] std::optional<AnalysisClient> ConnectAndCatchUp()
+      ADA_EXCLUDES(mutex_);
   /// Sends one entry and reads the acknowledgement.
-  [[nodiscard]] common::Status ShipEntry(const FileDescriptor& socket,
-                                         LineReader& reader,
+  [[nodiscard]] common::Status ShipEntry(AnalysisClient& follower,
                                          const CachedAnalysis& entry);
 
   const ReplicationOptions options_;

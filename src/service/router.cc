@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -21,9 +22,25 @@ using common::StatusOr;
 
 namespace {
 
-constexpr const char* kPingLine = "{\"verb\":\"ping\"}\n";
-constexpr const char* kPromoteLine = "{\"verb\":\"promote\"}\n";
-constexpr const char* kShutdownLine = "{\"verb\":\"shutdown\"}\n";
+/// Forwarding attempts per submit or job-verb request; each transport
+/// failure between attempts runs failover for the routed shard.
+constexpr int kMaxForwardAttempts = 3;
+/// Receive deadline on forwards and re-drives. It must exceed the
+/// shards' max_result_wait_millis (60 s by default) or long `result`
+/// waits get cut short.
+constexpr double kForwardTimeoutMillis = 120000.0;
+/// Receive deadline on probes, failover verification, promote, the
+/// stats fan-out and the shutdown cascade.
+constexpr double kProbeTimeoutMillis = 1000.0;
+/// Connect retries against the follower during promotion.
+constexpr int kPromoteConnectRetries = 10;
+/// Virtual nodes per shard on the consistent-hash ring.
+constexpr size_t kVnodesPerShard = 64;
+
+constexpr std::string_view kPingLine = "{\"verb\":\"ping\"}";
+constexpr std::string_view kPromoteLine = "{\"verb\":\"promote\"}";
+constexpr std::string_view kShutdownLine = "{\"verb\":\"shutdown\"}";
+constexpr std::string_view kStatsLine = "{\"verb\":\"stats\"}";
 
 bool IsTerminalStateName(const std::string& name) {
   return name == JobStateName(JobState::kDone) ||
@@ -56,27 +73,20 @@ void SumIntFields(Json::Object& totals, const Json::Object& source) {
   }
 }
 
-Json::Object JobIdExtra(JobId global_id) {
-  Json::Object extra;
-  extra["job_id"] = Json(static_cast<int64_t>(global_id));
-  return extra;
+bool IsOkResponse(const Json& response) {
+  const Json* ok_field = response.Find("ok");
+  return ok_field != nullptr && ok_field->is_bool() && ok_field->AsBool();
 }
 
-/// Ring key for cohort-affine verbs (ingest, cohort submits): every
-/// request naming the same cohort must land on the same shard, since
-/// that shard holds the cohort's accumulated records.
-std::string CohortRoutingKey(const std::string& cohort) {
-  return "cohort/" + cohort;
-}
-
-/// The "cohort" field of an ingest/cohort-submit body, or an error.
-StatusOr<std::string> ReadCohortField(const Json& body) {
-  const Json* field = body.Find("cohort");
-  if (field == nullptr || !field->is_string() || field->AsString().empty()) {
-    return common::InvalidArgumentError(
-        "request must carry a non-empty string 'cohort'");
+/// The shard-local job id of an accepted submit (the client's own or a
+/// failover re-drive).
+StatusOr<JobId> AcceptedJobId(const Json& accepted, size_t shard) {
+  const Json* local_id = accepted.Find("job_id");
+  if (local_id == nullptr || !local_id->is_int()) {
+    return common::InternalError(common::StrFormat(
+        "shard %zu accepted the job without a job_id", shard));
   }
-  return field->AsString();
+  return local_id->AsInt();
 }
 
 }  // namespace
@@ -109,9 +119,8 @@ Status Router::Start() {
   // lookup time rather than removed, so placements of the surviving
   // shards never move when one dies.
   ring_.clear();
-  const size_t vnodes = std::max<size_t>(1, options_.vnodes_per_shard);
   for (size_t shard = 0; shard < shards_.size(); ++shard) {
-    for (size_t vnode = 0; vnode < vnodes; ++vnode) {
+    for (size_t vnode = 0; vnode < kVnodesPerShard; ++vnode) {
       Fnv1a hash;
       hash.MixString("shard");
       hash.MixInt(static_cast<int64_t>(shard));
@@ -168,7 +177,7 @@ void Router::Stop() {
       // Wake the thread wherever it is parked: reading the client or
       // waiting on a forwarded upstream response.
       ShutdownConnection(conn->fd);
-      if (conn->upstream != nullptr) ShutdownConnection(*conn->upstream);
+      if (conn->upstream != nullptr) conn->upstream->Interrupt();
     }
     for (auto& conn : conns_) {
       if (conn->thread.joinable()) conn->thread.join();
@@ -249,7 +258,7 @@ void Router::ReapConnections() {
 }
 
 void Router::ServeClient(ClientConn* conn) {
-  LineReader reader(conn->fd, options_.max_line_bytes);
+  LineReader reader(conn->fd);
   for (;;) {
     auto line = reader.ReadLine();
     if (!line.ok()) break;
@@ -267,10 +276,9 @@ std::string Router::HandleLine(ClientConn* conn, const std::string& line) {
   auto request = ParseRequest(line);
   if (!request.ok()) return ErrorResponse(request.status());
   const std::string& verb = request.value().verb;
-  if (verb == "submit") return HandleSubmit(conn, request.value().body, line);
-  if (verb == "ingest") return HandleIngest(conn, request.value().body, line);
-  if (verb == "status" || verb == "result" || verb == "cancel") {
-    return HandleJobVerb(conn, request.value().body);
+  if (verb == "submit" || verb == "ingest" || verb == "status" ||
+      verb == "result" || verb == "cancel") {
+    return HandleForward(conn, request.value(), line);
   }
   if (verb == "stats") return HandleStats(conn);
   if (verb == "health") return HandleHealth();
@@ -290,14 +298,14 @@ std::string Router::HandleLine(ClientConn* conn, const std::string& line) {
 }
 
 StatusOr<std::string> Router::ForwardRaw(ClientConn* conn, uint16_t port,
-                                         const std::string& line,
+                                         std::string_view line,
                                          double recv_timeout_millis) {
   {
     MutexLock lock(&mutex_);
     ++stats_.forwarded;
   }
-  ADA_ASSIGN_OR_RETURN(FileDescriptor upstream, ConnectLoopback(port));
-  ADA_RETURN_IF_ERROR(SetRecvTimeout(upstream, recv_timeout_millis));
+  ADA_ASSIGN_OR_RETURN(AnalysisClient upstream,
+                       AnalysisClient::Connect(port, recv_timeout_millis));
   if (conn != nullptr) {
     MutexLock lock(&conn->mutex);
     if (conn->shutdown) {
@@ -305,14 +313,7 @@ StatusOr<std::string> Router::ForwardRaw(ClientConn* conn, uint16_t port,
     }
     conn->upstream = &upstream;
   }
-  StatusOr<std::string> response =
-      common::UnavailableError("request not sent");
-  if (Status sent = SendAll(upstream, line); !sent.ok()) {
-    response = sent;
-  } else {
-    LineReader reader(upstream, options_.max_line_bytes);
-    response = reader.ReadLine();
-  }
+  StatusOr<std::string> response = upstream.Exchange(line);
   if (conn != nullptr) {
     MutexLock lock(&conn->mutex);
     conn->upstream = nullptr;
@@ -320,190 +321,148 @@ StatusOr<std::string> Router::ForwardRaw(ClientConn* conn, uint16_t port,
   return response;
 }
 
-std::string Router::HandleSubmit(ClientConn* conn, const Json& body,
-                                 const std::string& line) {
-  std::string fingerprint;
-  if (body.Find("cohort") != nullptr) {
-    // Cohort submits route on the cohort name: the routing key must
-    // match the one the cohort's ingest batches used, and only the
-    // owning shard can materialize the dataset anyway. The shard
-    // validates the rest of the body.
-    auto cohort = ReadCohortField(body);
-    if (!cohort.ok()) return ErrorResponse(cohort.status());
-    fingerprint = CohortRoutingKey(cohort.value());
-  } else {
+std::string Router::HandleForward(ClientConn* conn, const Request& request,
+                                  const std::string& line) {
+  const Json& body = request.body;
+  const bool submit = request.verb == "submit";
+  const bool ingest = request.verb == "ingest";
+  const bool by_route = !submit && !ingest;  // status, result, cancel.
+  std::string key;  // Ring key of a submit or ingest.
+  JobId global_id = 0;
+  Json::Object extra;  // Job verbs' errors carry the global job id.
+  if (const Json* cohort = body.Find("cohort");
+      ingest || (submit && cohort != nullptr)) {
+    // Cohort traffic routes on "cohort/<name>": every ingest batch and
+    // every delta submit must land on the one shard that holds the
+    // cohort's records. The shard validates the rest of the body.
+    if (cohort == nullptr || !cohort->is_string() ||
+        cohort->AsString().empty()) {
+      return ErrorResponse(common::InvalidArgumentError(
+          "request must carry a non-empty string 'cohort'"));
+    }
+    key = "cohort/" + cohort->AsString();
+  } else if (submit) {
     // Validate and fingerprint with the exact code the shard will run
     // on the forwarded line, so router and shard agree on the key byte
     // for byte (the invariant the whole routing scheme rests on).
     auto job_request = BuildJobRequest(body);
     if (!job_request.ok()) return ErrorResponse(job_request.status());
-    fingerprint = DatasetFingerprint(job_request.value().log,
-                                     job_request.value().options);
+    key = DatasetFingerprint(job_request.value().log,
+                             job_request.value().options);
+  } else {
+    const Json* id_field = body.Find("job_id");
+    if (id_field == nullptr || !id_field->is_int()) {
+      return ErrorResponse(common::InvalidArgumentError(
+          "request must carry an integer 'job_id'"));
+    }
+    global_id = id_field->AsInt();
+    extra["job_id"] = Json(static_cast<int64_t>(global_id));
   }
-  const std::string forward_line = line + "\n";
-  Status last_failure = common::UnavailableError("no forward attempted");
-  const int attempts = std::max(1, options_.max_forward_attempts);
+  // Exactly one attempt for ingest — unlike submit, a non-idempotent
+  // write. A recv timeout does not prove the owning shard failed to
+  // commit, so a blind resend could double-apply the batch, and
+  // re-routing along the ring would append onto a shard that does not
+  // hold the cohort's accumulated records (a fresh, silently-forked
+  // cohort at generation 1). The failure still feeds failover
+  // bookkeeping; the client retries with the `ingest` verb's
+  // `expected_generation` replay guard, which the owning shard uses to
+  // reject a batch that already committed.
+  const int attempts = ingest ? 1 : kMaxForwardAttempts;
+  size_t shard = 0;
+  StatusOr<std::string> response =
+      common::UnavailableError("no forward attempted");
   for (int attempt = 0; attempt < attempts; ++attempt) {
-    size_t shard = 0;
     uint16_t port = 0;
     uint64_t generation = 0;
+    JobId local_id = 0;
     {
       MutexLock lock(&mutex_);
-      shard = ShardForLocked(fingerprint);
-      if (shard >= shards_.size()) {
-        return ErrorResponse(
-            common::UnavailableError("every shard is down"));
+      if (by_route) {
+        auto it = routes_.find(global_id);
+        if (it == routes_.end()) {
+          return ErrorResponse(
+              common::NotFoundError(common::StrFormat(
+                  "no job with id %lld", static_cast<long long>(global_id))),
+              extra);
+        }
+        if (!it->second.redrive_failure.ok()) {
+          return ErrorResponse(it->second.redrive_failure, extra);
+        }
+        shard = it->second.shard;
+        local_id = it->second.local_id;
+        if (!shards_[shard]->alive) {
+          return ErrorResponse(
+              common::UnavailableError(common::StrFormat(
+                  "shard %zu is down and has no follower", shard)),
+              extra);
+        }
+      } else {
+        shard = ShardForLocked(key);
+        if (shard >= shards_.size()) {
+          return ErrorResponse(
+              common::UnavailableError("every shard is down"));
+        }
       }
       port = shards_[shard]->active_port;
       generation = shards_[shard]->generation;
     }
-    auto response = ForwardRaw(conn, port, forward_line,
-                               options_.upstream_recv_timeout_millis);
-    if (!response.ok()) {
-      last_failure = response.status();
-      if (stopping_.load()) break;
-      HandleShardFailure(shard, generation);
-      continue;
+    // A job verb goes out as the client's body with the job id
+    // rewritten to the shard-local one, which may change between
+    // attempts (a failover re-drive assigns fresh local ids).
+    std::string rewritten;
+    if (by_route) {
+      Json::Object forward = body.AsObject();
+      forward["job_id"] = Json(static_cast<int64_t>(local_id));
+      rewritten = Json(std::move(forward)).Dump();
     }
-    auto parsed = Json::Parse(response.value());
-    if (!parsed.ok() || !parsed.value().is_object()) {
-      return ErrorResponse(common::InternalError(common::StrFormat(
-          "shard %zu returned a malformed response", shard)));
-    }
-    const Json* ok_field = parsed.value().Find("ok");
-    if (ok_field == nullptr || !ok_field->is_bool() || !ok_field->AsBool()) {
-      // Server-side rejection (bad request, full queue): pass the
-      // shard's error through verbatim, extra fields included.
-      return response.value() + "\n";
-    }
-    const Json* local_id = parsed.value().Find("job_id");
-    if (local_id == nullptr || !local_id->is_int()) {
-      return ErrorResponse(common::InternalError(common::StrFormat(
-          "shard %zu accepted the job without a job_id", shard)));
-    }
-    JobId global_id = 0;
-    {
-      MutexLock lock(&mutex_);
-      global_id = next_job_id_++;
-      JobRoute route;
-      route.shard = shard;
-      route.local_id = local_id->AsInt();
-      route.submit_line = forward_line;
-      route.fingerprint = fingerprint;
-      routes_[global_id] = std::move(route);
-      ++stats_.submitted;
-    }
-    parsed.value().MutableObject()["job_id"] =
-        Json(static_cast<int64_t>(global_id));
-    return parsed.value().Dump() + "\n";
+    response = ForwardRaw(conn, port, by_route ? rewritten : line,
+                          kForwardTimeoutMillis);
+    if (response.ok() || stopping_.load()) break;
+    HandleShardFailure(shard, generation);
   }
-  return ErrorResponse(common::UnavailableError(common::StrFormat(
-      "shard unavailable after %d attempts: %s", attempts,
-      last_failure.ToString().c_str())));
-}
-
-std::string Router::HandleIngest(ClientConn* conn, const Json& body,
-                                 const std::string& line) {
-  auto cohort = ReadCohortField(body);
-  if (!cohort.ok()) return ErrorResponse(cohort.status());
-  const std::string key = CohortRoutingKey(cohort.value());
-  const std::string forward_line = line + "\n";
-  // Exactly one forward attempt — ingest, unlike submit, is a
-  // non-idempotent write. A recv timeout does not prove the owning
-  // shard failed to commit, so a blind resend could double-apply the
-  // batch, and re-routing along the ring would append onto a shard
-  // that does not hold the cohort's accumulated records (a fresh,
-  // silently-forked cohort at generation 1). The failure still feeds
-  // failover bookkeeping; the client retries with the `ingest` verb's
-  // `expected_generation` replay guard, which the owning shard uses to
-  // reject a batch that already committed.
-  size_t shard = 0;
-  uint16_t port = 0;
-  uint64_t generation = 0;
+  if (!response.ok() && ingest) {
+    return ErrorResponse(common::UnavailableError(common::StrFormat(
+        "'%s' owner (shard %zu) did not answer; the batch may or may not "
+        "have committed — retry with expected_generation to guard against "
+        "a double append: %s",
+        key.c_str(), shard, response.status().ToString().c_str())));
+  }
+  if (!response.ok()) {
+    return ErrorResponse(
+        common::UnavailableError(common::StrFormat(
+            "shard unavailable after %d attempts: %s", attempts,
+            response.status().ToString().c_str())),
+        extra);
+  }
+  // Ingest responses carry no job id: they pass through verbatim, and
+  // validation errors come straight from the owner.
+  if (ingest) return response.value() + "\n";
+  if (by_route) return RewriteShardResponse(response.value(), global_id);
+  auto parsed = Json::Parse(response.value());
+  if (!parsed.ok() || !parsed.value().is_object()) {
+    return ErrorResponse(common::InternalError(common::StrFormat(
+        "shard %zu returned a malformed response", shard)));
+  }
+  if (!IsOkResponse(parsed.value())) {
+    // Server-side rejection (bad request, full queue): pass the
+    // shard's error through verbatim, extra fields included.
+    return response.value() + "\n";
+  }
+  auto local_id = AcceptedJobId(parsed.value(), shard);
+  if (!local_id.ok()) return ErrorResponse(local_id.status());
+  JobId assigned = 0;
   {
     MutexLock lock(&mutex_);
-    shard = ShardForLocked(key);
-    if (shard >= shards_.size()) {
-      return ErrorResponse(common::UnavailableError("every shard is down"));
-    }
-    port = shards_[shard]->active_port;
-    generation = shards_[shard]->generation;
+    assigned = next_job_id_++;
+    JobRoute& route = routes_[assigned];
+    route.shard = shard;
+    route.local_id = local_id.value();
+    route.submit_line = line;
+    ++stats_.submitted;
   }
-  auto response = ForwardRaw(conn, port, forward_line,
-                             options_.upstream_recv_timeout_millis);
-  if (!response.ok()) {
-    if (!stopping_.load()) HandleShardFailure(shard, generation);
-    return ErrorResponse(common::UnavailableError(common::StrFormat(
-        "cohort '%s' owner (shard %zu) did not answer; the batch may or "
-        "may not have committed — retry with expected_generation to "
-        "guard against a double append: %s",
-        cohort.value().c_str(), shard, response.status().ToString().c_str())));
-  }
-  // Pass through verbatim: ingest responses carry no job id to
-  // rewrite, and validation errors come straight from the owner.
-  return response.value() + "\n";
-}
-
-std::string Router::HandleJobVerb(ClientConn* conn, const Json& body) {
-  const Json* id_field = body.Find("job_id");
-  if (id_field == nullptr || !id_field->is_int()) {
-    return ErrorResponse(common::InvalidArgumentError(
-        "request must carry an integer 'job_id'"));
-  }
-  const JobId global_id = id_field->AsInt();
-  Status last_failure = common::UnavailableError("no forward attempted");
-  const int attempts = std::max(1, options_.max_forward_attempts);
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    size_t shard = 0;
-    JobId local_id = 0;
-    uint16_t port = 0;
-    uint64_t generation = 0;
-    {
-      MutexLock lock(&mutex_);
-      auto it = routes_.find(global_id);
-      if (it == routes_.end()) {
-        return ErrorResponse(
-            common::NotFoundError(common::StrFormat(
-                "no job with id %lld",
-                static_cast<long long>(global_id))),
-            JobIdExtra(global_id));
-      }
-      if (!it->second.redrive_failure.ok()) {
-        return ErrorResponse(it->second.redrive_failure,
-                             JobIdExtra(global_id));
-      }
-      shard = it->second.shard;
-      local_id = it->second.local_id;
-      const ShardState& state = *shards_[shard];
-      if (!state.alive) {
-        return ErrorResponse(
-            common::UnavailableError(common::StrFormat(
-                "shard %zu is down and has no follower", shard)),
-            JobIdExtra(global_id));
-      }
-      port = state.active_port;
-      generation = state.generation;
-    }
-    // The forwarded body is the client's, job id rewritten to the
-    // shard-local one (which may change between attempts — a failover
-    // re-drive assigns fresh local ids).
-    Json::Object forward = body.AsObject();
-    forward["job_id"] = Json(static_cast<int64_t>(local_id));
-    auto response = ForwardRaw(conn, port, Json(std::move(forward)).Dump() + "\n",
-                               options_.upstream_recv_timeout_millis);
-    if (!response.ok()) {
-      last_failure = response.status();
-      if (stopping_.load()) break;
-      HandleShardFailure(shard, generation);
-      continue;
-    }
-    return RewriteShardResponse(response.value(), global_id);
-  }
-  return ErrorResponse(
-      common::UnavailableError(common::StrFormat(
-          "shard unavailable after %d attempts: %s", attempts,
-          last_failure.ToString().c_str())),
-      JobIdExtra(global_id));
+  parsed.value().MutableObject()["job_id"] =
+      Json(static_cast<int64_t>(assigned));
+  return parsed.value().Dump() + "\n";
 }
 
 std::string Router::RewriteShardResponse(const std::string& response_line,
@@ -516,10 +475,9 @@ std::string Router::RewriteShardResponse(const std::string& response_line,
   if (object.count("job_id") != 0) {
     object["job_id"] = Json(static_cast<int64_t>(global_id));
   }
-  const Json* ok_field = parsed.value().Find("ok");
   const Json* state_field = parsed.value().Find("state");
-  if (ok_field != nullptr && ok_field->is_bool() && ok_field->AsBool() &&
-      state_field != nullptr && state_field->is_string() &&
+  if (IsOkResponse(parsed.value()) && state_field != nullptr &&
+      state_field->is_string() &&
       IsTerminalStateName(state_field->AsString())) {
     MutexLock lock(&mutex_);
     auto it = routes_.find(global_id);
@@ -552,8 +510,7 @@ std::string Router::HandleStats(ClientConn* conn) {
     entry["alive"] = Json(alive);
     entry["using_follower"] = Json(using_follower);
     if (alive) {
-      auto response = ForwardRaw(conn, port, "{\"verb\":\"stats\"}\n",
-                                 options_.probe_timeout_millis);
+      auto response = ForwardRaw(conn, port, kStatsLine, kProbeTimeoutMillis);
       StatusOr<Json> stats_json =
           response.ok() ? ParseResponse(response.value())
                         : StatusOr<Json>(response.status());
@@ -632,8 +589,8 @@ std::string Router::HandleShutdown(ClientConn* conn) {
     }
   }
   for (uint16_t port : ports) {
-    if (auto response = ForwardRaw(conn, port, kShutdownLine,
-                                   options_.probe_timeout_millis);
+    if (auto response =
+            ForwardRaw(conn, port, kShutdownLine, kProbeTimeoutMillis);
         !response.ok()) {
       ADA_LOG(kWarning) << "router: shutdown cascade to port " << port
                         << " failed: " << response.status().message();
@@ -654,8 +611,7 @@ std::string Router::HandleShutdown(ClientConn* conn) {
 }
 
 bool Router::ProbePort(uint16_t port) {
-  auto response =
-      ForwardRaw(nullptr, port, kPingLine, options_.probe_timeout_millis);
+  auto response = ForwardRaw(nullptr, port, kPingLine, kProbeTimeoutMillis);
   if (!response.ok()) return false;
   return ParseResponse(response.value()).ok();
 }
@@ -761,14 +717,14 @@ void Router::HandleShardFailure(size_t shard, uint64_t observed_generation) {
 bool Router::PromoteAndRedrive(ShardState& state, size_t shard) {
   const uint16_t follower = state.endpoints.follower_port;
   common::RetryPolicy policy;
-  policy.max_attempts = std::max(1, options_.promote_connect_retries + 1);
+  policy.max_attempts = kPromoteConnectRetries + 1;
   policy.initial_backoff_millis = 25.0;
   policy.max_backoff_millis = 500.0;
   policy.retryable_codes = {common::StatusCode::kUnavailable};
   Status promoted = common::RetryWithPolicy(
       policy, "service.router.promote", [this, follower] {
-        auto response = ForwardRaw(nullptr, follower, kPromoteLine,
-                                   options_.probe_timeout_millis);
+        auto response =
+            ForwardRaw(nullptr, follower, kPromoteLine, kProbeTimeoutMillis);
         if (!response.ok()) return response.status();
         return ParseResponse(response.value()).status();
       });
@@ -790,27 +746,24 @@ bool Router::PromoteAndRedrive(ShardState& state, size_t shard) {
     }
   }
   for (const auto& [id, submit_line] : to_redrive) {
-    auto response = ForwardRaw(nullptr, follower, submit_line,
-                               options_.upstream_recv_timeout_millis);
+    auto response =
+        ForwardRaw(nullptr, follower, submit_line, kForwardTimeoutMillis);
     StatusOr<Json> parsed = response.ok()
                                 ? ParseResponse(response.value())
                                 : StatusOr<Json>(response.status());
+    StatusOr<JobId> local_id =
+        parsed.ok() ? AcceptedJobId(parsed.value(), shard)
+                    : StatusOr<JobId>(common::UnavailableError(
+                          common::StrFormat("failover re-drive failed: %s",
+                                            parsed.status().ToString().c_str())));
     MutexLock lock(&mutex_);
     auto it = routes_.find(id);
     if (it == routes_.end()) continue;
-    if (!parsed.ok()) {
-      it->second.redrive_failure = common::UnavailableError(
-          common::StrFormat("failover re-drive failed: %s",
-                            parsed.status().ToString().c_str()));
+    if (!local_id.ok()) {
+      it->second.redrive_failure = local_id.status();
       continue;
     }
-    const Json* local_id = parsed.value().Find("job_id");
-    if (local_id == nullptr || !local_id->is_int()) {
-      it->second.redrive_failure = common::InternalError(
-          "failover re-drive got no job_id from the follower");
-      continue;
-    }
-    it->second.local_id = local_id->AsInt();
+    it->second.local_id = local_id.value();
     ++stats_.redriven;
   }
   return true;

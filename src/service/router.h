@@ -11,7 +11,7 @@
 // Routing: `submit` bodies are parsed with the same BuildJobRequest /
 // DatasetFingerprint code the shards run, so the router and the shard
 // compute the identical fingerprint; the fingerprint picks a shard on
-// a consistent-hash ring (vnodes_per_shard virtual nodes per shard),
+// a consistent-hash ring (64 virtual nodes per shard),
 // which keeps near-identical repeat cohorts — the workload the result
 // cache exists for — landing on the same shard's cache slice.
 // Streaming-cohort traffic (the `ingest` verb and cohort submits)
@@ -49,10 +49,12 @@
 // (cascades to every live shard endpoint). promote/replicate are
 // cluster-internal and rejected at the front door.
 //
+// Every shard call (forward, probe, promote, re-drive, stats fan-out,
+// shutdown cascade) is one ForwardRaw: a fresh AnalysisClient
+// connection and one Exchange. The router opens no socket of its own.
+//
 // Failpoints: "service.shard.promote" (shard side) makes promotion
-// fail, exercising the shard-death path. The router itself uses only
-// the net_socket wrappers — the raw-syscall ban (ada_lint raw-socket)
-// applies here exactly as in the rest of the service layer.
+// fail, exercising the shard-death path.
 #ifndef ADAHEALTH_SERVICE_ROUTER_H_
 #define ADAHEALTH_SERVICE_ROUTER_H_
 
@@ -62,6 +64,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -69,7 +72,9 @@
 #include "common/json.h"
 #include "common/status.h"
 #include "common/sync.h"
+#include "service/client.h"
 #include "service/net_socket.h"
+#include "service/protocol.h"
 #include "service/scheduler.h"
 
 namespace adahealth {
@@ -91,19 +96,6 @@ struct RouterOptions {
   double probe_interval_millis = 250.0;
   /// Consecutive probe failures before the prober triggers failover.
   int probe_failures_before_failover = 3;
-  /// Forwarding attempts per client request; each transport failure
-  /// between attempts runs the failover path for the routed shard.
-  int max_forward_attempts = 3;
-  /// Recv ceiling on forwarded requests — must exceed the shards'
-  /// max_result_wait_millis or long `result` waits get cut short.
-  double upstream_recv_timeout_millis = 120000.0;
-  /// Recv ceiling on probe and failover-verification round-trips.
-  double probe_timeout_millis = 1000.0;
-  /// Connect retries against the follower during promotion.
-  int promote_connect_retries = 10;
-  /// Virtual nodes per shard on the consistent-hash ring.
-  size_t vnodes_per_shard = 64;
-  size_t max_line_bytes = kMaxLineBytes;
 };
 
 /// Point-in-time router counters.
@@ -118,9 +110,12 @@ struct RouterStats {
 
 /// The sharding router. Start() binds the port and spawns the accept
 /// and prober threads; each client connection gets a forwarding
-/// thread (the router holds no job state beyond the routing table, so
-/// a blocking thread-per-connection design is proportionate here —
-/// the epoll machinery stays in the shards, which hold the real work).
+/// thread. The router holds no job state beyond the routing table, so
+/// a blocking thread-per-connection design is proportionate here — the
+/// epoll machinery stays in the shards, which hold the real work. It
+/// also keeps each submit's CSV parse and fingerprint on its client's
+/// own thread: on a single event-loop thread that per-request work
+/// would serialize across clients.
 class Router {
  public:
   explicit Router(RouterOptions options);
@@ -175,7 +170,6 @@ class Router {
     /// The original submit request line, replayed verbatim on
     /// failover re-drive.
     std::string submit_line;
-    std::string fingerprint;
     bool terminal = false;
     /// Non-OK once a failover could not re-drive this job; job verbs
     /// answer it directly instead of forwarding.
@@ -187,8 +181,8 @@ class Router {
     FileDescriptor fd;
     common::Mutex mutex;
     /// Registered while a forward round-trip is in flight so Stop()
-    /// can unblock the upstream read too.
-    const FileDescriptor* upstream ADA_GUARDED_BY(mutex) = nullptr;
+    /// can Interrupt() the upstream read too.
+    const AnalysisClient* upstream ADA_GUARDED_BY(mutex) = nullptr;
     bool shutdown ADA_GUARDED_BY(mutex) = false;
     std::thread thread;
     std::atomic<bool> done{false};
@@ -203,27 +197,22 @@ class Router {
   /// Dispatches one request line to a local handler or a shard.
   [[nodiscard]] std::string HandleLine(ClientConn* conn,
                                        const std::string& line);
-  [[nodiscard]] std::string HandleSubmit(ClientConn* conn,
-                                         const common::Json& body,
-                                         const std::string& line);
-  /// ingest: forwarded verbatim to the shard that owns the cohort
-  /// ("cohort/<name>" on the ring); the shard's response passes
-  /// through untouched (ingest responses carry no job id).
-  [[nodiscard]] std::string HandleIngest(ClientConn* conn,
-                                         const common::Json& body,
-                                         const std::string& line);
-  /// status/result/cancel: the body (verb included) is forwarded with
-  /// only the job id rewritten global → local.
-  [[nodiscard]] std::string HandleJobVerb(ClientConn* conn,
-                                          const common::Json& body);
+  /// submit, ingest, status, result, cancel: one forward-attempt loop
+  /// that resolves the shard from the ring key or the job's route,
+  /// forwards, and runs failover on a transport failure before trying
+  /// again (ingest: one attempt; job ids rewritten global ↔ local).
+  [[nodiscard]] std::string HandleForward(ClientConn* conn,
+                                          const Request& request,
+                                          const std::string& line);
   [[nodiscard]] std::string HandleStats(ClientConn* conn);
   [[nodiscard]] std::string HandleHealth();
   [[nodiscard]] std::string HandleShutdown(ClientConn* conn);
 
-  /// One connect + send + read-one-line round-trip to a shard port.
-  /// `conn` (nullable) registers the upstream fd for Stop().
+  /// One fresh-connection Exchange with a shard port, counted in
+  /// RouterStats::forwarded. `conn` (nullable) registers the upstream
+  /// client for Stop().
   [[nodiscard]] common::StatusOr<std::string> ForwardRaw(
-      ClientConn* conn, uint16_t port, const std::string& line,
+      ClientConn* conn, uint16_t port, std::string_view line,
       double recv_timeout_millis);
 
   /// Ring lookup starting at the fingerprint's hash, skipping dead

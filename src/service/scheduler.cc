@@ -548,6 +548,11 @@ void Scheduler::FinishJob(Job& job, JobState state, common::Status status,
                           std::vector<Notification>* notifications) {
   job.state = state;
   job.status = std::move(status);
+  // jobs_ keeps every job, so a terminal job must not keep its dataset:
+  // nothing reads the log or taxonomy past this point. Snapshot() and
+  // supersede read only dataset_id, priority and the cohort fields.
+  job.request.log = dataset::ExamLog();
+  job.request.taxonomy.reset();
   switch (state) {
     case JobState::kDone:
       ++stats_.completed;

@@ -297,8 +297,9 @@ class Scheduler {
   mutable common::Mutex mutex_;
   common::CondVar state_changed_;  // Terminal transitions.
   common::CondVar workers_idle_;   // Worker retirement.
-  /// Jobs are created at admission and never erased. The map itself is
-  /// guarded; a kRunning job body is owned by the worker that dequeued
+  /// Jobs are created at admission and never erased; FinishJob releases
+  /// a job's dataset (request.log and request.taxonomy). The map itself
+  /// is guarded; a kRunning job body is owned by the worker that dequeued
   /// it, which reads the admission-time-immutable fields (request,
   /// fingerprint) without the lock and re-acquires mutex_ for every
   /// mutation. Everyone else observes jobs via Snapshot() under the

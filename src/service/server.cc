@@ -21,6 +21,10 @@ using common::StatusOr;
 
 namespace {
 
+/// Failsafe on a `shutdown` verb's graceful drain: connections that have
+/// not flushed and gone away by then are force-dropped.
+constexpr double kDrainTimeoutMillis = 5000.0;
+
 // Reads the required "job_id" field of a status/result/cancel request.
 StatusOr<JobId> ReadJobId(const Json& body) {
   const Json* field = body.Find("job_id");
@@ -64,8 +68,7 @@ AnalysisServer::AnalysisServer(ServerOptions options)
       idle_timeout_millis_(options.idle_timeout_millis),
       max_result_wait_millis_(
           std::max(1.0, options.max_result_wait_millis)),
-      max_line_bytes_(std::max<size_t>(1, options.max_line_bytes)),
-      drain_timeout_millis_(std::max(1.0, options.drain_timeout_millis)) {
+      max_line_bytes_(std::max<size_t>(1, options.max_line_bytes)) {
   role_.store(options.role);
 }
 
@@ -248,7 +251,7 @@ void AnalysisServer::OnRequestLine(int64_t id, Connection& conn,
   if (request.value().verb == "shutdown") {
     // Graceful drain; the response just enqueued is flushed before the
     // connection goes away (close-after-flush).
-    BeginDrain(drain_timeout_millis_);
+    BeginDrain(kDrainTimeoutMillis);
   }
 }
 
@@ -567,22 +570,10 @@ std::string AnalysisServer::Dispatch(const Request& request) {
                                      /*include_artifacts=*/false));
   }
   if (request.verb == "result") {
-    // Blocking fallback for direct (socket-less) dispatch; the wire
-    // path goes through HandleResultVerb instead. The same server-side
-    // wait cap applies.
-    auto id = ReadJobId(request.body);
-    if (!id.ok()) return ErrorResponse(id.status());
-    auto snapshot =
-        scheduler_.AwaitResult(id.value(), EffectiveResultWait(request.body));
-    if (!snapshot.ok()) {
-      if (snapshot.status().code() ==
-          common::StatusCode::kDeadlineExceeded) {
-        return ResultTimeoutResponse(id.value());
-      }
-      return ErrorResponse(snapshot.status());
-    }
-    return OkResponse(SnapshotFields(snapshot.value(),
-                                     /*include_artifacts=*/true));
+    // `result` may wait, so only a connection serves it
+    // (HandleResultVerb parks it on a completion subscription).
+    return ErrorResponse(common::FailedPreconditionError(
+        "verb 'result' is served on a connection"));
   }
   if (request.verb == "cancel") {
     auto id = ReadJobId(request.body);

@@ -67,9 +67,6 @@ struct ServerOptions {
   double max_result_wait_millis = 60000.0;
   /// Longest accepted NDJSON request line.
   size_t max_line_bytes = kMaxLineBytes;
-  /// Failsafe on graceful drain: connections that have not flushed and
-  /// gone away by then are force-dropped (clamped to >= 1 ms).
-  double drain_timeout_millis = 5000.0;
   /// Starting role. A follower rejects `submit` with UNAVAILABLE until
   /// it receives the `promote` verb (from the router, on primary
   /// death) — clients must not land jobs on a replica that the primary
@@ -127,10 +124,10 @@ class AnalysisServer {
 
   /// Handles one already-parsed request and returns the serialized
   /// response line. Exposed so tests can drive the dispatch table
-  /// without sockets; on this path the `result` verb blocks the
-  /// calling thread (capped at max_result_wait_millis) and `shutdown`
-  /// only builds its response — the wire path is what triggers the
-  /// drain.
+  /// without sockets; on this path `result` answers
+  /// FAILED_PRECONDITION (it is served on a connection only) and
+  /// `shutdown` only builds its response — the wire path is what
+  /// triggers the drain.
   [[nodiscard]] std::string Dispatch(const Request& request);
 
  private:
@@ -232,7 +229,6 @@ class AnalysisServer {
   const double idle_timeout_millis_;
   const double max_result_wait_millis_;
   const size_t max_line_bytes_;
-  const double drain_timeout_millis_;
 };
 
 }  // namespace service

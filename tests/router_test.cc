@@ -3,10 +3,14 @@
 // aggregation, and the failover invariant — when a shard primary dies
 // mid-conversation the follower is promoted, jobs are re-driven, every
 // job completes exactly once, and reports stay byte-identical to a
-// direct AnalysisSession run.
+// direct AnalysisSession run. Also pinned: ingest is forwarded at most
+// once when its cohort's owner dies, and Stop() wakes a client parked
+// in a forwarded `result` wait.
+#include <chrono>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -56,11 +60,13 @@ Json::Object ResultRequest(int64_t job_id) {
 }
 
 std::unique_ptr<service::AnalysisServer> StartShardServer(
-    service::ServerRole role, uint16_t replicate_to_port = 0) {
+    service::ServerRole role, uint16_t replicate_to_port = 0,
+    bool start_paused = false) {
   service::ServerOptions options;
   options.role = role;
   options.replicate_to_port = replicate_to_port;
   options.scheduler.max_workers = 2;
+  options.scheduler.start_paused = start_paused;
   auto server = std::make_unique<service::AnalysisServer>(std::move(options));
   ADA_CHECK(server->Start().ok());
   return server;
@@ -392,6 +398,99 @@ TEST(RouterTest, CohortIngestAndSubmitPinToTheOwningShard) {
   router.Stop();
   shard0->Stop();
   shard1->Stop();
+}
+
+TEST(RouterTest, IngestIsForwardedAtMostOnceWhenTheOwnerDies) {
+  auto shard0 = StartShardServer(service::ServerRole::kPrimary);
+  auto shard1 = StartShardServer(service::ServerRole::kPrimary);
+  service::RouterOptions options = QuietRouterOptions();
+  options.shards.push_back(service::ShardEndpoints{shard0->port(), 0});
+  options.shards.push_back(service::ShardEndpoints{shard1->port(), 0});
+  service::Router router(std::move(options));
+  ASSERT_TRUE(router.Start().ok());
+
+  Json::Object batch;
+  batch["verb"] = "ingest";
+  batch["cohort"] = "c";
+  Json::Object record;
+  record["patient"] = static_cast<int64_t>(0);
+  record["exam_type"] = "exam-0";
+  record["day"] = static_cast<int64_t>(1);
+  batch["records"] = Json(Json::Array{Json(std::move(record))});
+
+  auto client = Connect(router.port());
+  auto committed = client.Call(batch);
+  ASSERT_TRUE(committed.ok()) << committed.status().ToString();
+  const int64_t generation = committed->Find("generation")->AsInt();
+  EXPECT_EQ(generation, 1);
+
+  // The owner has no follower: its death leaves nowhere to re-drive.
+  const size_t owner = router.ShardFor("cohort/c");
+  (owner == 0 ? shard0 : shard1)->Stop();
+  service::AnalysisServer& survivor = owner == 0 ? *shard1 : *shard0;
+
+  const int64_t forwarded_before = router.stats().forwarded;
+  auto lost = client.Call(batch);
+  EXPECT_EQ(lost.status().code(), StatusCode::kUnavailable);
+  EXPECT_NE(lost.status().message().find("expected_generation"),
+            std::string::npos)
+      << lost.status().ToString();
+  // One forward plus one failover-verification probe: no resend, and
+  // no re-route onto the surviving shard.
+  EXPECT_EQ(router.stats().forwarded, forwarded_before + 2);
+  EXPECT_EQ(router.stats().dead_shards, 1);
+  EXPECT_EQ(survivor.cohort_store().num_cohorts(), 0u);
+
+  // The guarded retry now rides the ring to the survivor, which has
+  // never seen the cohort, so the guard refuses it and nothing lands.
+  batch["expected_generation"] = generation;
+  auto retried = client.Call(batch);
+  EXPECT_EQ(retried.status().code(), StatusCode::kFailedPrecondition)
+      << retried.status().ToString();
+  EXPECT_EQ(survivor.cohort_store().num_cohorts(), 0u);
+
+  router.Stop();
+  shard0->Stop();
+  shard1->Stop();
+}
+
+TEST(RouterTest, StopUnblocksAForwardedResultWait) {
+  // A paused scheduler never finishes the job, so the `result` wait
+  // stays parked on the shard until the router interrupts it.
+  auto shard = StartShardServer(service::ServerRole::kPrimary,
+                                /*replicate_to_port=*/0,
+                                /*start_paused=*/true);
+  service::RouterOptions options = QuietRouterOptions();
+  options.shards.push_back(service::ShardEndpoints{shard->port(), 0});
+  service::Router router(std::move(options));
+  ASSERT_TRUE(router.Start().ok());
+
+  auto client = Connect(router.port());
+  auto submitted = client.Call(SubmitBody(28, "parked"));
+  ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+  Json::Object wait = ResultRequest(submitted->Find("job_id")->AsInt());
+  wait["wait_millis"] = 30000.0;
+
+  common::StatusOr<Json> waited = common::UnavailableError("not called");
+  std::thread waiter([&client, &wait, &waited] { waited = client.Call(wait); });
+  // The submit was forward 1; wait until the `result` forward is out.
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (router.stats().forwarded < 2 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(router.stats().forwarded, 2);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  const auto stop_start = std::chrono::steady_clock::now();
+  router.Stop();
+  const double stop_seconds = std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - stop_start)
+                                  .count();
+  waiter.join();
+  EXPECT_LT(stop_seconds, 2.0);
+  EXPECT_FALSE(waited.ok());
+  shard->Stop();
 }
 
 TEST(RouterTest, ClusterInternalVerbsRejectedAtTheFrontDoor) {

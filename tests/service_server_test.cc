@@ -1,9 +1,12 @@
 // End-to-end coverage of the NDJSON protocol server: the wire grammar
 // (ParseRequest/ParseResponse/BuildJobRequest), verb dispatch, and a
 // full submit/status/result/cancel/stats conversation over a real
-// loopback socket via AnalysisClient.
+// loopback socket via AnalysisClient, and the client's own contract
+// (receive deadline, verbatim Exchange).
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 #include "common/check.h"
@@ -171,6 +174,56 @@ TEST(NetSocketTest, LineReaderCapsNewlinelessInput) {
   auto line = small.ReadLine();
   ASSERT_TRUE(line.ok());
   EXPECT_EQ(line.value(), "ok");
+}
+
+// ---------------------------------------------------------------------
+// AnalysisClient against hand-driven listeners.
+
+TEST(AnalysisClientTest, SilentListenerFailsACallWithinTwiceTheDeadline) {
+  // The connect completes against the listen backlog; nobody ever
+  // accepts, so no answer comes.
+  auto listener = service::ServerSocket::Listen(0);
+  ASSERT_TRUE(listener.ok());
+  constexpr double kDeadlineMillis = 250.0;
+  auto client = service::AnalysisClient::Connect(listener->port(),
+                                                 kDeadlineMillis);
+  ASSERT_TRUE(client.ok());
+  const auto start = std::chrono::steady_clock::now();
+  auto response = client->Call("ping");
+  const double elapsed_millis =
+      std::chrono::duration<double, std::milli>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_EQ(response.status().code(), StatusCode::kUnavailable)
+      << response.status().ToString();
+  EXPECT_LT(elapsed_millis, 2.0 * kDeadlineMillis);
+}
+
+TEST(AnalysisClientTest, ExchangeReturnsAnErrorLineVerbatim) {
+  // Key order, spacing and the extra field would all be lost by a
+  // parse-and-dump round trip.
+  const std::string error_line =
+      "{\"ok\": false, \"error\": {\"message\": \"queue full\", "
+      "\"code\": \"RESOURCE_EXHAUSTED\"}, \"retry_after_millis\": 50}";
+  auto listener = service::ServerSocket::Listen(0);
+  ASSERT_TRUE(listener.ok());
+  std::string received;
+  std::thread shard([&listener, &received, &error_line] {
+    auto accepted = listener->Accept();
+    ADA_CHECK(accepted.ok());
+    service::LineReader reader(accepted.value());
+    auto line = reader.ReadLine();
+    ADA_CHECK(line.ok());
+    received = line.value();
+    ADA_CHECK(service::SendAll(accepted.value(), error_line + "\n").ok());
+  });
+  auto client = service::AnalysisClient::Connect(listener->port());
+  ASSERT_TRUE(client.ok());
+  auto response = client->Exchange("{\"verb\":\"submit\"}");
+  shard.join();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response.value(), error_line);
+  EXPECT_EQ(received, "{\"verb\":\"submit\"}");
 }
 
 // ---------------------------------------------------------------------

@@ -45,12 +45,20 @@ Rules
   raw-socket        Raw fd syscalls — socket()/accept()/close()/
                     connect()/bind()/listen()/send()/recv()/
                     setsockopt()/shutdown() — are allowed only in the
-                    src/service/net_* wrappers. Everything else
-                    (router and replication included) must hold
-                    descriptors through service::FileDescriptor /
+                    src/service/net_* wrappers. Everything else must
+                    hold descriptors through service::FileDescriptor /
                     ServerSocket / LineReader and move bytes through
-                    SendAll / ConnectLoopback / SetRecvTimeout, so no
-                    error path can leak or double-close an fd.
+                    the wrappers (outbound: through AnalysisClient, see
+                    service-outbound), so no error path can leak or
+                    double-close an fd.
+  service-outbound  In src/, ConnectLoopback and SetRecvTimeout appear
+                    only in src/service/net_socket.* and
+                    src/service/client.*. AnalysisClient is the one
+                    outbound connection: the router's forwards, probes
+                    and failover calls and the replication shipper all
+                    connect through it, with its receive deadline, so
+                    every outbound call shares one send/read path and
+                    one way to bound and interrupt a wait.
   simd-intrinsics   x86 vector intrinsics — the <immintrin.h> include
                     family, _mm*/_mm256*/_mm512* calls and __m128/__m256/
                     __m512 vector types — are allowed only in
@@ -66,8 +74,11 @@ Rules
                     streaming cohort store's crash-safe persistence
                     module. Every other service-layer component persists
                     through the K-DB storage layer (as the result cache
-                    does), so the atomic-rename discipline and its
-                    failpoints live in exactly two audited places.
+                    does). cohort_store.cc itself appends its records
+                    files directly but writes its manifests through
+                    kdb::AtomicWriteFile, so the atomic-rename
+                    discipline and its failpoints live in one audited
+                    place.
   service-metrics   src/service/ neither includes common/metrics.h nor
                     names MetricsRegistry. MetricsRegistry::Default() is
                     the pipeline layers' registry; a service component
@@ -127,6 +138,7 @@ FILE_IO_CALL_RE = re.compile(
     r"(?<![\w.>])(fopen|fwrite|fread|fflush|fsync|ftruncate|truncate"
     r"|rename|unlink|mkdir|rmdir)\s*\(")
 FILE_IO_INCLUDE_RE = re.compile(r"#\s*include\s*<(fstream|filesystem)>")
+OUTBOUND_RE = re.compile(r"\b(ConnectLoopback|SetRecvTimeout)\b")
 METRICS_INCLUDE_RE = re.compile(r'#\s*include\s*"common/metrics\.h"')
 METRICS_REGISTRY_RE = re.compile(r"\bMetricsRegistry\b")
 RAW_MUTEX_RE = re.compile(
@@ -252,6 +264,9 @@ def lint_file(path, rel_path):
         os.path.join("src", "service") + os.sep)
     is_cohort_store = rel_path == os.path.join(
         "src", "service", "cohort_store.cc")
+    is_outbound_owner = any(
+        rel_path.startswith(os.path.join("src", "service", stem + "."))
+        for stem in ("net_socket", "client"))
     is_simd_kernel = rel_path in (
         os.path.join("src", "transform", "simd_kernels.h"),
         os.path.join("src", "transform", "simd_kernels.cc"))
@@ -336,6 +351,16 @@ def lint_file(path, rel_path):
                     f"raw `{m.group(1)}()` outside src/service/net_*; "
                     "hold fds through service::FileDescriptor and the "
                     "socket wrappers"))
+
+        # --- service-outbound -------------------------------------------
+        if in_src and not is_outbound_owner:
+            m = OUTBOUND_RE.search(code)
+            if m and not allowed(lineno, "service-outbound"):
+                findings.append(Finding(
+                    rel_path, lineno, "service-outbound",
+                    f"`{m.group(1)}` outside service/net_socket and "
+                    "service/client; open outbound connections through "
+                    "AnalysisClient::Connect"))
 
         # --- service-file-io --------------------------------------------
         if in_service and not is_cohort_store:
