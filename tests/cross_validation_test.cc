@@ -4,9 +4,11 @@
 #include <set>
 
 #include <gtest/gtest.h>
+#include "dataset/synthetic_cohort.h"
 #include "ml/decision_tree.h"
 #include "ml/naive_bayes.h"
 #include "test_util.h"
+#include "transform/vsm.h"
 
 namespace adahealth {
 namespace ml {
@@ -133,6 +135,31 @@ TEST(CrossValidateTest, RejectsMismatchedLabels) {
       blobs.points, labels, 1, 2, 39,
       [] { return std::make_unique<DecisionTreeClassifier>(); });
   EXPECT_FALSE(report.ok());
+}
+
+// Golden values: the paper's robustness check (decision tree, 10-fold
+// CV) on the count-weighted VSM of a small synthetic cohort, labelled by
+// its latent profiles. Integer counts keep libm and the ISA out of the
+// inputs, so any change to the tree the CART code builds, or to the
+// folds, moves these numbers.
+TEST(CrossValidateGoldenTest, DecisionTreeOnCountVsmMatchesRecordedValues) {
+  auto cohort =
+      dataset::SyntheticCohortGenerator(dataset::TestScaleConfig()).Generate();
+  ASSERT_TRUE(cohort.ok());
+  const transform::Matrix vsm = transform::BuildVsm(cohort->log);
+  const std::vector<int32_t> labels = cohort->log.ProfileLabels();
+  const int32_t num_classes = dataset::TestScaleConfig().num_profiles;
+  auto report = CrossValidate(
+      vsm, labels, num_classes, 10, 20160516,
+      [] { return std::make_unique<DecisionTreeClassifier>(); });
+  ASSERT_TRUE(report.ok());
+  DecisionTreeClassifier full;
+  ASSERT_TRUE(full.Fit(vsm, labels, num_classes).ok());
+  EXPECT_EQ(report->accuracy, 0.4375);
+  EXPECT_EQ(report->macro_precision, 0.41840936149572272);
+  EXPECT_EQ(report->macro_recall, 0.39904249596038005);
+  EXPECT_EQ(full.num_nodes(), 223u);
+  EXPECT_EQ(full.depth(), 12);
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 #include "ml/decision_tree.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <numeric>
 
 #include <gtest/gtest.h>
+#include "common/check.h"
 #include "common/rng.h"
 #include "ml/metrics.h"
 #include "test_util.h"
@@ -223,7 +225,7 @@ class MidpointOracle {
         node_impurity == 0.0) {
       return node_id;
     }
-    double best_gain = options_.min_impurity_decrease;
+    double best_gain = kMinImpurityDecrease;
     int32_t best_feature = -1;
     double best_threshold = 0.0;
     std::vector<size_t> order(end - begin);
@@ -279,6 +281,149 @@ class MidpointOracle {
   const std::vector<int32_t>& labels_;
   const int32_t num_classes_;
   const DecisionTreeOptions options_;
+  std::vector<Node> nodes_;
+};
+
+/// The CART builder that sorts every feature at every node, kept
+/// verbatim (one-ulp guard included) as the oracle for the presorted
+/// tree: same feature, same threshold bits, same node order.
+class SortPerNodeOracle {
+ public:
+  SortPerNodeOracle(const Matrix& features,
+                    const std::vector<int32_t>& labels, int32_t num_classes,
+                    DecisionTreeOptions options)
+      : features_(features),
+        labels_(labels),
+        num_classes_(num_classes),
+        num_features_(features.cols()),
+        options_(options) {}
+
+  std::vector<Node> Build() {
+    std::vector<size_t> sample_ids(features_.rows());
+    std::iota(sample_ids.begin(), sample_ids.end(), 0u);
+    BuildNode(features_, labels_, sample_ids, 0, sample_ids.size(), 0);
+    return nodes_;
+  }
+
+  int32_t depth() const { return depth_; }
+
+ private:
+  int32_t BuildNode(
+      const Matrix& features, const std::vector<int32_t>& labels,
+      std::vector<size_t>& sample_ids, size_t begin, size_t end,
+      int32_t depth) {
+    ADA_CHECK_LT(begin, end);
+    depth_ = std::max(depth_, depth);
+    const int32_t node_id = static_cast<int32_t>(nodes_.size());
+    nodes_.emplace_back();
+
+    // Class histogram and majority label of this node.
+    std::vector<int64_t> counts(static_cast<size_t>(num_classes_), 0);
+    for (size_t i = begin; i < end; ++i) {
+      ++counts[static_cast<size_t>(labels[sample_ids[i]])];
+    }
+    int32_t majority = 0;
+    for (int32_t c = 1; c < num_classes_; ++c) {
+      if (counts[static_cast<size_t>(c)] >
+          counts[static_cast<size_t>(majority)]) {
+        majority = c;
+      }
+    }
+    nodes_[static_cast<size_t>(node_id)].label = majority;
+
+    const int64_t n = static_cast<int64_t>(end - begin);
+    const double node_impurity = GiniImpurity(counts);
+    if (depth >= options_.max_depth || n < options_.min_samples_split ||
+        node_impurity == 0.0) {
+      return node_id;
+    }
+
+    // Best split search: for every feature, sort this node's samples by
+    // the feature value and sweep candidate thresholds between distinct
+    // consecutive values, tracking class counts on the left.
+    double best_gain = kMinImpurityDecrease;
+    int32_t best_feature = -1;
+    double best_threshold = 0.0;
+
+    std::vector<size_t> order(end - begin);
+    std::vector<int64_t> left_counts(static_cast<size_t>(num_classes_));
+    for (size_t f = 0; f < num_features_; ++f) {
+      for (size_t i = 0; i < order.size(); ++i) order[i] = sample_ids[begin + i];
+      std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return features.At(a, f) < features.At(b, f);
+      });
+      if (features.At(order.front(), f) == features.At(order.back(), f)) {
+        continue;  // Constant feature in this node.
+      }
+      std::fill(left_counts.begin(), left_counts.end(), 0);
+      for (size_t i = 0; i + 1 < order.size(); ++i) {
+        ++left_counts[static_cast<size_t>(labels[order[i]])];
+        double value = features.At(order[i], f);
+        double next_value = features.At(order[i + 1], f);
+        if (value == next_value) continue;
+        const int64_t left_n = static_cast<int64_t>(i + 1);
+        const int64_t right_n = n - left_n;
+        if (left_n < options_.min_samples_leaf ||
+            right_n < options_.min_samples_leaf) {
+          continue;
+        }
+        // Weighted impurity of the split.
+        double left_impurity = GiniImpurity(left_counts);
+        std::vector<int64_t> right_counts(counts);
+        for (int32_t c = 0; c < num_classes_; ++c) {
+          right_counts[static_cast<size_t>(c)] -=
+              left_counts[static_cast<size_t>(c)];
+        }
+        double right_impurity = GiniImpurity(right_counts);
+        double weighted =
+            (static_cast<double>(left_n) * left_impurity +
+             static_cast<double>(right_n) * right_impurity) /
+            static_cast<double>(n);
+        double gain = node_impurity - weighted;
+        if (gain > best_gain) {
+          best_gain = gain;
+          best_feature = static_cast<int32_t>(f);
+          best_threshold = 0.5 * (value + next_value);
+          // The midpoint of two values one ulp apart can round up to
+          // next_value (and a sum of huge magnitudes overflows to ±inf);
+          // either would send both sides of the split the same way.
+          // `value` itself always separates them under the `<=` rule.
+          if (!(value <= best_threshold && best_threshold < next_value)) {
+            best_threshold = value;
+          }
+        }
+      }
+    }
+    if (best_feature < 0) return node_id;
+
+    // Partition [begin, end) of sample_ids by the chosen split.
+    auto middle = std::stable_partition(
+        sample_ids.begin() + static_cast<ptrdiff_t>(begin),
+        sample_ids.begin() + static_cast<ptrdiff_t>(end), [&](size_t id) {
+          return features.At(id, static_cast<size_t>(best_feature)) <=
+                 best_threshold;
+        });
+    size_t split = static_cast<size_t>(middle - sample_ids.begin());
+    ADA_CHECK_GT(split, begin);
+    ADA_CHECK_LT(split, end);
+
+    nodes_[static_cast<size_t>(node_id)].feature = best_feature;
+    nodes_[static_cast<size_t>(node_id)].threshold = best_threshold;
+    int32_t left = BuildNode(features, labels, sample_ids, begin, split,
+                             depth + 1);
+    int32_t right =
+        BuildNode(features, labels, sample_ids, split, end, depth + 1);
+    nodes_[static_cast<size_t>(node_id)].left = left;
+    nodes_[static_cast<size_t>(node_id)].right = right;
+    return node_id;
+  }
+
+  const Matrix& features_;
+  const std::vector<int32_t>& labels_;
+  const int32_t num_classes_;
+  const size_t num_features_;
+  const DecisionTreeOptions options_;
+  int32_t depth_ = 0;
   std::vector<Node> nodes_;
 };
 
@@ -403,6 +548,115 @@ TEST(DecisionTreePropertyTest, GeneratedColumnsNeverAbortAndMatchOracle) {
   // Both halves of the property must actually be exercised.
   EXPECT_GE(oracle_cases, 100);
   EXPECT_GE(guarded_cases, 100);
+}
+
+/// Fills column `col` with one generated family, weighted towards the
+/// zero-dominated columns of an exam-count VSM; the rest are FillColumn's
+/// families. Any family's zeros may come out as a mix of +0.0 and -0.0.
+void FillSparseColumn(common::Rng& rng, Matrix& features, size_t col) {
+  const double denormal = std::numeric_limits<double>::denorm_min();
+  const double zero_share = rng.UniformDouble(0.5, 0.97);
+  const int64_t family = rng.UniformInt(0, 6);
+  for (size_t row = 0; row < features.rows(); ++row) {
+    const bool zero = rng.Bernoulli(zero_share);
+    double value = 0.0;
+    switch (family) {
+      case 0:  // VSM exam counts.
+        if (!zero) value = static_cast<double>(rng.UniformInt(1, 6));
+        break;
+      case 1:  // Sparse TF-IDF / L2-normalized weights.
+        if (!zero) value = rng.UniformDouble(1e-3, 1.0);
+        break;
+      case 2:  // All zeros.
+        break;
+      case 3:  // No zeros: dense counts or dense reals of either sign.
+        value = rng.Bernoulli(0.5)
+                    ? static_cast<double>(rng.UniformInt(1, 4))
+                    : rng.UniformDouble(-1.0, 1.0);
+        if (value == 0.0) value = 0.25;
+        break;
+      case 4:  // Negatives next to zero.
+        if (!zero) {
+          value = rng.Bernoulli(0.5)
+                      ? static_cast<double>(rng.UniformInt(-3, -1))
+                      : -rng.UniformDouble(1e-3, 1.0);
+          if (rng.Bernoulli(0.3)) value = -value;
+        }
+        break;
+      case 5:  // Denormals next to zero.
+        if (!zero) {
+          value = static_cast<double>(rng.UniformInt(1, 3)) * denormal;
+          if (rng.Bernoulli(0.5)) value = -value;
+        }
+        break;
+      default:
+        break;
+    }
+    features.At(row, col) = value;
+  }
+  if (family == 6) FillColumn(rng, features, col);
+  if (rng.Bernoulli(0.4)) {
+    for (size_t row = 0; row < features.rows(); ++row) {
+      if (features.At(row, col) == 0.0 && rng.Bernoulli(0.5)) {
+        features.At(row, col) = -0.0;
+      }
+    }
+  }
+}
+
+TEST(DecisionTreePropertyTest, PresortedTreeMatchesSortPerNodeOracle) {
+  common::Rng rng(20160516);
+  int end_goal_cases = 0;
+  int near_zero_thresholds = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const size_t rows = static_cast<size_t>(
+        rng.Bernoulli(0.2) ? rng.UniformInt(200, 400) : rng.UniformInt(2, 120));
+    const size_t cols = static_cast<size_t>(rng.UniformInt(1, 40));
+    const int32_t num_classes = static_cast<int32_t>(rng.UniformInt(1, 8));
+    Matrix features(rows, cols);
+    for (size_t col = 0; col < cols; ++col) {
+      FillSparseColumn(rng, features, col);
+    }
+    std::vector<int32_t> labels(rows);
+    for (int32_t& label : labels) {
+      label = static_cast<int32_t>(rng.UniformInt(0, num_classes - 1));
+    }
+    DecisionTreeOptions options;
+    if (rng.Bernoulli(0.25)) {  // The end-goal engine's tree.
+      options.max_depth = 8;
+      options.min_samples_leaf = 2;
+      ++end_goal_cases;
+    } else {
+      options.max_depth = static_cast<int32_t>(rng.UniformInt(0, 12));
+      options.min_samples_split = static_cast<int32_t>(rng.UniformInt(2, 6));
+      options.min_samples_leaf = static_cast<int32_t>(rng.UniformInt(1, 4));
+    }
+    DecisionTreeClassifier tree(options);
+    ASSERT_TRUE(tree.Fit(features, labels, num_classes).ok())
+        << "trial " << trial;
+    SortPerNodeOracle oracle(features, labels, num_classes, options);
+    const std::vector<Node> expected = oracle.Build();
+    ASSERT_EQ(tree.nodes().size(), expected.size()) << "trial " << trial;
+    EXPECT_EQ(tree.depth(), oracle.depth()) << "trial " << trial;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      const Node& got = tree.nodes()[i];
+      EXPECT_EQ(got.feature, expected[i].feature) << trial << "/" << i;
+      EXPECT_EQ(std::bit_cast<uint64_t>(got.threshold),
+                std::bit_cast<uint64_t>(expected[i].threshold))
+          << trial << "/" << i << ": " << got.threshold << " vs "
+          << expected[i].threshold;
+      EXPECT_EQ(got.left, expected[i].left) << trial << "/" << i;
+      EXPECT_EQ(got.right, expected[i].right) << trial << "/" << i;
+      EXPECT_EQ(got.label, expected[i].label) << trial << "/" << i;
+      if (!got.is_leaf() && std::abs(got.threshold) <= 1e-300) {
+        ++near_zero_thresholds;
+      }
+    }
+    if (HasFailure()) break;
+  }
+  // The (8, 2) tree and splits right next to zero must be exercised.
+  EXPECT_GE(end_goal_cases, 100);
+  EXPECT_GE(near_zero_thresholds, 20);
 }
 
 }  // namespace
