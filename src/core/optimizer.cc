@@ -4,6 +4,7 @@
 #include <memory>
 #include <thread>
 
+#include "cluster/sweep.h"
 #include "common/failpoint.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
@@ -12,7 +13,6 @@
 #include "ml/decision_tree.h"
 #include "ml/knn.h"
 #include "ml/naive_bayes.h"
-#include "transform/sparse_matrix.h"
 
 namespace adahealth {
 namespace core {
@@ -33,59 +33,6 @@ ml::ClassifierFactory MakeFactory(RobustnessModel model) {
       return [] { return std::make_unique<ml::KnnClassifier>(); };
   }
   return [] { return std::make_unique<ml::DecisionTreeClassifier>(); };
-}
-
-/// Phase A of one candidate K: the k-means restarts, keeping the
-/// best-SSE run. `warm_source` (when non-null) is the best clustering
-/// of the nearest previously-evaluated K; one extra run then starts
-/// from its centroids adapted to this K — typically one or two drift
-/// steps from a local optimum, so it converges in a handful of cheap
-/// pruned passes. The k-means++ restarts are unchanged, so the
-/// candidate's best SSE can only improve over a cold sweep.
-StatusOr<cluster::Clustering> ClusterCandidate(
-    const Matrix& data, const transform::CsrMatrix* sparse, int32_t k,
-    const OptimizerOptions& options,
-    const cluster::Clustering* warm_source) {
-  // A triggered "optimizer.candidate" failpoint marks this candidate
-  // skipped (the sweep's existing degradation path) without aborting
-  // the sweep.
-  ADA_RETURN_IF_ERROR(ADA_FAILPOINT("optimizer.candidate"));
-  common::MetricsRegistry& metrics = common::MetricsRegistry::Default();
-  common::ScopedTimer kmeans_timer(metrics, "optimizer/kmeans_seconds");
-
-  cluster::KMeansOptions kmeans = options.kmeans;
-  kmeans.k = k;
-  // The sweep measured the density and converted once up front; pin
-  // the representation so RunKMeans never repeats either per restart.
-  kmeans.representation = sparse != nullptr
-                              ? cluster::KMeansRepresentation::kSparse
-                              : cluster::KMeansRepresentation::kDense;
-  auto run = [&]() {
-    return sparse != nullptr ? cluster::RunKMeans(*sparse, kmeans)
-                             : cluster::RunKMeans(data, kmeans);
-  };
-  StatusOr<cluster::Clustering> best =
-      common::InternalError("no restart succeeded");
-  if (warm_source != nullptr) {
-    kmeans.seed = options.seed + static_cast<uint64_t>(k) * 104729;
-    kmeans.initial_centroids = cluster::AdaptCentroids(data, *warm_source, k);
-    auto clustering = run();
-    if (!clustering.ok()) return clustering.status();
-    best = std::move(clustering);
-    kmeans.initial_centroids = transform::Matrix();
-    metrics.GetCounter("optimizer/warm_starts").Increment();
-  }
-  for (int32_t restart = 0; restart < options.restarts; ++restart) {
-    kmeans.seed = options.seed + static_cast<uint64_t>(k) * 104729 +
-                  static_cast<uint64_t>(restart) * 15485863;
-    auto clustering = run();
-    if (!clustering.ok()) return clustering.status();
-    if (!best.ok() || clustering->sse < best->sse) {
-      best = std::move(clustering);
-    }
-    metrics.GetCounter("optimizer/restarts").Increment();
-  }
-  return best;
 }
 
 /// Phase B of one candidate K: cross-validate a classifier that
@@ -146,36 +93,6 @@ StatusOr<OptimizerResult> OptimizeClustering(
   std::vector<StatusOr<CandidateEvaluation>> evaluations(
       num_candidates, common::InternalError("not evaluated"));
 
-  // Phase A — clustering, serial and in candidate order so each K can
-  // warm-start from the best solution of the nearest K evaluated
-  // before it (and so results never depend on the thread count). The
-  // cores not used at this level feed the k-means engine's row-level
-  // parallelism on ThreadPool::Shared() instead.
-  std::vector<StatusOr<cluster::Clustering>> clusterings(
-      num_candidates, common::InternalError("not clustered"));
-  std::vector<double> cluster_seconds(num_candidates, 0.0);
-
-  // Representation hoisting: measure the nnz density and convert to
-  // CSR (when the options select it) once per sweep, instead of once
-  // per restart inside RunKMeans. Every candidate run below then pins
-  // the decided representation. Results are identical either way.
-  transform::CsrMatrix sparse_data;
-  // Probe with the largest candidate K: one conversion is amortized
-  // over the whole sweep, so the small-k gate inside ShouldUseSparse
-  // (which protects single runs) should not veto the hoist.
-  cluster::KMeansOptions probe = options.kmeans;
-  for (int32_t candidate_k : options.candidate_ks) {
-    probe.k = std::max(probe.k, candidate_k);
-  }
-  const bool use_sparse = cluster::internal::ShouldUseSparse(data, probe);
-  if (use_sparse) {
-    sparse_data = transform::CsrMatrix::FromDense(data);
-    common::MetricsRegistry::Default()
-        .GetCounter("optimizer/sparse_sweeps")
-        .Increment();
-  }
-  const transform::CsrMatrix* sparse = use_sparse ? &sparse_data : nullptr;
-
   // Cross-run warm start: adopt the caller-provided centroids (a prior
   // generation's solution) as the initial warm source. AdaptCentroids
   // needs assignments aligned with THIS data, so the hint is
@@ -217,20 +134,62 @@ StatusOr<OptimizerResult> OptimizeClustering(
       }
     }
   }
-  common::WallTimer cluster_timer;
+  // Phase A — clustering. A triggered "optimizer.candidate" failpoint
+  // marks its candidate skipped (the sweep's degradation path) without
+  // aborting the sweep. It is evaluated here, serially in evaluation
+  // order, so a skipped candidate launches no runs and hit counting
+  // (@nth, *count) follows the evaluation order.
+  std::vector<StatusOr<cluster::Clustering>> clusterings(
+      num_candidates, common::InternalError("not clustered"));
+  std::vector<double> cluster_seconds(num_candidates, 0.0);
+  std::vector<size_t> swept;
+  std::vector<int32_t> swept_ks;
   for (size_t i : eval_order) {
-    cluster_timer.Restart();
-    clusterings[i] = ClusterCandidate(data, sparse, options.candidate_ks[i],
-                                      options, warm_source);
-    cluster_seconds[i] = cluster_timer.ElapsedSeconds();
-    if (clusterings[i].ok()) warm_source = &*clusterings[i];
+    Status injected = ADA_FAILPOINT("optimizer.candidate");
+    if (!injected.ok()) {
+      clusterings[i] = std::move(injected);
+      continue;
+    }
+    swept.push_back(i);
+    swept_ks.push_back(options.candidate_ks[i]);
+  }
+  // One sweep clusters every remaining candidate: its k-means++
+  // restarts fan out over ThreadPool::Shared() at once, and each K
+  // after the first (or every K, with a warm hint) adds one run
+  // warm-started from the best solution of the nearest K evaluated
+  // before it (cluster::AdaptCentroids) — typically one or two drift
+  // steps from a local optimum, so it converges in a handful of cheap
+  // pruned passes. The warm chain and the best-SSE reduction run in
+  // evaluation order, so results never depend on the thread count.
+  cluster::SweepOptions sweep;
+  sweep.kmeans = options.kmeans;
+  sweep.restarts = options.restarts;
+  sweep.seed_base = options.seed;
+  sweep.k_stride = 104729;
+  sweep.restart_stride = 15485863;
+  sweep.warm_source = warm_source;
+  std::vector<cluster::SweepResult> swept_results =
+      cluster::SweepKs(data, swept_ks, sweep);
+  common::MetricsRegistry& metrics = common::MetricsRegistry::Default();
+  for (size_t j = 0; j < swept.size(); ++j) {
+    const size_t i = swept[j];
+    cluster::SweepResult& swept_result = swept_results[j];
+    // K-means busy time of this candidate's own runs, not a wall span
+    // around the fan-out.
+    cluster_seconds[i] = swept_result.kmeans_seconds;
+    metrics.GetHistogram("optimizer/kmeans_seconds")
+        .Record(cluster_seconds[i]);
+    if (swept_result.warm_started) {
+      metrics.GetCounter("optimizer/warm_starts").Increment();
+    }
+    if (swept_result.best.ok()) {
+      metrics.GetCounter("optimizer/restarts").Increment(options.restarts);
+    }
+    clusterings[i] = std::move(swept_result.best);
   }
 
   // Phase B — robustness assessment (classifier cross-validation) per
-  // candidate, fanned out across options.num_threads. The former
-  // design parallelized whole candidates, so a sweep could never use
-  // more threads than candidates no matter how many cores were free;
-  // now the clustering phase scales with the data instead.
+  // candidate, fanned out across options.num_threads.
   size_t num_threads = options.num_threads;
   if (num_threads == 0) {
     num_threads = std::max<size_t>(1, std::thread::hardware_concurrency());
@@ -255,7 +214,6 @@ StatusOr<OptimizerResult> OptimizeClustering(
   // A candidate whose evaluation fails (e.g. a cluster too small for
   // cv_folds-stratified CV) is recorded as skipped instead of failing
   // the whole sweep; the sweep errors only when nothing was evaluated.
-  common::MetricsRegistry& metrics = common::MetricsRegistry::Default();
   OptimizerResult result;
   result.candidates.reserve(num_candidates);
   double best_composite = -1.0;

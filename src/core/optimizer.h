@@ -46,9 +46,10 @@ struct OptimizerOptions {
   RobustnessModel model = RobustnessModel::kDecisionTree;
   /// Worker threads for the cross-validation fan-out (the local
   /// stand-in for the paper's cloud configuration services). 0 =
-  /// hardware default. The clustering phase runs in candidate order
-  /// (for warm starts and thread-count-independent results) and
-  /// parallelizes internally on ThreadPool::Shared() instead.
+  /// hardware default. The clustering phase (cluster::SweepKs) fans
+  /// its independent restarts out on ThreadPool::Shared() instead and
+  /// keeps the warm chain in evaluation order, so results never
+  /// depend on the thread count.
   size_t num_threads = 0;
   uint64_t seed = 29;
   /// Cross-run warm start (the streaming cohort store's delta jobs):

@@ -1,13 +1,16 @@
 #include "core/partial_mining.h"
 
-#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <utility>
 
 #include "cluster/quality.h"
+#include "cluster/sweep.h"
 #include "common/failpoint.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "transform/feature_select.h"
 #include "transform/sampling.h"
 
@@ -52,46 +55,83 @@ common::Status ValidateOptions(const PartialMiningOptions& options) {
 /// (row-aligned with mining_vsm). Passing the same matrix twice scores
 /// in the mining space; the exam-subset strategy evaluates on the full
 /// original space so that quality across subsets is comparable.
+///
+/// Per K, the best-SSE of `restarts` seeded runs; stable seeds per
+/// (K, restart) keep steps comparable. Every K after the first adds one
+/// run warm-started from the previous K's best solution — it converges
+/// in a few cheap pruned passes and can only improve the kept best.
+/// cluster::SweepKs runs the seeded restarts of every K at once on the
+/// shared pool and the warm chain in K order.
 StatusOr<std::vector<double>> SimilarityPerK(
     const transform::Matrix& mining_vsm,
     const transform::Matrix& evaluation_vsm,
     const PartialMiningOptions& options) {
+  cluster::SweepOptions sweep;
+  sweep.kmeans = options.kmeans;
+  sweep.restarts = options.restarts;
+  sweep.seed_base = options.kmeans.seed;
+  sweep.k_stride = 7919;
+  sweep.restart_stride = 104729;
+  std::vector<cluster::SweepResult> per_k =
+      cluster::SweepKs(mining_vsm, options.ks, sweep);
   std::vector<double> similarities;
-  similarities.reserve(options.ks.size());
-  cluster::Clustering previous_best;
-  for (int32_t k : options.ks) {
-    cluster::KMeansOptions kmeans = options.kmeans;
-    kmeans.k = std::min<int32_t>(k, static_cast<int32_t>(mining_vsm.rows()));
-    // Best-SSE of `restarts` seeded runs; stable seeds per (K, restart)
-    // keep steps comparable. Every K after the first adds one extra
-    // run warm-started from the previous K's best solution — it
-    // converges in a few cheap pruned passes and can only improve the
-    // kept best.
-    StatusOr<cluster::Clustering> best =
-        common::InternalError("no restart succeeded");
-    if (previous_best.k > 0) {
-      kmeans.seed = options.kmeans.seed + static_cast<uint64_t>(k) * 7919;
-      kmeans.initial_centroids =
-          cluster::AdaptCentroids(mining_vsm, previous_best, kmeans.k);
-      auto clustering = cluster::RunKMeans(mining_vsm, kmeans);
-      if (!clustering.ok()) return clustering.status();
-      best = std::move(clustering);
-      kmeans.initial_centroids = transform::Matrix();
-    }
-    for (int32_t restart = 0; restart < options.restarts; ++restart) {
-      kmeans.seed = options.kmeans.seed + static_cast<uint64_t>(k) * 7919 +
-                    static_cast<uint64_t>(restart) * 104729;
-      auto clustering = cluster::RunKMeans(mining_vsm, kmeans);
-      if (!clustering.ok()) return clustering.status();
-      if (!best.ok() || clustering->sse < best->sse) {
-        best = std::move(clustering);
-      }
-    }
+  similarities.reserve(per_k.size());
+  for (const cluster::SweepResult& k_result : per_k) {
+    if (!k_result.best.ok()) return k_result.best.status();
     similarities.push_back(cluster::OverallSimilarity(
-        evaluation_vsm, best->assignments, best->k));
-    previous_best = std::move(best).value();
+        evaluation_vsm, k_result.best->assignments, k_result.best->k));
   }
   return similarities;
+}
+
+/// Measures every step of a `fractions`-long schedule with
+/// `measure(s)` and returns the kept steps in schedule order. The
+/// "partial_mining.step" failpoint is evaluated first, serially in
+/// schedule order, so hit counting (@nth, *count) follows the
+/// schedule: a failing step is dropped (it can simply never be
+/// selected), except the last one — the exam-subset comparison
+/// baseline and every strategy's fallback selection — whose failure
+/// is returned. The remaining steps each build their own reduced log
+/// and VSM, so they run as independent tasks on the shared pool. The
+/// first error in schedule order is returned.
+StatusOr<std::vector<PartialMiningStep>> MeasureSchedule(
+    const std::vector<double>& fractions,
+    const std::function<StatusOr<PartialMiningStep>(size_t)>& measure) {
+  common::MetricsRegistry& metrics = common::MetricsRegistry::Default();
+  const size_t num_steps = fractions.size();
+  std::vector<common::Status> injected(num_steps);
+  std::vector<size_t> kept;
+  for (size_t s = 0; s < num_steps; ++s) {
+    injected[s] = ADA_FAILPOINT("partial_mining.step");
+    if (injected[s].ok()) {
+      kept.push_back(s);
+    } else if (s + 1 < num_steps) {
+      metrics.GetCounter("partial_mining/steps_skipped").Increment();
+      ADA_LOG(kWarning) << "partial mining: dropping step (fraction "
+                        << fractions[s] << "): " << injected[s].ToString();
+    }
+  }
+  std::vector<StatusOr<PartialMiningStep>> measured(
+      kept.size(), common::InternalError("not measured"));
+  common::ParallelFor(
+      common::ThreadPool::Shared(), 0, kept.size(),
+      [&](size_t j) {
+        common::ScopedTimer step_timer(metrics, "partial_mining/step_seconds");
+        measured[j] = measure(kept[j]);
+      },
+      /*max_chunk=*/1);
+  std::vector<PartialMiningStep> steps;
+  size_t j = 0;
+  for (size_t s = 0; s < num_steps; ++s) {
+    if (!injected[s].ok()) {
+      if (s + 1 == num_steps) return injected[s];
+      continue;
+    }
+    if (!measured[j].ok()) return measured[j].status();
+    steps.push_back(std::move(measured[j++]).value());
+    metrics.GetCounter("partial_mining/steps").Increment();
+  }
+  return steps;
 }
 
 double MeanRelativeDiff(const std::vector<double>& step,
@@ -106,12 +146,21 @@ double MeanRelativeDiff(const std::vector<double>& step,
   return counted > 0 ? total / static_cast<double>(counted) : 0.0;
 }
 
-size_t SelectStep(const std::vector<PartialMiningStep>& steps,
-                  double tolerance) {
-  for (size_t i = 0; i < steps.size(); ++i) {
-    if (steps[i].mean_relative_diff <= tolerance) return i;
+/// Selects the smallest step within tolerance (the last step when none
+/// qualifies) and records the choice.
+void SelectStep(PartialMiningResult& result, double tolerance) {
+  result.selected_step = result.steps.size() - 1;
+  for (size_t i = 0; i < result.steps.size(); ++i) {
+    if (result.steps[i].mean_relative_diff <= tolerance) {
+      result.selected_step = i;
+      break;
+    }
   }
-  return steps.size() - 1;
+  common::MetricsRegistry& metrics = common::MetricsRegistry::Default();
+  metrics.GetGauge("partial_mining/selected_fraction")
+      .Set(result.steps[result.selected_step].fraction);
+  metrics.GetGauge("partial_mining/stop_step")
+      .Set(static_cast<double>(result.selected_step));
 }
 
 }  // namespace
@@ -131,50 +180,37 @@ StatusOr<PartialMiningResult> RunExamSubsetPartialMining(
   auto schedule = transform::BuildVerticalSchedule(log, fractions);
   if (!schedule.ok()) return schedule.status();
 
-  PartialMiningResult result;
-  result.ks = options.ks;
   // Every subset's clustering is scored on the full original space:
   // FilterExamTypes preserves all patients, so row i of the reduced
   // VSM is the same patient as row i of the full VSM.
-  transform::Matrix full_vsm = BuildVsm(log, options.vsm);
-  common::MetricsRegistry& metrics = common::MetricsRegistry::Default();
-  std::vector<std::vector<double>> similarities;
+  const transform::Matrix full_vsm = BuildVsm(log, options.vsm);
+  std::vector<double> step_fractions;
   for (const auto& subset : schedule.value()) {
-    // A failing non-baseline step is dropped from the schedule (it can
-    // simply never be selected); the full-data baseline is the
-    // comparison reference and must succeed.
-    common::Status injected = ADA_FAILPOINT("partial_mining.step");
-    if (!injected.ok()) {
-      if (&subset == &schedule.value().back()) return injected;
-      metrics.GetCounter("partial_mining/steps_skipped").Increment();
-      ADA_LOG(kWarning) << "partial mining: dropping step (fraction "
-                        << subset.exam_fraction
-                        << "): " << injected.ToString();
-      continue;
-    }
-    common::ScopedTimer step_timer(metrics, "partial_mining/step_seconds");
-    ExamLog reduced = log.FilterExamTypes(subset.mask);
-    transform::Matrix reduced_vsm = BuildVsm(reduced, options.vsm);
-    auto sims = SimilarityPerK(reduced_vsm, full_vsm, options);
-    if (!sims.ok()) return sims.status();
-    PartialMiningStep step;
-    step.fraction = subset.exam_fraction;
-    step.record_coverage = subset.record_coverage;
-    step.overall_similarity = sims.value();
-    similarities.push_back(std::move(sims).value());
-    result.steps.push_back(std::move(step));
-    metrics.GetCounter("partial_mining/steps").Increment();
+    step_fractions.push_back(subset.exam_fraction);
   }
-  const std::vector<double>& full = similarities.back();
-  for (size_t i = 0; i < result.steps.size(); ++i) {
-    result.steps[i].mean_relative_diff =
-        MeanRelativeDiff(similarities[i], full);
+  auto steps = MeasureSchedule(
+      step_fractions, [&](size_t s) -> StatusOr<PartialMiningStep> {
+        const auto& subset = (*schedule)[s];
+        ExamLog reduced = log.FilterExamTypes(subset.mask);
+        transform::Matrix reduced_vsm = BuildVsm(reduced, options.vsm);
+        auto sims = SimilarityPerK(reduced_vsm, full_vsm, options);
+        if (!sims.ok()) return sims.status();
+        PartialMiningStep step;
+        step.fraction = subset.exam_fraction;
+        step.record_coverage = subset.record_coverage;
+        step.overall_similarity = std::move(sims).value();
+        return step;
+      });
+  if (!steps.ok()) return steps.status();
+
+  PartialMiningResult result;
+  result.ks = options.ks;
+  result.steps = std::move(steps).value();
+  const std::vector<double>& full = result.steps.back().overall_similarity;
+  for (PartialMiningStep& step : result.steps) {
+    step.mean_relative_diff = MeanRelativeDiff(step.overall_similarity, full);
   }
-  result.selected_step = SelectStep(result.steps, options.tolerance);
-  metrics.GetGauge("partial_mining/selected_fraction")
-      .Set(result.steps[result.selected_step].fraction);
-  metrics.GetGauge("partial_mining/stop_step")
-      .Set(static_cast<double>(result.selected_step));
+  SelectStep(result, options.tolerance);
   return result;
 }
 
@@ -191,33 +227,32 @@ StatusOr<PartialMiningResult> RunPatientSubsetPartialMining(
       transform::BuildHorizontalSchedule(log, options.fractions, rng);
   if (!schedule.ok()) return schedule.status();
 
+  auto steps = MeasureSchedule(
+      options.fractions, [&](size_t s) -> StatusOr<PartialMiningStep> {
+        ExamLog reduced = log.FilterPatients((*schedule)[s]);
+        transform::Matrix reduced_vsm = BuildVsm(reduced, options.vsm);
+        auto sims = SimilarityPerK(reduced_vsm, reduced_vsm, options);
+        if (!sims.ok()) return sims.status();
+        PartialMiningStep step;
+        step.fraction = options.fractions[s];
+        step.record_coverage =
+            static_cast<double>(reduced.num_records()) /
+            static_cast<double>(log.num_records());
+        step.overall_similarity = std::move(sims).value();
+        return step;
+      });
+  if (!steps.ok()) return steps.status();
+
   PartialMiningResult result;
   result.ks = options.ks;
-  common::MetricsRegistry& metrics = common::MetricsRegistry::Default();
-  std::vector<std::vector<double>> similarities;
-  for (size_t s = 0; s < schedule->size(); ++s) {
-    common::ScopedTimer step_timer(metrics, "partial_mining/step_seconds");
-    ExamLog reduced = log.FilterPatients((*schedule)[s]);
-    transform::Matrix reduced_vsm = BuildVsm(reduced, options.vsm);
-    auto sims = SimilarityPerK(reduced_vsm, reduced_vsm, options);
-    if (!sims.ok()) return sims.status();
-    PartialMiningStep step;
-    step.fraction = options.fractions[s];
-    step.record_coverage =
-        static_cast<double>(reduced.num_records()) /
-        static_cast<double>(log.num_records());
-    step.overall_similarity = sims.value();
-    step.mean_relative_diff =
-        s == 0 ? 1.0 : MeanRelativeDiff(sims.value(), similarities.back());
-    similarities.push_back(std::move(sims).value());
-    result.steps.push_back(std::move(step));
-    metrics.GetCounter("partial_mining/steps").Increment();
+  result.steps = std::move(steps).value();
+  for (size_t i = 0; i < result.steps.size(); ++i) {
+    result.steps[i].mean_relative_diff =
+        i == 0 ? 1.0
+               : MeanRelativeDiff(result.steps[i].overall_similarity,
+                                  result.steps[i - 1].overall_similarity);
   }
-  result.selected_step = SelectStep(result.steps, options.tolerance);
-  metrics.GetGauge("partial_mining/selected_fraction")
-      .Set(result.steps[result.selected_step].fraction);
-  metrics.GetGauge("partial_mining/stop_step")
-      .Set(static_cast<double>(result.selected_step));
+  SelectStep(result, options.tolerance);
   return result;
 }
 

@@ -1,7 +1,8 @@
 // Race-stress tests for the concurrency claims in common/: ThreadPool
 // (enqueue during shutdown, exception propagation, concurrent
-// ParallelFor) and MetricsRegistry (concurrent instrument creation,
-// updates, Reset, and JSON export). The assertions matter in every
+// ParallelFor), MetricsRegistry (concurrent instrument creation,
+// updates, Reset, and JSON export), and whole analysis sessions nested
+// inside a saturated ThreadPool::Shared(). The assertions matter in every
 // build mode, but the tests earn their keep under
 // -DADA_SANITIZE=thread, where TSAN checks the interleavings
 // themselves; keep iteration counts modest so the TSAN build stays
@@ -17,6 +18,10 @@
 #include <gtest/gtest.h>
 #include "common/metrics.h"
 #include "common/thread_pool.h"
+#include "core/report.h"
+#include "core/session.h"
+#include "dataset/synthetic_cohort.h"
+#include "kdb/database.h"
 
 namespace adahealth {
 namespace common {
@@ -178,6 +183,85 @@ TEST(MetricsStressTest, PipelineMetricsUnderThreadPoolLoad) {
   pool.Wait();
   EXPECT_EQ(registry.GetCounter("stress/tasks").value(), kTasks);
   EXPECT_EQ(registry.GetHistogram("stress/task_seconds").count(), kTasks);
+}
+
+core::SessionOptions NestedSessionOptions(int index) {
+  core::SessionOptions options;
+  options.dataset_id = "nested-" + std::to_string(index);
+  options.transform.sample_fraction = 0.4;
+  options.transform.proxy_k = 4;
+  options.partial.fractions = {0.3, 0.6, 1.0};
+  options.partial.ks = {3, 4};
+  options.partial.kmeans.max_iterations = 20;
+  options.optimizer.candidate_ks = {3, 4, 6};
+  options.optimizer.cv_folds = 3;
+  options.optimizer.num_threads = 2;
+  options.pattern_mining.min_support_level0 = 0.4;
+  options.pattern_mining.min_support_level1 = 0.5;
+  options.pattern_mining.min_support_level2 = 0.6;
+  options.pattern_mining.max_itemset_size = 3;
+  return options;
+}
+
+std::string RunSessionReport(const dataset::Cohort& cohort,
+                             const core::SessionOptions& options) {
+  kdb::Database db;
+  core::AnalysisSession session(&db);
+  auto result = session.Run(cohort.log, &cohort.taxonomy, options);
+  if (!result.ok()) return "failed: " + result.status().ToString();
+  return core::RenderSessionReport(*result, options.dataset_id);
+}
+
+TEST(SharedPoolNestingStressTest, SessionsInsideSaturatedSharedPoolMatchDirect) {
+  // The service scheduler runs sessions on ThreadPool::Shared()
+  // workers, and a session fans its k-means sweeps and partial-mining
+  // steps out on that same pool. Three sessions start from pool tasks
+  // at once; one blocker per worker queued behind them holds every
+  // free worker until all three finish, so the nested fan-outs' helper
+  // tasks queue behind the blockers and each session must complete on
+  // its own worker. Every report must equal its direct run's.
+  constexpr int kSessions = 3;
+  std::vector<dataset::Cohort> cohorts;
+  std::vector<std::string> direct;
+  for (int i = 0; i < kSessions; ++i) {
+    dataset::CohortConfig config = dataset::TestScaleConfig();
+    config.num_patients = 120 + 30 * i;
+    config.seed = 300 + static_cast<uint64_t>(i);
+    auto cohort = dataset::SyntheticCohortGenerator(config).Generate();
+    ASSERT_TRUE(cohort.ok());
+    cohorts.push_back(std::move(cohort).value());
+    direct.push_back(RunSessionReport(cohorts.back(), NestedSessionOptions(i)));
+    ASSERT_EQ(direct.back().rfind("failed: ", 0), std::string::npos)
+        << direct.back();
+  }
+
+  ThreadPool& pool = ThreadPool::Shared();
+  std::vector<std::string> pooled(kSessions);
+  std::atomic<int> finished{0};
+  for (int i = 0; i < kSessions; ++i) {
+    pool.Schedule([&, i] {
+      pooled[static_cast<size_t>(i)] =
+          RunSessionReport(cohorts[static_cast<size_t>(i)],
+                           NestedSessionOptions(i));
+      finished.fetch_add(1);
+    });
+  }
+  std::atomic<size_t> blockers_done{0};
+  for (size_t w = 0; w < pool.num_threads(); ++w) {
+    pool.Schedule([&] {
+      while (finished.load() < kSessions) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      blockers_done.fetch_add(1);
+    });
+  }
+  while (blockers_done.load() < pool.num_threads()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (int i = 0; i < kSessions; ++i) {
+    EXPECT_EQ(pooled[static_cast<size_t>(i)], direct[static_cast<size_t>(i)])
+        << "session " << i;
+  }
 }
 
 }  // namespace

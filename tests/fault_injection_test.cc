@@ -430,6 +430,32 @@ TEST_F(FaultInjectionTest, OptimizerFailsWhenEveryCandidateInjected) {
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
 }
 
+TEST_F(FaultInjectionTest, SweepRunFailpointSkipsExactlyOneCandidate) {
+  test::Blobs blobs = test::MakeBlobs(
+      {{0.0, 0.0}, {8.0, 0.0}, {0.0, 8.0}}, 40, 0.6, 71);
+  core::OptimizerOptions options;
+  options.candidate_ks = {2, 3, 4, 6};
+  options.cv_folds = 4;
+  options.num_threads = 1;
+  auto clean = core::OptimizeClustering(blobs.points, options);
+  ASSERT_TRUE(clean.ok());
+  ASSERT_EQ(clean->num_skipped(), 0u);
+  // One of the sweep's fanned-out restarts fails; which one depends on
+  // the interleaving, but only its candidate is skipped.
+  ScopedFailpoint fp("cluster.sweep.run",
+                     OneShotError(StatusCode::kUnavailable));
+  auto result = core::OptimizeClustering(blobs.points, options);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->num_skipped(), 1u);
+  for (const core::CandidateEvaluation& candidate : result->candidates) {
+    if (candidate.skipped()) {
+      EXPECT_EQ(candidate.status.code(), StatusCode::kUnavailable);
+    } else {
+      EXPECT_TRUE(candidate.status.ok());
+    }
+  }
+}
+
 TEST_F(FaultInjectionTest, PartialMiningDropsInjectedNonBaselineStep) {
   auto cohort =
       dataset::SyntheticCohortGenerator(dataset::TestScaleConfig())
@@ -563,6 +589,27 @@ TEST_F(FaultInjectionSessionTest, PartialMiningDegradesToFullDataset) {
   EXPECT_DOUBLE_EQ(result->partial.steps[0].fraction, 1.0);
   // Downstream stages still produced knowledge.
   EXPECT_FALSE(result->knowledge.empty());
+}
+
+TEST_F(FaultInjectionSessionTest, SweepRunFailureDegradesPartialMining) {
+  kdb::Database db;
+  core::AnalysisSession session(&db);
+  // INTERNAL is not retryable: the first k-means sweep (partial
+  // mining's) fails its stage, which degrades to the full dataset.
+  ScopedFailpoint fp("cluster.sweep.run",
+                     OneShotError(StatusCode::kInternal, "injected"));
+  auto result = session.Run(cohort_.log, &cohort_.taxonomy, FastOptions());
+  ASSERT_TRUE(result.ok());
+  const core::StageOutcome* outcome = result->FindStage("partial_mining");
+  ASSERT_NE(outcome, nullptr);
+  EXPECT_EQ(outcome->state, core::StageState::kDegraded);
+  EXPECT_EQ(outcome->status.code(), StatusCode::kInternal);
+  ASSERT_EQ(result->partial.steps.size(), 1u);
+  EXPECT_DOUBLE_EQ(result->partial.steps[0].fraction, 1.0);
+  const core::StageOutcome* optimizer = result->FindStage("optimizer");
+  ASSERT_NE(optimizer, nullptr);
+  EXPECT_EQ(optimizer->state, core::StageState::kOk);
+  EXPECT_EQ(result->optimizer.num_skipped(), 0u);
 }
 
 TEST_F(FaultInjectionSessionTest, EssentialStageFailureAbortsRun) {
