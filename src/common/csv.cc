@@ -8,73 +8,122 @@
 namespace adahealth {
 namespace common {
 
-StatusOr<std::vector<std::vector<std::string>>> ParseCsv(
-    std::string_view text, char delimiter) {
-  std::vector<std::vector<std::string>> rows;
-  std::vector<std::string> row;
-  std::string field;
-  bool in_quotes = false;
-  bool field_was_quoted = false;
-  size_t i = 0;
+namespace {
+
+/// Where one field's bytes live until its row is visited: a slice of
+/// the input text, or of the row's unescaped copies.
+struct FieldSpan {
+  size_t begin = 0;
+  size_t size = 0;
+  bool in_unescaped = false;
+};
+
+}  // namespace
+
+Status VisitCsvRows(std::string_view text, const CsvRowVisitor& visit,
+                    char delimiter) {
   const size_t n = text.size();
-
-  auto end_field = [&]() {
-    row.push_back(std::move(field));
-    field.clear();
-    field_was_quoted = false;
+  // Bytes that end an unquoted run: the delimiter, a row terminator, or
+  // a quote (an error unless it opens the field).
+  bool stops[256] = {};
+  stops[static_cast<unsigned char>(delimiter)] = true;
+  stops[static_cast<unsigned char>('\n')] = true;
+  stops[static_cast<unsigned char>('\r')] = true;
+  stops[static_cast<unsigned char>('"')] = true;
+  auto run_end = [&](size_t from) {
+    while (from < n && !stops[static_cast<unsigned char>(text[from])]) ++from;
+    return from;
   };
-  auto end_row = [&]() {
-    end_field();
-    rows.push_back(std::move(row));
-    row.clear();
-  };
 
-  while (i < n) {
-    char c = text[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < n && text[i + 1] == '"') {
-          field.push_back('"');
-          i += 2;
-        } else {
-          in_quotes = false;
-          ++i;
-        }
-      } else {
-        field.push_back(c);
-        ++i;
-      }
-      continue;
+  std::vector<FieldSpan> spans;
+  std::vector<std::string_view> fields;
+  std::string unescaped;
+  auto emit_row = [&] {
+    fields.clear();
+    for (const FieldSpan& span : spans) {
+      fields.push_back(span.in_unescaped
+                           ? std::string_view(unescaped).substr(span.begin,
+                                                              span.size)
+                           : text.substr(span.begin, span.size));
     }
-    if (c == '"') {
-      if (!field.empty() || field_was_quoted) {
+    visit(fields);
+    spans.clear();
+    unescaped.clear();
+  };
+
+  size_t i = 0;
+  while (i < n) {
+    FieldSpan span;
+    if (text[i] == '"') {
+      // Quoted: "" is an escaped quote, and any text after the closing
+      // quote (up to the next delimiter or row end) joins the field.
+      const size_t open = ++i;
+      bool escaped = false;
+      size_t close = 0;
+      for (;;) {
+        close = text.find('"', i);
+        if (close == std::string_view::npos) {
+          return InvalidArgumentError("unterminated quoted CSV field");
+        }
+        if (close + 1 < n && text[close + 1] == '"') {
+          escaped = true;
+          i = close + 2;
+          continue;
+        }
+        break;
+      }
+      i = close + 1;
+      const size_t tail_end = run_end(i);
+      if (tail_end < n && text[tail_end] == '"') {
         return InvalidArgumentError(
             "unexpected quote inside unquoted CSV field");
       }
-      in_quotes = true;
-      field_was_quoted = true;
-      ++i;
-    } else if (c == delimiter) {
-      end_field();
-      ++i;
-    } else if (c == '\n') {
-      end_row();
-      ++i;
-    } else if (c == '\r') {
-      // Accept both \r\n and bare \r as row terminators.
-      end_row();
-      if (i + 1 < n && text[i + 1] == '\n') ++i;
-      ++i;
+      if (!escaped && tail_end == i) {
+        span = FieldSpan{open, close - open, false};
+      } else {
+        span = FieldSpan{unescaped.size(), 0, true};
+        for (size_t k = open; k < close; ++k) {
+          unescaped.push_back(text[k]);
+          if (text[k] == '"') ++k;  // Skip the escape's second quote.
+        }
+        unescaped.append(text.substr(i, tail_end - i));
+        span.size = unescaped.size() - span.begin;
+      }
+      i = tail_end;
     } else {
-      field.push_back(c);
-      ++i;
+      const size_t end = run_end(i);
+      if (end < n && text[end] == '"') {
+        return InvalidArgumentError(
+            "unexpected quote inside unquoted CSV field");
+      }
+      span = FieldSpan{i, end - i, false};
+      i = end;
     }
+    spans.push_back(span);
+    if (i == n) break;  // A last row without a terminator.
+    const char c = text[i++];
+    if (c == delimiter) {
+      // "a," ends its row with an empty field.
+      if (i == n) spans.push_back(FieldSpan{});
+      continue;
+    }
+    // Accept both \r\n and bare \r as row terminators.
+    if (c == '\r' && i < n && text[i] == '\n') ++i;
+    emit_row();
   }
-  if (in_quotes) {
-    return InvalidArgumentError("unterminated quoted CSV field");
-  }
-  // Flush a trailing row without a final newline.
-  if (!field.empty() || field_was_quoted || !row.empty()) end_row();
+  if (!spans.empty()) emit_row();
+  return OkStatus();
+}
+
+StatusOr<std::vector<std::vector<std::string>>> ParseCsv(
+    std::string_view text, char delimiter) {
+  std::vector<std::vector<std::string>> rows;
+  ADA_RETURN_IF_ERROR(VisitCsvRows(
+      text,
+      [&rows](const std::vector<std::string_view>& fields) {
+        rows.emplace_back(fields.begin(), fields.end());
+      },
+      delimiter));
   return rows;
 }
 

@@ -5,6 +5,7 @@
 #ifndef ADAHEALTH_COMMON_CSV_H_
 #define ADAHEALTH_COMMON_CSV_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -14,9 +15,24 @@
 namespace adahealth {
 namespace common {
 
-/// Parses a whole CSV document into rows of fields.
+/// Receives one row's fields. A field views `text` directly unless it
+/// was quoted with a doubled quote ("") or has text after its closing
+/// quote; then it views an unescaped copy. Either way a view is valid
+/// only until the visitor returns.
+using CsvRowVisitor =
+    std::function<void(const std::vector<std::string_view>& fields)>;
+
+/// The one CSV tokenizer: visits every row of `text` in order, without
+/// copying unquoted fields. A blank line is a row with one empty field.
 /// Fails with INVALID_ARGUMENT on unterminated quotes or stray quote
-/// characters inside unquoted fields.
+/// characters inside unquoted fields; rows before the error have been
+/// visited by then.
+[[nodiscard]] Status VisitCsvRows(std::string_view text,
+                                  const CsvRowVisitor& visit,
+                                  char delimiter = ',');
+
+/// Parses a whole CSV document into rows of fields (VisitCsvRows,
+/// collected). Same errors.
 [[nodiscard]] StatusOr<std::vector<std::vector<std::string>>> ParseCsv(
     std::string_view text, char delimiter = ',');
 

@@ -11,6 +11,12 @@ namespace common {
 
 namespace {
 
+/// A string byte that is copied verbatim both ways: not a quote, not a
+/// backslash, not a control byte.
+bool IsPlainStringByte(char c) {
+  return c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20;
+}
+
 /// Recursive-descent JSON parser over a string_view with a cursor.
 class Parser {
  public:
@@ -91,6 +97,15 @@ class Parser {
     ++pos_;
     std::string out;
     while (pos_ < text_.size()) {
+      // Plain bytes are copied a run at a time, up to the next quote,
+      // backslash or control byte.
+      size_t run_end = pos_;
+      while (run_end < text_.size() && IsPlainStringByte(text_[run_end])) {
+        ++run_end;
+      }
+      out.append(text_, pos_, run_end - pos_);
+      pos_ = run_end;
+      if (pos_ == text_.size()) break;
       char c = text_[pos_];
       if (c == '"') {
         ++pos_;
@@ -133,11 +148,8 @@ class Parser {
             return Error("invalid escape character");
         }
         ++pos_;
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        return Error("unescaped control character in string");
       } else {
-        out.push_back(c);
-        ++pos_;
+        return Error("unescaped control character in string");
       }
     }
     return Error("unterminated string");
@@ -271,7 +283,16 @@ class Parser {
 
 void AppendEscaped(const std::string& text, std::string& out) {
   out.push_back('"');
-  for (char c : text) {
+  size_t pos = 0;
+  while (pos < text.size()) {
+    size_t run_end = pos;
+    while (run_end < text.size() && IsPlainStringByte(text[run_end])) {
+      ++run_end;
+    }
+    out.append(text, pos, run_end - pos);
+    if (run_end == text.size()) break;
+    const char c = text[run_end];
+    pos = run_end + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -280,15 +301,12 @@ void AppendEscaped(const std::string& text, std::string& out) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
+      default: {  // The remaining control bytes.
+        char buffer[8];
+        std::snprintf(buffer, sizeof(buffer), "\\u%04x",
+                      static_cast<unsigned>(c));
+        out += buffer;
+      }
     }
   }
   out.push_back('"');

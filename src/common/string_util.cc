@@ -57,6 +57,19 @@ std::string ToLower(std::string_view text) {
 
 StatusOr<int64_t> ParseInt64(std::string_view text) {
   if (text.empty()) return InvalidArgumentError("empty integer literal");
+  // Fast path for an optional sign and 1-18 digits, which cannot
+  // overflow; everything else (whitespace, long literals, errors) takes
+  // strtoll below, so the accepted language is strtoll's.
+  const bool negative = text[0] == '-';
+  const size_t first = (negative || text[0] == '+') ? 1 : 0;
+  if (text.size() > first && text.size() - first <= 18) {
+    int64_t value = 0;
+    size_t i = first;
+    for (; i < text.size() && text[i] >= '0' && text[i] <= '9'; ++i) {
+      value = value * 10 + (text[i] - '0');
+    }
+    if (i == text.size()) return negative ? -value : value;
+  }
   std::string buffer(text);
   errno = 0;
   char* end = nullptr;

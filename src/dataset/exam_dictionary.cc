@@ -6,7 +6,7 @@ namespace adahealth {
 namespace dataset {
 
 ExamTypeId ExamDictionary::Intern(std::string_view name) {
-  auto it = index_.find(std::string(name));
+  auto it = index_.find(name);
   if (it != index_.end()) return it->second;
   ExamTypeId id = static_cast<ExamTypeId>(names_.size());
   names_.emplace_back(name);
@@ -16,7 +16,7 @@ ExamTypeId ExamDictionary::Intern(std::string_view name) {
 
 common::StatusOr<ExamTypeId> ExamDictionary::Lookup(
     std::string_view name) const {
-  auto it = index_.find(std::string(name));
+  auto it = index_.find(name);
   if (it == index_.end()) {
     return common::NotFoundError("unknown exam type: " + std::string(name));
   }

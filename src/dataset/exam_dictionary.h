@@ -2,6 +2,7 @@
 #ifndef ADAHEALTH_DATASET_EXAM_DICTIONARY_H_
 #define ADAHEALTH_DATASET_EXAM_DICTIONARY_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -34,8 +35,18 @@ class ExamDictionary {
   const std::vector<std::string>& names() const { return names_; }
 
  private:
+  /// Transparent hash: Intern and Lookup probe with the caller's
+  /// string_view and copy a name only when it is new.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   std::vector<std::string> names_;
-  std::unordered_map<std::string, ExamTypeId> index_;
+  std::unordered_map<std::string, ExamTypeId, NameHash, std::equal_to<>>
+      index_;
 };
 
 }  // namespace dataset

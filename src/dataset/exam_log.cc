@@ -1,7 +1,7 @@
 #include "dataset/exam_log.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <cstdint>
 
 #include "common/check.h"
 #include "common/csv.h"
@@ -34,42 +34,48 @@ ExamLog::ExamLog(std::vector<Patient> patients, ExamDictionary dictionary,
   }
 }
 
-StatusOr<ExamLog> ExamLog::FromCsv(const std::string& csv_text) {
-  auto rows_or = common::ParseCsv(csv_text);
-  if (!rows_or.ok()) return rows_or.status();
-  const auto& rows = rows_or.value();
-  if (rows.empty()) return InvalidArgumentError("empty exam-log CSV");
-  const auto& header = rows[0];
-  if (header.size() != 3 || header[0] != "patient_id" ||
-      header[1] != "exam_type" || header[2] != "day") {
-    return InvalidArgumentError(
-        "exam-log CSV must have header patient_id,exam_type,day");
-  }
-
+StatusOr<ExamLog> ExamLog::FromCsv(std::string_view csv_text) {
   ExamDictionary dictionary;
   std::vector<ExamRecord> records;
-  records.reserve(rows.size() - 1);
   PatientId max_patient = -1;
-  for (size_t r = 1; r < rows.size(); ++r) {
-    const auto& row = rows[r];
+  size_t row_index = 0;
+  // The first row-level error. Tokenizing goes on past it, because a
+  // CSV syntax error anywhere in the text takes precedence: the text is
+  // rejected as CSV before any row is judged.
+  Status row_error;
+  auto consume_row = [&](const std::vector<std::string_view>& row) -> Status {
+    const size_t r = row_index++;
+    if (r == 0) {
+      if (row.size() != 3 || row[0] != "patient_id" ||
+          row[1] != "exam_type" || row[2] != "day") {
+        return InvalidArgumentError(
+            "exam-log CSV must have header patient_id,exam_type,day");
+      }
+      return common::OkStatus();
+    }
     if (row.size() != 3) {
       return InvalidArgumentError("exam-log CSV row " + std::to_string(r) +
                                   " has wrong field count");
     }
-    auto patient_or = common::ParseInt64(row[0]);
-    if (!patient_or.ok()) return patient_or.status();
-    auto day_or = common::ParseInt64(row[2]);
-    if (!day_or.ok()) return day_or.status();
-    if (patient_or.value() < 0) {
+    ADA_ASSIGN_OR_RETURN(int64_t patient, common::ParseInt64(row[0]));
+    ADA_ASSIGN_OR_RETURN(int64_t day, common::ParseInt64(row[2]));
+    if (patient < 0) {
       return InvalidArgumentError("negative patient id in exam-log CSV");
     }
     ExamRecord record;
-    record.patient = static_cast<PatientId>(patient_or.value());
+    record.patient = static_cast<PatientId>(patient);
     record.exam_type = dictionary.Intern(row[1]);
-    record.day = static_cast<int32_t>(day_or.value());
+    record.day = static_cast<int32_t>(day);
     max_patient = std::max(max_patient, record.patient);
     records.push_back(record);
-  }
+    return common::OkStatus();
+  };
+  ADA_RETURN_IF_ERROR(common::VisitCsvRows(
+      csv_text, [&](const std::vector<std::string_view>& row) {
+        if (row_error.ok()) row_error = consume_row(row);
+      }));
+  ADA_RETURN_IF_ERROR(row_error);
+  if (row_index == 0) return InvalidArgumentError("empty exam-log CSV");
 
   std::vector<Patient> patients(static_cast<size_t>(max_patient + 1));
   for (size_t i = 0; i < patients.size(); ++i) {
@@ -154,16 +160,19 @@ std::vector<int64_t> ExamLog::RecordsPerPatient() const {
 }
 
 std::vector<int64_t> ExamLog::PatientsPerExam() const {
-  // Distinct (patient, exam) pairs per exam; bitset per exam would cost
-  // |E|*|P| bits, so instead sort-free counting via hash of pairs.
-  std::vector<std::unordered_map<PatientId, bool>> seen(dictionary_.size());
-  std::vector<int64_t> counts(dictionary_.size(), 0);
+  // Distinct (patient, exam) cells: one sort-unique pass over packed
+  // (exam << 32 | patient) keys, then a count per exam. A bitset per
+  // exam would cost |E|*|P| bits.
+  std::vector<uint64_t> cells;
+  cells.reserve(records_.size());
   for (const ExamRecord& record : records_) {
-    auto& patients_seen = seen[static_cast<size_t>(record.exam_type)];
-    if (patients_seen.emplace(record.patient, true).second) {
-      ++counts[static_cast<size_t>(record.exam_type)];
-    }
+    const uint64_t exam = static_cast<uint32_t>(record.exam_type);
+    cells.push_back((exam << 32) | static_cast<uint32_t>(record.patient));
   }
+  std::sort(cells.begin(), cells.end());
+  cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
+  std::vector<int64_t> counts(dictionary_.size(), 0);
+  for (uint64_t cell : cells) ++counts[static_cast<size_t>(cell >> 32)];
   return counts;
 }
 

@@ -5,6 +5,7 @@
 #define ADAHEALTH_DATASET_EXAM_LOG_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -32,10 +33,13 @@ class ExamLog {
   ExamLog(std::vector<Patient> patients, ExamDictionary dictionary,
           std::vector<ExamRecord> records);
 
-  /// Parses a records CSV with header "patient_id,exam_type,day".
-  /// Patients are materialized from the distinct ids seen (ages and
-  /// profiles unknown). Fails on malformed rows or non-dense patient ids.
-  [[nodiscard]] static common::StatusOr<ExamLog> FromCsv(const std::string& csv_text);
+  /// Parses a records CSV with header "patient_id,exam_type,day" in one
+  /// pass over the text (common::VisitCsvRows). Patients are
+  /// materialized from the distinct ids seen (ages and profiles
+  /// unknown). Fails on malformed CSV or rows; a CSV syntax error
+  /// anywhere wins over a row error.
+  [[nodiscard]] static common::StatusOr<ExamLog> FromCsv(
+      std::string_view csv_text);
 
   /// Loads FromCsv from a file on disk.
   [[nodiscard]] static common::StatusOr<ExamLog> Load(const std::string& path);

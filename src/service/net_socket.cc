@@ -256,17 +256,25 @@ StatusOr<RecvResult> RecvNonBlocking(const FileDescriptor& fd, char* buffer,
 
 StatusOr<std::string> LineReader::ReadLine() {
   for (;;) {
-    size_t newline = buffer_.find('\n');
+    // Only bytes that arrived since the last scan are searched, so a
+    // line that takes many recvs costs one pass, not one per recv.
+    const size_t newline = buffer_.find('\n', scanned_);
     if (newline != std::string::npos) {
-      std::string line = buffer_.substr(0, newline);
-      buffer_.erase(0, newline + 1);
+      std::string line = buffer_.substr(start_, newline - start_);
+      start_ = newline + 1;
+      scanned_ = start_;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       return line;
     }
+    // Drop the lines already returned before buffering more.
+    buffer_.erase(0, start_);
+    start_ = 0;
+    scanned_ = buffer_.size();
     if (eof_) {
       if (!buffer_.empty()) {  // Final line without a terminator.
         std::string line = std::move(buffer_);
         buffer_.clear();
+        scanned_ = 0;
         return line;
       }
       return common::OutOfRangeError("end of stream");
@@ -278,7 +286,7 @@ StatusOr<std::string> LineReader::ReadLine() {
           "line exceeds %zu bytes without a newline", max_line_bytes_));
     }
     ADA_RETURN_IF_ERROR(ADA_FAILPOINT("service.net.read"));
-    char chunk[4096];
+    char chunk[kReadChunkBytes];
     ssize_t n = ::recv(fd_->get(), chunk, sizeof(chunk), 0);
     if (n < 0) {
       if (errno == EINTR) continue;

@@ -165,8 +165,15 @@ class LineReader {
   [[nodiscard]] common::StatusOr<std::string> ReadLine();
 
  private:
+  /// Bytes asked of each recv.
+  static constexpr size_t kReadChunkBytes = 64 * 1024;
+
   const FileDescriptor* fd_;
+  /// Received bytes; [start_, size) is not yet returned, and
+  /// [start_, scanned_) is known to hold no newline.
   std::string buffer_;
+  size_t start_ = 0;
+  size_t scanned_ = 0;
   size_t max_line_bytes_;
   bool eof_ = false;
 };

@@ -82,10 +82,20 @@ ResultCache::ResultCache(size_t max_bytes) : max_bytes_(max_bytes) {}
 
 std::optional<CachedAnalysis> ResultCache::Lookup(
     const std::string& fingerprint) {
+  return Find(fingerprint, /*count_miss=*/true);
+}
+
+std::optional<CachedAnalysis> ResultCache::LookupHit(
+    const std::string& fingerprint) {
+  return Find(fingerprint, /*count_miss=*/false);
+}
+
+std::optional<CachedAnalysis> ResultCache::Find(const std::string& fingerprint,
+                                                bool count_miss) {
   common::MutexLock lock(&mutex_);
   auto it = index_.find(fingerprint);
   if (it == index_.end()) {
-    ++misses_;
+    if (count_miss) ++misses_;
     return std::nullopt;
   }
   lru_.splice(lru_.begin(), lru_, it->second);

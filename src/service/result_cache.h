@@ -70,6 +70,12 @@ class ResultCache {
   [[nodiscard]] std::optional<CachedAnalysis> Lookup(
       const std::string& fingerprint) ADA_EXCLUDES(mutex_);
 
+  /// Lookup that counts a hit but not a miss: the scheduler's
+  /// admission probe, whose misses are counted once, by the job's
+  /// run-time Lookup.
+  [[nodiscard]] std::optional<CachedAnalysis> LookupHit(
+      const std::string& fingerprint) ADA_EXCLUDES(mutex_);
+
   /// Inserts (or refreshes) an entry, then evicts least-recently-used
   /// entries until the byte budget holds. A cohort-versioned entry
   /// additionally evicts every cached older generation of its cohort
@@ -118,6 +124,8 @@ class ResultCache {
       ADA_EXCLUDES(mutex_);
 
  private:
+  std::optional<CachedAnalysis> Find(const std::string& fingerprint,
+                                     bool count_miss) ADA_EXCLUDES(mutex_);
   void EvictLocked() ADA_REQUIRES(mutex_);
 
   const size_t max_bytes_;

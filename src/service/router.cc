@@ -78,6 +78,21 @@ bool IsOkResponse(const Json& response) {
   return ok_field != nullptr && ok_field->is_bool() && ok_field->AsBool();
 }
 
+/// The client's submit line with the fingerprint it routes on spliced
+/// in, as text, as the cluster-internal "route_fingerprint" member.
+/// The line parsed as an object that carries a "verb", so its first '{'
+/// opens that object and another member follows the spliced one.
+std::string WithRouteFingerprint(const std::string& line,
+                                 const std::string& fingerprint) {
+  const size_t open = line.find('{') + 1;
+  const std::string member =
+      "\"route_fingerprint\":" + Json(fingerprint).Dump() + ",";
+  std::string spliced;
+  spliced.reserve(line.size() + member.size());
+  spliced.append(line, 0, open).append(member).append(line, open);
+  return spliced;
+}
+
 /// The shard-local job id of an accepted submit (the client's own or a
 /// failover re-drive).
 StatusOr<JobId> AcceptedJobId(const Json& accepted, size_t shard) {
@@ -276,6 +291,11 @@ std::string Router::HandleLine(ClientConn* conn, const std::string& line) {
   auto request = ParseRequest(line);
   if (!request.ok()) return ErrorResponse(request.status());
   const std::string& verb = request.value().verb;
+  if (request.value().body.Find("route_fingerprint") != nullptr) {
+    return ErrorResponse(common::InvalidArgumentError(
+        "field 'route_fingerprint' is cluster-internal; it is not accepted "
+        "at the router"));
+  }
   if (verb == "submit" || verb == "ingest" || verb == "status" ||
       verb == "result" || verb == "cancel") {
     return HandleForward(conn, request.value(), line);
@@ -328,6 +348,9 @@ std::string Router::HandleForward(ClientConn* conn, const Request& request,
   const bool ingest = request.verb == "ingest";
   const bool by_route = !submit && !ingest;  // status, result, cancel.
   std::string key;  // Ring key of a submit or ingest.
+  // A csv/synthetic submit goes out with its key spliced in, so the
+  // shard neither re-parses a cached dataset nor fingerprints it again.
+  std::string hinted_line;
   JobId global_id = 0;
   Json::Object extra;  // Job verbs' errors carry the global job id.
   if (const Json* cohort = body.Find("cohort");
@@ -349,6 +372,7 @@ std::string Router::HandleForward(ClientConn* conn, const Request& request,
     if (!job_request.ok()) return ErrorResponse(job_request.status());
     key = DatasetFingerprint(job_request.value().log,
                              job_request.value().options);
+    hinted_line = WithRouteFingerprint(line, key);
   } else {
     const Json* id_field = body.Find("job_id");
     if (id_field == nullptr || !id_field->is_int()) {
@@ -367,6 +391,7 @@ std::string Router::HandleForward(ClientConn* conn, const Request& request,
   // bookkeeping; the client retries with the `ingest` verb's
   // `expected_generation` replay guard, which the owning shard uses to
   // reject a batch that already committed.
+  const std::string& submit_line = hinted_line.empty() ? line : hinted_line;
   const int attempts = ingest ? 1 : kMaxForwardAttempts;
   size_t shard = 0;
   StatusOr<std::string> response =
@@ -415,7 +440,7 @@ std::string Router::HandleForward(ClientConn* conn, const Request& request,
       forward["job_id"] = Json(static_cast<int64_t>(local_id));
       rewritten = Json(std::move(forward)).Dump();
     }
-    response = ForwardRaw(conn, port, by_route ? rewritten : line,
+    response = ForwardRaw(conn, port, by_route ? rewritten : submit_line,
                           kForwardTimeoutMillis);
     if (response.ok() || stopping_.load()) break;
     HandleShardFailure(shard, generation);
@@ -450,6 +475,10 @@ std::string Router::HandleForward(ClientConn* conn, const Request& request,
   }
   auto local_id = AcceptedJobId(parsed.value(), shard);
   if (!local_id.ok()) return ErrorResponse(local_id.status());
+  // A cache hit is admitted already done.
+  const Json* state = parsed.value().Find("state");
+  const bool terminal = state != nullptr && state->is_string() &&
+                        IsTerminalStateName(state->AsString());
   JobId assigned = 0;
   {
     MutexLock lock(&mutex_);
@@ -457,8 +486,10 @@ std::string Router::HandleForward(ClientConn* conn, const Request& request,
     JobRoute& route = routes_[assigned];
     route.shard = shard;
     route.local_id = local_id.value();
-    route.submit_line = line;
+    route.submit_line = submit_line;
+    route.terminal = terminal;
     ++stats_.submitted;
+    if (terminal) ++stats_.completed;
   }
   parsed.value().MutableObject()["job_id"] =
       Json(static_cast<int64_t>(assigned));

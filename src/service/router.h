@@ -13,7 +13,13 @@
 // compute the identical fingerprint; the fingerprint picks a shard on
 // a consistent-hash ring (64 virtual nodes per shard),
 // which keeps near-identical repeat cohorts — the workload the result
-// cache exists for — landing on the same shard's cache slice.
+// cache exists for — landing on the same shard's cache slice. The
+// router then forwards the client's line with that fingerprint spliced
+// in (as text, not re-serialized) as the cluster-internal
+// "route_fingerprint" member, so a CSV upload is parsed once per
+// cluster: the shard answers a cached fingerprint at admission without
+// parsing the dataset, and on a miss parses it and fails the submit
+// with INTERNAL if its own fingerprint differs.
 // Streaming-cohort traffic (the `ingest` verb and cohort submits)
 // routes on the cohort *name* instead ("cohort/<name>" on the same
 // ring): a cohort's accumulated records live on exactly one shard, so
@@ -46,8 +52,10 @@
 //
 // Verbs handled locally: ping, health (router + per-shard liveness),
 // stats (cross-shard aggregation with a "totals" roll-up), shutdown
-// (cascades to every live shard endpoint). promote/replicate are
-// cluster-internal and rejected at the front door.
+// (cascades to every live shard endpoint). promote/replicate, and a
+// "route_fingerprint" field on any verb, are cluster-internal and
+// rejected at the front door: a shard trusts the field, so only the
+// router may set it.
 //
 // Every shard call (forward, probe, promote, re-drive, stats fan-out,
 // shutdown cascade) is one ForwardRaw: a fresh AnalysisClient
@@ -167,8 +175,8 @@ class Router {
   struct JobRoute {
     size_t shard = 0;
     JobId local_id = 0;
-    /// The original submit request line, replayed verbatim on
-    /// failover re-drive.
+    /// The submit line as forwarded (a csv/synthetic submit carries
+    /// its route_fingerprint), replayed verbatim on failover re-drive.
     std::string submit_line;
     bool terminal = false;
     /// Non-OK once a failover could not re-drive this job; job verbs

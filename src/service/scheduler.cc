@@ -130,7 +130,8 @@ Scheduler::~Scheduler() {
   }
 }
 
-StatusOr<JobId> Scheduler::Submit(JobRequest request) {
+StatusOr<JobId> Scheduler::Submit(JobRequest request,
+                                  const std::string& expected_fingerprint) {
   common::Status admission = ADA_FAILPOINT("service.admission");
   if (!admission.ok()) {
     common::MutexLock lock(&mutex_);
@@ -152,6 +153,12 @@ StatusOr<JobId> Scheduler::Submit(JobRequest request) {
         "%s@%lld/%s", request.cohort.c_str(),
         static_cast<long long>(request.cohort_generation),
         fingerprint.c_str());
+  }
+  if (!expected_fingerprint.empty() && fingerprint != expected_fingerprint) {
+    return common::InternalError(common::StrFormat(
+        "fingerprint mismatch: the request was routed as %s but its dataset "
+        "fingerprints as %s",
+        expected_fingerprint.c_str(), fingerprint.c_str()));
   }
 
   std::vector<Notification> notifications;
@@ -178,8 +185,11 @@ StatusOr<JobId> Scheduler::Submit(JobRequest request) {
   // as it found it. Cancelling first would tell the stale jobs'
   // waiters they were "superseded by generation N" when the
   // generation-N job was never admitted, leaving the cohort with no
-  // queued job at all.
-  if (pending_.size() - superseded.size() >= options_.max_queue_depth) {
+  // queued job at all. A cache hit takes no queue slot, so it is never
+  // shed for a full queue.
+  std::optional<CachedAnalysis> cached = cache_.LookupHit(fingerprint);
+  if (!cached &&
+      pending_.size() - superseded.size() >= options_.max_queue_depth) {
     ++stats_.shed;
     return common::ResourceExhaustedError(common::StrFormat(
         "admission queue is full (%zu queued, bound %zu)", pending_.size(),
@@ -198,6 +208,33 @@ StatusOr<JobId> Scheduler::Submit(JobRequest request) {
               &notifications);
   }
 
+  const bool hit = cached.has_value();
+  const JobId id = AdmitLocked(std::move(fingerprint), std::move(request),
+                               std::move(cached), &notifications);
+  const bool drain_inline = !hit && SpawnWorkersLocked();
+  lock.Unlock();
+  FireNotifications(notifications);
+  if (drain_inline) DrainLoop();
+  return id;
+}
+
+StatusOr<std::optional<JobId>> Scheduler::SubmitIfCached(
+    const std::string& fingerprint, JobRequest request) {
+  // A new job has no subscribers yet, so finishing it notifies no one.
+  std::vector<Notification> notifications;
+  common::MutexLock lock(&mutex_);
+  if (draining_) {
+    return common::FailedPreconditionError("scheduler is shutting down");
+  }
+  std::optional<CachedAnalysis> cached = cache_.LookupHit(fingerprint);
+  if (!cached) return std::optional<JobId>();
+  return std::optional<JobId>(AdmitLocked(fingerprint, std::move(request),
+                                          std::move(cached), &notifications));
+}
+
+JobId Scheduler::AdmitLocked(std::string fingerprint, JobRequest request,
+                             std::optional<CachedAnalysis> cached,
+                             std::vector<Notification>* notifications) {
   JobId id = next_id_++;
   auto job = std::make_unique<Job>();
   job->id = id;
@@ -209,14 +246,25 @@ StatusOr<JobId> Scheduler::Submit(JobRequest request) {
                             MillisToDuration(request.deadline_millis)
                       : std::chrono::steady_clock::time_point::max();
   job->request = std::move(request);
-  pending_.emplace(-static_cast<int64_t>(job->request.priority), id);
+  Job& admitted = *job;
   jobs_.emplace(id, std::move(job));
   ++stats_.submitted;
-  const bool drain_inline = SpawnWorkersLocked();
-  lock.Unlock();
-  FireNotifications(notifications);
-  if (drain_inline) DrainLoop();
+  if (cached) {
+    ServeCachedLocked(admitted, std::move(*cached), notifications);
+  } else {
+    pending_.emplace(-static_cast<int64_t>(admitted.request.priority), id);
+  }
   return id;
+}
+
+void Scheduler::ServeCachedLocked(Job& job, CachedAnalysis cached,
+                                  std::vector<Notification>* notifications) {
+  job.cache_hit = true;
+  job.summary = std::move(cached.summary);
+  job.report = std::move(cached.report);
+  job.knowledge_items = cached.knowledge_items;
+  ++stats_.cache_served;
+  FinishJob(job, JobState::kDone, common::OkStatus(), notifications);
 }
 
 StatusOr<JobSnapshot> Scheduler::Status(JobId id) const {
@@ -446,19 +494,14 @@ void Scheduler::RunJob(Job& job) {
     return;
   }
 
-  // Admission-time optimization: repeat analyses of a fingerprint-
-  // identical (dataset, options) pair are served from memory with no
-  // second session execution.
+  // Admission answered every fingerprint cached by then; this lookup
+  // catches a twin queued before the first of its kind finished. It
+  // also counts the miss of every job that runs a session.
   if (std::optional<CachedAnalysis> cached = cache_.Lookup(job.fingerprint)) {
     std::vector<Notification> notifications;
     {
       common::MutexLock lock(&mutex_);
-      job.cache_hit = true;
-      job.summary = std::move(cached->summary);
-      job.report = std::move(cached->report);
-      job.knowledge_items = cached->knowledge_items;
-      ++stats_.cache_served;
-      FinishJob(job, JobState::kDone, common::OkStatus(), &notifications);
+      ServeCachedLocked(job, std::move(*cached), &notifications);
     }
     FireNotifications(notifications);
     return;

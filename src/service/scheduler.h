@@ -12,10 +12,12 @@
 //    with the row-level parallelism instead of oversubscribing cores.
 //    A worker task drains jobs until the queue is empty, then retires;
 //    submissions spawn workers back up to the configured ceiling;
-//  * the fingerprint result cache (service/result_cache.h) consulted
-//    before every session run — the unit of work is the fully
-//    automated session (no per-request tuning), so a fingerprint match
-//    serves the stored report with no second execution.
+//  * the fingerprint result cache (service/result_cache.h) — the unit
+//    of work is the fully automated session (no per-request tuning),
+//    so a fingerprint match serves the stored report with no second
+//    execution. It is consulted at admission, where a hit is admitted
+//    already done (no queue slot, no worker), and again before every
+//    session run, for twins queued before the first one finished.
 //
 // Determinism: a job produces a byte-identical session report to a
 // direct AnalysisSession::Run with the same log and options, also when
@@ -173,11 +175,26 @@ class Scheduler {
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  /// Admits a job. Errors: RESOURCE_EXHAUSTED (queue full),
-  /// FAILED_PRECONDITION (scheduler shutting down), INVALID_ARGUMENT
-  /// (empty dataset), or an injected "service.admission" failure —
-  /// all counted as shed except the invalid-argument case.
-  [[nodiscard]] common::StatusOr<JobId> Submit(JobRequest request)
+  /// Admits a job; one whose fingerprint is cached is admitted done
+  /// (cache_hit) instead of queued. Errors: RESOURCE_EXHAUSTED (queue
+  /// full), FAILED_PRECONDITION (scheduler shutting down),
+  /// INVALID_ARGUMENT (empty dataset), or an injected
+  /// "service.admission" failure — all counted as shed except the
+  /// invalid-argument case. A non-empty `expected_fingerprint` (the
+  /// router's route_fingerprint) must equal the computed one, else
+  /// INTERNAL and nothing is admitted or counted.
+  [[nodiscard]] common::StatusOr<JobId> Submit(
+      JobRequest request, const std::string& expected_fingerprint = {})
+      ADA_EXCLUDES(mutex_);
+
+  /// Admits a job already done from the cache entry of `fingerprint`,
+  /// without its dataset: `request` carries only the knobs (dataset_id,
+  /// priority, deadline). Returns nullopt, having admitted and counted
+  /// nothing, when the fingerprint is not cached; the caller then
+  /// builds the dataset and calls Submit. FAILED_PRECONDITION when the
+  /// scheduler is shutting down.
+  [[nodiscard]] common::StatusOr<std::optional<JobId>> SubmitIfCached(
+      const std::string& fingerprint, JobRequest request)
       ADA_EXCLUDES(mutex_);
 
   /// Snapshot of one job; NOT_FOUND for unknown ids.
@@ -279,6 +296,16 @@ class Scheduler {
   /// pool refused a task (process teardown): the caller must release
   /// mutex_ and run DrainLoop() inline so no admitted job is lost.
   [[nodiscard]] bool SpawnWorkersLocked() ADA_REQUIRES(mutex_);
+  /// Creates the job, counts it submitted, and either finishes it from
+  /// `cached` or queues it. Returns its id.
+  JobId AdmitLocked(std::string fingerprint, JobRequest request,
+                    std::optional<CachedAnalysis> cached,
+                    std::vector<Notification>* notifications)
+      ADA_REQUIRES(mutex_);
+  /// Finishes `job` as done with the artifacts of a cache hit.
+  void ServeCachedLocked(Job& job, CachedAnalysis cached,
+                         std::vector<Notification>* notifications)
+      ADA_REQUIRES(mutex_);
   void DrainLoop() ADA_EXCLUDES(mutex_);
   void RunJob(Job& job) ADA_EXCLUDES(mutex_);
   /// Moves the job to a terminal state and appends its subscriptions

@@ -524,7 +524,37 @@ std::string AnalysisServer::DispatchCohortSubmit(const Json& body) {
   }
   auto id = scheduler_.Submit(std::move(job_request).value());
   if (!id.ok()) return ErrorResponse(id.status());
-  auto snapshot = scheduler_.Status(id.value());
+  return SubmitResponse(id.value());
+}
+
+std::string AnalysisServer::DispatchSubmit(const Json& body) {
+  // The router forwards the fingerprint it routed on. A cached one is
+  // answered without parsing the dataset; otherwise the dataset is
+  // built and must fingerprint the same.
+  std::string hint;
+  if (const Json* field = body.Find("route_fingerprint"); field != nullptr) {
+    if (!field->is_string() || field->AsString().empty()) {
+      return ErrorResponse(common::InvalidArgumentError(
+          "'route_fingerprint' must be a non-empty string"));
+    }
+    hint = field->AsString();
+    JobRequest knobs;
+    if (Status applied = ApplyJobOptionsFromBody(body, knobs); !applied.ok()) {
+      return ErrorResponse(applied);
+    }
+    auto admitted = scheduler_.SubmitIfCached(hint, std::move(knobs));
+    if (!admitted.ok()) return ErrorResponse(admitted.status());
+    if (admitted->has_value()) return SubmitResponse(**admitted);
+  }
+  auto job_request = BuildJobRequest(body);
+  if (!job_request.ok()) return ErrorResponse(job_request.status());
+  auto id = scheduler_.Submit(std::move(job_request).value(), hint);
+  if (!id.ok()) return ErrorResponse(id.status());
+  return SubmitResponse(id.value());
+}
+
+std::string AnalysisServer::SubmitResponse(JobId id) const {
+  auto snapshot = scheduler_.Status(id);
   if (!snapshot.ok()) return ErrorResponse(snapshot.status());
   return OkResponse(SnapshotFields(snapshot.value(),
                                    /*include_artifacts=*/false));
@@ -543,14 +573,7 @@ std::string AnalysisServer::Dispatch(const Request& request) {
     if (request.body.Find("cohort") != nullptr) {
       return DispatchCohortSubmit(request.body);
     }
-    auto job_request = BuildJobRequest(request.body);
-    if (!job_request.ok()) return ErrorResponse(job_request.status());
-    auto id = scheduler_.Submit(std::move(job_request).value());
-    if (!id.ok()) return ErrorResponse(id.status());
-    auto snapshot = scheduler_.Status(id.value());
-    if (!snapshot.ok()) return ErrorResponse(snapshot.status());
-    return OkResponse(SnapshotFields(snapshot.value(),
-                                     /*include_artifacts=*/false));
+    return DispatchSubmit(request.body);
   }
   if (request.verb == "ingest") {
     if (role_.load() == ServerRole::kFollower) {

@@ -161,6 +161,13 @@ class AnalysisServer {
   /// Dispatch helpers for the cohort verbs (see Dispatch).
   [[nodiscard]] std::string DispatchIngest(const common::Json& body);
   [[nodiscard]] std::string DispatchCohortSubmit(const common::Json& body);
+  /// A csv/synthetic submit. With the router's "route_fingerprint", a
+  /// cached fingerprint is admitted done without building the dataset;
+  /// on a miss the built dataset must fingerprint the same (INTERNAL
+  /// otherwise, nothing admitted).
+  [[nodiscard]] std::string DispatchSubmit(const common::Json& body);
+  /// The submit verbs' reply: the admitted job's snapshot.
+  [[nodiscard]] std::string SubmitResponse(JobId id) const;
 
   void LoopMain();
   void OnAcceptable();

@@ -1,7 +1,7 @@
 #include "stats/meta_features.h"
 
-#include <set>
 #include <utility>
+#include <vector>
 
 #include "stats/descriptors.h"
 
@@ -89,16 +89,16 @@ MetaFeatures ComputeMetaFeatures(const dataset::ExamLog& log) {
   features.num_exam_types = static_cast<int64_t>(log.num_exam_types());
   features.num_records = static_cast<int64_t>(log.num_records());
 
-  // Density of the patient x exam count matrix.
-  std::set<std::pair<int32_t, int32_t>> cells;
-  for (const auto& record : log.records()) {
-    cells.emplace(record.patient, record.exam_type);
-  }
+  // Density of the patient x exam count matrix: its non-zero cells are
+  // the distinct (patient, exam) pairs, which PatientsPerExam counts
+  // per exam.
+  const std::vector<int64_t> patients_per_exam = log.PatientsPerExam();
+  int64_t cells = 0;
+  for (int64_t count : patients_per_exam) cells += count;
   const double total_cells = static_cast<double>(log.num_patients()) *
                              static_cast<double>(log.num_exam_types());
   features.density =
-      total_cells > 0.0 ? static_cast<double>(cells.size()) / total_cells
-                        : 0.0;
+      total_cells > 0.0 ? static_cast<double>(cells) / total_cells : 0.0;
 
   Summary per_patient = Summarize(log.RecordsPerPatient());
   features.mean_records_per_patient = per_patient.mean;
@@ -110,7 +110,6 @@ MetaFeatures ComputeMetaFeatures(const dataset::ExamLog& log) {
   features.top20_coverage = TopFractionCoverage(frequencies, 0.20);
   features.top40_coverage = TopFractionCoverage(frequencies, 0.40);
 
-  std::vector<int64_t> patients_per_exam = log.PatientsPerExam();
   double coverage_sum = 0.0;
   for (int64_t c : patients_per_exam) {
     coverage_sum += log.num_patients() > 0

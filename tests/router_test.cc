@@ -509,5 +509,79 @@ TEST(RouterTest, ClusterInternalVerbsRejectedAtTheFrontDoor) {
   shard->Stop();
 }
 
+TEST(RouterTest, ClientRouteFingerprintRejectedOnEveryVerb) {
+  auto shard = StartShardServer(service::ServerRole::kPrimary);
+  service::RouterOptions options = QuietRouterOptions();
+  options.shards.push_back(service::ShardEndpoints{shard->port(), 0});
+  service::Router router(std::move(options));
+  ASSERT_TRUE(router.Start().ok());
+
+  auto client = Connect(router.port());
+  std::vector<Json::Object> requests;
+  requests.push_back(SubmitBody(25, "forged"));
+  for (const char* verb : {"ingest", "status", "result", "cancel", "stats",
+                           "health", "ping", "shutdown"}) {
+    Json::Object request;
+    request["verb"] = verb;
+    request["job_id"] = static_cast<int64_t>(1);
+    request["cohort"] = "forged";
+    requests.push_back(std::move(request));
+  }
+  for (Json::Object& request : requests) {
+    request["route_fingerprint"] = "0123456789abcdef";
+    auto response = client.Call(request);
+    EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument)
+        << request["verb"].AsString();
+  }
+  // Nothing reached the shard, and the router still serves (the
+  // rejected shutdown did not stop it).
+  EXPECT_EQ(shard->scheduler().stats().submitted, 0);
+  EXPECT_TRUE(client.Call("ping").ok());
+  router.Stop();
+  shard->Stop();
+}
+
+TEST(RouterTest, RepeatSubmitIsAnsweredDoneInTheSubmitReply) {
+  auto shard = StartShardServer(service::ServerRole::kPrimary);
+  service::RouterOptions options = QuietRouterOptions();
+  options.shards.push_back(service::ShardEndpoints{shard->port(), 0});
+  service::Router router(std::move(options));
+  ASSERT_TRUE(router.Start().ok());
+
+  auto client = Connect(router.port());
+  auto first = client.Call(SubmitBody(26, "hot"));
+  ASSERT_TRUE(first.ok());
+  auto first_result = client.Call(ResultRequest(first->Find("job_id")->AsInt()));
+  ASSERT_TRUE(first_result.ok());
+  ASSERT_EQ(first_result->Find("state")->AsString(), "done");
+
+  // The router forwarded its fingerprint; the shard's cache answers the
+  // repeat at admission, in the submit reply, with the global id.
+  auto repeat = client.Call(SubmitBody(26, "hot"));
+  ASSERT_TRUE(repeat.ok());
+  EXPECT_EQ(repeat->Find("job_id")->AsInt(), 2);
+  EXPECT_EQ(repeat->Find("state")->AsString(), "done");
+  EXPECT_TRUE(repeat->Find("cache_hit")->AsBool());
+  EXPECT_EQ(repeat->Find("fingerprint")->AsString(),
+            first->Find("fingerprint")->AsString());
+  auto repeat_result = client.Call(ResultRequest(2));
+  ASSERT_TRUE(repeat_result.ok());
+  EXPECT_EQ(repeat_result->Find("report")->AsString(),
+            first_result->Find("report")->AsString());
+
+  // Exact counters: one session, one miss, one hit; both routes
+  // completed once each.
+  service::SchedulerStats stats = shard->scheduler().stats();
+  EXPECT_EQ(stats.submitted, 2);
+  EXPECT_EQ(stats.sessions_executed, 1);
+  EXPECT_EQ(stats.cache_served, 1);
+  EXPECT_EQ(shard->scheduler().cache().hits(), 1);
+  EXPECT_EQ(shard->scheduler().cache().misses(), 1);
+  EXPECT_EQ(router.stats().submitted, 2);
+  EXPECT_EQ(router.stats().completed, 2);
+  router.Stop();
+  shard->Stop();
+}
+
 }  // namespace
 }  // namespace adahealth

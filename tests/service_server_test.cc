@@ -13,6 +13,7 @@
 #include "common/json.h"
 #include "common/status.h"
 #include "service/client.h"
+#include "service/fingerprint.h"
 #include "service/net_socket.h"
 #include "service/protocol.h"
 #include "service/server.h"
@@ -176,6 +177,63 @@ TEST(NetSocketTest, LineReaderCapsNewlinelessInput) {
   EXPECT_EQ(line.value(), "ok");
 }
 
+/// Sends `data` in `piece`-byte writes on its own thread (so a full
+/// socket buffer cannot stall the reader under test); stops at the
+/// first failed write.
+std::thread SendInPieces(const service::FileDescriptor& fd, std::string data,
+                         size_t piece) {
+  return std::thread([&fd, data = std::move(data), piece] {
+    for (size_t offset = 0; offset < data.size(); offset += piece) {
+      if (!service::SendAll(fd, std::string_view(data).substr(offset, piece))
+               .ok()) {
+        return;
+      }
+    }
+  });
+}
+
+TEST(NetSocketTest, LineReaderReassemblesALongLineFromSmallWrites) {
+  auto listener = service::ServerSocket::Listen(0);
+  ASSERT_TRUE(listener.ok());
+  auto client = service::ConnectLoopback(listener->port());
+  ASSERT_TRUE(client.ok());
+  auto accepted = listener->Accept();
+  ASSERT_TRUE(accepted.ok());
+
+  // A 3 MiB line in 1000-byte writes, with a second line pipelined
+  // right behind it in the same stream.
+  std::string long_line(3u << 20, ' ');
+  for (size_t i = 0; i < long_line.size(); ++i) {
+    long_line[i] = static_cast<char>('a' + i % 26);
+  }
+  std::thread writer =
+      SendInPieces(client.value(), long_line + "\nsecond\r\n", 1000);
+  service::LineReader reader(accepted.value());
+  auto first = reader.ReadLine();
+  auto second = reader.ReadLine();
+  writer.join();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->size(), long_line.size());
+  EXPECT_TRUE(first.value() == long_line);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second.value(), "second");
+
+  // The same line against a 1 MiB budget still fails the cap.
+  auto capped_client = service::ConnectLoopback(listener->port());
+  ASSERT_TRUE(capped_client.ok());
+  auto capped_accepted = listener->Accept();
+  ASSERT_TRUE(capped_accepted.ok());
+  std::thread flood =
+      SendInPieces(capped_client.value(), long_line + "\n", 1000);
+  service::LineReader capped(capped_accepted.value(),
+                             /*max_line_bytes=*/1u << 20);
+  EXPECT_EQ(capped.ReadLine().status().code(),
+            StatusCode::kResourceExhausted);
+  // Closing the reading side fails the writer's next send.
+  capped_accepted->Close();
+  flood.join();
+}
+
 // ---------------------------------------------------------------------
 // AnalysisClient against hand-driven listeners.
 
@@ -313,6 +371,67 @@ TEST_F(ServerTest, SubmitResultFlowAndCacheHitOnRepeat) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->Find("sessions_executed")->AsInt(), 1);
   EXPECT_EQ(stats->Find("cache")->Find("hits")->AsInt(), 1);
+}
+
+/// The fingerprint a router forwards for `body` as route_fingerprint.
+std::string RouteFingerprint(const Json::Object& body) {
+  auto request = service::BuildJobRequest(Json(body));
+  ADA_CHECK(request.ok());
+  return service::DatasetFingerprint(request->log, request->options);
+}
+
+TEST_F(ServerTest, RightRouteFingerprintRunsOneSessionThenHitsAtAdmission) {
+  auto client = Client();
+  Json::Object body = SubmitBody(9, "hinted");
+  body["route_fingerprint"] = RouteFingerprint(body);
+  auto submitted = client.Call(body);
+  ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+  EXPECT_EQ(submitted->Find("fingerprint")->AsString(),
+            body["route_fingerprint"].AsString());
+  Json::Object result_request;
+  result_request["verb"] = "result";
+  result_request["job_id"] = submitted->Find("job_id")->AsInt();
+  result_request["wait_millis"] = 60000.0;
+  auto result = client.Call(result_request);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->Find("state")->AsString(), "done");
+  EXPECT_FALSE(result->Find("cache_hit")->AsBool());
+
+  // The hinted repeat is answered in the submit reply itself.
+  auto repeat = client.Call(body);
+  ASSERT_TRUE(repeat.ok());
+  EXPECT_EQ(repeat->Find("state")->AsString(), "done");
+  EXPECT_TRUE(repeat->Find("cache_hit")->AsBool());
+  EXPECT_EQ(repeat->Find("dataset_id")->AsString(), "hinted");
+  result_request["job_id"] = repeat->Find("job_id")->AsInt();
+  auto repeat_result = client.Call(result_request);
+  ASSERT_TRUE(repeat_result.ok());
+  EXPECT_EQ(repeat_result->Find("report")->AsString(),
+            result->Find("report")->AsString());
+
+  auto stats = client.Call("stats");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->Find("jobs_submitted")->AsInt(), 2);
+  EXPECT_EQ(stats->Find("sessions_executed")->AsInt(), 1);
+  EXPECT_EQ(stats->Find("cache_served")->AsInt(), 1);
+  EXPECT_EQ(stats->Find("cache")->Find("hits")->AsInt(), 1);
+  EXPECT_EQ(stats->Find("cache")->Find("misses")->AsInt(), 1);
+}
+
+TEST_F(ServerTest, WrongRouteFingerprintOnAMissIsInternalAndAdmitsNothing) {
+  auto client = Client();
+  Json::Object body = SubmitBody(10, "mis-hinted");
+  body["route_fingerprint"] = "0123456789abcdef";
+  EXPECT_EQ(client.Call(body).status().code(), StatusCode::kInternal);
+  body["route_fingerprint"] = static_cast<int64_t>(7);
+  EXPECT_EQ(client.Call(body).status().code(), StatusCode::kInvalidArgument);
+
+  auto stats = client.Call("stats");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->Find("jobs_submitted")->AsInt(), 0);
+  EXPECT_EQ(stats->Find("sessions_executed")->AsInt(), 0);
+  EXPECT_EQ(stats->Find("cache")->Find("hits")->AsInt(), 0);
+  EXPECT_EQ(stats->Find("cache")->Find("misses")->AsInt(), 0);
 }
 
 TEST_F(ServerTest, StatusOfUnknownJobIsNotFound) {

@@ -271,6 +271,82 @@ TEST(SchedulerTest, RepeatSubmissionServedFromCacheWithoutSecondRun) {
   EXPECT_EQ(scheduler.cache().hits(), 1);
 }
 
+TEST(SchedulerTest, CachedFingerprintIsAdmittedDoneWithoutAWorker) {
+  service::SchedulerOptions options;
+  options.max_workers = 1;
+  options.max_queue_depth = 1;
+  service::Scheduler scheduler(options);
+  auto first = scheduler.Submit(MakeJob(32, "admitted"));
+  ASSERT_TRUE(first.ok());
+  auto first_result = scheduler.AwaitResult(first.value());
+  ASSERT_TRUE(first_result.ok());
+  ASSERT_EQ(first_result->state, service::JobState::kDone);
+
+  // Paused, with its one queue slot taken: a repeat is still answered,
+  // done before Submit returns, because a hit needs neither.
+  scheduler.Pause();
+  auto blocker = scheduler.Submit(MakeJob(33, "blocker"));
+  ASSERT_TRUE(blocker.ok());
+  auto repeat = scheduler.Submit(MakeJob(32, "admitted"));
+  ASSERT_TRUE(repeat.ok());
+  auto snapshot = scheduler.Status(repeat.value());
+  ASSERT_TRUE(snapshot.ok());
+  EXPECT_EQ(snapshot->state, service::JobState::kDone);
+  EXPECT_TRUE(snapshot->cache_hit);
+  EXPECT_EQ(snapshot->report, first_result->report);
+  EXPECT_EQ(snapshot->fingerprint, first_result->fingerprint);
+
+  // Only a cached fingerprint is admitted without its dataset; a miss
+  // admits and counts nothing.
+  service::JobRequest knobs;
+  knobs.options.dataset_id = "admitted";
+  auto hinted = scheduler.SubmitIfCached(first_result->fingerprint, knobs);
+  ASSERT_TRUE(hinted.ok());
+  ASSERT_TRUE(hinted->has_value());
+  auto hinted_snapshot = scheduler.Status(**hinted);
+  ASSERT_TRUE(hinted_snapshot.ok());
+  EXPECT_EQ(hinted_snapshot->state, service::JobState::kDone);
+  EXPECT_EQ(hinted_snapshot->report, first_result->report);
+  auto missed = scheduler.SubmitIfCached("0123456789abcdef", knobs);
+  ASSERT_TRUE(missed.ok());
+  EXPECT_FALSE(missed->has_value());
+
+  service::SchedulerStats stats = scheduler.stats();
+  EXPECT_EQ(stats.submitted, 4);
+  EXPECT_EQ(stats.completed, 3);
+  EXPECT_EQ(stats.cache_served, 2);
+  EXPECT_EQ(stats.sessions_executed, 1);
+  EXPECT_EQ(stats.queue_depth, 1u);
+  // One hit per served job, one miss per session run; the admission
+  // probes of the blocker and of the missed hint count nothing.
+  EXPECT_EQ(scheduler.cache().hits(), 2);
+  EXPECT_EQ(scheduler.cache().misses(), 1);
+  scheduler.Resume();
+  scheduler.Drain();
+  EXPECT_EQ(scheduler.cache().misses(), 2);
+}
+
+TEST(SchedulerTest, ExpectedFingerprintMismatchAdmitsNothing) {
+  service::Scheduler scheduler(service::SchedulerOptions{});
+  auto rejected = scheduler.Submit(MakeJob(34, "hinted"), "0123456789abcdef");
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInternal);
+  service::SchedulerStats stats = scheduler.stats();
+  EXPECT_EQ(stats.submitted, 0);
+  EXPECT_EQ(stats.shed, 0);
+  EXPECT_EQ(scheduler.cache().misses(), 0);
+
+  service::JobRequest job = MakeJob(34, "hinted");
+  const std::string fingerprint =
+      service::DatasetFingerprint(job.log, job.options);
+  auto accepted = scheduler.Submit(std::move(job), fingerprint);
+  ASSERT_TRUE(accepted.ok());
+  auto result = scheduler.AwaitResult(accepted.value());
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->state, service::JobState::kDone);
+  EXPECT_EQ(result->fingerprint, fingerprint);
+  EXPECT_EQ(scheduler.stats().sessions_executed, 1);
+}
+
 TEST(SchedulerTest, ConcurrentJobsAllCompleteAndStayDeterministic) {
   service::SchedulerOptions options;
   options.max_workers = 4;

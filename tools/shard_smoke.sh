@@ -8,7 +8,9 @@
 # exactly once through the router (all clients exit 0, the router's
 # completed counter equals its submitted counter), the follower is
 # promoted (failovers >= 1), and the cross-shard `stats` totals equal
-# the per-shard sum.
+# the per-shard sum. After failover, a CSV upload submitted twice is a
+# cache hit in the second submit reply, and a client line carrying the
+# cluster-internal route_fingerprint is rejected at the router.
 #
 # Usage: tools/shard_smoke.sh [BUILD_DIR]   (default: build)
 # CI runs this under ASan+UBSan (the shard-smoke job).
@@ -221,6 +223,40 @@ EOF
   "${CLIENT}" --router "${router_port}" submit --patients 100 \
       --exam-types 20 --seed 99 --dataset-id "${name}-post" --fast --wait \
       >/dev/null || fail "post-failover submit failed"
+
+  # Parse once per cluster: the router forwards the fingerprint it
+  # routed a CSV upload on, so the upload's repeat is answered at
+  # admission, already done in the submit reply; and a client cannot
+  # forge that cluster-internal field.
+  local csv="${LOG_DIR}/${name}-upload.csv"
+  python3 - "${csv}" <<'EOF' || fail "could not write the CSV upload"
+import random, sys
+rng = random.Random(7)
+with open(sys.argv[1], "w") as out:
+    out.write("patient_id,exam_type,day\n")
+    for patient in range(120):
+        for _ in range(rng.randint(3, 12)):
+            out.write(f"{patient},exam{rng.randint(0, 19)},{rng.randint(0, 364)}\n")
+EOF
+  "${CLIENT}" --router "${router_port}" submit --csv "${csv}" \
+      --dataset-id "${name}-csv" --fast --wait \
+      >"${LOG_DIR}/${name}-csv-first.log" 2>&1 \
+    || fail "first CSV submit failed"
+  "${CLIENT}" --router "${router_port}" submit --csv "${csv}" \
+      --dataset-id "${name}-csv" --fast \
+      >"${LOG_DIR}/${name}-csv-repeat.log" 2>&1 \
+    || fail "repeat CSV submit failed"
+  grep -q '^state: done$' "${LOG_DIR}/${name}-csv-repeat.log" \
+    && grep -q '^cache_hit: true$' "${LOG_DIR}/${name}-csv-repeat.log" \
+    || fail "the repeat CSV submit was not answered as a cache hit"
+  python3 - "${router_port}" <<'EOF' \
+    || fail "the router accepted a client-supplied route_fingerprint"
+import json, socket, sys
+with socket.create_connection(("127.0.0.1", int(sys.argv[1])), timeout=10) as conn:
+    conn.sendall(b'{"verb":"ping","route_fingerprint":"0123456789abcdef"}\n')
+    reply = json.loads(conn.makefile().readline())
+sys.exit(0 if reply.get("error", {}).get("code") == "INVALID_ARGUMENT" else 1)
+EOF
 
   # Shutdown cascades from the router to every live shard endpoint.
   "${CLIENT}" --router "${router_port}" shutdown >/dev/null \
