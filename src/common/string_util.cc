@@ -5,6 +5,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace adahealth {
 namespace common {
@@ -81,6 +82,17 @@ StatusOr<int64_t> ParseInt64(std::string_view text) {
     return InvalidArgumentError("malformed integer: " + buffer);
   }
   return static_cast<int64_t>(value);
+}
+
+StatusOr<int32_t> CheckedInt32(int64_t value, std::string_view field) {
+  if (value < std::numeric_limits<int32_t>::min() ||
+      value > std::numeric_limits<int32_t>::max()) {
+    return InvalidArgumentError(StrFormat(
+        "field '%.*s' is out of range: %lld does not fit in 32 bits",
+        static_cast<int>(field.size()), field.data(),
+        static_cast<long long>(value)));
+  }
+  return static_cast<int32_t>(value);
 }
 
 StatusOr<double> ParseDouble(std::string_view text) {

@@ -29,6 +29,12 @@ std::string ToLower(std::string_view text);
 /// Parses a base-10 signed integer; the whole string must be consumed.
 [[nodiscard]] StatusOr<int64_t> ParseInt64(std::string_view text);
 
+/// `value` narrowed to int32_t; INVALID_ARGUMENT naming `field` when it
+/// does not fit. Wire and CSV readers narrow 64-bit integers with this,
+/// never with a bare cast, so an id like 2^32 + 1 cannot wrap onto 1.
+[[nodiscard]] StatusOr<int32_t> CheckedInt32(int64_t value,
+                                             std::string_view field);
+
 /// Parses a floating point value; the whole string must be consumed.
 [[nodiscard]] StatusOr<double> ParseDouble(std::string_view text);
 

@@ -63,9 +63,10 @@ StatusOr<ExamLog> ExamLog::FromCsv(std::string_view csv_text) {
       return InvalidArgumentError("negative patient id in exam-log CSV");
     }
     ExamRecord record;
-    record.patient = static_cast<PatientId>(patient);
+    ADA_ASSIGN_OR_RETURN(record.patient,
+                         common::CheckedInt32(patient, "patient_id"));
     record.exam_type = dictionary.Intern(row[1]);
-    record.day = static_cast<int32_t>(day);
+    ADA_ASSIGN_OR_RETURN(record.day, common::CheckedInt32(day, "day"));
     max_patient = std::max(max_patient, record.patient);
     records.push_back(record);
     return common::OkStatus();

@@ -264,10 +264,10 @@ StatusOr<std::vector<dataset::RawExamRecord>> ParseIngestRecords(
     }
     dataset::RawExamRecord row;
     ADA_ASSIGN_OR_RETURN(int64_t patient, ReadInt(record, "patient", -1));
-    row.patient = static_cast<dataset::PatientId>(patient);
+    ADA_ASSIGN_OR_RETURN(row.patient, common::CheckedInt32(patient, "patient"));
     ADA_ASSIGN_OR_RETURN(row.exam_type, ReadString(record, "exam_type", ""));
     ADA_ASSIGN_OR_RETURN(int64_t day, ReadInt(record, "day", 0));
-    row.day = static_cast<int32_t>(day);
+    ADA_ASSIGN_OR_RETURN(row.day, common::CheckedInt32(day, "day"));
     rows.push_back(std::move(row));
   }
   return rows;

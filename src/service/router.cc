@@ -93,6 +93,20 @@ std::string WithRouteFingerprint(const std::string& line,
   return spliced;
 }
 
+/// The re-drive line of a finished csv/synthetic job: the client body
+/// without its dataset, plus the fingerprint it routed on. A shard that
+/// caches the fingerprint answers it at admission; any other shard
+/// rejects it, having nothing to run.
+std::string FingerprintOnlyLine(const Json& body,
+                                const std::string& fingerprint) {
+  Json::Object fields;
+  for (const auto& [name, value] : body.AsObject()) {
+    if (name != "csv" && name != "synthetic") fields.emplace(name, value);
+  }
+  fields["route_fingerprint"] = Json(fingerprint);
+  return Json(std::move(fields)).Dump();
+}
+
 /// The shard-local job id of an accepted submit (the client's own or a
 /// failover re-drive).
 StatusOr<JobId> AcceptedJobId(const Json& accepted, size_t shard) {
@@ -405,10 +419,8 @@ std::string Router::HandleForward(ClientConn* conn, const Request& request,
       if (by_route) {
         auto it = routes_.find(global_id);
         if (it == routes_.end()) {
-          return ErrorResponse(
-              common::NotFoundError(common::StrFormat(
-                  "no job with id %lld", static_cast<long long>(global_id))),
-              extra);
+          return ErrorResponse(JobNotFoundError(global_id, next_job_id_),
+                               extra);
         }
         if (!it->second.redrive_failure.ok()) {
           return ErrorResponse(it->second.redrive_failure, extra);
@@ -479,17 +491,27 @@ std::string Router::HandleForward(ClientConn* conn, const Request& request,
   const Json* state = parsed.value().Find("state");
   const bool terminal = state != nullptr && state->is_string() &&
                         IsTerminalStateName(state->AsString());
+  const bool uploaded = !hinted_line.empty();
+  std::string terminal_line =
+      uploaded ? FingerprintOnlyLine(body, key) : line;
   JobId assigned = 0;
   {
     MutexLock lock(&mutex_);
+    stats_.retired += RetireFinished(routes_, finished_);
     assigned = next_job_id_++;
     JobRoute& route = routes_[assigned];
     route.shard = shard;
     route.local_id = local_id.value();
-    route.submit_line = submit_line;
-    route.terminal = terminal;
+    route.uploaded = uploaded;
+    route.terminal_line = std::move(terminal_line);
     ++stats_.submitted;
-    if (terminal) ++stats_.completed;
+    // A job answered terminal in its own reply (every cache hit) never
+    // holds its upload here.
+    if (terminal) {
+      MarkTerminalLocked(assigned, route);
+    } else {
+      route.redrive_line = submit_line;
+    }
   }
   parsed.value().MutableObject()["job_id"] =
       Json(static_cast<int64_t>(assigned));
@@ -515,11 +537,23 @@ std::string Router::RewriteShardResponse(const std::string& response_line,
     if (it != routes_.end() && !it->second.terminal) {
       // First terminal sighting only: a re-driven job that finishes
       // again on the follower must not double-count.
-      it->second.terminal = true;
-      ++stats_.completed;
+      MarkTerminalLocked(global_id, it->second);
     }
   }
   return parsed.value().Dump() + "\n";
+}
+
+void Router::MarkTerminalLocked(JobId id, JobRoute& route) {
+  route.terminal = true;
+  ++stats_.completed;
+  route.redrive_line = std::exchange(route.terminal_line, std::string());
+  if (route.redrive_failure.ok()) finished_.push_back(id);
+}
+
+void Router::FailRouteLocked(JobId id, JobRoute& route,
+                             common::Status failure) {
+  if (!route.terminal && route.redrive_failure.ok()) finished_.push_back(id);
+  route.redrive_failure = std::move(failure);
 }
 
 std::string Router::HandleStats(ClientConn* conn) {
@@ -564,6 +598,7 @@ std::string Router::HandleStats(ClientConn* conn) {
     router["redriven"] = Json(stats_.redriven);
     router["dead_shards"] = Json(stats_.dead_shards);
     router["routes"] = Json(static_cast<int64_t>(routes_.size()));
+    router["retired"] = Json(stats_.retired);
   }
   Json::Object fields;
   fields["router"] = Json(std::move(router));
@@ -602,6 +637,7 @@ std::string Router::HandleHealth() {
   fields["failovers"] = Json(stats_.failovers);
   fields["redriven"] = Json(stats_.redriven);
   fields["routes"] = Json(static_cast<int64_t>(routes_.size()));
+  fields["retired"] = Json(stats_.retired);
   return OkResponse(std::move(fields));
 }
 
@@ -738,8 +774,10 @@ void Router::HandleShardFailure(size_t shard, uint64_t observed_generation) {
     for (auto& [id, route] : routes_) {
       if (route.shard == shard && route.redrive_failure.ok() &&
           !route.terminal) {
-        route.redrive_failure = common::UnavailableError(common::StrFormat(
-            "shard %zu died with no follower to fail over to", shard));
+        FailRouteLocked(id, route,
+                        common::UnavailableError(common::StrFormat(
+                            "shard %zu died with no follower to fail over to",
+                            shard)));
       }
     }
   }
@@ -767,31 +805,44 @@ bool Router::PromoteAndRedrive(ShardState& state, size_t shard) {
   // Re-drive every routed job — terminal ones included, so their
   // status/result queries keep working against the follower (the
   // replicated cache answers them without a second session run).
-  std::vector<std::pair<JobId, std::string>> to_redrive;
+  struct Redrive {
+    JobId id;
+    std::string line;
+    bool fingerprint_only;  // A finished upload: no dataset to re-run.
+  };
+  std::vector<Redrive> to_redrive;
   {
     MutexLock lock(&mutex_);
     for (const auto& [id, route] : routes_) {
       if (route.shard == shard && route.redrive_failure.ok()) {
-        to_redrive.emplace_back(id, route.submit_line);
+        to_redrive.push_back(
+            Redrive{id, route.redrive_line, route.terminal && route.uploaded});
       }
     }
   }
-  for (const auto& [id, submit_line] : to_redrive) {
+  for (const Redrive& redrive : to_redrive) {
     auto response =
-        ForwardRaw(nullptr, follower, submit_line, kForwardTimeoutMillis);
+        ForwardRaw(nullptr, follower, redrive.line, kForwardTimeoutMillis);
     StatusOr<Json> parsed = response.ok()
                                 ? ParseResponse(response.value())
                                 : StatusOr<Json>(response.status());
-    StatusOr<JobId> local_id =
-        parsed.ok() ? AcceptedJobId(parsed.value(), shard)
-                    : StatusOr<JobId>(common::UnavailableError(
-                          common::StrFormat("failover re-drive failed: %s",
-                                            parsed.status().ToString().c_str())));
+    StatusOr<JobId> local_id = common::UnavailableError(common::StrFormat(
+        "failover re-drive failed: %s", parsed.status().ToString().c_str()));
+    if (parsed.ok()) {
+      local_id = AcceptedJobId(parsed.value(), shard);
+    } else if (response.ok() && redrive.fingerprint_only) {
+      // The follower does not cache the fingerprint, and the line holds
+      // nothing to re-run: the result died with the primary.
+      local_id = common::UnavailableError(common::StrFormat(
+          "result of job %lld was not replicated before shard %zu failed "
+          "over; resubmit",
+          static_cast<long long>(redrive.id), shard));
+    }
     MutexLock lock(&mutex_);
-    auto it = routes_.find(id);
+    auto it = routes_.find(redrive.id);
     if (it == routes_.end()) continue;
     if (!local_id.ok()) {
-      it->second.redrive_failure = local_id.status();
+      FailRouteLocked(redrive.id, it->second, local_id.status());
       continue;
     }
     it->second.local_id = local_id.value();

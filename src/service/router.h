@@ -40,15 +40,22 @@
 // packet cannot double-run jobs), serialized per shard, and
 // generation-stamped for idempotence. The shard's follower is sent the
 // `promote` verb, every job routed to the shard is re-driven against
-// it (re-submitting the original request line), and the shard's active
-// port flips. Jobs whose results were already replicated complete as
-// cache hits on the follower (no second session run); unreplicated
-// in-flight jobs re-run — execution is at-least-once, client-visible
-// completion per job id is exactly-once, and reports stay
-// byte-identical either way because sessions are deterministic.
+// it, and the shard's active port flips. An in-flight job re-submits
+// its forwarded line and re-runs unless its result was replicated; a
+// finished csv/synthetic job re-submits only its fingerprint (the
+// router drops the upload once it sees the job terminal) and completes
+// as a cache hit on the follower, or answers UNAVAILABLE "result of
+// job N was not replicated ...; resubmit" when the follower does not
+// hold it. Execution is at-least-once, client-visible completion per
+// job id is exactly-once, and reports stay byte-identical because
+// sessions are deterministic.
 // A shard with no follower left is marked dead: its jobs fail with
 // UNAVAILABLE and new submits ride the ring to the next live shard —
 // the cluster keeps serving with N-1 partitions.
+//
+// Retention: the routing table keeps at most kRetainedJobs entries plus
+// its in-flight jobs; finished routes are retired oldest first, and a
+// retired id answers NOT_FOUND "job N expired".
 //
 // Verbs handled locally: ping, health (router + per-shard liveness),
 // stats (cross-shard aggregation with a "totals" roll-up), shutdown
@@ -69,6 +76,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -114,6 +122,7 @@ struct RouterStats {
   int64_t failovers = 0;   // Successful follower promotions.
   int64_t redriven = 0;    // Jobs re-submitted during failovers.
   int64_t dead_shards = 0; // Shards with no endpoint left.
+  int64_t retired = 0;     // Finished routes dropped by retention.
 };
 
 /// The sharding router. Start() binds the port and spawns the accept
@@ -175,9 +184,20 @@ class Router {
   struct JobRoute {
     size_t shard = 0;
     JobId local_id = 0;
-    /// The submit line as forwarded (a csv/synthetic submit carries
-    /// its route_fingerprint), replayed verbatim on failover re-drive.
-    std::string submit_line;
+    /// The line a failover re-drive sends. In flight: the submit line
+    /// as forwarded (a csv/synthetic submit carries its
+    /// route_fingerprint), which can re-run the job. Once terminal:
+    /// terminal_line, which holds no dataset.
+    std::string redrive_line;
+    /// The re-drive line for after the job is terminal: for a
+    /// csv/synthetic submit, the client body without its dataset plus
+    /// route_fingerprint (a follower answers it from its replicated
+    /// cache or not at all); for a cohort submit, the client line.
+    /// Moved into redrive_line when the router first sees the job
+    /// terminal.
+    std::string terminal_line;
+    /// The submit carried a csv/synthetic dataset.
+    bool uploaded = false;
     bool terminal = false;
     /// Non-OK once a failover could not re-drive this job; job verbs
     /// answer it directly instead of forwarding.
@@ -242,6 +262,14 @@ class Router {
   [[nodiscard]] std::string RewriteShardResponse(
       const std::string& response_line, JobId global_id);
 
+  /// First terminal sighting of a route: counts it completed, swaps in
+  /// its dataset-free re-drive line and queues it for retirement.
+  void MarkTerminalLocked(JobId id, JobRoute& route) ADA_REQUIRES(mutex_);
+  /// A failover could not re-drive the route: job verbs answer
+  /// `failure` from now on, and the route is queued for retirement.
+  void FailRouteLocked(JobId id, JobRoute& route, common::Status failure)
+      ADA_REQUIRES(mutex_);
+
   /// Signals stop (idempotent, callable from router threads); joining
   /// stays in Stop().
   void SignalStop();
@@ -260,6 +288,9 @@ class Router {
   std::vector<std::unique_ptr<ShardState>> shards_;  // Vector immutable;
                                                      // fields guarded.
   std::map<JobId, JobRoute> routes_ ADA_GUARDED_BY(mutex_);
+  /// Ids of routes that are terminal or failed (they never change
+  /// again), in that order; admission retires them past kRetainedJobs.
+  std::deque<JobId> finished_ ADA_GUARDED_BY(mutex_);
   JobId next_job_id_ ADA_GUARDED_BY(mutex_) = 1;
   RouterStats stats_ ADA_GUARDED_BY(mutex_);
 

@@ -57,6 +57,17 @@ bool IsTerminal(JobState state) {
          state == JobState::kExpired || state == JobState::kCancelled;
 }
 
+common::Status JobNotFoundError(JobId id, JobId next_id) {
+  if (id >= 1 && id < next_id) {
+    return common::NotFoundError(common::StrFormat(
+        "job %lld expired: it finished and was retired to keep the job "
+        "table at %zu entries",
+        static_cast<long long>(id), kRetainedJobs));
+  }
+  return common::NotFoundError(
+      common::StrFormat("no job with id %lld", static_cast<long long>(id)));
+}
+
 JobSnapshot Scheduler::Job::Snapshot() const {
   JobSnapshot snapshot;
   snapshot.id = id;
@@ -235,6 +246,7 @@ StatusOr<std::optional<JobId>> Scheduler::SubmitIfCached(
 JobId Scheduler::AdmitLocked(std::string fingerprint, JobRequest request,
                              std::optional<CachedAnalysis> cached,
                              std::vector<Notification>* notifications) {
+  stats_.retired += RetireFinished(jobs_, finished_);
   JobId id = next_id_++;
   auto job = std::make_unique<Job>();
   job->id = id;
@@ -270,33 +282,34 @@ void Scheduler::ServeCachedLocked(Job& job, CachedAnalysis cached,
 StatusOr<JobSnapshot> Scheduler::Status(JobId id) const {
   common::MutexLock lock(&mutex_);
   auto it = jobs_.find(id);
-  if (it == jobs_.end()) {
-    return common::NotFoundError(
-        common::StrFormat("no job with id %lld", static_cast<long long>(id)));
-  }
+  if (it == jobs_.end()) return JobNotFoundError(id, next_id_);
   return it->second->Snapshot();
 }
 
 StatusOr<JobSnapshot> Scheduler::AwaitResult(JobId id, double timeout_millis) {
   common::MutexLock lock(&mutex_);
-  auto it = jobs_.find(id);
-  if (it == jobs_.end()) {
-    return common::NotFoundError(
-        common::StrFormat("no job with id %lld", static_cast<long long>(id)));
-  }
-  Job* job = it->second.get();
-  auto terminal = [job]() ADA_REQUIRES(mutex_) {
-    return IsTerminal(job->state);
+  // The job is re-found by id on every wake-up: once terminal it may be
+  // retired (and freed) before this waiter gets the lock back.
+  auto find = [this, id]() ADA_REQUIRES(mutex_) {
+    auto it = jobs_.find(id);
+    return it == jobs_.end() ? nullptr : it->second.get();
+  };
+  if (find() == nullptr) return JobNotFoundError(id, next_id_);
+  auto terminal = [&find]() ADA_REQUIRES(mutex_) {
+    const Job* job = find();
+    return job == nullptr || IsTerminal(job->state);
   };
   if (timeout_millis > 0.0) {
     if (!state_changed_.WaitFor(mutex_, timeout_millis, terminal)) {
       return common::DeadlineExceededError(common::StrFormat(
           "job %lld still %s after %.0f ms", static_cast<long long>(id),
-          JobStateName(job->state), timeout_millis));
+          JobStateName(find()->state), timeout_millis));
     }
   } else {
     state_changed_.Wait(mutex_, terminal);
   }
+  const Job* job = find();
+  if (job == nullptr) return JobNotFoundError(id, next_id_);
   return job->Snapshot();
 }
 
@@ -305,10 +318,7 @@ common::Status Scheduler::Cancel(JobId id) {
   {
     common::MutexLock lock(&mutex_);
     auto it = jobs_.find(id);
-    if (it == jobs_.end()) {
-      return common::NotFoundError(common::StrFormat(
-          "no job with id %lld", static_cast<long long>(id)));
-    }
+    if (it == jobs_.end()) return JobNotFoundError(id, next_id_);
     Job& job = *it->second;
     if (job.state != JobState::kQueued) {
       return common::FailedPreconditionError(common::StrFormat(
@@ -331,10 +341,7 @@ StatusOr<Scheduler::SubscriptionId> Scheduler::Subscribe(
   {
     common::MutexLock lock(&mutex_);
     auto it = jobs_.find(id);
-    if (it == jobs_.end()) {
-      return common::NotFoundError(common::StrFormat(
-          "no job with id %lld", static_cast<long long>(id)));
-    }
+    if (it == jobs_.end()) return JobNotFoundError(id, next_id_);
     if (!IsTerminal(it->second->state)) {
       SubscriptionId subscription_id = next_subscription_id_++;
       subscriptions_.emplace(subscription_id,
@@ -395,6 +402,7 @@ void Scheduler::Drain() {
 SchedulerStats Scheduler::stats() const {
   common::MutexLock lock(&mutex_);
   SchedulerStats stats = stats_;
+  stats.retained = jobs_.size();
   stats.queue_depth = pending_.size();
   stats.active_workers = active_workers_;
   return stats;
@@ -414,6 +422,8 @@ Json Scheduler::StatsJson() const {
   object["sessions_executed"] = Json(stats.sessions_executed);
   object["cache_persist_failures"] = Json(stats.cache_persist_failures);
   object["cache_persist_skipped"] = Json(stats.cache_persist_skipped);
+  object["jobs_retained"] = Json(static_cast<int64_t>(stats.retained));
+  object["jobs_retired"] = Json(stats.retired);
   object["queue_depth"] = Json(static_cast<int64_t>(stats.queue_depth));
   object["active_workers"] = Json(static_cast<int64_t>(stats.active_workers));
   Json::Object cache;
@@ -591,11 +601,13 @@ void Scheduler::FinishJob(Job& job, JobState state, common::Status status,
                           std::vector<Notification>* notifications) {
   job.state = state;
   job.status = std::move(status);
-  // jobs_ keeps every job, so a terminal job must not keep its dataset:
-  // nothing reads the log or taxonomy past this point. Snapshot() and
-  // supersede read only dataset_id, priority and the cohort fields.
+  // jobs_ keeps up to kRetainedJobs finished jobs, so a terminal job
+  // must not keep its dataset: nothing reads the log or taxonomy past
+  // this point. Snapshot() and supersede read only dataset_id, priority
+  // and the cohort fields.
   job.request.log = dataset::ExamLog();
   job.request.taxonomy.reset();
+  finished_.push_back(job.id);
   switch (state) {
     case JobState::kDone:
       ++stats_.completed;

@@ -31,6 +31,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -52,6 +53,36 @@ namespace adahealth {
 namespace service {
 
 using JobId = int64_t;
+
+/// Retention bound shared by the scheduler's job table and the router's
+/// routing table. Once a table holds this many entries, admitting one
+/// more first retires the oldest finished entries (oldest completion
+/// first); an entry that is queued or running is never retired, so a
+/// table holds at most this many entries plus its in-flight jobs. A
+/// finished scheduler job keeps its report and summary (a few KB on the
+/// paper-scale cohorts) and a finished route keeps a dataset-free
+/// re-drive line (a few hundred bytes), so the bound is a few MB per
+/// shard and well under 1 MB for the router, independent of uptime.
+inline constexpr size_t kRetainedJobs = 1024;
+
+/// NOT_FOUND for an id absent from a table whose ids are issued in
+/// sequence below `next_id`: "job N expired" when N was issued (it has
+/// been retired), "no job with id N" when it never was.
+[[nodiscard]] common::Status JobNotFoundError(JobId id, JobId next_id);
+
+/// The retention rule: erases entries of `table` in `finished` order
+/// (ids of terminal entries, oldest completion first) until the table
+/// has room for one more entry under kRetainedJobs, or nothing finished
+/// is left. Returns how many it retired.
+template <typename Table>
+int64_t RetireFinished(Table& table, std::deque<JobId>& finished) {
+  int64_t retired = 0;
+  while (table.size() >= kRetainedJobs && !finished.empty()) {
+    retired += static_cast<int64_t>(table.erase(finished.front()));
+    finished.pop_front();
+  }
+  return retired;
+}
 
 /// Lifecycle of a scheduled job. Terminal states: kDone, kFailed,
 /// kExpired, kCancelled.
@@ -161,6 +192,8 @@ struct SchedulerStats {
   int64_t sessions_executed = 0;  // Actual AnalysisSession::Run calls.
   int64_t cache_persist_failures = 0;  // Failed cache-file rewrites.
   int64_t cache_persist_skipped = 0;   // Inserts below the threshold.
+  int64_t retired = 0;            // Finished jobs dropped by retention.
+  size_t retained = 0;            // Jobs in the table right now.
   size_t queue_depth = 0;
   size_t active_workers = 0;
 };
@@ -197,13 +230,16 @@ class Scheduler {
       const std::string& fingerprint, JobRequest request)
       ADA_EXCLUDES(mutex_);
 
-  /// Snapshot of one job; NOT_FOUND for unknown ids.
+  /// Snapshot of one job; NOT_FOUND for unknown ids ("job N expired"
+  /// once a finished job has been retired, see kRetainedJobs).
   [[nodiscard]] common::StatusOr<JobSnapshot> Status(JobId id) const
       ADA_EXCLUDES(mutex_);
 
   /// Blocks until the job reaches a terminal state (or
   /// `timeout_millis` elapses -> DEADLINE_EXCEEDED; <= 0 waits
-  /// forever). Returns the terminal snapshot.
+  /// forever). Returns the terminal snapshot, or the "expired"
+  /// NOT_FOUND when the job finished and was retired before this waiter
+  /// woke.
   [[nodiscard]] common::StatusOr<JobSnapshot> AwaitResult(
       JobId id, double timeout_millis = 0.0) ADA_EXCLUDES(mutex_);
 
@@ -324,14 +360,18 @@ class Scheduler {
   mutable common::Mutex mutex_;
   common::CondVar state_changed_;  // Terminal transitions.
   common::CondVar workers_idle_;   // Worker retirement.
-  /// Jobs are created at admission and never erased; FinishJob releases
-  /// a job's dataset (request.log and request.taxonomy). The map itself
-  /// is guarded; a kRunning job body is owned by the worker that dequeued
-  /// it, which reads the admission-time-immutable fields (request,
-  /// fingerprint) without the lock and re-acquires mutex_ for every
-  /// mutation. Everyone else observes jobs via Snapshot() under the
-  /// lock.
+  /// Jobs are created at admission; FinishJob releases a job's dataset
+  /// (request.log and request.taxonomy) and queues its id in finished_,
+  /// and admission retires finished jobs past kRetainedJobs. The map
+  /// itself is guarded; a kRunning job body is owned by the worker that
+  /// dequeued it, which reads the admission-time-immutable fields
+  /// (request, fingerprint) without the lock and re-acquires mutex_ for
+  /// every mutation. Everyone else observes jobs via Snapshot() under
+  /// the lock, and never holds a Job across a wait: retirement may
+  /// free any terminal job whenever the lock is free.
   std::map<JobId, std::unique_ptr<Job>> jobs_ ADA_GUARDED_BY(mutex_);
+  /// Ids of terminal jobs still in jobs_, in completion order.
+  std::deque<JobId> finished_ ADA_GUARDED_BY(mutex_);
   std::set<PendingKey> pending_ ADA_GUARDED_BY(mutex_);
   /// Pending completion subscriptions; extracted (and erased) by
   /// FinishJob. The by-job index finds a job's subscribers without a

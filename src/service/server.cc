@@ -324,8 +324,8 @@ void AnalysisServer::HandleResultVerb(int64_t id, Connection& conn,
         });
       });
   if (!subscription.ok()) {
-    // Unreachable in practice (jobs are never forgotten), kept for
-    // robustness: unwind the park and answer with the error.
+    // The job finished and was retired between Status and Subscribe
+    // (see kRetainedJobs): unwind the park and answer "expired".
     ClearWait(entry);
     conn.EnqueueResponse(ErrorResponse(subscription.status()));
     conn.ResumeRequests();
@@ -650,6 +650,7 @@ std::string AnalysisServer::Dispatch(const Request& request) {
     fields["jobs_submitted"] = Json(scheduler_stats.submitted);
     fields["jobs_completed"] = Json(scheduler_stats.completed);
     fields["jobs_failed"] = Json(scheduler_stats.failed);
+    fields["jobs_retired"] = Json(scheduler_stats.retired);
     fields["open_connections"] = Json(open_connections_.load());
     fields["ingest"] = cohort_store_->StatsJson();
     if (shipper_ != nullptr) {

@@ -90,6 +90,26 @@ TEST(ExamLogTest, FromCsvRejectsMalformedRows) {
       ExamLog::FromCsv("patient_id,exam_type,day\n1,x,notaday\n").ok());
 }
 
+TEST(ExamLogTest, FromCsvRejectsIdsAndDaysBeyond32Bits) {
+  // 3000000000 used to reach the log's invariant check as a negative
+  // int32 and abort the process (the router parses every CSV upload).
+  auto patient =
+      ExamLog::FromCsv("patient_id,exam_type,day\n3000000000,HbA1c,1\n");
+  EXPECT_EQ(patient.status().code(), common::StatusCode::kInvalidArgument);
+  EXPECT_NE(patient.status().message().find("'patient_id'"),
+            std::string::npos)
+      << patient.status().ToString();
+  auto day = ExamLog::FromCsv("patient_id,exam_type,day\n1,HbA1c,4294967297\n");
+  EXPECT_EQ(day.status().code(), common::StatusCode::kInvalidArgument);
+  EXPECT_NE(day.status().message().find("'day'"), std::string::npos)
+      << day.status().ToString();
+  // The int32 edges themselves are still accepted.
+  auto edges = ExamLog::FromCsv(
+      "patient_id,exam_type,day\n0,HbA1c,2147483647\n1,HbA1c,-2147483648\n");
+  ASSERT_TRUE(edges.ok()) << edges.status().ToString();
+  EXPECT_EQ(edges->records()[0].day, 2147483647);
+}
+
 TEST(ExamLogTest, SaveAndLoad) {
   ExamLog log = MakeSmallLog();
   std::string path = testing::TempDir() + "/exam_log_test.csv";

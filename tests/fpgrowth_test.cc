@@ -1,7 +1,11 @@
 #include "patterns/fpgrowth.h"
 
+#include <cmath>
+#include <ostream>
+
 #include <gtest/gtest.h>
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "dataset/synthetic_cohort.h"
 #include "patterns/transactions.h"
 
@@ -57,6 +61,14 @@ struct ParityCase {
   double density;
   int64_t min_support;
 };
+
+// Names each case in test listings (and so in CTest), e.g.
+// "n50_items8_d030_s5", instead of a dump of the struct's bytes.
+void PrintTo(const ParityCase& c, std::ostream* os) {
+  *os << common::StrFormat("n%zu_items%zu_d%03ld_s%lld", c.num_transactions,
+                           c.num_items, std::lround(c.density * 100),
+                           static_cast<long long>(c.min_support));
+}
 
 class MinerParityTest : public testing::TestWithParam<ParityCase> {};
 

@@ -4,9 +4,12 @@
 // mid-conversation the follower is promoted, jobs are re-driven, every
 // job completes exactly once, and reports stay byte-identical to a
 // direct AnalysisSession run. Also pinned: ingest is forwarded at most
-// once when its cohort's owner dies, and Stop() wakes a client parked
-// in a forwarded `result` wait.
+// once when its cohort's owner dies, Stop() wakes a client parked in a
+// forwarded `result` wait, a finished upload is re-driven by its
+// fingerprint alone, and both job tables retire finished entries past
+// kRetainedJobs.
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <set>
 #include <string>
@@ -17,11 +20,14 @@
 #include <gtest/gtest.h>
 #include "common/check.h"
 #include "common/json.h"
+#include "common/rng.h"
 #include "common/status.h"
 #include "core/report.h"
 #include "core/session.h"
 #include "kdb/database.h"
 #include "service/client.h"
+#include "service/fingerprint.h"
+#include "service/protocol.h"
 #include "service/router.h"
 #include "service/server.h"
 
@@ -49,6 +55,33 @@ Json::Object SubmitBody(int64_t seed, const std::string& dataset_id) {
   body["dataset_id"] = dataset_id;
   body["options"] = Json(std::move(options));
   return body;
+}
+
+/// A CSV upload with the same fast options as SubmitBody.
+Json::Object CsvSubmitBody(const std::string& csv,
+                           const std::string& dataset_id) {
+  Json::Object body = SubmitBody(0, dataset_id);
+  body.erase("synthetic");
+  body["csv"] = csv;
+  return body;
+}
+
+/// A records CSV of `patients` patients whose integers are zero-padded
+/// to 12 digits: the padding makes the upload large without making the
+/// dataset any larger ("000000000007" parses as 7).
+std::string PaddedCsv(uint64_t seed, int patients) {
+  common::Rng rng(seed);
+  std::string csv = "patient_id,exam_type,day\n";
+  char row[64];
+  for (int patient = 0; patient < patients; ++patient) {
+    for (int64_t i = rng.UniformInt(3, 10); i > 0; --i) {
+      std::snprintf(row, sizeof(row), "%012d,exam%lld,%012lld\n", patient,
+                    static_cast<long long>(rng.UniformInt(0, 19)),
+                    static_cast<long long>(rng.UniformInt(0, 364)));
+      csv += row;
+    }
+  }
+  return csv;
 }
 
 Json::Object ResultRequest(int64_t job_id) {
@@ -579,6 +612,206 @@ TEST(RouterTest, RepeatSubmitIsAnsweredDoneInTheSubmitReply) {
   EXPECT_EQ(shard->scheduler().cache().misses(), 1);
   EXPECT_EQ(router.stats().submitted, 2);
   EXPECT_EQ(router.stats().completed, 2);
+  router.Stop();
+  shard->Stop();
+}
+
+TEST(RouterTest, FinishedUploadIsRedrivenWithoutItsDataset) {
+  // The follower refuses any line half as long as the upload, so the
+  // re-drive can only reach it without the dataset.
+  const std::string csv = PaddedCsv(7, 150);
+  service::ServerOptions follower_options;
+  follower_options.role = service::ServerRole::kFollower;
+  follower_options.scheduler.max_workers = 2;
+  follower_options.max_line_bytes = csv.size() / 2;
+  auto follower =
+      std::make_unique<service::AnalysisServer>(std::move(follower_options));
+  ASSERT_TRUE(follower->Start().ok());
+  auto primary =
+      StartShardServer(service::ServerRole::kPrimary, follower->port());
+  service::RouterOptions options = QuietRouterOptions();
+  options.shards.push_back(
+      service::ShardEndpoints{primary->port(), follower->port()});
+  service::Router router(std::move(options));
+  ASSERT_TRUE(router.Start().ok());
+
+  auto client = Connect(router.port());
+  auto submitted = client.Call(CsvSubmitBody(csv, "upload"));
+  ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+  const int64_t job_id = submitted->Find("job_id")->AsInt();
+  auto before = client.Call(ResultRequest(job_id));
+  ASSERT_TRUE(before.ok());
+  ASSERT_EQ(before->Find("state")->AsString(), "done");
+  // The replicated entry itself fits the follower's line cap.
+  ASSERT_LT(before->Find("report")->AsString().size() +
+                before->Find("summary")->AsString().size() + 4096,
+            csv.size() / 2);
+
+  ASSERT_TRUE(primary->shipper()->WaitUntilDrained(10000.0));
+  primary->Stop();
+  auto after = client.Call(ResultRequest(job_id));
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->Find("state")->AsString(), "done");
+  EXPECT_TRUE(after->Find("cache_hit")->AsBool());
+  EXPECT_EQ(after->Find("report")->AsString(),
+            before->Find("report")->AsString());
+  // The follower admitted the job from its cache: no session, no
+  // dataset.
+  const service::SchedulerStats follower_stats =
+      follower->scheduler().stats();
+  EXPECT_EQ(follower_stats.submitted, 1);
+  EXPECT_EQ(follower_stats.cache_served, 1);
+  EXPECT_EQ(follower_stats.sessions_executed, 0);
+  EXPECT_EQ(router.stats().redriven, 1);
+  EXPECT_EQ(router.stats().completed, 1);
+  router.Stop();
+  follower->Stop();
+}
+
+TEST(RouterTest, UnreplicatedFinishedJobAnswersLostResultAfterFailover) {
+  // The primary does not replicate, so its follower never holds the
+  // result of the job that finished before the primary died.
+  auto follower = StartShardServer(service::ServerRole::kFollower);
+  auto primary = StartShardServer(service::ServerRole::kPrimary);
+  service::RouterOptions options = QuietRouterOptions();
+  options.shards.push_back(
+      service::ShardEndpoints{primary->port(), follower->port()});
+  service::Router router(std::move(options));
+  ASSERT_TRUE(router.Start().ok());
+
+  auto client = Connect(router.port());
+  auto submitted = client.Call(SubmitBody(29, "unreplicated"));
+  ASSERT_TRUE(submitted.ok());
+  const int64_t job_id = submitted->Find("job_id")->AsInt();
+  auto before = client.Call(ResultRequest(job_id));
+  ASSERT_TRUE(before.ok());
+  ASSERT_EQ(before->Find("state")->AsString(), "done");
+  primary->Stop();
+
+  // No second completion: the job answers the documented status, on
+  // every job verb, and nothing ran or was admitted on the follower.
+  auto lost = client.Call(ResultRequest(job_id));
+  EXPECT_EQ(lost.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(lost.status().message(),
+            "result of job " + std::to_string(job_id) +
+                " was not replicated before shard 0 failed over; resubmit");
+  Json::Object status_request = ResultRequest(job_id);
+  status_request["verb"] = "status";
+  EXPECT_EQ(client.Call(status_request).status().message(),
+            lost.status().message());
+  service::RouterStats stats = router.stats();
+  EXPECT_EQ(stats.failovers, 1);
+  EXPECT_EQ(stats.redriven, 0);
+  EXPECT_EQ(stats.completed, 1);
+  EXPECT_EQ(follower->scheduler().stats().submitted, 0);
+  EXPECT_EQ(follower->scheduler().stats().sessions_executed, 0);
+
+  // A resubmit runs on the promoted follower and reproduces the report.
+  auto again = client.Call(SubmitBody(29, "unreplicated"));
+  ASSERT_TRUE(again.ok());
+  auto again_result =
+      client.Call(ResultRequest(again->Find("job_id")->AsInt()));
+  ASSERT_TRUE(again_result.ok());
+  EXPECT_EQ(again_result->Find("report")->AsString(),
+            before->Find("report")->AsString());
+  router.Stop();
+  follower->Stop();
+}
+
+TEST(RouterTest, RetentionBoundsRoutesAndShardJobs) {
+  auto shard = StartShardServer(service::ServerRole::kPrimary,
+                                /*replicate_to_port=*/0,
+                                /*start_paused=*/true);
+  service::RouterOptions options = QuietRouterOptions();
+  options.shards.push_back(service::ShardEndpoints{shard->port(), 0});
+  service::Router router(std::move(options));
+  ASSERT_TRUE(router.Start().ok());
+
+  // The hot upload is cached up front, so each of its submits finishes
+  // in its own reply even though the shard runs nothing.
+  const Json::Object hot =
+      CsvSubmitBody("patient_id,exam_type,day\n0,a,1\n1,b,2\n", "hot");
+  auto hot_request = service::BuildJobRequest(Json(Json::Object(hot)));
+  ASSERT_TRUE(hot_request.ok());
+  service::CachedAnalysis entry;
+  entry.fingerprint =
+      service::DatasetFingerprint(hot_request->log, hot_request->options);
+  entry.dataset_id = "hot";
+  entry.summary = "summary";
+  entry.report = "report";
+  shard->scheduler().CommitCacheEntry(entry, /*fire_hook=*/false);
+
+  auto client = Connect(router.port());
+  auto in_flight = client.Call(SubmitBody(30, "in-flight"));
+  ASSERT_TRUE(in_flight.ok());
+  const int64_t in_flight_id = in_flight->Find("job_id")->AsInt();
+  ASSERT_EQ(in_flight->Find("state")->AsString(), "queued");
+  constexpr int64_t kExtra = 5;
+  const int64_t hits = static_cast<int64_t>(service::kRetainedJobs) + kExtra;
+  int64_t first_hit = 0;
+  for (int64_t i = 0; i < hits; ++i) {
+    auto hit = client.Call(hot);
+    ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+    ASSERT_EQ(hit->Find("state")->AsString(), "done");
+    if (i == 0) first_hit = hit->Find("job_id")->AsInt();
+  }
+
+  // Both tables: at most the bound plus the one in-flight job, the
+  // oldest finished entries retired.
+  const int64_t bound = static_cast<int64_t>(service::kRetainedJobs) + 1;
+  auto stats = client.Call("stats");
+  ASSERT_TRUE(stats.ok());
+  const Json& router_stats = *stats->Find("router");
+  EXPECT_LE(router_stats.Find("routes")->AsInt(), bound);
+  EXPECT_EQ(router_stats.Find("retired")->AsInt(), kExtra + 1);
+  const Json& shard_stats =
+      *stats->Find("shards")->AsArray().at(0).Find("stats");
+  EXPECT_LE(shard_stats.Find("jobs_retained")->AsInt(), bound);
+  EXPECT_EQ(shard_stats.Find("jobs_retired")->AsInt(), kExtra + 1);
+  auto health = client.Call("health");
+  ASSERT_TRUE(health.ok());
+  EXPECT_EQ(health->Find("retired")->AsInt(), kExtra + 1);
+
+  // A retired id is "expired"; an id never issued keeps its message.
+  Json::Object status_request = ResultRequest(first_hit);
+  status_request["verb"] = "status";
+  auto retired = client.Call(status_request);
+  EXPECT_EQ(retired.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(retired.status().message().rfind(
+                "job " + std::to_string(first_hit) + " expired", 0),
+            0u)
+      << retired.status().ToString();
+  const int64_t never = first_hit + hits + 100;
+  status_request["job_id"] = never;
+  EXPECT_EQ(client.Call(status_request).status().message(),
+            "no job with id " + std::to_string(never));
+
+  // The in-flight job was never retired: it still runs and answers.
+  shard->scheduler().Resume();
+  auto finished = client.Call(ResultRequest(in_flight_id));
+  ASSERT_TRUE(finished.ok()) << finished.status().ToString();
+  EXPECT_EQ(finished->Find("state")->AsString(), "done");
+  router.Stop();
+  shard->Stop();
+}
+
+TEST(RouterTest, UploadWithAnIdBeyond32BitsIsRejectedAtTheRouter) {
+  auto shard = StartShardServer(service::ServerRole::kPrimary);
+  service::RouterOptions options = QuietRouterOptions();
+  options.shards.push_back(service::ShardEndpoints{shard->port(), 0});
+  service::Router router(std::move(options));
+  ASSERT_TRUE(router.Start().ok());
+
+  auto client = Connect(router.port());
+  auto rejected = client.Call(CsvSubmitBody(
+      "patient_id,exam_type,day\n3000000000,HbA1c,1\n", "hostile"));
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.status().message().find("'patient_id'"),
+            std::string::npos)
+      << rejected.status().ToString();
+  // The router is still up, and nothing reached the shard.
+  EXPECT_TRUE(client.Call("ping").ok());
+  EXPECT_EQ(shard->scheduler().stats().submitted, 0);
   router.Stop();
   shard->Stop();
 }

@@ -96,6 +96,31 @@ TEST(ProtocolTest, BuildJobRequestFromCsvAndKnobs) {
   EXPECT_FALSE(request->taxonomy.has_value());
 }
 
+TEST(ProtocolTest, IngestIdsAndDaysBeyond32BitsAreRejected) {
+  // 4294967297 used to wrap to patient 1 and join that patient's
+  // history without an error.
+  auto ingest = [](int64_t patient, int64_t day) {
+    Json::Object record;
+    record["patient"] = patient;
+    record["exam_type"] = "glucose";
+    record["day"] = day;
+    Json::Object body;
+    body["records"] = Json(Json::Array{Json(std::move(record))});
+    return service::ParseIngestRecords(Json(std::move(body)));
+  };
+  auto patient = ingest(4294967297LL, 1);
+  EXPECT_EQ(patient.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(patient.status().message().find("'patient'"), std::string::npos)
+      << patient.status().ToString();
+  auto day = ingest(1, -4294967296LL);
+  EXPECT_EQ(day.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(day.status().message().find("'day'"), std::string::npos)
+      << day.status().ToString();
+  auto in_range = ingest(2147483647LL, 3);
+  ASSERT_TRUE(in_range.ok());
+  EXPECT_EQ(in_range->at(0).patient, 2147483647);
+}
+
 TEST(ProtocolTest, BuildJobRequestSyntheticCarriesTaxonomy) {
   Json::Object synthetic;
   synthetic["patients"] = static_cast<int64_t>(80);

@@ -118,9 +118,10 @@ const KeySet kShardStatsIntKeys = Union({
     {"jobs_submitted", "jobs_completed", "jobs_failed", "jobs_cancelled",
      "jobs_superseded", "jobs_expired", "jobs_shed", "cache_served",
      "sessions_executed", "cache_persist_failures", "cache_persist_skipped",
-     "queue_depth", "active_workers", "cache.entries", "cache.bytes",
-     "cache.max_bytes", "cache.hits", "cache.misses", "cache.evictions",
-     "cache.superseded", "server.open_connections",
+     "jobs_retained", "jobs_retired", "queue_depth", "active_workers",
+     "cache.entries", "cache.bytes", "cache.max_bytes", "cache.hits",
+     "cache.misses", "cache.evictions", "cache.superseded",
+     "server.open_connections",
      "server.total_connections", "server.shed_connections",
      "server.idle_disconnects", "server.errors"},
     kIngestKeys,
@@ -133,7 +134,7 @@ const KeySet kShardStatsKeys = Union({
 const KeySet kShardHealthKeys = Union({
     {"ok", "service", "role", "uptime_seconds", "queue_depth",
      "active_workers", "max_workers", "cache_entries", "jobs_submitted",
-     "jobs_completed", "jobs_failed", "open_connections",
+     "jobs_completed", "jobs_failed", "jobs_retired", "open_connections",
      "replication.connected"},
     kIngestKeys,
     kReplicationIntKeys,
@@ -186,8 +187,8 @@ TEST_F(ServiceStatsTest, ShardAndRouterExportPinnedKeySets) {
              Union({
                  {"ok", "router.submitted", "router.completed",
                   "router.forwarded", "router.failovers", "router.redriven",
-                  "router.dead_shards", "router.routes", "shards.0.shard",
-                  "shards.0.port", "shards.0.alive",
+                  "router.dead_shards", "router.routes", "router.retired",
+                  "shards.0.shard", "shards.0.port", "shards.0.alive",
                   "shards.0.using_follower"},
                  Prefixed("shards.0.stats.", kShardStatsKeys),
                  Prefixed("totals.", kShardStatsIntKeys),
@@ -199,7 +200,7 @@ TEST_F(ServiceStatsTest, ShardAndRouterExportPinnedKeySets) {
               "shards.0.active_port", "shards.0.alive",
               "shards.0.using_follower", "shards.0.generation",
               "shards.0.consecutive_probe_failures", "failovers", "redriven",
-              "routes"},
+              "routes", "retired"},
              "router health");
 
   // The counters the service benchmark reads through the router.

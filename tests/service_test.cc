@@ -502,6 +502,125 @@ TEST(SchedulerTest, UnknownJobIdIsNotFound) {
             StatusCode::kNotFound);
 }
 
+TEST(SchedulerTest, RetentionRetiresOldestFinishedJobsOnly) {
+  service::SchedulerOptions options;
+  options.start_paused = true;
+  service::Scheduler scheduler(options);
+  scheduler.CommitCacheEntry(MakeEntry("hot", 64), /*fire_hook=*/false);
+  // Job 1 stays queued behind the pause: in flight for the whole test.
+  auto queued = scheduler.Submit(MakeJob(95, "in-flight"));
+  ASSERT_TRUE(queued.ok());
+  // Then the bound plus m finished jobs, all admission hits.
+  constexpr size_t kExtra = 5;
+  const service::JobRequest knobs;
+  std::vector<service::JobId> hits;
+  for (size_t i = 0; i < service::kRetainedJobs + kExtra; ++i) {
+    auto hit = scheduler.SubmitIfCached("hot", knobs);
+    ASSERT_TRUE(hit.ok() && hit->has_value());
+    hits.push_back(**hit);
+  }
+  // At most the bound plus the in-flight job; the oldest finished
+  // jobs went first and the queued one stayed.
+  service::SchedulerStats stats = scheduler.stats();
+  EXPECT_LE(stats.retained, service::kRetainedJobs + 1);
+  EXPECT_EQ(stats.retired, static_cast<int64_t>(kExtra + 1));
+  ASSERT_TRUE(scheduler.Status(queued.value()).ok());
+  EXPECT_EQ(scheduler.Status(queued.value())->state,
+            service::JobState::kQueued);
+  for (size_t i = 0; i <= kExtra; ++i) {
+    auto retired = scheduler.Status(hits[i]);
+    EXPECT_EQ(retired.status().code(), StatusCode::kNotFound);
+    EXPECT_NE(retired.status().message().find("expired"), std::string::npos)
+        << retired.status().ToString();
+  }
+  EXPECT_TRUE(scheduler.Status(hits[kExtra + 1]).ok());
+  // Every job verb tells a retired id from one never issued.
+  EXPECT_NE(scheduler.AwaitResult(hits[0], 10.0).status().message().find(
+                "expired"),
+            std::string::npos);
+  EXPECT_NE(scheduler.Cancel(hits[0]).message().find("expired"),
+            std::string::npos);
+  auto subscribed =
+      scheduler.Subscribe(hits[0], [](const service::JobSnapshot&) {});
+  EXPECT_NE(subscribed.status().message().find("expired"), std::string::npos);
+  const service::JobId never = hits.back() + 1;
+  EXPECT_EQ(scheduler.Status(never).status().message(),
+            "no job with id " + std::to_string(never));
+  const common::Json json = scheduler.StatsJson();
+  EXPECT_EQ(json.Find("jobs_retired")->AsInt(),
+            static_cast<int64_t>(kExtra + 1));
+  EXPECT_EQ(json.Find("jobs_retained")->AsInt(),
+            static_cast<int64_t>(stats.retained));
+
+  // The in-flight job still runs to completion and can be awaited.
+  scheduler.Resume();
+  auto done = scheduler.AwaitResult(queued.value());
+  ASSERT_TRUE(done.ok());
+  EXPECT_EQ(done->state, service::JobState::kDone);
+}
+
+TEST(SchedulerTest, WaitersRacingRetirementReadNoFreedJob) {
+  // AwaitResult waiters and completion subscribers race a flood of
+  // admission hits that retires their jobs as soon as they finish. A
+  // waiter gets the terminal snapshot or, when its job was retired
+  // before it woke, "expired"; a subscriber always gets its snapshot.
+  // Under the sanitizers this is the use-after-free check.
+  service::SchedulerOptions options;
+  options.start_paused = true;
+  options.max_queue_depth = 64;
+  service::Scheduler scheduler(options);
+  scheduler.CommitCacheEntry(MakeEntry("hot", 64), /*fire_hook=*/false);
+  const service::JobRequest job = MakeJob(96, "raced");
+  const service::JobRequest knobs;
+  for (int round = 0; round < 3; ++round) {
+    std::vector<service::JobId> queued;
+    for (int i = 0; i < 8; ++i) {
+      auto id = scheduler.Submit(job);
+      ASSERT_TRUE(id.ok());
+      queued.push_back(id.value());
+    }
+    std::atomic<int> notified{0};
+    for (service::JobId id : queued) {
+      auto subscription = scheduler.Subscribe(
+          id, [&notified, id](const service::JobSnapshot& snapshot) {
+            EXPECT_EQ(snapshot.id, id);
+            EXPECT_EQ(snapshot.state, service::JobState::kCancelled);
+            ++notified;
+          });
+      ASSERT_TRUE(subscription.ok());
+    }
+    std::atomic<int> answered{0};
+    std::vector<std::thread> waiters;
+    for (service::JobId id : queued) {
+      waiters.emplace_back([&scheduler, &answered, id] {
+        auto result = scheduler.AwaitResult(id);
+        if (result.ok()) {
+          EXPECT_EQ(result->state, service::JobState::kCancelled);
+        } else {
+          EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
+          EXPECT_NE(result.status().message().find("expired"),
+                    std::string::npos);
+        }
+        ++answered;
+      });
+    }
+    std::thread flood([&scheduler, &knobs] {
+      for (size_t i = 0; i < service::kRetainedJobs + 16; ++i) {
+        auto hit = scheduler.SubmitIfCached("hot", knobs);
+        EXPECT_TRUE(hit.ok() && hit->has_value());
+      }
+    });
+    for (service::JobId id : queued) ASSERT_TRUE(scheduler.Cancel(id).ok());
+    flood.join();
+    for (std::thread& waiter : waiters) waiter.join();
+    EXPECT_EQ(answered.load(), 8);
+    EXPECT_EQ(notified.load(), 8);
+  }
+  const service::SchedulerStats stats = scheduler.stats();
+  EXPECT_GE(stats.retired, static_cast<int64_t>(2 * service::kRetainedJobs));
+  EXPECT_LE(stats.retained, service::kRetainedJobs);
+}
+
 TEST(SchedulerTest, CachePersistsAcrossSchedulerInstances) {
   std::string dir = MakeScratchDir("sched_cache");
   service::SchedulerOptions options;

@@ -8,9 +8,13 @@
 # exactly once through the router (all clients exit 0, the router's
 # completed counter equals its submitted counter), the follower is
 # promoted (failovers >= 1), and the cross-shard `stats` totals equal
-# the per-shard sum. After failover, a CSV upload submitted twice is a
-# cache hit in the second submit reply, and a client line carrying the
-# cluster-internal route_fingerprint is rejected at the router.
+# the per-shard sum. In the SIGKILL run a CSV upload finishes before the
+# kill, on the shard that is then killed; after failover its `result`
+# still answers done, as a cache hit, with the same report: the router
+# re-drove it by fingerprint alone (it no longer holds the upload).
+# After failover, a CSV upload submitted twice is a cache hit in the
+# second submit reply, and a client line carrying the cluster-internal
+# route_fingerprint is rejected at the router.
 #
 # Usage: tools/shard_smoke.sh [BUILD_DIR]   (default: build)
 # CI runs this under ASan+UBSan (the shard-smoke job).
@@ -149,19 +153,63 @@ run_cluster() {
   local pa_pid="${LAST_PID}" pa_port="${LAST_PORT}"
   start_proc "${name}-primary-b" "${SERVER}" --port 0 --workers 2 \
       --replicate-to "${fb_port}"
-  local pb_port="${LAST_PORT}"
+  local pb_pid="${LAST_PID}" pb_port="${LAST_PORT}"
 
   start_proc "${name}-router" "${ROUTER}" --port 0 \
       --shard "${pa_port}:${fa_port}" --shard "${pb_port}:${fb_port}" \
       --probe-interval-ms 100 --probe-failures 2
   local router_pid="${LAST_PID}" router_port="${LAST_PORT}"
 
+  local csv="${LOG_DIR}/${name}-upload.csv"
+  python3 - "${csv}" <<'EOF' || fail "could not write the CSV upload"
+import random, sys
+rng = random.Random(7)
+with open(sys.argv[1], "w") as out:
+    out.write("patient_id,exam_type,day\n")
+    for patient in range(120):
+        for _ in range(rng.randint(3, 12)):
+            out.write(f"{patient},exam{rng.randint(0, 19)},{rng.randint(0, 364)}\n")
+EOF
+
+  # SIGKILL run: the CSV upload finishes first, and the primary of the
+  # shard that owns it is the one killed, once its follower holds the
+  # replicated result.
+  local jobs=8 killed_pid="${pa_pid}" csv_job=""
+  if [[ "${kill_mode}" == "sigkill" ]]; then
+    "${CLIENT}" --router "${router_port}" submit --csv "${csv}" \
+        --dataset-id "${name}-csv" --fast --wait --report \
+        >"${LOG_DIR}/${name}-csv-before.log" 2>&1 \
+      || fail "CSV submit before the kill failed"
+    csv_job="$(sed -n 's/^job_id: //p' "${LOG_DIR}/${name}-csv-before.log")"
+    jobs=9
+    local owner
+    owner="$("${CLIENT}" --router "${router_port}" stats | python3 -c '
+import json, sys
+shards = json.load(sys.stdin)["shards"]
+print(next(e["shard"] for e in shards if e["stats"]["jobs_submitted"] == 1))
+')" || fail "could not find the CSV job's shard"
+    local owner_follower="${fa_port}"
+    if [[ "${owner}" == "1" ]]; then
+      killed_pid="${pb_pid}"
+      owner_follower="${fb_port}"
+    fi
+    local replicated=""
+    for _ in $(seq 1 100); do
+      replicated="$("${CLIENT}" --port "${owner_follower}" stats \
+          | python3 -c 'import json,sys; print(json.load(sys.stdin)["cache"]["entries"])')" \
+        || fail "follower stats failed"
+      [[ "${replicated}" -ge 1 ]] && break
+      sleep 0.1
+    done
+    [[ "${replicated}" -ge 1 ]] \
+      || fail "the CSV result never reached shard ${owner}'s follower"
+  fi
+
   # Eight distinct jobs ride the ring in parallel; each client waits
   # for its result through the router and must exit 0 even though a
   # primary dies underneath it.
-  local jobs=8
   local -a client_pids=()
-  for seed in $(seq 1 "${jobs}"); do
+  for seed in $(seq 1 8); do
     "${CLIENT}" --router "${router_port}" --connect-retries 3 \
         submit --patients 100 --exam-types 20 --seed "${seed}" \
         --dataset-id "${name}" --fast --wait \
@@ -171,8 +219,8 @@ run_cluster() {
 
   if [[ "${kill_mode}" == "sigkill" ]]; then
     sleep 0.3  # Let the workload get in flight first.
-    echo "shard_smoke: SIGKILL primary-a (pid ${pa_pid})"
-    kill -9 "${pa_pid}"
+    echo "shard_smoke: SIGKILL the CSV job's primary (pid ${killed_pid})"
+    kill -9 "${killed_pid}"
   fi
 
   local failed=0
@@ -180,15 +228,15 @@ run_cluster() {
     wait "${pid}" || failed=$((failed + 1))
   done
   [[ "${failed}" -eq 0 ]] \
-    || fail "${failed}/${jobs} clients failed during the ${kill_mode} run"
-  for seed in $(seq 1 "${jobs}"); do
+    || fail "${failed}/8 clients failed during the ${kill_mode} run"
+  for seed in $(seq 1 8); do
     grep -q '^state: done$' "${LOG_DIR}/${name}-client-${seed}.log" \
       || fail "client ${seed} did not reach state done"
   done
   # The killed primary must actually be gone. In failpoint mode the
   # trigger may fire on a health probe after the workload drained;
   # probes keep arriving every 100 ms, so this converges fast.
-  wait_for_exit "${pa_pid}" "${name}-primary-a"
+  wait_for_exit "${killed_pid}" "${name}'s killed primary"
 
   # Give the prober time to notice and promote: when the workload beat
   # the kill, no forward ever failed, and failover happens on probe
@@ -224,20 +272,25 @@ EOF
       --exam-types 20 --seed 99 --dataset-id "${name}-post" --fast --wait \
       >/dev/null || fail "post-failover submit failed"
 
+  # The CSV job that finished before the kill: the promoted follower
+  # answers it from the replicated cache, and apart from cache_hit the
+  # reply is byte-identical to the one read before the kill.
+  if [[ -n "${csv_job}" ]]; then
+    "${CLIENT}" --router "${router_port}" result --job "${csv_job}" \
+        --report >"${LOG_DIR}/${name}-csv-after.log" 2>&1 \
+      || fail "result of CSV job ${csv_job} after failover failed"
+    grep -q '^state: done$' "${LOG_DIR}/${name}-csv-after.log" \
+      && grep -q '^cache_hit: true$' "${LOG_DIR}/${name}-csv-after.log" \
+      || fail "CSV job ${csv_job} was not served from the replicated cache"
+    cmp -s <(grep -v '^cache_hit: ' "${LOG_DIR}/${name}-csv-before.log") \
+        <(grep -v '^cache_hit: ' "${LOG_DIR}/${name}-csv-after.log") \
+      || fail "CSV job ${csv_job}'s report changed across the failover"
+  fi
+
   # Parse once per cluster: the router forwards the fingerprint it
   # routed a CSV upload on, so the upload's repeat is answered at
   # admission, already done in the submit reply; and a client cannot
   # forge that cluster-internal field.
-  local csv="${LOG_DIR}/${name}-upload.csv"
-  python3 - "${csv}" <<'EOF' || fail "could not write the CSV upload"
-import random, sys
-rng = random.Random(7)
-with open(sys.argv[1], "w") as out:
-    out.write("patient_id,exam_type,day\n")
-    for patient in range(120):
-        for _ in range(rng.randint(3, 12)):
-            out.write(f"{patient},exam{rng.randint(0, 19)},{rng.randint(0, 364)}\n")
-EOF
   "${CLIENT}" --router "${router_port}" submit --csv "${csv}" \
       --dataset-id "${name}-csv" --fast --wait \
       >"${LOG_DIR}/${name}-csv-first.log" 2>&1 \
