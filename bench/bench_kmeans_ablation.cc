@@ -8,7 +8,9 @@
 // ablates the accelerated engine's representation (sparse CSR vs
 // dense) against its instruction set (runtime-dispatched AVX2/FMA vs
 // pinned scalar), since the cohort VSM is the sparse regime the CSR
-// path targets. Also keeps the original A1 reference points (kd-tree
+// path targets, on a thread axis of 1, 2 and hardware-concurrency pool
+// threads (the representation choice of kAuto is a speed choice, and
+// which side wins can depend on how many cores share a pass). Also keeps the original A1 reference points (kd-tree
 // filtering K-means, bisecting K-means, init strategies) for context.
 //
 // Writes BENCH_kmeans.json into the current working directory; run it
@@ -19,12 +21,14 @@
 #include <cstdlib>
 #include <cmath>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "cluster/bisecting.h"
 #include "cluster/filtering_kmeans.h"
 #include "cluster/kmeans.h"
+#include "cluster/kmeans_accel.h"
 #include "common/json.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
@@ -96,30 +100,27 @@ EngineRun TimeEngine(const transform::Matrix& vsm, int32_t k, uint64_t seed,
   return Finish(std::move(clustering), timer.ElapsedSeconds() * 1e3, k);
 }
 
-/// One accelerated run with the representation pinned (sparse runs on
-/// the pre-built CSR form, so conversion cost is not in the timing)
-/// and the SIMD dispatch pinned to scalar when `scalar` asks for it.
+/// One accelerated run on `pool` with the representation pinned
+/// (sparse runs on the pre-built CSR form, so conversion cost is not in
+/// the timing) and the SIMD dispatch pinned to scalar when `scalar`
+/// asks for it.
 EngineRun TimeVariant(const transform::Matrix& vsm,
                       const transform::CsrMatrix& csr, int32_t k,
-                      uint64_t seed, bool sparse, bool scalar) {
+                      uint64_t seed, bool sparse, bool scalar,
+                      common::ThreadPool& pool) {
   cluster::KMeansOptions options;
   options.k = k;
   options.seed = seed;
-  options.engine = cluster::KMeansEngine::kAccelerated;
   if (scalar) {
     transform::simd::internal::SetIsaForTesting(
         transform::simd::IsaLevel::kScalar);
   }
   common::WallTimer timer;
   common::StatusOr<cluster::Clustering> clustering =
-      common::InternalError("not run");
-  if (sparse) {
-    options.representation = cluster::KMeansRepresentation::kSparse;
-    clustering = cluster::RunKMeans(csr, options);
-  } else {
-    options.representation = cluster::KMeansRepresentation::kDense;
-    clustering = cluster::RunKMeans(vsm, options);
-  }
+      sparse ? cluster::internal::RunAcceleratedKMeansOnPool(csr, options,
+                                                             pool)
+             : cluster::internal::RunAcceleratedKMeansOnPool(vsm, options,
+                                                             pool);
   const double millis = timer.ElapsedSeconds() * 1e3;
   if (scalar) transform::simd::internal::ResetIsaForTesting();
   return Finish(std::move(clustering), millis, k);
@@ -161,6 +162,19 @@ int Run() {
   size_t runs = 0;
   double log_ablation_sum = 0.0;
   size_t ablation_runs = 0;
+  // Thread axis: 1, 2 and hardware concurrency (deduplicated, so a
+  // 2-thread host runs {1, 2}).
+  const size_t hardware_threads = common::ThreadPool::Shared().num_threads();
+  std::vector<size_t> thread_axis = {1};
+  for (size_t threads : {size_t{2}, hardware_threads}) {
+    if (threads > thread_axis.back()) thread_axis.push_back(threads);
+  }
+  std::vector<std::unique_ptr<common::ThreadPool>> pools;
+  for (size_t threads : thread_axis) {
+    pools.push_back(std::make_unique<common::ThreadPool>(threads));
+  }
+  std::vector<double> log_sparse_vs_dense(thread_axis.size(), 0.0);
+  std::vector<size_t> sparse_vs_dense_runs(thread_axis.size(), 0);
   for (int32_t k : ks) {
     for (uint64_t seed : seeds) {
       EngineRun naive =
@@ -208,10 +222,12 @@ int Run() {
       row["parallel_chunks"] = chunks;
       results.push_back(common::Json(std::move(row)));
 
-      // Representation x ISA ablation of the accelerated engine (first
-      // seed only): sparse CSR vs dense, dispatched SIMD vs pinned
-      // scalar. dense+scalar is the engine as it existed before the
-      // sparse/SIMD work; sparse+simd is today's default on this VSM.
+      // Representation x ISA x threads ablation of the accelerated
+      // engine (first seed only): sparse CSR vs dense, dispatched SIMD
+      // vs pinned scalar, on pools of 1, 2 and hardware-concurrency
+      // threads. dense+scalar is the engine before the sparse/SIMD
+      // work; which of dense+simd and sparse+simd wins at each thread
+      // count is the evidence behind kAuto's density threshold.
       if (seed != seeds[0]) continue;
       struct Variant {
         const char* name;
@@ -224,34 +240,46 @@ int Run() {
           {"sparse+scalar", true, true},
           {"sparse+simd", true, false},
       };
-      double dense_scalar_ms = 0.0;
-      for (const Variant& variant : variants) {
-        EngineRun run =
-            TimeVariant(vsm, csr, k, seed, variant.sparse, variant.scalar);
-        const bool variant_identical =
-            Identical(naive.clustering, run.clustering);
-        all_identical = all_identical && variant_identical;
-        if (!variant.sparse && variant.scalar) dense_scalar_ms = run.millis;
-        if (variant.sparse && !variant.scalar && run.millis > 0.0 &&
-            dense_scalar_ms > 0.0) {
-          log_ablation_sum += std::log(dense_scalar_ms / run.millis);
-          ++ablation_runs;
+      for (size_t t = 0; t < thread_axis.size(); ++t) {
+        common::ThreadPool& pool = *pools[t];
+        double dense_scalar_ms = 0.0;
+        double dense_simd_ms = 0.0;
+        for (const Variant& variant : variants) {
+          EngineRun run = TimeVariant(vsm, csr, k, seed, variant.sparse,
+                                      variant.scalar, pool);
+          const bool variant_identical =
+              Identical(naive.clustering, run.clustering);
+          all_identical = all_identical && variant_identical;
+          if (!variant.sparse) {
+            (variant.scalar ? dense_scalar_ms : dense_simd_ms) = run.millis;
+          }
+          if (variant.sparse && !variant.scalar && run.millis > 0.0) {
+            if (t + 1 == thread_axis.size() && dense_scalar_ms > 0.0) {
+              log_ablation_sum += std::log(dense_scalar_ms / run.millis);
+              ++ablation_runs;
+            }
+            if (dense_simd_ms > 0.0) {
+              log_sparse_vs_dense[t] += std::log(dense_simd_ms / run.millis);
+              ++sparse_vs_dense_runs[t];
+            }
+          }
+          std::printf("     %-16s %-3zu %-11.1f %-8.2f %s\n", variant.name,
+                      thread_axis[t], run.millis,
+                      run.millis > 0.0 ? naive.millis / run.millis : 0.0,
+                      variant_identical ? "yes" : "NO  <-- DIVERGENCE");
+          common::Json::Object arow;
+          arow["k"] = static_cast<int64_t>(k);
+          arow["seed"] = static_cast<int64_t>(seed);
+          arow["threads"] = static_cast<int64_t>(thread_axis[t]);
+          arow["variant"] = std::string(variant.name);
+          arow["representation"] = variant.sparse ? "sparse" : "dense";
+          arow["isa"] = variant.scalar ? "scalar" : isa;
+          arow["millis"] = run.millis;
+          arow["speedup_vs_naive"] =
+              run.millis > 0.0 ? naive.millis / run.millis : 0.0;
+          arow["identical"] = variant_identical;
+          ablation.push_back(common::Json(std::move(arow)));
         }
-        std::printf("     %-16s %-11.1f %-8.2f %s\n", variant.name,
-                    run.millis,
-                    run.millis > 0.0 ? naive.millis / run.millis : 0.0,
-                    variant_identical ? "yes" : "NO  <-- DIVERGENCE");
-        common::Json::Object arow;
-        arow["k"] = static_cast<int64_t>(k);
-        arow["seed"] = static_cast<int64_t>(seed);
-        arow["variant"] = std::string(variant.name);
-        arow["representation"] = variant.sparse ? "sparse" : "dense";
-        arow["isa"] = variant.scalar ? "scalar" : isa;
-        arow["millis"] = run.millis;
-        arow["speedup_vs_naive"] =
-            run.millis > 0.0 ? naive.millis / run.millis : 0.0;
-        arow["identical"] = variant_identical;
-        ablation.push_back(common::Json(std::move(arow)));
       }
     }
   }
@@ -264,6 +292,19 @@ int Run() {
   std::printf("geomean speedup: %.2fx (min %.2fx); sparse+simd vs "
               "dense+scalar accel: %.2fx\n",
               geomean_speedup, min_speedup, ablation_geomean);
+  // Geomean of dense+simd time over sparse+simd time per thread count:
+  // above 1 means CSR is the faster representation on this VSM.
+  common::Json::Object sparse_vs_dense;
+  for (size_t t = 0; t < thread_axis.size(); ++t) {
+    const double ratio =
+        sparse_vs_dense_runs[t] > 0
+            ? std::exp(log_sparse_vs_dense[t] /
+                       static_cast<double>(sparse_vs_dense_runs[t]))
+            : 0.0;
+    std::printf("sparse+simd vs dense+simd at %zu thread(s): %.2fx\n",
+                thread_axis[t], ratio);
+    sparse_vs_dense[std::to_string(thread_axis[t])] = ratio;
+  }
 
   // Reference points: the kd-tree filtering engine and bisecting
   // K-means at the paper's K = 8 (full mode only; they are not part of
@@ -333,6 +374,11 @@ int Run() {
     common::Json::Array k_array;
     for (int32_t k : ks) k_array.push_back(static_cast<int64_t>(k));
     config["ks"] = common::Json(std::move(k_array));
+    common::Json::Array thread_array;
+    for (size_t threads : thread_axis) {
+      thread_array.push_back(static_cast<int64_t>(threads));
+    }
+    config["threads"] = common::Json(std::move(thread_array));
     doc["config"] = common::Json(std::move(config));
   }
   doc["machine"] = MachineInfo();
@@ -345,6 +391,8 @@ int Run() {
     summary["min_speedup"] = min_speedup;
     summary["ablation_geomean_sparse_simd_vs_dense_scalar"] =
         ablation_geomean;
+    summary["sparse_simd_vs_dense_simd_by_threads"] =
+        common::Json(std::move(sparse_vs_dense));
     summary["nnz_density"] = density;
     summary["dispatched_isa"] = std::string(isa);
     summary["all_identical"] = all_identical;

@@ -11,6 +11,7 @@
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "transform/simd_kernels.h"
 #include "transform/sparse_matrix.h"
 
 namespace adahealth {
@@ -36,9 +37,9 @@ constexpr size_t kMinParallelWork = size_t{1} << 20;
 /// bound maintenance (tighten distances, drift updates, per-point
 /// bound decay) costs a constant amount per point per pass regardless
 /// of k. At k <= 3 the engine therefore skips the bounds entirely and
-/// runs the fused screen over every point — still bit-identical, and
-/// never slower than the naive scan because the screen itself is the
-/// vectorized kernel.
+/// full-scans every point (exact lanes on dense rows, the fused screen
+/// on CSR rows) — still bit-identical, and never slower than the naive
+/// scan because both scans are vectorized kernels.
 constexpr size_t kMinClustersForBounds = 4;
 
 /// Estimated distance-kernel work of one full assignment pass; the
@@ -76,8 +77,9 @@ template <typename Data>
 struct PassContext {
   const Data* data = nullptr;
   const Matrix* centroids = nullptr;
-  /// Transposed (dims x k) centroid block; rebuilt once per pass and
-  /// consumed only by the sparse screen (empty on the dense path).
+  /// Transposed (dims x stride) centroid block, rebuilt once per pass:
+  /// the dense exact lanes read it with the stride padded to a lane
+  /// multiple, the sparse screen with stride == k.
   const Matrix* centroids_t = nullptr;
   const std::vector<double>* row_norms = nullptr;
   const std::vector<double>* centroid_norms = nullptr;
@@ -87,34 +89,32 @@ struct PassContext {
   double fused_err = 0.0;
 };
 
-/// Representation dispatch of the fused ||x||^2 + ||c||^2 - 2 x.c
-/// screen. Both overloads fill `fused[c]` for every centroid with the
-/// same error envelope (FusedRelativeError covers every dispatched
-/// reduction order), so the recheck logic downstream is shared.
-inline void FusedDistances(const PassContext<Matrix>& ctx, size_t i,
-                           std::vector<double>& fused) {
-  transform::SquaredDistanceToAll(ctx.data->Row(i), (*ctx.row_norms)[i],
-                                  *ctx.centroids, *ctx.centroid_norms,
-                                  fused);
-}
-inline void FusedDistances(const PassContext<CsrMatrix>& ctx, size_t i,
-                           std::vector<double>& fused) {
-  transform::SparseSquaredDistanceToAll(
-      ctx.data->Row(i), (*ctx.row_norms)[i], *ctx.centroids_t,
-      *ctx.centroid_norms, fused);
-}
+/// Per-chunk k-sized scratch for FullScanPoint.
+struct ScanScratch {
+  explicit ScanScratch(size_t k) : dist(k), lower_est(k) {}
+  std::vector<double> dist;
+  std::vector<double> lower_est;
+};
 
-/// Rebuilds the transposed centroid block the sparse screen gathers
-/// from; a no-op on the dense path.
-inline void PrepareScreen(const Matrix& /*data*/,
-                          const Matrix& /*centroids*/,
-                          Matrix& /*centroids_t*/) {}
-inline void PrepareScreen(const CsrMatrix& /*data*/, const Matrix& centroids,
-                          Matrix& centroids_t) {
+/// Column count of the transposed centroid block: padded to the exact
+/// lane kernel's width on the dense path, exactly k for the sparse
+/// screen (which treats every column as a centroid).
+inline size_t BlockStride(const Matrix& /*data*/, size_t k) {
+  return (k + transform::simd::kLaneWidth - 1) /
+         transform::simd::kLaneWidth * transform::simd::kLaneWidth;
+}
+inline size_t BlockStride(const CsrMatrix& /*data*/, size_t k) { return k; }
+
+/// Rebuilds the transposed centroid block. Padding columns are zeroed
+/// when the block is allocated and never written after.
+template <typename Data>
+void TransposeCentroids(const Data& data, const Matrix& centroids,
+                        Matrix& centroids_t) {
   const size_t k = centroids.rows();
   const size_t dims = centroids.cols();
-  if (centroids_t.rows() != dims || centroids_t.cols() != k) {
-    centroids_t = Matrix(dims, k);
+  const size_t stride = BlockStride(data, k);
+  if (centroids_t.rows() != dims || centroids_t.cols() != stride) {
+    centroids_t = Matrix(dims, stride);
   }
   for (size_t c = 0; c < k; ++c) {
     std::span<const double> row = centroids.Row(c);
@@ -122,33 +122,104 @@ inline void PrepareScreen(const CsrMatrix& /*data*/, const Matrix& centroids,
   }
 }
 
-/// Full re-assignment of point `i`, bit-identical to the naive scan.
-/// The fused kernel screens the centroids first: the exact argmin is
+/// x_i . v: the SIMD dot on dense rows, one product per non-zero (in
+/// entry order) on CSR rows. Both reduction orders are inside
+/// FusedRelativeError's envelope.
+inline double RowDot(const Matrix& data, size_t i,
+                     std::span<const double> v) {
+  return transform::simd::DotProduct(data.Row(i), v);
+}
+inline double RowDot(const CsrMatrix& data, size_t i,
+                     std::span<const double> v) {
+  double sum = 0.0;
+  for (const transform::SparseEntry& entry : data.Row(i)) {
+    sum += entry.value * v[entry.column];
+  }
+  return sum;
+}
+
+/// Unpadded Euclidean upper bound from a fused squared distance
+/// ‖x‖² + ‖c‖² − 2·x·c: by FusedRelativeError's contract, fused + err
+/// is at least the exact squared distance.
+inline double FusedUpper(double fused, double x_norm2, double c_norm2,
+                         double fused_err) {
+  const double err = fused_err * (x_norm2 + c_norm2);
+  return std::sqrt(std::max(0.0, fused + err));
+}
+
+/// Stores point `i`'s new assignment and, when `track_bounds`, its
+/// padded Hamerly bounds from the unpadded Euclidean `upper` and
+/// `second` (the second-best lower estimate; kInf for k == 1).
+/// Returns true if the assignment changed.
+template <typename Data>
+bool Commit(const PassContext<Data>& ctx, size_t i, int32_t best_c,
+            bool track_bounds, double upper, double second,
+            Bounds& bounds) {
+  const bool changed = bounds.assignment[i] != best_c;
+  bounds.assignment[i] = best_c;
+  if (track_bounds) {
+    bounds.upper[i] = upper * ctx.pad_up;
+    bounds.lower[i] = second == kInf ? kInf : second * ctx.pad_down;
+  }
+  return changed;
+}
+
+/// Dense full re-assignment of point `i`: one exact lane-kernel call
+/// computes SquaredDistance to every centroid bit for bit, and the
+/// argmin runs in index order with the naive scan's strict-< tie-break
+/// from the same starting value — so the winner (and therefore every
+/// downstream centroid and SSE bit) matches the naive engine exactly.
+/// The bounds come from the same exact distances. When `track_bounds`
+/// is false (small-k runs, where the Hamerly state is never read) the
+/// bound updates and their sqrts are skipped.
+bool FullScanPoint(const PassContext<Matrix>& ctx, size_t i,
+                   bool track_bounds, ScanScratch& scratch,
+                   Bounds& bounds) {
+  const Matrix& block = *ctx.centroids_t;
+  std::vector<double>& dist = scratch.dist;
+  transform::simd::ExactSquaredDistancesLanes(ctx.data->Row(i), block.data(),
+                                              block.cols(), dist);
+  const size_t k = dist.size();
+  double best_d2 = std::numeric_limits<double>::max();
+  int32_t best_c = 0;
+  for (size_t c = 0; c < k; ++c) {
+    if (dist[c] < best_d2) {
+      best_d2 = dist[c];
+      best_c = static_cast<int32_t>(c);
+    }
+  }
+  if (!track_bounds) return Commit(ctx, i, best_c, false, 0.0, 0.0, bounds);
+  double second = kInf;
+  for (size_t c = 0; c < k; ++c) {
+    if (static_cast<int32_t>(c) != best_c) second = std::min(second, dist[c]);
+  }
+  return Commit(ctx, i, best_c, true,
+                std::sqrt(dist[static_cast<size_t>(best_c)]),
+                second == kInf ? kInf : std::sqrt(second), bounds);
+}
+
+/// Sparse full re-assignment of point `i`, bit-identical to the naive
+/// scan. The O(nnz * k) fused screen runs first: the exact argmin is
 /// always among the centroids whose conservative interval
 /// [fused - err, fused + err] reaches the smallest interval upper end
 /// (its own interval contains the true minimum). When exactly one
 /// centroid survives the screen it IS the exact argmin, so the winner
-/// is decided with no exact distance at all — the dominant cost for
-/// sparse rows, whose screen is O(nnz * k) but whose exact recheck is
-/// O(dims). Only a near-tie inside the error envelope (rare: genuine
-/// duplicates or ~1e-13 relative gaps) falls back to exact distances,
-/// scanned in index order with the naive strict-< tie-break — so the
-/// winner (and therefore every downstream centroid and SSE bit)
-/// matches the naive engine exactly. Returns true if the assignment
-/// changed. `fused` and `lower_est` are caller-provided k-sized
-/// scratch; when `track_bounds` is false (small-k runs, where the
-/// Hamerly state is never read) the bound updates and their sqrts are
-/// skipped entirely.
-template <typename Data>
-bool FullScanPoint(const PassContext<Data>& ctx, size_t i,
-                   bool track_bounds, std::vector<double>& fused,
-                   std::vector<double>& lower_est, Bounds& bounds) {
+/// is decided with no O(dims) exact distance at all. Only a near-tie
+/// inside the error envelope (rare: genuine duplicates or ~1e-13
+/// relative gaps) falls back to exact distances, scanned in index
+/// order with the naive strict-< tie-break.
+bool FullScanPoint(const PassContext<CsrMatrix>& ctx, size_t i,
+                   bool track_bounds, ScanScratch& scratch,
+                   Bounds& bounds) {
   const Matrix& centroids = *ctx.centroids;
   const size_t k = centroids.rows();
   const double x_norm2 = (*ctx.row_norms)[i];
   const std::vector<double>& c_norms = *ctx.centroid_norms;
+  std::vector<double>& fused = scratch.dist;
+  std::vector<double>& lower_est = scratch.lower_est;
 
-  FusedDistances(ctx, i, fused);
+  transform::SparseSquaredDistanceToAll(ctx.data->Row(i), x_norm2,
+                                        *ctx.centroids_t, c_norms, fused);
   double screen = kInf;
   for (size_t c = 0; c < k; ++c) {
     const double err = ctx.fused_err * (x_norm2 + c_norms[c]);
@@ -177,8 +248,8 @@ bool FullScanPoint(const PassContext<Data>& ctx, size_t i,
   if (candidates == 1) {
     best_c = static_cast<int32_t>(winner);
     if (track_bounds) {
-      const double err = ctx.fused_err * (x_norm2 + c_norms[winner]);
-      upper = std::sqrt(std::max(0.0, fused[winner] + err));
+      upper = FusedUpper(fused[winner], x_norm2, c_norms[winner],
+                         ctx.fused_err);
     }
   } else {
     double best_d2 = kInf;
@@ -197,18 +268,13 @@ bool FullScanPoint(const PassContext<Data>& ctx, size_t i,
     upper = std::sqrt(best_d2);
   }
 
-  const bool changed = bounds.assignment[i] != best_c;
-  bounds.assignment[i] = best_c;
-  if (track_bounds) {
-    double second = kInf;
-    for (size_t c = 0; c < k; ++c) {
-      if (static_cast<int32_t>(c) == best_c) continue;
-      second = std::min(second, lower_est[c]);
-    }
-    bounds.upper[i] = upper * ctx.pad_up;
-    bounds.lower[i] = second == kInf ? kInf : second * ctx.pad_down;
+  if (!track_bounds) return Commit(ctx, i, best_c, false, 0.0, 0.0, bounds);
+  double second = kInf;
+  for (size_t c = 0; c < k; ++c) {
+    if (static_cast<int32_t>(c) == best_c) continue;
+    second = std::min(second, lower_est[c]);
   }
-  return changed;
+  return Commit(ctx, i, best_c, true, upper, second, bounds);
 }
 
 template <typename Data>
@@ -270,32 +336,30 @@ StatusOr<Clustering> RunAccelImpl(const Data& data,
   // One assignment pass. `first` forces a full scan of every point
   // (and, mirroring the naive engine's empty-previous comparison,
   // reports every point as changed); later passes consult the bounds —
-  // unless this is a small-k run, where every pass is a full fused
-  // scan.
+  // unless this is a small-k run, where every pass is a full scan.
   auto assignment_pass = [&](bool first) -> int64_t {
     for (size_t c = 0; c < k; ++c) {
       std::span<const double> row = result.centroids.Row(c);
       centroid_norms[c] = transform::Dot(row, row);
     }
-    PrepareScreen(data, result.centroids, centroids_t);
+    TransposeCentroids(data, result.centroids, centroids_t);
     std::atomic<int64_t> changed_total{0};
     std::atomic<int64_t> skipped_total{0};
     std::atomic<int64_t> recompute_total{0};
     auto chunk_body = [&](size_t chunk_begin, size_t chunk_end) {
-      std::vector<double> fused(k);
-      std::vector<double> lower_est(k);
+      ScanScratch scratch(k);
       int64_t changed = 0;
       int64_t skipped = 0;
       int64_t recomputes = 0;
       const int64_t all_k = static_cast<int64_t>(k);
       for (size_t i = chunk_begin; i < chunk_end; ++i) {
         if (first) {
-          FullScanPoint(ctx, i, use_bounds, fused, lower_est, bounds);
+          FullScanPoint(ctx, i, use_bounds, scratch, bounds);
           ++changed;
           continue;
         }
         if (!use_bounds) {
-          if (FullScanPoint(ctx, i, false, fused, lower_est, bounds)) {
+          if (FullScanPoint(ctx, i, false, scratch, bounds)) {
             ++changed;
           }
           continue;
@@ -307,17 +371,23 @@ StatusOr<Clustering> RunAccelImpl(const Data& data,
           skipped += all_k;
           continue;
         }
-        // Tighten the upper bound with one exact distance; most
+        // Tighten the upper bound with one fused distance (an O(dims)
+        // SIMD dot on dense rows, O(nnz) on CSR rows); most
         // drift-inflated bounds collapse below the prune line here.
-        const double d2 = internal::ExactRowDistance(
-            data, i, result.centroids.Row(a));
+        // fused + err is at least the exact squared distance, so this
+        // bound is never tighter than the exact one and every prune it
+        // allows, the exact bound would have allowed too.
+        const double fused = row_norms[i] + centroid_norms[a] -
+                             2.0 * RowDot(data, i, result.centroids.Row(a));
         ++recomputes;
-        bounds.upper[i] = std::sqrt(d2) * pad_up;
+        bounds.upper[i] = FusedUpper(fused, row_norms[i], centroid_norms[a],
+                                     fused_err) *
+                          pad_up;
         if (bounds.upper[i] < prune_at) {
           skipped += all_k - 1;
           continue;
         }
-        if (FullScanPoint(ctx, i, true, fused, lower_est, bounds)) {
+        if (FullScanPoint(ctx, i, true, scratch, bounds)) {
           ++changed;
         }
       }

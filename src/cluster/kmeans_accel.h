@@ -1,6 +1,6 @@
 // Exact accelerated k-means engine: Hamerly-style bound-pruned Lloyd
-// with fused distance kernels and chunked parallel passes on the
-// shared thread pool.
+// with SIMD distance kernels and chunked parallel passes on the shared
+// thread pool.
 //
 // The engine is a drop-in behind the RunKMeans contract
 // (KMeansOptions::engine == kAccelerated, the default): for identical
@@ -26,19 +26,24 @@ namespace cluster {
 /// options.engine == kAccelerated). Same contract and error conditions
 /// as RunKMeans; `options.engine` itself is ignored.
 ///
-/// The CSR overload runs the sparse kernels — an O(nnz) fused screen
-/// against a transposed centroid block plus exact scalar rechecks —
-/// and produces results bit-identical to the dense overload on
-/// data.ToDense(). Runs with fewer than kMinClustersForBounds clusters
+/// The dense overload full-scans a point with the bit-exact lane
+/// kernel (transform::simd::ExactSquaredDistancesLanes: every centroid
+/// distance at once, each identical to SquaredDistance). The CSR
+/// overload runs the sparse kernels — an O(nnz) fused screen against a
+/// transposed centroid block plus exact scalar rechecks — and produces
+/// results bit-identical to the dense overload on data.ToDense(). Both
+/// tighten a Hamerly upper bound with one padded fused distance (an
+/// O(dims) SIMD dot dense, O(nnz) sparse), which is never below the
+/// exact distance. Runs with fewer than kMinClustersForBounds clusters
 /// skip the Hamerly bookkeeping entirely (pure overhead at small k)
-/// and full-scan with the fused kernel instead.
+/// and full-scan every point instead.
 ///
 /// Instrumentation (process-wide registry):
 ///   kmeans/skipped_distance_checks  exact point-centroid distance
 ///                                   evaluations avoided by the bound
 ///                                   tests (k per fully skipped point,
 ///                                   k-1 per tighten-then-skip),
-///   kmeans/bound_recomputes         upper-bound tightenings (one exact
+///   kmeans/bound_recomputes         upper-bound tightenings (one fused
 ///                                   distance each),
 ///   kmeans/parallel_chunks          chunks executed on the shared pool,
 ///   kmeans/smallk_unbounded_runs    runs that skipped the Hamerly

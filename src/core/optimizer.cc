@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <thread>
 
 #include "cluster/sweep.h"
 #include "common/failpoint.h"
@@ -189,27 +188,22 @@ StatusOr<OptimizerResult> OptimizeClustering(
   }
 
   // Phase B — robustness assessment (classifier cross-validation) per
-  // candidate, fanned out across options.num_threads.
-  size_t num_threads = options.num_threads;
-  if (num_threads == 0) {
-    num_threads = std::max<size_t>(1, std::thread::hardware_concurrency());
-  }
-  num_threads = std::min(num_threads, num_candidates);
-  auto assess = [&](size_t i) {
-    if (!clusterings[i].ok()) {
-      evaluations[i] = clusterings[i].status();
-      return;
-    }
-    evaluations[i] =
-        AssessCandidate(data, std::move(clusterings[i]).value(),
-                        cluster_seconds[i], options);
-  };
-  if (num_threads <= 1) {
-    for (size_t i = 0; i < num_candidates; ++i) assess(i);
-  } else {
-    common::ThreadPool pool(num_threads);
-    common::ParallelFor(pool, 0, num_candidates, assess);
-  }
+  // candidate, fanned out on ThreadPool::Shared() one candidate per
+  // task. ParallelFor is nesting-safe, so a caller already running on
+  // a pool worker (a service job) shares the same cores instead of
+  // oversubscribing them with a private pool.
+  common::ParallelFor(
+      common::ThreadPool::Shared(), 0, num_candidates,
+      [&](size_t i) {
+        if (!clusterings[i].ok()) {
+          evaluations[i] = clusterings[i].status();
+          return;
+        }
+        evaluations[i] =
+            AssessCandidate(data, std::move(clusterings[i]).value(),
+                            cluster_seconds[i], options);
+      },
+      1);
 
   // A candidate whose evaluation fails (e.g. a cluster too small for
   // cv_folds-stratified CV) is recorded as skipped instead of failing

@@ -44,13 +44,6 @@ struct OptimizerOptions {
   /// kept best over the independent k-means++ restarts.
   int32_t restarts = 3;
   RobustnessModel model = RobustnessModel::kDecisionTree;
-  /// Worker threads for the cross-validation fan-out (the local
-  /// stand-in for the paper's cloud configuration services). 0 =
-  /// hardware default. The clustering phase (cluster::SweepKs) fans
-  /// its independent restarts out on ThreadPool::Shared() instead and
-  /// keeps the warm chain in evaluation order, so results never
-  /// depend on the thread count.
-  size_t num_threads = 0;
   uint64_t seed = 29;
   /// Cross-run warm start (the streaming cohort store's delta jobs):
   /// when non-empty and its column count matches the data, these

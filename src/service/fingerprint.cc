@@ -87,10 +87,12 @@ std::string SessionOptionsSignature(const core::SessionOptions& options) {
   for (int32_t k : options.optimizer.candidate_ks) {
     out += common::StrFormat("%d,", k);
   }
+  // "threads=0" is a fixed literal: persisted cache keys and the golden
+  // digests include it, so the signature text must keep it.
   out += common::StrFormat(
-      "cv=%d restarts=%d model=%d threads=%zu seed=%llu ",
+      "cv=%d restarts=%d model=%d threads=0 seed=%llu ",
       options.optimizer.cv_folds, options.optimizer.restarts,
-      static_cast<int>(options.optimizer.model), options.optimizer.num_threads,
+      static_cast<int>(options.optimizer.model),
       static_cast<unsigned long long>(options.optimizer.seed));
   AppendKMeans(out, options.optimizer.kmeans);
 

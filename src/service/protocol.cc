@@ -32,6 +32,14 @@ StatusOr<int64_t> ReadInt(const Json& body, std::string_view key,
   return field->AsInt();
 }
 
+/// ReadInt narrowed to int32_t: a value that does not fit answers
+/// INVALID_ARGUMENT naming `key` instead of wrapping (2^32 + 1 -> 1).
+StatusOr<int32_t> ReadInt32(const Json& body, std::string_view key,
+                            int32_t fallback) {
+  ADA_ASSIGN_OR_RETURN(int64_t value, ReadInt(body, key, fallback));
+  return common::CheckedInt32(value, key);
+}
+
 StatusOr<double> ReadDouble(const Json& body, std::string_view key,
                             double fallback) {
   const Json* field = body.Find(key);
@@ -85,18 +93,18 @@ Status ApplySessionOptions(const Json& options_json,
         return common::InvalidArgumentError(
             "'candidate_ks' must be a non-empty array of integers");
       }
-      candidate_ks.push_back(static_cast<int32_t>(k.AsInt()));
+      ADA_ASSIGN_OR_RETURN(int32_t narrowed,
+                           common::CheckedInt32(k.AsInt(), "candidate_ks"));
+      candidate_ks.push_back(narrowed);
     }
     options.optimizer.candidate_ks = std::move(candidate_ks);
   }
   ADA_ASSIGN_OR_RETURN(
-      int64_t cv_folds,
-      ReadInt(options_json, "cv_folds", options.optimizer.cv_folds));
-  options.optimizer.cv_folds = static_cast<int32_t>(cv_folds);
+      options.optimizer.cv_folds,
+      ReadInt32(options_json, "cv_folds", options.optimizer.cv_folds));
   ADA_ASSIGN_OR_RETURN(
-      int64_t restarts,
-      ReadInt(options_json, "restarts", options.optimizer.restarts));
-  options.optimizer.restarts = static_cast<int32_t>(restarts);
+      options.optimizer.restarts,
+      ReadInt32(options_json, "restarts", options.optimizer.restarts));
   ADA_ASSIGN_OR_RETURN(
       int64_t seed,
       ReadInt(options_json, "seed",
@@ -199,24 +207,22 @@ StatusOr<JobRequest> BuildJobRequest(const Json& body) {
       return common::InvalidArgumentError("'synthetic' must be an object");
     }
     dataset::CohortConfig config = dataset::TestScaleConfig();
-    ADA_ASSIGN_OR_RETURN(int64_t patients,
-                         ReadInt(*synthetic, "patients", config.num_patients));
-    config.num_patients = static_cast<int32_t>(patients);
     ADA_ASSIGN_OR_RETURN(
-        int64_t exam_types,
-        ReadInt(*synthetic, "exam_types", config.num_exam_types));
-    config.num_exam_types = static_cast<int32_t>(exam_types);
-    ADA_ASSIGN_OR_RETURN(int64_t profiles,
-                         ReadInt(*synthetic, "profiles", config.num_profiles));
-    config.num_profiles = static_cast<int32_t>(profiles);
+        config.num_patients,
+        ReadInt32(*synthetic, "patients", config.num_patients));
+    ADA_ASSIGN_OR_RETURN(
+        config.num_exam_types,
+        ReadInt32(*synthetic, "exam_types", config.num_exam_types));
+    ADA_ASSIGN_OR_RETURN(
+        config.num_profiles,
+        ReadInt32(*synthetic, "profiles", config.num_profiles));
     ADA_ASSIGN_OR_RETURN(
         double mean_records,
         ReadDouble(*synthetic, "mean_records",
                    config.mean_records_per_patient));
     config.mean_records_per_patient = mean_records;
-    ADA_ASSIGN_OR_RETURN(int64_t days,
-                         ReadInt(*synthetic, "days", config.num_days));
-    config.num_days = static_cast<int32_t>(days);
+    ADA_ASSIGN_OR_RETURN(config.num_days,
+                         ReadInt32(*synthetic, "days", config.num_days));
     ADA_ASSIGN_OR_RETURN(
         int64_t seed,
         ReadInt(*synthetic, "seed", static_cast<int64_t>(config.seed)));
@@ -240,8 +246,7 @@ Status ApplyJobOptionsFromBody(const Json& body, JobRequest& request) {
       options_json != nullptr) {
     ADA_RETURN_IF_ERROR(ApplySessionOptions(*options_json, request.options));
   }
-  ADA_ASSIGN_OR_RETURN(int64_t priority, ReadInt(body, "priority", 0));
-  request.priority = static_cast<int32_t>(priority);
+  ADA_ASSIGN_OR_RETURN(request.priority, ReadInt32(body, "priority", 0));
   ADA_ASSIGN_OR_RETURN(request.deadline_millis,
                        ReadDouble(body, "deadline_millis", 0.0));
   return common::OkStatus();
@@ -263,11 +268,9 @@ StatusOr<std::vector<dataset::RawExamRecord>> ParseIngestRecords(
           "each ingest record must be an object");
     }
     dataset::RawExamRecord row;
-    ADA_ASSIGN_OR_RETURN(int64_t patient, ReadInt(record, "patient", -1));
-    ADA_ASSIGN_OR_RETURN(row.patient, common::CheckedInt32(patient, "patient"));
+    ADA_ASSIGN_OR_RETURN(row.patient, ReadInt32(record, "patient", -1));
     ADA_ASSIGN_OR_RETURN(row.exam_type, ReadString(record, "exam_type", ""));
-    ADA_ASSIGN_OR_RETURN(int64_t day, ReadInt(record, "day", 0));
-    ADA_ASSIGN_OR_RETURN(row.day, common::CheckedInt32(day, "day"));
+    ADA_ASSIGN_OR_RETURN(row.day, ReadInt32(record, "day", 0));
     rows.push_back(std::move(row));
   }
   return rows;

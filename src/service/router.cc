@@ -408,12 +408,12 @@ std::string Router::HandleForward(ClientConn* conn, const Request& request,
   const std::string& submit_line = hinted_line.empty() ? line : hinted_line;
   const int attempts = ingest ? 1 : kMaxForwardAttempts;
   size_t shard = 0;
+  JobId local_id = 0;
   StatusOr<std::string> response =
       common::UnavailableError("no forward attempted");
   for (int attempt = 0; attempt < attempts; ++attempt) {
     uint16_t port = 0;
     uint64_t generation = 0;
-    JobId local_id = 0;
     {
       MutexLock lock(&mutex_);
       if (by_route) {
@@ -474,7 +474,9 @@ std::string Router::HandleForward(ClientConn* conn, const Request& request,
   // Ingest responses carry no job id: they pass through verbatim, and
   // validation errors come straight from the owner.
   if (ingest) return response.value() + "\n";
-  if (by_route) return RewriteShardResponse(response.value(), global_id);
+  if (by_route) {
+    return RewriteShardResponse(response.value(), global_id, local_id);
+  }
   auto parsed = Json::Parse(response.value());
   if (!parsed.ok() || !parsed.value().is_object()) {
     return ErrorResponse(common::InternalError(common::StrFormat(
@@ -485,8 +487,8 @@ std::string Router::HandleForward(ClientConn* conn, const Request& request,
     // shard's error through verbatim, extra fields included.
     return response.value() + "\n";
   }
-  auto local_id = AcceptedJobId(parsed.value(), shard);
-  if (!local_id.ok()) return ErrorResponse(local_id.status());
+  auto accepted_id = AcceptedJobId(parsed.value(), shard);
+  if (!accepted_id.ok()) return ErrorResponse(accepted_id.status());
   // A cache hit is admitted already done.
   const Json* state = parsed.value().Find("state");
   const bool terminal = state != nullptr && state->is_string() &&
@@ -501,7 +503,7 @@ std::string Router::HandleForward(ClientConn* conn, const Request& request,
     assigned = next_job_id_++;
     JobRoute& route = routes_[assigned];
     route.shard = shard;
-    route.local_id = local_id.value();
+    route.local_id = accepted_id.value();
     route.uploaded = uploaded;
     route.terminal_line = std::move(terminal_line);
     ++stats_.submitted;
@@ -519,10 +521,16 @@ std::string Router::HandleForward(ClientConn* conn, const Request& request,
 }
 
 std::string Router::RewriteShardResponse(const std::string& response_line,
-                                         JobId global_id) {
+                                         JobId global_id, JobId local_id) {
   auto parsed = Json::Parse(response_line);
   if (!parsed.ok() || !parsed.value().is_object()) {
     return response_line + "\n";  // Unparseable: pass through untouched.
+  }
+  if (!IsOkResponse(parsed.value())) {
+    StatusOr<Json> answer = ParseResponse(response_line);
+    if (!answer.ok() && IsJobExpiredError(answer.status(), local_id)) {
+      return ExpireRoute(global_id);
+    }
   }
   Json::Object& object = parsed.value().MutableObject();
   if (object.count("job_id") != 0) {
@@ -541,6 +549,26 @@ std::string Router::RewriteShardResponse(const std::string& response_line,
     }
   }
   return parsed.value().Dump() + "\n";
+}
+
+std::string Router::ExpireRoute(JobId global_id) {
+  common::Status expired;
+  {
+    MutexLock lock(&mutex_);
+    expired = JobNotFoundError(global_id, next_job_id_);
+    auto it = routes_.find(global_id);
+    if (it != routes_.end() && it->second.redrive_failure.ok()) {
+      // The shard holds nothing left to re-drive or answer: drop the
+      // lines (an in-flight upload's dataset among them) and queue the
+      // route for retirement.
+      it->second.redrive_line.clear();
+      it->second.terminal_line.clear();
+      FailRouteLocked(global_id, it->second, expired);
+    }
+  }
+  Json::Object extra;
+  extra["job_id"] = Json(static_cast<int64_t>(global_id));
+  return ErrorResponse(expired, std::move(extra));
 }
 
 void Router::MarkTerminalLocked(JobId id, JobRoute& route) {

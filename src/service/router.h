@@ -55,7 +55,9 @@
 //
 // Retention: the routing table keeps at most kRetainedJobs entries plus
 // its in-flight jobs; finished routes are retired oldest first, and a
-// retired id answers NOT_FOUND "job N expired".
+// retired id answers NOT_FOUND "job N expired". A route the router
+// still holds in flight whose job the shard has already retired answers
+// the same, with the client's id, and is queued for retirement too.
 //
 // Verbs handled locally: ping, health (router + per-shard liveness),
 // stats (cross-shard aggregation with a "totals" roll-up), shutdown
@@ -258,9 +260,17 @@ class Router {
       ADA_EXCLUDES(mutex_);
 
   /// Marks terminal responses and rewrites their job id back to
-  /// `global_id`; returns the line to send to the client.
+  /// `global_id`; returns the line to send to the client. A shard's
+  /// "job `local_id` expired" answer goes through ExpireRoute.
   [[nodiscard]] std::string RewriteShardResponse(
-      const std::string& response_line, JobId global_id);
+      const std::string& response_line, JobId global_id, JobId local_id);
+
+  /// The shard retired the route's job before the router saw it
+  /// terminal: fails the route with NOT_FOUND "job `global_id`
+  /// expired" (queued for retirement, nothing left to re-drive) and
+  /// returns that answer.
+  [[nodiscard]] std::string ExpireRoute(JobId global_id)
+      ADA_EXCLUDES(mutex_);
 
   /// First terminal sighting of a route: counts it completed, swaps in
   /// its dataset-free re-drive line and queues it for retirement.

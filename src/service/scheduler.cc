@@ -68,6 +68,13 @@ common::Status JobNotFoundError(JobId id, JobId next_id) {
       common::StrFormat("no job with id %lld", static_cast<long long>(id)));
 }
 
+bool IsJobExpiredError(const common::Status& status, JobId id) {
+  return status.code() == common::StatusCode::kNotFound &&
+         status.message().rfind(
+             common::StrFormat("job %lld expired:", static_cast<long long>(id)),
+             0) == 0;
+}
+
 JobSnapshot Scheduler::Job::Snapshot() const {
   JobSnapshot snapshot;
   snapshot.id = id;

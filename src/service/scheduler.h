@@ -70,6 +70,11 @@ inline constexpr size_t kRetainedJobs = 1024;
 /// been retired), "no job with id N" when it never was.
 [[nodiscard]] common::Status JobNotFoundError(JobId id, JobId next_id);
 
+/// True when `status` is JobNotFoundError's "job `id` expired" answer
+/// (the id was issued and has since been retired), false for "no job
+/// with id N" and every other status.
+[[nodiscard]] bool IsJobExpiredError(const common::Status& status, JobId id);
+
 /// The retention rule: erases entries of `table` in `finished` order
 /// (ids of terminal entries, oldest completion first) until the table
 /// has room for one more entry under kRetainedJobs, or nothing finished

@@ -84,24 +84,6 @@ std::vector<double> RowSquaredNorms(const Matrix& m) {
   return norms;
 }
 
-void SquaredDistanceToAll(std::span<const double> point, double point_norm2,
-                          const Matrix& centroids,
-                          std::span<const double> centroid_norms2,
-                          std::span<double> out) {
-  const size_t k = centroids.rows();
-  const size_t dims = centroids.cols();
-  ADA_CHECK_EQ(point.size(), dims);
-  ADA_CHECK_EQ(centroid_norms2.size(), k);
-  ADA_CHECK_GE(out.size(), k);
-  for (size_t c = 0; c < k; ++c) {
-    // The dot product dispatches to the AVX2/FMA kernel when the CPU
-    // has it; either way the reduction order is fixed per ISA, and the
-    // reassociation stays inside FusedRelativeError's envelope.
-    const double dot = simd::DotProduct(point, centroids.Row(c));
-    out[c] = point_norm2 + centroid_norms2[c] - 2.0 * dot;
-  }
-}
-
 double FusedRelativeError(size_t dims) {
   // Each form accumulates O(dims) roundings of terms bounded by
   // ‖x‖² + ‖c‖² (Cauchy–Schwarz bounds every partial product sum);

@@ -57,31 +57,16 @@ class Matrix {
 double SquaredDistance(std::span<const double> a, std::span<const double> b);
 
 /// Squared L2 norm of each row of `m` (cached once, reused by the
-/// fused distance kernel across iterations).
+/// fused distance form across iterations).
 std::vector<double> RowSquaredNorms(const Matrix& m);
 
-/// Fused batch distance kernel: writes into `out[c]` the squared
-/// Euclidean distance from `point` to row c of `centroids`, computed
-/// in the ‖x‖² + ‖c‖² − 2·x·c form with the norms supplied by the
-/// caller (`point_norm2` = ‖point‖², `centroid_norms2[c]` = ‖c‖²).
-/// One pass over the centroid block per call; the inner dot product
-/// dispatches at runtime to the AVX2/FMA kernel in
-/// transform/simd_kernels.h (scalar fallback always available).
-///
-/// The fused form trades the subtract-square loop for a dot product at
-/// the cost of cancellation error up to about
-/// `kFusedRelativeError(dims) * (point_norm2 + centroid_norms2[c])`
-/// versus the plain SquaredDistance result; exact consumers must
-/// re-check candidates within that margin (see cluster/kmeans_accel).
-/// `out` must have centroids.rows() capacity.
-void SquaredDistanceToAll(std::span<const double> point, double point_norm2,
-                          const Matrix& centroids,
-                          std::span<const double> centroid_norms2,
-                          std::span<double> out);
-
 /// Conservative bound on the relative disagreement (relative to
-/// ‖x‖² + ‖c‖²) between the fused kernel and SquaredDistance for
-/// `dims`-dimensional inputs. Covers the rounding of both forms.
+/// ‖x‖² + ‖c‖²) between the fused form ‖x‖² + ‖c‖² − 2·x·c — computed
+/// with any of the dispatched reduction orders of
+/// transform/simd_kernels.h or a per-non-zero sparse dot — and
+/// SquaredDistance for `dims`-dimensional inputs. Covers the rounding
+/// of both forms; exact consumers (cluster/kmeans_accel) pad every
+/// fused decision by it.
 double FusedRelativeError(size_t dims);
 
 /// Dot product of two equal-length vectors.

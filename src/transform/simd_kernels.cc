@@ -1,5 +1,6 @@
 #include "transform/simd_kernels.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -48,6 +49,23 @@ double DotScalar(const double* a, const double* b, size_t n) {
 
 void AxpyScalar(double a, const double* x, double* y, size_t n) {
   for (size_t i = 0; i < n; ++i) y[i] += a * x[i];
+}
+
+// Dimension-outer, centroid-inner: each out[c] still folds its own
+// (x[d] - c[d])^2 terms in ascending d from +0.0, exactly as
+// SquaredDistance does, while the inner loop walks one contiguous row
+// of the transposed block.
+void ExactLanesScalar(const double* x, size_t dims, const double* ct,
+                      size_t stride, double* out, size_t k) {
+  std::fill(out, out + k, 0.0);
+  for (size_t d = 0; d < dims; ++d) {
+    const double xd = x[d];
+    const double* row = ct + d * stride;
+    for (size_t c = 0; c < k; ++c) {
+      const double diff = xd - row[c];
+      out[c] += diff * diff;
+    }
+  }
 }
 
 #if ADA_SIMD_X86
@@ -101,6 +119,62 @@ __attribute__((target("avx2,fma"))) void AxpyAvx2(double a, const double* x,
                                _mm256_loadu_pd(y + i)));
   }
   for (; i < n; ++i) y[i] += a * x[i];
+}
+
+// --- AVX2, no FMA: the bit-exact lane kernel -------------------------
+//
+// Each 64-bit lane is one centroid and runs the scalar SquaredDistance
+// operation sequence: a separate subtract, multiply and add per
+// dimension, in ascending d, into an accumulator that starts at +0.0.
+// IEEE-754 rounds every lane operation exactly as the scalar one, so
+// the lane result is the scalar result bit for bit. The target is
+// "avx2" alone so the compiler has no FMA to contract the multiply and
+// add into (a fused multiply-add rounds once, not twice).
+
+/// N ymm accumulators (4N centroids) over every dimension. The add
+/// chain of one lane is inherently serial; N independent chains keep
+/// the adder busy while each waits on its own latency.
+template <size_t N>
+__attribute__((target("avx2"))) void ExactLanesBlockAvx2(
+    const double* x, size_t dims, const double* ct, size_t stride,
+    double* out) {
+  __m256d acc[N];
+  for (size_t v = 0; v < N; ++v) acc[v] = _mm256_setzero_pd();
+  for (size_t d = 0; d < dims; ++d) {
+    const __m256d xd = _mm256_broadcast_sd(x + d);
+    const double* row = ct + d * stride;
+    for (size_t v = 0; v < N; ++v) {
+      const __m256d diff = _mm256_sub_pd(xd, _mm256_loadu_pd(row + 4 * v));
+      acc[v] = _mm256_add_pd(acc[v], _mm256_mul_pd(diff, diff));
+    }
+  }
+  for (size_t v = 0; v < N; ++v) _mm256_storeu_pd(out + 4 * v, acc[v]);
+}
+
+constexpr size_t kMaxLaneVectors = 8;
+
+__attribute__((target("avx2"))) void ExactLanesAvx2(const double* x,
+                                                    size_t dims,
+                                                    const double* ct,
+                                                    size_t stride,
+                                                    double* out, size_t k) {
+  double lanes[4 * kMaxLaneVectors];
+  for (size_t c0 = 0; c0 < k; c0 += 4 * kMaxLaneVectors) {
+    const size_t vectors = (std::min(k - c0, 4 * kMaxLaneVectors) + 3) / 4;
+    const double* block = ct + c0;
+    switch (vectors) {
+      case 1: ExactLanesBlockAvx2<1>(x, dims, block, stride, lanes); break;
+      case 2: ExactLanesBlockAvx2<2>(x, dims, block, stride, lanes); break;
+      case 3: ExactLanesBlockAvx2<3>(x, dims, block, stride, lanes); break;
+      case 4: ExactLanesBlockAvx2<4>(x, dims, block, stride, lanes); break;
+      case 5: ExactLanesBlockAvx2<5>(x, dims, block, stride, lanes); break;
+      case 6: ExactLanesBlockAvx2<6>(x, dims, block, stride, lanes); break;
+      case 7: ExactLanesBlockAvx2<7>(x, dims, block, stride, lanes); break;
+      default: ExactLanesBlockAvx2<8>(x, dims, block, stride, lanes); break;
+    }
+    const size_t take = std::min(k - c0, 4 * vectors);
+    std::copy(lanes, lanes + take, out + c0);
+  }
 }
 
 bool CpuHasAvx2Fma() {
@@ -179,6 +253,24 @@ void Axpy(double a, std::span<const double> x, std::span<double> y) {
   }
 #endif
   AxpyScalar(a, x.data(), y.data(), y.size());
+}
+
+void ExactSquaredDistancesLanes(std::span<const double> x,
+                                std::span<const double> centroids_t,
+                                size_t stride, std::span<double> out) {
+  const size_t dims = x.size();
+  const size_t k = out.size();
+  ADA_CHECK_EQ(stride % kLaneWidth, 0u);
+  ADA_CHECK_LE(k, stride);
+  ADA_CHECK_EQ(centroids_t.size(), dims * stride);
+#if ADA_SIMD_X86
+  if (DispatchedIsa() == IsaLevel::kAvx2Fma) {
+    ExactLanesAvx2(x.data(), dims, centroids_t.data(), stride, out.data(), k);
+    return;
+  }
+#endif
+  ExactLanesScalar(x.data(), dims, centroids_t.data(), stride, out.data(),
+                   k);
 }
 
 namespace internal {

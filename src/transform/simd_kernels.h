@@ -11,15 +11,26 @@
 // path at runtime on AVX2 hardware (CI runs the whole k-means suite
 // both ways).
 //
-// Contract: every kernel here is *error-bounded*, not bit-exact. A
-// SIMD sum reassociates the scalar reduction, so results may differ
-// from the scalar kernel by up to the caller-visible rounding envelope
-// (transform::FusedRelativeError for the fused distance form). Exact
-// consumers — the bit-identity contract between the k-means engines —
-// must keep using transform::SquaredDistance, which never routes
-// through this header. Within one process the dispatch decision is
-// made once, so repeated calls with the same inputs return the same
-// bits (deterministic per machine, not across ISAs).
+// Contract: every kernel here except one is *error-bounded*, not
+// bit-exact. A SIMD sum reassociates the scalar reduction, so
+// DotProduct, SquaredNorm and Axpy may differ from their scalar
+// counterparts by up to the caller-visible rounding envelope
+// (transform::FusedRelativeError for the fused distance form); they
+// feed only error-padded screens and bounds.
+//
+// The exception is ExactSquaredDistancesLanes, which is bit-identical
+// to transform::SquaredDistance on every ISA. It never reassociates:
+// each SIMD lane is one centroid and performs the scalar loop's exact
+// operation sequence — a separate subtract, multiply and add per
+// dimension, folded in ascending dimension order from +0.0 — and
+// IEEE-754 rounds a lane operation exactly as the scalar one. Its AVX2
+// body is compiled for "avx2" without "fma", so the compiler cannot
+// contract the multiply and add into one differently-rounded FMA.
+// Exact consumers (the bit-identity contract between the k-means
+// engines) may therefore use it in place of a SquaredDistance loop.
+//
+// Within one process the dispatch decision is made once, so repeated
+// calls with the same inputs return the same bits.
 #ifndef ADAHEALTH_TRANSFORM_SIMD_KERNELS_H_
 #define ADAHEALTH_TRANSFORM_SIMD_KERNELS_H_
 
@@ -59,6 +70,21 @@ double SquaredNorm(std::span<const double> v);
 /// per output lane is the entry order of the sparse row — fixed and
 /// deterministic for a given ISA.
 void Axpy(double a, std::span<const double> x, std::span<double> y);
+
+/// Lane width of ExactSquaredDistancesLanes: a transposed centroid
+/// block's row stride must be a multiple of it.
+inline constexpr size_t kLaneWidth = 4;
+
+/// Exact squared Euclidean distances from `x` to k = out.size()
+/// centroids at once. `centroids_t` is the transposed centroid block:
+/// x.size() rows of `stride` doubles, where element d * stride + c is
+/// dimension d of centroid c. `stride` is a multiple of kLaneWidth and
+/// at least k; the padding columns are read but never reported.
+/// Each out[c] is bit-identical to SquaredDistance(x, centroid c)
+/// whichever ISA is dispatched (see the contract above).
+void ExactSquaredDistancesLanes(std::span<const double> x,
+                                std::span<const double> centroids_t,
+                                size_t stride, std::span<double> out);
 
 namespace internal {
 

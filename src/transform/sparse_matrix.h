@@ -105,10 +105,9 @@ double SparseCosineSimilarity(std::span<const SparseEntry> a,
 
 // --- Clustering batch kernels -------------------------------------------
 //
-// These power the sparse k-means path (cluster/kmeans*). The contract
-// mirrors the dense kernels in transform/matrix.h: the fused form is
-// an error-bounded screen, the exact form reproduces the dense scalar
-// arithmetic bit for bit so engine results stay identical across
+// These power the sparse k-means path (cluster/kmeans*). The fused
+// form is an error-bounded screen; the exact form reproduces the dense
+// scalar arithmetic bit for bit so engine results stay identical across
 // representations.
 
 /// ‖row‖² of every row (sum of squared non-zeros, in column order).
@@ -127,9 +126,8 @@ double SparseSquaredDistance(std::span<const SparseEntry> row,
 /// ‖row‖² + ‖c‖² − 2·row·c against every column c of `centroids_t`,
 /// the TRANSPOSED (dims x k) centroid block. Transposing turns the
 /// per-entry gather into a contiguous k-wide axpy, which the SIMD
-/// dispatcher vectorizes. Error-bounded exactly like the dense
-/// SquaredDistanceToAll: consumers needing exact distances re-check
-/// within the FusedRelativeError(dims) margin. `out` must have
+/// dispatcher vectorizes. Error-bounded: consumers needing exact
+/// distances re-check within the FusedRelativeError(dims) margin. `out` must have
 /// centroids_t.cols() capacity and is fully overwritten.
 void SparseSquaredDistanceToAll(std::span<const SparseEntry> row,
                                 double row_norm2, const Matrix& centroids_t,

@@ -404,7 +404,6 @@ TEST_F(FaultInjectionTest, OptimizerCandidateFailpointSkipsCandidate) {
   core::OptimizerOptions options;
   options.candidate_ks = {2, 3};
   options.cv_folds = 4;
-  options.num_threads = 1;
   ScopedFailpoint fp("optimizer.candidate",
                      OneShotError(StatusCode::kUnavailable));
   auto result = core::OptimizeClustering(blobs.points, options);
@@ -422,7 +421,6 @@ TEST_F(FaultInjectionTest, OptimizerFailsWhenEveryCandidateInjected) {
   core::OptimizerOptions options;
   options.candidate_ks = {2, 3};
   options.cv_folds = 4;
-  options.num_threads = 1;
   FailpointConfig config;
   config.code = StatusCode::kInternal;
   ScopedFailpoint fp("optimizer.candidate", config);
@@ -436,7 +434,6 @@ TEST_F(FaultInjectionTest, SweepRunFailpointSkipsExactlyOneCandidate) {
   core::OptimizerOptions options;
   options.candidate_ks = {2, 3, 4, 6};
   options.cv_folds = 4;
-  options.num_threads = 1;
   auto clean = core::OptimizeClustering(blobs.points, options);
   ASSERT_TRUE(clean.ok());
   ASSERT_EQ(clean->num_skipped(), 0u);
@@ -531,7 +528,6 @@ class FaultInjectionSessionTest : public FaultInjectionTest {
     options.partial.kmeans.max_iterations = 20;
     options.optimizer.candidate_ks = {3, 4};
     options.optimizer.cv_folds = 4;
-    options.optimizer.num_threads = 1;
     options.pattern_mining.min_support_level0 = 0.4;
     options.pattern_mining.min_support_level1 = 0.5;
     options.pattern_mining.min_support_level2 = 0.6;

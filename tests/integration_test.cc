@@ -27,7 +27,6 @@ SessionOptions FastSessionOptions() {
   options.partial.ks = {3, 4};
   options.optimizer.candidate_ks = {3, 4, 6};
   options.optimizer.cv_folds = 4;
-  options.optimizer.num_threads = 2;
   options.pattern_mining.min_support_level0 = 0.4;
   options.pattern_mining.min_support_level1 = 0.5;
   options.pattern_mining.min_support_level2 = 0.6;
@@ -135,7 +134,6 @@ TEST(IntegrationTest, OptimizerTableShapeOnReducedPaperWorkload) {
   core::OptimizerOptions options;
   options.candidate_ks = {2, 3, 4, 6, 10, 16};
   options.cv_folds = 5;
-  options.num_threads = 4;
   auto result = core::OptimizeClustering(vsm, options);
   ASSERT_TRUE(result.ok());
 

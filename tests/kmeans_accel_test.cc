@@ -5,6 +5,7 @@
 #include "cluster/kmeans_accel.h"
 
 #include <algorithm>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -85,6 +86,36 @@ TEST(KMeansAccelTest, MatchesNaiveOnRandomizedShapes) {
                  std::to_string(n) + " dims=" + std::to_string(dims) +
                  " k=" + std::to_string(k));
     RunBothAndCompare(data, options);
+  }
+  // Cluster counts that leave a partial lane vector (5, 13, 17) or span
+  // several (20) in the dense exact-lane scan, on data where half the
+  // rows repeat earlier ones: duplicate points put exact ties between
+  // centroids, which must break toward the lower index as in the
+  // naive scan.
+  for (int32_t k : {5, 13, 17, 20}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const size_t n = 40 + shape_rng.UniformUint64(200);
+      const size_t dims = 1 + shape_rng.UniformUint64(40);
+      Matrix data(n, dims);
+      for (size_t i = 0; i < n; ++i) {
+        const bool duplicate = i % 2 == 1 && trial % 2 == 0;
+        const size_t src = duplicate ? shape_rng.UniformUint64(i) : i;
+        for (size_t d = 0; d < dims; ++d) {
+          data.At(i, d) =
+              duplicate ? data.At(src, d)
+                        : static_cast<double>(shape_rng.UniformInt(-3, 3));
+        }
+      }
+      KMeansOptions options;
+      options.k = k;
+      options.seed = 77 + static_cast<uint64_t>(trial);
+      options.init = trial < 2 ? KMeansInit::kKMeansPlusPlus
+                               : KMeansInit::kRandom;
+      SCOPED_TRACE("k=" + std::to_string(k) + " trial " +
+                   std::to_string(trial) + " n=" + std::to_string(n) +
+                   " dims=" + std::to_string(dims));
+      RunBothAndCompare(data, options);
+    }
   }
 }
 

@@ -404,7 +404,6 @@ TEST(SweepOracleTest, OptimizerSweepMatchesSerialPhaseA) {
     options.kmeans = CaseKMeans(seed);
     options.seed = seed + 29;
     options.cv_folds = 2;
-    options.num_threads = 1;
     // Every other case carries a cross-run warm hint whose K is not the
     // first candidate, so the evaluation order is rotated.
     if (seed % 2 == 1) {

@@ -19,7 +19,9 @@
 
 #include <gtest/gtest.h>
 #include "common/check.h"
+#include "common/failpoint.h"
 #include "common/json.h"
+#include "common/logging.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/report.h"
@@ -793,6 +795,94 @@ TEST(RouterTest, RetentionBoundsRoutesAndShardJobs) {
   EXPECT_EQ(finished->Find("state")->AsString(), "done");
   router.Stop();
   shard->Stop();
+}
+
+TEST(RouterTest, RouteRetiredOnTheShardAnswersExpiredWithTheClientId) {
+  auto shard = StartShardServer(service::ServerRole::kPrimary);
+  service::RouterOptions options = QuietRouterOptions();
+  options.shards.push_back(service::ShardEndpoints{shard->port(), 0});
+  service::Router router(std::move(options));
+  ASSERT_TRUE(router.Start().ok());
+  // Every session fails at once, so the shard finishes (and, past the
+  // bound, retires) jobs the router never sees terminal.
+  common::FailpointConfig fail;
+  fail.code = StatusCode::kInternal;
+  common::ScopedFailpoint failing("service.worker.session", fail);
+  // One warning per firing would flood the log.
+  struct QuietLog {
+    common::LogLevel saved = common::LogThreshold();
+    QuietLog() { common::SetLogThreshold(common::LogLevel::kError); }
+    ~QuietLog() { common::SetLogThreshold(saved); }
+  } quiet;
+
+  // Jobs submitted straight to the shard shift its local ids away from
+  // the router's global ones.
+  auto direct = Connect(shard->port());
+  constexpr int64_t kDirect = 3;
+  for (int64_t i = 0; i < kDirect; ++i) {
+    ASSERT_TRUE(direct.Call(SubmitBody(40, "direct")).ok());
+  }
+  auto client = Connect(router.port());
+  const int64_t submits = static_cast<int64_t>(service::kRetainedJobs) + 8;
+  for (int64_t i = 0; i < submits; ++i) {
+    auto submitted = client.Call(SubmitBody(41, "unpolled"));
+    // A full queue sheds the submit; let the workers drain it.
+    while (submitted.status().code() == StatusCode::kResourceExhausted) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      submitted = client.Call(SubmitBody(41, "unpolled"));
+    }
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    if (i == 0) {
+      ASSERT_EQ(submitted->Find("job_id")->AsInt(), 1);
+    }
+  }
+  // Wait until the shard has finished everything; its admissions have
+  // retired the oldest finished jobs, router job 1 (local id 4) among
+  // them.
+  const int64_t total = submits + kDirect;
+  for (int spins = 0; spins < 30000; ++spins) {
+    const service::SchedulerStats stats = shard->scheduler().stats();
+    if (stats.failed + stats.completed == total) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(shard->scheduler().stats().retired, kDirect);
+
+  Json::Object status_request = ResultRequest(1);
+  status_request["verb"] = "status";
+  auto polled = client.Call(status_request);
+  EXPECT_EQ(polled.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(polled.status().message().rfind("job 1 expired:", 0), 0u)
+      << polled.status().ToString();
+  // The route was queued for retirement: the next admission frees it,
+  // so the table is back within its bound plus nothing in flight.
+  auto retired_before = client.Call("stats");
+  ASSERT_TRUE(retired_before.ok());
+  const int64_t before =
+      retired_before->Find("router")->Find("retired")->AsInt();
+  auto one_more = client.Call(SubmitBody(42, "after"));
+  ASSERT_TRUE(one_more.ok()) << one_more.status().ToString();
+  auto stats = client.Call("stats");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->Find("router")->Find("retired")->AsInt(), before + 1);
+  // Asked again, the router answers from the route without the shard.
+  auto again = client.Call(ResultRequest(1));
+  EXPECT_EQ(again.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(again.status().message().rfind("job 1 expired:", 0), 0u)
+      << again.status().ToString();
+  router.Stop();
+  shard->Stop();
+}
+
+TEST(RouterTest, OnlyAnExpiredAnswerForTheForwardedIdCountsAsExpired) {
+  // "No job with id N" (say, from a promoted follower that never saw
+  // the id) is not an expiry, and neither is another id's expiry.
+  EXPECT_TRUE(service::IsJobExpiredError(service::JobNotFoundError(4, 10), 4));
+  EXPECT_FALSE(
+      service::IsJobExpiredError(service::JobNotFoundError(4, 10), 40));
+  EXPECT_FALSE(
+      service::IsJobExpiredError(service::JobNotFoundError(12, 10), 12));
+  EXPECT_FALSE(service::IsJobExpiredError(
+      common::UnavailableError("job 4 expired: no"), 4));
 }
 
 TEST(RouterTest, UploadWithAnIdBeyond32BitsIsRejectedAtTheRouter) {

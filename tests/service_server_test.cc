@@ -121,6 +121,92 @@ TEST(ProtocolTest, IngestIdsAndDaysBeyond32BitsAreRejected) {
   EXPECT_EQ(in_range->at(0).patient, 2147483647);
 }
 
+// Every other 32-bit wire integer is narrowed the same way. Each value
+// below is 2^32 plus a small in-range number, so a bare cast would
+// quietly run a job with that small number instead.
+
+/// BuildJobRequest of `body` must fail INVALID_ARGUMENT naming `field`.
+void ExpectRejectedNaming(Json::Object body, const std::string& field) {
+  auto request = service::BuildJobRequest(Json(std::move(body)));
+  EXPECT_EQ(request.status().code(), StatusCode::kInvalidArgument)
+      << request.status().ToString();
+  EXPECT_NE(request.status().message().find("'" + field + "'"),
+            std::string::npos)
+      << request.status().ToString();
+}
+
+Json::Object CsvBody() {
+  Json::Object body;
+  body["csv"] = "patient_id,exam_type,day\n0,glucose,1\n1,hba1c,2\n";
+  return body;
+}
+
+Json::Object CsvBodyWithOption(const std::string& key, Json value) {
+  Json::Object options;
+  options[key] = std::move(value);
+  Json::Object body = CsvBody();
+  body["options"] = Json(std::move(options));
+  return body;
+}
+
+Json::Object SyntheticBodyWith(const std::string& key, int64_t value) {
+  Json::Object synthetic;
+  synthetic["patients"] = static_cast<int64_t>(40);
+  synthetic["exam_types"] = static_cast<int64_t>(12);
+  synthetic["profiles"] = static_cast<int64_t>(2);
+  synthetic["days"] = static_cast<int64_t>(60);
+  synthetic[key] = value;
+  Json::Object body;
+  body["synthetic"] = Json(std::move(synthetic));
+  return body;
+}
+
+TEST(ProtocolTest, CandidateKBeyond32BitsIsRejected) {
+  ExpectRejectedNaming(
+      CsvBodyWithOption("candidate_ks",
+                        Json(Json::Array{Json(int64_t{4294967298LL})})),
+      "candidate_ks");
+}
+
+TEST(ProtocolTest, CvFoldsBeyond32BitsIsRejected) {
+  ExpectRejectedNaming(
+      CsvBodyWithOption("cv_folds", Json(int64_t{4294967300LL})),
+      "cv_folds");
+}
+
+TEST(ProtocolTest, RestartsBeyond32BitsIsRejected) {
+  // Used to run with 1 restart.
+  ExpectRejectedNaming(
+      CsvBodyWithOption("restarts", Json(int64_t{4294967297LL})),
+      "restarts");
+}
+
+TEST(ProtocolTest, PriorityBeyond32BitsIsRejected) {
+  Json::Object body = CsvBody();
+  body["priority"] = int64_t{4294967299LL};
+  ExpectRejectedNaming(std::move(body), "priority");
+}
+
+TEST(ProtocolTest, SyntheticPatientsBeyond32BitsIsRejected) {
+  // Used to generate a 5-patient cohort.
+  ExpectRejectedNaming(SyntheticBodyWith("patients", 4294967301LL),
+                       "patients");
+}
+
+TEST(ProtocolTest, SyntheticExamTypesBeyond32BitsIsRejected) {
+  ExpectRejectedNaming(SyntheticBodyWith("exam_types", 4294967300LL),
+                       "exam_types");
+}
+
+TEST(ProtocolTest, SyntheticProfilesBeyond32BitsIsRejected) {
+  ExpectRejectedNaming(SyntheticBodyWith("profiles", 4294967298LL),
+                       "profiles");
+}
+
+TEST(ProtocolTest, SyntheticDaysBeyond32BitsIsRejected) {
+  ExpectRejectedNaming(SyntheticBodyWith("days", 4294967356LL), "days");
+}
+
 TEST(ProtocolTest, BuildJobRequestSyntheticCarriesTaxonomy) {
   Json::Object synthetic;
   synthetic["patients"] = static_cast<int64_t>(80);

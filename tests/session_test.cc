@@ -22,7 +22,6 @@ SessionOptions FastSessionOptions() {
   options.partial.kmeans.max_iterations = 30;
   options.optimizer.candidate_ks = {3, 4, 6};
   options.optimizer.cv_folds = 4;
-  options.optimizer.num_threads = 2;
   options.pattern_mining.min_support_level0 = 0.4;
   options.pattern_mining.min_support_level1 = 0.5;
   options.pattern_mining.min_support_level2 = 0.6;

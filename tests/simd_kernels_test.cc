@@ -1,10 +1,12 @@
-// AVX2-vs-scalar equivalence for the runtime-dispatched kernels, and
-// the engine-level guarantee that k-means results do not depend on the
-// dispatched ISA (the SIMD kernels feed only error-bounded screens;
-// every exact decision is rechecked with scalar arithmetic).
+// AVX2-vs-scalar equivalence for the runtime-dispatched kernels, a
+// generated bit-for-bit oracle for the one exact kernel
+// (ExactSquaredDistancesLanes against SquaredDistance), and the
+// engine-level guarantee that k-means results do not depend on the
+// dispatched ISA.
 #include "transform/simd_kernels.h"
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -125,6 +127,97 @@ TEST(SimdKernelsTest, RepeatedCallsAreDeterministic) {
   }
   const double first = simd::DotProduct(a, b);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(simd::DotProduct(a, b), first);
+}
+
+/// One generated coordinate: mostly ordinary values, plus the inputs
+/// where a reassociated or fused sum would show first — signed zeros,
+/// subnormals, magnitudes whose squares sit near the top or bottom of
+/// the exponent range, and exact copies of the point's coordinate.
+double OracleValue(common::Rng& rng, double point_coord) {
+  const double sign = rng.Bernoulli(0.5) ? 1.0 : -1.0;
+  switch (rng.UniformUint64(8)) {
+    case 0:
+      return sign * 0.0;
+    case 1:
+      return sign * std::numeric_limits<double>::denorm_min() *
+             static_cast<double>(rng.UniformInt(1, 1 << 20));
+    case 2:
+      return rng.Normal(0.0, 1e150);
+    case 3:
+      return rng.Normal(0.0, 1e-160);
+    case 4:
+      return point_coord;
+    default:
+      return rng.Normal(0.0, 5.0);
+  }
+}
+
+/// The lane kernel's input layout: `centroids` transposed into
+/// dims rows of `stride` doubles, the padding columns poisoned with NaN
+/// (they are read, but must never reach an output).
+std::vector<double> PaddedTranspose(const Matrix& centroids, size_t stride) {
+  std::vector<double> block(centroids.cols() * stride,
+                            std::numeric_limits<double>::quiet_NaN());
+  for (size_t c = 0; c < centroids.rows(); ++c) {
+    for (size_t d = 0; d < centroids.cols(); ++d) {
+      block[d * stride + c] = centroids.At(c, d);
+    }
+  }
+  return block;
+}
+
+void ExpectLanesMatchSquaredDistance(common::Rng& rng, size_t k,
+                                     size_t dims) {
+  std::vector<double> point(dims);
+  for (size_t d = 0; d < dims; ++d) point[d] = OracleValue(rng, 1.0);
+  Matrix centroids(k, dims);
+  for (size_t c = 0; c < k; ++c) {
+    // Every fourth centroid past the first duplicates an earlier one,
+    // so exact ties reach the lanes.
+    if (c > 0 && c % 4 == 0) {
+      const size_t src = rng.UniformUint64(c);
+      for (size_t d = 0; d < dims; ++d) {
+        centroids.At(c, d) = centroids.At(src, d);
+      }
+      continue;
+    }
+    for (size_t d = 0; d < dims; ++d) {
+      centroids.At(c, d) = OracleValue(rng, point[d]);
+    }
+  }
+  const size_t stride =
+      (k + simd::kLaneWidth - 1) / simd::kLaneWidth * simd::kLaneWidth +
+      simd::kLaneWidth * rng.UniformUint64(2);
+  const std::vector<double> block = PaddedTranspose(centroids, stride);
+  std::vector<IsaLevel> isas = {IsaLevel::kScalar};
+  if (simd::internal::Avx2Available()) isas.push_back(IsaLevel::kAvx2Fma);
+  for (IsaLevel isa : isas) {
+    ScopedIsa pin(isa);
+    std::vector<double> out(k);
+    simd::ExactSquaredDistancesLanes(point, block, stride, out);
+    for (size_t c = 0; c < k; ++c) {
+      const double exact = SquaredDistance(point, centroids.Row(c));
+      EXPECT_EQ(std::memcmp(&out[c], &exact, sizeof(double)), 0)
+          << simd::IsaName(isa) << " k=" << k << " dims=" << dims
+          << " stride=" << stride << " c=" << c << ": " << out[c]
+          << " vs " << exact;
+    }
+  }
+}
+
+TEST(SimdKernelsTest, ExactLanesAreBitIdenticalToSquaredDistance) {
+  common::Rng rng(20261018);
+  // Every k in [1, 40] (ragged vector counts, one and two 32-lane
+  // blocks) against dims from a single coordinate to 300.
+  for (size_t k = 1; k <= 40; ++k) {
+    for (size_t dims : {1u, 2u, 3u, 5u, 16u, 33u, 159u, 300u}) {
+      ExpectLanesMatchSquaredDistance(rng, k, dims);
+    }
+  }
+  for (int trial = 0; trial < 200; ++trial) {
+    ExpectLanesMatchSquaredDistance(rng, 1 + rng.UniformUint64(40),
+                                    1 + rng.UniformUint64(300));
+  }
 }
 
 /// Engine-level ISA independence: identical Clusterings whichever
