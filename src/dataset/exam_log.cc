@@ -34,6 +34,16 @@ ExamLog::ExamLog(std::vector<Patient> patients, ExamDictionary dictionary,
   }
 }
 
+Status CheckPatientIdSpan(int64_t span, std::string_view field) {
+  if (span <= kMaxPatientIdSpan) return common::OkStatus();
+  return InvalidArgumentError(common::StrFormat(
+      "field '%.*s' is out of range: %lld patient slots exceed the cap of "
+      "%lld",
+      static_cast<int>(field.size()), field.data(),
+      static_cast<long long>(span),
+      static_cast<long long>(kMaxPatientIdSpan)));
+}
+
 StatusOr<ExamLog> ExamLog::FromCsv(std::string_view csv_text) {
   ExamDictionary dictionary;
   std::vector<ExamRecord> records;
@@ -65,6 +75,7 @@ StatusOr<ExamLog> ExamLog::FromCsv(std::string_view csv_text) {
     ExamRecord record;
     ADA_ASSIGN_OR_RETURN(record.patient,
                          common::CheckedInt32(patient, "patient_id"));
+    ADA_RETURN_IF_ERROR(CheckPatientIdSpan(patient + 1, "patient_id"));
     record.exam_type = dictionary.Intern(row[1]);
     ADA_ASSIGN_OR_RETURN(record.day, common::CheckedInt32(day, "day"));
     max_patient = std::max(max_patient, record.patient);
@@ -93,6 +104,8 @@ Status ExamLog::Append(const std::vector<RawExamRecord>& rows) {
     if (row.patient < 0) {
       return InvalidArgumentError("negative patient id in appended records");
     }
+    ADA_RETURN_IF_ERROR(
+        CheckPatientIdSpan(int64_t{row.patient} + 1, "patient"));
     if (row.exam_type.empty()) {
       return InvalidArgumentError("empty exam-type name in appended records");
     }

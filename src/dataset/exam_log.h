@@ -4,6 +4,7 @@
 #ifndef ADAHEALTH_DATASET_EXAM_LOG_H_
 #define ADAHEALTH_DATASET_EXAM_LOG_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -14,6 +15,17 @@
 
 namespace adahealth {
 namespace dataset {
+
+/// Patient ids index a dense patient table, so id N costs N + 1
+/// patient slots. Every input path caps that span — a CSV upload, an
+/// appended batch, a synthetic cohort's size — so a two-line upload
+/// cannot make the process allocate gigabytes.
+inline constexpr int64_t kMaxPatientIdSpan = int64_t{1} << 22;
+
+/// INVALID_ARGUMENT naming `field` when `span` patient slots (the
+/// largest id + 1, or a cohort size) exceed kMaxPatientIdSpan.
+[[nodiscard]] common::Status CheckPatientIdSpan(int64_t span,
+                                                std::string_view field);
 
 /// One not-yet-interned record as it arrives from an ingestion source:
 /// the exam type is still a name, not a dictionary id.
@@ -50,8 +62,8 @@ class ExamLog {
   /// empty log yields the same log as one FromCsv over their
   /// concatenation — the streaming-ingestion invariant the cohort
   /// store's delta-vs-cold identity rests on. Validates before
-  /// mutating: a rejected batch (negative patient id, empty exam
-  /// name) leaves the log untouched.
+  /// mutating: a rejected batch (negative patient id, one beyond
+  /// kMaxPatientIdSpan, empty exam name) leaves the log untouched.
   [[nodiscard]] common::Status Append(const std::vector<RawExamRecord>& rows);
 
   /// Serializes the record table to CSV (inverse of FromCsv).

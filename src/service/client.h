@@ -1,18 +1,24 @@
-// Client-side NDJSON protocol bindings: one connection, one or more
-// request-response exchanges. The one outbound connection of the
-// service layer (ada_lint `service-outbound`): the router, the
-// replication shipper, the `ada_client` CLI and the tests use it.
+// Client-side NDJSON protocol bindings, the one outbound connection of
+// the service layer (ada_lint `service-outbound`): the blocking
+// AnalysisClient (replication shipper, `ada_client`, tests) and the
+// loop-driven UpstreamPool (every router call to a shard).
 #ifndef ADAHEALTH_SERVICE_CLIENT_H_
 #define ADAHEALTH_SERVICE_CLIENT_H_
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/json.h"
 #include "common/status.h"
+#include "service/connection.h"
+#include "service/event_loop.h"
 #include "service/net_socket.h"
 
 namespace adahealth {
@@ -66,10 +72,6 @@ class AnalysisClient {
   [[nodiscard]] std::vector<common::StatusOr<common::Json>> CallPipelined(
       const std::vector<common::Json::Object>& requests);
 
-  /// Thread-safe: wakes a call blocked on the server's reply, which
-  /// then fails. The socket stays open until destruction.
-  void Interrupt() const;
-
  private:
   AnalysisClient() = default;
 
@@ -77,6 +79,54 @@ class AnalysisClient {
   // must not be separated by a move of the client.
   std::unique_ptr<FileDescriptor> connection_;
   std::unique_ptr<LineReader> reader_;
+};
+
+/// Request-response exchanges with loopback ports, driven by an event
+/// loop and never blocking it (the router's calls to its shards). A
+/// call has its connection to itself while in flight, so a long wait (a
+/// shard's `result`) holds up no other call; once answered, the
+/// connection is kept for the next call to the same port, so a busy
+/// port costs no connect per call. Loop thread only.
+class UpstreamPool {
+ public:
+  /// Receives the raw response line, or UNAVAILABLE (refused, closed
+  /// without an answer, no answer within the deadline).
+  using Done = std::function<void(common::StatusOr<std::string> response)>;
+
+  explicit UpstreamPool(EventLoop* loop) : loop_(loop) {}
+  /// Closes every connection; an unfinished call's `done` never runs.
+  ~UpstreamPool();
+
+  UpstreamPool(const UpstreamPool&) = delete;
+  UpstreamPool& operator=(const UpstreamPool&) = delete;
+
+  /// Sends `line` (no trailing newline) to 127.0.0.1:`port`; the call
+  /// is bounded by `timeout_millis`. `done` runs once, from the loop
+  /// and never inside Call. `fresh` skips the kept connections: only a
+  /// new connect shows that the port is served right now.
+  void Call(uint16_t port, std::string_view line, double timeout_millis,
+            bool fresh, Done done);
+
+ private:
+  struct Link {
+    uint16_t port = 0;
+    std::unique_ptr<Connection> conn;  // Null when the connect failed.
+    std::optional<std::string> response;
+    Done done;  // Empty while the link is kept idle.
+    EventLoop::TimerId timer{};
+  };
+
+  /// A kept link to `port` that is safe to reuse; 0 when there is none.
+  uint64_t TakeKept(uint16_t port);
+  [[nodiscard]] common::Status Open(uint64_t id, uint16_t port);
+  void OnEvents(uint64_t id, uint32_t events);
+  void Finish(uint64_t id, common::StatusOr<std::string> response);
+
+  EventLoop* loop_;
+  std::atomic<int64_t> errors_{0};  // Counted by the connections, unread.
+  std::map<uint64_t, Link> links_;
+  std::map<uint16_t, std::vector<uint64_t>> kept_;  // Most recent last.
+  uint64_t next_link_ = 1;
 };
 
 }  // namespace service

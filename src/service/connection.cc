@@ -2,8 +2,10 @@
 
 #include <sys/epoll.h>
 
+#include <algorithm>
 #include <utility>
 
+#include "common/logging.h"
 #include "common/string_util.h"
 #include "service/protocol.h"
 
@@ -12,26 +14,19 @@ namespace service {
 
 using common::Status;
 
-Connection::Connection(int64_t id, FileDescriptor fd, EventLoop* loop,
+Connection::Connection(FileDescriptor fd, EventLoop* loop,
                        size_t max_line_bytes, std::atomic<int64_t>* errors)
-    : id_(id),
-      fd_(std::move(fd)),
+    : fd_(std::move(fd)),
       loop_(loop),
       max_line_bytes_(max_line_bytes),
       errors_(errors),
       last_activity_(std::chrono::steady_clock::now()) {}
 
-Connection::~Connection() {
-  if (!closed_) {
-    loop_->Unwatch(fd_.get());
-    fd_.Close();
-    closed_ = true;
-  }
-}
+Connection::~Connection() { CloseNow(); }
 
 Status Connection::Register(std::function<void(uint32_t)> dispatcher,
-                            RequestHandler on_request) {
-  on_request_ = std::move(on_request);
+                            LineHandler on_line) {
+  on_line_ = std::move(on_line);
   interest_ = EPOLLIN;
   return loop_->Watch(fd_.get(), interest_, std::move(dispatcher));
 }
@@ -47,28 +42,32 @@ void Connection::HandleEvents(uint32_t events) {
 }
 
 void Connection::HandleReadable() {
-  char chunk[16384];
-  while (!closed_ && !peer_eof_ && !close_after_flush_) {
+  // One chunk per readiness event: level-triggered epoll reports the
+  // rest again after the loop has served every other ready connection,
+  // so one client's pipelined batch cannot hold up the others.
+  char chunk[64 * 1024];
+  if (!closed_ && !peer_eof_ && !close_after_flush_) {
     auto read = RecvNonBlocking(fd_, chunk, sizeof(chunk));
     if (!read.ok()) {
       errors_->fetch_add(1);
       CloseNow();
       return;
     }
-    if (read->would_block) break;
     if (read->eof) {
       peer_eof_ = true;
-      break;
+    } else if (!read->would_block) {
+      inbuf_.append(chunk, read->bytes);
     }
-    inbuf_.append(chunk, read->bytes);
-    // Give the parser a chance before the next recv so an oversized
-    // line fails fast instead of buffering the whole flood first.
-    if (inbuf_.size() >= max_line_bytes_) break;
   }
   ProcessBuffered();
 }
 
 void Connection::ProcessBuffered() {
+  // Not reentrant: a line answered and resumed inside its own dispatch
+  // (ResumeRequests from the handler) continues this loop instead of
+  // recursing once per pipelined line.
+  if (dispatching_) return;
+  dispatching_ = true;
   while (!closed_ && !awaiting_ && !close_after_flush_) {
     size_t newline = inbuf_.find('\n', scan_pos_);
     if (newline == std::string::npos) {
@@ -76,8 +75,12 @@ void Connection::ProcessBuffered() {
       if (inbuf_.size() >= max_line_bytes_) FailOversizedLine();
       break;
     }
-    std::string line = inbuf_.substr(0, newline);
-    inbuf_.erase(0, newline + 1);
+    // A buffer that holds one whole line (an upload) is moved, not copied.
+    std::string line = newline + 1 == inbuf_.size()
+                           ? std::exchange(inbuf_, std::string())
+                           : inbuf_.substr(0, newline + 1);
+    if (!inbuf_.empty()) inbuf_.erase(0, newline + 1);
+    line.pop_back();  // The '\n'.
     scan_pos_ = 0;
     DispatchLine(std::move(line));
   }
@@ -95,12 +98,13 @@ void Connection::ProcessBuffered() {
     // finish once every response has been delivered.
     if (!closed_ && !awaiting_) StartDrain();
   }
+  dispatching_ = false;
 }
 
 void Connection::DispatchLine(std::string line) {
   if (!line.empty() && line.back() == '\r') line.pop_back();
   if (line.empty()) return;  // Blank keep-alive lines are ignored.
-  on_request_(*this, std::move(line));
+  on_line_(std::move(line));
 }
 
 void Connection::FailOversizedLine() {
@@ -119,7 +123,11 @@ void Connection::FailOversizedLine() {
 
 void Connection::EnqueueResponse(std::string data) {
   if (closed_) return;
-  outbuf_ += data;
+  if (outbuf_.empty()) {
+    outbuf_ = std::move(data);
+  } else {
+    outbuf_ += data;
+  }
   FlushOutput();
   if (!closed_) UpdateInterest();
 }
@@ -132,7 +140,7 @@ void Connection::PauseRequests() {
 void Connection::ResumeRequests() {
   if (closed_) return;
   awaiting_ = false;
-  ProcessBuffered();
+  ProcessBuffered();  // A no-op inside a dispatch, whose loop goes on.
   if (!closed_) UpdateInterest();
 }
 
@@ -152,22 +160,34 @@ void Connection::CloseNow() {
   loop_->Unwatch(fd_.get());
   fd_.Close();
   outbuf_.clear();
+  out_sent_ = 0;
   inbuf_.clear();
 }
 
 void Connection::FlushOutput() {
-  while (!closed_ && !outbuf_.empty()) {
-    auto sent = SendNonBlocking(fd_, outbuf_);
+  while (!closed_ && out_sent_ < outbuf_.size()) {
+    auto sent =
+        SendNonBlocking(fd_, std::string_view(outbuf_).substr(out_sent_));
     if (!sent.ok()) {
       errors_->fetch_add(1);
       CloseNow();
       return;
     }
-    if (sent.value() == 0) return;  // Socket full; resume on EPOLLOUT.
-    outbuf_.erase(0, sent.value());
+    if (sent.value() == 0) {  // Socket full; resume on EPOLLOUT.
+      // Drop the sent prefix once it is half the buffer, so appends
+      // stay in place and each byte is moved O(1) times.
+      if (out_sent_ > outbuf_.size() / 2) {
+        outbuf_.erase(0, out_sent_);
+        out_sent_ = 0;
+      }
+      return;
+    }
+    out_sent_ += sent.value();
     last_activity_ = std::chrono::steady_clock::now();
   }
-  if (outbuf_.empty() && close_after_flush_) CloseNow();
+  outbuf_.clear();
+  out_sent_ = 0;
+  if (close_after_flush_) CloseNow();
 }
 
 void Connection::UpdateInterest() {
@@ -179,6 +199,207 @@ void Connection::UpdateInterest() {
   // A failed interest update leaves the old mask: worst case we wake
   // spuriously (level-triggered), never lose readiness.
   (void)loop_->SetInterest(fd_.get(), wanted);
+}
+
+ConnectionHost::ConnectionHost(const char* name, ConnectionLimits limits)
+    : name_(name),
+      limits_{limits.port, std::max<size_t>(1, limits.max_connections),
+              limits.idle_timeout_millis,
+              std::max<size_t>(1, limits.max_line_bytes)},
+      loop_(std::make_shared<EventLoop>()) {}
+
+ConnectionHost::~ConnectionHost() { Stop(/*failsafe_millis=*/250.0); }
+
+Status ConnectionHost::Start(LineHandler on_line) {
+  if (running_.load()) {
+    return common::FailedPreconditionError(
+        common::StrFormat("%s already started", name_));
+  }
+  on_line_ = std::move(on_line);
+  ADA_ASSIGN_OR_RETURN(listener_, ServerSocket::Listen(limits_.port));
+  ADA_RETURN_IF_ERROR(SetNonBlocking(listener_.descriptor()));
+  port_ = listener_.port();
+  ADA_RETURN_IF_ERROR(loop_->Init());
+  ADA_RETURN_IF_ERROR(loop_->Watch(listener_.fd(), EPOLLIN,
+                                   [this](uint32_t) { OnAcceptable(); }));
+  ScheduleIdleSweep();
+  running_.store(true);
+  common::MutexLock lock(&join_mutex_);
+  loop_thread_ = std::thread([this] {
+    loop_->Run();
+    running_.store(false);
+  });
+  return common::OkStatus();
+}
+
+void ConnectionHost::Stop(double failsafe_millis) {
+  if (running_.load()) {
+    loop_->Post([this, failsafe_millis] { BeginDrain(failsafe_millis); });
+  }
+  Wait();
+}
+
+void ConnectionHost::Wait() {
+  common::MutexLock lock(&join_mutex_);
+  if (loop_thread_.joinable()) loop_thread_.join();
+}
+
+void ConnectionHost::OnAcceptable() {
+  for (;;) {
+    auto accepted = listener_.TryAccept();
+    if (!accepted.ok()) {
+      if (draining_) return;
+      // A transient failure (injected, EMFILE) must not kill the loop:
+      // level-triggered epoll reports the backlog again.
+      counters_.errors.fetch_add(1);
+      ADA_LOG(kWarning) << name_ << ": accept failed: "
+                        << accepted.status().message();
+      return;
+    }
+    if (!accepted.value().valid()) return;  // Backlog drained.
+    counters_.total.fetch_add(1);
+    if (connections_.size() >= limits_.max_connections) {
+      // Shed with a best-effort single write: a fresh socket's buffer
+      // is empty, so it virtually always lands.
+      counters_.shed.fetch_add(1);
+      (void)SendNonBlocking(
+          accepted.value(),
+          ErrorResponse(common::ResourceExhaustedError(common::StrFormat(
+              "%s at its %zu-connection limit", name_,
+              limits_.max_connections))));
+      continue;
+    }
+    const int64_t id = next_connection_id_++;
+    auto conn = std::make_unique<Connection>(std::move(accepted).value(),
+                                             loop_.get(),
+                                             limits_.max_line_bytes,
+                                             &counters_.errors);
+    Status registered = conn->Register(
+        [this, id](uint32_t events) {
+          auto it = connections_.find(id);
+          if (it == connections_.end()) return;
+          it->second.conn->HandleEvents(events);
+          ReapIfClosed(id);
+        },
+        [this, id](std::string line) { on_line_(id, std::move(line)); });
+    if (!registered.ok()) {
+      counters_.errors.fetch_add(1);
+      ADA_LOG(kWarning) << name_ << ": failed to register connection: "
+                        << registered.ToString();
+      continue;
+    }
+    connections_[id].conn = std::move(conn);
+    counters_.open.store(static_cast<int64_t>(connections_.size()));
+  }
+}
+
+void ConnectionHost::Respond(int64_t id, std::string line) {
+  auto it = connections_.find(id);
+  if (it == connections_.end()) return;
+  it->second.conn->EnqueueResponse(std::move(line));
+  ReapLater(id, *it->second.conn);
+}
+
+uint64_t ConnectionHost::Park(int64_t id, Abandon abandon) {
+  auto it = connections_.find(id);
+  if (it == connections_.end()) return 0;
+  it->second.park = next_park_++;
+  it->second.abandon = std::move(abandon);
+  it->second.conn->PauseRequests();
+  return it->second.park;
+}
+
+bool ConnectionHost::Parked(int64_t id, uint64_t token) const {
+  auto it = connections_.find(id);
+  return it != connections_.end() && token != 0 && it->second.park == token;
+}
+
+void ConnectionHost::Resume(int64_t id, uint64_t token, std::string line) {
+  if (token == 0) {
+    Respond(id, std::move(line));
+    return;
+  }
+  if (!Parked(id, token)) return;
+  Entry& entry = connections_.find(id)->second;
+  entry.park = 0;
+  entry.abandon = nullptr;
+  entry.conn->EnqueueResponse(std::move(line));
+  entry.conn->ResumeRequests();
+  ReapLater(id, *entry.conn);
+}
+
+void ConnectionHost::ReapLater(int64_t id, const Connection& conn) {
+  if (conn.closed()) loop_->Post([this, id] { ReapIfClosed(id); });
+}
+
+std::string ConnectionHost::AbandonPark(Entry& entry) {
+  if (entry.park == 0) return std::string();
+  entry.park = 0;
+  return std::exchange(entry.abandon, nullptr)();
+}
+
+void ConnectionHost::BeginDrain(double failsafe_millis) {
+  if (!draining_) {
+    draining_ = true;
+    loop_->Unwatch(listener_.fd());
+    listener_.Shutdown();  // Pending un-accepted clients see EOF.
+    for (auto& [id, entry] : connections_) {
+      if (entry.park != 0) entry.conn->EnqueueResponse(AbandonPark(entry));
+      entry.conn->StartDrain();
+    }
+    // Reap on a posted task: BeginDrain may run inside a connection's
+    // own callback.
+    loop_->Post([this] {
+      std::erase_if(connections_, [](const auto& item) {
+        return item.second.conn->closed();  // Parks were all abandoned.
+      });
+      counters_.open.store(static_cast<int64_t>(connections_.size()));
+      if (connections_.empty()) loop_->Quit();
+    });
+  }
+  loop_->ScheduleAfter(failsafe_millis, [this] {
+    for (auto& [id, entry] : connections_) (void)AbandonPark(entry);
+    connections_.clear();
+    counters_.open.store(0);
+    loop_->Quit();
+  });
+}
+
+void ConnectionHost::RemoveConnection(int64_t id) {
+  auto it = connections_.find(id);
+  if (it == connections_.end()) return;
+  (void)AbandonPark(it->second);
+  connections_.erase(it);
+  counters_.open.store(static_cast<int64_t>(connections_.size()));
+  if (draining_ && connections_.empty()) loop_->Quit();
+}
+
+void ConnectionHost::ReapIfClosed(int64_t id) {
+  auto it = connections_.find(id);
+  if (it != connections_.end() && it->second.conn->closed()) {
+    RemoveConnection(id);
+  }
+}
+
+void ConnectionHost::ScheduleIdleSweep() {
+  if (limits_.idle_timeout_millis <= 0) return;
+  // A quarter of the timeout bounds eviction lag to ~1.25x of it.
+  const double period = std::max(limits_.idle_timeout_millis / 4.0, 10.0);
+  loop_->ScheduleAfter(period, [this] {
+    if (draining_) return;
+    const auto budget = std::chrono::duration<double, std::milli>(
+        limits_.idle_timeout_millis);
+    const auto now = std::chrono::steady_clock::now();
+    // A parked connection's wait has its own bound; evicting it would
+    // drop a promised answer.
+    const size_t evicted = std::erase_if(connections_, [&](const auto& item) {
+      return item.second.park == 0 &&
+             now - item.second.conn->last_activity() > budget;
+    });
+    counters_.idle_disconnects.fetch_add(static_cast<int64_t>(evicted));
+    counters_.open.store(static_cast<int64_t>(connections_.size()));
+    ScheduleIdleSweep();
+  });
 }
 
 }  // namespace service

@@ -1,16 +1,20 @@
-// One client connection on the server's event loop.
+// The service layer's one connection model: a listener and every
+// connection multiplexed on one epoll loop thread.
 //
-// Owns the non-blocking socket plus its read/write buffers and drives
-// the NDJSON framing: bytes in, complete request lines out (to the
-// server's handler), response bytes queued back with partial-write
-// resumption. A client may pipeline many request lines; they are
-// dispatched strictly in order, and while a `result` wait is parked
-// (PauseRequests) no further pipelined line is consumed — the unread
-// socket backlog is the natural backpressure.
+// Connection drives one non-blocking socket: bytes in, complete lines
+// out (strictly in order, however many the peer pipelines), queued
+// bytes back with partial-write resumption. While it is paused no
+// further line is consumed; the unread backlog is the backpressure.
 //
-// Threading: every method runs on the event-loop thread. The server
-// owns Connection objects and is the only caller; a Connection never
-// destroys itself — it flips closed() and the server reaps it.
+// ConnectionHost is what the shard server and the router both own: the
+// listener, the loop thread, accept and shed at the connection budget,
+// the connection table, park/resume, the idle sweep and the drain. Its
+// owner answers each line at once (Respond), or parks the connection
+// and resumes it with the answer when its wait ends (a shard's `result`
+// wait, a router's forward). A parked connection holds no thread.
+//
+// Threading: Start/Stop/Wait, the counters and EventLoop::Post are
+// thread-safe; everything else runs on the loop thread.
 #ifndef ADAHEALTH_SERVICE_CONNECTION_H_
 #define ADAHEALTH_SERVICE_CONNECTION_H_
 
@@ -18,66 +22,68 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <memory>
 #include <string>
+#include <thread>
 
 #include "common/status.h"
+#include "common/sync.h"
 #include "service/event_loop.h"
 #include "service/net_socket.h"
 
 namespace adahealth {
 namespace service {
 
+/// Default concurrent-connection budget of a shard or the router.
+inline constexpr size_t kDefaultMaxConnections = 1024;
+/// Default idle time after which a connection is evicted.
+inline constexpr double kDefaultIdleTimeoutMillis = 300000.0;
+
 class Connection {
  public:
-  /// Receives one complete request line (no trailing newline). The
-  /// handler either enqueues a response synchronously or parks the
-  /// connection with PauseRequests() and responds later.
-  using RequestHandler = std::function<void(Connection&, std::string line)>;
+  /// Receives one complete line (no trailing newline). The handler
+  /// either answers it synchronously or parks the connection with
+  /// PauseRequests() and answers later.
+  using LineHandler = std::function<void(std::string line)>;
 
-  /// `errors` is the owning server's error counter: socket failures
-  /// and oversized lines on this connection are counted into it. It
-  /// must stay valid while the connection handles events.
-  Connection(int64_t id, FileDescriptor fd, EventLoop* loop,
-             size_t max_line_bytes, std::atomic<int64_t>* errors);
-  /// Unwatches and releases the socket if still open.
-  ~Connection();
+  /// `errors` is the owner's error counter: socket failures and
+  /// oversized lines on this connection are counted into it. It must
+  /// stay valid while the connection handles events.
+  Connection(FileDescriptor fd, EventLoop* loop, size_t max_line_bytes,
+             std::atomic<int64_t>* errors);
+  ~Connection();  // Unwatches and releases the socket if still open.
 
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
 
-  /// Registers the socket with the event loop. `dispatcher` is the
-  /// loop callback (the server routes it back to HandleEvents so it
-  /// can reap the connection afterwards).
+  /// Registers the socket with the loop. `dispatcher` is the loop
+  /// callback; it calls HandleEvents, so the owner can reap the
+  /// connection afterwards (a Connection never destroys itself: it
+  /// flips closed() and its owner reaps it).
   [[nodiscard]] common::Status Register(
-      std::function<void(uint32_t)> dispatcher, RequestHandler on_request);
-
-  /// Drives one epoll readiness notification: reads until EAGAIN,
-  /// dispatches buffered request lines, flushes pending output.
+      std::function<void(uint32_t)> dispatcher, LineHandler on_line);
+  /// Drives one readiness notification: reads one chunk, dispatches
+  /// the complete lines buffered, flushes pending output.
   void HandleEvents(uint32_t events);
-
-  /// Queues response bytes and flushes as much as the socket accepts
-  /// now; the rest resumes on EPOLLOUT.
+  /// Queues bytes and flushes as much as the socket takes now; the rest
+  /// resumes on EPOLLOUT.
   void EnqueueResponse(std::string data);
-
-  /// Parks the connection: buffered and future request lines wait
-  /// until ResumeRequests(). Reading interest is dropped, so a client
-  /// flooding pipelined requests during a park is throttled by TCP.
+  /// Parks the connection: buffered and future lines wait until
+  /// ResumeRequests(). Reading interest is dropped, so a peer that
+  /// floods pipelined lines during a park is throttled by TCP.
   void PauseRequests();
-
-  /// Ends a park and dispatches any buffered pipelined lines.
+  /// Ends a park and dispatches any buffered lines. Called from inside
+  /// a line's own dispatch, it lets that dispatch loop go on instead.
   void ResumeRequests();
-
-  /// Graceful teardown: consume no further requests, flush what is
-  /// queued, then release the socket.
+  /// Graceful teardown: consumes no further line, flushes what is
+  /// queued, then releases the socket.
   void StartDrain();
-
   /// Immediate teardown (idle eviction, fatal errors): drops buffered
   /// output and releases the socket now.
   void CloseNow();
 
-  [[nodiscard]] int64_t id() const { return id_; }
   [[nodiscard]] bool closed() const { return closed_; }
-  [[nodiscard]] bool awaiting() const { return awaiting_; }
   [[nodiscard]] std::chrono::steady_clock::time_point last_activity() const {
     return last_activity_;
   }
@@ -86,26 +92,26 @@ class Connection {
   void HandleReadable();
   void ProcessBuffered();
   void DispatchLine(std::string line);
-  /// The satellite-2 guard: a line that exceeds max_line_bytes_ fails
-  /// the connection with RESOURCE_EXHAUSTED instead of growing the
-  /// buffer without bound.
+  /// A line over max_line_bytes_ fails the connection with
+  /// RESOURCE_EXHAUSTED instead of growing the buffer without bound.
   void FailOversizedLine();
   void FlushOutput();
-  /// Recomputes the epoll interest mask and applies it on change.
   void UpdateInterest();
 
-  const int64_t id_;
   FileDescriptor fd_;
   EventLoop* loop_;
-  RequestHandler on_request_;
+  LineHandler on_line_;
   const size_t max_line_bytes_;
   std::atomic<int64_t>* errors_;
 
   std::string inbuf_;
   size_t scan_pos_ = 0;  // inbuf_ prefix already scanned for '\n'.
-  std::string outbuf_;
+  std::string outbuf_;  // Empty once everything queued is sent.
+  /// outbuf_ prefix already sent; dropped once it passes half of it.
+  size_t out_sent_ = 0;
 
   bool awaiting_ = false;
+  bool dispatching_ = false;  // ProcessBuffered is on the stack.
   bool peer_eof_ = false;
   bool final_line_dispatched_ = false;
   bool close_after_flush_ = false;
@@ -113,6 +119,102 @@ class Connection {
   uint32_t interest_ = 0;
 
   std::chrono::steady_clock::time_point last_activity_;
+};
+
+struct ConnectionLimits {
+  uint16_t port = 0;  // 0 = kernel-assigned (see ConnectionHost::port()).
+  /// Accepts beyond this are shed with RESOURCE_EXHAUSTED (>= 1).
+  size_t max_connections = kDefaultMaxConnections;
+  /// Silent (unparked) connections are evicted after this; <= 0: never.
+  double idle_timeout_millis = kDefaultIdleTimeoutMillis;
+  size_t max_line_bytes = kMaxLineBytes;  // Clamped to >= 1.
+};
+
+struct ConnectionCounters {
+  std::atomic<int64_t> open{0};
+  std::atomic<int64_t> total{0};
+  std::atomic<int64_t> shed{0};
+  std::atomic<int64_t> idle_disconnects{0};
+  std::atomic<int64_t> errors{0};  // I/O, oversized and unparsable lines.
+};
+
+class ConnectionHost {
+ public:
+  using LineHandler = std::function<void(int64_t id, std::string line)>;
+  /// Runs when a parked connection is given up (drain, or the client
+  /// went away): undoes the owner's wait and returns the answer to send.
+  using Abandon = std::function<std::string()>;
+
+  /// `name` prefixes log lines and the shed message.
+  ConnectionHost(const char* name, ConnectionLimits limits);
+  ~ConnectionHost();  // Stop()s.
+
+  ConnectionHost(const ConnectionHost&) = delete;
+  ConnectionHost& operator=(const ConnectionHost&) = delete;
+
+  /// Binds the listener and starts the loop thread. UNAVAILABLE when
+  /// the port cannot be bound; FAILED_PRECONDITION when running.
+  [[nodiscard]] common::Status Start(LineHandler on_line)
+      ADA_EXCLUDES(join_mutex_);
+  /// Drains (bounded by `failsafe_millis`) and joins the loop thread.
+  /// Idempotent; not callable from the loop thread.
+  void Stop(double failsafe_millis) ADA_EXCLUDES(join_mutex_);
+  /// Blocks until the loop thread exits.
+  void Wait() ADA_EXCLUDES(join_mutex_);
+
+  [[nodiscard]] uint16_t port() const { return port_; }
+  [[nodiscard]] bool running() const { return running_.load(); }
+  [[nodiscard]] ConnectionCounters& counters() { return counters_; }
+  [[nodiscard]] EventLoop& loop() { return *loop_; }
+  /// For a task on another thread that Posts back: a Post after the
+  /// loop exited is dropped, so holding the loop keeps it safe.
+  [[nodiscard]] std::shared_ptr<EventLoop> shared_loop() { return loop_; }
+
+  /// Answers connection `id` (a no-op once it is gone).
+  void Respond(int64_t id, std::string line);
+  /// Parks connection `id`; returns the park's token (0: it is gone).
+  uint64_t Park(int64_t id, Abandon abandon);
+  [[nodiscard]] bool Parked(int64_t id, uint64_t token) const;
+  /// Answers park `token` and dispatches the connection's next lines;
+  /// a no-op once the park ended. Token 0 answers as Respond does.
+  void Resume(int64_t id, uint64_t token, std::string line);
+  /// Stops accepting, answers parked connections through their
+  /// Abandon, flushes and closes everything, then quits the loop (at
+  /// the latest after `failsafe_millis`).
+  void BeginDrain(double failsafe_millis);
+  [[nodiscard]] bool draining() const { return draining_; }
+
+ private:
+  struct Entry {
+    std::unique_ptr<Connection> conn;
+    uint64_t park = 0;  // 0 = not parked.
+    Abandon abandon;
+  };
+
+  void OnAcceptable();
+  std::string AbandonPark(Entry& entry);
+  void RemoveConnection(int64_t id);
+  void ReapIfClosed(int64_t id);
+  /// Posted: Respond and Resume may run in the connection's callback.
+  void ReapLater(int64_t id, const Connection& conn);
+  void ScheduleIdleSweep();
+
+  const char* const name_;
+  const ConnectionLimits limits_;
+  LineHandler on_line_;
+  ConnectionCounters counters_;
+  // connections_ is destroyed before loop_: a Connection unwatches.
+  std::shared_ptr<EventLoop> loop_;
+  std::map<int64_t, Entry> connections_;
+  ServerSocket listener_;
+  uint16_t port_ = 0;
+  bool draining_ = false;
+  int64_t next_connection_id_ = 1;
+  uint64_t next_park_ = 1;
+
+  common::Mutex join_mutex_;  // Start()'s assignment vs. Stop()/Wait().
+  std::thread loop_thread_ ADA_GUARDED_BY(join_mutex_);
+  std::atomic<bool> running_{false};
 };
 
 }  // namespace service

@@ -83,29 +83,14 @@ void EventLoop::Unwatch(int fd) {
 
 EventLoop::TimerId EventLoop::ScheduleAfter(double delay_millis, Task task) {
   if (delay_millis < 0) delay_millis = 0;
-  const Clock::time_point due =
-      Clock::now() + std::chrono::microseconds(
-                         static_cast<int64_t>(delay_millis * 1000.0));
-  const TimerId id = next_timer_id_++;
-  timers_[id] = Timer{due, std::move(task)};
-  timer_order_.emplace(due, id);
+  const auto delay =
+      std::chrono::microseconds(static_cast<int64_t>(delay_millis * 1000.0));
+  const TimerId id(Clock::now() + delay, next_timer_id_++);
+  timers_.emplace(id, std::move(task));
   return id;
 }
 
-bool EventLoop::CancelTimer(TimerId id) {
-  auto it = timers_.find(id);
-  if (it == timers_.end()) return false;
-  const Clock::time_point due = it->second.due;
-  timers_.erase(it);
-  for (auto range = timer_order_.equal_range(due);
-       range.first != range.second; ++range.first) {
-    if (range.first->second == id) {
-      timer_order_.erase(range.first);
-      break;
-    }
-  }
-  return true;
-}
+bool EventLoop::CancelTimer(TimerId id) { return timers_.erase(id) > 0; }
 
 void EventLoop::Post(Task task) {
   bool need_wakeup = false;
@@ -135,21 +120,16 @@ void EventLoop::DrainPosted() {
 
 void EventLoop::FirePendingTimers() {
   const Clock::time_point now = Clock::now();
-  while (!timer_order_.empty() && timer_order_.begin()->first <= now) {
-    const TimerId id = timer_order_.begin()->second;
-    timer_order_.erase(timer_order_.begin());
-    auto it = timers_.find(id);
-    if (it == timers_.end()) continue;  // Cancelled.
-    Task task = std::move(it->second.task);
-    timers_.erase(it);
-    task();
+  while (!timers_.empty() && timers_.begin()->first.first <= now) {
+    auto fired = timers_.extract(timers_.begin());
+    fired.mapped()();
   }
 }
 
 int EventLoop::NextTimerTimeout() const {
-  if (timer_order_.empty()) return -1;
+  if (timers_.empty()) return -1;
   const auto now = Clock::now();
-  const auto due = timer_order_.begin()->first;
+  const auto due = timers_.begin()->first.first;
   if (due <= now) return 0;
   const int64_t millis =
       std::chrono::duration_cast<std::chrono::milliseconds>(due - now)

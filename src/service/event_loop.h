@@ -2,11 +2,10 @@
 //
 // One thread calls Run() and becomes the *loop thread*; everything the
 // loop dispatches — fd readiness callbacks, timers, posted tasks — runs
-// on that thread, so loop-owned state (the server's connection table)
-// needs no locking. Other threads interact with the loop exclusively
-// through Post(), which enqueues a task and wakes the loop via an
-// eventfd; this is how scheduler worker threads deliver job-completion
-// notifications back into connection handling.
+// on that thread, so loop-owned state (a ConnectionHost's table, the
+// router's routes) needs no locking. Other threads interact with the
+// loop exclusively through Post(), which enqueues a task and wakes the
+// loop via an eventfd (scheduler workers post job completions).
 //
 // The loop is level-triggered: callbacks drain their fd until EAGAIN
 // but missing a byte only delays it to the next wakeup, never loses it.
@@ -18,6 +17,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -33,7 +33,8 @@ class EventLoop {
   /// when the watched fd becomes ready.
   using IoCallback = std::function<void(uint32_t events)>;
   using Task = std::function<void()>;
-  using TimerId = int64_t;
+  /// (due time, sequence number): ordered by due time, unique.
+  using TimerId = std::pair<std::chrono::steady_clock::time_point, int64_t>;
 
   EventLoop() = default;
   ~EventLoop();
@@ -96,13 +97,8 @@ class EventLoop {
   // dispatch loop still holds a reference to the running callable.
   std::map<int, std::shared_ptr<IoCallback>> callbacks_;
 
-  struct Timer {
-    Clock::time_point due;
-    Task task;
-  };
-  std::map<TimerId, Timer> timers_;
-  std::multimap<Clock::time_point, TimerId> timer_order_;
-  TimerId next_timer_id_ = 1;
+  std::map<TimerId, Task> timers_;
+  int64_t next_timer_id_ = 1;
 
   common::Mutex posted_mutex_;
   std::vector<Task> posted_ ADA_GUARDED_BY(posted_mutex_);

@@ -159,8 +159,9 @@ Status FinishConnect(const FileDescriptor& fd, int timeout_millis) {
   return common::OkStatus();
 }
 
-StatusOr<FileDescriptor> ConnectLoopback(uint16_t port) {
-  FileDescriptor fd(::socket(AF_INET, SOCK_STREAM, 0));
+StatusOr<FileDescriptor> ConnectLoopback(uint16_t port, bool non_blocking) {
+  FileDescriptor fd(
+      ::socket(AF_INET, SOCK_STREAM | (non_blocking ? SOCK_NONBLOCK : 0), 0));
   if (!fd.valid()) return ErrnoError("socket");
   sockaddr_in address = LoopbackAddress(port);
   if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&address),
@@ -172,15 +173,11 @@ StatusOr<FileDescriptor> ConnectLoopback(uint16_t port) {
   // EISCONN once done, neither of which is a failure. Finish the
   // handshake by waiting for writability and reading SO_ERROR.
   if (errno == EINTR || errno == EALREADY || errno == EINPROGRESS) {
-    ADA_RETURN_IF_ERROR(FinishConnect(fd));
+    if (!non_blocking) ADA_RETURN_IF_ERROR(FinishConnect(fd));
     return fd;
   }
   if (errno == EISCONN) return fd;  // Already established.
   return ErrnoError("connect");
-}
-
-void ShutdownConnection(const FileDescriptor& fd) {
-  if (fd.valid()) ::shutdown(fd.get(), SHUT_RDWR);
 }
 
 Status SetRecvTimeout(const FileDescriptor& fd, double timeout_millis) {

@@ -9,8 +9,8 @@
 //  * blocking helpers (Accept, SendAll, LineReader) used by the client
 //    bindings and the tests;
 //  * non-blocking helpers (TryAccept, RecvNonBlocking, SendNonBlocking,
-//    SetNonBlocking) used by the server's epoll event loop, which must
-//    never park a thread inside a syscall.
+//    SetNonBlocking) used on the epoll event loop, which must never
+//    park its thread.
 //
 // The server binds the IPv4 loopback only: the analysis service is an
 // in-host component (an analyst tool or a sidecar), not an
@@ -106,8 +106,11 @@ class ServerSocket {
 /// on Linux — a naive retry then fails with EALREADY (or EISCONN once
 /// done) and would misreport an established connection as an error.
 /// This helper treats EISCONN as success and finishes interrupted
-/// connects via FinishConnect (writability + SO_ERROR).
-[[nodiscard]] common::StatusOr<FileDescriptor> ConnectLoopback(uint16_t port);
+/// connects via FinishConnect (writability + SO_ERROR). With
+/// `non_blocking` (an event loop's socket) it returns at once: the
+/// connect completes later, or fails later as a socket error.
+[[nodiscard]] common::StatusOr<FileDescriptor> ConnectLoopback(
+    uint16_t port, bool non_blocking = false);
 
 /// Completes an asynchronously-proceeding connect(): waits (poll) until
 /// the socket is writable, then reads SO_ERROR for the real verdict.
@@ -115,11 +118,6 @@ class ServerSocket {
 /// failed; DEADLINE_EXCEEDED when `timeout_millis` >= 0 elapses first.
 [[nodiscard]] common::Status FinishConnect(const FileDescriptor& fd,
                                            int timeout_millis = -1);
-
-/// Half-closes both directions of a connected socket from another
-/// thread: a peer blocked in recv on `fd` wakes with end-of-stream.
-/// Like ServerSocket::Shutdown, the fd itself stays owned and open.
-void ShutdownConnection(const FileDescriptor& fd);
 
 /// Arms SO_RCVTIMEO: a blocking read on `fd` fails with UNAVAILABLE
 /// (EAGAIN) after `timeout_millis` instead of parking the thread

@@ -210,6 +210,8 @@ StatusOr<JobRequest> BuildJobRequest(const Json& body) {
     ADA_ASSIGN_OR_RETURN(
         config.num_patients,
         ReadInt32(*synthetic, "patients", config.num_patients));
+    ADA_RETURN_IF_ERROR(
+        dataset::CheckPatientIdSpan(config.num_patients, "patients"));
     ADA_ASSIGN_OR_RETURN(
         config.num_exam_types,
         ReadInt32(*synthetic, "exam_types", config.num_exam_types));

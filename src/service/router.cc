@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "common/retry.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "service/fingerprint.h"
 #include "service/protocol.h"
 
@@ -16,7 +16,6 @@ namespace adahealth {
 namespace service {
 
 using common::Json;
-using common::MutexLock;
 using common::Status;
 using common::StatusOr;
 
@@ -32,8 +31,15 @@ constexpr double kForwardTimeoutMillis = 120000.0;
 /// Receive deadline on probes, failover verification, promote, the
 /// stats fan-out and the shutdown cascade.
 constexpr double kProbeTimeoutMillis = 1000.0;
-/// Connect retries against the follower during promotion.
-constexpr int kPromoteConnectRetries = 10;
+/// Promote retries against the follower, backing off from 25 ms by
+/// doubling up to 500 ms.
+constexpr int kPromoteRetries = 10;
+/// A request line longer than this may carry a dataset: it is parsed
+/// on the shared pool instead of the loop thread, and a csv submit that
+/// long is offered to its shard by fingerprint before it is sent whole.
+constexpr size_t kInlineParseBytes = 16 * 1024;
+/// Failsafe on a `shutdown` verb's graceful drain.
+constexpr double kDrainTimeoutMillis = 5000.0;
 /// Virtual nodes per shard on the consistent-hash ring.
 constexpr size_t kVnodesPerShard = 64;
 
@@ -71,6 +77,18 @@ void SumIntFields(Json::Object& totals, const Json::Object& source) {
       totals[key] = Json(std::move(nested));
     }
   }
+}
+
+/// True for a successful `ping` round trip.
+bool IsPong(const StatusOr<std::string>& response) {
+  return response.ok() && ParseResponse(response.value()).ok();
+}
+
+/// A csv/synthetic submit: the router fingerprints its dataset to route
+/// it (a client-supplied route_fingerprint is rejected instead).
+bool NeedsFingerprint(const Request& request) {
+  return request.verb == "submit" && request.body.Find("cohort") == nullptr &&
+         request.body.Find("route_fingerprint") == nullptr;
 }
 
 bool IsOkResponse(const Json& response) {
@@ -120,7 +138,10 @@ StatusOr<JobId> AcceptedJobId(const Json& accepted, size_t shard) {
 
 }  // namespace
 
-Router::Router(RouterOptions options) : options_(std::move(options)) {}
+Router::Router(RouterOptions options)
+    : options_(std::move(options)),
+      host_("router", ConnectionLimits{}),
+      upstream_(&host_.loop()) {}
 
 Router::~Router() { Stop(); }
 
@@ -129,14 +150,9 @@ Status Router::Start() {
     return common::InvalidArgumentError(
         "router needs at least one --shard endpoint");
   }
-  {
-    MutexLock lock(&lifecycle_mutex_);
-    if (started_) {
-      return common::FailedPreconditionError("router already started");
-    }
+  if (host_.running()) {
+    return common::FailedPreconditionError("router already started");
   }
-  ADA_ASSIGN_OR_RETURN(listener_, ServerSocket::Listen(options_.port));
-  port_ = listener_.port();
   shards_.clear();
   for (const ShardEndpoints& endpoints : options_.shards) {
     auto state = std::make_unique<ShardState>();
@@ -160,75 +176,27 @@ Status Router::Start() {
   }
   std::sort(ring_.begin(), ring_.end());
   start_time_ = std::chrono::steady_clock::now();
-  stopping_.store(false);
-  {
-    MutexLock lock(&lifecycle_mutex_);
-    started_ = true;
-    stop_signalled_ = false;
-  }
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  prober_thread_ = std::thread([this] { ProbeLoop(); });
-  ADA_LOG(kInfo) << "router: listening on 127.0.0.1:" << port_ << " with "
+  ADA_RETURN_IF_ERROR(host_.Start([this](int64_t id, std::string line) {
+    OnLine(id, std::move(line));
+  }));
+  host_.loop().Post([this] { ScheduleProbeRound(); });
+  ADA_LOG(kInfo) << "router: listening on 127.0.0.1:" << port() << " with "
                  << shards_.size() << " shard(s)";
   return common::OkStatus();
 }
 
-void Router::SignalStop() {
-  stopping_.store(true);
-  {
-    MutexLock lock(&lifecycle_mutex_);
-    stop_signalled_ = true;
-    stopped_cv_.NotifyAll();
-  }
-  listener_.Shutdown();  // Unblocks the accept thread.
-}
+void Router::Wait() { host_.Wait(); }
 
-void Router::Wait() {
-  MutexLock lock(&lifecycle_mutex_);
-  stopped_cv_.Wait(lifecycle_mutex_, [this]() ADA_REQUIRES(lifecycle_mutex_) {
-    return stop_signalled_ || !started_;
-  });
-}
-
-void Router::Stop() {
-  {
-    MutexLock lock(&lifecycle_mutex_);
-    if (!started_) return;
-  }
-  SignalStop();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (prober_thread_.joinable()) prober_thread_.join();
-  {
-    MutexLock lock(&conn_mutex_);
-    for (auto& conn : conns_) {
-      MutexLock conn_lock(&conn->mutex);
-      conn->shutdown = true;
-      // Wake the thread wherever it is parked: reading the client or
-      // waiting on a forwarded upstream response.
-      ShutdownConnection(conn->fd);
-      if (conn->upstream != nullptr) conn->upstream->Interrupt();
-    }
-    for (auto& conn : conns_) {
-      if (conn->thread.joinable()) conn->thread.join();
-    }
-    conns_.clear();
-  }
-  MutexLock lock(&lifecycle_mutex_);
-  started_ = false;
-  stopped_cv_.NotifyAll();
-}
+void Router::Stop() { host_.Stop(/*failsafe_millis=*/250.0); }
 
 RouterStats Router::stats() const {
-  MutexLock lock(&mutex_);
-  return stats_;
+  return RouterStats{counters_.submitted.load(), counters_.completed.load(),
+                     counters_.forwarded.load(), counters_.failovers.load(),
+                     counters_.redriven.load(),  counters_.dead_shards.load(),
+                     counters_.retired.load()};
 }
 
 size_t Router::ShardFor(const std::string& fingerprint) const {
-  MutexLock lock(&mutex_);
-  return ShardForLocked(fingerprint);
-}
-
-size_t Router::ShardForLocked(const std::string& fingerprint) const {
   Fnv1a hash;
   hash.MixString(fingerprint);
   const std::pair<uint64_t, size_t> point(hash.digest(), 0);
@@ -237,283 +205,304 @@ size_t Router::ShardForLocked(const std::string& fingerprint) const {
   for (size_t step = 0; step < ring_.size(); ++step) {
     const auto& [vnode_hash, shard] = ring_[(begin + step) % ring_.size()];
     (void)vnode_hash;
-    if (shards_[shard]->alive) return shard;
+    if (shards_[shard]->alive.load()) return shard;
   }
   return shards_.size();  // Every shard is dead.
 }
 
-void Router::AcceptLoop() {
-  for (;;) {
-    auto accepted = listener_.Accept();
-    if (stopping_.load()) return;
-    if (!accepted.ok()) {
-      ADA_LOG(kWarning) << "router: accept failed: "
-                        << accepted.status().message();
-      // Pace a persistently failing accept (EMFILE-style) instead of
-      // spinning; the wait doubles as a stop check.
-      MutexLock lock(&lifecycle_mutex_);
-      if (stopped_cv_.WaitFor(
-              lifecycle_mutex_, 50.0,
-              [this]() ADA_REQUIRES(lifecycle_mutex_) {
-                return stop_signalled_;
-              })) {
-        return;
-      }
-      continue;
-    }
-    ReapConnections();
-    auto conn = std::make_unique<ClientConn>();
-    conn->fd = std::move(accepted).value();
-    ClientConn* raw = conn.get();
-    MutexLock lock(&conn_mutex_);
-    if (stopping_.load()) return;  // conn closes on scope exit.
-    conns_.push_back(std::move(conn));
-    // Registered before started, under the lock: Stop() either sees a
-    // joinable thread or no thread at all — never a half-moved handle.
-    raw->thread = std::thread([this, raw] { ServeClient(raw); });
-  }
-}
-
-void Router::ReapConnections() {
-  MutexLock lock(&conn_mutex_);
-  for (auto it = conns_.begin(); it != conns_.end();) {
-    if ((*it)->done.load()) {
-      if ((*it)->thread.joinable()) (*it)->thread.join();
-      it = conns_.erase(it);
-    } else {
-      ++it;
+void Router::OnLine(int64_t id, std::string line) {
+  auto prepared = std::make_shared<Prepared>();
+  prepared->line = std::move(line);
+  // A short line is parsed here and dispatched at once unless it is a
+  // csv/synthetic submit; a longer one may carry a dataset.
+  const bool parse_here = prepared->line.size() <= kInlineParseBytes;
+  if (parse_here) {
+    prepared->request = ParseRequest(prepared->line);
+    if (!prepared->request.ok() ||
+        !NeedsFingerprint(prepared->request.value())) {
+      Dispatch(id, 0, std::move(*prepared));
+      return;
     }
   }
+  // Parsing, building and fingerprinting a dataset takes milliseconds:
+  // a pool task does it while the connection waits parked. It holds the
+  // loop, not the router: a Post after the loop exited is dropped.
+  const uint64_t park = ParkClient(id);
+  std::function<void()> prepare = [this, loop = host_.shared_loop(), id, park,
+                                   prepared, parse_here] {
+    if (!parse_here) prepared->request = ParseRequest(prepared->line);
+    Fingerprint(*prepared);
+    loop->Post([this, id, park, prepared] {
+      if (host_.Parked(id, park)) Dispatch(id, park, std::move(*prepared));
+    });
+  };
+  if (!common::ThreadPool::Shared().TrySchedule(prepare)) prepare();
 }
 
-void Router::ServeClient(ClientConn* conn) {
-  LineReader reader(conn->fd);
-  for (;;) {
-    auto line = reader.ReadLine();
-    if (!line.ok()) break;
-    if (line.value().empty()) continue;
-    const std::string response = HandleLine(conn, line.value());
-    // An empty response means the handler already answered inline
-    // (shutdown does, to beat Stop()'s connection teardown).
-    if (!response.empty() && !SendAll(conn->fd, response).ok()) break;
-    if (stopping_.load()) break;
+void Router::Fingerprint(Prepared& prepared) {
+  if (!prepared.request.ok() || !NeedsFingerprint(prepared.request.value())) {
+    return;
   }
-  conn->done.store(true);
+  // Validate and fingerprint with the exact code the shard will run on
+  // the forwarded line, so router and shard agree on the key byte for
+  // byte (the invariant the whole routing scheme rests on).
+  const Json& body = prepared.request.value().body;
+  auto job_request = BuildJobRequest(body);
+  if (!job_request.ok()) {
+    prepared.request = job_request.status();
+    return;
+  }
+  prepared.key = DatasetFingerprint(job_request.value().log,
+                                    job_request.value().options);
+  prepared.terminal_line = FingerprintOnlyLine(body, prepared.key);
+  prepared.line = WithRouteFingerprint(prepared.line, prepared.key);
 }
 
-std::string Router::HandleLine(ClientConn* conn, const std::string& line) {
-  auto request = ParseRequest(line);
-  if (!request.ok()) return ErrorResponse(request.status());
-  const std::string& verb = request.value().verb;
-  if (request.value().body.Find("route_fingerprint") != nullptr) {
-    return ErrorResponse(common::InvalidArgumentError(
-        "field 'route_fingerprint' is cluster-internal; it is not accepted "
-        "at the router"));
+uint64_t Router::ParkClient(int64_t id) {
+  return host_.Park(id, [] {
+    return ErrorResponse(common::UnavailableError("router is stopping"));
+  });
+}
+
+void Router::Dispatch(int64_t id, uint64_t park, Prepared prepared) {
+  if (!prepared.request.ok()) {
+    host_.Resume(id, park, ErrorResponse(prepared.request.status()));
+    return;
   }
-  if (verb == "submit" || verb == "ingest" || verb == "status" ||
-      verb == "result" || verb == "cancel") {
-    return HandleForward(conn, request.value(), line);
-  }
-  if (verb == "stats") return HandleStats(conn);
-  if (verb == "health") return HandleHealth();
-  if (verb == "shutdown") return HandleShutdown(conn);
-  if (verb == "ping") {
+  const std::string& verb = prepared.request.value().verb;
+  if (prepared.request.value().body.Find("route_fingerprint") != nullptr) {
+    host_.Resume(id, park,
+                 ErrorResponse(common::InvalidArgumentError(
+                     "field 'route_fingerprint' is cluster-internal; it is "
+                     "not accepted at the router")));
+  } else if (verb == "submit" || verb == "ingest" || verb == "status" ||
+             verb == "result" || verb == "cancel") {
+    StartForward(id, park, std::move(prepared));
+  } else if (verb == "stats") {
+    HandleStats(id, park);
+  } else if (verb == "health") {
+    host_.Resume(id, park, HandleHealth());
+  } else if (verb == "shutdown") {
+    HandleShutdown(id, park);
+  } else if (verb == "ping") {
     Json::Object fields;
     fields["service"] = "ada-health-router";
-    return OkResponse(std::move(fields));
+    host_.Resume(id, park, OkResponse(std::move(fields)));
+  } else if (verb == "promote" || verb == "replicate") {
+    host_.Resume(id, park,
+                 ErrorResponse(common::InvalidArgumentError(common::StrFormat(
+                     "verb '%s' is cluster-internal; it is not accepted at "
+                     "the router",
+                     verb.c_str()))));
+  } else {
+    host_.Resume(id, park,
+                 ErrorResponse(common::InvalidArgumentError(common::StrFormat(
+                     "unknown verb '%s'", verb.c_str()))));
   }
-  if (verb == "promote" || verb == "replicate") {
-    return ErrorResponse(common::InvalidArgumentError(common::StrFormat(
-        "verb '%s' is cluster-internal; it is not accepted at the router",
-        verb.c_str())));
-  }
-  return ErrorResponse(common::InvalidArgumentError(
-      common::StrFormat("unknown verb '%s'", verb.c_str())));
 }
 
-StatusOr<std::string> Router::ForwardRaw(ClientConn* conn, uint16_t port,
-                                         std::string_view line,
-                                         double recv_timeout_millis) {
-  {
-    MutexLock lock(&mutex_);
-    ++stats_.forwarded;
-  }
-  ADA_ASSIGN_OR_RETURN(AnalysisClient upstream,
-                       AnalysisClient::Connect(port, recv_timeout_millis));
-  if (conn != nullptr) {
-    MutexLock lock(&conn->mutex);
-    if (conn->shutdown) {
-      return common::UnavailableError("router is stopping");
-    }
-    conn->upstream = &upstream;
-  }
-  StatusOr<std::string> response = upstream.Exchange(line);
-  if (conn != nullptr) {
-    MutexLock lock(&conn->mutex);
-    conn->upstream = nullptr;
-  }
-  return response;
+void Router::Call(uint16_t port, std::string_view line, double timeout_millis,
+                  UpstreamPool::Done done, bool fresh) {
+  counters_.forwarded.fetch_add(1);
+  upstream_.Call(port, line, timeout_millis, fresh, std::move(done));
 }
 
-std::string Router::HandleForward(ClientConn* conn, const Request& request,
-                                  const std::string& line) {
+void Router::StartForward(int64_t id, uint64_t park, Prepared prepared) {
+  const Request& request = prepared.request.value();
   const Json& body = request.body;
   const bool submit = request.verb == "submit";
-  const bool ingest = request.verb == "ingest";
-  const bool by_route = !submit && !ingest;  // status, result, cancel.
-  std::string key;  // Ring key of a submit or ingest.
-  // A csv/synthetic submit goes out with its key spliced in, so the
-  // shard neither re-parses a cached dataset nor fingerprints it again.
-  std::string hinted_line;
-  JobId global_id = 0;
-  Json::Object extra;  // Job verbs' errors carry the global job id.
+  auto forward = std::make_shared<Forward>();
+  forward->ingest = request.verb == "ingest";
   if (const Json* cohort = body.Find("cohort");
-      ingest || (submit && cohort != nullptr)) {
-    // Cohort traffic routes on "cohort/<name>": every ingest batch and
-    // every delta submit must land on the one shard that holds the
-    // cohort's records. The shard validates the rest of the body.
+      forward->ingest || (submit && cohort != nullptr)) {
+    // Cohort traffic routes to the one shard that holds the cohort's
+    // records. The shard validates the rest of the body.
     if (cohort == nullptr || !cohort->is_string() ||
         cohort->AsString().empty()) {
-      return ErrorResponse(common::InvalidArgumentError(
-          "request must carry a non-empty string 'cohort'"));
+      host_.Resume(id, park,
+                   ErrorResponse(common::InvalidArgumentError(
+                       "request must carry a non-empty string 'cohort'")));
+      return;
     }
-    key = "cohort/" + cohort->AsString();
+    forward->key = "cohort/" + cohort->AsString();
+    forward->terminal_line = prepared.line;
   } else if (submit) {
-    // Validate and fingerprint with the exact code the shard will run
-    // on the forwarded line, so router and shard agree on the key byte
-    // for byte (the invariant the whole routing scheme rests on).
-    auto job_request = BuildJobRequest(body);
-    if (!job_request.ok()) return ErrorResponse(job_request.status());
-    key = DatasetFingerprint(job_request.value().log,
-                             job_request.value().options);
-    hinted_line = WithRouteFingerprint(line, key);
+    forward->key = std::move(prepared.key);
+    forward->terminal_line = std::move(prepared.terminal_line);
+    forward->uploaded = true;
   } else {
     const Json* id_field = body.Find("job_id");
     if (id_field == nullptr || !id_field->is_int()) {
-      return ErrorResponse(common::InvalidArgumentError(
-          "request must carry an integer 'job_id'"));
+      host_.Resume(id, park,
+                   ErrorResponse(common::InvalidArgumentError(
+                       "request must carry an integer 'job_id'")));
+      return;
     }
-    global_id = id_field->AsInt();
-    extra["job_id"] = Json(static_cast<int64_t>(global_id));
+    forward->global_id = id_field->AsInt();
+    forward->body = body;
   }
-  // Exactly one attempt for ingest — unlike submit, a non-idempotent
-  // write. A recv timeout does not prove the owning shard failed to
-  // commit, so a blind resend could double-apply the batch, and
-  // re-routing along the ring would append onto a shard that does not
-  // hold the cohort's accumulated records (a fresh, silently-forked
-  // cohort at generation 1). The failure still feeds failover
-  // bookkeeping; the client retries with the `ingest` verb's
-  // `expected_generation` replay guard, which the owning shard uses to
-  // reject a batch that already committed.
-  const std::string& submit_line = hinted_line.empty() ? line : hinted_line;
-  const int attempts = ingest ? 1 : kMaxForwardAttempts;
+  forward->line = std::move(prepared.line);
+  // Exactly one attempt for ingest, a non-idempotent write: a timeout
+  // does not prove the batch failed to commit, and another shard does
+  // not hold the cohort. The failure still feeds failover; the client
+  // retries with the `expected_generation` replay guard.
+  forward->attempts_left = forward->ingest ? 1 : kMaxForwardAttempts;
+  forward->conn = id;
+  forward->park = park != 0 ? park : ParkClient(id);
+  Attempt(forward);
+}
+
+void Router::Attempt(const std::shared_ptr<Forward>& forward) {
+  Forward& f = *forward;
+  const bool by_route = f.key.empty();  // status, result, cancel.
+  Json::Object extra;  // Job verbs' errors carry the global job id.
   size_t shard = 0;
-  JobId local_id = 0;
-  StatusOr<std::string> response =
-      common::UnavailableError("no forward attempted");
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    uint16_t port = 0;
-    uint64_t generation = 0;
-    {
-      MutexLock lock(&mutex_);
-      if (by_route) {
-        auto it = routes_.find(global_id);
-        if (it == routes_.end()) {
-          return ErrorResponse(JobNotFoundError(global_id, next_job_id_),
-                               extra);
-        }
-        if (!it->second.redrive_failure.ok()) {
-          return ErrorResponse(it->second.redrive_failure, extra);
-        }
-        shard = it->second.shard;
-        local_id = it->second.local_id;
-        if (!shards_[shard]->alive) {
-          return ErrorResponse(
-              common::UnavailableError(common::StrFormat(
-                  "shard %zu is down and has no follower", shard)),
-              extra);
-        }
-      } else {
-        shard = ShardForLocked(key);
-        if (shard >= shards_.size()) {
-          return ErrorResponse(
-              common::UnavailableError("every shard is down"));
-        }
-      }
-      port = shards_[shard]->active_port;
-      generation = shards_[shard]->generation;
+  if (by_route) {
+    extra["job_id"] = Json(static_cast<int64_t>(f.global_id));
+    auto it = routes_.find(f.global_id);
+    if (it == routes_.end()) {
+      host_.Resume(f.conn, f.park,
+                   ErrorResponse(JobNotFoundError(f.global_id, next_job_id_),
+                                 extra));
+      return;
     }
-    // A job verb goes out as the client's body with the job id
-    // rewritten to the shard-local one, which may change between
-    // attempts (a failover re-drive assigns fresh local ids).
-    std::string rewritten;
-    if (by_route) {
-      Json::Object forward = body.AsObject();
-      forward["job_id"] = Json(static_cast<int64_t>(local_id));
-      rewritten = Json(std::move(forward)).Dump();
+    if (!it->second.redrive_failure.ok()) {
+      host_.Resume(f.conn, f.park,
+                   ErrorResponse(it->second.redrive_failure, extra));
+      return;
     }
-    response = ForwardRaw(conn, port, by_route ? rewritten : submit_line,
-                          kForwardTimeoutMillis);
-    if (response.ok() || stopping_.load()) break;
-    HandleShardFailure(shard, generation);
+    shard = it->second.shard;
+    f.local_id = it->second.local_id;
+  } else {
+    shard = ShardFor(f.key);
+    if (shard >= shards_.size()) {
+      host_.Resume(
+          f.conn, f.park,
+          ErrorResponse(common::UnavailableError("every shard is down")));
+      return;
+    }
   }
-  if (!response.ok() && ingest) {
+  ShardState& state = *shards_[shard];
+  if (state.failing_over) {  // Re-resolved once it ends.
+    state.after_failover.push_back([this, forward] { Attempt(forward); });
+    return;
+  }
+  if (!state.alive.load()) {
+    host_.Resume(f.conn, f.park,
+                 ErrorResponse(common::UnavailableError(common::StrFormat(
+                                   "shard %zu is down and has no follower",
+                                   shard)),
+                               extra));
+    return;
+  }
+  f.shard = shard;
+  f.generation = state.generation;
+  // A job verb goes out with the current shard-local job id.
+  std::string rewritten;
+  if (by_route) {
+    Json::Object body = f.body.AsObject();
+    body["job_id"] = Json(static_cast<int64_t>(f.local_id));
+    rewritten = Json(std::move(body)).Dump();
+  }
+  UpstreamPool::Done replied = [this, forward](StatusOr<std::string> response) {
+    Forward& f = *forward;
+    if (response.ok()) {
+      host_.Resume(f.conn, f.park, ShardReplied(f, response.value()));
+      return;
+    }
+    --f.attempts_left;
+    if (host_.draining()) {
+      host_.Resume(f.conn, f.park, ForwardFailed(f, response.status()));
+      return;
+    }
+    HandleShardFailure(f.shard, f.generation,
+                       [this, forward, failure = response.status()] {
+                         if (forward->attempts_left > 0) {
+                           Attempt(forward);
+                         } else {
+                           host_.Resume(forward->conn, forward->park,
+                                        ForwardFailed(*forward, failure));
+                         }
+                       });
+  };
+  if (f.uploaded && f.line.size() > kInlineParseBytes) {
+    // A shard that caches the upload admits it by its fingerprint alone
+    // and answers as it would the whole line; one that does not admits
+    // nothing and rejects it. Only then does the dataset go out.
+    Call(state.active_port, f.terminal_line, kForwardTimeoutMillis,
+         [this, forward, port = state.active_port,
+          replied](StatusOr<std::string> response) {
+           if (!response.ok() || ParseResponse(response.value()).ok()) {
+             replied(std::move(response));
+           } else {
+             Call(port, forward->line, kForwardTimeoutMillis, replied);
+           }
+         });
+    return;
+  }
+  Call(state.active_port, by_route ? rewritten : f.line, kForwardTimeoutMillis,
+       std::move(replied));
+}
+
+std::string Router::ForwardFailed(const Forward& forward,
+                                  const Status& status) const {
+  if (forward.ingest) {
     return ErrorResponse(common::UnavailableError(common::StrFormat(
         "'%s' owner (shard %zu) did not answer; the batch may or may not "
         "have committed — retry with expected_generation to guard against "
         "a double append: %s",
-        key.c_str(), shard, response.status().ToString().c_str())));
+        forward.key.c_str(), forward.shard, status.ToString().c_str())));
   }
-  if (!response.ok()) {
-    return ErrorResponse(
-        common::UnavailableError(common::StrFormat(
-            "shard unavailable after %d attempts: %s", attempts,
-            response.status().ToString().c_str())),
-        extra);
+  Json::Object extra;
+  if (forward.key.empty()) {
+    extra["job_id"] = Json(static_cast<int64_t>(forward.global_id));
   }
+  return ErrorResponse(
+      common::UnavailableError(common::StrFormat(
+          "shard unavailable after %d attempts: %s", kMaxForwardAttempts,
+          status.ToString().c_str())),
+      std::move(extra));
+}
+
+std::string Router::ShardReplied(Forward& forward,
+                                 const std::string& response) {
   // Ingest responses carry no job id: they pass through verbatim, and
   // validation errors come straight from the owner.
-  if (ingest) return response.value() + "\n";
-  if (by_route) {
-    return RewriteShardResponse(response.value(), global_id, local_id);
+  if (forward.ingest) return response + "\n";
+  if (forward.key.empty()) {
+    return RewriteShardResponse(response, forward.global_id,
+                                forward.local_id);
   }
-  auto parsed = Json::Parse(response.value());
+  auto parsed = Json::Parse(response);
   if (!parsed.ok() || !parsed.value().is_object()) {
     return ErrorResponse(common::InternalError(common::StrFormat(
-        "shard %zu returned a malformed response", shard)));
+        "shard %zu returned a malformed response", forward.shard)));
   }
   if (!IsOkResponse(parsed.value())) {
     // Server-side rejection (bad request, full queue): pass the
     // shard's error through verbatim, extra fields included.
-    return response.value() + "\n";
+    return response + "\n";
   }
-  auto accepted_id = AcceptedJobId(parsed.value(), shard);
+  auto accepted_id = AcceptedJobId(parsed.value(), forward.shard);
   if (!accepted_id.ok()) return ErrorResponse(accepted_id.status());
   // A cache hit is admitted already done.
   const Json* state = parsed.value().Find("state");
   const bool terminal = state != nullptr && state->is_string() &&
                         IsTerminalStateName(state->AsString());
-  const bool uploaded = !hinted_line.empty();
-  std::string terminal_line =
-      uploaded ? FingerprintOnlyLine(body, key) : line;
-  JobId assigned = 0;
-  {
-    MutexLock lock(&mutex_);
-    stats_.retired += RetireFinished(routes_, finished_);
-    assigned = next_job_id_++;
-    JobRoute& route = routes_[assigned];
-    route.shard = shard;
-    route.local_id = accepted_id.value();
-    route.uploaded = uploaded;
-    route.terminal_line = std::move(terminal_line);
-    ++stats_.submitted;
-    // A job answered terminal in its own reply (every cache hit) never
-    // holds its upload here.
-    if (terminal) {
-      MarkTerminalLocked(assigned, route);
-    } else {
-      route.redrive_line = submit_line;
-    }
+  counters_.retired.fetch_add(RetireFinished(routes_, finished_));
+  const JobId assigned = next_job_id_++;
+  JobRoute& route = routes_[assigned];
+  route.shard = forward.shard;
+  route.local_id = accepted_id.value();
+  route.uploaded = forward.uploaded;
+  route.terminal_line = std::move(forward.terminal_line);
+  counters_.submitted.fetch_add(1);
+  // A job answered terminal in its own reply (every cache hit) never
+  // holds its upload here.
+  if (terminal) {
+    MarkTerminal(assigned, route);
+  } else {
+    route.redrive_line = std::move(forward.line);
   }
   parsed.value().MutableObject()["job_id"] =
       Json(static_cast<int64_t>(assigned));
@@ -540,102 +529,122 @@ std::string Router::RewriteShardResponse(const std::string& response_line,
   if (IsOkResponse(parsed.value()) && state_field != nullptr &&
       state_field->is_string() &&
       IsTerminalStateName(state_field->AsString())) {
-    MutexLock lock(&mutex_);
     auto it = routes_.find(global_id);
     if (it != routes_.end() && !it->second.terminal) {
       // First terminal sighting only: a re-driven job that finishes
       // again on the follower must not double-count.
-      MarkTerminalLocked(global_id, it->second);
+      MarkTerminal(global_id, it->second);
     }
   }
   return parsed.value().Dump() + "\n";
 }
 
 std::string Router::ExpireRoute(JobId global_id) {
-  common::Status expired;
-  {
-    MutexLock lock(&mutex_);
-    expired = JobNotFoundError(global_id, next_job_id_);
-    auto it = routes_.find(global_id);
-    if (it != routes_.end() && it->second.redrive_failure.ok()) {
-      // The shard holds nothing left to re-drive or answer: drop the
-      // lines (an in-flight upload's dataset among them) and queue the
-      // route for retirement.
-      it->second.redrive_line.clear();
-      it->second.terminal_line.clear();
-      FailRouteLocked(global_id, it->second, expired);
-    }
+  const Status expired = JobNotFoundError(global_id, next_job_id_);
+  auto it = routes_.find(global_id);
+  if (it != routes_.end() && it->second.redrive_failure.ok()) {
+    // The shard holds nothing left to re-drive or answer: drop the
+    // lines (an in-flight upload's dataset among them) and queue the
+    // route for retirement.
+    it->second.redrive_line.clear();
+    it->second.terminal_line.clear();
+    FailRoute(global_id, it->second, expired);
   }
   Json::Object extra;
   extra["job_id"] = Json(static_cast<int64_t>(global_id));
   return ErrorResponse(expired, std::move(extra));
 }
 
-void Router::MarkTerminalLocked(JobId id, JobRoute& route) {
+void Router::MarkTerminal(JobId id, JobRoute& route) {
   route.terminal = true;
-  ++stats_.completed;
+  counters_.completed.fetch_add(1);
   route.redrive_line = std::exchange(route.terminal_line, std::string());
   if (route.redrive_failure.ok()) finished_.push_back(id);
 }
 
-void Router::FailRouteLocked(JobId id, JobRoute& route,
-                             common::Status failure) {
+void Router::FailRoute(JobId id, JobRoute& route, Status failure) {
   if (!route.terminal && route.redrive_failure.ok()) finished_.push_back(id);
   route.redrive_failure = std::move(failure);
 }
 
-std::string Router::HandleStats(ClientConn* conn) {
-  Json::Array shard_entries;
-  Json::Object totals;
+void Router::FanOut(
+    const std::vector<uint16_t>& ports, std::string_view line,
+    std::function<void(size_t, StatusOr<std::string>)> each,
+    std::function<void()> finish) {
+  auto pending = std::make_shared<size_t>(
+      ports.size() - std::count(ports.begin(), ports.end(), 0));
+  if (*pending == 0) finish();
+  for (size_t i = 0; i < ports.size(); ++i) {
+    if (ports[i] == 0) continue;
+    Call(ports[i], line, kProbeTimeoutMillis,
+         [i, pending, each, finish](StatusOr<std::string> response) {
+           each(i, std::move(response));
+           if (--*pending == 0) finish();
+         });
+  }
+}
+
+void Router::HandleStats(int64_t id, uint64_t park) {
+  auto entries = std::make_shared<std::vector<Json::Object>>();
+  std::vector<uint16_t> ports;  // 0 for a dead shard: not asked.
   for (size_t shard = 0; shard < shards_.size(); ++shard) {
-    bool alive = false;
-    uint16_t port = 0;
-    bool using_follower = false;
-    {
-      MutexLock lock(&mutex_);
-      alive = shards_[shard]->alive;
-      port = shards_[shard]->active_port;
-      using_follower = shards_[shard]->using_follower;
-    }
+    const ShardState& state = *shards_[shard];
     Json::Object entry;
     entry["shard"] = Json(static_cast<int64_t>(shard));
-    entry["port"] = Json(static_cast<int64_t>(port));
-    entry["alive"] = Json(alive);
-    entry["using_follower"] = Json(using_follower);
-    if (alive) {
-      auto response = ForwardRaw(conn, port, kStatsLine, kProbeTimeoutMillis);
-      StatusOr<Json> stats_json =
-          response.ok() ? ParseResponse(response.value())
-                        : StatusOr<Json>(response.status());
-      if (stats_json.ok()) {
-        SumIntFields(totals, stats_json.value().AsObject());
-        entry["stats"] = stats_json.value();
-      } else {
-        entry["error"] = Json(stats_json.status().ToString());
-      }
+    entry["port"] = Json(static_cast<int64_t>(state.active_port));
+    entry["alive"] = Json(state.alive.load());
+    entry["using_follower"] = Json(state.using_follower);
+    entries->push_back(std::move(entry));
+    ports.push_back(state.alive.load() ? state.active_port : 0);
+  }
+  if (park == 0 && std::count(ports.begin(), ports.end(), 0) <
+                       static_cast<std::ptrdiff_t>(ports.size())) {
+    park = ParkClient(id);  // Some shard is asked: answered later.
+  }
+  FanOut(
+      ports, kStatsLine,
+      [entries](size_t shard, StatusOr<std::string> response) {
+        StatusOr<Json> stats = response.ok()
+                                   ? ParseResponse(response.value())
+                                   : StatusOr<Json>(response.status());
+        Json::Object& entry = (*entries)[shard];
+        if (stats.ok()) {
+          entry["stats"] = std::move(stats).value();
+        } else {
+          entry["error"] = Json(stats.status().ToString());
+        }
+      },
+      [this, id, park, entries] {
+        host_.Resume(id, park, StatsResponse(std::move(*entries)));
+      });
+}
+
+std::string Router::StatsResponse(std::vector<Json::Object> shards) const {
+  Json::Object totals;
+  Json::Array entries;
+  for (Json::Object& entry : shards) {
+    if (auto stats = entry.find("stats"); stats != entry.end()) {
+      SumIntFields(totals, stats->second.AsObject());
     }
-    shard_entries.push_back(Json(std::move(entry)));
+    entries.push_back(Json(std::move(entry)));
   }
   Json::Object router;
-  {
-    MutexLock lock(&mutex_);
-    router["submitted"] = Json(stats_.submitted);
-    router["completed"] = Json(stats_.completed);
-    router["forwarded"] = Json(stats_.forwarded);
-    router["failovers"] = Json(stats_.failovers);
-    router["redriven"] = Json(stats_.redriven);
-    router["dead_shards"] = Json(stats_.dead_shards);
-    router["routes"] = Json(static_cast<int64_t>(routes_.size()));
-    router["retired"] = Json(stats_.retired);
-  }
+  router["submitted"] = Json(counters_.submitted.load());
+  router["completed"] = Json(counters_.completed.load());
+  router["forwarded"] = Json(counters_.forwarded.load());
+  router["failovers"] = Json(counters_.failovers.load());
+  router["redriven"] = Json(counters_.redriven.load());
+  router["dead_shards"] = Json(counters_.dead_shards.load());
+  router["routes"] = Json(static_cast<int64_t>(routes_.size()));
+  router["retired"] = Json(counters_.retired.load());
   Json::Object fields;
   fields["router"] = Json(std::move(router));
-  fields["shards"] = Json(std::move(shard_entries));
+  fields["shards"] = Json(std::move(entries));
   fields["totals"] = Json(std::move(totals));
   return OkResponse(std::move(fields));
 }
 
-std::string Router::HandleHealth() {
+std::string Router::HandleHealth() const {
   Json::Object fields;
   fields["service"] = "ada-health-router";
   fields["role"] = "router";
@@ -644,7 +653,6 @@ std::string Router::HandleHealth() {
                                          start_time_)
                .count());
   Json::Array shard_entries;
-  MutexLock lock(&mutex_);
   for (size_t shard = 0; shard < shards_.size(); ++shard) {
     const ShardState& state = *shards_[shard];
     Json::Object entry;
@@ -654,7 +662,7 @@ std::string Router::HandleHealth() {
     entry["follower_port"] =
         Json(static_cast<int64_t>(state.endpoints.follower_port));
     entry["active_port"] = Json(static_cast<int64_t>(state.active_port));
-    entry["alive"] = Json(state.alive);
+    entry["alive"] = Json(state.alive.load());
     entry["using_follower"] = Json(state.using_follower);
     entry["generation"] = Json(static_cast<int64_t>(state.generation));
     entry["consecutive_probe_failures"] =
@@ -662,221 +670,205 @@ std::string Router::HandleHealth() {
     shard_entries.push_back(Json(std::move(entry)));
   }
   fields["shards"] = Json(std::move(shard_entries));
-  fields["failovers"] = Json(stats_.failovers);
-  fields["redriven"] = Json(stats_.redriven);
+  fields["failovers"] = Json(counters_.failovers.load());
+  fields["redriven"] = Json(counters_.redriven.load());
   fields["routes"] = Json(static_cast<int64_t>(routes_.size()));
-  fields["retired"] = Json(stats_.retired);
+  fields["retired"] = Json(counters_.retired.load());
   return OkResponse(std::move(fields));
 }
 
-std::string Router::HandleShutdown(ClientConn* conn) {
-  // Cascade before stopping: every live endpoint — the active port and
-  // a not-yet-promoted follower — gets a graceful shutdown, so
-  // `ada_client --router shutdown` tears the whole cluster down.
+void Router::HandleShutdown(int64_t id, uint64_t park) {
+  // Cascade first: every live endpoint — the active port and a
+  // not-yet-promoted follower — gets a graceful shutdown, so
+  // `ada_client --router shutdown` tears the whole cluster down. The
+  // drain then flushes the answer.
   std::vector<uint16_t> ports;
-  {
-    MutexLock lock(&mutex_);
-    for (const auto& shard : shards_) {
-      if (shard->alive) ports.push_back(shard->active_port);
-      if (!shard->using_follower && shard->endpoints.follower_port != 0) {
-        ports.push_back(shard->endpoints.follower_port);
-      }
+  for (const auto& shard : shards_) {
+    if (shard->alive.load()) ports.push_back(shard->active_port);
+    if (!shard->using_follower && shard->endpoints.follower_port != 0) {
+      ports.push_back(shard->endpoints.follower_port);
     }
   }
-  for (uint16_t port : ports) {
-    if (auto response =
-            ForwardRaw(conn, port, kShutdownLine, kProbeTimeoutMillis);
-        !response.ok()) {
-      ADA_LOG(kWarning) << "router: shutdown cascade to port " << port
-                        << " failed: " << response.status().message();
-    }
-  }
-  // Answer the client *before* signalling stop: the moment Wait()
-  // returns, the main thread's Stop() closes every client connection,
-  // and it must not win the race against this response.
-  Json::Object fields;
-  fields["stopping"] = true;
-  if (common::Status sent = SendAll(conn->fd, OkResponse(std::move(fields)));
-      !sent.ok()) {
-    ADA_LOG(kWarning) << "router: shutdown response lost: "
-                      << sent.message();
-  }
-  SignalStop();
-  return std::string();
-}
-
-bool Router::ProbePort(uint16_t port) {
-  auto response = ForwardRaw(nullptr, port, kPingLine, kProbeTimeoutMillis);
-  if (!response.ok()) return false;
-  return ParseResponse(response.value()).ok();
-}
-
-void Router::ProbeLoop() {
-  for (;;) {
-    {
-      MutexLock lock(&lifecycle_mutex_);
-      if (stopped_cv_.WaitFor(lifecycle_mutex_,
-                              options_.probe_interval_millis,
-                              [this]() ADA_REQUIRES(lifecycle_mutex_) {
-                                return stop_signalled_;
-                              })) {
-        return;
-      }
-    }
-    for (size_t shard = 0; shard < shards_.size(); ++shard) {
-      bool alive = false;
-      uint16_t port = 0;
-      uint64_t generation = 0;
-      {
-        MutexLock lock(&mutex_);
-        alive = shards_[shard]->alive;
-        port = shards_[shard]->active_port;
-        generation = shards_[shard]->generation;
-      }
-      if (!alive) continue;
-      if (stopping_.load()) return;
-      if (ProbePort(port)) {
-        MutexLock lock(&mutex_);
-        if (shards_[shard]->generation == generation) {
-          shards_[shard]->consecutive_probe_failures = 0;
+  if (!ports.empty() && park == 0) park = ParkClient(id);
+  FanOut(
+      ports, kShutdownLine,
+      [ports](size_t i, StatusOr<std::string> response) {
+        if (!response.ok()) {
+          ADA_LOG(kWarning) << "router: shutdown cascade to port "
+                            << ports[i]
+                            << " failed: " << response.status().message();
         }
-        continue;
-      }
-      int failures = 0;
-      {
-        MutexLock lock(&mutex_);
-        ShardState& state = *shards_[shard];
-        if (state.generation != generation || !state.alive) continue;
-        failures = ++state.consecutive_probe_failures;
-      }
-      if (failures >= options_.probe_failures_before_failover) {
-        HandleShardFailure(shard, generation);
-      }
-    }
-  }
+      },
+      [this, id, park] {
+        Json::Object fields;
+        fields["stopping"] = true;
+        host_.Resume(id, park, OkResponse(std::move(fields)));
+        host_.BeginDrain(kDrainTimeoutMillis);
+      });
 }
 
-void Router::HandleShardFailure(size_t shard, uint64_t observed_generation) {
-  ShardState& state = *shards_[shard];
-  // One failover at a time per shard: concurrent forwarding threads
-  // reporting the same dead primary queue up here; all but the first
-  // see the bumped generation and leave.
-  MutexLock failover_lock(&state.failover_mutex);
-  uint16_t active_port = 0;
-  {
-    MutexLock lock(&mutex_);
-    if (!state.alive || state.generation != observed_generation) return;
-    active_port = state.active_port;
-  }
-  // Verify the death with one fresh round-trip: a single torn
-  // connection or dropped response must not promote a follower while
-  // the primary still serves — that is the spurious-failover path that
-  // double-runs jobs.
-  if (ProbePort(active_port)) {
-    MutexLock lock(&mutex_);
-    if (state.generation == observed_generation) {
-      state.consecutive_probe_failures = 0;
+void Router::ScheduleProbeRound() {
+  host_.loop().ScheduleAfter(options_.probe_interval_millis, [this] {
+    if (host_.draining()) return;
+    for (size_t shard = 0; shard < shards_.size(); ++shard) {
+      ShardState& state = *shards_[shard];
+      if (!state.alive.load() || state.probing || state.failing_over) continue;
+      state.probing = true;
+      const uint64_t generation = state.generation;
+      Call(state.active_port, kPingLine, kProbeTimeoutMillis,
+           [this, shard, generation](StatusOr<std::string> pong) {
+             ShardState& state = *shards_[shard];
+             state.probing = false;
+             if (!state.alive.load() || state.generation != generation) return;
+             if (IsPong(pong)) {
+               state.consecutive_probe_failures = 0;
+             } else if (++state.consecutive_probe_failures >=
+                        options_.probe_failures_before_failover) {
+               HandleShardFailure(shard, generation, [] {});
+             }
+           });
     }
+    ScheduleProbeRound();
+  });
+}
+
+void Router::HandleShardFailure(size_t shard, uint64_t generation,
+                                std::function<void()> then) {
+  ShardState& state = *shards_[shard];
+  if (!state.alive.load() || state.generation != generation) {
+    then();  // Already handled.
     return;
   }
-  const bool has_follower =
-      !state.using_follower && state.endpoints.follower_port != 0;
-  ADA_LOG(kWarning) << "router: shard " << shard << " (port " << active_port
-                    << ") is dead; "
-                    << (has_follower ? "promoting follower"
-                                     : "no follower left");
-  const bool promoted = has_follower && PromoteAndRedrive(state, shard);
-  MutexLock lock(&mutex_);
-  if (promoted) {
-    state.active_port = state.endpoints.follower_port;
-    state.using_follower = true;
-    state.consecutive_probe_failures = 0;
-    ++state.generation;
-    ++stats_.failovers;
-    ADA_LOG(kInfo) << "router: shard " << shard << " now served by port "
-                   << state.active_port;
-  } else {
-    state.alive = false;
-    ++state.generation;
-    ++stats_.dead_shards;
-    for (auto& [id, route] : routes_) {
-      if (route.shard == shard && route.redrive_failure.ok() &&
-          !route.terminal) {
-        FailRouteLocked(id, route,
-                        common::UnavailableError(common::StrFormat(
-                            "shard %zu died with no follower to fail over to",
-                            shard)));
-      }
-    }
-  }
+  state.after_failover.push_back(std::move(then));
+  if (state.failing_over) return;  // Reported again while it runs.
+  state.failing_over = true;
+  // Verify the death with one round trip on a fresh connection: a torn
+  // connection must not promote a follower while the primary serves
+  // (double runs).
+  Call(
+      state.active_port, kPingLine, kProbeTimeoutMillis,
+      [this, shard](StatusOr<std::string> pong) {
+         ShardState& state = *shards_[shard];
+         if (IsPong(pong)) {
+           state.consecutive_probe_failures = 0;
+           EndFailover(shard);
+           return;
+         }
+         const bool has_follower =
+             !state.using_follower && state.endpoints.follower_port != 0;
+         ADA_LOG(kWarning) << "router: shard " << shard << " (port "
+                           << state.active_port << ") is dead; "
+                           << (has_follower ? "promoting follower"
+                                            : "no follower left");
+         has_follower ? Promote(shard, 0) : MarkDead(shard);
+      },
+      /*fresh=*/true);
 }
 
-bool Router::PromoteAndRedrive(ShardState& state, size_t shard) {
-  const uint16_t follower = state.endpoints.follower_port;
-  common::RetryPolicy policy;
-  policy.max_attempts = kPromoteConnectRetries + 1;
-  policy.initial_backoff_millis = 25.0;
-  policy.max_backoff_millis = 500.0;
-  policy.retryable_codes = {common::StatusCode::kUnavailable};
-  Status promoted = common::RetryWithPolicy(
-      policy, "service.router.promote", [this, follower] {
-        auto response =
-            ForwardRaw(nullptr, follower, kPromoteLine, kProbeTimeoutMillis);
-        if (!response.ok()) return response.status();
-        return ParseResponse(response.value()).status();
-      });
-  if (!promoted.ok()) {
-    ADA_LOG(kError) << "router: shard " << shard
-                    << " follower promotion failed: " << promoted.ToString();
-    return false;
+void Router::Promote(size_t shard, int attempt) {
+  Call(shards_[shard]->endpoints.follower_port, kPromoteLine,
+       kProbeTimeoutMillis,
+       [this, shard, attempt](StatusOr<std::string> response) {
+         const Status promoted = response.ok()
+                                     ? ParseResponse(response.value()).status()
+                                     : response.status();
+         if (promoted.ok()) {
+           // Re-drive every route, terminal ones included, so their
+           // queries keep working against the follower's cache.
+           std::vector<JobId> ids;
+           for (const auto& [id, route] : routes_) {
+             if (route.shard == shard && route.redrive_failure.ok()) {
+               ids.push_back(id);
+             }
+           }
+           Redrive(shard, std::move(ids), 0);
+           return;
+         }
+         if (promoted.code() == common::StatusCode::kUnavailable &&
+             attempt < kPromoteRetries && !host_.draining()) {
+           const double backoff = std::min(25.0 * (1 << attempt), 500.0);
+           host_.loop().ScheduleAfter(backoff, [this, shard, attempt] {
+             Promote(shard, attempt + 1);
+           });
+           return;
+         }
+         ADA_LOG(kError) << "router: shard " << shard
+                         << " follower promotion failed: "
+                         << promoted.ToString();
+         MarkDead(shard);
+       });
+}
+
+void Router::Redrive(size_t shard, std::vector<JobId> ids, size_t next) {
+  ShardState& state = *shards_[shard];
+  for (; next < ids.size(); ++next) {
+    auto it = routes_.find(ids[next]);
+    if (it == routes_.end() || !it->second.redrive_failure.ok()) continue;
+    // A finished upload: no dataset to re-run.
+    const bool fingerprint_only = it->second.terminal && it->second.uploaded;
+    const JobId id = ids[next];
+    Call(state.endpoints.follower_port, it->second.redrive_line,
+         kForwardTimeoutMillis,
+         [this, shard, ids = std::move(ids), next, id,
+          fingerprint_only](StatusOr<std::string> response) mutable {
+           StatusOr<Json> parsed = response.ok()
+                                       ? ParseResponse(response.value())
+                                       : StatusOr<Json>(response.status());
+           StatusOr<JobId> local_id = common::UnavailableError(
+               common::StrFormat("failover re-drive failed: %s",
+                                 parsed.status().ToString().c_str()));
+           if (parsed.ok()) {
+             local_id = AcceptedJobId(parsed.value(), shard);
+           } else if (response.ok() && fingerprint_only) {
+             // Nothing to re-run, and the follower lacks the result.
+             local_id = common::UnavailableError(common::StrFormat(
+                 "result of job %lld was not replicated before shard %zu "
+                 "failed over; resubmit",
+                 static_cast<long long>(id), shard));
+           }
+           if (auto it = routes_.find(id); it != routes_.end()) {
+             if (local_id.ok()) {
+               it->second.local_id = local_id.value();
+               counters_.redriven.fetch_add(1);
+             } else {
+               FailRoute(id, it->second, local_id.status());
+             }
+           }
+           Redrive(shard, std::move(ids), next + 1);
+         });
+    return;
   }
-  // Re-drive every routed job — terminal ones included, so their
-  // status/result queries keep working against the follower (the
-  // replicated cache answers them without a second session run).
-  struct Redrive {
-    JobId id;
-    std::string line;
-    bool fingerprint_only;  // A finished upload: no dataset to re-run.
-  };
-  std::vector<Redrive> to_redrive;
-  {
-    MutexLock lock(&mutex_);
-    for (const auto& [id, route] : routes_) {
-      if (route.shard == shard && route.redrive_failure.ok()) {
-        to_redrive.push_back(
-            Redrive{id, route.redrive_line, route.terminal && route.uploaded});
-      }
+  state.active_port = state.endpoints.follower_port;
+  state.using_follower = true;
+  state.consecutive_probe_failures = 0;
+  ++state.generation;
+  counters_.failovers.fetch_add(1);
+  ADA_LOG(kInfo) << "router: shard " << shard << " now served by port "
+                 << state.active_port;
+  EndFailover(shard);
+}
+
+void Router::MarkDead(size_t shard) {
+  ShardState& state = *shards_[shard];
+  state.alive.store(false);
+  ++state.generation;
+  counters_.dead_shards.fetch_add(1);
+  for (auto& [id, route] : routes_) {
+    if (route.shard == shard && route.redrive_failure.ok() &&
+        !route.terminal) {
+      FailRoute(id, route,
+                common::UnavailableError(common::StrFormat(
+                    "shard %zu died with no follower to fail over to",
+                    shard)));
     }
   }
-  for (const Redrive& redrive : to_redrive) {
-    auto response =
-        ForwardRaw(nullptr, follower, redrive.line, kForwardTimeoutMillis);
-    StatusOr<Json> parsed = response.ok()
-                                ? ParseResponse(response.value())
-                                : StatusOr<Json>(response.status());
-    StatusOr<JobId> local_id = common::UnavailableError(common::StrFormat(
-        "failover re-drive failed: %s", parsed.status().ToString().c_str()));
-    if (parsed.ok()) {
-      local_id = AcceptedJobId(parsed.value(), shard);
-    } else if (response.ok() && redrive.fingerprint_only) {
-      // The follower does not cache the fingerprint, and the line holds
-      // nothing to re-run: the result died with the primary.
-      local_id = common::UnavailableError(common::StrFormat(
-          "result of job %lld was not replicated before shard %zu failed "
-          "over; resubmit",
-          static_cast<long long>(redrive.id), shard));
-    }
-    MutexLock lock(&mutex_);
-    auto it = routes_.find(redrive.id);
-    if (it == routes_.end()) continue;
-    if (!local_id.ok()) {
-      FailRouteLocked(redrive.id, it->second, local_id.status());
-      continue;
-    }
-    it->second.local_id = local_id.value();
-    ++stats_.redriven;
-  }
-  return true;
+  EndFailover(shard);
+}
+
+void Router::EndFailover(size_t shard) {
+  ShardState& state = *shards_[shard];
+  state.failing_over = false;
+  for (auto& resume : std::exchange(state.after_failover, {})) resume();
 }
 
 }  // namespace service

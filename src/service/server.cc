@@ -1,7 +1,5 @@
 #include "service/server.h"
 
-#include <sys/epoll.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -35,14 +33,6 @@ StatusOr<JobId> ReadJobId(const Json& body) {
   return field->AsInt();
 }
 
-double ReadWaitMillis(const Json& body) {
-  if (const Json* wait = body.Find("wait_millis");
-      wait != nullptr && wait->is_number()) {
-    return wait->AsDouble();
-  }
-  return 0.0;
-}
-
 // Reads the required "cohort" field of an ingest/cohort-submit request.
 StatusOr<std::string> ReadCohortName(const Json& body) {
   const Json* field = body.Find("cohort");
@@ -62,13 +52,10 @@ const char* ServerRoleName(ServerRole role) {
 AnalysisServer::AnalysisServer(ServerOptions options)
     : shipper_(MakeShipper(options)),
       cohort_store_(MakeCohortStore(options)),
+      host_("service", options),
       scheduler_(std::move(options.scheduler)),
-      requested_port_(options.port),
-      max_connections_(std::max<size_t>(1, options.max_connections)),
-      idle_timeout_millis_(options.idle_timeout_millis),
       max_result_wait_millis_(
-          std::max(1.0, options.max_result_wait_millis)),
-      max_line_bytes_(std::max<size_t>(1, options.max_line_bytes)) {
+          std::max(1.0, options.max_result_wait_millis)) {
   role_.store(options.role);
 }
 
@@ -119,111 +106,25 @@ AnalysisServer::~AnalysisServer() {
 }
 
 Status AnalysisServer::Start() {
-  if (running_.load()) {
-    return common::FailedPreconditionError("server already started");
-  }
-  ADA_ASSIGN_OR_RETURN(listener_, ServerSocket::Listen(requested_port_));
-  ADA_RETURN_IF_ERROR(SetNonBlocking(listener_.descriptor()));
-  port_ = listener_.port();
-  ADA_RETURN_IF_ERROR(loop_.Init());
-  ADA_RETURN_IF_ERROR(loop_.Watch(listener_.fd(), EPOLLIN,
-                                  [this](uint32_t) { OnAcceptable(); }));
-  draining_ = false;
-  if (idle_timeout_millis_ > 0) {
-    // The sweep reschedules itself; sweeping at a quarter of the
-    // timeout bounds eviction lag to ~1.25x the configured idle time.
-    const double period = std::max(idle_timeout_millis_ / 4.0, 10.0);
-    loop_.ScheduleAfter(period, [this] { SweepIdleConnections(); });
-  }
   start_time_ = std::chrono::steady_clock::now();
-  running_.store(true);
-  {
-    common::MutexLock lock(&join_mutex_);
-    loop_thread_ = std::thread([this] { LoopMain(); });
-  }
+  ADA_RETURN_IF_ERROR(host_.Start([this](int64_t id, std::string line) {
+    OnRequestLine(id, std::move(line));
+  }));
   if (shipper_) shipper_->Start();
-  ADA_LOG(kInfo) << "service: listening on 127.0.0.1:" << port_
-                 << " as " << ServerRoleName(role_.load());
+  ADA_LOG(kInfo) << "service: listening on 127.0.0.1:" << port() << " as "
+                 << ServerRoleName(role_.load());
   return common::OkStatus();
 }
 
-void AnalysisServer::LoopMain() {
-  loop_.Run();
-  running_.store(false);
-}
-
 void AnalysisServer::Stop() {
-  if (running_.load()) {
-    // A short failsafe: Stop() is the programmatic path (destructor,
-    // tests) and should not linger the full drain window.
-    loop_.Post([this] { BeginDrain(/*failsafe_millis=*/250.0); });
-  }
-  Wait();
+  // A short failsafe: Stop() is the programmatic path (destructor,
+  // tests) and should not linger the full drain window.
+  host_.Stop(/*failsafe_millis=*/250.0);
 }
 
-void AnalysisServer::Wait() {
-  common::MutexLock lock(&join_mutex_);
-  if (loop_thread_.joinable()) loop_thread_.join();
-  running_.store(false);
-}
+void AnalysisServer::Wait() { host_.Wait(); }
 
-void AnalysisServer::OnAcceptable() {
-  for (;;) {
-    auto accepted = listener_.TryAccept();
-    if (!accepted.ok()) {
-      if (draining_) return;
-      // A transient accept failure (injected or EMFILE-style) must not
-      // kill the server; level-triggered epoll re-reports the pending
-      // backlog on the next iteration.
-      errors_.fetch_add(1);
-      ADA_LOG(kWarning) << "service: accept failed: "
-                        << accepted.status().message();
-      return;
-    }
-    if (!accepted.value().valid()) return;  // Backlog drained.
-    total_connections_.fetch_add(1);
-    if (connections_.size() >= max_connections_) {
-      // Shed: tell the client why (best-effort single write — the
-      // socket buffer of a fresh connection is empty, so this
-      // virtually always lands) and drop the connection.
-      shed_connections_.fetch_add(1);
-      (void)SendNonBlocking(
-          accepted.value(),
-          ErrorResponse(common::ResourceExhaustedError(common::StrFormat(
-              "server at its %zu-connection limit", max_connections_))));
-      continue;  // FileDescriptor destructor releases the socket.
-    }
-    const int64_t id = next_connection_id_++;
-    auto conn = std::make_unique<Connection>(
-        id, std::move(accepted).value(), &loop_, max_line_bytes_, &errors_);
-    Connection* raw = conn.get();
-    Status registered = raw->Register(
-        [this, id](uint32_t events) { OnConnectionEvent(id, events); },
-        [this, id](Connection& c, std::string line) {
-          OnRequestLine(id, c, std::move(line));
-        });
-    if (!registered.ok()) {
-      errors_.fetch_add(1);
-      ADA_LOG(kWarning) << "service: failed to register connection: "
-                        << registered.ToString();
-      continue;  // conn goes out of scope and releases the socket.
-    }
-    ConnectionEntry entry;
-    entry.conn = std::move(conn);
-    connections_.emplace(id, std::move(entry));
-    open_connections_.store(static_cast<int64_t>(connections_.size()));
-  }
-}
-
-void AnalysisServer::OnConnectionEvent(int64_t id, uint32_t events) {
-  auto it = connections_.find(id);
-  if (it == connections_.end()) return;
-  it->second.conn->HandleEvents(events);
-  ReapIfClosed(id);
-}
-
-void AnalysisServer::OnRequestLine(int64_t id, Connection& conn,
-                                   std::string line) {
+void AnalysisServer::OnRequestLine(int64_t id, std::string line) {
   // Fault injection for the shard-failover tests: an armed
   // "service.shard.kill" failpoint makes the process die the way a
   // crashed shard does — no drain, no flushed responses, no cache
@@ -237,30 +138,31 @@ void AnalysisServer::OnRequestLine(int64_t id, Connection& conn,
   }
   auto request = ParseRequest(line);
   if (!request.ok()) {
-    errors_.fetch_add(1);
-    conn.EnqueueResponse(ErrorResponse(request.status()));
+    host_.counters().errors.fetch_add(1);
+    host_.Respond(id, ErrorResponse(request.status()));
     return;
   }
   if (request.value().verb == "result") {
     // The one verb that may wait: parked on a completion subscription,
     // never on the loop thread.
-    HandleResultVerb(id, conn, request.value().body);
+    HandleResultVerb(id, request.value().body);
     return;
   }
-  conn.EnqueueResponse(Dispatch(request.value()));
+  host_.Respond(id, Dispatch(request.value()));
   if (request.value().verb == "shutdown") {
     // Graceful drain; the response just enqueued is flushed before the
     // connection goes away (close-after-flush).
-    BeginDrain(kDrainTimeoutMillis);
+    host_.BeginDrain(kDrainTimeoutMillis);
   }
 }
 
 double AnalysisServer::EffectiveResultWait(const Json& body) const {
-  const double requested = ReadWaitMillis(body);
-  if (requested <= 0.0 || requested > max_result_wait_millis_) {
-    return max_result_wait_millis_;
-  }
-  return requested;
+  const Json* wait = body.Find("wait_millis");
+  const double requested =
+      wait != nullptr && wait->is_number() ? wait->AsDouble() : 0.0;
+  return requested <= 0.0 || requested > max_result_wait_millis_
+             ? max_result_wait_millis_
+             : requested;
 }
 
 std::string AnalysisServer::ResultTimeoutResponse(JobId job) const {
@@ -281,190 +183,78 @@ std::string AnalysisServer::ResultTimeoutResponse(JobId job) const {
       std::move(extra));
 }
 
-void AnalysisServer::HandleResultVerb(int64_t id, Connection& conn,
-                                      const Json& body) {
+void AnalysisServer::HandleResultVerb(int64_t id, const Json& body) {
   auto job = ReadJobId(body);
   if (!job.ok()) {
-    conn.EnqueueResponse(ErrorResponse(job.status()));
+    host_.Respond(id, ErrorResponse(job.status()));
     return;
   }
   auto snapshot = scheduler_.Status(job.value());
   if (!snapshot.ok()) {
-    conn.EnqueueResponse(ErrorResponse(snapshot.status()));
+    host_.Respond(id, ErrorResponse(snapshot.status()));
     return;
   }
   if (IsTerminal(snapshot.value().state)) {
-    conn.EnqueueResponse(OkResponse(
-        SnapshotFields(snapshot.value(), /*include_artifacts=*/true)));
+    host_.Respond(id, OkResponse(SnapshotFields(snapshot.value(),
+                                                /*include_artifacts=*/true)));
     return;
   }
-  if (draining_) {
-    conn.EnqueueResponse(ErrorResponse(
-        common::UnavailableError("server is shutting down")));
+  if (host_.draining()) {
+    host_.Respond(id, ErrorResponse(
+                          common::UnavailableError("server is shutting down")));
     return;
   }
   // Park the connection: pipelined requests behind this one wait (in
   // order) and the loop thread moves on to other clients.
-  auto it = connections_.find(id);
-  if (it == connections_.end()) return;
-  ConnectionEntry& entry = it->second;
-  entry.waiting = true;
-  entry.wait_job = job.value();
-  const uint64_t epoch = ++entry.wait_epoch;
-  conn.PauseRequests();
-  entry.wait_timer = loop_.ScheduleAfter(
-      EffectiveResultWait(body),
-      [this, id, epoch] { OnResultTimeout(id, epoch); });
-  entry.has_wait_timer = true;
+  auto wait = std::make_shared<ResultWait>();
+  wait->job = job.value();
+  const uint64_t park = host_.Park(id, [this, wait] {
+    ClearWait(*wait);
+    Json::Object extra;
+    extra["job_id"] = Json(static_cast<int64_t>(wait->job));
+    return ErrorResponse(common::UnavailableError(
+                             "server shutting down before the job finished"),
+                         std::move(extra));
+  });
+  wait->timer = host_.loop().ScheduleAfter(
+      EffectiveResultWait(body), [this, id, park, wait] {
+        // Subscription 0 = fired inline at Subscribe; a false
+        // Unsubscribe = the completion callback beat us. Either way the
+        // completion is in flight and will answer — never respond twice.
+        if (wait->subscription == 0 ||
+            !scheduler_.Unsubscribe(std::exchange(wait->subscription, 0))) {
+          return;
+        }
+        host_.Resume(id, park, ResultTimeoutResponse(wait->job));
+      });
   auto subscription = scheduler_.Subscribe(
-      job.value(), [this, id, epoch](const JobSnapshot& terminal) {
+      job.value(), [this, id, park, wait](const JobSnapshot& terminal) {
         // Runs on a scheduler worker (or inline); hop to the loop.
-        loop_.Post([this, id, epoch, terminal] {
-          OnResultComplete(id, epoch, terminal);
+        host_.loop().Post([this, id, park, wait, terminal] {
+          ClearWait(*wait);
+          host_.Resume(id, park,
+                       OkResponse(SnapshotFields(terminal,
+                                                 /*include_artifacts=*/true)));
         });
       });
   if (!subscription.ok()) {
     // The job finished and was retired between Status and Subscribe
     // (see kRetainedJobs): unwind the park and answer "expired".
-    ClearWait(entry);
-    conn.EnqueueResponse(ErrorResponse(subscription.status()));
-    conn.ResumeRequests();
+    ClearWait(*wait);
+    host_.Resume(id, park, ErrorResponse(subscription.status()));
     return;
   }
   // May be the inline sentinel 0 (job finished between Status and
   // Subscribe) — the completion is already posted in that case.
-  entry.wait_subscription = subscription.value();
+  wait->subscription = subscription.value();
 }
 
-void AnalysisServer::OnResultTimeout(int64_t id, uint64_t epoch) {
-  auto it = connections_.find(id);
-  if (it == connections_.end()) return;
-  ConnectionEntry& entry = it->second;
-  if (!entry.waiting || entry.wait_epoch != epoch) return;
-  entry.has_wait_timer = false;  // This timer just fired.
-  // Subscription 0 = fired inline at Subscribe; a false Unsubscribe =
-  // the completion callback beat us. Either way the completion is in
-  // flight on the loop queue and will answer — never respond twice.
-  if (entry.wait_subscription == 0 ||
-      !scheduler_.Unsubscribe(entry.wait_subscription)) {
-    return;
-  }
-  const JobId job = entry.wait_job;
-  entry.waiting = false;
-  ++entry.wait_epoch;
-  entry.conn->EnqueueResponse(ResultTimeoutResponse(job));
-  entry.conn->ResumeRequests();
-  ReapIfClosed(id);
-}
-
-void AnalysisServer::OnResultComplete(int64_t id, uint64_t epoch,
-                                      const JobSnapshot& snapshot) {
-  auto it = connections_.find(id);
-  if (it == connections_.end()) return;
-  ConnectionEntry& entry = it->second;
-  if (!entry.waiting || entry.wait_epoch != epoch) return;
-  ClearWait(entry);
-  entry.conn->EnqueueResponse(
-      OkResponse(SnapshotFields(snapshot, /*include_artifacts=*/true)));
-  entry.conn->ResumeRequests();
-  ReapIfClosed(id);
-}
-
-void AnalysisServer::ClearWait(ConnectionEntry& entry) {
-  if (entry.has_wait_timer) {
-    loop_.CancelTimer(entry.wait_timer);
-    entry.has_wait_timer = false;
-  }
-  if (entry.waiting && entry.wait_subscription != 0) {
-    // False = the completion already fired; its posted task will find
-    // the bumped epoch and bail.
-    (void)scheduler_.Unsubscribe(entry.wait_subscription);
-  }
-  entry.wait_subscription = 0;
-  entry.waiting = false;
-  ++entry.wait_epoch;
-}
-
-void AnalysisServer::BeginDrain(double failsafe_millis) {
-  if (!draining_) {
-    draining_ = true;
-    loop_.Unwatch(listener_.fd());
-    listener_.Shutdown();  // Pending un-accepted clients see EOF.
-    for (auto& [id, entry] : connections_) {
-      if (entry.waiting) {
-        const JobId job = entry.wait_job;
-        ClearWait(entry);
-        Json::Object extra;
-        extra["job_id"] = Json(static_cast<int64_t>(job));
-        entry.conn->EnqueueResponse(ErrorResponse(
-            common::UnavailableError(
-                "server shutting down before the job finished"),
-            std::move(extra)));
-      }
-      entry.conn->StartDrain();
-    }
-    // Reap on a posted task, not here: BeginDrain can run inside a
-    // connection's own request handler, and erasing that connection
-    // mid-call would free it under our feet.
-    loop_.Post([this] {
-      std::vector<int64_t> closed;
-      for (const auto& [id, entry] : connections_) {
-        if (entry.conn->closed()) closed.push_back(id);
-      }
-      for (int64_t id : closed) RemoveConnection(id);
-      if (connections_.empty()) loop_.Quit();
-    });
-  }
-  loop_.ScheduleAfter(failsafe_millis, [this] {
-    ForceCloseAll();
-    loop_.Quit();
-  });
-}
-
-void AnalysisServer::ForceCloseAll() {
-  for (auto& [id, entry] : connections_) {
-    ClearWait(entry);
-    entry.conn->CloseNow();
-  }
-  connections_.clear();
-  open_connections_.store(0);
-}
-
-void AnalysisServer::RemoveConnection(int64_t id) {
-  auto it = connections_.find(id);
-  if (it == connections_.end()) return;
-  ClearWait(it->second);
-  it->second.conn->CloseNow();
-  connections_.erase(it);
-  open_connections_.store(static_cast<int64_t>(connections_.size()));
-  if (draining_ && connections_.empty()) loop_.Quit();
-}
-
-void AnalysisServer::ReapIfClosed(int64_t id) {
-  auto it = connections_.find(id);
-  if (it == connections_.end()) return;
-  if (it->second.conn->closed()) RemoveConnection(id);
-}
-
-void AnalysisServer::SweepIdleConnections() {
-  const auto now = std::chrono::steady_clock::now();
-  const auto budget = std::chrono::duration_cast<
-      std::chrono::steady_clock::duration>(
-      std::chrono::duration<double, std::milli>(idle_timeout_millis_));
-  std::vector<int64_t> idle;
-  for (const auto& [id, entry] : connections_) {
-    // Parked waits are exempt: their lifetime is bounded by the result
-    // wait cap, and evicting them would drop a promised response.
-    if (entry.waiting) continue;
-    if (now - entry.conn->last_activity() > budget) idle.push_back(id);
-  }
-  for (int64_t id : idle) {
-    idle_disconnects_.fetch_add(1);
-    RemoveConnection(id);
-  }
-  if (!draining_) {
-    const double period = std::max(idle_timeout_millis_ / 4.0, 10.0);
-    loop_.ScheduleAfter(period, [this] { SweepIdleConnections(); });
+void AnalysisServer::ClearWait(ResultWait& wait) {
+  host_.loop().CancelTimer(wait.timer);  // False once it fired.
+  // False once the completion fired; its posted task finds the park
+  // answered and leaves.
+  if (wait.subscription != 0) {
+    (void)scheduler_.Unsubscribe(std::exchange(wait.subscription, 0));
   }
 }
 
@@ -612,11 +402,12 @@ std::string AnalysisServer::Dispatch(const Request& request) {
   if (request.verb == "stats") {
     Json::Object fields = scheduler_.StatsJson().AsObject();
     Json::Object server;
-    server["open_connections"] = Json(open_connections_.load());
-    server["total_connections"] = Json(total_connections_.load());
-    server["shed_connections"] = Json(shed_connections_.load());
-    server["idle_disconnects"] = Json(idle_disconnects_.load());
-    server["errors"] = Json(errors_.load());
+    const ConnectionCounters& connections = host_.counters();
+    server["open_connections"] = Json(connections.open.load());
+    server["total_connections"] = Json(connections.total.load());
+    server["shed_connections"] = Json(connections.shed.load());
+    server["idle_disconnects"] = Json(connections.idle_disconnects.load());
+    server["errors"] = Json(connections.errors.load());
     server["role"] = Json(std::string(ServerRoleName(role_.load())));
     fields["server"] = Json(std::move(server));
     fields["ingest"] = cohort_store_->StatsJson();
@@ -651,7 +442,7 @@ std::string AnalysisServer::Dispatch(const Request& request) {
     fields["jobs_completed"] = Json(scheduler_stats.completed);
     fields["jobs_failed"] = Json(scheduler_stats.failed);
     fields["jobs_retired"] = Json(scheduler_stats.retired);
-    fields["open_connections"] = Json(open_connections_.load());
+    fields["open_connections"] = Json(host_.counters().open.load());
     fields["ingest"] = cohort_store_->StatsJson();
     if (shipper_ != nullptr) {
       fields["replication"] = ReplicationFields();

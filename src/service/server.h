@@ -1,15 +1,14 @@
 // The NDJSON protocol front-end: one TCP server that exposes a
 // Scheduler over the loopback interface.
 //
-// Connection model: a single epoll event-loop thread multiplexes every
-// connection (service/event_loop.h, service/connection.h) — no client
-// can starve another by being slow, holding its socket open, or
-// parking inside a long `result` wait. Requests pipelined on one
-// connection are answered strictly in order. All heavy work runs on
-// the scheduler's workers; the loop thread only parses, dispatches,
-// and shuttles buffers. The `result` verb never blocks the loop: it
-// registers a Scheduler::Subscribe completion callback (plus a
-// timeout timer) and the response is delivered when either fires.
+// Connection model: a ConnectionHost (service/connection.h), as in the
+// router: one epoll loop thread multiplexes every connection, so no
+// client can starve another by being slow, holding its socket open, or
+// parking inside a long `result` wait. Pipelined requests are answered
+// strictly in order. All heavy work runs on the scheduler's workers;
+// the loop thread only parses, dispatches, and shuttles buffers. A
+// `result` wait parks the connection on a Scheduler::Subscribe
+// completion callback plus a timeout timer, whichever fires first.
 //
 // Resource policy: at most `max_connections` concurrent clients
 // (excess accepts are answered RESOURCE_EXHAUSTED and dropped),
@@ -25,17 +24,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "common/status.h"
-#include "common/sync.h"
 #include "service/cohort_store.h"
 #include "service/connection.h"
 #include "service/event_loop.h"
-#include "service/net_socket.h"
 #include "service/protocol.h"
 #include "service/replication.h"
 #include "service/scheduler.h"
@@ -50,23 +45,14 @@ enum class ServerRole { kPrimary, kFollower };
 
 [[nodiscard]] const char* ServerRoleName(ServerRole role);
 
-struct ServerOptions {
-  /// 0 = kernel-assigned ephemeral port (see AnalysisServer::port()).
-  uint16_t port = 0;
-  /// Concurrent-connection budget; accepts beyond it are shed with a
-  /// best-effort RESOURCE_EXHAUSTED response (clamped to >= 1).
-  size_t max_connections = 1024;
-  /// Connections with no traffic for this long are evicted; <= 0
-  /// disables idle eviction. Connections parked in a `result` wait are
-  /// exempt (the wait cap bounds them instead).
-  double idle_timeout_millis = 300000.0;
+/// `port`, `max_connections`, `idle_timeout_millis` and
+/// `max_line_bytes` are the listener's ConnectionLimits.
+struct ServerOptions : ConnectionLimits {
   /// Server-side ceiling on one `result` wait — a client asking for an
   /// unbounded wait (wait_millis <= 0 or > this) gets this instead,
   /// and the timeout error carries the job's current state so the
   /// client can poll again (clamped to >= 1 ms).
   double max_result_wait_millis = 60000.0;
-  /// Longest accepted NDJSON request line.
-  size_t max_line_bytes = kMaxLineBytes;
   /// Starting role. A follower rejects `submit` with UNAVAILABLE until
   /// it receives the `promote` verb (from the router, on primary
   /// death) — clients must not land jobs on a replica that the primary
@@ -96,18 +82,18 @@ class AnalysisServer {
   /// Binds the listening socket and starts the event-loop thread.
   /// UNAVAILABLE when the port cannot be bound; FAILED_PRECONDITION
   /// when already started.
-  [[nodiscard]] common::Status Start() ADA_EXCLUDES(join_mutex_);
+  [[nodiscard]] common::Status Start();
 
   /// Triggers a graceful drain and joins the loop thread. Idempotent;
   /// callable from any thread except the loop thread itself.
-  void Stop() ADA_EXCLUDES(join_mutex_);
+  void Stop();
 
   /// Blocks until the event loop exits (a `shutdown` verb or Stop()).
-  void Wait() ADA_EXCLUDES(join_mutex_);
+  void Wait();
 
   /// The bound port (valid after Start()).
-  [[nodiscard]] uint16_t port() const { return port_; }
-  [[nodiscard]] bool running() const { return running_.load(); }
+  [[nodiscard]] uint16_t port() const { return host_.port(); }
+  [[nodiscard]] bool running() const { return host_.running(); }
 
   /// Current role; flips kFollower → kPrimary on the `promote` verb.
   [[nodiscard]] ServerRole role() const { return role_.load(); }
@@ -131,18 +117,11 @@ class AnalysisServer {
   [[nodiscard]] std::string Dispatch(const Request& request);
 
  private:
-  /// Per-connection record: the connection itself plus the state of
-  /// its parked `result` wait, if any. Loop thread only.
-  struct ConnectionEntry {
-    std::unique_ptr<Connection> conn;
-    bool waiting = false;
-    JobId wait_job = 0;
-    Scheduler::SubscriptionId wait_subscription = 0;
-    EventLoop::TimerId wait_timer = 0;
-    bool has_wait_timer = false;
-    /// Bumped every time a wait starts or ends; stale timer/completion
-    /// callbacks for an earlier wait compare and bail.
-    uint64_t wait_epoch = 0;
+  /// A parked `result` wait's subscription and timer. Loop thread only.
+  struct ResultWait {
+    JobId job = 0;
+    Scheduler::SubscriptionId subscription = 0;
+    EventLoop::TimerId timer{};
   };
 
   /// Builds the replication shipper (nullptr when replicate_to_port is
@@ -169,22 +148,10 @@ class AnalysisServer {
   /// The submit verbs' reply: the admitted job's snapshot.
   [[nodiscard]] std::string SubmitResponse(JobId id) const;
 
-  void LoopMain();
-  void OnAcceptable();
-  void OnConnectionEvent(int64_t id, uint32_t events);
-  void OnRequestLine(int64_t id, Connection& conn, std::string line);
-  void HandleResultVerb(int64_t id, Connection& conn,
-                        const common::Json& body);
-  void OnResultTimeout(int64_t id, uint64_t epoch);
-  void OnResultComplete(int64_t id, uint64_t epoch,
-                        const JobSnapshot& snapshot);
+  void OnRequestLine(int64_t id, std::string line);
+  void HandleResultVerb(int64_t id, const common::Json& body);
   /// Ends a parked wait's bookkeeping (timer + subscription).
-  void ClearWait(ConnectionEntry& entry);
-  void BeginDrain(double failsafe_millis);
-  void ForceCloseAll();
-  void RemoveConnection(int64_t id);
-  void ReapIfClosed(int64_t id);
-  void SweepIdleConnections();
+  void ClearWait(ResultWait& wait);
   double EffectiveResultWait(const common::Json& body) const;
   [[nodiscard]] std::string ResultTimeoutResponse(JobId job) const;
   /// The replication-counters object shared by `stats` and `health`
@@ -192,50 +159,23 @@ class AnalysisServer {
   [[nodiscard]] common::Json ReplicationFields() const;
 
   // Destruction order (reverse of declaration) is load-bearing:
-  // connections_ before loop_ (Connection::~Connection unwatches);
   // scheduler_ first of all — its destructor waits out the workers, so
-  // no completion callback can Post into the loop after the loop is
-  // gone; shipper_ and cohort_store_ last of all — workers the
-  // scheduler is waiting out may still Enqueue into the shipper via
+  // no completion callback can Post into the loop after the host (and
+  // its loop) is gone; shipper_ and cohort_store_ last of all — workers
+  // the scheduler is waiting out may still Enqueue into the shipper via
   // on_result_committed and call into the cohort store via
   // on_session_success. (~AnalysisServer additionally Stop()s the
   // shipper before the scheduler dies: the ship thread's snapshot
   // callback reads the scheduler's cache.)
   std::unique_ptr<LogShipper> shipper_;
   std::unique_ptr<CohortStore> cohort_store_;
-  EventLoop loop_;
-  std::map<int64_t, ConnectionEntry> connections_;  // Loop thread only.
+  ConnectionHost host_;
   Scheduler scheduler_;
 
-  ServerSocket listener_;
-  /// Guards the thread handle itself: Start()'s assignment and the
-  /// joinable()/join() pair in Wait() race without it (Start used to
-  /// assign unlocked, so a concurrent Wait could join a handle being
-  /// moved into). Also serializes concurrent Stop()/Wait() joins.
-  common::Mutex join_mutex_;
-  std::thread loop_thread_ ADA_GUARDED_BY(join_mutex_);
-  std::atomic<bool> running_{false};
   std::atomic<ServerRole> role_{ServerRole::kPrimary};
   /// Set by Start(); the `health` verb reports uptime against it.
   std::chrono::steady_clock::time_point start_time_{};
-  bool draining_ = false;  // Loop thread only.
-  int64_t next_connection_id_ = 1;  // Loop thread only.
-  uint16_t port_ = 0;
-
-  // Server-level stats (the `stats` verb), readable off-loop.
-  std::atomic<int64_t> open_connections_{0};
-  std::atomic<int64_t> total_connections_{0};
-  std::atomic<int64_t> shed_connections_{0};
-  std::atomic<int64_t> idle_disconnects_{0};
-  /// Failed accepts/registrations, unparsable request lines, and
-  /// connection I/O failures (counted by each Connection).
-  std::atomic<int64_t> errors_{0};
-
-  const uint16_t requested_port_;
-  const size_t max_connections_;
-  const double idle_timeout_millis_;
   const double max_result_wait_millis_;
-  const size_t max_line_bytes_;
 };
 
 }  // namespace service

@@ -110,6 +110,38 @@ TEST(ExamLogTest, FromCsvRejectsIdsAndDaysBeyond32Bits) {
   EXPECT_EQ(edges->records()[0].day, 2147483647);
 }
 
+TEST(ExamLogTest, FromCsvRejectsAPatientIdSpanOverTheCap) {
+  // One id just past the span: the log would allocate a slot for every
+  // id below it.
+  const std::string over = std::to_string(kMaxPatientIdSpan);
+  auto log = ExamLog::FromCsv("patient_id,exam_type,day\n0,HbA1c,1\n" +
+                              over + ",HbA1c,2\n");
+  EXPECT_EQ(log.status().code(), common::StatusCode::kInvalidArgument);
+  EXPECT_NE(log.status().message().find("'patient_id'"), std::string::npos)
+      << log.status().ToString();
+}
+
+TEST(ExamLogTest, AppendRejectsAPatientIdSpanOverTheCap) {
+  ExamLog log = MakeSmallLog();
+  const size_t patients = log.num_patients();
+  const size_t records = log.num_records();
+  RawExamRecord row;
+  row.patient = static_cast<PatientId>(kMaxPatientIdSpan);
+  row.exam_type = "hba1c";
+  row.day = 1;
+  const common::Status appended = log.Append({row});
+  EXPECT_EQ(appended.code(), common::StatusCode::kInvalidArgument);
+  EXPECT_NE(appended.message().find("'patient'"), std::string::npos)
+      << appended.ToString();
+  // Validated before mutating: nothing was appended.
+  EXPECT_EQ(log.num_patients(), patients);
+  EXPECT_EQ(log.num_records(), records);
+  // The last id inside the span still appends.
+  row.patient = static_cast<PatientId>(kMaxPatientIdSpan - 1);
+  ASSERT_TRUE(log.Append({row}).ok());
+  EXPECT_EQ(log.num_patients(), static_cast<size_t>(kMaxPatientIdSpan));
+}
+
 TEST(ExamLogTest, SaveAndLoad) {
   ExamLog log = MakeSmallLog();
   std::string path = testing::TempDir() + "/exam_log_test.csv";

@@ -7,9 +7,14 @@
 // once when its cohort's owner dies, Stop() wakes a client parked in a
 // forwarded `result` wait, a finished upload is re-driven by its
 // fingerprint alone, and both job tables retire finished entries past
-// kRetainedJobs.
+// kRetainedJobs. The router serves every client from one loop thread:
+// idle and half-line clients cost it no thread, parked, slow or
+// flooding clients hold up no one else, and a pipelined batch does not
+// nest dispatch. Shard calls reuse kept connections, and a cached
+// upload reaches its shard as a fingerprint only.
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
@@ -29,6 +34,7 @@
 #include "kdb/database.h"
 #include "service/client.h"
 #include "service/fingerprint.h"
+#include "service/net_socket.h"
 #include "service/protocol.h"
 #include "service/router.h"
 #include "service/server.h"
@@ -904,6 +910,369 @@ TEST(RouterTest, UploadWithAnIdBeyond32BitsIsRejectedAtTheRouter) {
   EXPECT_EQ(shard->scheduler().stats().submitted, 0);
   router.Stop();
   shard->Stop();
+}
+
+/// Threads of this process right now.
+size_t ThreadCount() {
+  size_t threads = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++threads;
+  }
+  return threads;
+}
+
+std::string Line(const Json::Object& request) {
+  return Json(request).Dump() + "\n";
+}
+
+TEST(RouterTest, IdleClientsCostNoThread) {
+  // Ping is answered by the router itself, so no shard needs to run.
+  service::RouterOptions options = QuietRouterOptions();
+  options.shards.push_back(service::ShardEndpoints{9905, 0});
+  service::Router router(std::move(options));
+  ASSERT_TRUE(router.Start().ok());
+  auto first = Connect(router.port());
+  ASSERT_TRUE(first.Call("ping").ok());
+  const size_t threads_before = ThreadCount();
+
+  std::vector<service::FileDescriptor> clients;
+  for (int i = 0; i < 150; ++i) {
+    auto connection = service::ConnectLoopback(router.port());
+    ASSERT_TRUE(connection.ok()) << "client " << i;
+    // The last 50 send half a request line and go quiet.
+    if (i >= 100) {
+      ASSERT_TRUE(service::SendAll(connection.value(), "{\"verb\":\"pi").ok());
+    }
+    clients.push_back(std::move(connection).value());
+  }
+  // A fresh client is answered behind all of them.
+  auto fresh = Connect(router.port());
+  auto pong = fresh.Call("ping");
+  ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+  EXPECT_EQ(pong->Find("service")->AsString(), "ada-health-router");
+  EXPECT_EQ(ThreadCount(), threads_before);
+  router.Stop();
+}
+
+TEST(RouterTest, ParkedWaitAndSlowLorisDoNotBlockOtherClients) {
+  // Through the router: one client parked in a long forwarded `result`
+  // wait and one slow-loris client mid-line, while other clients
+  // complete full round trips.
+  auto shard = StartShardServer(service::ServerRole::kPrimary,
+                                /*replicate_to_port=*/0,
+                                /*start_paused=*/true);
+  service::RouterOptions options = QuietRouterOptions();
+  options.shards.push_back(service::ShardEndpoints{shard->port(), 0});
+  service::Router router(std::move(options));
+  ASSERT_TRUE(router.Start().ok());
+
+  auto a_connection = service::ConnectLoopback(router.port());
+  ASSERT_TRUE(a_connection.ok());
+  service::LineReader a_reader(a_connection.value());
+  const Json::Object submit = SubmitBody(1, "router_park");
+  ASSERT_TRUE(service::SendAll(a_connection.value(), Line(submit)).ok());
+  auto a_submitted = a_reader.ReadLine();
+  ASSERT_TRUE(a_submitted.ok());
+  auto a_response = service::ParseResponse(a_submitted.value());
+  ASSERT_TRUE(a_response.ok()) << a_response.status().ToString();
+  const int64_t a_job = a_response->Find("job_id")->AsInt();
+  const size_t threads_before = ThreadCount();
+  ASSERT_TRUE(
+      service::SendAll(a_connection.value(), Line(ResultRequest(a_job))).ok());
+
+  auto loris = service::ConnectLoopback(router.port());
+  ASSERT_TRUE(loris.ok());
+  ASSERT_TRUE(service::SendAll(loris.value(), "{\"verb\":\"pi").ok());
+
+  constexpr int kOthers = 8;
+  std::vector<service::AnalysisClient> others;
+  std::vector<int64_t> other_jobs;
+  for (int i = 0; i < kOthers; ++i) {
+    others.push_back(Connect(router.port()));
+    ASSERT_TRUE(others.back().Call("ping").ok()) << i;
+    auto submitted = others.back().Call(SubmitBody(1, "router_park"));
+    ASSERT_TRUE(submitted.ok()) << i;
+    other_jobs.push_back(submitted->Find("job_id")->AsInt());
+    Json::Object status;
+    status["verb"] = "status";
+    status["job_id"] = other_jobs.back();
+    auto state = others.back().Call(status);
+    ASSERT_TRUE(state.ok()) << i;
+    EXPECT_EQ(state->Find("state")->AsString(), "queued") << i;
+  }
+  // Ten clients are connected, one parked and one mid-line: none holds
+  // a thread.
+  EXPECT_EQ(ThreadCount(), threads_before);
+
+  shard->scheduler().Resume();
+
+  auto a_result_line = a_reader.ReadLine();
+  ASSERT_TRUE(a_result_line.ok());
+  auto a_result = service::ParseResponse(a_result_line.value());
+  ASSERT_TRUE(a_result.ok()) << a_result.status().ToString();
+  EXPECT_EQ(a_result->Find("state")->AsString(), "done");
+  EXPECT_EQ(a_result->Find("job_id")->AsInt(), a_job);
+  const std::string wire_report = a_result->Find("report")->AsString();
+  for (int i = 0; i < kOthers; ++i) {
+    auto result = others[i].Call(ResultRequest(other_jobs[i]));
+    ASSERT_TRUE(result.ok()) << i;
+    EXPECT_EQ(result->Find("state")->AsString(), "done") << i;
+    EXPECT_EQ(result->Find("report")->AsString(), wire_report) << i;
+  }
+
+  ASSERT_TRUE(service::SendAll(loris.value(), "ng\"}\n").ok());
+  service::LineReader loris_reader(loris.value());
+  auto loris_line = loris_reader.ReadLine();
+  ASSERT_TRUE(loris_line.ok());
+  EXPECT_TRUE(service::ParseResponse(loris_line.value()).ok());
+
+  auto request = service::BuildJobRequest(Json(submit));
+  ASSERT_TRUE(request.ok());
+  kdb::Database db;
+  core::AnalysisSession session(&db);
+  const dataset::Taxonomy* taxonomy =
+      request->taxonomy.has_value() ? &*request->taxonomy : nullptr;
+  auto direct = session.Run(request->log, taxonomy, request->options);
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(wire_report, core::RenderSessionReport(
+                             direct.value(), request->options.dataset_id));
+  router.Stop();
+  shard->Stop();
+}
+
+TEST(RouterTest, HundredsOfPipelinedClientsAnsweredInOrder) {
+  auto shard = StartShardServer(service::ServerRole::kPrimary);
+  service::RouterOptions options = QuietRouterOptions();
+  options.shards.push_back(service::ShardEndpoints{shard->port(), 0});
+  service::Router router(std::move(options));
+  ASSERT_TRUE(router.Start().ok());
+  auto setup = Connect(router.port());
+  auto submitted = setup.Call(SubmitBody(31, "pipelined"));
+  ASSERT_TRUE(submitted.ok());
+  const int64_t job = submitted->Find("job_id")->AsInt();
+  ASSERT_TRUE(setup.Call(ResultRequest(job)).ok());
+
+  // Every client writes its whole batch before any response is read:
+  // local answers, a forwarded `status` that parks the connection, and
+  // an error naming the client, in that order.
+  constexpr int kClients = 120;
+  const size_t threads_before = ThreadCount();
+  std::vector<service::FileDescriptor> connections;
+  for (int i = 0; i < kClients; ++i) {
+    auto connection = service::ConnectLoopback(router.port());
+    ASSERT_TRUE(connection.ok()) << "client " << i;
+    Json::Object status;
+    status["verb"] = "status";
+    status["job_id"] = job;
+    Json::Object unknown;
+    unknown["verb"] = "nope" + std::to_string(i);
+    const std::string batch = Line({{"verb", Json("ping")}}) + Line(status) +
+                              Line(unknown) + Line(status) +
+                              Line({{"verb", Json("ping")}});
+    ASSERT_TRUE(service::SendAll(connection.value(), batch).ok()) << i;
+    connections.push_back(std::move(connection).value());
+  }
+  for (int i = 0; i < kClients; ++i) {
+    service::LineReader reader(connections[i]);
+    std::vector<common::StatusOr<Json>> responses;
+    for (int j = 0; j < 5; ++j) {
+      auto line = reader.ReadLine();
+      ASSERT_TRUE(line.ok()) << "client " << i << " response " << j;
+      responses.push_back(service::ParseResponse(line.value()));
+    }
+    ASSERT_TRUE(responses[0].ok()) << i;
+    EXPECT_EQ(responses[0]->Find("service")->AsString(), "ada-health-router");
+    for (int j : {1, 3}) {
+      ASSERT_TRUE(responses[j].ok()) << i << " " << j;
+      EXPECT_EQ(responses[j]->Find("job_id")->AsInt(), job);
+      EXPECT_EQ(responses[j]->Find("state")->AsString(), "done");
+    }
+    EXPECT_EQ(responses[2].status().message(),
+              "unknown verb 'nope" + std::to_string(i) + "'");
+    ASSERT_TRUE(responses[4].ok()) << i;
+    EXPECT_EQ(responses[4]->Find("service")->AsString(), "ada-health-router");
+  }
+  EXPECT_EQ(ThreadCount(), threads_before);
+  router.Stop();
+  shard->Stop();
+}
+
+TEST(RouterTest, PipelinedRequestsAnsweredAtOnceDoNotNestDispatch) {
+  // Each status for an unknown job is answered inside its own line's
+  // dispatch; 20000 of them in one batch must not nest one dispatch per
+  // line on the loop thread's stack.
+  service::RouterOptions options = QuietRouterOptions();
+  options.shards.push_back(service::ShardEndpoints{9905, 0});
+  service::Router router(std::move(options));
+  ASSERT_TRUE(router.Start().ok());
+  constexpr int kRequests = 20000;
+  std::vector<Json::Object> requests;
+  for (int i = 0; i < kRequests; ++i) {
+    Json::Object status;
+    status["verb"] = "status";
+    status["job_id"] = static_cast<int64_t>(1000 + i);
+    requests.push_back(std::move(status));
+  }
+  auto client = Connect(router.port());
+  auto responses = client.CallPipelined(requests);
+  ASSERT_EQ(responses.size(), static_cast<size_t>(kRequests));
+  for (int i = 0; i < kRequests; ++i) {
+    ASSERT_EQ(responses[i].status().code(), StatusCode::kNotFound) << i;
+    ASSERT_EQ(responses[i].status().message(),
+              "no job with id " + std::to_string(1000 + i))
+        << i;
+  }
+  ASSERT_TRUE(client.Call("ping").ok());
+  router.Stop();
+}
+
+TEST(RouterTest, UnreadPipelinedFloodDoesNotStallOtherClients) {
+  // One client writes 6000 `health` requests and reads no answer. The
+  // router answers them itself, each listing 64 shards, so ~80 MB of
+  // output outgrows the socket buffers and piles up in the router.
+  // Another client's ping is still answered promptly, and the flood's
+  // answers all arrive once it reads. Each request is padded to ~500
+  // bytes, so one read holds about a hundred of them.
+  service::RouterOptions options = QuietRouterOptions();
+  for (uint16_t port = 9905; port < 9905 + 64; ++port) {
+    options.shards.push_back(service::ShardEndpoints{port, 0});
+  }
+  service::Router router(std::move(options));
+  ASSERT_TRUE(router.Start().ok());
+  constexpr int kRequests = 6000;
+  auto flood = service::ConnectLoopback(router.port());
+  ASSERT_TRUE(flood.ok());
+  std::string batch;
+  const std::string padded =
+      "{" + std::string(500, ' ') + "\"verb\":\"health\"}\n";
+  for (int i = 0; i < kRequests; ++i) batch += padded;
+  ASSERT_TRUE(service::SendAll(flood.value(), batch).ok());
+
+  auto other = service::AnalysisClient::Connect(router.port(),
+                                                /*recv_timeout_millis=*/5000);
+  ASSERT_TRUE(other.ok());
+  const auto asked = std::chrono::steady_clock::now();
+  auto pong = other->Call("ping");
+  ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+  EXPECT_LT(std::chrono::steady_clock::now() - asked, std::chrono::seconds(5));
+
+  service::LineReader reader(flood.value());
+  for (int i = 0; i < kRequests; ++i) {
+    auto line = reader.ReadLine();
+    ASSERT_TRUE(line.ok()) << i;
+    ASSERT_TRUE(service::ParseResponse(line.value()).ok()) << i;
+  }
+  router.Stop();
+}
+
+/// Connections the shard has accepted so far.
+int64_t TotalConnections(service::AnalysisClient& shard_client) {
+  auto stats = shard_client.Call("stats");
+  ADA_CHECK(stats.ok());
+  return stats->Find("server")->Find("total_connections")->AsInt();
+}
+
+TEST(RouterTest, ShardCallsReuseConnections) {
+  auto shard = StartShardServer(service::ServerRole::kPrimary);
+  service::RouterOptions options = QuietRouterOptions();
+  options.shards.push_back(service::ShardEndpoints{shard->port(), 0});
+  service::Router router(std::move(options));
+  ASSERT_TRUE(router.Start().ok());
+  auto client = Connect(router.port());
+  auto submitted = client.Call(SubmitBody(5, "reuse"));
+  ASSERT_TRUE(submitted.ok());
+  const int64_t job = submitted->Find("job_id")->AsInt();
+  ASSERT_TRUE(client.Call(ResultRequest(job)).ok());
+
+  auto direct = Connect(shard->port());
+  const int64_t before = TotalConnections(direct);
+  Json::Object status;
+  status["verb"] = "status";
+  status["job_id"] = job;
+  for (int i = 0; i < 50; ++i) {
+    auto state = client.Call(status);
+    ASSERT_TRUE(state.ok()) << i;
+    EXPECT_EQ(state->Find("state")->AsString(), "done") << i;
+  }
+  // 50 forwards one after another ride the kept connection.
+  EXPECT_LE(TotalConnections(direct) - before, 1);
+  router.Stop();
+  shard->Stop();
+}
+
+TEST(RouterTest, CachedUploadIsAnsweredByItsFingerprintAlone) {
+  auto shard = StartShardServer(service::ServerRole::kPrimary);
+  service::RouterOptions options = QuietRouterOptions();
+  options.shards.push_back(service::ShardEndpoints{shard->port(), 0});
+  service::Router router(std::move(options));
+  ASSERT_TRUE(router.Start().ok());
+  const Json::Object upload = CsvSubmitBody(PaddedCsv(7, 150), "offered");
+  ASSERT_GT(Json(upload).Dump().size(), 16u * 1024);
+  auto client = Connect(router.port());
+
+  // A miss: the fingerprint is offered and refused, then the dataset
+  // goes out.
+  auto first = client.Call(upload);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(router.stats().forwarded, 2);
+  auto first_result = client.Call(ResultRequest(first->Find("job_id")->AsInt()));
+  ASSERT_TRUE(first_result.ok());
+  ASSERT_EQ(first_result->Find("state")->AsString(), "done");
+  EXPECT_EQ(router.stats().forwarded, 3);
+
+  // A hit: the fingerprint alone is answered, so nothing else is sent.
+  auto repeat = client.Call(upload);
+  ASSERT_TRUE(repeat.ok()) << repeat.status().ToString();
+  EXPECT_EQ(router.stats().forwarded, 4);
+  EXPECT_EQ(repeat->Find("state")->AsString(), "done");
+  EXPECT_TRUE(repeat->Find("cache_hit")->AsBool());
+  auto repeat_result =
+      client.Call(ResultRequest(repeat->Find("job_id")->AsInt()));
+  ASSERT_TRUE(repeat_result.ok());
+  EXPECT_EQ(repeat_result->Find("report")->AsString(),
+            first_result->Find("report")->AsString());
+  service::SchedulerStats stats = shard->scheduler().stats();
+  EXPECT_EQ(stats.submitted, 2);
+  EXPECT_EQ(stats.sessions_executed, 1);
+  EXPECT_EQ(shard->scheduler().cache().hits(), 1);
+  EXPECT_EQ(shard->scheduler().cache().misses(), 1);
+  router.Stop();
+  shard->Stop();
+}
+
+TEST(RouterTest, ConnectionEvictedByTheShardIsNotReused) {
+  service::ServerOptions shard_options;
+  shard_options.scheduler.max_workers = 2;
+  shard_options.idle_timeout_millis = 100.0;
+  service::AnalysisServer shard(std::move(shard_options));
+  ASSERT_TRUE(shard.Start().ok());
+  service::RouterOptions options = QuietRouterOptions();
+  options.shards.push_back(service::ShardEndpoints{shard.port(), 0});
+  service::Router router(std::move(options));
+  ASSERT_TRUE(router.Start().ok());
+  auto client = Connect(router.port());
+  auto submitted = client.Call(SubmitBody(6, "evicted"));
+  ASSERT_TRUE(submitted.ok());
+  const int64_t job = submitted->Find("job_id")->AsInt();
+  Json::Object status;
+  status["verb"] = "status";
+  status["job_id"] = job;
+  for (int round = 0; round < 3; ++round) {
+    // The shard evicts the router's idle connection meanwhile.
+    std::this_thread::sleep_for(std::chrono::milliseconds(400));
+    auto state = client.Call(status);
+    ASSERT_TRUE(state.ok()) << round << ": " << state.status().ToString();
+  }
+  auto direct = Connect(shard.port());
+  auto stats = direct.Call("stats");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_GE(stats->Find("server")->Find("idle_disconnects")->AsInt(), 3);
+  // One call each, no failed attempt and no failover check in between.
+  EXPECT_EQ(router.stats().forwarded, 4);
+  EXPECT_EQ(router.stats().failovers, 0);
+  router.Stop();
+  shard.Stop();
 }
 
 }  // namespace

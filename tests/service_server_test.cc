@@ -12,6 +12,7 @@
 #include "common/check.h"
 #include "common/json.h"
 #include "common/status.h"
+#include "dataset/exam_log.h"
 #include "service/client.h"
 #include "service/fingerprint.h"
 #include "service/net_socket.h"
@@ -191,6 +192,12 @@ TEST(ProtocolTest, SyntheticPatientsBeyond32BitsIsRejected) {
   // Used to generate a 5-patient cohort.
   ExpectRejectedNaming(SyntheticBodyWith("patients", 4294967301LL),
                        "patients");
+}
+
+TEST(ProtocolTest, SyntheticPatientsOverTheIdSpanCapAreRejected) {
+  ExpectRejectedNaming(
+      SyntheticBodyWith("patients", dataset::kMaxPatientIdSpan + 1),
+      "patients");
 }
 
 TEST(ProtocolTest, SyntheticExamTypesBeyond32BitsIsRejected) {
@@ -543,6 +550,23 @@ TEST_F(ServerTest, WrongRouteFingerprintOnAMissIsInternalAndAdmitsNothing) {
   EXPECT_EQ(stats->Find("sessions_executed")->AsInt(), 0);
   EXPECT_EQ(stats->Find("cache")->Find("hits")->AsInt(), 0);
   EXPECT_EQ(stats->Find("cache")->Find("misses")->AsInt(), 0);
+}
+
+TEST_F(ServerTest, IngestOfAPatientIdOverTheSpanCapIsRejected) {
+  Json::Object record;
+  record["patient"] = dataset::kMaxPatientIdSpan;
+  record["exam_type"] = "glucose";
+  record["day"] = static_cast<int64_t>(1);
+  Json::Object body;
+  body["verb"] = "ingest";
+  body["cohort"] = "hostile";
+  body["records"] = Json(Json::Array{Json(std::move(record))});
+  auto client = Client();
+  auto response = client.Call(body);
+  EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(response.status().message().find("'patient'"), std::string::npos)
+      << response.status().ToString();
+  EXPECT_EQ(server_->cohort_store().StatsJson().Find("records")->AsInt(), 0);
 }
 
 TEST_F(ServerTest, StatusOfUnknownJobIsNotFound) {

@@ -53,12 +53,20 @@ Rules
                     double-close an fd.
   service-outbound  In src/, ConnectLoopback and SetRecvTimeout appear
                     only in src/service/net_socket.* and
-                    src/service/client.*. AnalysisClient is the one
-                    outbound connection: the router's forwards, probes
-                    and failover calls and the replication shipper all
-                    connect through it, with its receive deadline, so
-                    every outbound call shares one send/read path and
-                    one way to bound and interrupt a wait.
+                    src/service/client.*. Every outbound connection
+                    is opened there: the blocking AnalysisClient (the
+                    replication shipper, ada_client) with its receive
+                    deadline, and the router's loop-driven UpstreamPool
+                    (forwards, probes, failover calls) with a loop
+                    timer as its deadline, so every outbound call
+                    shares one send/read path and one way to bound a
+                    wait.
+  service-threads   In src/service/, std::thread appears only in
+                    connection.* (the connection host's loop thread) and
+                    replication.* (the log shipper's thread). Every
+                    service process serves its clients from one event
+                    loop thread, so a thread per client or per wait
+                    cannot come back unnoticed.
   simd-intrinsics   x86 vector intrinsics — the <immintrin.h> include
                     family, _mm*/_mm256*/_mm512* calls and __m128/__m256/
                     __m512 vector types — are allowed only in
@@ -139,6 +147,7 @@ FILE_IO_CALL_RE = re.compile(
     r"|rename|unlink|mkdir|rmdir)\s*\(")
 FILE_IO_INCLUDE_RE = re.compile(r"#\s*include\s*<(fstream|filesystem)>")
 OUTBOUND_RE = re.compile(r"\b(ConnectLoopback|SetRecvTimeout)\b")
+THREAD_RE = re.compile(r"\bstd::thread\b")
 METRICS_INCLUDE_RE = re.compile(r'#\s*include\s*"common/metrics\.h"')
 METRICS_REGISTRY_RE = re.compile(r"\bMetricsRegistry\b")
 RAW_MUTEX_RE = re.compile(
@@ -267,6 +276,9 @@ def lint_file(path, rel_path):
     is_outbound_owner = any(
         rel_path.startswith(os.path.join("src", "service", stem + "."))
         for stem in ("net_socket", "client"))
+    is_thread_owner = any(
+        rel_path.startswith(os.path.join("src", "service", stem + "."))
+        for stem in ("connection", "replication"))
     is_simd_kernel = rel_path in (
         os.path.join("src", "transform", "simd_kernels.h"),
         os.path.join("src", "transform", "simd_kernels.cc"))
@@ -360,7 +372,7 @@ def lint_file(path, rel_path):
                     rel_path, lineno, "service-outbound",
                     f"`{m.group(1)}` outside service/net_socket and "
                     "service/client; open outbound connections through "
-                    "AnalysisClient::Connect"))
+                    "AnalysisClient or UpstreamPool"))
 
         # --- service-file-io --------------------------------------------
         if in_service and not is_cohort_store:
@@ -378,6 +390,16 @@ def lint_file(path, rel_path):
                     f"#include <{m.group(1)}> in src/service/ outside "
                     "cohort_store.cc; service-layer persistence goes "
                     "through the K-DB storage layer or the cohort store"))
+
+        # --- service-threads --------------------------------------------
+        if in_service and not is_thread_owner:
+            if THREAD_RE.search(code) and not allowed(lineno,
+                                                      "service-threads"):
+                findings.append(Finding(
+                    rel_path, lineno, "service-threads",
+                    "std::thread in src/service/ outside connection.* and "
+                    "replication.*; serve clients and waits from the "
+                    "connection host's event loop"))
 
         # --- service-metrics --------------------------------------------
         if in_service and not allowed(lineno, "service-metrics"):

@@ -14,7 +14,8 @@
 # re-drove it by fingerprint alone (it no longer holds the upload).
 # After failover, a CSV upload submitted twice is a cache hit in the
 # second submit reply, and a client line carrying the cluster-internal
-# route_fingerprint is rejected at the router.
+# route_fingerprint is rejected at the router. Before the workload, 50
+# idle connections must not grow the router's thread count.
 #
 # Usage: tools/shard_smoke.sh [BUILD_DIR]   (default: build)
 # CI runs this under ASan+UBSan (the shard-smoke job).
@@ -159,6 +160,30 @@ run_cluster() {
       --shard "${pa_port}:${fa_port}" --shard "${pb_port}:${fb_port}" \
       --probe-interval-ms 100 --probe-failures 2
   local router_pid="${LAST_PID}" router_port="${LAST_PORT}"
+
+  # One connection model: 50 idle clients cost the router no thread,
+  # and a fresh client is still answered.
+  python3 - "${router_pid}" "${router_port}" "${CLIENT}" <<'EOF' \
+    || fail "idle clients grew the router's thread count or blocked ping"
+import socket, subprocess, sys
+pid, port, client = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+def threads():
+    with open(f"/proc/{pid}/status") as status:
+        return next(int(line.split()[1]) for line in status
+                    if line.startswith("Threads:"))
+before = threads()
+idle = [socket.create_connection(("127.0.0.1", port), timeout=10)
+        for _ in range(50)]
+subprocess.run([client, "--router", str(port), "ping"], check=True,
+               stdout=subprocess.DEVNULL, timeout=30)
+after = threads()
+for conn in idle:
+    conn.close()
+if after > before:
+    print(f"router threads {before} -> {after} with 50 idle clients",
+          file=sys.stderr)
+    sys.exit(1)
+EOF
 
   local csv="${LOG_DIR}/${name}-upload.csv"
   python3 - "${csv}" <<'EOF' || fail "could not write the CSV upload"
