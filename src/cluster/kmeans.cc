@@ -7,6 +7,7 @@
 #include "cluster/kmeans_accel.h"
 #include "common/check.h"
 #include "common/metrics.h"
+#include "transform/simd_kernels.h"
 
 namespace adahealth {
 namespace cluster {
@@ -15,7 +16,7 @@ using common::Rng;
 using common::StatusOr;
 using transform::CsrMatrix;
 using transform::Matrix;
-using transform::SquaredDistance;
+namespace simd = transform::simd;
 
 namespace {
 
@@ -57,15 +58,16 @@ Matrix InitializeCentroidsImpl(const Data& data, int32_t k, KMeansInit init,
   // prefix sum once per centroid so the draw is a binary search instead
   // of a linear cumulative scan.
   std::vector<double> min_distance(n, std::numeric_limits<double>::max());
+  std::vector<double> distance(n);
   std::vector<double> prefix(n);
   size_t first = static_cast<size_t>(rng.UniformUint64(n));
   CopyRowInto(data, first, centroids.Row(0));
   for (int32_t c = 1; c < k; ++c) {
     std::span<const double> last = centroids.Row(static_cast<size_t>(c - 1));
+    internal::ExactRowDistances(data, last, distance);
     double cumulative = 0.0;
     for (size_t i = 0; i < n; ++i) {
-      double d = ExactRowDistance(data, i, last);
-      min_distance[i] = std::min(min_distance[i], d);
+      min_distance[i] = std::min(min_distance[i], distance[i]);
       cumulative += min_distance[i];
       prefix[i] = cumulative;
     }
@@ -305,6 +307,37 @@ double AssignToCentroids(const CsrMatrix& data, const Matrix& centroids,
 
 namespace internal {
 
+void ExactRowDistances(const Matrix& data, std::span<const double> v,
+                       std::span<double> out) {
+  ADA_CHECK_LE(out.size(), data.rows());
+  transform::simd::ExactSquaredDistancesRows(data.data(), data.cols(), v, out);
+}
+
+void ExactRowDistances(const CsrMatrix& data, std::span<const double> v,
+                       std::span<double> out) {
+  ADA_CHECK_LE(out.size(), data.rows());
+  const size_t dims = data.cols();
+  // Densified +0.0 cells give (0.0 - v[d])^2 == v[d]^2 bit for bit, the
+  // term SparseSquaredDistance folds for an absent entry. Only the
+  // tile's nonzeros are written, and reset after use.
+  std::vector<double> tile(simd::kRowTile * dims, 0.0);
+  for (size_t begin = 0; begin < out.size(); begin += simd::kRowTile) {
+    const size_t count = std::min(simd::kRowTile, out.size() - begin);
+    for (size_t p = 0; p < count; ++p) {
+      for (const transform::SparseEntry& entry : data.Row(begin + p)) {
+        ADA_CHECK_LT(entry.column, dims);
+        tile[p * dims + entry.column] = entry.value;
+      }
+    }
+    simd::ExactSquaredDistancesRows(tile, dims, v, out.subspan(begin, count));
+    for (size_t p = 0; p < count; ++p) {
+      for (const transform::SparseEntry& entry : data.Row(begin + p)) {
+        tile[p * dims + entry.column] = 0.0;
+      }
+    }
+  }
+}
+
 void AccumulateRows(const Matrix& data,
                     const std::vector<int32_t>& assignments, size_t begin,
                     size_t end, CentroidAccumulator& acc) {
@@ -473,14 +506,18 @@ Matrix AdaptCentroids(const Matrix& data, const Clustering& source,
     std::span<double> dst = out.Row(c);
     std::copy(src.begin(), src.end(), dst.begin());
   }
-  std::vector<double> min_distance(data.rows());
-  for (size_t i = 0; i < data.rows(); ++i) {
-    double nearest = std::numeric_limits<double>::max();
-    for (size_t c = 0; c < k_prev; ++c) {
-      nearest = std::min(nearest, SquaredDistance(data.Row(i), out.Row(c)));
+  // Each point's distance to its nearest kept centroid, folded in
+  // centroid order.
+  std::vector<double> min_distance(data.rows(),
+                                   std::numeric_limits<double>::max());
+  std::vector<double> distance(data.rows());
+  const auto fold_nearest = [&](std::span<const double> centroid) {
+    internal::ExactRowDistances(data, centroid, distance);
+    for (size_t i = 0; i < data.rows(); ++i) {
+      min_distance[i] = std::min(min_distance[i], distance[i]);
     }
-    min_distance[i] = nearest;
-  }
+  };
+  for (size_t c = 0; c < k_prev; ++c) fold_nearest(out.Row(c));
   for (size_t c = k_prev; c < k; ++c) {
     size_t farthest = 0;
     double worst = -1.0;
@@ -493,10 +530,7 @@ Matrix AdaptCentroids(const Matrix& data, const Clustering& source,
     std::span<const double> src = data.Row(farthest);
     std::span<double> dst = out.Row(c);
     std::copy(src.begin(), src.end(), dst.begin());
-    for (size_t i = 0; i < data.rows(); ++i) {
-      min_distance[i] =
-          std::min(min_distance[i], SquaredDistance(data.Row(i), dst));
-    }
+    fold_nearest(dst);
   }
   return out;
 }

@@ -105,7 +105,11 @@ struct Clustering {
 
 // --- Building blocks shared with the accelerated variants ---------------
 
-/// Chooses initial centroids from the rows of `data`.
+/// Chooses initial centroids from the rows of `data`. The k-means++
+/// D^2 update computes every point's distance to the newest centroid
+/// many points at a time (internal::ExactRowDistances): each distance
+/// is still the exact ascending-dimension SquaredDistance fold, bit for
+/// bit, so the seeds are the one-point-at-a-time loop's seeds.
 transform::Matrix InitializeCentroids(const transform::Matrix& data,
                                       int32_t k, KMeansInit init,
                                       common::Rng& rng);
@@ -142,7 +146,9 @@ std::vector<int64_t> ClusterSizes(const std::vector<int32_t>& assignments,
 /// KMeansOptions::initial_centroids). Equal K returns the centroids
 /// unchanged; a smaller K keeps the centroids of the largest clusters;
 /// a larger K adds data points by deterministic farthest-point
-/// selection. `source.assignments` must be aligned with `data`.
+/// selection. `source.assignments` must be aligned with `data`. Its
+/// nearest-kept and farthest-point updates use the same exact
+/// many-points-to-one-centroid distances as InitializeCentroids.
 transform::Matrix AdaptCentroids(const transform::Matrix& data,
                                  const Clustering& source, int32_t target_k);
 
@@ -182,6 +188,16 @@ inline double ExactRowDistance(const transform::CsrMatrix& data, size_t i,
                                std::span<const double> v) {
   return transform::SparseSquaredDistance(data.Row(i), v);
 }
+
+/// Exact squared distances from rows [0, out.size()) of `data` to the
+/// dense vector `v`, each bit-identical to ExactRowDistance, computed
+/// simd::kRowTile points at a time (simd::ExactSquaredDistancesRows).
+/// Dense rows are read in place; CSR rows are densified one tile at a
+/// time into a kRowTile x dims buffer, never the whole matrix.
+void ExactRowDistances(const transform::Matrix& data,
+                       std::span<const double> v, std::span<double> out);
+void ExactRowDistances(const transform::CsrMatrix& data,
+                       std::span<const double> v, std::span<double> out);
 
 /// Copies row `i` of `data` into `dst` (densifying a CSR row).
 inline void CopyRowInto(const transform::Matrix& data, size_t i,

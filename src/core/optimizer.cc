@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 
 #include "cluster/sweep.h"
 #include "common/failpoint.h"
@@ -22,24 +23,30 @@ using transform::Matrix;
 
 namespace {
 
-ml::ClassifierFactory MakeFactory(RobustnessModel model) {
+/// `presorted` is the decision tree's presort of the optimizer's data,
+/// shared by every fold of every candidate.
+ml::ClassifierFactory MakeFactory(RobustnessModel model,
+                                  const ml::PresortedFeatures* presorted) {
   switch (model) {
     case RobustnessModel::kDecisionTree:
-      return [] { return std::make_unique<ml::DecisionTreeClassifier>(); };
+      break;
     case RobustnessModel::kNaiveBayes:
       return [] { return std::make_unique<ml::GaussianNaiveBayes>(); };
     case RobustnessModel::kNearestNeighbors:
       return [] { return std::make_unique<ml::KnnClassifier>(); };
   }
-  return [] { return std::make_unique<ml::DecisionTreeClassifier>(); };
+  return [presorted] {
+    return std::make_unique<ml::DecisionTreeClassifier>(
+        ml::DecisionTreeOptions(), presorted);
+  };
 }
 
 /// Phase B of one candidate K: cross-validate a classifier that
 /// re-predicts the cluster labels from the same features.
-StatusOr<CandidateEvaluation> AssessCandidate(const Matrix& data,
-                                              cluster::Clustering clustering,
-                                              double cluster_seconds,
-                                              const OptimizerOptions& options) {
+StatusOr<CandidateEvaluation> AssessCandidate(
+    const Matrix& data, cluster::Clustering clustering,
+    double cluster_seconds, const OptimizerOptions& options,
+    const ml::ClassifierFactory& factory) {
   common::MetricsRegistry& metrics = common::MetricsRegistry::Default();
   common::WallTimer cv_timer;
   CandidateEvaluation evaluation;
@@ -50,7 +57,7 @@ StatusOr<CandidateEvaluation> AssessCandidate(const Matrix& data,
   auto report = ml::CrossValidate(
       data, evaluation.clustering.assignments, evaluation.k,
       options.cv_folds, options.seed + static_cast<uint64_t>(evaluation.k),
-      MakeFactory(options.model));
+      factory);
   const double cv_seconds = cv_timer.ElapsedSeconds();
   metrics.GetHistogram("optimizer/cv_seconds").Record(cv_seconds);
   metrics.GetHistogram("optimizer/candidate_eval_seconds")
@@ -191,7 +198,13 @@ StatusOr<OptimizerResult> OptimizeClustering(
   // candidate, fanned out on ThreadPool::Shared() one candidate per
   // task. ParallelFor is nesting-safe, so a caller already running on
   // a pool worker (a service job) shares the same cores instead of
-  // oversubscribing them with a private pool.
+  // oversubscribing them with a private pool. Every candidate clusters
+  // the same matrix, so the decision tree's presort is built once here
+  // and every fold of every candidate fits from it.
+  std::optional<ml::PresortedFeatures> presorted;
+  if (options.model == RobustnessModel::kDecisionTree) presorted.emplace(data);
+  const ml::ClassifierFactory factory = MakeFactory(
+      options.model, presorted.has_value() ? &*presorted : nullptr);
   common::ParallelFor(
       common::ThreadPool::Shared(), 0, num_candidates,
       [&](size_t i) {
@@ -201,7 +214,7 @@ StatusOr<OptimizerResult> OptimizeClustering(
         }
         evaluations[i] =
             AssessCandidate(data, std::move(clusterings[i]).value(),
-                            cluster_seconds[i], options);
+                            cluster_seconds[i], options, factory);
       },
       1);
 

@@ -91,16 +91,12 @@ StatusOr<ClassificationReport> CrossValidate(
 
   common::MetricsRegistry& metrics = common::MetricsRegistry::Default();
   for (const Fold& fold : folds_or.value()) {
-    Matrix train = features.SelectRows(fold.train_ids);
-    std::vector<int32_t> train_labels(fold.train_ids.size());
-    for (size_t i = 0; i < fold.train_ids.size(); ++i) {
-      train_labels[i] = labels[fold.train_ids[i]];
-    }
     std::unique_ptr<Classifier> model = factory();
     common::Status fit_status;
     {
       common::ScopedTimer fit_timer(metrics, "cv/fold_fit_seconds");
-      fit_status = model->Fit(train, train_labels, num_classes);
+      fit_status =
+          model->FitRows(features, fold.train_ids, labels, num_classes);
     }
     if (!fit_status.ok()) return fit_status;
     common::ScopedTimer predict_timer(metrics, "cv/fold_predict_seconds");

@@ -26,7 +26,8 @@ struct Fold {
     int32_t num_folds, uint64_t seed);
 
 /// Runs k-fold cross-validation: for each fold, trains a fresh
-/// classifier from `factory` on the training split and predicts the
+/// classifier from `factory` on the training split (Classifier::FitRows,
+/// so a decision tree fits without a copy of the fold) and predicts the
 /// test split; all test predictions are pooled into one
 /// ClassificationReport (each sample is tested exactly once).
 [[nodiscard]] common::StatusOr<ClassificationReport> CrossValidate(

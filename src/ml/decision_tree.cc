@@ -15,31 +15,29 @@ using transform::Matrix;
 
 namespace {
 
-/// One nonzero cell of a feature column.
-struct Entry {
-  double value;
-  uint32_t row;
-};
+using Entry = PresortedFeatures::Entry;
 
 /// The child a row of the node being split goes to. Rows absent from the
 /// split feature's segment hold a zero there and stay kZero.
 enum class Side : uint8_t { kZero, kLeft, kRight };
 
-/// Grows one tree from presorted per-feature segments. It owns every
-/// buffer of one Fit, so they are freed when Fit returns.
+/// Grows one tree on a subset of a presorted matrix's rows. It owns
+/// every buffer of one fit, so they are freed when the fit returns.
 class PresortedBuilder {
  public:
   using Node = DecisionTreeClassifier::Node;
 
-  PresortedBuilder(const Matrix& features, const std::vector<int32_t>& labels,
-                   int32_t num_classes, const DecisionTreeOptions& options,
+  /// `rows` is strictly ascending; `labels` is indexed by presorted row.
+  PresortedBuilder(const PresortedFeatures& presorted,
+                   const std::vector<size_t>& rows,
+                   const std::vector<int32_t>& labels, int32_t num_classes,
+                   const DecisionTreeOptions& options,
                    std::vector<Node>& nodes, int32_t& depth)
-      : labels_(labels),
-        num_classes_(static_cast<size_t>(num_classes)),
+      : num_classes_(static_cast<size_t>(num_classes)),
         options_(options),
         nodes_(nodes),
         depth_(depth) {
-    Presort(features);
+    CopyRows(presorted, rows, labels);
   }
 
   void Build() {
@@ -51,44 +49,40 @@ class PresortedBuilder {
   }
 
  private:
-  /// Sorts each feature's nonzero entries by (value, row) into its
-  /// segment [offsets_[f], offsets_[f + 1]) of entries_.
-  void Presort(const Matrix& features) {
-    const size_t num_features = features.cols();
+  /// Copies the entries of `rows` out of every presorted segment into
+  /// this fit's segment [offsets_[f], offsets_[f + 1]) of entries_, each
+  /// renumbered to its position in `rows` and labeled. Positions grow
+  /// with rows, so every segment stays sorted by (value, row).
+  void CopyRows(const PresortedFeatures& presorted,
+                const std::vector<size_t>& rows,
+                const std::vector<int32_t>& labels) {
+    constexpr uint32_t kAbsent = std::numeric_limits<uint32_t>::max();
+    std::vector<uint32_t> position(presorted.rows(), kAbsent);
+    labels_.resize(rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      position[rows[i]] = static_cast<uint32_t>(i);
+      labels_[i] = labels[rows[i]];
+    }
+    const size_t num_features = presorted.cols();
     offsets_.assign(num_features + 1, 0);
-    for (size_t row = 0; row < features.rows(); ++row) {
-      const std::span<const double> values = features.Row(row);
-      for (size_t f = 0; f < num_features; ++f) {
-        offsets_[f + 1] += static_cast<size_t>(values[f] != 0.0);
-      }
-    }
-    std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
-    entries_.resize(offsets_.back());
-    std::vector<size_t> next(offsets_.begin(), offsets_.end() - 1);
-    for (size_t row = 0; row < features.rows(); ++row) {
-      const std::span<const double> values = features.Row(row);
-      for (size_t f = 0; f < num_features; ++f) {
-        if (values[f] != 0.0) {
-          entries_[next[f]++] = {values[f], static_cast<uint32_t>(row)};
-        }
-      }
-    }
+    // One slot of slack: the loop below writes every entry and advances
+    // only past the kept ones.
+    entries_.resize(presorted.size() + 1);
+    Entry* out = entries_.data();
     size_t max_segment = 0;
     for (size_t f = 0; f < num_features; ++f) {
-      const auto first = entries_.begin() + static_cast<ptrdiff_t>(offsets_[f]);
-      const auto last =
-          entries_.begin() + static_cast<ptrdiff_t>(offsets_[f + 1]);
-      std::sort(first, last, [](const Entry& a, const Entry& b) {
-        return a.value < b.value || (a.value == b.value && a.row < b.row);
-      });
-      max_segment = std::max(max_segment, offsets_[f + 1] - offsets_[f]);
+      const Entry* first = out;
+      for (const Entry& entry : presorted.Segment(f)) {
+        const uint32_t row = position[entry.row];
+        *out = {entry.value, row, labels[entry.row]};
+        out += row != kAbsent;
+      }
+      offsets_[f + 1] = static_cast<size_t>(out - entries_.data());
+      max_segment = std::max(max_segment, static_cast<size_t>(out - first));
     }
+    entries_.resize(offsets_.back());
     scratch_.resize(max_segment);
-    sides_.assign(features.rows(), Side::kZero);
-  }
-
-  size_t Label(const Entry& entry) const {
-    return static_cast<size_t>(labels_[entry.row]);
+    sides_.assign(rows.size(), Side::kZero);
   }
 
   /// Grows the node whose part of feature f's segment is
@@ -194,7 +188,7 @@ class PresortedBuilder {
       if (first == last) continue;  // All zeros: constant in this node.
       zeros = counts;
       for (const Entry* entry = first; entry != last; ++entry) {
-        --zeros[Label(*entry)];
+        --zeros[static_cast<size_t>(entry->label)];
       }
       const int64_t zero_n = n - (last - first);
       const Entry* positives = std::partition_point(
@@ -225,7 +219,7 @@ class PresortedBuilder {
             may_win(left_n, left_sq, right_sq)) {
           evaluate(f, previous, entry->value, left_n);
         }
-        const size_t c = Label(*entry);
+        const size_t c = static_cast<size_t>(entry->label);
         left_sq += 2 * left[c] + 1;
         right_sq -= 2 * (counts[c] - left[c]) - 1;
         ++left[c];
@@ -287,11 +281,12 @@ class PresortedBuilder {
     return static_cast<size_t>(out - entries_.data());
   }
 
-  const std::vector<int32_t>& labels_;
   const size_t num_classes_;
   const DecisionTreeOptions& options_;
   std::vector<Node>& nodes_;
   int32_t& depth_;
+  /// The fit's labels, by position in its rows.
+  std::vector<int32_t> labels_;
   std::vector<size_t> offsets_;
   std::vector<Entry> entries_;
   std::vector<Entry> scratch_;
@@ -300,10 +295,73 @@ class PresortedBuilder {
 
 }  // namespace
 
+PresortedFeatures::PresortedFeatures(const Matrix& features)
+    : rows_(features.rows()) {
+  ADA_CHECK_LE(rows_, static_cast<size_t>(std::numeric_limits<int32_t>::max()));
+  const size_t num_features = features.cols();
+  offsets_.assign(num_features + 1, 0);
+  for (size_t row = 0; row < rows_; ++row) {
+    const std::span<const double> values = features.Row(row);
+    for (size_t f = 0; f < num_features; ++f) {
+      offsets_[f + 1] += static_cast<size_t>(values[f] != 0.0);
+    }
+  }
+  std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
+  entries_.resize(offsets_.back());
+  std::vector<size_t> next(offsets_.begin(), offsets_.end() - 1);
+  for (size_t row = 0; row < rows_; ++row) {
+    const std::span<const double> values = features.Row(row);
+    for (size_t f = 0; f < num_features; ++f) {
+      if (values[f] != 0.0) {
+        entries_[next[f]++] = {values[f], static_cast<uint32_t>(row), 0};
+      }
+    }
+  }
+  for (size_t f = 0; f < num_features; ++f) {
+    std::sort(entries_.begin() + static_cast<ptrdiff_t>(offsets_[f]),
+              entries_.begin() + static_cast<ptrdiff_t>(offsets_[f + 1]),
+              [](const Entry& a, const Entry& b) {
+                return a.value < b.value ||
+                       (a.value == b.value && a.row < b.row);
+              });
+  }
+}
+
 Status DecisionTreeClassifier::Fit(const Matrix& features,
                                    const std::vector<int32_t>& labels,
                                    int32_t num_classes) {
-  if (features.rows() == 0 || features.cols() == 0) {
+  std::vector<size_t> rows(features.rows());
+  std::iota(rows.begin(), rows.end(), size_t{0});
+  Status valid = Validate(features, rows, labels, num_classes);
+  if (!valid.ok()) return valid;
+  Grow(PresortedFeatures(features), rows, labels, num_classes);
+  return common::OkStatus();
+}
+
+Status DecisionTreeClassifier::FitRows(const Matrix& features,
+                                       const std::vector<size_t>& rows,
+                                       const std::vector<int32_t>& labels,
+                                       int32_t num_classes) {
+  Status valid = Validate(features, rows, labels, num_classes);
+  if (!valid.ok()) return valid;
+  if (presorted_ == nullptr) {
+    Grow(PresortedFeatures(features), rows, labels, num_classes);
+    return common::OkStatus();
+  }
+  if (presorted_->rows() != features.rows() ||
+      presorted_->cols() != features.cols()) {
+    return common::InvalidArgumentError(
+        "shared presort does not match the training matrix");
+  }
+  Grow(*presorted_, rows, labels, num_classes);
+  return common::OkStatus();
+}
+
+Status DecisionTreeClassifier::Validate(const Matrix& features,
+                                        const std::vector<size_t>& rows,
+                                        const std::vector<int32_t>& labels,
+                                        int32_t num_classes) const {
+  if (rows.empty() || features.cols() == 0) {
     return common::InvalidArgumentError("empty training data");
   }
   if (features.rows() > std::numeric_limits<int32_t>::max()) {
@@ -312,11 +370,13 @@ Status DecisionTreeClassifier::Fit(const Matrix& features,
   if (labels.size() != features.rows()) {
     return common::InvalidArgumentError("label count != sample count");
   }
+  Status valid = ValidateRows(rows, features.rows());
+  if (!valid.ok()) return valid;
   if (num_classes < 1) {
     return common::InvalidArgumentError("num_classes must be >= 1");
   }
-  for (int32_t label : labels) {
-    if (label < 0 || label >= num_classes) {
+  for (size_t row : rows) {
+    if (labels[row] < 0 || labels[row] >= num_classes) {
       return common::InvalidArgumentError("label outside [0, num_classes)");
     }
   }
@@ -324,13 +384,19 @@ Status DecisionTreeClassifier::Fit(const Matrix& features,
       options_.min_samples_leaf < 1) {
     return common::InvalidArgumentError("invalid decision-tree options");
   }
+  return common::OkStatus();
+}
 
+void DecisionTreeClassifier::Grow(const PresortedFeatures& presorted,
+                                  const std::vector<size_t>& rows,
+                                  const std::vector<int32_t>& labels,
+                                  int32_t num_classes) {
   nodes_.clear();
   depth_ = 0;
-  num_features_ = features.cols();
-  PresortedBuilder(features, labels, num_classes, options_, nodes_, depth_)
+  num_features_ = presorted.cols();
+  PresortedBuilder(presorted, rows, labels, num_classes, options_, nodes_,
+                   depth_)
       .Build();
-  return common::OkStatus();
 }
 
 int32_t DecisionTreeClassifier::Predict(

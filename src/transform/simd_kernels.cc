@@ -68,6 +68,36 @@ void ExactLanesScalar(const double* x, size_t dims, const double* ct,
   }
 }
 
+// Point-outer in tiles of kRowTile, dimension-inner: each accumulator
+// is one point's SquaredDistance loop, and the tile's accumulators are
+// independent, so their adds pipeline.
+void ExactRowsScalar(const double* rows, size_t stride, const double* v,
+                     size_t dims, double* out, size_t count) {
+  for (size_t p0 = 0; p0 < count; p0 += kRowTile) {
+    const size_t tile = std::min(kRowTile, count - p0);
+    const double* block = rows + p0 * stride;
+    double acc[kRowTile] = {};
+    if (tile == kRowTile) {
+      for (size_t d = 0; d < dims; ++d) {
+        const double vd = v[d];
+        for (size_t p = 0; p < kRowTile; ++p) {
+          const double diff = block[p * stride + d] - vd;
+          acc[p] += diff * diff;
+        }
+      }
+    } else {
+      for (size_t d = 0; d < dims; ++d) {
+        const double vd = v[d];
+        for (size_t p = 0; p < tile; ++p) {
+          const double diff = block[p * stride + d] - vd;
+          acc[p] += diff * diff;
+        }
+      }
+    }
+    std::copy(acc, acc + tile, out + p0);
+  }
+}
+
 #if ADA_SIMD_X86
 
 // --- AVX2 + FMA ---------------------------------------------------------
@@ -177,6 +207,83 @@ __attribute__((target("avx2"))) void ExactLanesAvx2(const double* x,
   }
 }
 
+/// Lane p of the result is dimension d of row p of the 4-row block.
+/// Four loads and a 4x4 transpose yield dimensions d .. d + 3 at once.
+struct Columns4 {
+  __m256d d0, d1, d2, d3;
+};
+
+__attribute__((target("avx2"))) inline Columns4 LoadColumns4(
+    const double* block, size_t stride, size_t d) {
+  const __m256d r0 = _mm256_loadu_pd(block + d);
+  const __m256d r1 = _mm256_loadu_pd(block + stride + d);
+  const __m256d r2 = _mm256_loadu_pd(block + 2 * stride + d);
+  const __m256d r3 = _mm256_loadu_pd(block + 3 * stride + d);
+  const __m256d lo01 = _mm256_unpacklo_pd(r0, r1);
+  const __m256d hi01 = _mm256_unpackhi_pd(r0, r1);
+  const __m256d lo23 = _mm256_unpacklo_pd(r2, r3);
+  const __m256d hi23 = _mm256_unpackhi_pd(r2, r3);
+  return {_mm256_permute2f128_pd(lo01, lo23, 0x20),
+          _mm256_permute2f128_pd(hi01, hi23, 0x20),
+          _mm256_permute2f128_pd(lo01, lo23, 0x31),
+          _mm256_permute2f128_pd(hi01, hi23, 0x31)};
+}
+
+__attribute__((target("avx2"))) inline __m256d FoldDim(__m256d acc,
+                                                       __m256d column,
+                                                       double vd) {
+  const __m256d diff = _mm256_sub_pd(column, _mm256_set1_pd(vd));
+  return _mm256_add_pd(acc, _mm256_mul_pd(diff, diff));
+}
+
+/// Each 64-bit lane is one of kRowTile points (two ymm accumulators of
+/// four rows each), folding its dimensions in ascending order exactly
+/// as ExactRowsScalar does; a partial last tile goes to the scalar
+/// kernel.
+__attribute__((target("avx2"))) void ExactRowsAvx2(const double* rows,
+                                                   size_t stride,
+                                                   const double* v,
+                                                   size_t dims, double* out,
+                                                   size_t count) {
+  static_assert(kRowTile == 8);
+  size_t p0 = 0;
+  for (; p0 + kRowTile <= count; p0 += kRowTile) {
+    const double* lo = rows + p0 * stride;
+    const double* hi = lo + 4 * stride;
+    __m256d acc_lo = _mm256_setzero_pd();
+    __m256d acc_hi = _mm256_setzero_pd();
+    size_t d = 0;
+    for (; d + 4 <= dims; d += 4) {
+      const Columns4 a = LoadColumns4(lo, stride, d);
+      const Columns4 b = LoadColumns4(hi, stride, d);
+      acc_lo = FoldDim(acc_lo, a.d0, v[d]);
+      acc_hi = FoldDim(acc_hi, b.d0, v[d]);
+      acc_lo = FoldDim(acc_lo, a.d1, v[d + 1]);
+      acc_hi = FoldDim(acc_hi, b.d1, v[d + 1]);
+      acc_lo = FoldDim(acc_lo, a.d2, v[d + 2]);
+      acc_hi = FoldDim(acc_hi, b.d2, v[d + 2]);
+      acc_lo = FoldDim(acc_lo, a.d3, v[d + 3]);
+      acc_hi = FoldDim(acc_hi, b.d3, v[d + 3]);
+    }
+    for (; d < dims; ++d) {
+      acc_lo = FoldDim(acc_lo,
+                       _mm256_set_pd(lo[3 * stride + d], lo[2 * stride + d],
+                                     lo[stride + d], lo[d]),
+                       v[d]);
+      acc_hi = FoldDim(acc_hi,
+                       _mm256_set_pd(hi[3 * stride + d], hi[2 * stride + d],
+                                     hi[stride + d], hi[d]),
+                       v[d]);
+    }
+    _mm256_storeu_pd(out + p0, acc_lo);
+    _mm256_storeu_pd(out + p0 + 4, acc_hi);
+  }
+  if (p0 < count) {
+    ExactRowsScalar(rows + p0 * stride, stride, v, dims, out + p0,
+                    count - p0);
+  }
+}
+
 bool CpuHasAvx2Fma() {
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
 }
@@ -271,6 +378,23 @@ void ExactSquaredDistancesLanes(std::span<const double> x,
 #endif
   ExactLanesScalar(x.data(), dims, centroids_t.data(), stride, out.data(),
                    k);
+}
+
+void ExactSquaredDistancesRows(std::span<const double> rows, size_t stride,
+                               std::span<const double> v,
+                               std::span<double> out) {
+  const size_t dims = v.size();
+  const size_t count = out.size();
+  if (count == 0) return;
+  ADA_CHECK_GE(stride, dims);
+  ADA_CHECK_GE(rows.size(), (count - 1) * stride + dims);
+#if ADA_SIMD_X86
+  if (DispatchedIsa() == IsaLevel::kAvx2Fma) {
+    ExactRowsAvx2(rows.data(), stride, v.data(), dims, out.data(), count);
+    return;
+  }
+#endif
+  ExactRowsScalar(rows.data(), stride, v.data(), dims, out.data(), count);
 }
 
 namespace internal {

@@ -18,16 +18,18 @@
 // (transform::FusedRelativeError for the fused distance form); they
 // feed only error-padded screens and bounds.
 //
-// The exception is ExactSquaredDistancesLanes, which is bit-identical
-// to transform::SquaredDistance on every ISA. It never reassociates:
-// each SIMD lane is one centroid and performs the scalar loop's exact
+// The exceptions are ExactSquaredDistancesLanes (one point to many
+// centroids) and ExactSquaredDistancesRows (many points to one
+// centroid), which are bit-identical to transform::SquaredDistance on
+// every ISA. They never reassociate: each SIMD lane (or scalar
+// accumulator) is one distance and performs the scalar loop's exact
 // operation sequence — a separate subtract, multiply and add per
 // dimension, folded in ascending dimension order from +0.0 — and
-// IEEE-754 rounds a lane operation exactly as the scalar one. Its AVX2
-// body is compiled for "avx2" without "fma", so the compiler cannot
-// contract the multiply and add into one differently-rounded FMA.
-// Exact consumers (the bit-identity contract between the k-means
-// engines) may therefore use it in place of a SquaredDistance loop.
+// IEEE-754 rounds a lane operation exactly as the scalar one. Their
+// AVX2 bodies are compiled for "avx2" without "fma", so the compiler
+// cannot contract the multiply and add into one differently-rounded
+// FMA. Exact consumers (the bit-identity contract between the k-means
+// engines) may therefore use them in place of a SquaredDistance loop.
 //
 // Within one process the dispatch decision is made once, so repeated
 // calls with the same inputs return the same bits.
@@ -85,6 +87,20 @@ inline constexpr size_t kLaneWidth = 4;
 void ExactSquaredDistancesLanes(std::span<const double> x,
                                 std::span<const double> centroids_t,
                                 size_t stride, std::span<double> out);
+
+/// Points that ExactSquaredDistancesRows folds in lockstep.
+inline constexpr size_t kRowTile = 8;
+
+/// Exact squared Euclidean distances from out.size() points to the one
+/// vector `v`: point p is rows[p * stride, p * stride + v.size()), so a
+/// row-major matrix block is passed as is. Each out[p] is bit-identical
+/// to SquaredDistance(point p, v) whichever ISA is dispatched (see the
+/// contract above). kRowTile points fold their own dimension sequences
+/// side by side, so their adds overlap instead of forming one latency
+/// chain per point.
+void ExactSquaredDistancesRows(std::span<const double> rows, size_t stride,
+                               std::span<const double> v,
+                               std::span<double> out);
 
 namespace internal {
 

@@ -162,6 +162,26 @@ TEST(CrossValidateGoldenTest, DecisionTreeOnCountVsmMatchesRecordedValues) {
   EXPECT_EQ(full.depth(), 12);
 }
 
+// Every fold fitting from one shared presort gives the same report as
+// each fold presorting its own rows.
+TEST(CrossValidateGoldenTest, SharedPresortMatchesRecordedValues) {
+  auto cohort =
+      dataset::SyntheticCohortGenerator(dataset::TestScaleConfig()).Generate();
+  ASSERT_TRUE(cohort.ok());
+  const transform::Matrix vsm = transform::BuildVsm(cohort->log);
+  const std::vector<int32_t> labels = cohort->log.ProfileLabels();
+  const int32_t num_classes = dataset::TestScaleConfig().num_profiles;
+  const PresortedFeatures presorted(vsm);
+  auto report = CrossValidate(vsm, labels, num_classes, 10, 20160516, [&] {
+    return std::make_unique<DecisionTreeClassifier>(DecisionTreeOptions(),
+                                                    &presorted);
+  });
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->accuracy, 0.4375);
+  EXPECT_EQ(report->macro_precision, 0.41840936149572272);
+  EXPECT_EQ(report->macro_recall, 0.39904249596038005);
+}
+
 }  // namespace
 }  // namespace ml
 }  // namespace adahealth

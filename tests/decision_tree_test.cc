@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 #include "common/check.h"
 #include "common/rng.h"
+#include "ml/cross_validation.h"
 #include "ml/metrics.h"
+#include "ml/naive_bayes.h"
 #include "test_util.h"
 
 namespace adahealth {
@@ -657,6 +659,155 @@ TEST(DecisionTreePropertyTest, PresortedTreeMatchesSortPerNodeOracle) {
   // The (8, 2) tree and splits right next to zero must be exercised.
   EXPECT_GE(end_goal_cases, 100);
   EXPECT_GE(near_zero_thresholds, 20);
+}
+
+/// Node for node, threshold bits included.
+void ExpectSameTree(const DecisionTreeClassifier& got,
+                    const DecisionTreeClassifier& expected,
+                    const std::string& context) {
+  ASSERT_EQ(got.nodes().size(), expected.nodes().size()) << context;
+  EXPECT_EQ(got.depth(), expected.depth()) << context;
+  for (size_t i = 0; i < expected.nodes().size(); ++i) {
+    const Node& a = got.nodes()[i];
+    const Node& b = expected.nodes()[i];
+    EXPECT_EQ(a.feature, b.feature) << context << "/" << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.threshold),
+              std::bit_cast<uint64_t>(b.threshold))
+        << context << "/" << i << ": " << a.threshold << " vs "
+        << b.threshold;
+    EXPECT_EQ(a.left, b.left) << context << "/" << i;
+    EXPECT_EQ(a.right, b.right) << context << "/" << i;
+    EXPECT_EQ(a.label, b.label) << context << "/" << i;
+  }
+}
+
+/// The fit on a copy of `rows` — what cross-validation did before the
+/// shared presort.
+DecisionTreeClassifier CopiedRowsFit(const Matrix& features,
+                                     const std::vector<size_t>& rows,
+                                     const std::vector<int32_t>& labels,
+                                     int32_t num_classes,
+                                     DecisionTreeOptions options) {
+  std::vector<int32_t> row_labels;
+  for (size_t row : rows) row_labels.push_back(labels[row]);
+  DecisionTreeClassifier tree(options);
+  ADA_CHECK(tree.Fit(features.SelectRows(rows), row_labels, num_classes).ok());
+  return tree;
+}
+
+TEST(DecisionTreePropertyTest, RowSubsetFitFromSharedPresortMatchesCopiedRows) {
+  common::Rng rng(20261019);
+  int subset_cases = 0;
+  int fold_cases = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const size_t rows = static_cast<size_t>(
+        rng.Bernoulli(0.2) ? rng.UniformInt(200, 400) : rng.UniformInt(2, 120));
+    const size_t cols = static_cast<size_t>(rng.UniformInt(1, 30));
+    const int32_t num_classes = static_cast<int32_t>(rng.UniformInt(1, 6));
+    Matrix features(rows, cols);
+    for (size_t col = 0; col < cols; ++col) {
+      // The families above: ulp neighbours, denormals, ties and huge
+      // magnitudes, and the zero-dominated VSM columns with signed zeros.
+      if (rng.Bernoulli(0.3)) {
+        FillColumn(rng, features, col);
+      } else {
+        FillSparseColumn(rng, features, col);
+      }
+    }
+    std::vector<int32_t> labels(rows);
+    for (int32_t& label : labels) {
+      label = static_cast<int32_t>(rng.UniformInt(0, num_classes - 1));
+    }
+    DecisionTreeOptions options;
+    options.max_depth = static_cast<int32_t>(rng.UniformInt(0, 12));
+    options.min_samples_leaf = static_cast<int32_t>(rng.UniformInt(1, 3));
+    const PresortedFeatures presorted(features);
+
+    std::vector<std::vector<size_t>> subsets;
+    // Random ascending subsets, from one row to every row.
+    for (int s = 0; s < 3; ++s) {
+      const double keep = rng.UniformDouble(0.05, 1.0);
+      std::vector<size_t> subset;
+      for (size_t row = 0; row < rows; ++row) {
+        if (rng.Bernoulli(keep)) subset.push_back(row);
+      }
+      if (subset.empty()) subset.push_back(rng.UniformUint64(rows));
+      subsets.push_back(std::move(subset));
+      ++subset_cases;
+    }
+    // Real cross-validation folds, when the labels can be stratified.
+    const int32_t num_folds = static_cast<int32_t>(rng.UniformInt(2, 10));
+    auto folds = StratifiedKFold(labels, num_classes, num_folds,
+                                 rng.UniformUint64(1u << 30));
+    if (folds.ok()) {
+      for (const Fold& fold : *folds) {
+        subsets.push_back(fold.train_ids);
+        ++fold_cases;
+      }
+    }
+
+    for (size_t s = 0; s < subsets.size(); ++s) {
+      const std::vector<size_t>& subset = subsets[s];
+      const std::string context =
+          "trial " + std::to_string(trial) + " subset " + std::to_string(s);
+      const DecisionTreeClassifier expected =
+          CopiedRowsFit(features, subset, labels, num_classes, options);
+      DecisionTreeClassifier shared(options, &presorted);
+      ASSERT_TRUE(shared.FitRows(features, subset, labels, num_classes).ok())
+          << context;
+      ExpectSameTree(shared, expected, "shared " + context);
+      DecisionTreeClassifier own(options);
+      ASSERT_TRUE(own.FitRows(features, subset, labels, num_classes).ok())
+          << context;
+      ExpectSameTree(own, expected, "own presort " + context);
+    }
+    // A tree built with a shared presort still fits any matrix whole.
+    DecisionTreeClassifier whole(options, &presorted);
+    ASSERT_TRUE(whole.Fit(features, labels, num_classes).ok());
+    std::vector<size_t> all(rows);
+    std::iota(all.begin(), all.end(), size_t{0});
+    ExpectSameTree(whole,
+                   CopiedRowsFit(features, all, labels, num_classes, options),
+                   "whole trial " + std::to_string(trial));
+    if (HasFailure()) break;
+  }
+  EXPECT_GE(subset_cases, 1000);
+  EXPECT_GE(fold_cases, 300);
+}
+
+TEST(DecisionTreeTest, FitRowsRejectsBadRowLists) {
+  Matrix features(4, 2);
+  for (size_t row = 0; row < 4; ++row) {
+    features.At(row, 0) = static_cast<double>(row);
+    features.At(row, 1) = row % 2 == 0 ? 0.0 : -1.5;
+  }
+  const std::vector<int32_t> labels = {0, 1, 0, 1};
+  const PresortedFeatures presorted(features);
+  DecisionTreeClassifier shared(DecisionTreeOptions(), &presorted);
+  DecisionTreeClassifier own;
+  GaussianNaiveBayes bayes;
+  const std::vector<std::vector<size_t>> bad = {
+      {},         // Empty.
+      {1, 0, 2},  // Unsorted.
+      {0, 2, 2},  // Repeated.
+      {0, 1, 4},  // Out of range.
+  };
+  for (Classifier* model : std::initializer_list<Classifier*>{
+           &shared, &own, &bayes}) {
+    for (const std::vector<size_t>& rows : bad) {
+      const common::Status status = model->FitRows(features, rows, labels, 2);
+      EXPECT_EQ(status.code(), common::StatusCode::kInvalidArgument)
+          << status.ToString();
+    }
+    // Labels are indexed like the matrix's rows, not the subset's.
+    EXPECT_EQ(model->FitRows(features, {0, 1}, {0, 1}, 2).code(),
+              common::StatusCode::kInvalidArgument);
+    EXPECT_TRUE(model->FitRows(features, {0, 1, 3}, labels, 2).ok());
+  }
+  // A shared presort of another shape is refused, not misread.
+  const Matrix other(5, 2, 1.0);
+  EXPECT_EQ(shared.FitRows(other, {0, 1}, {0, 1, 0, 1, 0}, 2).code(),
+            common::StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -1,10 +1,15 @@
 #include "cluster/kmeans.h"
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
 #include "common/metrics.h"
 #include "test_util.h"
+#include "transform/simd_kernels.h"
+#include "transform/sparse_matrix.h"
 
 namespace adahealth {
 namespace cluster {
@@ -12,6 +17,7 @@ namespace {
 
 using test::MakeBlobs;
 using test::RandIndex;
+using transform::CsrMatrix;
 using transform::Matrix;
 
 TEST(KMeansTest, RecoversWellSeparatedBlobs) {
@@ -308,6 +314,266 @@ TEST(InitializeCentroidsTest, PlusPlusPicksDistinctPoints) {
     regions.insert(static_cast<int>(centroids.At(c, 0) / 50.0));
   }
   EXPECT_EQ(regions.size(), 3u);
+}
+
+// ---------------------------------------------------------------------
+// Generated oracles for the seeding and adaptation distances. Both now
+// compute many points' exact distances to one centroid at a time; the
+// one-point-at-a-time loops they replaced are kept verbatim below, and
+// the results must match them bit for bit (the naive engine shares the
+// new code, so it cannot serve as the reference).
+
+/// InitializeCentroids' k-means++ branch before the lockstep distances.
+template <typename Data>
+Matrix OracleKMeansPlusPlus(const Data& data, int32_t k, common::Rng& rng) {
+  using internal::CopyRowInto;
+  using internal::ExactRowDistance;
+  const size_t n = data.rows();
+  Matrix centroids(static_cast<size_t>(k), data.cols());
+  std::vector<double> min_distance(n, std::numeric_limits<double>::max());
+  std::vector<double> prefix(n);
+  size_t first = static_cast<size_t>(rng.UniformUint64(n));
+  CopyRowInto(data, first, centroids.Row(0));
+  for (int32_t c = 1; c < k; ++c) {
+    std::span<const double> last = centroids.Row(static_cast<size_t>(c - 1));
+    double cumulative = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      double d = ExactRowDistance(data, i, last);
+      min_distance[i] = std::min(min_distance[i], d);
+      cumulative += min_distance[i];
+      prefix[i] = cumulative;
+    }
+    const double total = prefix[n - 1];
+    size_t chosen;
+    if (total > 0.0) {
+      double target = rng.UniformDouble() * total;
+      // First index whose cumulative weight exceeds target; clamp to
+      // the last point when rounding pushes target past the total.
+      auto it = std::upper_bound(prefix.begin(), prefix.end(), target);
+      chosen = it == prefix.end()
+                   ? n - 1
+                   : static_cast<size_t>(it - prefix.begin());
+    } else {
+      // All remaining distances zero (duplicated points): pick uniformly.
+      chosen = static_cast<size_t>(rng.UniformUint64(n));
+    }
+    CopyRowInto(data, chosen, centroids.Row(static_cast<size_t>(c)));
+  }
+  return centroids;
+}
+
+/// AdaptCentroids before the lockstep distances.
+Matrix OracleAdaptCentroids(const Matrix& data, const Clustering& source,
+                            int32_t target_k) {
+  using transform::SquaredDistance;
+  const size_t k_prev = source.centroids.rows();
+  const size_t k = static_cast<size_t>(target_k);
+  const size_t dims = data.cols();
+  if (k == k_prev) return source.centroids;
+
+  Matrix out(k, dims);
+  if (k < k_prev) {
+    // Keep the centroids of the k largest clusters (relative order
+    // preserved); the smallest clusters are the likeliest artifacts of
+    // over-segmentation.
+    std::vector<int64_t> sizes = ClusterSizes(source.assignments, source.k);
+    std::vector<size_t> order(k_prev);
+    for (size_t c = 0; c < k_prev; ++c) order[c] = c;
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return sizes[a] > sizes[b];
+    });
+    order.resize(k);
+    std::sort(order.begin(), order.end());
+    for (size_t c = 0; c < k; ++c) {
+      std::span<const double> src = source.centroids.Row(order[c]);
+      std::span<double> dst = out.Row(c);
+      std::copy(src.begin(), src.end(), dst.begin());
+    }
+    return out;
+  }
+
+  // Growing: keep every centroid and add data points by farthest-point
+  // selection — deterministic (no rng), so warm-started runs stay
+  // reproducible.
+  for (size_t c = 0; c < k_prev; ++c) {
+    std::span<const double> src = source.centroids.Row(c);
+    std::span<double> dst = out.Row(c);
+    std::copy(src.begin(), src.end(), dst.begin());
+  }
+  std::vector<double> min_distance(data.rows());
+  for (size_t i = 0; i < data.rows(); ++i) {
+    double nearest = std::numeric_limits<double>::max();
+    for (size_t c = 0; c < k_prev; ++c) {
+      nearest = std::min(nearest, SquaredDistance(data.Row(i), out.Row(c)));
+    }
+    min_distance[i] = nearest;
+  }
+  for (size_t c = k_prev; c < k; ++c) {
+    size_t farthest = 0;
+    double worst = -1.0;
+    for (size_t i = 0; i < data.rows(); ++i) {
+      if (min_distance[i] > worst) {
+        worst = min_distance[i];
+        farthest = i;
+      }
+    }
+    std::span<const double> src = data.Row(farthest);
+    std::span<double> dst = out.Row(c);
+    std::copy(src.begin(), src.end(), dst.begin());
+    for (size_t i = 0; i < data.rows(); ++i) {
+      min_distance[i] =
+          std::min(min_distance[i], SquaredDistance(data.Row(i), dst));
+    }
+  }
+  return out;
+}
+
+/// Mostly-zero exam counts and reals, with signed zeros, subnormals,
+/// wide magnitudes and duplicated rows (exact ties between distances).
+Matrix GeneratedPoints(common::Rng& rng, size_t n, size_t dims) {
+  Matrix points(n, dims);
+  for (size_t i = 0; i < n; ++i) {
+    if (i > 0 && rng.Bernoulli(0.15)) {
+      const size_t src = rng.UniformUint64(i);
+      for (size_t d = 0; d < dims; ++d) points.At(i, d) = points.At(src, d);
+      continue;
+    }
+    for (size_t d = 0; d < dims; ++d) {
+      double value = 0.0;
+      switch (rng.UniformUint64(8)) {
+        case 0:
+          value = static_cast<double>(rng.UniformInt(1, 6));
+          break;
+        case 1:
+          value = rng.Normal(0.0, 3.0);
+          break;
+        case 2:
+          value = std::numeric_limits<double>::denorm_min() *
+                  static_cast<double>(rng.UniformInt(-9, 9));
+          break;
+        case 3:
+          value = rng.Normal(0.0, 1e100);
+          break;
+        case 4:
+          value = -0.0;
+          break;
+        default:
+          break;
+      }
+      points.At(i, d) = value;
+    }
+  }
+  return points;
+}
+
+void ExpectSameBits(const Matrix& got, const Matrix& expected,
+                    const std::string& context) {
+  ASSERT_EQ(got.rows(), expected.rows()) << context;
+  ASSERT_EQ(got.cols(), expected.cols()) << context;
+  for (size_t r = 0; r < got.rows(); ++r) {
+    for (size_t c = 0; c < got.cols(); ++c) {
+      const double a = got.At(r, c);
+      const double b = expected.At(r, c);
+      ASSERT_EQ(std::memcmp(&a, &b, sizeof(double)), 0)
+          << context << " at (" << r << ", " << c << "): " << a << " vs "
+          << b;
+    }
+  }
+}
+
+/// Runs `body` under the scalar kernels and, where available, AVX2.
+template <typename Body>
+void ForEachIsa(Body body) {
+  using transform::simd::IsaLevel;
+  std::vector<IsaLevel> isas = {IsaLevel::kScalar};
+  if (transform::simd::internal::Avx2Available()) {
+    isas.push_back(IsaLevel::kAvx2Fma);
+  }
+  for (IsaLevel isa : isas) {
+    transform::simd::internal::SetIsaForTesting(isa);
+    body(std::string(transform::simd::IsaName(isa)));
+    transform::simd::internal::ResetIsaForTesting();
+  }
+}
+
+TEST(InitializeCentroidsTest, PlusPlusMatchesOnePointAtATimeOracle) {
+  common::Rng gen(20261021);
+  int cases = 0;
+  for (size_t n : {1u, 2u, 7u, 9u, 40u, 129u, 203u}) {
+    for (size_t dims : {1u, 3u, 33u, 159u}) {
+      const Matrix dense = GeneratedPoints(gen, n, dims);
+      const CsrMatrix sparse = CsrMatrix::FromDense(dense);
+      for (int32_t k : {1, 2, 5, 13}) {
+        if (static_cast<size_t>(k) > n) continue;
+        const uint64_t seed = gen.UniformUint64(1u << 30);
+        ForEachIsa([&](const std::string& isa) {
+          const std::string context = isa + " n=" + std::to_string(n) +
+                                      " dims=" + std::to_string(dims) +
+                                      " k=" + std::to_string(k);
+          common::Rng got_rng(seed);
+          common::Rng want_rng(seed);
+          ExpectSameBits(InitializeCentroids(dense, k,
+                                             KMeansInit::kKMeansPlusPlus,
+                                             got_rng),
+                         OracleKMeansPlusPlus(dense, k, want_rng),
+                         "dense " + context);
+          EXPECT_EQ(got_rng.UniformUint64(1u << 30),
+                    want_rng.UniformUint64(1u << 30))
+              << context;
+          common::Rng got_sparse(seed);
+          common::Rng want_sparse(seed);
+          ExpectSameBits(InitializeCentroids(sparse, k,
+                                             KMeansInit::kKMeansPlusPlus,
+                                             got_sparse),
+                         OracleKMeansPlusPlus(sparse, k, want_sparse),
+                         "sparse " + context);
+          EXPECT_EQ(got_sparse.UniformUint64(1u << 30),
+                    want_sparse.UniformUint64(1u << 30))
+              << context;
+        });
+        ++cases;
+      }
+    }
+  }
+  EXPECT_GE(cases, 60);
+}
+
+TEST(AdaptCentroidsTest, MatchesOnePointAtATimeOracle) {
+  common::Rng gen(20261022);
+  int grown = 0;
+  for (size_t n : {3u, 9u, 40u, 129u, 203u}) {
+    for (size_t dims : {1u, 3u, 33u, 159u}) {
+      const Matrix data = GeneratedPoints(gen, n, dims);
+      for (int trial = 0; trial < 3; ++trial) {
+        Clustering source;
+        source.k = static_cast<int32_t>(
+            gen.UniformInt(1, static_cast<int64_t>(std::min<size_t>(n, 9))));
+        // Centroids from rows and fresh points; assignments arbitrary
+        // but covering every cluster.
+        source.centroids = GeneratedPoints(
+            gen, static_cast<size_t>(source.k), dims);
+        source.assignments.resize(n);
+        for (size_t i = 0; i < n; ++i) {
+          source.assignments[i] = static_cast<int32_t>(
+              i < static_cast<size_t>(source.k)
+                  ? i
+                  : gen.UniformUint64(static_cast<uint64_t>(source.k)));
+        }
+        const int32_t target_k = static_cast<int32_t>(
+            gen.UniformInt(1, static_cast<int64_t>(std::min<size_t>(n, 16))));
+        if (target_k > source.k) ++grown;
+        ForEachIsa([&](const std::string& isa) {
+          ExpectSameBits(AdaptCentroids(data, source, target_k),
+                         OracleAdaptCentroids(data, source, target_k),
+                         isa + " n=" + std::to_string(n) +
+                             " dims=" + std::to_string(dims) + " k " +
+                             std::to_string(source.k) + " -> " +
+                             std::to_string(target_k));
+        });
+      }
+    }
+  }
+  EXPECT_GE(grown, 20);
 }
 
 }  // namespace

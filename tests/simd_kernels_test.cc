@@ -1,6 +1,8 @@
-// AVX2-vs-scalar equivalence for the runtime-dispatched kernels, a
-// generated bit-for-bit oracle for the one exact kernel
-// (ExactSquaredDistancesLanes against SquaredDistance), and the
+// AVX2-vs-scalar equivalence for the runtime-dispatched kernels,
+// generated bit-for-bit oracles for the exact kernels
+// (ExactSquaredDistancesLanes and ExactSquaredDistancesRows against
+// SquaredDistance, and k-means' CSR tiles against
+// SparseSquaredDistance), and the
 // engine-level guarantee that k-means results do not depend on the
 // dispatched ISA.
 #include "transform/simd_kernels.h"
@@ -15,6 +17,7 @@
 #include "common/rng.h"
 #include "test_util.h"
 #include "transform/matrix.h"
+#include "transform/sparse_matrix.h"
 
 namespace adahealth {
 namespace transform {
@@ -166,6 +169,12 @@ std::vector<double> PaddedTranspose(const Matrix& centroids, size_t stride) {
   return block;
 }
 
+std::vector<IsaLevel> TestedIsas() {
+  std::vector<IsaLevel> isas = {IsaLevel::kScalar};
+  if (simd::internal::Avx2Available()) isas.push_back(IsaLevel::kAvx2Fma);
+  return isas;
+}
+
 void ExpectLanesMatchSquaredDistance(common::Rng& rng, size_t k,
                                      size_t dims) {
   std::vector<double> point(dims);
@@ -189,9 +198,7 @@ void ExpectLanesMatchSquaredDistance(common::Rng& rng, size_t k,
       (k + simd::kLaneWidth - 1) / simd::kLaneWidth * simd::kLaneWidth +
       simd::kLaneWidth * rng.UniformUint64(2);
   const std::vector<double> block = PaddedTranspose(centroids, stride);
-  std::vector<IsaLevel> isas = {IsaLevel::kScalar};
-  if (simd::internal::Avx2Available()) isas.push_back(IsaLevel::kAvx2Fma);
-  for (IsaLevel isa : isas) {
+  for (IsaLevel isa : TestedIsas()) {
     ScopedIsa pin(isa);
     std::vector<double> out(k);
     simd::ExactSquaredDistancesLanes(point, block, stride, out);
@@ -217,6 +224,111 @@ TEST(SimdKernelsTest, ExactLanesAreBitIdenticalToSquaredDistance) {
   for (int trial = 0; trial < 200; ++trial) {
     ExpectLanesMatchSquaredDistance(rng, 1 + rng.UniformUint64(40),
                                     1 + rng.UniformUint64(300));
+  }
+}
+
+/// `n` generated points of `dims` coordinates (every fifth one a copy
+/// of an earlier point, so exact ties and zero distances occur) and one
+/// vector `v`, all from OracleValue's families. Rows are laid out with
+/// `stride` >= dims, the padding poisoned with NaN.
+struct RowsCase {
+  size_t stride = 0;
+  std::vector<double> rows;
+  std::vector<double> v;
+};
+
+RowsCase MakeRowsCase(common::Rng& rng, size_t n, size_t dims, size_t stride) {
+  RowsCase rows_case;
+  rows_case.stride = stride;
+  rows_case.v.resize(dims);
+  for (size_t d = 0; d < dims; ++d) rows_case.v[d] = OracleValue(rng, 1.0);
+  rows_case.rows.assign(n * stride, std::numeric_limits<double>::quiet_NaN());
+  for (size_t p = 0; p < n; ++p) {
+    double* row = rows_case.rows.data() + p * stride;
+    if (p > 0 && p % 5 == 0) {
+      const double* src = rows_case.rows.data() + rng.UniformUint64(p) * stride;
+      std::copy(src, src + dims, row);
+      continue;
+    }
+    for (size_t d = 0; d < dims; ++d) {
+      row[d] = OracleValue(rng, rows_case.v[d]);
+    }
+  }
+  return rows_case;
+}
+
+TEST(SimdKernelsTest, ExactRowsAreBitIdenticalToSquaredDistance) {
+  common::Rng rng(20261019);
+  std::vector<size_t> counts;
+  for (size_t n = 1; n <= 40; ++n) counts.push_back(n);
+  for (size_t tiles : {8u, 16u, 31u}) {
+    counts.push_back(tiles * simd::kRowTile - 1);
+    counts.push_back(tiles * simd::kRowTile + 1);
+  }
+  for (size_t n : counts) {
+    for (size_t dims : {1u, 2u, 3u, 5u, 16u, 33u, 159u, 300u}) {
+      const size_t stride = dims + (rng.Bernoulli(0.3) ? 3 : 0);
+      const RowsCase rows_case = MakeRowsCase(rng, n, dims, stride);
+      // The last row needs only its dims, not a whole stride.
+      const std::span<const double> rows(rows_case.rows.data(),
+                                         (n - 1) * stride + dims);
+      for (IsaLevel isa : TestedIsas()) {
+        ScopedIsa pin(isa);
+        std::vector<double> out(n);
+        simd::ExactSquaredDistancesRows(rows, stride, rows_case.v, out);
+        for (size_t p = 0; p < n; ++p) {
+          const double exact = SquaredDistance(
+              rows.subspan(p * stride, dims), rows_case.v);
+          ASSERT_EQ(std::memcmp(&out[p], &exact, sizeof(double)), 0)
+              << simd::IsaName(isa) << " n=" << n << " dims=" << dims
+              << " stride=" << stride << " p=" << p << ": " << out[p]
+              << " vs " << exact;
+        }
+      }
+    }
+  }
+}
+
+/// k-means' CSR path densifies one tile at a time into a reused buffer;
+/// every distance must equal SparseSquaredDistance on the row, and the
+/// dense path SquaredDistance, bit for bit.
+TEST(SimdKernelsTest, KMeansRowDistancesMatchTheOnePointKernels) {
+  common::Rng rng(20261020);
+  for (size_t n : {1u, 7u, 8u, 9u, 17u, 40u, 65u}) {
+    for (size_t dims : {1u, 3u, 33u, 159u}) {
+      RowsCase rows_case = MakeRowsCase(rng, n, dims, dims);
+      // Mostly zeros, as in an exam-count VSM.
+      for (double& value : rows_case.rows) {
+        if (rng.Bernoulli(0.7)) value = 0.0;
+      }
+      Matrix dense(n, dims);
+      for (size_t p = 0; p < n; ++p) {
+        for (size_t d = 0; d < dims; ++d) {
+          dense.At(p, d) = rows_case.rows[p * dims + d];
+        }
+      }
+      const CsrMatrix sparse = CsrMatrix::FromDense(dense);
+      for (IsaLevel isa : TestedIsas()) {
+        ScopedIsa pin(isa);
+        std::vector<double> dense_out(n);
+        std::vector<double> sparse_out(n);
+        cluster::internal::ExactRowDistances(dense, rows_case.v, dense_out);
+        cluster::internal::ExactRowDistances(sparse, rows_case.v, sparse_out);
+        for (size_t p = 0; p < n; ++p) {
+          const double exact = SquaredDistance(dense.Row(p), rows_case.v);
+          const double sparse_exact =
+              SparseSquaredDistance(sparse.Row(p), rows_case.v);
+          ASSERT_EQ(std::memcmp(&dense_out[p], &exact, sizeof(double)), 0)
+              << simd::IsaName(isa) << " n=" << n << " dims=" << dims
+              << " p=" << p;
+          ASSERT_EQ(
+              std::memcmp(&sparse_out[p], &sparse_exact, sizeof(double)), 0)
+              << simd::IsaName(isa) << " n=" << n << " dims=" << dims
+              << " p=" << p << ": " << sparse_out[p] << " vs "
+              << sparse_exact;
+        }
+      }
+    }
   }
 }
 

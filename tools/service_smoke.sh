@@ -46,8 +46,13 @@ fail() {
 }
 
 # One worker makes the deadline scenario deterministic: the queue can
-# only drain one job at a time.
-"${SERVER}" --port 0 --workers 1 >"${LOG}" 2>&1 &
+# only drain one job at a time. The worker's second session hit is the
+# busy job's (the cold job is the first; the cache-hit repeat is
+# answered at admission and runs no session), and the failpoint holds
+# it for 2 s, so the 1 ms-deadline job behind it always expires however
+# fast the busy job's session runs.
+ADA_FAILPOINTS='service.worker.session=delay(2000)*1@2' \
+  "${SERVER}" --port 0 --workers 1 >"${LOG}" 2>&1 &
 SERVER_PID=$!
 
 PORT=""
@@ -79,8 +84,9 @@ grep -q '^cache_hit: true$' <<<"${REPEAT_OUT}" \
   || fail "repeat submission missed the fingerprint cache"
 
 echo "== past-deadline job (worker busy) =="
-# Occupy the single worker with a distinct cold job, then submit a job
-# that must start within 1 ms — it expires in the queue.
+# Occupy the single worker with a distinct cold job (held by the
+# failpoint above), then submit a job that must start within 1 ms — it
+# expires in the queue.
 BUSY_OUT="$(client submit --patients 200 --exam-types 20 --seed 11 \
     --dataset-id smoke-busy --fast)" || fail "busy submit failed"
 BUSY_ID="$(sed -n 's/^job_id: //p' <<<"${BUSY_OUT}")"

@@ -62,6 +62,9 @@ start_proc() {
   local name="$1"
   shift
   local log="${LOG_DIR}/${name}.log"
+  # Create the log first: the poll below may read it before the child's
+  # redirection has, and a missing file would end the script (set -e).
+  : >"${log}"
   "$@" >"${log}" 2>&1 &
   LAST_PID=$!
   ALL_PIDS+=("${LAST_PID}")
