@@ -1,6 +1,7 @@
 #include "common/rng.h"
 
 #include <cmath>
+#include <random>
 
 namespace adahealth {
 namespace common {
@@ -17,6 +18,11 @@ uint64_t SplitMix64Next(uint64_t& state) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
+}
+
+uint64_t EntropySeed() {
+  std::random_device device;
+  return (static_cast<uint64_t>(device()) << 32) ^ device();
 }
 
 Rng::Rng(uint64_t seed) {

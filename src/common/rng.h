@@ -19,6 +19,11 @@ namespace common {
 /// Exposed for seeding and hashing utilities.
 uint64_t SplitMix64Next(uint64_t& state);
 
+/// 64 bits from the OS entropy source. Only for keys that must not be
+/// predictable from outside the process (a keyed digest's key); every
+/// experiment stays on explicit seeds.
+uint64_t EntropySeed();
+
 /// Deterministic random number generator (xoshiro256**).
 ///
 /// Not thread-safe; use one instance per thread (Fork() derives

@@ -22,6 +22,17 @@ namespace dataset {
 /// cannot make the process allocate gigabytes.
 inline constexpr int64_t kMaxPatientIdSpan = int64_t{1} << 22;
 
+/// The shortest record a records CSV can hold: "0,,0" and its newline.
+inline constexpr int64_t kShortestCsvRecordBytes = 5;
+
+/// The most records a dataset source may ask for: as many as the
+/// service's 4 MiB request line (service::kMaxLineBytes) can carry as
+/// CSV records. A CSV upload is bounded by that line already; a
+/// synthetic cohort's expected size is checked against this before the
+/// generator allocates, so both sources are bounded alike.
+inline constexpr int64_t kMaxCohortRecords =
+    (int64_t{4} << 20) / kShortestCsvRecordBytes;
+
 /// INVALID_ARGUMENT naming `field` when `span` patient slots (the
 /// largest id + 1, or a cohort size) exceed kMaxPatientIdSpan.
 [[nodiscard]] common::Status CheckPatientIdSpan(int64_t span,

@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 
 namespace adahealth {
 namespace dataset {
@@ -101,6 +102,19 @@ std::vector<int32_t> AllocateLeaves(int32_t total, size_t num_groups) {
 
 }  // namespace
 
+common::Status CheckSyntheticSize(int32_t patients, double mean_records,
+                                  std::string_view field) {
+  const double records = static_cast<double>(patients) * mean_records;
+  if (records <= static_cast<double>(kMaxCohortRecords)) {
+    return common::OkStatus();
+  }
+  return InvalidArgumentError(common::StrFormat(
+      "field '%.*s' is out of range: %d patients x %g records each = %g "
+      "records exceed the cap of %lld",
+      static_cast<int>(field.size()), field.data(), patients, mean_records,
+      records, static_cast<long long>(kMaxCohortRecords)));
+}
+
 StatusOr<Cohort> SyntheticCohortGenerator::Generate() const {
   const CohortConfig& cfg = config_;
   if (cfg.num_patients <= 0) {
@@ -115,6 +129,12 @@ StatusOr<Cohort> SyntheticCohortGenerator::Generate() const {
   }
   if (cfg.mean_records_per_patient <= 0.0) {
     return InvalidArgumentError("mean_records_per_patient must be positive");
+  }
+  if (common::Status size = CheckSyntheticSize(cfg.num_patients,
+                                               cfg.mean_records_per_patient,
+                                               "mean_records_per_patient");
+      !size.ok()) {
+    return size;
   }
   if (cfg.zipf_exponent < 0.0) {
     return InvalidArgumentError("zipf_exponent must be non-negative");

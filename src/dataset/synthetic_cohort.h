@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -83,6 +84,13 @@ class SyntheticCohortGenerator {
  private:
   CohortConfig config_;
 };
+
+/// INVALID_ARGUMENT naming `field` when `patients` × `mean_records`
+/// expected records exceed kMaxCohortRecords, or the product is not a
+/// number. The product is taken in double, before any cast.
+[[nodiscard]] common::Status CheckSyntheticSize(int32_t patients,
+                                                double mean_records,
+                                                std::string_view field);
 
 /// Config matching the paper's dataset scale (the default CohortConfig).
 CohortConfig PaperScaleConfig();

@@ -1,7 +1,5 @@
 #include "ml/cross_validation.h"
 
-#include <algorithm>
-
 #include "common/metrics.h"
 
 namespace adahealth {
@@ -44,31 +42,33 @@ StatusOr<std::vector<Fold>> StratifiedKFold(
     }
   }
   common::Rng rng(seed);
-  std::vector<std::vector<size_t>> fold_members(
-      static_cast<size_t>(num_folds));
+  const size_t k = static_cast<size_t>(num_folds);
+  std::vector<size_t> fold_of(labels.size());
+  std::vector<size_t> fold_size(k, 0);
   size_t deal = 0;
   for (auto& bucket : by_class) {
     rng.Shuffle(bucket);
     for (size_t id : bucket) {
-      fold_members[deal % static_cast<size_t>(num_folds)].push_back(id);
+      fold_of[id] = deal % k;
+      ++fold_size[deal % k];
       ++deal;
     }
   }
 
-  std::vector<Fold> folds(static_cast<size_t>(num_folds));
-  for (size_t f = 0; f < folds.size(); ++f) {
-    folds[f].test_ids = fold_members[f];
-    std::sort(folds[f].test_ids.begin(), folds[f].test_ids.end());
-    for (size_t other = 0; other < folds.size(); ++other) {
-      if (other == f) continue;
-      folds[f].train_ids.insert(folds[f].train_ids.end(),
-                                fold_members[other].begin(),
-                                fold_members[other].end());
-    }
-    std::sort(folds[f].train_ids.begin(), folds[f].train_ids.end());
-    if (folds[f].test_ids.empty() || folds[f].train_ids.empty()) {
+  // One ascending pass over the samples leaves every fold's ids sorted.
+  std::vector<Fold> folds(k);
+  for (size_t f = 0; f < k; ++f) {
+    if (fold_size[f] == 0 || fold_size[f] == labels.size()) {
       return common::InvalidArgumentError(
           "degenerate fold (too many folds for the sample size)");
+    }
+    folds[f].test_ids.reserve(fold_size[f]);
+    folds[f].train_ids.reserve(labels.size() - fold_size[f]);
+  }
+  for (size_t id = 0; id < labels.size(); ++id) {
+    for (size_t f = 0; f < k; ++f) {
+      (f == fold_of[id] ? folds[f].test_ids : folds[f].train_ids)
+          .push_back(id);
     }
   }
   return folds;

@@ -7,9 +7,16 @@
 
 #include "common/string_util.h"
 #include "dataset/synthetic_cohort.h"
+#include "service/net_socket.h"
 
 namespace adahealth {
 namespace service {
+
+// Both dataset sources are bounded alike: a synthetic cohort may ask for
+// as many records as one request line can carry as CSV.
+static_assert(dataset::kMaxCohortRecords ==
+              static_cast<int64_t>(kMaxLineBytes) /
+                  dataset::kShortestCsvRecordBytes);
 
 using common::Json;
 using common::Status;
@@ -222,6 +229,8 @@ StatusOr<JobRequest> BuildJobRequest(const Json& body) {
         double mean_records,
         ReadDouble(*synthetic, "mean_records",
                    config.mean_records_per_patient));
+    ADA_RETURN_IF_ERROR(dataset::CheckSyntheticSize(
+        config.num_patients, mean_records, "mean_records"));
     config.mean_records_per_patient = mean_records;
     ADA_ASSIGN_OR_RETURN(config.num_days,
                          ReadInt32(*synthetic, "days", config.num_days));

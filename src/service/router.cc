@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
@@ -111,20 +112,6 @@ std::string WithRouteFingerprint(const std::string& line,
   return spliced;
 }
 
-/// The re-drive line of a finished csv/synthetic job: the client body
-/// without its dataset, plus the fingerprint it routed on. A shard that
-/// caches the fingerprint answers it at admission; any other shard
-/// rejects it, having nothing to run.
-std::string FingerprintOnlyLine(const Json& body,
-                                const std::string& fingerprint) {
-  Json::Object fields;
-  for (const auto& [name, value] : body.AsObject()) {
-    if (name != "csv" && name != "synthetic") fields.emplace(name, value);
-  }
-  fields["route_fingerprint"] = Json(fingerprint);
-  return Json(std::move(fields)).Dump();
-}
-
 /// The shard-local job id of an accepted submit (the client's own or a
 /// failover re-drive).
 StatusOr<JobId> AcceptedJobId(const Json& accepted, size_t shard) {
@@ -193,7 +180,7 @@ RouterStats Router::stats() const {
   return RouterStats{counters_.submitted.load(), counters_.completed.load(),
                      counters_.forwarded.load(), counters_.failovers.load(),
                      counters_.redriven.load(),  counters_.dead_shards.load(),
-                     counters_.retired.load()};
+                     counters_.retired.load(),   counters_.memo_hits.load()};
 }
 
 size_t Router::ShardFor(const std::string& fingerprint) const {
@@ -224,38 +211,78 @@ void Router::OnLine(int64_t id, std::string line) {
       return;
     }
   }
+  // A line prepared before is dispatched from the memo: a long one is
+  // looked up before it is parsed, a short submit after.
+  prepared->memo_key = memo_.KeyOf(prepared->line);
+  const UploadRoute* known = ADA_FAILPOINT("router.upload_memo").ok()
+                                 ? memo_.Find(prepared->memo_key)
+                                 : nullptr;
+  if (known != nullptr) {
+    counters_.memo_hits.fetch_add(1);
+    prepared->upload = *known;
+    if (!parse_here) {
+      prepared->request = Request{"submit", std::move(prepared->upload.body)};
+    }
+    Dispatch(id, 0, std::move(*prepared));
+    return;
+  }
   // Parsing, building and fingerprinting a dataset takes milliseconds:
   // a pool task does it while the connection waits parked. It holds the
   // loop, not the router: a Post after the loop exited is dropped.
   const uint64_t park = ParkClient(id);
   std::function<void()> prepare = [this, loop = host_.shared_loop(), id, park,
                                    prepared, parse_here] {
-    if (!parse_here) prepared->request = ParseRequest(prepared->line);
-    Fingerprint(*prepared);
+    Prepare(*prepared, parse_here);
     loop->Post([this, id, park, prepared] {
+      if (!prepared->upload.fingerprint.empty()) {
+        memo_.Insert(prepared->memo_key, prepared->upload);
+      }
       if (host_.Parked(id, park)) Dispatch(id, park, std::move(*prepared));
     });
   };
   if (!common::ThreadPool::Shared().TrySchedule(prepare)) prepare();
 }
 
-void Router::Fingerprint(Prepared& prepared) {
+void Router::Prepare(Prepared& prepared, bool parsed) {
+  if (Status injected = ADA_FAILPOINT("router.prepare"); !injected.ok()) {
+    prepared.request = injected;
+    return;
+  }
+  if (!parsed) prepared.request = ParseRequest(prepared.line);
   if (!prepared.request.ok() || !NeedsFingerprint(prepared.request.value())) {
     return;
   }
-  // Validate and fingerprint with the exact code the shard will run on
-  // the forwarded line, so router and shard agree on the key byte for
-  // byte (the invariant the whole routing scheme rests on).
-  const Json& body = prepared.request.value().body;
-  auto job_request = BuildJobRequest(body);
-  if (!job_request.ok()) {
-    prepared.request = job_request.status();
-    return;
+  StatusOr<UploadRoute> route = Fingerprint(prepared.request.value().body);
+  if (route.ok()) {
+    prepared.upload = std::move(route).value();
+  } else {
+    prepared.request = route.status();
   }
-  prepared.key = DatasetFingerprint(job_request.value().log,
-                                    job_request.value().options);
-  prepared.terminal_line = FingerprintOnlyLine(body, prepared.key);
-  prepared.line = WithRouteFingerprint(prepared.line, prepared.key);
+}
+
+StatusOr<UploadRoute> Router::Fingerprint(const Json& body) {
+  ADA_ASSIGN_OR_RETURN(JobRequest job_request, BuildJobRequest(body));
+  UploadRoute route;
+  route.fingerprint =
+      DatasetFingerprint(job_request.log, job_request.options);
+  Json::Object fields;
+  for (const auto& [name, value] : body.AsObject()) {
+    if (name != "csv" && name != "synthetic") fields.emplace(name, value);
+  }
+  route.body = Json(fields);
+  // A shard that caches the fingerprint answers the offer line at
+  // admission; any other shard rejects it, having nothing to run.
+  fields["route_fingerprint"] = Json(route.fingerprint);
+  route.offer_line = Json(std::move(fields)).Dump();
+  return route;
+}
+
+std::string& Router::Forward::WholeLine() {
+  if (uploaded && !spliced) {
+    line = WithRouteFingerprint(line, key);
+    spliced = true;
+  }
+  return line;
 }
 
 uint64_t Router::ParkClient(int64_t id) {
@@ -327,8 +354,8 @@ void Router::StartForward(int64_t id, uint64_t park, Prepared prepared) {
     forward->key = "cohort/" + cohort->AsString();
     forward->terminal_line = prepared.line;
   } else if (submit) {
-    forward->key = std::move(prepared.key);
-    forward->terminal_line = std::move(prepared.terminal_line);
+    forward->key = std::move(prepared.upload.fingerprint);
+    forward->terminal_line = std::move(prepared.upload.offer_line);
     forward->uploaded = true;
   } else {
     const Json* id_field = body.Find("job_id");
@@ -435,13 +462,13 @@ void Router::Attempt(const std::shared_ptr<Forward>& forward) {
            if (!response.ok() || ParseResponse(response.value()).ok()) {
              replied(std::move(response));
            } else {
-             Call(port, forward->line, kForwardTimeoutMillis, replied);
+             Call(port, forward->WholeLine(), kForwardTimeoutMillis, replied);
            }
          });
     return;
   }
-  Call(state.active_port, by_route ? rewritten : f.line, kForwardTimeoutMillis,
-       std::move(replied));
+  Call(state.active_port, by_route ? rewritten : f.WholeLine(),
+       kForwardTimeoutMillis, std::move(replied));
 }
 
 std::string Router::ForwardFailed(const Forward& forward,
@@ -502,7 +529,7 @@ std::string Router::ShardReplied(Forward& forward,
   if (terminal) {
     MarkTerminal(assigned, route);
   } else {
-    route.redrive_line = std::move(forward.line);
+    route.redrive_line = std::move(forward.WholeLine());
   }
   parsed.value().MutableObject()["job_id"] =
       Json(static_cast<int64_t>(assigned));
@@ -637,6 +664,8 @@ std::string Router::StatsResponse(std::vector<Json::Object> shards) const {
   router["dead_shards"] = Json(counters_.dead_shards.load());
   router["routes"] = Json(static_cast<int64_t>(routes_.size()));
   router["retired"] = Json(counters_.retired.load());
+  router["memo_hits"] = Json(counters_.memo_hits.load());
+  router["memo_entries"] = Json(static_cast<int64_t>(memo_.size()));
   Json::Object fields;
   fields["router"] = Json(std::move(router));
   fields["shards"] = Json(std::move(entries));

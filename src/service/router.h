@@ -9,20 +9,28 @@
 //                          └────NDJSON──▶ shard 1 primary ──replicate──▶ shard 1 follower
 //
 // Routing: a csv/synthetic submit is fingerprinted with the same
-// BuildJobRequest / DatasetFingerprint code the shards run, and the
-// fingerprint picks a shard on a consistent-hash ring (64 virtual nodes
-// per shard), which keeps repeat cohorts on the same shard's cache
-// slice. The line goes out with the fingerprint spliced in (as text,
-// not re-serialized) as the cluster-internal "route_fingerprint"
-// member, so a CSV upload is parsed once per cluster: a shard answers a
-// cached fingerprint at admission without parsing the dataset, and on a
-// miss parses it and fails the submit with INTERNAL if its own
-// fingerprint differs. Cohort traffic (`ingest`, cohort submits) routes
-// on "cohort/<name>", the one shard where the cohort's records live;
-// they are not replicated across shards (a shard death loses what it
-// did not persist to its cohort directory). Job ids are rewritten
-// global ↔ shard-local; everything else passes through verbatim, so
-// `ada_client` works unchanged against a router or a bare shard.
+// BuildJobRequest / DatasetFingerprint code the shards run
+// (Fingerprint), and the fingerprint picks a shard on a consistent-hash
+// ring (64 virtual nodes per shard), which keeps repeat cohorts on the
+// same shard's cache slice. The line goes out with the fingerprint
+// spliced in (as text, not re-serialized) as the cluster-internal
+// "route_fingerprint" member, so a CSV upload is parsed once per
+// cluster: a shard answers a cached fingerprint at admission without
+// parsing the dataset, and on a miss parses it and fails the submit
+// with INTERNAL if its own fingerprint differs. Cohort traffic
+// (`ingest`, cohort submits) routes on "cohort/<name>", the one shard
+// where the cohort's records live; they are not replicated across
+// shards (a shard death loses what it did not persist to its cohort
+// directory). Job ids are rewritten global ↔ shard-local; everything
+// else passes through verbatim, so `ada_client` works unchanged against
+// a router or a bare shard.
+//
+// Upload memo: what Fingerprint derives from a csv/synthetic submit is
+// remembered per exact line in an UploadMemo (length plus a keyed
+// 128-bit digest, kRetainedJobs entries, no upload bytes). A repeat of
+// that line is dispatched on the loop at once: no parse of its dataset,
+// no build, no fingerprint, and the route_fingerprint splice of the
+// whole line only if its shard refuses the fingerprint offer.
 //
 // Connections: the router owns the same ConnectionHost as a shard, with
 // a shard's default budget, idle timeout and line cap. A forwarded
@@ -32,7 +40,8 @@
 // UpstreamPool, which keeps answered shard connections for reuse. No
 // client costs a thread, and only the loop thread touches routing
 // state. Preparing a line that may carry a dataset (parse, build,
-// fingerprint) is the one task that runs on ThreadPool::Shared().
+// fingerprint) is the one task that runs on ThreadPool::Shared(), and
+// only on an upload memo miss.
 //
 // Failover: `probe_failures_before_failover` failed probes, or a
 // transport failure while forwarding, start a failover. It is verified
@@ -65,7 +74,9 @@
 // door: a shard trusts the field, so only the router may set it.
 //
 // Failpoints: "service.shard.promote" (shard side) makes promotion
-// fail, exercising the shard-death path.
+// fail, exercising the shard-death path. "router.prepare" fails the
+// preparation task with its injected status; "router.upload_memo"
+// forces upload memo misses.
 #ifndef ADAHEALTH_SERVICE_ROUTER_H_
 #define ADAHEALTH_SERVICE_ROUTER_H_
 
@@ -87,6 +98,7 @@
 #include "service/connection.h"
 #include "service/protocol.h"
 #include "service/scheduler.h"
+#include "service/upload_memo.h"
 
 namespace adahealth {
 namespace service {
@@ -118,6 +130,7 @@ struct RouterStats {
   int64_t redriven = 0;    // Jobs re-submitted during failovers.
   int64_t dead_shards = 0; // Shards with no endpoint left.
   int64_t retired = 0;     // Finished routes dropped by retention.
+  int64_t memo_hits = 0;   // Submits dispatched from the upload memo.
 };
 
 /// The sharding router. Start, Stop, Wait, port, stats and ShardFor
@@ -148,6 +161,14 @@ class Router {
   /// Shard a ring key routes to right now (dead shards skipped;
   /// shards_.size() when every shard is dead).
   [[nodiscard]] size_t ShardFor(const std::string& fingerprint) const;
+
+  /// The route of a csv/synthetic submit `body`, derived from scratch:
+  /// validated, built and fingerprinted with the exact code the shard
+  /// runs on the forwarded line, so router and shard agree on the key
+  /// byte for byte (the invariant the routing scheme rests on). The
+  /// upload memo remembers exactly this.
+  [[nodiscard]] static common::StatusOr<UploadRoute> Fingerprint(
+      const common::Json& body);
 
  private:
   /// Loop thread only, except `alive`, which ShardFor reads.
@@ -181,15 +202,14 @@ class Router {
     common::Status redrive_failure;
   };
 
-  /// A request line and its parse. For a csv/synthetic submit, `line`
-  /// has the route_fingerprint `key` spliced in and `terminal_line` is
-  /// set.
+  /// A request line and its parse. A csv/synthetic submit also has its
+  /// memo key and, once prepared, its route.
   struct Prepared {
     std::string line;
     common::StatusOr<Request> request =
         common::InternalError("request not parsed");
-    std::string key;
-    std::string terminal_line;
+    UploadMemo::Key memo_key;
+    UploadRoute upload;  // Empty fingerprint until prepared.
   };
 
   /// A client request on its way to a shard: submit and ingest route on
@@ -200,7 +220,10 @@ class Router {
     bool ingest = false;
     bool uploaded = false;
     std::string key;
+    /// The client's line; an upload's gets its route_fingerprint spliced
+    /// in by WholeLine, the first time it goes out whole.
     std::string line;
+    bool spliced = false;
     std::string terminal_line;
     common::Json body;  // Job verbs: the client's body.
     JobId global_id = 0;
@@ -209,6 +232,8 @@ class Router {
     size_t shard = 0;
     JobId local_id = 0;
     uint64_t generation = 0;
+
+    std::string& WholeLine();
   };
 
   struct Counters {
@@ -219,13 +244,14 @@ class Router {
     std::atomic<int64_t> redriven{0};
     std::atomic<int64_t> dead_shards{0};
     std::atomic<int64_t> retired{0};
+    std::atomic<int64_t> memo_hits{0};
   };
 
-  // Loop thread only, except Fingerprint, which runs on the pool.
+  // Loop thread only, except Prepare, which runs on the pool.
   void OnLine(int64_t id, std::string line);
-  /// Builds and fingerprints a parsed csv/synthetic submit's dataset;
-  /// any other request is left as it is.
-  static void Fingerprint(Prepared& prepared);
+  /// Parses the line unless it is parsed already, then fingerprints a
+  /// csv/synthetic submit; any other request is left as it is.
+  static void Prepare(Prepared& prepared, bool parsed);
   /// `park` is 0 while the line is handled inside its connection's own
   /// callback (host_.Resume then answers at once).
   void Dispatch(int64_t id, uint64_t park, Prepared prepared);
@@ -289,6 +315,7 @@ class Router {
   ConnectionHost host_;
   UpstreamPool upstream_;
   std::map<JobId, JobRoute> routes_;
+  UploadMemo memo_;
   /// Terminal or failed routes, oldest first; admission retires them
   /// past kRetainedJobs.
   std::deque<JobId> finished_;

@@ -4,6 +4,7 @@
 #include <set>
 
 #include <gtest/gtest.h>
+#include "common/rng.h"
 #include "dataset/synthetic_cohort.h"
 #include "ml/decision_tree.h"
 #include "ml/naive_bayes.h"
@@ -92,6 +93,78 @@ TEST(StratifiedKFoldTest, EmptyClassIsAllowed) {
   auto folds = StratifiedKFold(labels, 3, 5, 43);
   ASSERT_TRUE(folds.ok());
   EXPECT_EQ(folds->size(), 5u);
+}
+
+/// StratifiedKFold's former construction, kept verbatim as the oracle:
+/// each fold's members gathered, then test and train ids sorted.
+std::vector<Fold> SortedFoldsOracle(const std::vector<int32_t>& labels,
+                                    int32_t num_classes, int32_t num_folds,
+                                    uint64_t seed) {
+  std::vector<std::vector<size_t>> by_class(
+      static_cast<size_t>(num_classes));
+  for (size_t i = 0; i < labels.size(); ++i) {
+    by_class[static_cast<size_t>(labels[i])].push_back(i);
+  }
+  common::Rng rng(seed);
+  std::vector<std::vector<size_t>> fold_members(
+      static_cast<size_t>(num_folds));
+  size_t deal = 0;
+  for (auto& bucket : by_class) {
+    rng.Shuffle(bucket);
+    for (size_t id : bucket) {
+      fold_members[deal % static_cast<size_t>(num_folds)].push_back(id);
+      ++deal;
+    }
+  }
+
+  std::vector<Fold> folds(static_cast<size_t>(num_folds));
+  for (size_t f = 0; f < folds.size(); ++f) {
+    folds[f].test_ids = fold_members[f];
+    std::sort(folds[f].test_ids.begin(), folds[f].test_ids.end());
+    for (size_t other = 0; other < folds.size(); ++other) {
+      if (other == f) continue;
+      folds[f].train_ids.insert(folds[f].train_ids.end(),
+                                fold_members[other].begin(),
+                                fold_members[other].end());
+    }
+    std::sort(folds[f].train_ids.begin(), folds[f].train_ids.end());
+  }
+  return folds;
+}
+
+TEST(StratifiedKFoldTest, MatchesTheSortBasedConstruction) {
+  // Generated label sets: 2-12 folds, 1-9 classes (some left empty),
+  // skewed and balanced class sizes, from the smallest valid sample
+  // count up to a few thousand.
+  common::Rng rng(2016);
+  int compared = 0;
+  for (int round = 0; round < 400; ++round) {
+    const int32_t num_folds = static_cast<int32_t>(rng.UniformInt(2, 12));
+    const int32_t num_classes = static_cast<int32_t>(rng.UniformInt(1, 9));
+    std::vector<int32_t> labels;
+    for (int32_t c = 0; c < num_classes; ++c) {
+      if (rng.Bernoulli(0.2)) continue;  // An empty class.
+      const int64_t members =
+          num_folds + rng.UniformInt(0, round % 4 == 0 ? 2000 : 60);
+      for (int64_t i = 0; i < members; ++i) labels.push_back(c);
+    }
+    if (labels.empty()) continue;
+    // Interleave the classes the way real cluster labels arrive.
+    rng.Shuffle(labels);
+    const uint64_t seed = rng.NextUint64();
+    auto folds = StratifiedKFold(labels, num_classes, num_folds, seed);
+    ASSERT_TRUE(folds.ok()) << round << ": " << folds.status().ToString();
+    const std::vector<Fold> oracle =
+        SortedFoldsOracle(labels, num_classes, num_folds, seed);
+    ASSERT_EQ(folds->size(), oracle.size()) << round;
+    for (size_t f = 0; f < oracle.size(); ++f) {
+      ASSERT_EQ((*folds)[f].test_ids, oracle[f].test_ids) << round << "/" << f;
+      ASSERT_EQ((*folds)[f].train_ids, oracle[f].train_ids)
+          << round << "/" << f;
+    }
+    ++compared;
+  }
+  EXPECT_GT(compared, 300);
 }
 
 TEST(CrossValidateTest, NearPerfectOnSeparableData) {

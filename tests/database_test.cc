@@ -1,6 +1,6 @@
 #include "kdb/database.h"
 
-#include <cstdio>
+#include <filesystem>
 
 #include <gtest/gtest.h>
 
@@ -55,7 +55,10 @@ TEST(DatabaseTest, SaveAndLoadRoundTrip) {
   descriptor.Set("dataset_id", Json("d1"));
   db.GetOrCreate(Schema::kDescriptors).Insert(std::move(descriptor));
 
-  std::string directory = testing::TempDir();
+  // Its own directory: another test's K-DB files must not be loaded.
+  const std::string directory = testing::TempDir() + "database_round_trip";
+  std::filesystem::remove_all(directory);
+  ASSERT_TRUE(std::filesystem::create_directories(directory));
   ASSERT_TRUE(db.SaveTo(directory).ok());
 
   Database reloaded;
@@ -67,9 +70,7 @@ TEST(DatabaseTest, SaveAndLoadRoundTrip) {
                    .FindOne(Query().Eq("interest", Json("high")));
   EXPECT_TRUE(found.ok());
 
-  for (const std::string& name : Schema::CollectionNames()) {
-    std::remove((directory + "/" + name + ".jsonl").c_str());
-  }
+  std::filesystem::remove_all(directory);
 }
 
 TEST(DatabaseTest, LoadFromMissingDirectoryFails) {

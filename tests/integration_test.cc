@@ -1,7 +1,7 @@
 // Cross-module integration tests: the full ADA-HEALTH loop including
 // K-DB persistence, feedback-driven end-goal learning, and the
 // Table-I-shaped optimizer behaviour on a paper-like (reduced) cohort.
-#include <cstdio>
+#include <filesystem>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -39,7 +39,10 @@ TEST(IntegrationTest, SessionKdbPersistenceRoundTrip) {
                     .Generate();
   ASSERT_TRUE(cohort.ok());
 
-  std::string directory = testing::TempDir();
+  // Its own directory: another test's K-DB files must not be loaded.
+  const std::string directory = testing::TempDir() + "session_kdb_round_trip";
+  std::filesystem::remove_all(directory);
+  ASSERT_TRUE(std::filesystem::create_directories(directory));
   {
     kdb::Database db;
     AnalysisSession session(&db);
@@ -58,9 +61,7 @@ TEST(IntegrationTest, SessionKdbPersistenceRoundTrip) {
                       .Find(kdb::Query().Eq(
                           "dataset_id", common::Json("integration-cohort")));
   EXPECT_FALSE(selected.empty());
-  for (const std::string& name : kdb::Schema::CollectionNames()) {
-    std::remove((directory + "/" + name + ".jsonl").c_str());
-  }
+  std::filesystem::remove_all(directory);
 }
 
 TEST(IntegrationTest, FeedbackLoopImprovesInterestModel) {

@@ -912,6 +912,41 @@ TEST(RouterTest, UploadWithAnIdBeyond32BitsIsRejectedAtTheRouter) {
   shard->Stop();
 }
 
+TEST(RouterTest, OversizedSyntheticSubmitIsAnsweredAndSoIsTheLineBehindIt) {
+  auto shard = StartShardServer(service::ServerRole::kPrimary);
+  service::RouterOptions options = QuietRouterOptions();
+  options.shards.push_back(service::ShardEndpoints{shard->port(), 0});
+  service::Router router(std::move(options));
+  ASSERT_TRUE(router.Start().ok());
+
+  // 400 patients x 1e9 expected records. The router's preparation died
+  // of bad_alloc in the pool, so the parked client, and every line
+  // pipelined behind it, went unanswered.
+  auto client = service::AnalysisClient::Connect(
+      router.port(), /*recv_timeout_millis=*/10000);
+  ASSERT_TRUE(client.ok());
+  Json::Object synthetic;
+  synthetic["patients"] = static_cast<int64_t>(400);
+  synthetic["exam_types"] = static_cast<int64_t>(30);
+  synthetic["profiles"] = static_cast<int64_t>(4);
+  synthetic["mean_records"] = 1e9;
+  Json::Object oversized;
+  oversized["verb"] = "submit";
+  oversized["synthetic"] = Json(std::move(synthetic));
+  Json::Object ping;
+  ping["verb"] = "ping";
+  auto replies = client->CallPipelined({oversized, ping});
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_EQ(replies[0].status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(replies[0].status().message().find("'mean_records'"),
+            std::string::npos)
+      << replies[0].status().ToString();
+  EXPECT_TRUE(replies[1].ok()) << replies[1].status().ToString();
+  EXPECT_EQ(shard->scheduler().stats().submitted, 0);
+  router.Stop();
+  shard->Stop();
+}
+
 /// Threads of this process right now.
 size_t ThreadCount() {
   size_t threads = 0;

@@ -569,6 +569,23 @@ TEST_F(ServerTest, IngestOfAPatientIdOverTheSpanCapIsRejected) {
   EXPECT_EQ(server_->cohort_store().StatsJson().Find("records")->AsInt(), 0);
 }
 
+TEST_F(ServerTest, OversizedSyntheticSubmitIsRejectedNamingMeanRecords) {
+  // 400 patients x 1e9 expected records: the generator used to reserve
+  // terabytes for them, and the process died of bad_alloc.
+  auto client = Client();
+  auto reply = client.Exchange(
+      "{\"verb\":\"submit\",\"synthetic\":{\"patients\":400,\"exam_types\":30,"
+      "\"profiles\":4,\"mean_records\":1e9}}");
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  auto rejected = service::ParseResponse(reply.value());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.status().message().find("'mean_records'"),
+            std::string::npos)
+      << rejected.status().ToString();
+  EXPECT_TRUE(client.Call("ping").ok());
+  EXPECT_EQ(server_->scheduler().stats().submitted, 0);
+}
+
 TEST_F(ServerTest, StatusOfUnknownJobIsNotFound) {
   auto client = Client();
   Json::Object request;

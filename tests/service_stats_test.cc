@@ -188,6 +188,7 @@ TEST_F(ServiceStatsTest, ShardAndRouterExportPinnedKeySets) {
                  {"ok", "router.submitted", "router.completed",
                   "router.forwarded", "router.failovers", "router.redriven",
                   "router.dead_shards", "router.routes", "router.retired",
+                  "router.memo_hits", "router.memo_entries",
                   "shards.0.shard", "shards.0.port", "shards.0.alive",
                   "shards.0.using_follower"},
                  Prefixed("shards.0.stats.", kShardStatsKeys),

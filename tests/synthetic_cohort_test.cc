@@ -1,6 +1,9 @@
 #include "dataset/synthetic_cohort.h"
 
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 #include "stats/descriptors.h"
@@ -149,6 +152,35 @@ TEST(SyntheticCohortTest, ProfilesShapeExamChoices) {
   double other_rate =
       static_cast<double>(other_hits) / static_cast<double>(other_total);
   EXPECT_GT(profile_rate, 2.0 * other_rate);
+}
+
+TEST(SyntheticCohortTest, SizeOverTheRecordCapIsRejectedBeforeAllocating) {
+  // 400 x 1e9 expected records would reserve terabytes.
+  CohortConfig config = TestScaleConfig();
+  config.num_patients = 400;
+  config.mean_records_per_patient = 1e9;
+  auto generated = SyntheticCohortGenerator(config).Generate();
+  ASSERT_EQ(generated.status().code(), common::StatusCode::kInvalidArgument);
+  EXPECT_NE(generated.status().message().find("'mean_records_per_patient'"),
+            std::string::npos)
+      << generated.status().ToString();
+  config.mean_records_per_patient = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(SyntheticCohortGenerator(config).Generate().ok());
+  config.mean_records_per_patient = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(SyntheticCohortGenerator(config).Generate().ok());
+
+  // The cap itself: the records a 4 MiB line carries as CSV. The product
+  // is taken in double, so int32 patients cannot overflow it.
+  EXPECT_EQ(kMaxCohortRecords, (int64_t{4} << 20) / 5);
+  EXPECT_TRUE(CheckSyntheticSize(1, static_cast<double>(kMaxCohortRecords),
+                                 "mean_records")
+                  .ok());
+  EXPECT_FALSE(CheckSyntheticSize(1, kMaxCohortRecords + 0.5, "mean_records")
+                   .ok());
+  EXPECT_FALSE(CheckSyntheticSize(std::numeric_limits<int32_t>::max(),
+                                  std::numeric_limits<int32_t>::max(),
+                                  "mean_records")
+                   .ok());
 }
 
 TEST(SyntheticCohortTest, InvalidConfigsRejected) {

@@ -15,7 +15,11 @@
 # After failover, a CSV upload submitted twice is a cache hit in the
 # second submit reply, and a client line carrying the cluster-internal
 # route_fingerprint is rejected at the router. Before the workload, 50
-# idle connections must not grow the router's thread count.
+# idle connections must not grow the router's thread count. Last, a
+# fresh router in front of one shard is sent a CSV upload over 16 KiB
+# twice: the repeat is answered from the router's upload memo (its
+# memo_hits counter reads 1) as a cache hit, and apart from its job_id
+# and cache_hit lines the reply is byte-identical to the first.
 #
 # Usage: tools/shard_smoke.sh [BUILD_DIR]   (default: build)
 # CI runs this under ASan+UBSan (the shard-smoke job).
@@ -350,7 +354,56 @@ EOF
   echo "shard_smoke: cluster '${name}' PASS"
 }
 
+# The router's upload memo, through real processes.
+run_upload_memo() {
+  echo "== upload memo =="
+  start_proc memo-shard "${SERVER}" --port 0 --workers 2
+  local shard_port="${LAST_PORT}"
+  start_proc memo-router "${ROUTER}" --port 0 --shard "${shard_port}"
+  local router_pid="${LAST_PID}" router_port="${LAST_PORT}"
+
+  local csv="${LOG_DIR}/memo-upload.csv"
+  python3 - "${csv}" <<'EOF' || fail "could not write the memo CSV upload"
+import random, sys
+rng = random.Random(26)
+with open(sys.argv[1], "w") as out:
+    out.write("patient_id,exam_type,day\n")
+    for patient in range(400):
+        for _ in range(rng.randint(3, 12)):
+            out.write(f"{patient},exam{rng.randint(0, 19)},{rng.randint(0, 364)}\n")
+EOF
+  [[ "$(wc -c <"${csv}")" -gt 16384 ]] \
+    || fail "the memo CSV upload is not over 16 KiB"
+  local run
+  for run in first repeat; do
+    "${CLIENT}" --router "${router_port}" submit --csv "${csv}" \
+        --dataset-id memo --fast --wait --report \
+        >"${LOG_DIR}/memo-${run}.log" 2>&1 \
+      || fail "${run} memo CSV submit failed"
+  done
+  grep -q '^cache_hit: true$' "${LOG_DIR}/memo-repeat.log" \
+    || fail "the repeated upload was not a cache hit"
+  cmp -s <(grep -v -e '^cache_hit: ' -e '^job_id: ' "${LOG_DIR}/memo-first.log") \
+      <(grep -v -e '^cache_hit: ' -e '^job_id: ' "${LOG_DIR}/memo-repeat.log") \
+    || fail "the repeated upload's reply differs from the first"
+  local hits
+  hits="$("${CLIENT}" --router "${router_port}" stats \
+      | python3 -c 'import json,sys; print(json.load(sys.stdin)["router"]["memo_hits"])')" \
+    || fail "router stats failed"
+  [[ "${hits}" == "1" ]] || fail "router memo_hits is ${hits}, not 1"
+
+  "${CLIENT}" --router "${router_port}" shutdown >/dev/null \
+    || fail "memo router shutdown failed"
+  wait_for_exit "${router_pid}" memo-router
+  for pid in "${ALL_PIDS[@]}"; do
+    wait_for_exit "${pid}" "memo process ${pid}"
+  done
+  ALL_PIDS=()
+  echo "shard_smoke: upload memo PASS"
+}
+
 run_cluster sigkill-run sigkill
 run_cluster failpoint-run failpoint
+run_upload_memo
 
 echo "shard_smoke: PASS"
