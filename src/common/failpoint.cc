@@ -2,6 +2,9 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <new>
+#include <optional>
+#include <stdexcept>
 #include <thread>
 
 #include "common/logging.h"
@@ -92,8 +95,8 @@ StatusOr<FailpointConfig> FailpointRegistry::ParseAction(
 
   size_t open = rest.find('(');
   if (open == std::string_view::npos || rest.back() != ')') {
-    return InvalidArgumentError("expected 'error(...)', 'delay(...)' or "
-                                "'off', got '" +
+    return InvalidArgumentError("expected 'error(...)', 'delay(...)', "
+                                "'throw(...)' or 'off', got '" +
                                 std::string(action) + "'");
   }
   std::string_view trigger = Trim(rest.substr(0, open));
@@ -111,6 +114,11 @@ StatusOr<FailpointConfig> FailpointRegistry::ParseAction(
     config.code = code.value();
     return config;
   }
+  if (trigger == "throw") {
+    config.kind = FailpointConfig::Kind::kThrow;
+    config.message = std::string(Trim(inner));
+    return config;
+  }
   if (trigger == "delay") {
     config.kind = FailpointConfig::Kind::kDelay;
     auto millis = ParseInt64(Trim(inner));
@@ -122,7 +130,7 @@ StatusOr<FailpointConfig> FailpointRegistry::ParseAction(
     return config;
   }
   return InvalidArgumentError("unknown trigger '" + std::string(trigger) +
-                              "' (want error/delay/off)");
+                              "' (want error/delay/throw/off)");
 }
 
 Status FailpointRegistry::Configure(std::string_view spec) {
@@ -169,6 +177,7 @@ void FailpointRegistry::Clear() {
 
 Status FailpointRegistry::Evaluate(std::string_view point) {
   int64_t delay_millis = -1;
+  std::optional<std::string> thrown;
   Status triggered = OkStatus();
   {
     MutexLock lock(&mutex_);
@@ -185,6 +194,8 @@ Status FailpointRegistry::Evaluate(std::string_view point) {
     ++armed.activations;
     if (config.kind == FailpointConfig::Kind::kDelay) {
       delay_millis = config.delay_millis;
+    } else if (config.kind == FailpointConfig::Kind::kThrow) {
+      thrown = config.message;
     } else {
       std::string message = config.message.empty()
                                 ? "injected failure at failpoint '" +
@@ -200,6 +211,11 @@ Status FailpointRegistry::Evaluate(std::string_view point) {
                       << delay_millis << " ms";
     std::this_thread::sleep_for(std::chrono::milliseconds(delay_millis));
     return OkStatus();
+  }
+  if (thrown.has_value()) {
+    ADA_LOG(kWarning) << "failpoint '" << point << "' throwing: " << *thrown;
+    if (*thrown == "bad_alloc") throw std::bad_alloc();
+    throw std::runtime_error(*thrown);
   }
   ADA_LOG(kWarning) << "failpoint '" << point
                     << "' firing: " << triggered.ToString();

@@ -12,9 +12,13 @@
 //   spec      := point '=' action (';' point '=' action)*
 //   action    := 'off' | trigger modifiers
 //   trigger   := 'error(' CODE [',' message] ')' | 'delay(' millis ')'
+//              | 'throw(' [message] ')'
 //   modifiers := ['*' count] ['@' nth]
 //
 //   CODE is a canonical status-code name (UNAVAILABLE, DATA_LOSS, ...).
+//   throw(bad_alloc) throws std::bad_alloc; any other throw() throws
+//   std::runtime_error carrying the message, for the code that must
+//   answer even when a callee throws.
 //   '*N'  limits the trigger to N activations (default: unlimited);
 //   '@N'  arms it starting from the N-th hit, 1-based (default: 1).
 //
@@ -22,6 +26,7 @@
 //   kdb.storage.rename=error(UNAVAILABLE)*1      one-shot rename failure
 //   session.optimizer=error(INTERNAL)@3          fail from the 3rd hit on
 //   kdb.storage.fsync=delay(50)*2                50 ms stall, twice
+//   router.prepare=throw(bad_alloc)*1            one std::bad_alloc
 //
 // Compiling with -DADA_FAILPOINTS_DISABLED turns every ADA_FAILPOINT
 // into a constant OkStatus() with no registry access, for builds where
@@ -43,11 +48,13 @@ namespace common {
 
 /// What an armed failpoint does when it fires.
 struct FailpointConfig {
-  enum class Kind { kError, kDelay };
+  enum class Kind { kError, kDelay, kThrow };
 
   Kind kind = Kind::kError;
   /// kError: the status returned by Evaluate().
   StatusCode code = StatusCode::kUnavailable;
+  /// kError: the status message; kThrow: the exception's ("bad_alloc"
+  /// throws std::bad_alloc).
   std::string message;
   /// kDelay: milliseconds to sleep before returning OK.
   int64_t delay_millis = 0;
@@ -92,8 +99,8 @@ class FailpointRegistry {
   void Clear() ADA_EXCLUDES(mutex_);
 
   /// One hit of `point`: bumps its hit counter and, when the trigger
-  /// is armed for this hit, sleeps (delay) or returns the configured
-  /// error. Dormant or exhausted points return OK.
+  /// is armed for this hit, sleeps (delay), throws (throw) or returns
+  /// the configured error. Dormant or exhausted points return OK.
   [[nodiscard]] Status Evaluate(std::string_view point)
       ADA_EXCLUDES(mutex_);
 

@@ -99,7 +99,7 @@ StatusOr<ExamLog> ExamLog::FromCsv(std::string_view csv_text) {
                  std::move(records));
 }
 
-Status ExamLog::Append(const std::vector<RawExamRecord>& rows) {
+Status CheckRawRecords(const std::vector<RawExamRecord>& rows) {
   for (const RawExamRecord& row : rows) {
     if (row.patient < 0) {
       return InvalidArgumentError("negative patient id in appended records");
@@ -110,6 +110,11 @@ Status ExamLog::Append(const std::vector<RawExamRecord>& rows) {
       return InvalidArgumentError("empty exam-type name in appended records");
     }
   }
+  return common::OkStatus();
+}
+
+Status ExamLog::Append(const std::vector<RawExamRecord>& rows) {
+  ADA_RETURN_IF_ERROR(CheckRawRecords(rows));
   PatientId max_patient =
       patients_.empty() ? -1
                         : static_cast<PatientId>(patients_.size() - 1);

@@ -46,6 +46,13 @@ struct RawExamRecord {
   int32_t day = 0;
 };
 
+/// Validates a batch the way ExamLog::Append does before it mutates
+/// anything: every patient id non-negative and inside
+/// kMaxPatientIdSpan, every exam name non-empty. A batch that passes
+/// cannot make Append fail.
+[[nodiscard]] common::Status CheckRawRecords(
+    const std::vector<RawExamRecord>& rows);
+
 /// In-memory examination log: patients, exam-type dictionary, and the
 /// flat record table. Invariants (enforced by the builders/loaders):
 /// every record references an existing patient and exam type, and
@@ -73,8 +80,8 @@ class ExamLog {
   /// empty log yields the same log as one FromCsv over their
   /// concatenation — the streaming-ingestion invariant the cohort
   /// store's delta-vs-cold identity rests on. Validates before
-  /// mutating: a rejected batch (negative patient id, one beyond
-  /// kMaxPatientIdSpan, empty exam name) leaves the log untouched.
+  /// mutating (CheckRawRecords): a rejected batch leaves the log
+  /// untouched.
   [[nodiscard]] common::Status Append(const std::vector<RawExamRecord>& rows);
 
   /// Serializes the record table to CSV (inverse of FromCsv).

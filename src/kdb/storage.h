@@ -11,7 +11,7 @@
 //
 // Failpoints (common/failpoint.h): "kdb.storage.write",
 // "kdb.storage.fsync", "kdb.storage.rename" fire inside AtomicWriteFile
-// (so in SaveCollection and in cohort manifest writes) before the
+// (so in SaveCollection and in the cohort store log's fold) before the
 // corresponding syscall; "kdb.storage.read" fires inside
 // LoadCollection/LoadCollectionSalvage before the file is opened.
 #ifndef ADAHEALTH_KDB_STORAGE_H_

@@ -1,11 +1,13 @@
 #include "service/cohort_store.h"
 
 #include <dirent.h>
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdio>
+#include <cerrno>
+#include <cmath>
 #include <utility>
 
 #include "common/csv.h"
@@ -13,6 +15,8 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "kdb/storage.h"
+#include "service/fingerprint.h"
+#include "service/net_socket.h"
 
 namespace adahealth {
 namespace service {
@@ -23,61 +27,262 @@ using common::StatusOr;
 
 namespace {
 
-constexpr char kRecordsHeader[] = "patient_id,exam_type,day\n";
-constexpr char kRecordsSuffix[] = ".records";
-constexpr char kManifestSuffix[] = ".manifest.json";
 constexpr size_t kMaxCohortName = 64;
 /// Warm-start drift gate: when more than this fraction of the cohort's
 /// records arrived after the last analyzed generation, the prior
 /// centroids are considered stale and the next job runs cold.
 constexpr double kDriftThreshold = 0.5;
+/// Fold floor: dead bytes must exceed this as well as the live bytes
+/// before the log is rewritten, so a fold reclaims at least as much as
+/// it writes and small logs are never rewritten at all.
+constexpr size_t kFoldMinDeadBytes = size_t{1} << 20;
+/// The checksum is this many hex digits, then one space, then the body.
+constexpr size_t kChecksumChars = 16;
 
-Json MatrixToJson(const transform::Matrix& matrix) {
-  Json::Array rows;
-  rows.reserve(matrix.rows());
-  for (size_t r = 0; r < matrix.rows(); ++r) {
-    Json::Array row;
-    row.reserve(matrix.cols());
-    for (double value : matrix.Row(r)) row.emplace_back(value);
-    rows.emplace_back(std::move(row));
-  }
-  return Json(std::move(rows));
+std::string Checksum(std::string_view body) {
+  Fnv1a hash;
+  hash.Mix(body.data(), body.size());
+  return common::StrFormat("%016llx",
+                           static_cast<unsigned long long>(hash.digest()));
 }
 
-StatusOr<transform::Matrix> MatrixFromJson(const Json& json) {
-  if (!json.is_array()) {
-    return common::DataLossError("warm centroids: expected an array");
-  }
-  const Json::Array& rows = json.AsArray();
-  if (rows.empty()) return transform::Matrix();
-  if (!rows[0].is_array()) {
-    return common::DataLossError("warm centroids: expected array rows");
-  }
-  const size_t cols = rows[0].AsArray().size();
-  transform::Matrix matrix(rows.size(), cols);
-  for (size_t r = 0; r < rows.size(); ++r) {
-    if (!rows[r].is_array() || rows[r].AsArray().size() != cols) {
-      return common::DataLossError("warm centroids: ragged rows");
-    }
-    const Json::Array& row = rows[r].AsArray();
-    for (size_t c = 0; c < cols; ++c) {
-      if (!row[c].is_number()) {
-        return common::DataLossError("warm centroids: non-numeric cell");
-      }
-      matrix.At(r, c) = row[c].AsDouble();
-    }
-  }
-  return matrix;
+/// One committed log line: checksum, body, newline.
+std::string EntryLine(std::string_view body) {
+  std::string line = Checksum(body);
+  line.reserve(kChecksumChars + body.size() + 2);
+  line.push_back(' ');
+  line.append(body);
+  line.push_back('\n');
+  return line;
 }
 
-int64_t ReadInt(const Json& object, std::string_view key, int64_t fallback) {
+/// Parses one committed line (without its newline) into its JSON body.
+StatusOr<Json> ParseEntryLine(std::string_view line) {
+  if (line.size() <= kChecksumChars + 1 || line[kChecksumChars] != ' ') {
+    return common::DataLossError("entry has no checksum");
+  }
+  const std::string_view body = line.substr(kChecksumChars + 1);
+  if (line.substr(0, kChecksumChars) != Checksum(body)) {
+    return common::DataLossError("entry checksum mismatch");
+  }
+  ADA_ASSIGN_OR_RETURN(Json entry, Json::Parse(body));
+  if (!entry.is_object()) {
+    return common::DataLossError("entry is not a JSON object");
+  }
+  return entry;
+}
+
+StatusOr<int64_t> IntField(const Json& object, std::string_view key) {
   const Json* field = object.Find(key);
-  if (field == nullptr || !field->is_number()) return fallback;
-  return field->is_int() ? field->AsInt()
-                         : static_cast<int64_t>(field->AsDouble());
+  if (field == nullptr || !field->is_int()) {
+    return common::DataLossError("entry lacks integer field '" +
+                                 std::string(key) + "'");
+  }
+  return field->AsInt();
+}
+
+Json RecordsJson(const std::vector<dataset::RawExamRecord>& rows) {
+  Json::Array records;
+  records.reserve(rows.size());
+  for (const dataset::RawExamRecord& row : rows) {
+    records.emplace_back(Json::Array{Json(int64_t{row.patient}),
+                                     Json(row.exam_type),
+                                     Json(int64_t{row.day})});
+  }
+  return Json(std::move(records));
+}
+
+StatusOr<std::vector<dataset::RawExamRecord>> RecordsFromJson(
+    const Json* records) {
+  if (records == nullptr || !records->is_array() ||
+      records->AsArray().empty()) {
+    return common::DataLossError("ingest entry has no records");
+  }
+  std::vector<dataset::RawExamRecord> rows;
+  rows.reserve(records->AsArray().size());
+  for (const Json& record : records->AsArray()) {
+    if (!record.is_array() || record.AsArray().size() != 3 ||
+        !record.AsArray()[0].is_int() || !record.AsArray()[1].is_string() ||
+        !record.AsArray()[2].is_int()) {
+      return common::DataLossError("malformed record in ingest entry");
+    }
+    dataset::RawExamRecord row;
+    ADA_ASSIGN_OR_RETURN(row.patient,
+                         common::CheckedInt32(record.AsArray()[0].AsInt(),
+                                              "patient"));
+    row.exam_type = record.AsArray()[1].AsString();
+    ADA_ASSIGN_OR_RETURN(
+        row.day, common::CheckedInt32(record.AsArray()[2].AsInt(), "day"));
+    rows.push_back(std::move(row));
+  }
+  ADA_RETURN_IF_ERROR(dataset::CheckRawRecords(rows));
+  return rows;
+}
+
+std::string IngestEntry(const std::string& cohort, int64_t generation,
+                        Json records) {
+  Json::Object entry;
+  entry["kind"] = "ingest";
+  entry["cohort"] = cohort;
+  entry["generation"] = generation;
+  entry["records"] = std::move(records);
+  return Json(std::move(entry)).Dump();
+}
+
+/// The log's records of one cohort as an arrival-order batch.
+std::vector<dataset::RawExamRecord> ToRawRecords(const dataset::ExamLog& log) {
+  std::vector<dataset::RawExamRecord> rows;
+  rows.reserve(log.num_records());
+  for (const dataset::ExamRecord& record : log.records()) {
+    rows.push_back(dataset::RawExamRecord{
+        record.patient, std::string(log.dictionary().Name(record.exam_type)),
+        record.day});
+  }
+  return rows;
+}
+
+bool AllFinite(const transform::Matrix& matrix) {
+  for (size_t r = 0; r < matrix.rows(); ++r) {
+    for (double value : matrix.Row(r)) {
+      if (!std::isfinite(value)) return false;
+    }
+  }
+  return true;
+}
+
+/// FAILED_PRECONDITION naming the first file of the per-cohort
+/// `<name>.manifest.json` + `<name>.records` layout in `directory`.
+Status RefuseOldLayout(const std::string& directory) {
+  DIR* dir = ::opendir(directory.c_str());
+  if (dir == nullptr) {
+    return common::UnavailableError("cannot list cohort directory " +
+                                    directory);
+  }
+  std::string found;
+  while (dirent* entry = ::readdir(dir)) {
+    const std::string_view name = entry->d_name;
+    if (name.ends_with(".manifest.json") || name.ends_with(".records")) {
+      found = name;
+      break;
+    }
+  }
+  ::closedir(dir);
+  if (found.empty()) return common::OkStatus();
+  return common::FailedPreconditionError(
+      "cohort directory " + directory + " holds '" + found +
+      "' of the per-cohort records/manifest layout, which this store does "
+      "not read; start over an empty directory");
 }
 
 }  // namespace
+
+/// The store log's write side: appends entries at the committed end.
+class CohortStore::Log {
+ public:
+  explicit Log(std::string path) : path_(std::move(path)) {}
+
+  /// Reads the log and returns its committed prefix (every byte up to
+  /// the last newline); a tail past it is a torn append and is left for
+  /// the next Append to overwrite.
+  StatusOr<std::string> ReadCommitted() {
+    StatusOr<std::string> text = common::ReadFileToString(path_);
+    if (!text.ok()) {
+      if (text.status().code() != common::StatusCode::kNotFound) {
+        return text.status();
+      }
+      text = std::string();
+    }
+    const size_t newline = text->rfind('\n');
+    const size_t committed = newline == std::string::npos ? 0 : newline + 1;
+    if (text->size() > committed) {
+      ADA_LOG(kWarning) << "cohort store: ignoring " << text->size() - committed
+                        << " uncommitted byte(s) at the end of " << path_;
+    }
+    text->resize(committed);
+    end_ = static_cast<off_t>(committed);
+    return text;
+  }
+
+  /// Writes one entry at the committed end with one pwrite and makes it
+  /// durable with one fdatasync. Returns the entry's size in bytes.
+  StatusOr<size_t> Append(std::string_view body) {
+    ADA_RETURN_IF_ERROR(broken_);
+    ADA_RETURN_IF_ERROR(EnsureOpen());
+    const std::string line = EntryLine(body);
+    // The crash window: the body is down but its committing newline is
+    // not. A failed write leaves the same state (the newline is its
+    // last byte), and the next append overwrites it.
+    const Status torn = ADA_FAILPOINT("service.ingest.snapshot");
+    ADA_RETURN_IF_ERROR(
+        WriteAt(line.data(), torn.ok() ? line.size() : line.size() - 1));
+    ADA_RETURN_IF_ERROR(torn);
+    if (::fdatasync(fd_.get()) != 0) {
+      // The entry, newline included, may or may not be durable; only a
+      // replay can tell. Refuse to write after it until the store
+      // reopens, so no later entry lands behind one of unknown fate.
+      broken_ = common::DataLossError(
+          "fdatasync failed on " + path_ +
+          "; the store accepts no commit until it reopens");
+      return broken_;
+    }
+    end_ += static_cast<off_t>(line.size());
+    return line.size();
+  }
+
+  /// Replaces the whole log with `contents` (the fold). The next
+  /// Append opens the new file.
+  Status Rewrite(const std::string& contents) {
+    ADA_RETURN_IF_ERROR(kdb::AtomicWriteFile(path_, contents));
+    fd_.Close();  // It still names the replaced file.
+    end_ = static_cast<off_t>(contents.size());
+    return common::OkStatus();
+  }
+
+ private:
+  /// Opens the log for writing, creating it on a store's first commit:
+  /// a store that never commits leaves no file behind.
+  Status EnsureOpen() {
+    if (fd_.valid()) return common::OkStatus();
+    fd_ = FileDescriptor(::open(path_.c_str(), O_WRONLY | O_CLOEXEC));
+    if (fd_.valid()) return common::OkStatus();
+    fd_ = FileDescriptor(
+        ::open(path_.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644));
+    if (!fd_.valid()) {
+      return common::UnavailableError("cannot open store log " + path_);
+    }
+    // Make the new file's name durable, so the first entry's fdatasync
+    // cannot outlive it.
+    const size_t slash = path_.find_last_of('/');
+    FileDescriptor dir(::open(path_.substr(0, slash).c_str(), O_RDONLY));
+    if (!dir.valid() || ::fsync(dir.get()) != 0) {
+      ADA_LOG(kWarning) << "cohort store: directory fsync failed for "
+                        << path_;
+    }
+    return common::OkStatus();
+  }
+
+  Status WriteAt(const char* data, size_t size) {
+    off_t offset = end_;
+    while (size > 0) {
+      const ssize_t written = ::pwrite(fd_.get(), data, size, offset);
+      if (written < 0 && errno == EINTR) continue;
+      if (written <= 0) {
+        return common::DataLossError("write error on " + path_);
+      }
+      data += written;
+      size -= static_cast<size_t>(written);
+      offset += written;
+    }
+    return common::OkStatus();
+  }
+
+  const std::string path_;
+  FileDescriptor fd_;
+  /// Offset just past the last committed entry.
+  off_t end_ = 0;
+  /// Set once an fdatasync failed.
+  Status broken_;
+};
 
 bool IsValidCohortName(std::string_view name) {
   if (name.empty() || name.size() > kMaxCohortName) return false;
@@ -92,124 +297,218 @@ bool IsValidCohortName(std::string_view name) {
 CohortStore::CohortStore(CohortStoreOptions options)
     : options_(std::move(options)) {
   if (options_.directory.empty()) return;
-  ::mkdir(options_.directory.c_str(), 0755);  // Best-effort; may exist.
-
-  // Discover persisted cohorts by their manifests. Salvage semantics:
-  // a cohort that fails to load is skipped with a warning — the store
-  // still starts, serving every cohort that does parse.
-  std::vector<std::string> names;
-  DIR* dir = ::opendir(options_.directory.c_str());
-  if (dir == nullptr) {
-    ADA_LOG(kWarning) << "cohort store: cannot list directory "
-                      << options_.directory;
-    return;
-  }
-  while (dirent* entry = ::readdir(dir)) {
-    std::string_view file_name = entry->d_name;
-    if (file_name.size() <= std::string_view(kManifestSuffix).size()) continue;
-    if (!file_name.ends_with(kManifestSuffix)) continue;
-    file_name.remove_suffix(std::string_view(kManifestSuffix).size());
-    if (IsValidCohortName(file_name)) names.emplace_back(file_name);
-  }
-  ::closedir(dir);
-  std::sort(names.begin(), names.end());
-
   common::MutexLock lock(&mutex_);
-  for (const std::string& name : names) {
-    Status loaded = LoadCohort(name);
-    if (!loaded.ok()) {
-      ADA_LOG(kWarning) << "cohort store: skipping cohort '" << name
-                        << "': " << loaded.ToString();
+  open_status_ = Open();
+  if (!open_status_.ok()) {
+    ADA_LOG(kError) << "cohort store: " << open_status_.ToString();
+    log_.reset();
+    cohorts_.clear();
+    stats_ = CohortStoreStats();
+  }
+}
+
+CohortStore::~CohortStore() = default;
+
+Status CohortStore::Open() {
+  ::mkdir(options_.directory.c_str(), 0755);  // Best-effort; may exist.
+  ADA_RETURN_IF_ERROR(RefuseOldLayout(options_.directory));
+  const std::string path = options_.directory + "/" + kStoreLogFile;
+  log_ = std::make_unique<Log>(path);
+  ADA_ASSIGN_OR_RETURN(const std::string text, log_->ReadCommitted());
+  size_t start = 0;
+  for (size_t number = 1; start < text.size(); ++number) {
+    const size_t newline = text.find('\n', start);
+    StatusOr<Json> entry =
+        ParseEntryLine(std::string_view(text).substr(start, newline - start));
+    Status applied =
+        entry.ok() ? ApplyEntry(*entry, newline + 1 - start) : entry.status();
+    if (!applied.ok()) {
+      return common::DataLossError(common::StrFormat(
+          "%s: committed entry %zu at byte %zu is corrupt: %s", path.c_str(),
+          number, start, applied.message().c_str()));
     }
+    start = newline + 1;
   }
-}
-
-std::string CohortStore::RecordsPath(const std::string& cohort) const {
-  return options_.directory + "/" + cohort + kRecordsSuffix;
-}
-
-std::string CohortStore::ManifestPath(const std::string& cohort) const {
-  return options_.directory + "/" + cohort + kManifestSuffix;
-}
-
-Json CohortStore::ManifestJson(const std::string& cohort,
-                               const CohortState& state) const {
-  Json::Object doc;
-  doc["cohort"] = cohort;
-  doc["generation"] = state.generation;
-  doc["committed_bytes"] = static_cast<int64_t>(state.committed_bytes);
-  doc["records"] = static_cast<int64_t>(state.log.num_records());
-  doc["patients"] = static_cast<int64_t>(state.log.num_patients());
-  Json::Object marginals;
-  for (const auto& [exam, count] : state.exam_marginals) {
-    marginals[exam] = count;
-  }
-  doc["exam_marginals"] = Json(std::move(marginals));
-  doc["distinct_pairs"] = static_cast<int64_t>(state.distinct_pairs.size());
-  if (state.has_warm) {
-    Json::Object warm;
-    warm["analyzed_generation"] = state.analyzed_generation;
-    warm["analyzed_records"] = state.analyzed_records;
-    warm["best_k"] = static_cast<int64_t>(state.warm_best_k);
-    Json::Array exam_types;
-    exam_types.reserve(state.warm_exam_types.size());
-    for (int32_t id : state.warm_exam_types) {
-      exam_types.emplace_back(static_cast<int64_t>(id));
-    }
-    warm["exam_types"] = Json(std::move(exam_types));
-    warm["centroids"] = MatrixToJson(state.warm_centroids);
-    doc["warm"] = Json(std::move(warm));
-  }
-  return Json(std::move(doc));
-}
-
-Status CohortStore::WriteManifest(const std::string& cohort,
-                                  const CohortState& state) {
-  // The failpoint governs the commit of an in-memory store too, so
-  // tests can exercise the degradation paths without a disk.
-  ADA_RETURN_IF_ERROR(ADA_FAILPOINT("service.ingest.snapshot"));
-  if (options_.directory.empty()) return common::OkStatus();
-  return kdb::AtomicWriteFile(ManifestPath(cohort),
-                              ManifestJson(cohort, state).Pretty() + "\n");
-}
-
-Status CohortStore::AppendRecordsFile(const std::string& cohort,
-                                      const CohortState& state,
-                                      const std::string& payload) {
-  ADA_RETURN_IF_ERROR(ADA_FAILPOINT("service.ingest.append"));
-  if (options_.directory.empty()) return common::OkStatus();
-  const std::string path = RecordsPath(cohort);
-  // Clear any uncommitted residue from a previous torn append before
-  // extending the committed prefix (the loader never read it; this
-  // keeps the on-disk bytes equal to committed ones after we succeed).
-  // A cohort with nothing committed yet ("wb") covers the first-batch
-  // crash window — a records file left behind without a manifest —
-  // where truncate-to-committed_bytes would need a file that may not
-  // exist; with a committed prefix ("ab") the file must exist, so a
-  // failed truncate is a real error.
-  if (state.committed_bytes > 0 &&
-      ::truncate(path.c_str(), static_cast<off_t>(state.committed_bytes)) !=
-          0) {
-    return common::UnavailableError("cannot truncate records file: " + path);
-  }
-  std::FILE* file =
-      std::fopen(path.c_str(), state.committed_bytes > 0 ? "ab" : "wb");
-  if (file == nullptr) {
-    return common::UnavailableError("cannot open records file: " + path);
-  }
-  size_t written = std::fwrite(payload.data(), 1, payload.size(), file);
-  if (written != payload.size() || std::fflush(file) != 0) {
-    std::fclose(file);
-    return common::DataLossError("write error on records file: " + path);
-  }
-  if (::fsync(::fileno(file)) != 0) {
-    std::fclose(file);
-    return common::DataLossError("fsync failed on records file: " + path);
-  }
-  if (std::fclose(file) != 0) {
-    return common::DataLossError("close failed on records file: " + path);
+  for (const auto& [name, state] : cohorts_) {
+    stats_.batches += state.generation;
+    stats_.records += static_cast<int64_t>(state.log.num_records());
   }
   return common::OkStatus();
+}
+
+Status CohortStore::ApplyEntry(const Json& entry, size_t bytes) {
+  const Json* kind = entry.Find("kind");
+  const Json* cohort = entry.Find("cohort");
+  if (kind == nullptr || !kind->is_string() || cohort == nullptr ||
+      !cohort->is_string() || !IsValidCohortName(cohort->AsString())) {
+    return common::DataLossError("entry lacks a kind or a valid cohort");
+  }
+  ADA_ASSIGN_OR_RETURN(const int64_t generation,
+                       IntField(entry, "generation"));
+  if (kind->AsString() == "ingest") {
+    ADA_ASSIGN_OR_RETURN(std::vector<dataset::RawExamRecord> rows,
+                         RecordsFromJson(entry.Find("records")));
+    CohortState& state = cohorts_[cohort->AsString()];
+    // A fold writes a cohort's whole log as one entry at its current
+    // generation, so a generation may jump, but never repeat.
+    if (generation <= state.generation) {
+      return common::DataLossError("ingest generation does not advance");
+    }
+    // invariant: RecordsFromJson ran CheckRawRecords on the batch.
+    ADA_CHECK_OK(state.log.Append(rows));
+    ApplyDescriptors(state, rows.size());
+    state.generation = generation;
+    live_bytes_ += bytes;
+    return common::OkStatus();
+  }
+  if (kind->AsString() != "warm") {
+    return common::DataLossError("unknown entry kind");
+  }
+  auto it = cohorts_.find(cohort->AsString());
+  if (it == cohorts_.end()) {
+    return common::DataLossError("warm entry for an unknown cohort");
+  }
+  CohortState& state = it->second;
+  WarmState warm;
+  warm.analyzed_generation = generation;
+  ADA_ASSIGN_OR_RETURN(warm.analyzed_records,
+                       IntField(entry, "analyzed_records"));
+  ADA_ASSIGN_OR_RETURN(const int64_t best_k, IntField(entry, "best_k"));
+  warm.best_k = static_cast<int32_t>(best_k);
+  const Json* exam_types = entry.Find("exam_types");
+  const Json* centroids = entry.Find("centroids");
+  if (exam_types == nullptr || !exam_types->is_array() ||
+      centroids == nullptr || !centroids->is_array() ||
+      centroids->AsArray().empty() || !centroids->AsArray()[0].is_array()) {
+    return common::DataLossError("malformed warm entry");
+  }
+  for (const Json& id : exam_types->AsArray()) {
+    if (!id.is_int()) return common::DataLossError("malformed warm entry");
+    warm.exam_types.push_back(static_cast<int32_t>(id.AsInt()));
+  }
+  const Json::Array& rows = centroids->AsArray();
+  const size_t cols = rows[0].AsArray().size();
+  warm.centroids = transform::Matrix(rows.size(), cols);
+  for (size_t r = 0; r < rows.size(); ++r) {
+    if (!rows[r].is_array() || rows[r].AsArray().size() != cols) {
+      return common::DataLossError("ragged warm centroids");
+    }
+    for (size_t c = 0; c < cols; ++c) {
+      const Json& cell = rows[r].AsArray()[c];
+      if (!cell.is_number()) {
+        return common::DataLossError("non-numeric warm centroid");
+      }
+      warm.centroids.At(r, c) = cell.AsDouble();
+    }
+  }
+  const int64_t analyzed = state.warm ? state.warm->analyzed_generation : 0;
+  if (generation <= analyzed || generation > state.generation) {
+    return common::DataLossError("warm entry out of generation order");
+  }
+  InstallWarm(state, std::move(warm), bytes);
+  return common::OkStatus();
+}
+
+void CohortStore::ApplyDescriptors(CohortState& state, size_t batch_records) {
+  // The batch's records are the log's tail; read their interned ids
+  // back for the marginals and the density pair set.
+  const auto& records = state.log.records();
+  for (size_t i = records.size() - batch_records; i < records.size(); ++i) {
+    ++state.exam_marginals[std::string(
+        state.log.dictionary().Name(records[i].exam_type))];
+    const auto patient = static_cast<size_t>(records[i].patient);
+    if (patient >= state.exams_by_patient.size()) {
+      state.exams_by_patient.resize(patient + 1);
+    }
+    std::vector<int32_t>& exams = state.exams_by_patient[patient];
+    auto it = std::lower_bound(exams.begin(), exams.end(), records[i].exam_type);
+    if (it == exams.end() || *it != records[i].exam_type) {
+      exams.insert(it, records[i].exam_type);
+      ++state.distinct_pairs;
+    }
+  }
+}
+
+StatusOr<size_t> CohortStore::Commit(std::string_view body) {
+  if (log_ == nullptr) {
+    // The failpoint governs the commit of an in-memory store too, so
+    // tests can exercise the degradation paths without a disk.
+    ADA_RETURN_IF_ERROR(ADA_FAILPOINT("service.ingest.snapshot"));
+    return size_t{0};
+  }
+  return log_->Append(body);
+}
+
+void CohortStore::InstallWarm(CohortState& state, WarmState warm,
+                              size_t bytes) {
+  dead_bytes_ += state.warm_entry_bytes;
+  live_bytes_ += bytes;
+  live_bytes_ -= state.warm_entry_bytes;
+  state.warm_entry_bytes = bytes;
+  state.warm = std::move(warm);
+}
+
+std::string CohortStore::WarmEntry(const std::string& cohort,
+                                   const WarmState& warm) {
+  Json::Object entry;
+  entry["kind"] = "warm";
+  entry["cohort"] = cohort;
+  entry["generation"] = warm.analyzed_generation;
+  entry["analyzed_records"] = warm.analyzed_records;
+  entry["best_k"] = static_cast<int64_t>(warm.best_k);
+  Json::Array exam_types;
+  exam_types.reserve(warm.exam_types.size());
+  for (int32_t id : warm.exam_types) {
+    exam_types.emplace_back(static_cast<int64_t>(id));
+  }
+  entry["exam_types"] = Json(std::move(exam_types));
+  Json::Array rows;
+  rows.reserve(warm.centroids.rows());
+  for (size_t r = 0; r < warm.centroids.rows(); ++r) {
+    Json::Array row;
+    row.reserve(warm.centroids.cols());
+    for (double value : warm.centroids.Row(r)) row.emplace_back(value);
+    rows.emplace_back(std::move(row));
+  }
+  entry["centroids"] = Json(std::move(rows));
+  return Json(std::move(entry)).Dump();
+}
+
+void CohortStore::MaybeFold() {
+  if (log_ == nullptr || dead_bytes_ <= live_bytes_ ||
+      dead_bytes_ <= kFoldMinDeadBytes) {
+    return;
+  }
+  std::string contents;
+  std::vector<size_t> warm_bytes;
+  for (const auto& [name, state] : cohorts_) {
+    contents += EntryLine(IngestEntry(name, state.generation,
+                                      RecordsJson(ToRawRecords(state.log))));
+    if (!state.warm) {
+      warm_bytes.push_back(0);
+      continue;
+    }
+    const std::string line = EntryLine(WarmEntry(name, *state.warm));
+    warm_bytes.push_back(line.size());
+    contents += line;
+  }
+  if (Status folded = log_->Rewrite(contents); !folded.ok()) {
+    ADA_LOG(kWarning) << "cohort store: fold of " << dead_bytes_
+                      << " dead byte(s) failed (" << folded.ToString()
+                      << "); the log keeps them";
+    return;
+  }
+  ADA_LOG(kInfo) << "cohort store: folded " << dead_bytes_
+                 << " dead byte(s); the log holds " << contents.size();
+  size_t i = 0;
+  for (auto& [name, state] : cohorts_) state.warm_entry_bytes = warm_bytes[i++];
+  live_bytes_ = contents.size();
+  dead_bytes_ = 0;
+}
+
+Status CohortStore::status() const {
+  common::MutexLock lock(&mutex_);
+  return open_status_;
 }
 
 StatusOr<IngestResult> CohortStore::Ingest(
@@ -223,96 +522,39 @@ StatusOr<IngestResult> CohortStore::Ingest(
   if (rows.empty()) {
     return common::InvalidArgumentError("empty ingest batch");
   }
-  for (const dataset::RawExamRecord& row : rows) {
-    if (row.patient < 0) {
-      return common::InvalidArgumentError("negative patient id in batch");
-    }
-    if (row.exam_type.empty()) {
-      return common::InvalidArgumentError("empty exam-type name in batch");
-    }
-  }
-
-  // Render the batch once, outside any I/O: the same RFC-4180 fields
-  // ExamLog::ToCsv writes, so the accumulated file parses via FromCsv.
-  std::vector<std::vector<std::string>> csv_rows;
-  csv_rows.reserve(rows.size());
-  for (const dataset::RawExamRecord& row : rows) {
-    csv_rows.push_back({std::to_string(row.patient), row.exam_type,
-                        std::to_string(row.day)});
-  }
+  // Validate the whole batch before anything is written: once its entry
+  // is durable, applying it to memory cannot fail.
+  ADA_RETURN_IF_ERROR(dataset::CheckRawRecords(rows));
+  Json records = options_.directory.empty() ? Json() : RecordsJson(rows);
 
   common::MutexLock lock(&mutex_);
-  const bool is_new = cohorts_.find(cohort) == cohorts_.end();
+  ADA_RETURN_IF_ERROR(open_status_);
+  auto it = cohorts_.find(cohort);
+  const int64_t current = it == cohorts_.end() ? 0 : it->second.generation;
   // Replay guard (see the header): a conditional batch commits only
   // against the exact generation the client observed. Checked before
-  // any mutation, so a rejected replay is a pure no-op.
-  if (expected_generation >= 0) {
-    const int64_t current =
-        is_new ? 0 : cohorts_.find(cohort)->second.generation;
-    if (current != expected_generation) {
-      return common::FailedPreconditionError(common::StrFormat(
-          "cohort '%s' is at generation %lld, not the expected %lld "
-          "(a retried batch most likely already committed)",
-          cohort.c_str(), static_cast<long long>(current),
-          static_cast<long long>(expected_generation)));
-    }
+  // any write, so a rejected replay is a pure no-op.
+  if (expected_generation >= 0 && current != expected_generation) {
+    return common::FailedPreconditionError(common::StrFormat(
+        "cohort '%s' is at generation %lld, not the expected %lld "
+        "(a retried batch most likely already committed)",
+        cohort.c_str(), static_cast<long long>(current),
+        static_cast<long long>(expected_generation)));
   }
-  CohortState& state = cohorts_[cohort];
-  auto discard_new = [&] {
-    if (is_new) cohorts_.erase(cohort);
-  };
+  ADA_RETURN_IF_ERROR(ADA_FAILPOINT("service.ingest.append"));
+  ADA_ASSIGN_OR_RETURN(
+      const size_t bytes,
+      Commit(log_ == nullptr
+                 ? std::string()
+                 : IngestEntry(cohort, current + 1, std::move(records))));
 
-  std::string payload = is_new ? std::string(kRecordsHeader) : std::string();
-  payload += common::WriteCsv(csv_rows);
-
-  // Step 1: extend the records file (its committed prefix is untouched
-  // on failure, so the prior generation stays readable).
-  Status appended = AppendRecordsFile(cohort, state, payload);
-  if (!appended.ok()) {
-    discard_new();
-    return appended;
-  }
-
-  // Step 2: apply to memory, keeping a rollback copy.
-  CohortState backup = state;
-  Status applied = state.log.Append(rows);
-  if (!applied.ok()) {
-    // Unreachable after the validation above, but keep the rollback
-    // airtight anyway.
-    state = std::move(backup);
-    discard_new();
-    return applied;
-  }
-  for (const dataset::RawExamRecord& row : rows) {
-    ++state.exam_marginals[row.exam_type];
-  }
-  // The batch's records are the log's tail; read their interned ids
-  // back for the density pair set.
-  const auto& records = state.log.records();
-  for (size_t i = records.size() - rows.size(); i < records.size(); ++i) {
-    state.distinct_pairs.emplace(records[i].patient, records[i].exam_type);
-  }
-  state.generation += 1;
-  state.committed_bytes += payload.size();
-
-  // Step 3: commit the manifest. On failure, restore memory and the
-  // file to the previous generation (all-or-nothing ingest).
-  Status committed = WriteManifest(cohort, state);
-  if (!committed.ok()) {
-    if (!options_.directory.empty()) {
-      if (::truncate(RecordsPath(cohort).c_str(),
-                     static_cast<off_t>(backup.committed_bytes)) != 0) {
-        // The stale tail past committed_bytes is harmless: the loader
-        // reads only the committed prefix and the next append truncates.
-        ADA_LOG(kWarning) << "cohort '" << cohort
-                          << "': could not roll back records file";
-      }
-    }
-    state = std::move(backup);
-    discard_new();
-    return committed;
-  }
-
+  // Durable: apply to memory.
+  CohortState& state = it == cohorts_.end() ? cohorts_[cohort] : it->second;
+  // invariant: CheckRawRecords passed above, the only way Append fails.
+  ADA_CHECK_OK(state.log.Append(rows));
+  ApplyDescriptors(state, rows.size());
+  state.generation = current + 1;
+  live_bytes_ += bytes;
   stats_.batches += 1;
   stats_.records += static_cast<int64_t>(rows.size());
 
@@ -336,13 +578,13 @@ StatusOr<JobRequest> CohortStore::BuildCohortJob(const std::string& cohort) {
   request.cohort = cohort;
   request.cohort_generation = state.generation;
   request.options.dataset_id = cohort;
-  if (!state.has_warm) return request;
+  if (!state.warm) return request;
 
   // Drift gate: when too much of the cohort arrived after the analyzed
   // generation, the prior centroids describe a different population —
   // run cold rather than steer the sweep with a stale hint.
   const int64_t records = static_cast<int64_t>(state.log.num_records());
-  const int64_t fresh = records - state.analyzed_records;
+  const int64_t fresh = records - state.warm->analyzed_records;
   const double drift =
       records > 0 ? static_cast<double>(fresh) / static_cast<double>(records)
                   : 0.0;
@@ -355,9 +597,9 @@ StatusOr<JobRequest> CohortStore::BuildCohortJob(const std::string& cohort) {
     stats_.cold_fallbacks += 1;
     return request;
   }
-  request.options.warm.centroids = state.warm_centroids;
-  request.options.warm.exam_types = state.warm_exam_types;
-  request.options.warm.best_k = state.warm_best_k;
+  request.options.warm.centroids = state.warm->centroids;
+  request.options.warm.exam_types = state.warm->exam_types;
+  request.options.warm.best_k = state.warm->best_k;
   // candidate_ks is deliberately left untouched: it is hashed in order
   // by SessionOptionsSignature, so reordering it here would give delta
   // and cold submissions of the same snapshot different fingerprints
@@ -388,30 +630,31 @@ void CohortStore::OnAnalysisCommitted(const std::string& cohort,
   // generation are ignored so the stored hint — and therefore every
   // job BuildCohortJob derives from it — stays deterministic until new
   // data actually arrives.
-  if (generation <= state.analyzed_generation) return;
+  if (state.warm && generation <= state.warm->analyzed_generation) return;
+  if (!AllFinite(best.centroids)) return;  // JSON cannot carry them.
 
-  CohortState candidate = state;
-  candidate.has_warm = true;
-  candidate.warm_centroids = best.centroids;
-  candidate.warm_exam_types = result.mining_exam_types;
-  candidate.warm_best_k = result.optimizer.best_k();
-  candidate.analyzed_generation = generation;
+  WarmState warm;
+  warm.centroids = best.centroids;
+  warm.exam_types = result.mining_exam_types;
+  warm.best_k = result.optimizer.best_k();
+  warm.analyzed_generation = generation;
   // The caller-supplied count of the analyzed snapshot, NOT the live
   // log's (which may already hold batches ingested after the snapshot
   // and would under-count fresh records at the drift gate).
-  candidate.analyzed_records = analyzed_records;
-
-  Status persisted = WriteManifest(cohort, candidate);
-  if (!persisted.ok()) {
+  warm.analyzed_records = analyzed_records;
+  StatusOr<size_t> bytes =
+      Commit(log_ == nullptr ? std::string() : WarmEntry(cohort, warm));
+  if (!bytes.ok()) {
     // Degrade to cold: an uninstallable warm state is dropped, never
     // half-trusted — the next job re-analyzes from scratch.
     stats_.snapshot_failures += 1;
     ADA_LOG(kWarning) << "cohort '" << cohort
                       << "': warm-state snapshot failed, next job runs cold ("
-                      << persisted.ToString() << ")";
+                      << bytes.status().ToString() << ")";
     return;
   }
-  state = std::move(candidate);
+  InstallWarm(state, std::move(warm), *bytes);
+  MaybeFold();
 }
 
 StatusOr<CohortDescriptors> CohortStore::Descriptors(
@@ -430,7 +673,7 @@ StatusOr<CohortDescriptors> CohortStore::Descriptors(
   const double cells = static_cast<double>(descriptors.patients) *
                        static_cast<double>(descriptors.exam_types);
   descriptors.density =
-      cells > 0 ? static_cast<double>(state.distinct_pairs.size()) / cells
+      cells > 0 ? static_cast<double>(state.distinct_pairs) / cells
                 : 0.0;
   descriptors.mean_records_per_patient =
       descriptors.patients > 0
@@ -478,86 +721,6 @@ Json CohortStore::StatsJson() const {
 size_t CohortStore::num_cohorts() const {
   common::MutexLock lock(&mutex_);
   return cohorts_.size();
-}
-
-Status CohortStore::LoadCohort(const std::string& cohort) {
-  auto manifest_text = common::ReadFileToString(ManifestPath(cohort));
-  if (!manifest_text.ok()) return manifest_text.status();
-  auto manifest = Json::Parse(manifest_text.value());
-  if (!manifest.ok()) {
-    return common::DataLossError("manifest parse error: " +
-                                 manifest.status().message());
-  }
-  const int64_t generation = ReadInt(*manifest, "generation", 0);
-  const int64_t committed_bytes = ReadInt(*manifest, "committed_bytes", 0);
-  if (generation <= 0 || committed_bytes < 0) {
-    return common::DataLossError("manifest has no committed generation");
-  }
-
-  auto records_text = common::ReadFileToString(RecordsPath(cohort));
-  if (!records_text.ok()) return records_text.status();
-  if (records_text->size() < static_cast<size_t>(committed_bytes)) {
-    return common::DataLossError(
-        "records file shorter than the committed prefix");
-  }
-  // The salvage step: only the committed prefix is parsed; bytes past
-  // it are a torn append from a crash between append and snapshot and
-  // are dropped (the prior generation stays readable).
-  const size_t total_bytes = records_text->size();
-  records_text->resize(static_cast<size_t>(committed_bytes));
-  auto log = dataset::ExamLog::FromCsv(records_text.value());
-  if (!log.ok()) {
-    return common::DataLossError("committed records prefix unreadable: " +
-                                 log.status().message());
-  }
-  if (total_bytes > static_cast<size_t>(committed_bytes)) {
-    ADA_LOG(kWarning) << "cohort '" << cohort << "': dropped "
-                      << (total_bytes - static_cast<size_t>(committed_bytes))
-                      << " uncommitted byte(s) past generation " << generation;
-  }
-
-  CohortState state;
-  state.generation = generation;
-  state.log = std::move(log).value();
-  state.committed_bytes = static_cast<size_t>(committed_bytes);
-  // Rebuild the incremental descriptors from the restored log (load is
-  // the one place a full pass is inherent — the log itself is re-read).
-  for (const dataset::ExamRecord& record : state.log.records()) {
-    ++state.exam_marginals[std::string(
-        state.log.dictionary().Name(record.exam_type))];
-    state.distinct_pairs.emplace(record.patient, record.exam_type);
-  }
-
-  if (const Json* warm = manifest->Find("warm"); warm != nullptr) {
-    const Json* centroids = warm->Find("centroids");
-    const Json* exam_types = warm->Find("exam_types");
-    if (centroids != nullptr && exam_types != nullptr &&
-        exam_types->is_array()) {
-      auto matrix = MatrixFromJson(*centroids);
-      if (matrix.ok() && !matrix->empty()) {
-        state.has_warm = true;
-        state.warm_centroids = std::move(matrix).value();
-        for (const Json& id : exam_types->AsArray()) {
-          if (id.is_number()) {
-            state.warm_exam_types.push_back(
-                static_cast<int32_t>(id.AsInt()));
-          }
-        }
-        state.warm_best_k =
-            static_cast<int32_t>(ReadInt(*warm, "best_k", 0));
-        state.analyzed_generation = ReadInt(*warm, "analyzed_generation", 0);
-        state.analyzed_records = ReadInt(*warm, "analyzed_records", 0);
-      } else if (!matrix.ok()) {
-        // A corrupt warm block only costs a cold re-analysis.
-        ADA_LOG(kWarning) << "cohort '" << cohort
-                          << "': dropping corrupt warm state ("
-                          << matrix.status().ToString() << ")";
-      }
-    }
-  }
-
-  cohorts_[cohort] = std::move(state);
-  return common::OkStatus();
 }
 
 }  // namespace service

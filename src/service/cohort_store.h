@@ -8,19 +8,27 @@
 // always serves the latest consistent snapshot and supersedes older
 // generations (service/result_cache.h).
 //
-// Persistence (when a directory is configured) follows the K-DB
-// crash-safety discipline with a two-file layout per cohort:
-//  * `<name>.records` — the raw records CSV, appended in arrival
-//    order and fsync'd per batch;
-//  * `<name>.manifest.json` — everything else (generation, the byte
-//    count of the valid records prefix, the incrementally maintained
-//    descriptors, and the warm-start state), rewritten atomically
-//    (tmp + fsync + rename + directory fsync) after the records hit
-//    disk.
-// A crash between the append and the manifest rename leaves stale
-// bytes past `committed_bytes` that the loader never reads and the
-// next append truncates away: the prior generation stays readable, a
-// batch is either fully committed or never happened.
+// Persistence (when a directory is configured) is one append-only
+// **store log** per directory (`cohort_store.log`), shared by every
+// cohort in it. Each commit is one newline-terminated entry:
+//
+//   <16 hex FNV-1a of the body> <JSON body>\n
+//
+// An `ingest` entry carries a cohort, the generation it commits and
+// the batch's records; a `warm` entry carries one analysis's warm
+// state. An entry is written at the committed end of the log in one
+// pwrite and made durable with one fdatasync; the newline commits it.
+// An append never renames, truncates or unlinks a file; only the fold
+// below does, through one AtomicWriteFile. A crash mid-append leaves a tail without a newline, which
+// the next open ignores and the next append overwrites: a batch is
+// fully committed or never happened. A malformed entry before the last
+// newline is corruption, and the store refuses to open (status()).
+//
+// Superseded warm entries are dead bytes. Once they exceed both the
+// live bytes and a 1 MiB floor, the store folds the log: one rewrite
+// of the live state through kdb::AtomicWriteFile (one ingest entry per
+// cohort carrying its whole log, then its warm entry). DESIGN.md §13
+// has the measurements behind this layout.
 //
 // Descriptors (the paper's §2.1 characterization: counts, per-exam
 // marginals, matrix density) are maintained incrementally per batch —
@@ -36,19 +44,21 @@
 // core::WarmStartOptions): it can speed the sweep up but never
 // changes what a cold run on the same data would report.
 //
-// Failpoints: "service.ingest.append" (records append),
-// "service.ingest.snapshot" (manifest write — both the per-batch one
-// and the post-analysis warm-state one; a failed warm snapshot drops
-// the warm state, degrading the next job to a cold run), and
-// "service.ingest.adapt" (warm-hint attachment; a failure falls back
-// to cold).
+// Failpoints: "service.ingest.append" (before an ingest entry is
+// written), "service.ingest.snapshot" (between an entry's body and its
+// committing newline, for ingest and warm entries alike; a failed warm
+// entry drops the warm state, degrading the next job to a cold run),
+// and "service.ingest.adapt" (warm-hint attachment; a failure falls
+// back to cold).
 #ifndef ADAHEALTH_SERVICE_COHORT_STORE_H_
 #define ADAHEALTH_SERVICE_COHORT_STORE_H_
 
 #include <cstdint>
 #include <map>
-#include <set>
+#include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -63,11 +73,14 @@ namespace adahealth {
 namespace service {
 
 struct CohortStoreOptions {
-  /// Directory for the per-cohort records/manifest files. Empty = pure
-  /// in-memory store (tests, demos): nothing survives the process, but
-  /// every other contract holds.
+  /// Directory holding the store log. Empty = pure in-memory store
+  /// (tests, demos): nothing survives the process, but every other
+  /// contract holds.
   std::string directory;
 };
+
+/// File name of the store log inside CohortStoreOptions::directory.
+inline constexpr char kStoreLogFile[] = "cohort_store.log";
 
 /// What one committed ingest batch did.
 struct IngestResult {
@@ -94,6 +107,7 @@ struct CohortDescriptors {
 /// Exact per-store ingest counters (the `stats`/`health` "ingest"
 /// object).
 struct CohortStoreStats {
+  /// Batches and records the store holds, replayed ones included.
   int64_t batches = 0;
   int64_t records = 0;
   int64_t cohorts = 0;
@@ -107,21 +121,28 @@ struct CohortStoreStats {
 /// concurrently; each batch commits atomically under one lock scope.
 class CohortStore {
  public:
-  /// Restores every persisted cohort from options.directory (salvage
-  /// semantics: a cohort whose manifest or committed records prefix
-  /// cannot be parsed is skipped with a logged warning, never a
-  /// constructor failure).
+  /// Replays the store log in options.directory. A store that cannot
+  /// open reports why through status() and commits nothing.
   explicit CohortStore(CohortStoreOptions options);
+  ~CohortStore();
 
   CohortStore(const CohortStore&) = delete;
   CohortStore& operator=(const CohortStore&) = delete;
 
+  /// OK once the store log replayed. FAILED_PRECONDITION naming a file
+  /// when the directory holds the old per-cohort layout
+  /// (`*.manifest.json`/`*.records`), which this store does not read;
+  /// DATA_LOSS when a committed entry is malformed. The server refuses
+  /// to start on either.
+  [[nodiscard]] common::Status status() const ADA_EXCLUDES(mutex_);
+
   /// Appends one batch to `cohort` (creating it on first use) and
-  /// advances its generation. All-or-nothing: on any failure —
-  /// validation, an injected "service.ingest.append"/".snapshot"
-  /// fault, or real I/O — the cohort's previous generation stays
-  /// intact in memory and on disk. INVALID_ARGUMENT for a malformed
-  /// cohort name, an empty batch, or invalid records.
+  /// advances its generation. The batch is validated whole, then its
+  /// entry is made durable, and only then applied to memory, so on any
+  /// failure — validation, an injected "service.ingest.append"/
+  /// ".snapshot" fault, or real I/O — the cohort's previous generation
+  /// stays intact in memory and on disk. INVALID_ARGUMENT for a
+  /// malformed cohort name, an empty batch, or invalid records.
   ///
   /// `expected_generation` is the client's replay guard: when >= 0 the
   /// batch commits only if the cohort is currently at exactly that
@@ -147,14 +168,16 @@ class CohortStore {
 
   /// Records a successful analysis of `cohort` at `generation`: the
   /// selected centroids + exam types + best K become the next warm
-  /// state, persisted into the manifest. `analyzed_records` is the
+  /// state, appended to the store log. `analyzed_records` is the
   /// record count of the snapshot that was analyzed (the job's log,
   /// NOT the cohort's live log, which may already hold batches that
   /// arrived after the snapshot) — it is what the drift gate measures
-  /// fresh records against. A failed persist (the
-  /// "service.ingest.snapshot" failpoint or real I/O) drops the warm
-  /// state instead of installing it — the next job degrades to a cold
-  /// run, never a wrong answer. Stale and duplicate notifications (a
+  /// fresh records against. A failed append (the
+  /// "service.ingest.snapshot" failpoint or real I/O) drops the new
+  /// warm state instead of installing it — the next job degrades to a
+  /// cold run, never a wrong answer. Centroids that JSON cannot carry
+  /// (NaN, infinity) are dropped the same way. Stale and duplicate
+  /// notifications (a
   /// generation no newer than one already analyzed) are ignored, so
   /// re-analyses of the same generation cannot perturb the stored
   /// hint. Wired to SchedulerOptions::on_session_success by the
@@ -181,45 +204,65 @@ class CohortStore {
   const CohortStoreOptions& options() const { return options_; }
 
  private:
-  struct CohortState {
-    int64_t generation = 0;
-    dataset::ExamLog log;
-    /// Bytes of the records file covered by the last durable manifest.
-    size_t committed_bytes = 0;
-    /// Incremental descriptors (see CohortDescriptors).
-    std::map<std::string, int64_t> exam_marginals;
-    std::set<std::pair<int32_t, int32_t>> distinct_pairs;
-    /// Warm-start state from the last committed analysis.
-    bool has_warm = false;
-    transform::Matrix warm_centroids;
-    std::vector<int32_t> warm_exam_types;
-    int32_t warm_best_k = 0;
+  class Log;
+
+  /// Warm-start state from the last committed analysis.
+  struct WarmState {
+    transform::Matrix centroids;
+    std::vector<int32_t> exam_types;
+    int32_t best_k = 0;
     int64_t analyzed_generation = 0;
     /// Record count of the analyzed snapshot itself (not of the live
     /// log at notification time): the drift gate's baseline.
     int64_t analyzed_records = 0;
   };
 
-  [[nodiscard]] std::string RecordsPath(const std::string& cohort) const;
-  [[nodiscard]] std::string ManifestPath(const std::string& cohort) const;
-  /// Appends `payload` to the cohort's records file after truncating
-  /// any uncommitted residue past state.committed_bytes, then fsyncs.
-  [[nodiscard]] common::Status AppendRecordsFile(const std::string& cohort,
-                                                 const CohortState& state,
-                                                 const std::string& payload);
-  /// Atomically rewrites the cohort's manifest from `state`
-  /// (tmp + fsync + rename + dir fsync; "service.ingest.snapshot").
-  [[nodiscard]] common::Status WriteManifest(const std::string& cohort,
-                                             const CohortState& state);
-  [[nodiscard]] common::Json ManifestJson(const std::string& cohort,
-                                          const CohortState& state) const;
-  /// Loads one persisted cohort (constructor path).
-  [[nodiscard]] common::Status LoadCohort(const std::string& cohort)
+  struct CohortState {
+    int64_t generation = 0;
+    dataset::ExamLog log;
+    /// Incremental descriptors (see CohortDescriptors).
+    std::map<std::string, int64_t> exam_marginals;
+    /// The density's numerator: distinct (patient, exam type) pairs,
+    /// kept as each patient's sorted exam-type ids rather than a tree
+    /// node per pair, so a cohort's memory stays near its records'.
+    std::vector<std::vector<int32_t>> exams_by_patient;
+    int64_t distinct_pairs = 0;
+    std::optional<WarmState> warm;
+    /// Log bytes of the entry `warm` came from: dead once superseded.
+    size_t warm_entry_bytes = 0;
+  };
+
+  /// Replays the store log into memory (constructor path).
+  [[nodiscard]] common::Status Open() ADA_REQUIRES(mutex_);
+  /// Applies one replayed entry of `bytes` log bytes; any error is
+  /// corruption.
+  [[nodiscard]] common::Status ApplyEntry(const common::Json& entry,
+                                          size_t bytes) ADA_REQUIRES(mutex_);
+  /// Makes `body` a durable log entry and returns its size in bytes
+  /// (0 for an in-memory store, where only the failpoint runs).
+  [[nodiscard]] common::StatusOr<size_t> Commit(std::string_view body)
       ADA_REQUIRES(mutex_);
+  void InstallWarm(CohortState& state, WarmState warm, size_t bytes)
+      ADA_REQUIRES(mutex_);
+  /// Folds the last `batch_records` records of state.log (just
+  /// appended) into the incremental descriptors.
+  static void ApplyDescriptors(CohortState& state, size_t batch_records);
+  /// The body of a warm entry for `cohort`.
+  [[nodiscard]] static std::string WarmEntry(const std::string& cohort,
+                                             const WarmState& warm);
+  /// Rewrites the log from memory when its dead bytes exceed both the
+  /// live bytes and the fold floor. A failure only leaves the log long.
+  void MaybeFold() ADA_REQUIRES(mutex_);
 
   const CohortStoreOptions options_;
 
   mutable common::Mutex mutex_;
+  common::Status open_status_ ADA_GUARDED_BY(mutex_);
+  /// Null for an in-memory store or one that failed to open.
+  std::unique_ptr<Log> log_ ADA_GUARDED_BY(mutex_);
+  /// Bytes of live entries and of superseded warm entries in the log.
+  size_t live_bytes_ ADA_GUARDED_BY(mutex_) = 0;
+  size_t dead_bytes_ ADA_GUARDED_BY(mutex_) = 0;
   std::map<std::string, CohortState> cohorts_ ADA_GUARDED_BY(mutex_);
   CohortStoreStats stats_ ADA_GUARDED_BY(mutex_);
 };

@@ -1,6 +1,7 @@
 #include "service/router.h"
 
 #include <algorithm>
+#include <new>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -232,7 +233,18 @@ void Router::OnLine(int64_t id, std::string line) {
   const uint64_t park = ParkClient(id);
   std::function<void()> prepare = [this, loop = host_.shared_loop(), id, park,
                                    prepared, parse_here] {
-    Prepare(*prepared, parse_here);
+    // The parked client is owed a reply whatever the preparation does:
+    // a throw must not reach the pool's trap, which would swallow it.
+    try {
+      Prepare(*prepared, parse_here);
+    } catch (const std::bad_alloc&) {
+      prepared->request = common::ResourceExhaustedError(
+          "out of memory preparing the request");
+    } catch (...) {
+      ADA_LOG(kWarning) << "router: preparing a request threw";
+      prepared->request =
+          common::InternalError("preparing the request threw");
+    }
     loop->Post([this, id, park, prepared] {
       if (!prepared->upload.fingerprint.empty()) {
         memo_.Insert(prepared->memo_key, prepared->upload);

@@ -106,6 +106,9 @@ AnalysisServer::~AnalysisServer() {
 }
 
 Status AnalysisServer::Start() {
+  // A cohort directory this process cannot replay (an old layout, a
+  // corrupt log) must not serve as a silently empty store.
+  ADA_RETURN_IF_ERROR(cohort_store_->status());
   start_time_ = std::chrono::steady_clock::now();
   ADA_RETURN_IF_ERROR(host_.Start([this](int64_t id, std::string line) {
     OnRequestLine(id, std::move(line));

@@ -7,17 +7,23 @@
 // renders a byte-identical report to a cold run on the same data.
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 #include "common/check.h"
+#include "common/csv.h"
+#include "common/failpoint.h"
 #include "common/json.h"
+#include "common/rng.h"
 #include "common/status.h"
 #include "common/sync.h"
 #include "core/report.h"
@@ -287,6 +293,37 @@ TEST(CohortStoreTest, PersistsAndReloadsAcrossStores) {
   EXPECT_EQ(job.value().options.warm.exam_types.size(), 5u);
 }
 
+std::string LogPath(const std::string& dir) {
+  return dir + "/" + service::kStoreLogFile;
+}
+
+std::string ReadLog(const std::string& dir) {
+  auto text = common::ReadFileToString(LogPath(dir));
+  ADA_CHECK(text.ok());
+  return std::move(text).value();
+}
+
+/// Makes the store log in `dir` hold exactly `bytes`. It rewrites the
+/// file in place instead of unlinking it: freeing a synced file's
+/// blocks costs tens of milliseconds on a disk mounted with `discard`,
+/// and the crash-window test does this hundreds of times.
+void WriteLog(const std::string& dir, std::string_view bytes) {
+  const std::string path = LogPath(dir);
+  std::FILE* file = std::fopen(path.c_str(), "r+b");
+  if (file == nullptr) file = std::fopen(path.c_str(), "wb");
+  ADA_CHECK(file != nullptr);
+  ADA_CHECK_EQ(std::fwrite(bytes.data(), 1, bytes.size(), file), bytes.size());
+  std::fclose(file);
+  std::filesystem::resize_file(path, bytes.size());
+}
+
+/// The committed prefix of a log: every byte up to its last newline.
+std::string Committed(const std::string& log) {
+  const size_t newline = log.rfind('\n');
+  return newline == std::string::npos ? std::string()
+                                      : log.substr(0, newline + 1);
+}
+
 TEST(CohortStoreTest, TornAppendResidueIsInvisibleAndTruncated) {
   std::string dir = MakeScratchDir("torn");
   service::CohortStoreOptions options;
@@ -302,29 +339,29 @@ TEST(CohortStoreTest, TornAppendResidueIsInvisibleAndTruncated) {
     committed_csv = store.Snapshot("ward").value().ToCsv();
   }
 
-  // Simulate a crash mid-append: bytes hit the records file but the
-  // manifest rename never happened.
-  {
-    std::FILE* file = std::fopen((dir + "/ward.records").c_str(), "ab");
-    ASSERT_NE(file, nullptr);
-    const std::string garbage = "999,torn-half-a-reco";
-    ASSERT_EQ(std::fwrite(garbage.data(), 1, garbage.size(), file),
-              garbage.size());
-    std::fclose(file);
-  }
+  // Simulate a crash mid-append: an entry's body hit the store log but
+  // its committing newline never did.
+  const std::string residue =
+      "0123456789abcdef {\"cohort\":\"ward\",\"generation\":2,"
+      "\"kind\":\"ingest\",\"records\":[[999,\"torn-half-a-reco";
+  WriteLog(dir, ReadLog(dir) + residue);
 
-  // The loader reads only the committed prefix: generation 1 stays
-  // fully readable, the residue is never parsed.
+  // The replay stops at the last newline: generation 1 stays fully
+  // readable, the residue is never parsed.
   service::CohortStore salvaged(options);
+  ASSERT_TRUE(salvaged.status().ok()) << salvaged.status().ToString();
   EXPECT_EQ(salvaged.num_cohorts(), 1u);
   auto snapshot = salvaged.Snapshot("ward");
   ASSERT_TRUE(snapshot.ok());
   EXPECT_EQ(snapshot.value().ToCsv(), committed_csv);
   EXPECT_EQ(salvaged.Descriptors("ward").value().generation, 1);
 
-  // The next append truncates the residue before writing, so the file
-  // stays parseable end to end.
+  // The next append is written at the committed end, over the residue,
+  // so the log's committed entries stay parseable end to end.
   ASSERT_TRUE(salvaged.Ingest("ward", batch2).ok());
+  const std::string log = ReadLog(dir);
+  EXPECT_EQ(std::count(log.begin(), log.end(), '\n'), 2);
+  EXPECT_EQ(Committed(log).find("torn-half"), std::string::npos);
 
   dataset::ExamLog direct;
   ASSERT_TRUE(direct.Append(batch1).ok());
@@ -337,31 +374,36 @@ TEST(CohortStoreTest, TornAppendResidueIsInvisibleAndTruncated) {
 }
 
 TEST(CohortStoreTest, FirstBatchCrashResidueIsClearedNotAppendedAfter) {
-  // The first-batch crash window: a records file hit disk but the
-  // cohort's FIRST manifest never did. The loader discovers nothing
-  // (no manifest), so a fresh store starts the cohort over — and the
-  // first append must CLEAR the residue, not extend it, or the new
-  // manifest's committed_bytes would cover stale bytes and a reload
-  // would parse the wrong records.
+  // The first-batch crash window: the store log holds only the body of
+  // a first entry whose newline never hit disk. The replay finds no
+  // committed entry, so the store starts empty, and the first append
+  // must land at offset 0, over the residue, not after it: otherwise
+  // the ghost body would become a corrupt committed line.
   std::string dir = MakeScratchDir("first_batch_crash");
   service::CohortStoreOptions options;
   options.directory = dir;
   {
-    std::FILE* file = std::fopen((dir + "/ward.records").c_str(), "wb");
-    ASSERT_NE(file, nullptr);
-    const std::string residue =
-        "patient_id,exam_type,day\n7,ghost_exam,3\n11,torn-half";
-    ASSERT_EQ(std::fwrite(residue.data(), 1, residue.size(), file),
-              residue.size());
-    std::fclose(file);
+    std::string ghost_dir = MakeScratchDir("first_batch_ghost");
+    service::CohortStore ghost(service::CohortStoreOptions{ghost_dir});
+    ASSERT_TRUE(ghost
+                    .Ingest("ward", {Raw(7, "ghost_exam_with_a_long_name", 3),
+                                     Raw(11, "another_ghost_exam", 4),
+                                     Raw(12, "and_one_more_ghost", 5)})
+                    .ok());
+    std::string line = ReadLog(ghost_dir);
+    line.pop_back();  // The newline that never made it.
+    WriteLog(dir, line);
   }
 
   service::CohortStore store(options);
-  EXPECT_EQ(store.num_cohorts(), 0u);  // No manifest, no cohort.
+  ASSERT_TRUE(store.status().ok()) << store.status().ToString();
+  EXPECT_EQ(store.num_cohorts(), 0u);  // No committed entry, no cohort.
 
   std::vector<dataset::RawExamRecord> batch = {Raw(0, "ecg", 1),
                                                Raw(1, "xray", 2)};
-  ASSERT_TRUE(store.Ingest("ward", batch).ok());
+  auto first = store.Ingest("ward", batch);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->generation, 1);
 
   // In memory and across a reload, the cohort holds exactly the
   // committed batch: no ghost records, no parse failure.
@@ -369,9 +411,319 @@ TEST(CohortStoreTest, FirstBatchCrashResidueIsClearedNotAppendedAfter) {
   ASSERT_TRUE(direct.Append(batch).ok());
   EXPECT_EQ(store.Snapshot("ward").value().ToCsv(), direct.ToCsv());
   service::CohortStore reloaded(options);
+  ASSERT_TRUE(reloaded.status().ok()) << reloaded.status().ToString();
   ASSERT_EQ(reloaded.num_cohorts(), 1u);
   EXPECT_EQ(reloaded.Snapshot("ward").value().ToCsv(), direct.ToCsv());
   EXPECT_EQ(reloaded.Descriptors("ward").value().records, 2);
+}
+
+/// One step of a generated store history: an ingest batch, or a
+/// committed analysis that installs warm state.
+struct HistoryStep {
+  std::string cohort;
+  std::vector<dataset::RawExamRecord> batch;  // Empty for a warm step.
+  int64_t generation = 0;
+  int64_t analyzed_records = 0;
+  core::SessionResult analysis;
+};
+
+void Replay(service::CohortStore& store,
+            const std::vector<HistoryStep>& history, size_t steps) {
+  for (size_t i = 0; i < steps; ++i) {
+    const HistoryStep& step = history[i];
+    if (step.batch.empty()) {
+      store.OnAnalysisCommitted(step.cohort, step.generation,
+                                step.analyzed_records, step.analysis);
+    } else {
+      ADA_CHECK(store.Ingest(step.cohort, step.batch).ok());
+    }
+  }
+}
+
+const std::vector<std::string>& HistoryCohorts() {
+  static const std::vector<std::string> cohorts = {"alpha", "beta-2",
+                                                   "gamma_3"};
+  return cohorts;
+}
+
+/// A seeded history over three cohorts whose last step is a warm step
+/// when `warm_last`, else an ingest. Exam names need CSV and JSON
+/// quoting.
+std::vector<HistoryStep> MakeHistory(uint64_t seed, bool warm_last) {
+  const std::vector<std::string> exams = {
+      "ecg", "x,ray", "say \"ah\"", "line\nbreak", "tab\there", "\xc3\xbcltra"};
+  common::Rng rng(seed);
+  std::map<std::string, std::pair<int64_t, int64_t>> model;  // gen, records
+  std::map<std::string, int64_t> analyzed;
+  std::vector<HistoryStep> history;
+  auto ingest = [&](const std::string& cohort, size_t records) {
+    HistoryStep step;
+    step.cohort = cohort;
+    for (size_t i = 0; i < records; ++i) {
+      step.batch.push_back(
+          Raw(static_cast<int32_t>(rng.UniformInt(0, 30)),
+              exams[rng.UniformUint64(exams.size())],
+              static_cast<int32_t>(rng.UniformInt(-5, 400))));
+    }
+    model[cohort].first += 1;
+    model[cohort].second += static_cast<int64_t>(records);
+    history.push_back(std::move(step));
+  };
+  auto warm = [&](const std::string& cohort) {
+    if (model[cohort].first <= analyzed[cohort]) return false;
+    HistoryStep step;
+    step.cohort = cohort;
+    step.generation = model[cohort].first;
+    step.analyzed_records = model[cohort].second;
+    step.analysis =
+        FakeSuccess(static_cast<int32_t>(rng.UniformInt(2, 3)), 3,
+                    rng.UniformDouble(-2.0, 2.0));
+    analyzed[cohort] = step.generation;
+    history.push_back(std::move(step));
+    return true;
+  };
+  for (const std::string& cohort : HistoryCohorts()) ingest(cohort, 20);
+  for (int i = 0; i < 14; ++i) {
+    const std::string& cohort =
+        HistoryCohorts()[rng.UniformUint64(HistoryCohorts().size())];
+    if (rng.UniformDouble() < 0.35 && warm(cohort)) continue;
+    ingest(cohort, static_cast<size_t>(rng.UniformInt(1, 5)));
+  }
+  if (warm_last) {
+    ingest("beta-2", 1);
+    EXPECT_TRUE(warm("beta-2"));
+  } else {
+    ingest("gamma_3", 4);
+  }
+  return history;
+}
+
+/// Everything a reader of the store can see, cohort by cohort.
+void ExpectSameStore(service::CohortStore& actual,
+                     service::CohortStore& expected,
+                     const std::string& where) {
+  EXPECT_EQ(actual.num_cohorts(), expected.num_cohorts()) << where;
+  const service::CohortStoreStats got = actual.stats();
+  const service::CohortStoreStats want = expected.stats();
+  EXPECT_EQ(got.batches, want.batches) << where;
+  EXPECT_EQ(got.records, want.records) << where;
+  EXPECT_EQ(got.generations, want.generations) << where;
+  for (const std::string& cohort : HistoryCohorts()) {
+    auto want_descriptors = expected.Descriptors(cohort);
+    auto got_descriptors = actual.Descriptors(cohort);
+    ASSERT_EQ(got_descriptors.ok(), want_descriptors.ok()) << where << cohort;
+    if (!want_descriptors.ok()) continue;
+    EXPECT_EQ(got_descriptors->generation, want_descriptors->generation)
+        << where << cohort;
+    EXPECT_EQ(got_descriptors->records, want_descriptors->records);
+    EXPECT_EQ(got_descriptors->patients, want_descriptors->patients);
+    EXPECT_EQ(got_descriptors->exam_types, want_descriptors->exam_types);
+    EXPECT_EQ(got_descriptors->density, want_descriptors->density);
+    EXPECT_EQ(got_descriptors->exam_marginals,
+              want_descriptors->exam_marginals);
+    EXPECT_EQ(actual.Snapshot(cohort)->ToCsv(),
+              expected.Snapshot(cohort)->ToCsv())
+        << where << cohort;
+    auto got_job = actual.BuildCohortJob(cohort);
+    auto want_job = expected.BuildCohortJob(cohort);
+    ASSERT_TRUE(got_job.ok() && want_job.ok()) << where << cohort;
+    EXPECT_EQ(got_job->options.warm.centroids,
+              want_job->options.warm.centroids)
+        << where << cohort;
+    EXPECT_EQ(got_job->options.warm.exam_types,
+              want_job->options.warm.exam_types);
+    EXPECT_EQ(got_job->options.warm.best_k, want_job->options.warm.best_k);
+  }
+}
+
+/// Opens the store log in `dir` and checks it against a direct
+/// in-memory replay of the first `steps` steps; then the next ingest
+/// must commit at generation + 1 and survive another reload.
+void ExpectRecovers(const std::string& dir,
+                    const std::vector<HistoryStep>& history, size_t steps,
+                    const std::string& where) {
+  service::CohortStore expected(service::CohortStoreOptions{});
+  Replay(expected, history, steps);
+  const std::vector<dataset::RawExamRecord> next = {Raw(3, "ecg", 500)};
+  {
+    service::CohortStore recovered(service::CohortStoreOptions{dir});
+    ASSERT_TRUE(recovered.status().ok())
+        << where << recovered.status().ToString();
+    ExpectSameStore(recovered, expected, where);
+    const int64_t generation = expected.Descriptors("alpha")->generation;
+    auto committed = recovered.Ingest("alpha", next, generation);
+    ASSERT_TRUE(committed.ok()) << where << committed.status().ToString();
+    EXPECT_EQ(committed->generation, generation + 1) << where;
+    ASSERT_TRUE(expected.Ingest("alpha", next, generation).ok());
+  }
+  service::CohortStore reloaded(service::CohortStoreOptions{dir});
+  ASSERT_TRUE(reloaded.status().ok()) << where;
+  ExpectSameStore(reloaded, expected, where + " after the next ingest");
+}
+
+TEST(CohortStoreTest, GeneratedCrashWindowRecoversTheCommittedEntries) {
+  for (const bool warm_last : {false, true}) {
+    SCOPED_TRACE(warm_last ? "last entry: warm" : "last entry: ingest");
+    const std::vector<HistoryStep> history = MakeHistory(2027, warm_last);
+    const std::string dir = MakeScratchDir("crash_source");
+    size_t last_entry_start = 0;
+    {
+      service::CohortStore store(service::CohortStoreOptions{dir});
+      Replay(store, history, history.size() - 1);
+      last_entry_start = ReadLog(dir).size();
+      Replay(store, {history.back()}, 1);
+    }
+    const std::string log = ReadLog(dir);
+    ASSERT_GT(log.size(), last_entry_start);
+    ASSERT_EQ(log.back(), '\n');
+
+    // Non-vacuous: a warm last entry leaves warm state to compare.
+    if (warm_last) {
+      service::CohortStore expected(service::CohortStoreOptions{});
+      Replay(expected, history, history.size());
+      EXPECT_FALSE(
+          expected.BuildCohortJob("beta-2")->options.warm.centroids.empty());
+    }
+
+    // A crash at every byte offset inside the last entry: everything
+    // before it is committed, nothing of it is.
+    const std::string crash = MakeScratchDir("crash_cut");
+    for (size_t cut = last_entry_start; cut < log.size(); ++cut) {
+      WriteLog(crash, std::string_view(log).substr(0, cut));
+      ExpectRecovers(crash, history, history.size() - 1,
+                     "cut at byte " + std::to_string(cut) + ": ");
+      if (HasFatalFailure()) return;
+    }
+    // A whole entry body whose newline never landed, after a complete
+    // log: the full history is committed, the body is not.
+    WriteLog(crash, log + log.substr(last_entry_start,
+                                     log.size() - 1 - last_entry_start));
+    ExpectRecovers(crash, history, history.size(), "trailing body: ");
+  }
+}
+
+TEST(CohortStoreTest, CorruptCommittedEntryRefusesToOpen) {
+  const std::string source = MakeScratchDir("corrupt_source");
+  {
+    service::CohortStore store(service::CohortStoreOptions{source});
+    ASSERT_TRUE(store.Ingest("ward", {Raw(0, "ecg", 1), Raw(1, "mri", 2)}).ok());
+    ASSERT_TRUE(store.Ingest("ward", {Raw(2, "ecg", 3)}).ok());
+    store.OnAnalysisCommitted("ward", 2, 3, FakeSuccess(2, 2, 0.5));
+    ASSERT_TRUE(store.Ingest("ward", {Raw(3, "ecg", 4)}).ok());
+  }
+  const std::string log = ReadLog(source);
+  const size_t first_end = log.find('\n') + 1;
+  const size_t second_end = log.find('\n', first_end) + 1;
+  std::string flipped = log;
+  flipped[first_end / 2] ^= 0x01;  // Inside the first entry.
+  std::string repeated = log;      // Generation 1 committed twice.
+  repeated.insert(first_end, log.substr(0, first_end));
+  std::string bad_last = log;      // The last committed entry.
+  bad_last[bad_last.size() - 3] ^= 0x01;
+  std::string unframed = log;      // A line without its checksum.
+  unframed.insert(second_end, "{\"kind\":\"ingest\"}\n");
+
+  int variant = 0;
+  for (const std::string& corrupt : {flipped, repeated, bad_last, unframed}) {
+    SCOPED_TRACE("variant " + std::to_string(variant++));
+    const std::string dir = MakeScratchDir("corrupt");
+    WriteLog(dir, corrupt);
+    service::CohortStore store(service::CohortStoreOptions{dir});
+    EXPECT_EQ(store.status().code(), StatusCode::kDataLoss)
+        << store.status().ToString();
+    // Nothing is served and nothing is written: committed batches are
+    // never silently dropped or written over.
+    EXPECT_EQ(store.num_cohorts(), 0u);
+    EXPECT_EQ(store.Ingest("ward", {Raw(9, "ecg", 9)}).status().code(),
+              StatusCode::kDataLoss);
+    EXPECT_EQ(ReadLog(dir), corrupt);
+
+    service::ServerOptions options;
+    options.cohort_directory = dir;
+    service::AnalysisServer server(std::move(options));
+    EXPECT_EQ(server.Start().code(), StatusCode::kDataLoss);
+  }
+}
+
+TEST(CohortStoreTest, RefusesTheOldPerCohortLayout) {
+  for (const std::string file : {"ward.manifest.json", "ward.records"}) {
+    const std::string dir = MakeScratchDir("old_layout");
+    {
+      std::FILE* out = std::fopen((dir + "/" + file).c_str(), "wb");
+      ASSERT_NE(out, nullptr);
+      std::fputs("{}\n", out);
+      std::fclose(out);
+    }
+    service::CohortStore store(service::CohortStoreOptions{dir});
+    EXPECT_EQ(store.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(store.status().message().find(file), std::string::npos)
+        << store.status().ToString();
+    EXPECT_EQ(store.Ingest("ward", {Raw(0, "ecg", 1)}).status().code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_FALSE(std::filesystem::exists(LogPath(dir)));
+
+    service::ServerOptions options;
+    options.cohort_directory = dir;
+    service::AnalysisServer server(std::move(options));
+    const common::Status started = server.Start();
+    EXPECT_EQ(started.code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(started.message().find(file), std::string::npos);
+  }
+}
+
+TEST(CohortStoreTest, RequestPathNeverRenamesAndFoldsDeadWarmBytes) {
+  const std::string dir = MakeScratchDir("fold");
+  service::CohortStoreOptions options;
+  options.directory = dir;
+  service::CohortStore store(options);
+  ASSERT_TRUE(store.Ingest("ward", {Raw(0, "ecg", 1), Raw(1, "mri", 2)}).ok());
+
+  // With every K-DB storage step failing, ingests and warm commits still
+  // succeed: only the fold goes through AtomicWriteFile, and its
+  // failure just leaves the dead bytes in the log. Each warm entry here
+  // is about 30 KiB, so dead bytes pass the 1 MiB floor well inside
+  // the loop.
+  common::FailpointRegistry& failpoints = common::FailpointRegistry::Default();
+  ASSERT_TRUE(failpoints
+                  .Configure("kdb.storage.write=error(UNAVAILABLE);"
+                             "kdb.storage.fsync=error(UNAVAILABLE);"
+                             "kdb.storage.rename=error(UNAVAILABLE)")
+                  .ok());
+  size_t size = ReadLog(dir).size();
+  int64_t records = 2;
+  for (int64_t generation = 2; generation <= 50; ++generation) {
+    ASSERT_TRUE(store.Ingest("ward", {Raw(2, "ecg", 3)}).ok());
+    ++records;
+    store.OnAnalysisCommitted("ward", generation, records,
+                              FakeSuccess(8, 200, 1.0 / 3 + generation));
+    const size_t grown = ReadLog(dir).size();
+    ASSERT_GT(grown, size) << "generation " << generation;
+    size = grown;
+  }
+  EXPECT_EQ(store.stats().snapshot_failures, 0);
+  EXPECT_GT(failpoints.hits("kdb.storage.write"), 0);  // Folds were tried.
+  failpoints.Clear();
+
+  // Unarmed, the next warm commit folds: the log shrinks to one ingest
+  // entry and one warm entry.
+  ASSERT_TRUE(store.Ingest("ward", {Raw(2, "ecg", 3)}).ok());
+  ++records;
+  store.OnAnalysisCommitted("ward", 51, records, FakeSuccess(8, 200, 0.75));
+  const std::string folded = ReadLog(dir);
+  EXPECT_LT(folded.size(), size / 10);
+  EXPECT_EQ(std::count(folded.begin(), folded.end(), '\n'), 2);
+
+  // The fold kept everything a reader sees, and the store appends to the
+  // new file.
+  ASSERT_TRUE(store.Ingest("ward", {Raw(4, "xray", 5)}).ok());
+  service::CohortStore reloaded(options);
+  ASSERT_TRUE(reloaded.status().ok()) << reloaded.status().ToString();
+  EXPECT_EQ(reloaded.Snapshot("ward")->ToCsv(), store.Snapshot("ward")->ToCsv());
+  EXPECT_EQ(reloaded.Descriptors("ward")->generation, 52);
+  EXPECT_EQ(reloaded.stats().batches, 52);
+  EXPECT_EQ(reloaded.stats().records, store.stats().records);
+  EXPECT_EQ(reloaded.BuildCohortJob("ward")->options.warm.centroids,
+            transform::Matrix(8, 200, 0.75));
 }
 
 TEST(CohortStoreTest, ExpectedGenerationGuardsAgainstReplay) {

@@ -9,6 +9,8 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <new>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -89,6 +91,28 @@ TEST_F(FaultInjectionTest, ParsesDelayAction) {
   ASSERT_TRUE(config.ok());
   EXPECT_EQ(config->kind, FailpointConfig::Kind::kDelay);
   EXPECT_EQ(config->delay_millis, 25);
+}
+
+TEST_F(FaultInjectionTest, ThrowActionThrowsFromEvaluate) {
+  auto config = FailpointRegistry::ParseAction("throw(bad_alloc)*1");
+  ASSERT_TRUE(config.ok());
+  EXPECT_EQ(config->kind, FailpointConfig::Kind::kThrow);
+  EXPECT_EQ(config->message, "bad_alloc");
+  EXPECT_EQ(config->max_activations, 1);
+
+  FailpointRegistry& registry = FailpointRegistry::Default();
+  ASSERT_TRUE(registry
+                  .Configure("test.throw.alloc=throw(bad_alloc)*1;"
+                             "test.throw.other=throw(no such luck)")
+                  .ok());
+  EXPECT_THROW((void)registry.Evaluate("test.throw.alloc"), std::bad_alloc);
+  EXPECT_TRUE(registry.Evaluate("test.throw.alloc").ok());  // Exhausted.
+  try {
+    (void)registry.Evaluate("test.throw.other");
+    ADD_FAILURE() << "throw(no such luck) did not throw";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "no such luck");
+  }
 }
 
 TEST_F(FaultInjectionTest, ParsesCountAndNthModifiers) {

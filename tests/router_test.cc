@@ -947,6 +947,48 @@ TEST(RouterTest, OversizedSyntheticSubmitIsAnsweredAndSoIsTheLineBehindIt) {
   shard->Stop();
 }
 
+TEST(RouterTest, ThrowingPreparationIsAnsweredAndSoIsTheLineBehindIt) {
+  auto shard = StartShardServer(service::ServerRole::kPrimary);
+  service::RouterOptions options = QuietRouterOptions();
+  options.shards.push_back(service::ShardEndpoints{shard->port(), 0});
+  service::Router router(std::move(options));
+  ASSERT_TRUE(router.Start().ok());
+  auto client = service::AnalysisClient::Connect(
+      router.port(), /*recv_timeout_millis=*/10000);
+  ASSERT_TRUE(client.ok());
+
+  Json::Object synthetic;
+  synthetic["patients"] = static_cast<int64_t>(40);
+  synthetic["exam_types"] = static_cast<int64_t>(12);
+  Json::Object submit;
+  submit["verb"] = "submit";
+  submit["synthetic"] = Json(std::move(synthetic));
+  Json::Object ping;
+  ping["verb"] = "ping";
+  // A throw out of the pool task that prepares a csv/synthetic submit
+  // used to be swallowed by the pool's trap: no reply was posted, so
+  // the parked client and every line behind it hung.
+  for (const auto& [what, code] :
+       {std::pair<std::string, StatusCode>{"bad_alloc",
+                                           StatusCode::kResourceExhausted},
+        std::pair<std::string, StatusCode>{"boom", StatusCode::kInternal}}) {
+    common::FailpointConfig config;
+    config.kind = common::FailpointConfig::Kind::kThrow;
+    config.message = what;
+    config.max_activations = 1;
+    common::ScopedFailpoint thrown("router.prepare", config);
+    auto replies = client->CallPipelined({submit, ping});
+    ASSERT_EQ(replies.size(), 2u) << what;
+    EXPECT_EQ(replies[0].status().code(), code)
+        << what << ": " << replies[0].status().ToString();
+    EXPECT_TRUE(replies[1].ok()) << what << ": "
+                                 << replies[1].status().ToString();
+  }
+  EXPECT_EQ(shard->scheduler().stats().submitted, 0);
+  router.Stop();
+  shard->Stop();
+}
+
 /// Threads of this process right now.
 size_t ThreadCount() {
   size_t threads = 0;

@@ -82,8 +82,8 @@ Rules
                     streaming cohort store's crash-safe persistence
                     module. Every other service-layer component persists
                     through the K-DB storage layer (as the result cache
-                    does). cohort_store.cc itself appends its records
-                    files directly but writes its manifests through
+                    does). cohort_store.cc itself appends to its store
+                    log directly but folds it through
                     kdb::AtomicWriteFile, so the atomic-rename
                     discipline and its failpoints live in one audited
                     place.

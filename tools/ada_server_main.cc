@@ -15,8 +15,11 @@
 //              [--role primary|follower] [--replicate-to PORT]
 //
 // --cohort-dir makes the streaming cohort store (the `ingest` verb)
-// durable: each cohort persists as a records CSV plus an atomically
-// rewritten manifest, and survives crashes batch-atomically.
+// durable: every cohort in the directory lives in one append-only store
+// log (cohort_store.log), one fdatasync'd entry per committed batch or
+// warm state, and survives crashes batch-atomically. A directory in the
+// old per-cohort records/manifest layout, or whose log is corrupt, is
+// refused at start.
 //
 // Sharded clusters (tools/ada_router): start each shard's follower
 // with `--role follower`, its primary with `--replicate-to` pointing

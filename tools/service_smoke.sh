@@ -9,7 +9,10 @@
 # then cross-checks the scheduler/cache counters via the stats verb,
 # runs a multi-client exchange (pipelined ping batches and cache-served
 # submits in parallel — a serial accept-handle-close server would
-# deadlock here), and stops the server with the shutdown verb.
+# deadlock here), and stops the server with the shutdown verb. Last, a
+# server with --cohort-dir is killed with SIGKILL after three guarded
+# ingests and restarted over the same directory: the store log must
+# bring back generation 3 exactly.
 #
 # Usage: tools/service_smoke.sh [BUILD_DIR]   (default: build)
 # CI runs this under ASan+UBSan (the service-smoke job).
@@ -19,6 +22,7 @@ BUILD_DIR="${1:-build}"
 SERVER="${BUILD_DIR}/tools/ada_server"
 CLIENT="${BUILD_DIR}/tools/ada_client"
 LOG="$(mktemp /tmp/ada_server_smoke.XXXXXX.log)"
+COHORT_DIR="$(mktemp -d /tmp/ada_cohort_smoke.XXXXXX)"
 SERVER_PID=""
 
 for binary in "${SERVER}" "${CLIENT}"; do
@@ -35,6 +39,7 @@ cleanup() {
     wait "${SERVER_PID}" 2>/dev/null || true
   fi
   rm -f "${LOG}"
+  rm -rf "${COHORT_DIR}"
 }
 trap cleanup EXIT
 
@@ -51,19 +56,22 @@ fail() {
 # answered at admission and runs no session), and the failpoint holds
 # it for 2 s, so the 1 ms-deadline job behind it always expires however
 # fast the busy job's session runs.
+wait_for_port() {  # Sets PORT from the log of the server at SERVER_PID.
+  PORT=""
+  for _ in $(seq 1 100); do
+    PORT="$(sed -n 's/.*listening on port \([0-9]*\).*/\1/p' "${LOG}" | head -1)"
+    [[ -n "${PORT}" ]] && break
+    kill -0 "${SERVER_PID}" 2>/dev/null || fail "server exited during startup"
+    sleep 0.1
+  done
+  [[ -n "${PORT}" ]] || fail "server never reported its port"
+  echo "service_smoke: server up on port ${PORT} (pid ${SERVER_PID})"
+}
+
 ADA_FAILPOINTS='service.worker.session=delay(2000)*1@2' \
   "${SERVER}" --port 0 --workers 1 >"${LOG}" 2>&1 &
 SERVER_PID=$!
-
-PORT=""
-for _ in $(seq 1 100); do
-  PORT="$(sed -n 's/.*listening on port \([0-9]*\).*/\1/p' "${LOG}" | head -1)"
-  [[ -n "${PORT}" ]] && break
-  kill -0 "${SERVER_PID}" 2>/dev/null || fail "server exited during startup"
-  sleep 0.1
-done
-[[ -n "${PORT}" ]] || fail "server never reported its port"
-echo "service_smoke: server up on port ${PORT} (pid ${SERVER_PID})"
+wait_for_port
 
 client() { "${CLIENT}" --port "${PORT}" "$@"; }
 
@@ -233,5 +241,59 @@ SERVER_CODE=$?
 SERVER_PID=""
 [[ "${SERVER_CODE}" -eq 0 ]] \
   || fail "server exited ${SERVER_CODE} after shutdown (want 0)"
+
+echo "== cohort store: SIGKILL and restart over --cohort-dir =="
+# Each guarded batch commits one store-log entry before its reply, so
+# a SIGKILL right after the third reply loses nothing: the restarted
+# server replays generation 3, commits the next guarded batch as
+# generation 4, and rejects a replay of it.
+: >"${LOG}"  # The previous server's port line must not be read.
+"${SERVER}" --port 0 --workers 1 --cohort-dir "${COHORT_DIR}" \
+  >"${LOG}" 2>&1 &
+SERVER_PID=$!
+wait_for_port
+for generation in 0 1 2; do
+  OUT="$(ndjson_batch $((generation * 10)) 10 \
+      | client ingest --cohort crash-ward --expect-generation "${generation}")" \
+    || fail "guarded ingest at generation ${generation} failed"
+  grep -q "^generation: $((generation + 1))$" <<<"${OUT}" \
+    || fail "guarded ingest did not commit generation $((generation + 1))"
+done
+kill -9 "${SERVER_PID}"
+wait "${SERVER_PID}" 2>/dev/null || true
+
+: >"${LOG}"  # The previous server's port line must not be read.
+"${SERVER}" --port 0 --workers 1 --cohort-dir "${COHORT_DIR}" \
+  >"${LOG}" 2>&1 &
+SERVER_PID=$!
+wait_for_port
+OUT="$(ndjson_batch 30 5 \
+    | client ingest --cohort crash-ward --expect-generation 3)" \
+  || fail "ingest after the restart failed"
+grep -q '^generation: 4$' <<<"${OUT}" \
+  || fail "ingest after the restart did not commit generation 4"
+set +e
+REPLAY="$(ndjson_batch 30 5 \
+    | client ingest --cohort crash-ward --expect-generation 3 2>&1)"
+REPLAY_CODE=$?
+set -e
+[[ "${REPLAY_CODE}" -eq 4 ]] \
+  || fail "replayed batch exited ${REPLAY_CODE} (want 4 = server error)"
+grep -q 'FAILED_PRECONDITION' <<<"${REPLAY}" \
+  || fail "replayed batch was not refused with FAILED_PRECONDITION"
+RESTART_STATS="$(client stats)" || fail "stats verb failed after restart"
+python3 - "${RESTART_STATS}" <<'EOF' || fail "restarted ingest counters off"
+import json, sys
+ingest = json.loads(sys.argv[1])["ingest"]
+# Three batches of 10 patients and one of 5, four records a patient.
+want = {"batches": 4, "records": 140, "cohorts": 1, "generations": 4}
+bad = {k: (ingest.get(k), v) for k, v in want.items() if ingest.get(k) != v}
+if bad:
+    print(f"counter mismatches (got, want): {bad}", file=sys.stderr)
+    sys.exit(1)
+EOF
+client shutdown >/dev/null || fail "shutdown verb failed after restart"
+wait "${SERVER_PID}" || fail "restarted server exited non-zero"
+SERVER_PID=""
 
 echo "service_smoke: PASS"
