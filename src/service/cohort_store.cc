@@ -421,7 +421,8 @@ void CohortStore::ApplyDescriptors(CohortState& state, size_t batch_records) {
       state.exams_by_patient.resize(patient + 1);
     }
     std::vector<int32_t>& exams = state.exams_by_patient[patient];
-    auto it = std::lower_bound(exams.begin(), exams.end(), records[i].exam_type);
+    auto it =
+        std::lower_bound(exams.begin(), exams.end(), records[i].exam_type);
     if (it == exams.end() || *it != records[i].exam_type) {
       exams.insert(it, records[i].exam_type);
       ++state.distinct_pairs;

@@ -19,10 +19,11 @@
 // state. An entry is written at the committed end of the log in one
 // pwrite and made durable with one fdatasync; the newline commits it.
 // An append never renames, truncates or unlinks a file; only the fold
-// below does, through one AtomicWriteFile. A crash mid-append leaves a tail without a newline, which
-// the next open ignores and the next append overwrites: a batch is
-// fully committed or never happened. A malformed entry before the last
-// newline is corruption, and the store refuses to open (status()).
+// below does, through one AtomicWriteFile. A crash mid-append leaves a
+// tail without a newline, which the next open ignores and the next
+// append overwrites: a batch is fully committed or never happened. A
+// malformed entry before the last newline is corruption, and the store
+// refuses to open (status()).
 //
 // Superseded warm entries are dead bytes. Once they exceed both the
 // live bytes and a 1 MiB floor, the store folds the log: one rewrite

@@ -606,7 +606,8 @@ TEST(CohortStoreTest, CorruptCommittedEntryRefusesToOpen) {
   const std::string source = MakeScratchDir("corrupt_source");
   {
     service::CohortStore store(service::CohortStoreOptions{source});
-    ASSERT_TRUE(store.Ingest("ward", {Raw(0, "ecg", 1), Raw(1, "mri", 2)}).ok());
+    ASSERT_TRUE(
+        store.Ingest("ward", {Raw(0, "ecg", 1), Raw(1, "mri", 2)}).ok());
     ASSERT_TRUE(store.Ingest("ward", {Raw(2, "ecg", 3)}).ok());
     store.OnAnalysisCommitted("ward", 2, 3, FakeSuccess(2, 2, 0.5));
     ASSERT_TRUE(store.Ingest("ward", {Raw(3, "ecg", 4)}).ok());
@@ -718,7 +719,8 @@ TEST(CohortStoreTest, RequestPathNeverRenamesAndFoldsDeadWarmBytes) {
   ASSERT_TRUE(store.Ingest("ward", {Raw(4, "xray", 5)}).ok());
   service::CohortStore reloaded(options);
   ASSERT_TRUE(reloaded.status().ok()) << reloaded.status().ToString();
-  EXPECT_EQ(reloaded.Snapshot("ward")->ToCsv(), store.Snapshot("ward")->ToCsv());
+  EXPECT_EQ(reloaded.Snapshot("ward")->ToCsv(),
+            store.Snapshot("ward")->ToCsv());
   EXPECT_EQ(reloaded.Descriptors("ward")->generation, 52);
   EXPECT_EQ(reloaded.stats().batches, 52);
   EXPECT_EQ(reloaded.stats().records, store.stats().records);
