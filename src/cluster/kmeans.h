@@ -98,8 +98,7 @@ struct Clustering {
                                        const KMeansOptions& options);
 
 /// Same contract on a CSR matrix, without ever materializing the dense
-/// data (the memory-efficient path for BuildSparseVsm output). Results
-/// are identical to running on data.ToDense().
+/// data. Results are identical to running on data.ToDense().
 [[nodiscard]] common::StatusOr<Clustering> RunKMeans(
     const transform::CsrMatrix& data, const KMeansOptions& options);
 

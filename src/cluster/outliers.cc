@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
 
 namespace adahealth {
@@ -43,34 +42,6 @@ StatusOr<std::vector<double>> CentroidOutlierScores(
                       ? cluster_total[c] / static_cast<double>(sizes[c])
                       : 0.0;
     scores[i] = mean > 0.0 ? distances[i] / mean : 1.0;
-  }
-  return scores;
-}
-
-StatusOr<std::vector<double>> KnnOutlierScores(const Matrix& data,
-                                               int32_t k) {
-  if (data.rows() < 2) {
-    return common::InvalidArgumentError(
-        "k-NN outlier scoring needs at least two rows");
-  }
-  if (k < 1 || static_cast<size_t>(k) >= data.rows()) {
-    return common::InvalidArgumentError("k must be in [1, rows)");
-  }
-  const size_t n = data.rows();
-  std::vector<double> scores(n, 0.0);
-  std::vector<double> distances(n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < n; ++j) {
-      distances[j] = j == i
-                         ? std::numeric_limits<double>::max()
-                         : std::sqrt(SquaredDistance(data.Row(i),
-                                                     data.Row(j)));
-    }
-    std::nth_element(distances.begin(),
-                     distances.begin() + (k - 1), distances.end());
-    double sum = std::accumulate(distances.begin(),
-                                 distances.begin() + k, 0.0);
-    scores[i] = sum / static_cast<double>(k);
   }
   return scores;
 }

@@ -2,11 +2,9 @@
 //
 // The paper notes that rarely prescribed exams "could affect other
 // types of analyses such as outlier detection" (§IV-B); this module
-// provides the two standard unsupervised scorers such an analysis
-// would use:
-//  * centroid-relative score — distance to the assigned centroid
-//    normalized by the cluster's mean distance;
-//  * k-NN distance score — mean distance to the k nearest neighbours.
+// provides the centroid-relative score such an analysis would use:
+// distance to the assigned centroid normalized by the cluster's mean
+// distance.
 #ifndef ADAHEALTH_CLUSTER_OUTLIERS_H_
 #define ADAHEALTH_CLUSTER_OUTLIERS_H_
 
@@ -26,11 +24,6 @@ namespace cluster {
 /// score 1.0). Requires assignments to match `data`.
 [[nodiscard]] common::StatusOr<std::vector<double>> CentroidOutlierScores(
     const transform::Matrix& data, const Clustering& clustering);
-
-/// Per-row mean Euclidean distance to the `k` nearest other rows
-/// (brute force, O(n^2 d)). Requires 1 <= k < data.rows().
-[[nodiscard]] common::StatusOr<std::vector<double>> KnnOutlierScores(
-    const transform::Matrix& data, int32_t k);
 
 /// Indices of the `count` largest scores, descending (ties by index).
 std::vector<size_t> TopOutliers(const std::vector<double>& scores,

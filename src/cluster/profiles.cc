@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "common/string_util.h"
 
 namespace adahealth {
 namespace cluster {
@@ -107,25 +106,6 @@ StatusOr<std::vector<ClusterProfile>> BuildClusterProfiles(
     profiles.push_back(std::move(profile));
   }
   return profiles;
-}
-
-std::string FormatClusterProfile(const ClusterProfile& profile,
-                                 const dataset::ExamLog& log) {
-  std::string out = common::StrFormat(
-      "group %d: %lld patients, cohesion %.3f, distinctive:",
-      profile.cluster, static_cast<long long>(profile.size),
-      profile.cohesion);
-  if (profile.top_by_lift.empty()) {
-    out += " (none)";
-    return out;
-  }
-  for (size_t i = 0; i < profile.top_by_lift.size(); ++i) {
-    const SignatureExam& exam = profile.top_by_lift[i];
-    out += common::StrFormat("%s %s (x%.1f)", i > 0 ? "," : "",
-                             log.dictionary().Name(exam.exam).c_str(),
-                             exam.lift);
-  }
-  return out;
 }
 
 }  // namespace cluster

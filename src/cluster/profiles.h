@@ -6,7 +6,6 @@
 #ifndef ADAHEALTH_CLUSTER_PROFILES_H_
 #define ADAHEALTH_CLUSTER_PROFILES_H_
 
-#include <string>
 #include <vector>
 
 #include "cluster/kmeans.h"
@@ -47,12 +46,6 @@ struct ClusterProfile {
 [[nodiscard]] common::StatusOr<std::vector<ClusterProfile>> BuildClusterProfiles(
     const dataset::ExamLog& log, const transform::Matrix& vsm,
     const Clustering& clustering, size_t top_k = 5);
-
-/// One-line rendering, e.g.
-/// "group 2: 456 patients, cohesion 0.31, distinctive: fundus_exam
-///  (x4.1), retina_scan (x3.2)".
-std::string FormatClusterProfile(const ClusterProfile& profile,
-                                 const dataset::ExamLog& log);
 
 }  // namespace cluster
 }  // namespace adahealth

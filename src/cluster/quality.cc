@@ -1,10 +1,5 @@
 #include "cluster/quality.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-
-#include "cluster/kmeans.h"
 #include "common/check.h"
 
 namespace adahealth {
@@ -13,22 +8,6 @@ namespace cluster {
 using transform::CosineSimilarity;
 using transform::Matrix;
 using transform::Norm;
-using transform::SquaredDistance;
-
-double SumSquaredError(const Matrix& data,
-                       const std::vector<int32_t>& assignments,
-                       const Matrix& centroids) {
-  ADA_CHECK_EQ(assignments.size(), data.rows());
-  double sse = 0.0;
-  for (size_t i = 0; i < data.rows(); ++i) {
-    int32_t c = assignments[i];
-    ADA_CHECK_GE(c, 0);
-    ADA_CHECK_LT(static_cast<size_t>(c), centroids.rows());
-    sse += SquaredDistance(data.Row(i),
-                           centroids.Row(static_cast<size_t>(c)));
-  }
-  return sse;
-}
 
 double OverallSimilarity(const Matrix& data,
                          const std::vector<int32_t>& assignments,
@@ -91,142 +70,6 @@ double OverallSimilarityExact(const Matrix& data,
     overall += (n / total) * (pair_sum / (n * n));
   }
   return overall;
-}
-
-double SilhouetteScore(const Matrix& data,
-                       const std::vector<int32_t>& assignments, int32_t k,
-                       size_t max_exact, uint64_t seed) {
-  ADA_CHECK_EQ(assignments.size(), data.rows());
-  ADA_CHECK_GE(k, 2);
-  std::vector<int64_t> sizes = ClusterSizes(assignments, k);
-  for (int64_t s : sizes) ADA_CHECK_GT(s, 0);
-
-  std::vector<size_t> sample;
-  if (data.rows() <= max_exact) {
-    sample.resize(data.rows());
-    for (size_t i = 0; i < sample.size(); ++i) sample[i] = i;
-  } else {
-    common::Rng rng(seed);
-    sample = rng.SampleWithoutReplacement(data.rows(), max_exact);
-  }
-
-  double silhouette_sum = 0.0;
-  size_t counted = 0;
-  std::vector<double> cluster_distance(static_cast<size_t>(k));
-  std::vector<int64_t> cluster_count(static_cast<size_t>(k));
-  for (size_t i : sample) {
-    std::fill(cluster_distance.begin(), cluster_distance.end(), 0.0);
-    std::fill(cluster_count.begin(), cluster_count.end(), 0);
-    std::span<const double> point = data.Row(i);
-    for (size_t j = 0; j < data.rows(); ++j) {
-      if (j == i) continue;
-      double dist = std::sqrt(SquaredDistance(point, data.Row(j)));
-      size_t c = static_cast<size_t>(assignments[j]);
-      cluster_distance[c] += dist;
-      ++cluster_count[c];
-    }
-    size_t own = static_cast<size_t>(assignments[i]);
-    if (cluster_count[own] == 0) continue;  // Singleton: silhouette 0.
-    double a = cluster_distance[own] /
-               static_cast<double>(cluster_count[own]);
-    double b = std::numeric_limits<double>::max();
-    for (size_t c = 0; c < static_cast<size_t>(k); ++c) {
-      if (c == own || cluster_count[c] == 0) continue;
-      b = std::min(b, cluster_distance[c] /
-                          static_cast<double>(cluster_count[c]));
-    }
-    double denom = std::max(a, b);
-    silhouette_sum += denom > 0.0 ? (b - a) / denom : 0.0;
-    ++counted;
-  }
-  return counted > 0 ? silhouette_sum / static_cast<double>(counted) : 0.0;
-}
-
-double DaviesBouldinIndex(const Matrix& data,
-                          const std::vector<int32_t>& assignments,
-                          int32_t k) {
-  ADA_CHECK_EQ(assignments.size(), data.rows());
-  ADA_CHECK_GE(k, 2);
-  const size_t dims = data.cols();
-  std::vector<int64_t> sizes = ClusterSizes(assignments, k);
-  for (int64_t s : sizes) ADA_CHECK_GT(s, 0);
-
-  // Centroids and mean intra-cluster distances (scatter).
-  Matrix centroids(static_cast<size_t>(k), dims, 0.0);
-  for (size_t i = 0; i < data.rows(); ++i) {
-    std::span<double> centroid =
-        centroids.Row(static_cast<size_t>(assignments[i]));
-    std::span<const double> point = data.Row(i);
-    for (size_t d = 0; d < dims; ++d) centroid[d] += point[d];
-  }
-  for (size_t c = 0; c < static_cast<size_t>(k); ++c) {
-    std::span<double> centroid = centroids.Row(c);
-    for (size_t d = 0; d < dims; ++d) {
-      centroid[d] /= static_cast<double>(sizes[c]);
-    }
-  }
-  std::vector<double> scatter(static_cast<size_t>(k), 0.0);
-  for (size_t i = 0; i < data.rows(); ++i) {
-    size_t c = static_cast<size_t>(assignments[i]);
-    scatter[c] += std::sqrt(SquaredDistance(data.Row(i), centroids.Row(c)));
-  }
-  for (size_t c = 0; c < static_cast<size_t>(k); ++c) {
-    scatter[c] /= static_cast<double>(sizes[c]);
-  }
-
-  double db = 0.0;
-  for (size_t i = 0; i < static_cast<size_t>(k); ++i) {
-    double worst = 0.0;
-    for (size_t j = 0; j < static_cast<size_t>(k); ++j) {
-      if (i == j) continue;
-      double separation =
-          std::sqrt(SquaredDistance(centroids.Row(i), centroids.Row(j)));
-      if (separation <= 0.0) continue;
-      worst = std::max(worst, (scatter[i] + scatter[j]) / separation);
-    }
-    db += worst;
-  }
-  return db / static_cast<double>(k);
-}
-
-double CalinskiHarabaszIndex(const Matrix& data,
-                             const std::vector<int32_t>& assignments,
-                             int32_t k) {
-  ADA_CHECK_EQ(assignments.size(), data.rows());
-  ADA_CHECK_GE(k, 2);
-  ADA_CHECK_LT(static_cast<size_t>(k), data.rows());
-  const size_t dims = data.cols();
-  std::vector<int64_t> sizes = ClusterSizes(assignments, k);
-  for (int64_t s : sizes) ADA_CHECK_GT(s, 0);
-
-  std::vector<double> global_mean = data.ColumnMeans();
-  Matrix centroids(static_cast<size_t>(k), dims, 0.0);
-  for (size_t i = 0; i < data.rows(); ++i) {
-    std::span<double> centroid =
-        centroids.Row(static_cast<size_t>(assignments[i]));
-    std::span<const double> point = data.Row(i);
-    for (size_t d = 0; d < dims; ++d) centroid[d] += point[d];
-  }
-  for (size_t c = 0; c < static_cast<size_t>(k); ++c) {
-    std::span<double> centroid = centroids.Row(c);
-    for (size_t d = 0; d < dims; ++d) {
-      centroid[d] /= static_cast<double>(sizes[c]);
-    }
-  }
-  double between = 0.0;
-  for (size_t c = 0; c < static_cast<size_t>(k); ++c) {
-    between += static_cast<double>(sizes[c]) *
-               SquaredDistance(centroids.Row(c), global_mean);
-  }
-  double within = 0.0;
-  for (size_t i = 0; i < data.rows(); ++i) {
-    within += SquaredDistance(
-        data.Row(i), centroids.Row(static_cast<size_t>(assignments[i])));
-  }
-  if (within <= 0.0) return 0.0;
-  const double n = static_cast<double>(data.rows());
-  return (between / static_cast<double>(k - 1)) /
-         (within / (n - static_cast<double>(k)));
 }
 
 }  // namespace cluster

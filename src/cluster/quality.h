@@ -1,30 +1,20 @@
-// Clustering quality indices.
-//
-// Two of these are the paper's interestingness metrics:
-//  * SSE — "measures the cluster cohesion for center-based clustering
-//    techniques as the total sum of squared errors" (§IV-A);
-//  * overall similarity — "measures the cluster cohesiveness by
-//    computing the internal pairwise similarity of patients within
-//    each cluster, and then taking the weighted sum over the whole
-//    cluster set" (§IV-A, citing Tan/Steinbach/Kumar [4]).
-// Silhouette and Davies–Bouldin are provided for the optimizer
-// ablations.
+// Clustering quality: overall similarity, one of the paper's two
+// interestingness metrics, which "measures the cluster cohesiveness by
+// computing the internal pairwise similarity of patients within each
+// cluster, and then taking the weighted sum over the whole cluster set"
+// (§IV-A, citing Tan/Steinbach/Kumar [4]). The other, SSE, "the total
+// sum of squared errors", is reported by k-means itself
+// (Clustering::sse).
 #ifndef ADAHEALTH_CLUSTER_QUALITY_H_
 #define ADAHEALTH_CLUSTER_QUALITY_H_
 
 #include <cstdint>
 #include <vector>
 
-#include "common/rng.h"
 #include "transform/matrix.h"
 
 namespace adahealth {
 namespace cluster {
-
-/// Total squared distance from each row to its assigned centroid.
-double SumSquaredError(const transform::Matrix& data,
-                       const std::vector<int32_t>& assignments,
-                       const transform::Matrix& centroids);
 
 /// Overall similarity (Tan/Steinbach/Kumar): the weighted sum over
 /// clusters of the average pairwise cosine similarity within the
@@ -41,30 +31,11 @@ double OverallSimilarity(const transform::Matrix& data,
 
 /// Reference O(N^2) implementation of OverallSimilarity used to verify
 /// the closed form in tests. Prefer OverallSimilarity in real code.
+// ada-lint: allow(unreached-symbol) oracle of quality_test's
+// OverallSimilarityTest.ClosedFormMatchesExactPairwise.
 double OverallSimilarityExact(const transform::Matrix& data,
                               const std::vector<int32_t>& assignments,
                               int32_t k);
-
-/// Mean silhouette coefficient in [-1, 1]. Exact when data.rows() <=
-/// `max_exact`; otherwise estimated on a deterministic sample of
-/// `max_exact` points (seeded by `seed`). Requires k >= 2 and every
-/// cluster non-empty.
-double SilhouetteScore(const transform::Matrix& data,
-                       const std::vector<int32_t>& assignments, int32_t k,
-                       size_t max_exact = 2000, uint64_t seed = 7);
-
-/// Davies–Bouldin index (lower is better). Requires k >= 2 and every
-/// cluster non-empty.
-double DaviesBouldinIndex(const transform::Matrix& data,
-                          const std::vector<int32_t>& assignments, int32_t k);
-
-/// Calinski–Harabasz index (between-cluster dispersion over
-/// within-cluster dispersion, scaled by the degrees of freedom; higher
-/// is better). Requires 2 <= k < data.rows() and every cluster
-/// non-empty; returns 0 when within-cluster dispersion is zero.
-double CalinskiHarabaszIndex(const transform::Matrix& data,
-                             const std::vector<int32_t>& assignments,
-                             int32_t k);
 
 }  // namespace cluster
 }  // namespace adahealth

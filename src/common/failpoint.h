@@ -96,6 +96,8 @@ class FailpointRegistry {
   void Disarm(const std::string& point) ADA_EXCLUDES(mutex_);
 
   /// Disarms everything and forgets all hit counters.
+  // ada-lint: allow(unreached-symbol) FaultInjectionTest resets the
+  // registry with it around every test.
   void Clear() ADA_EXCLUDES(mutex_);
 
   /// One hit of `point`: bumps its hit counter and, when the trigger
@@ -109,6 +111,8 @@ class FailpointRegistry {
       ADA_EXCLUDES(mutex_);
 
   /// Names of currently armed points, sorted.
+  // ada-lint: allow(unreached-symbol) fault_injection_test checks
+  // which points are armed.
   [[nodiscard]] std::vector<std::string> ArmedPoints() const
       ADA_EXCLUDES(mutex_);
 
@@ -143,6 +147,8 @@ class ScopedFailpoint {
 };
 
 /// Convenience: a one-shot error trigger returning `code`.
+// ada-lint: allow(unreached-symbol) the one-shot trigger of
+// fault_injection_test, service_test and replication_test.
 [[nodiscard]] FailpointConfig OneShotError(
     StatusCode code = StatusCode::kUnavailable, std::string message = "");
 

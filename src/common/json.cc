@@ -359,11 +359,6 @@ const Json::Array& Json::AsArray() const {
   return std::get<Array>(value_);
 }
 
-Json::Array& Json::MutableArray() {
-  ADA_CHECK(is_array());
-  return std::get<Array>(value_);
-}
-
 const Json::Object& Json::AsObject() const {
   ADA_CHECK(is_object());
   return std::get<Object>(value_);

@@ -47,7 +47,6 @@ class Json {
   [[nodiscard]] static StatusOr<Json> Parse(std::string_view text);
 
   Type type() const;
-  bool is_null() const { return type() == Type::kNull; }
   bool is_bool() const { return type() == Type::kBool; }
   bool is_int() const { return type() == Type::kInt; }
   bool is_double() const { return type() == Type::kDouble; }
@@ -63,7 +62,6 @@ class Json {
   double AsDouble() const;
   const std::string& AsString() const;
   const Array& AsArray() const;
-  Array& MutableArray();
   const Object& AsObject() const;
   Object& MutableObject();
 

@@ -70,12 +70,6 @@ double Rng::UniformDouble(double lo, double hi) {
   return lo + (hi - lo) * UniformDouble();
 }
 
-bool Rng::Bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return UniformDouble() < p;
-}
-
 double Rng::Normal() {
   if (has_cached_normal_) {
     has_cached_normal_ = false;
@@ -171,8 +165,6 @@ std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
   indices.resize(k);
   return indices;
 }
-
-Rng Rng::Fork() { return Rng(NextUint64()); }
 
 }  // namespace common
 }  // namespace adahealth

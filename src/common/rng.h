@@ -26,8 +26,7 @@ uint64_t EntropySeed();
 
 /// Deterministic random number generator (xoshiro256**).
 ///
-/// Not thread-safe; use one instance per thread (Fork() derives
-/// independent child streams deterministically).
+/// Not thread-safe; use one instance per thread.
 class Rng {
  public:
   /// Seeds the generator. Identical seeds yield identical streams.
@@ -47,9 +46,6 @@ class Rng {
 
   /// Returns a double uniform in [lo, hi). Requires lo < hi.
   double UniformDouble(double lo, double hi);
-
-  /// Returns true with probability `p` (clamped to [0, 1]).
-  bool Bernoulli(double p);
 
   /// Returns a standard normal deviate (Box–Muller, cached pair).
   double Normal();
@@ -80,10 +76,6 @@ class Rng {
   /// Returns `k` distinct indices sampled uniformly from [0, n).
   /// Requires k <= n. Result order is unspecified but deterministic.
   std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k);
-
-  /// Derives an independent child generator; repeated calls produce
-  /// distinct deterministic streams.
-  Rng Fork();
 
  private:
   uint64_t s_[4];

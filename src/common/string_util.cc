@@ -25,16 +25,6 @@ std::vector<std::string> Split(std::string_view text, char delimiter) {
   return parts;
 }
 
-std::string Join(const std::vector<std::string>& parts,
-                 std::string_view delimiter) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out.append(delimiter);
-    out.append(parts[i]);
-  }
-  return out;
-}
-
 std::string_view Trim(std::string_view text) {
   size_t begin = 0;
   size_t end = text.size();
@@ -47,13 +37,6 @@ std::string_view Trim(std::string_view text) {
     --end;
   }
   return text.substr(begin, end - begin);
-}
-
-std::string ToLower(std::string_view text) {
-  std::string out(text);
-  for (char& c : out) c = static_cast<char>(std::tolower(
-      static_cast<unsigned char>(c)));
-  return out;
 }
 
 StatusOr<int64_t> ParseInt64(std::string_view text) {

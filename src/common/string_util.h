@@ -16,15 +16,8 @@ namespace common {
 /// preserved ("a,,b" -> {"a", "", "b"}); splitting "" yields {""}.
 std::vector<std::string> Split(std::string_view text, char delimiter);
 
-/// Joins `parts` with `delimiter`.
-std::string Join(const std::vector<std::string>& parts,
-                 std::string_view delimiter);
-
 /// Strips ASCII whitespace from both ends.
 std::string_view Trim(std::string_view text);
-
-/// Lowercases ASCII letters.
-std::string ToLower(std::string_view text);
 
 /// Parses a base-10 signed integer; the whole string must be consumed.
 [[nodiscard]] StatusOr<int64_t> ParseInt64(std::string_view text);

@@ -94,6 +94,8 @@ class ADA_CAPABILITY("mutex") Mutex {
 
   void Lock() ADA_ACQUIRE() { mu_.lock(); }
   void Unlock() ADA_RELEASE() { mu_.unlock(); }
+  // ada-lint: allow(unreached-symbol) sync_test's MutexTest probes
+  // the lock state with it.
   [[nodiscard]] bool TryLock() ADA_TRY_ACQUIRE(true) {
     return mu_.try_lock();
   }

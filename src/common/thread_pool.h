@@ -47,6 +47,8 @@ class ThreadPool {
   /// Enqueues `task` for execution. Scheduling after shutdown has begun
   /// is a programmer error (ADA_CHECK); use TrySchedule when the pool's
   /// lifetime is not under the caller's control.
+  // ada-lint: allow(unreached-symbol) ThreadPoolTest and
+  // concurrency_stress_test submit fire-and-forget tasks with it.
   void Schedule(std::function<void()> task) ADA_EXCLUDES(mutex_);
 
   /// Like Schedule, but returns false (dropping `task`) instead of
@@ -69,10 +71,14 @@ class ThreadPool {
   size_t num_threads() const { return threads_.size(); }
 
   /// Number of tasks so far whose execution ended in an exception.
+  // ada-lint: allow(unreached-symbol) ThreadPoolTest and
+  // fault_injection_test observe the exception trap with it.
   [[nodiscard]] size_t failed_tasks() const ADA_EXCLUDES(mutex_);
 
   /// what() of the first failed task ("" while failed_tasks() == 0;
   /// "unknown exception" for non-std::exception throws).
+  // ada-lint: allow(unreached-symbol) ThreadPoolTest and
+  // fault_injection_test observe the exception trap with it.
   [[nodiscard]] std::string first_failure_message() const
       ADA_EXCLUDES(mutex_);
 

@@ -19,13 +19,6 @@ class WallTimer {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  /// Elapsed whole milliseconds.
-  int64_t ElapsedMillis() const {
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-               Clock::now() - start_)
-        .count();
-  }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

@@ -59,8 +59,12 @@ class EndGoalEngine {
   /// least two distinct interest labels; FAILED_PRECONDITION otherwise.
   [[nodiscard]] common::Status TrainFromFeedback(const kdb::Collection& feedback);
 
+  // ada-lint: allow(unreached-symbol) endgoal_test checks training
+  // state with it.
   bool trained() const { return trained_; }
   /// Number of feedback records used by the last training.
+  // ada-lint: allow(unreached-symbol) endgoal_test checks the
+  // training set size with it.
   size_t training_samples() const { return training_samples_; }
 
   /// Predicts interest for one (dataset, goal) pair.

@@ -15,14 +15,6 @@ Interest Threshold(const PersonaConfig& persona, double utility) {
 
 }  // namespace
 
-Interest FeedbackSimulator::LabelItem(const KnowledgeItem& item) {
-  double utility =
-      persona_.goal_affinity[static_cast<size_t>(item.goal)] +
-      persona_.quality_weight * item.quality +
-      rng_.Normal(0.0, persona_.noise_stddev);
-  return Threshold(persona_, utility);
-}
-
 double FeedbackSimulator::GoalUtility(const stats::MetaFeatures& features,
                                       EndGoal goal) const {
   double utility = persona_.goal_affinity[static_cast<size_t>(goal)];

@@ -45,10 +45,6 @@ class FeedbackSimulator {
 
   const PersonaConfig& persona() const { return persona_; }
 
-  /// Labels a knowledge item: utility = goal affinity + quality term
-  /// + noise, thresholded to {low, medium, high}.
-  Interest LabelItem(const KnowledgeItem& item);
-
   /// Labels an (analysis end-goal, dataset) pair: the utility adds
   /// dataset-dependent terms (e.g. sparser datasets make clustering
   /// more interesting to this persona), so interest is learnable from

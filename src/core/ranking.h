@@ -41,6 +41,8 @@ class KnowledgeRanker {
                                 Interest interest);
 
   /// Current score of an item (NOT_FOUND on unknown ids).
+  // ada-lint: allow(unreached-symbol) RankerTest reads the scores
+  // that feedback moves with it.
   [[nodiscard]] common::StatusOr<double> ScoreOf(const std::string& item_id) const;
 
   /// Items ordered by descending score; ties broken by id for

@@ -132,21 +132,6 @@ const char* StageStateName(StageState state) {
   return "unknown";
 }
 
-const StageOutcome* SessionResult::FindStage(std::string_view stage) const {
-  for (const StageOutcome& outcome : stages) {
-    if (outcome.stage == stage) return &outcome;
-  }
-  return nullptr;
-}
-
-size_t SessionResult::CountStages(StageState state) const {
-  size_t count = 0;
-  for (const StageOutcome& outcome : stages) {
-    if (outcome.state == state) ++count;
-  }
-  return count;
-}
-
 namespace {
 
 /// Executes stage bodies under the session's retry policy, budgets and

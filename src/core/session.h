@@ -143,11 +143,6 @@ struct SessionResult {
   /// Multi-line human-readable run summary (includes a resilience
   /// line whenever any stage retried, degraded or was skipped).
   std::string summary;
-
-  /// Convenience: outcome for `stage` or nullptr when absent.
-  [[nodiscard]] const StageOutcome* FindStage(std::string_view stage) const;
-  /// Number of stages in the given state.
-  [[nodiscard]] size_t CountStages(StageState state) const;
 };
 
 /// One analysis session against a K-DB instance.

@@ -140,12 +140,6 @@ Status ExamLog::Append(const std::vector<RawExamRecord>& rows) {
   return common::OkStatus();
 }
 
-StatusOr<ExamLog> ExamLog::Load(const std::string& path) {
-  auto text = common::ReadFileToString(path);
-  if (!text.ok()) return text.status();
-  return FromCsv(text.value());
-}
-
 std::string ExamLog::ToCsv() const {
   std::vector<std::vector<std::string>> rows;
   rows.reserve(records_.size() + 1);
@@ -156,10 +150,6 @@ std::string ExamLog::ToCsv() const {
                     std::to_string(record.day)});
   }
   return common::WriteCsv(rows);
-}
-
-Status ExamLog::Save(const std::string& path) const {
-  return common::WriteStringToFile(path, ToCsv());
 }
 
 std::vector<int64_t> ExamLog::ExamFrequencies() const {

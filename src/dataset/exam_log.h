@@ -71,9 +71,6 @@ class ExamLog {
   [[nodiscard]] static common::StatusOr<ExamLog> FromCsv(
       std::string_view csv_text);
 
-  /// Loads FromCsv from a file on disk.
-  [[nodiscard]] static common::StatusOr<ExamLog> Load(const std::string& path);
-
   /// Appends raw records in arrival order, interning new exam-type
   /// names and materializing new patients (ages/profiles unknown)
   /// exactly as FromCsv would have: appending batches B1..Bn to an
@@ -86,9 +83,6 @@ class ExamLog {
 
   /// Serializes the record table to CSV (inverse of FromCsv).
   std::string ToCsv() const;
-
-  /// Writes ToCsv() to a file.
-  [[nodiscard]] common::Status Save(const std::string& path) const;
 
   size_t num_patients() const { return patients_.size(); }
   size_t num_exam_types() const { return dictionary_.size(); }

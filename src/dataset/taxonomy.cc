@@ -89,47 +89,5 @@ int Taxonomy::LevelOf(TaxonomyNodeId node) const {
   return 2;
 }
 
-TaxonomyNodeId Taxonomy::ParentOf(TaxonomyNodeId node) const {
-  switch (LevelOf(node)) {
-    case 0:
-      return GroupNode(GroupOfLeaf(node));
-    case 1: {
-      int32_t group = node - static_cast<TaxonomyNodeId>(num_leaves());
-      return CategoryNode(CategoryOfGroup(group));
-    }
-    default:
-      return -1;
-  }
-}
-
-std::vector<ExamTypeId> Taxonomy::LeavesUnder(TaxonomyNodeId node) const {
-  std::vector<ExamTypeId> leaves;
-  switch (LevelOf(node)) {
-    case 0:
-      leaves.push_back(node);
-      break;
-    case 1: {
-      int32_t group = node - static_cast<TaxonomyNodeId>(num_leaves());
-      for (size_t e = 0; e < leaf_group_.size(); ++e) {
-        if (leaf_group_[e] == group) {
-          leaves.push_back(static_cast<ExamTypeId>(e));
-        }
-      }
-      break;
-    }
-    default: {
-      int32_t category =
-          node - static_cast<TaxonomyNodeId>(num_leaves() + num_groups());
-      for (size_t e = 0; e < leaf_group_.size(); ++e) {
-        if (group_category_[static_cast<size_t>(leaf_group_[e])] == category) {
-          leaves.push_back(static_cast<ExamTypeId>(e));
-        }
-      }
-      break;
-    }
-  }
-  return leaves;
-}
-
 }  // namespace dataset
 }  // namespace adahealth

@@ -69,12 +69,6 @@ class Taxonomy {
   /// Abstraction level of a node: 0 = leaf, 1 = group, 2 = category.
   int LevelOf(TaxonomyNodeId node) const;
 
-  /// Parent of a node in the global id space; -1 for categories (roots).
-  TaxonomyNodeId ParentOf(TaxonomyNodeId node) const;
-
-  /// Leaf exam ids descending from `node` (the node itself if a leaf).
-  std::vector<ExamTypeId> LeavesUnder(TaxonomyNodeId node) const;
-
  private:
   std::vector<int32_t> leaf_group_;
   std::vector<std::string> group_names_;

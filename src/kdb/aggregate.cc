@@ -43,62 +43,5 @@ FieldStats Aggregate(const Collection& collection, const std::string& path,
   return stats;
 }
 
-namespace {
-
-/// Sort key: rank (0 number, 1 string, 2 other/missing) then value.
-struct SortKey {
-  int rank = 2;
-  double number = 0.0;
-  std::string text;
-
-  static SortKey From(const Document& document, const std::string& path) {
-    SortKey key;
-    const Json* field = document.Get(path);
-    if (field == nullptr) return key;
-    if (field->is_number()) {
-      key.rank = 0;
-      key.number = field->AsDouble();
-    } else if (field->is_string()) {
-      key.rank = 1;
-      key.text = field->AsString();
-    }
-    return key;
-  }
-
-  friend bool operator<(const SortKey& a, const SortKey& b) {
-    if (a.rank != b.rank) return a.rank < b.rank;
-    if (a.rank == 0) return a.number < b.number;
-    if (a.rank == 1) return a.text < b.text;
-    return false;
-  }
-};
-
-}  // namespace
-
-std::vector<Document> SortedFind(const Collection& collection,
-                                 const Query& filter,
-                                 const std::string& sort_path,
-                                 bool descending, size_t limit) {
-  std::vector<std::pair<SortKey, const Document*>> keyed;
-  for (const Document& document : collection.documents()) {
-    if (!filter.Matches(document)) continue;
-    keyed.emplace_back(SortKey::From(document, sort_path), &document);
-  }
-  std::stable_sort(keyed.begin(), keyed.end(),
-                   [&](const auto& a, const auto& b) {
-                     // Missing/other fields sort last in either order.
-                     if (a.first.rank == 2 || b.first.rank == 2) {
-                       return a.first.rank < b.first.rank;
-                     }
-                     return descending ? b.first < a.first
-                                       : a.first < b.first;
-                   });
-  std::vector<Document> out;
-  size_t take = limit == 0 ? keyed.size() : std::min(limit, keyed.size());
-  out.reserve(take);
-  for (size_t i = 0; i < take; ++i) out.push_back(*keyed[i].second);
-  return out;
-}
-
 }  // namespace kdb
 }  // namespace adahealth

@@ -1,6 +1,6 @@
-// Aggregation and ordered retrieval over K-DB collections — the query
-// shapes the ADA-HEALTH UI layer needs for knowledge navigation
-// ("group feedback by interest", "top items by quality", ...).
+// Aggregation over K-DB collections — the query shapes the ADA-HEALTH
+// UI layer needs for knowledge navigation ("group feedback by
+// interest", "quality statistics per kind", ...).
 #ifndef ADAHEALTH_KDB_AGGREGATE_H_
 #define ADAHEALTH_KDB_AGGREGATE_H_
 
@@ -33,15 +33,6 @@ struct FieldStats {
 
 FieldStats Aggregate(const Collection& collection, const std::string& path,
                      const Query& filter = Query());
-
-/// Matching documents ordered by the value at `sort_path` (numbers
-/// before strings, missing fields last; `descending` flips the order),
-/// truncated to `limit` (0 = unlimited). Stable with respect to
-/// insertion order.
-std::vector<Document> SortedFind(const Collection& collection,
-                                 const Query& filter,
-                                 const std::string& sort_path,
-                                 bool descending = false, size_t limit = 0);
 
 }  // namespace kdb
 }  // namespace adahealth

@@ -10,7 +10,6 @@ namespace kdb {
 
 using common::Json;
 using common::Status;
-using common::StatusOr;
 
 namespace {
 
@@ -48,15 +47,6 @@ Status Collection::Restore(Document document) {
   return common::OkStatus();
 }
 
-StatusOr<Document> Collection::FindById(DocumentId id) const {
-  auto it = id_to_position_.find(id);
-  if (it == id_to_position_.end()) {
-    return common::NotFoundError("no document with _id " +
-                                 std::to_string(id));
-  }
-  return documents_[it->second];
-}
-
 std::vector<Document> Collection::Find(const Query& query,
                                        size_t limit) const {
   KdbCounter("kdb/queries").Increment();
@@ -89,18 +79,6 @@ std::vector<Document> Collection::Find(const Query& query,
   return matches;
 }
 
-StatusOr<Document> Collection::FindOne(const Query& query) const {
-  std::vector<Document> matches = Find(query, 1);
-  if (matches.empty()) {
-    return common::NotFoundError("no document matches query in " + name_);
-  }
-  return matches.front();
-}
-
-size_t Collection::Count(const Query& query) const {
-  return Find(query).size();
-}
-
 Status Collection::UpdateById(DocumentId id, const Json& fields) {
   KdbCounter("kdb/updates").Increment();
   if (!fields.is_object()) {
@@ -115,23 +93,6 @@ Status Collection::UpdateById(DocumentId id, const Json& fields) {
   for (const auto& [key, value] : fields.AsObject()) {
     if (key == "_id") continue;  // Ids are immutable.
     document.Set(key, value);
-  }
-  ReindexAll();
-  return common::OkStatus();
-}
-
-Status Collection::DeleteById(DocumentId id) {
-  KdbCounter("kdb/deletes").Increment();
-  auto it = id_to_position_.find(id);
-  if (it == id_to_position_.end()) {
-    return common::NotFoundError("no document with _id " +
-                                 std::to_string(id));
-  }
-  documents_.erase(documents_.begin() +
-                   static_cast<ptrdiff_t>(it->second));
-  id_to_position_.clear();
-  for (size_t position = 0; position < documents_.size(); ++position) {
-    id_to_position_[documents_[position].id()] = position;
   }
   ReindexAll();
   return common::OkStatus();

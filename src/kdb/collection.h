@@ -29,26 +29,14 @@ class Collection {
   /// value is overwritten). Returns the id.
   DocumentId Insert(Document document);
 
-  /// Looks a document up by id; NOT_FOUND when absent.
-  [[nodiscard]] common::StatusOr<Document> FindById(DocumentId id) const;
-
   /// Returns documents matching `query`, in insertion order, up to
   /// `limit` (0 = unlimited). Uses a secondary index when the query has
   /// an equality condition on an indexed path.
   std::vector<Document> Find(const Query& query, size_t limit = 0) const;
 
-  /// First match or NOT_FOUND.
-  [[nodiscard]] common::StatusOr<Document> FindOne(const Query& query) const;
-
-  /// Number of matching documents.
-  size_t Count(const Query& query) const;
-
   /// Merges `fields` (a JSON object) into the document with the given
   /// id; NOT_FOUND when absent, INVALID_ARGUMENT when not an object.
   [[nodiscard]] common::Status UpdateById(DocumentId id, const common::Json& fields);
-
-  /// Removes a document; NOT_FOUND when absent.
-  [[nodiscard]] common::Status DeleteById(DocumentId id);
 
   /// Builds (or rebuilds) an equality index on a dotted path. Queries
   /// with an Eq condition on `path` then resolve via the index.
@@ -56,9 +44,6 @@ class Collection {
 
   /// All documents in insertion order.
   const std::vector<Document>& documents() const { return documents_; }
-
-  /// Highest id ever assigned (for persistence round-trips).
-  DocumentId last_id() const { return next_id_ - 1; }
 
   /// Restores a document with a pre-assigned id (used by storage
   /// loading). Fails on duplicate or non-positive ids.

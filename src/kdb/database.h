@@ -50,10 +50,6 @@ class Database {
   /// Returns the collection or NOT_FOUND.
   [[nodiscard]] common::StatusOr<Collection*> Get(const std::string& name);
 
-  bool Has(const std::string& name) const {
-    return collections_.contains(name);
-  }
-
   std::vector<std::string> CollectionNames() const;
 
   /// Creates all six ADA-HEALTH collections (idempotent) and the

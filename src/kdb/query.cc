@@ -56,10 +56,6 @@ Query& Query::Eq(std::string path, Json value) {
   return Where(std::move(path), QueryOp::kEq, std::move(value));
 }
 
-Query& Query::Exists(std::string path) {
-  return Where(std::move(path), QueryOp::kExists, Json());
-}
-
 bool Query::Matches(const Document& document) const {
   for (const Condition& condition : conditions_) {
     const Json* field = document.Get(condition.path);

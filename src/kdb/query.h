@@ -38,12 +38,8 @@ class Query {
  public:
   Query() = default;
 
-  /// Matches every document.
-  static Query All() { return Query(); }
-
   Query& Where(std::string path, QueryOp op, common::Json value);
   Query& Eq(std::string path, common::Json value);
-  Query& Exists(std::string path);
 
   bool Matches(const Document& document) const;
 

@@ -66,15 +66,6 @@ class Classifier {
   /// Predicts the label of one feature vector. Requires a prior
   /// successful Fit with matching dimensionality.
   virtual int32_t Predict(std::span<const double> features) const = 0;
-
-  /// Predicts labels for every row.
-  std::vector<int32_t> PredictBatch(const transform::Matrix& features) const {
-    std::vector<int32_t> labels(features.rows());
-    for (size_t i = 0; i < features.rows(); ++i) {
-      labels[i] = Predict(features.Row(i));
-    }
-    return labels;
-  }
 };
 
 /// Factory producing fresh untrained classifiers (one per CV fold).

@@ -218,48 +218,5 @@ common::StatusOr<std::vector<FrequentItemset>> MineFpGrowth(
   return result;
 }
 
-std::vector<FrequentItemset> ClosedItemsets(
-    std::vector<FrequentItemset> itemsets) {
-  SortCanonical(itemsets);
-  std::vector<FrequentItemset> closed;
-  for (size_t i = 0; i < itemsets.size(); ++i) {
-    bool is_closed = true;
-    // A superset with equal support must be strictly larger; canonical
-    // order sorts by size, so scan the tail.
-    for (size_t j = i + 1; j < itemsets.size(); ++j) {
-      if (itemsets[j].items.size() <= itemsets[i].items.size()) continue;
-      if (itemsets[j].support != itemsets[i].support) continue;
-      if (std::includes(itemsets[j].items.begin(), itemsets[j].items.end(),
-                        itemsets[i].items.begin(),
-                        itemsets[i].items.end())) {
-        is_closed = false;
-        break;
-      }
-    }
-    if (is_closed) closed.push_back(itemsets[i]);
-  }
-  return closed;
-}
-
-std::vector<FrequentItemset> MaximalItemsets(
-    std::vector<FrequentItemset> itemsets) {
-  SortCanonical(itemsets);
-  std::vector<FrequentItemset> maximal;
-  for (size_t i = 0; i < itemsets.size(); ++i) {
-    bool is_maximal = true;
-    for (size_t j = i + 1; j < itemsets.size(); ++j) {
-      if (itemsets[j].items.size() <= itemsets[i].items.size()) continue;
-      if (std::includes(itemsets[j].items.begin(), itemsets[j].items.end(),
-                        itemsets[i].items.begin(),
-                        itemsets[i].items.end())) {
-        is_maximal = false;
-        break;
-      }
-    }
-    if (is_maximal) maximal.push_back(itemsets[i]);
-  }
-  return maximal;
-}
-
 }  // namespace patterns
 }  // namespace adahealth

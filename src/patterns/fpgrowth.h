@@ -17,18 +17,6 @@ namespace patterns {
 [[nodiscard]] common::StatusOr<std::vector<FrequentItemset>> MineFpGrowth(
     const TransactionDb& db, const MiningOptions& options);
 
-/// Filters `itemsets` down to the closed ones (no proper superset with
-/// the same support). Input may be in any order.
-std::vector<FrequentItemset> ClosedItemsets(
-    std::vector<FrequentItemset> itemsets);
-
-/// Filters `itemsets` down to the maximal ones (no frequent proper
-/// superset at all). Maximal sets are the most compact summary of a
-/// pattern collection; every frequent itemset is a subset of some
-/// maximal one. Input may be in any order.
-std::vector<FrequentItemset> MaximalItemsets(
-    std::vector<FrequentItemset> itemsets);
-
 }  // namespace patterns
 }  // namespace adahealth
 

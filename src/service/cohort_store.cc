@@ -5,7 +5,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <utility>
@@ -356,7 +355,6 @@ Status CohortStore::ApplyEntry(const Json& entry, size_t bytes) {
     }
     // invariant: RecordsFromJson ran CheckRawRecords on the batch.
     ADA_CHECK_OK(state.log.Append(rows));
-    ApplyDescriptors(state, rows.size());
     state.generation = generation;
     live_bytes_ += bytes;
     return common::OkStatus();
@@ -407,27 +405,6 @@ Status CohortStore::ApplyEntry(const Json& entry, size_t bytes) {
   }
   InstallWarm(state, std::move(warm), bytes);
   return common::OkStatus();
-}
-
-void CohortStore::ApplyDescriptors(CohortState& state, size_t batch_records) {
-  // The batch's records are the log's tail; read their interned ids
-  // back for the marginals and the density pair set.
-  const auto& records = state.log.records();
-  for (size_t i = records.size() - batch_records; i < records.size(); ++i) {
-    ++state.exam_marginals[std::string(
-        state.log.dictionary().Name(records[i].exam_type))];
-    const auto patient = static_cast<size_t>(records[i].patient);
-    if (patient >= state.exams_by_patient.size()) {
-      state.exams_by_patient.resize(patient + 1);
-    }
-    std::vector<int32_t>& exams = state.exams_by_patient[patient];
-    auto it =
-        std::lower_bound(exams.begin(), exams.end(), records[i].exam_type);
-    if (it == exams.end() || *it != records[i].exam_type) {
-      exams.insert(it, records[i].exam_type);
-      ++state.distinct_pairs;
-    }
-  }
 }
 
 StatusOr<size_t> CohortStore::Commit(std::string_view body) {
@@ -553,7 +530,6 @@ StatusOr<IngestResult> CohortStore::Ingest(
   CohortState& state = it == cohorts_.end() ? cohorts_[cohort] : it->second;
   // invariant: CheckRawRecords passed above, the only way Append fails.
   ADA_CHECK_OK(state.log.Append(rows));
-  ApplyDescriptors(state, rows.size());
   state.generation = current + 1;
   live_bytes_ += bytes;
   stats_.batches += 1;
@@ -658,33 +634,6 @@ void CohortStore::OnAnalysisCommitted(const std::string& cohort,
   MaybeFold();
 }
 
-StatusOr<CohortDescriptors> CohortStore::Descriptors(
-    const std::string& cohort) const {
-  common::MutexLock lock(&mutex_);
-  auto it = cohorts_.find(cohort);
-  if (it == cohorts_.end()) {
-    return common::NotFoundError("unknown cohort: '" + cohort + "'");
-  }
-  const CohortState& state = it->second;
-  CohortDescriptors descriptors;
-  descriptors.generation = state.generation;
-  descriptors.records = static_cast<int64_t>(state.log.num_records());
-  descriptors.patients = static_cast<int64_t>(state.log.num_patients());
-  descriptors.exam_types = static_cast<int64_t>(state.log.num_exam_types());
-  const double cells = static_cast<double>(descriptors.patients) *
-                       static_cast<double>(descriptors.exam_types);
-  descriptors.density =
-      cells > 0 ? static_cast<double>(state.distinct_pairs) / cells
-                : 0.0;
-  descriptors.mean_records_per_patient =
-      descriptors.patients > 0
-          ? static_cast<double>(descriptors.records) /
-                static_cast<double>(descriptors.patients)
-          : 0.0;
-  descriptors.exam_marginals = state.exam_marginals;
-  return descriptors;
-}
-
 StatusOr<dataset::ExamLog> CohortStore::Snapshot(
     const std::string& cohort) const {
   common::MutexLock lock(&mutex_);
@@ -717,11 +666,6 @@ Json CohortStore::StatsJson() const {
   object["cold_fallbacks"] = stats.cold_fallbacks;
   object["snapshot_failures"] = stats.snapshot_failures;
   return Json(std::move(object));
-}
-
-size_t CohortStore::num_cohorts() const {
-  common::MutexLock lock(&mutex_);
-  return cohorts_.size();
 }
 
 }  // namespace service

@@ -31,10 +31,10 @@
 // cohort carrying its whole log, then its warm entry). DESIGN.md §13
 // has the measurements behind this layout.
 //
-// Descriptors (the paper's §2.1 characterization: counts, per-exam
-// marginals, matrix density) are maintained incrementally per batch —
-// never recomputed from the accumulated log on the ingest path — and
-// cross-checked against a full recompute by the tests.
+// The store keeps no §2.1 characterization of its own: a cohort job's
+// session characterizes the snapshot it analyzes
+// (stats::ComputeMetaFeatures), and an ingest reports only counts
+// (IngestResult).
 //
 // Delta re-analysis: after a cohort job succeeds, OnAnalysisCommitted
 // persists the selected centroids, the exam types their columns mean,
@@ -89,20 +89,6 @@ struct IngestResult {
   int64_t batch_records = 0;  // Records in this batch.
   int64_t total_records = 0;  // Accumulated records after the batch.
   int64_t patients = 0;       // Accumulated distinct-patient count.
-};
-
-/// Point-in-time copy of one cohort's incrementally maintained §2.1
-/// descriptors.
-struct CohortDescriptors {
-  int64_t generation = 0;
-  int64_t records = 0;
-  int64_t patients = 0;
-  int64_t exam_types = 0;
-  /// Non-zero fraction of the patient x exam-type count matrix.
-  double density = 0.0;
-  double mean_records_per_patient = 0.0;
-  /// Per-exam record counts (the marginals), keyed by exam name.
-  std::map<std::string, int64_t> exam_marginals;
 };
 
 /// Exact per-store ingest counters (the `stats`/`health` "ingest"
@@ -188,12 +174,10 @@ class CohortStore {
                            const core::SessionResult& result)
       ADA_EXCLUDES(mutex_);
 
-  /// Descriptor snapshot; NOT_FOUND for unknown cohorts.
-  [[nodiscard]] common::StatusOr<CohortDescriptors> Descriptors(
-      const std::string& cohort) const ADA_EXCLUDES(mutex_);
-
   /// Copy of the accumulated log (what a cohort job would analyze);
   /// NOT_FOUND for unknown cohorts.
+  // ada-lint: allow(unreached-symbol) cohort_store_test and
+  // fault_injection_test read the committed log through it.
   [[nodiscard]] common::StatusOr<dataset::ExamLog> Snapshot(
       const std::string& cohort) const ADA_EXCLUDES(mutex_);
 
@@ -201,7 +185,6 @@ class CohortStore {
   /// The stats as the JSON object embedded in `stats`/`health`.
   [[nodiscard]] common::Json StatsJson() const ADA_EXCLUDES(mutex_);
 
-  [[nodiscard]] size_t num_cohorts() const ADA_EXCLUDES(mutex_);
   const CohortStoreOptions& options() const { return options_; }
 
  private:
@@ -221,13 +204,6 @@ class CohortStore {
   struct CohortState {
     int64_t generation = 0;
     dataset::ExamLog log;
-    /// Incremental descriptors (see CohortDescriptors).
-    std::map<std::string, int64_t> exam_marginals;
-    /// The density's numerator: distinct (patient, exam type) pairs,
-    /// kept as each patient's sorted exam-type ids rather than a tree
-    /// node per pair, so a cohort's memory stays near its records'.
-    std::vector<std::vector<int32_t>> exams_by_patient;
-    int64_t distinct_pairs = 0;
     std::optional<WarmState> warm;
     /// Log bytes of the entry `warm` came from: dead once superseded.
     size_t warm_entry_bytes = 0;
@@ -245,9 +221,6 @@ class CohortStore {
       ADA_REQUIRES(mutex_);
   void InstallWarm(CohortState& state, WarmState warm, size_t bytes)
       ADA_REQUIRES(mutex_);
-  /// Folds the last `batch_records` records of state.log (just
-  /// appended) into the incremental descriptors.
-  static void ApplyDescriptors(CohortState& state, size_t batch_records);
   /// The body of a warm entry for `cohort`.
   [[nodiscard]] static std::string WarmEntry(const std::string& cohort,
                                              const WarmState& warm);

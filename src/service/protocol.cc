@@ -94,6 +94,11 @@ Status ApplySessionOptions(const Json& options_json,
       return common::InvalidArgumentError(
           "'candidate_ks' must be a non-empty array of integers");
     }
+    if (ks->AsArray().size() > kMaxCandidateKs) {
+      return common::InvalidArgumentError(common::StrFormat(
+          "'candidate_ks' lists %zu values; at most %zu are allowed",
+          ks->AsArray().size(), kMaxCandidateKs));
+    }
     std::vector<int32_t> candidate_ks;
     for (const Json& k : ks->AsArray()) {
       if (!k.is_int()) {
@@ -112,6 +117,10 @@ Status ApplySessionOptions(const Json& options_json,
   ADA_ASSIGN_OR_RETURN(
       options.optimizer.restarts,
       ReadInt32(options_json, "restarts", options.optimizer.restarts));
+  if (options.optimizer.restarts > kMaxRestarts) {
+    return common::InvalidArgumentError(
+        common::StrFormat("'restarts' must be at most %d", kMaxRestarts));
+  }
   ADA_ASSIGN_OR_RETURN(
       int64_t seed,
       ReadInt(options_json, "seed",

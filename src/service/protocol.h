@@ -35,6 +35,8 @@
 #ifndef ADAHEALTH_SERVICE_PROTOCOL_H_
 #define ADAHEALTH_SERVICE_PROTOCOL_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -75,6 +77,13 @@ struct Request {
 /// "ok" is false; INVALID_ARGUMENT on malformed responses.
 [[nodiscard]] common::StatusOr<common::Json> ParseResponse(
     const std::string& line);
+
+/// Wire caps on a job's optimizer work: `options.restarts` and the
+/// length of `options.candidate_ks`. A running job cannot be cancelled,
+/// so a larger value would hold a worker for as long as it asked for;
+/// over a cap answers INVALID_ARGUMENT naming the field.
+inline constexpr int32_t kMaxRestarts = 32;
+inline constexpr size_t kMaxCandidateKs = 64;
 
 /// Builds the JobRequest described by a submit-request body: the
 /// dataset from "csv" (inline records CSV) or "synthetic" (cohort spec:

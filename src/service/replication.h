@@ -95,7 +95,9 @@ class LogShipper {
 
   /// Blocks until the queue is empty and the last entry was
   /// acknowledged, or `timeout_millis` elapses; returns whether the
-  /// queue drained. Tests and graceful shutdown use this.
+  /// queue drained.
+  // ada-lint: allow(unreached-symbol) replication_test and router_test
+  // wait for shipped entries with it.
   [[nodiscard]] bool WaitUntilDrained(double timeout_millis)
       ADA_EXCLUDES(mutex_);
 

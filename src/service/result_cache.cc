@@ -153,13 +153,6 @@ void ResultCache::Insert(CachedAnalysis entry) {
   EvictLocked();
 }
 
-void ResultCache::Clear() {
-  common::MutexLock lock(&mutex_);
-  lru_.clear();
-  index_.clear();
-  bytes_ = 0;
-}
-
 size_t ResultCache::entries() const {
   common::MutexLock lock(&mutex_);
   return lru_.size();

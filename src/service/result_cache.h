@@ -84,9 +84,6 @@ class ResultCache {
   /// newer generation is already cached.
   void Insert(CachedAnalysis entry) ADA_EXCLUDES(mutex_);
 
-  /// Drops every entry (counters are not reset).
-  void Clear() ADA_EXCLUDES(mutex_);
-
   [[nodiscard]] size_t entries() const ADA_EXCLUDES(mutex_);
   [[nodiscard]] size_t bytes() const ADA_EXCLUDES(mutex_);
   [[nodiscard]] size_t max_bytes() const { return max_bytes_; }

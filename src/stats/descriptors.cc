@@ -117,52 +117,5 @@ double TopFractionCoverage(const std::vector<int64_t>& counts,
   return static_cast<double>(covered) / static_cast<double>(total);
 }
 
-size_t BucketsForCoverage(const std::vector<int64_t>& counts,
-                          double coverage) {
-  ADA_CHECK_GE(coverage, 0.0);
-  ADA_CHECK_LE(coverage, 1.0);
-  std::vector<int64_t> sorted = counts;
-  std::sort(sorted.begin(), sorted.end(), std::greater<int64_t>());
-  int64_t total = 0;
-  for (int64_t c : sorted) total += c;
-  if (total == 0) return coverage > 0.0 ? counts.size() : 0;
-  int64_t needed = static_cast<int64_t>(
-      std::ceil(coverage * static_cast<double>(total)));
-  if (needed <= 0) return 0;
-  int64_t covered = 0;
-  for (size_t i = 0; i < sorted.size(); ++i) {
-    covered += sorted[i];
-    if (covered >= needed) return i + 1;
-  }
-  return sorted.size();
-}
-
-double PearsonCorrelation(const std::vector<double>& x,
-                          const std::vector<double>& y) {
-  ADA_CHECK_EQ(x.size(), y.size());
-  if (x.size() < 2) return 0.0;
-  const double n = static_cast<double>(x.size());
-  double mean_x = 0.0;
-  double mean_y = 0.0;
-  for (size_t i = 0; i < x.size(); ++i) {
-    mean_x += x[i];
-    mean_y += y[i];
-  }
-  mean_x /= n;
-  mean_y /= n;
-  double cov = 0.0;
-  double var_x = 0.0;
-  double var_y = 0.0;
-  for (size_t i = 0; i < x.size(); ++i) {
-    double dx = x[i] - mean_x;
-    double dy = y[i] - mean_y;
-    cov += dx * dy;
-    var_x += dx * dx;
-    var_y += dy * dy;
-  }
-  if (var_x <= 0.0 || var_y <= 0.0) return 0.0;
-  return cov / std::sqrt(var_x * var_y);
-}
-
 }  // namespace stats
 }  // namespace adahealth

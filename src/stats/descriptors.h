@@ -51,17 +51,6 @@ double GiniCoefficient(const std::vector<int64_t>& counts);
 double TopFractionCoverage(const std::vector<int64_t>& counts,
                            double top_fraction);
 
-/// Smallest number of most-frequent buckets whose mass reaches
-/// `coverage` (in [0, 1]) of the total. Returns counts.size() when the
-/// total is zero and coverage > 0.
-size_t BucketsForCoverage(const std::vector<int64_t>& counts,
-                          double coverage);
-
-/// Pearson correlation of two equal-length samples; 0 when either is
-/// constant.
-double PearsonCorrelation(const std::vector<double>& x,
-                          const std::vector<double>& y);
-
 }  // namespace stats
 }  // namespace adahealth
 

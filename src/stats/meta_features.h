@@ -50,6 +50,8 @@ struct MetaFeatures {
   std::vector<double> ToVector() const;
 
   /// Names of the ToVector() dimensions.
+  // ada-lint: allow(unreached-symbol) endgoal_test and MetaFeaturesTest
+  // name the ToVector() dimensions with it.
   static std::vector<std::string> FeatureNames();
 };
 

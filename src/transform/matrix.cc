@@ -65,17 +65,6 @@ Matrix Matrix::SelectRows(const std::vector<size_t>& row_ids) const {
   return out;
 }
 
-Matrix Matrix::SelectColumns(const std::vector<size_t>& col_ids) const {
-  Matrix out(rows_, col_ids.size());
-  for (size_t c = 0; c < col_ids.size(); ++c) ADA_CHECK_LT(col_ids[c], cols_);
-  for (size_t r = 0; r < rows_; ++r) {
-    std::span<const double> src = Row(r);
-    std::span<double> dst = out.Row(r);
-    for (size_t c = 0; c < col_ids.size(); ++c) dst[c] = src[col_ids[c]];
-  }
-  return out;
-}
-
 std::vector<double> RowSquaredNorms(const Matrix& m) {
   std::vector<double> norms(m.rows());
   for (size_t r = 0; r < m.rows(); ++r) {

@@ -42,9 +42,6 @@ class Matrix {
   /// Returns a copy containing only the rows in `row_ids` (in order).
   Matrix SelectRows(const std::vector<size_t>& row_ids) const;
 
-  /// Returns a copy containing only the columns in `col_ids` (in order).
-  Matrix SelectColumns(const std::vector<size_t>& col_ids) const;
-
   friend bool operator==(const Matrix& a, const Matrix& b) = default;
 
  private:

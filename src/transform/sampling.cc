@@ -42,38 +42,6 @@ StatusOr<std::vector<PatientId>> SamplePatients(const ExamLog& log,
   return patients;
 }
 
-StatusOr<std::vector<PatientId>> SamplePatientsStratifiedByActivity(
-    const ExamLog& log, double fraction, Rng& rng) {
-  if (fraction <= 0.0 || fraction > 1.0) {
-    return InvalidArgumentError("sample fraction must be in (0, 1]");
-  }
-  if (log.num_patients() == 0) return std::vector<PatientId>{};
-
-  // Assign patients to record-count quartiles.
-  std::vector<int64_t> counts = log.RecordsPerPatient();
-  std::vector<PatientId> by_count(log.num_patients());
-  for (size_t i = 0; i < by_count.size(); ++i) {
-    by_count[i] = static_cast<PatientId>(i);
-  }
-  std::stable_sort(by_count.begin(), by_count.end(),
-                   [&](PatientId a, PatientId b) {
-                     return counts[static_cast<size_t>(a)] <
-                            counts[static_cast<size_t>(b)];
-                   });
-  std::vector<PatientId> sampled;
-  const size_t num_strata = 4;
-  for (size_t s = 0; s < num_strata; ++s) {
-    size_t begin = s * by_count.size() / num_strata;
-    size_t end = (s + 1) * by_count.size() / num_strata;
-    if (begin >= end) continue;
-    size_t take = TargetCount(end - begin, fraction);
-    std::vector<size_t> picks = rng.SampleWithoutReplacement(end - begin, take);
-    for (size_t p : picks) sampled.push_back(by_count[begin + p]);
-  }
-  std::sort(sampled.begin(), sampled.end());
-  return sampled;
-}
-
 StatusOr<std::vector<std::vector<PatientId>>> BuildHorizontalSchedule(
     const ExamLog& log, const std::vector<double>& fractions, Rng& rng) {
   if (fractions.empty()) {

@@ -19,12 +19,6 @@ namespace transform {
 [[nodiscard]] common::StatusOr<std::vector<dataset::PatientId>> SamplePatients(
     const dataset::ExamLog& log, double fraction, common::Rng& rng);
 
-/// Samples `fraction` of the patients stratified by record-count
-/// quartile so that high- and low-activity patients stay represented.
-common::StatusOr<std::vector<dataset::PatientId>>
-SamplePatientsStratifiedByActivity(const dataset::ExamLog& log,
-                                   double fraction, common::Rng& rng);
-
 /// Builds an incremental horizontal schedule: nested patient subsets of
 /// the given fractions (each step is a superset of the previous one),
 /// mirroring the paper's "at each step, a larger portion of data is

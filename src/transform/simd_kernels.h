@@ -116,6 +116,8 @@ void ResetIsaForTesting();
 
 /// True when the AVX2+FMA kernels are compiled in and the CPU supports
 /// them (ignores the environment override and test pins).
+// ada-lint: allow(unreached-symbol) simd_kernels_test and kmeans_test skip
+// their AVX2 cases on hosts without it.
 bool Avx2Available();
 
 }  // namespace internal

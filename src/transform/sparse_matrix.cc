@@ -83,35 +83,6 @@ double CsrMatrix::Density() const {
   return cells > 0.0 ? static_cast<double>(entries_.size()) / cells : 0.0;
 }
 
-double SparseDot(std::span<const SparseEntry> a,
-                 std::span<const SparseEntry> b) {
-  double sum = 0.0;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i].column == b[j].column) {
-      sum += a[i].value * b[j].value;
-      ++i;
-      ++j;
-    } else if (a[i].column < b[j].column) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return sum;
-}
-
-double SparseCosineSimilarity(std::span<const SparseEntry> a,
-                              std::span<const SparseEntry> b) {
-  double norm_a = 0.0;
-  for (const SparseEntry& entry : a) norm_a += entry.value * entry.value;
-  double norm_b = 0.0;
-  for (const SparseEntry& entry : b) norm_b += entry.value * entry.value;
-  if (norm_a <= 0.0 || norm_b <= 0.0) return 0.0;
-  return SparseDot(a, b) / std::sqrt(norm_a * norm_b);
-}
-
 std::vector<double> RowSquaredNorms(const CsrMatrix& m) {
   std::vector<double> norms(m.rows(), 0.0);
   for (size_t r = 0; r < m.rows(); ++r) {

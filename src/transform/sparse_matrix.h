@@ -95,14 +95,6 @@ class CsrMatrix {
   std::vector<SparseEntry> entries_;
 };
 
-/// Dot product of two sparse rows (two-pointer merge).
-double SparseDot(std::span<const SparseEntry> a,
-                 std::span<const SparseEntry> b);
-
-/// Cosine similarity of two sparse rows; 0 when either is empty.
-double SparseCosineSimilarity(std::span<const SparseEntry> a,
-                              std::span<const SparseEntry> b);
-
 // --- Clustering batch kernels -------------------------------------------
 //
 // These power the sparse k-means path (cluster/kmeans*). The fused

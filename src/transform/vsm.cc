@@ -1,9 +1,7 @@
 #include "transform/vsm.h"
 
 #include <cmath>
-#include <map>
 
-#include "common/check.h"
 
 namespace adahealth {
 namespace transform {
@@ -52,67 +50,6 @@ Matrix BuildVsm(const dataset::ExamLog& log, const VsmOptions& options) {
     vsm.L2NormalizeRows();
   }
   return vsm;
-}
-
-CsrMatrix BuildSparseVsm(const dataset::ExamLog& log,
-                         const VsmOptions& options) {
-  // Accumulate counts per patient with ordered maps so rows come out in
-  // ascending column order.
-  std::vector<std::map<uint32_t, double>> rows(log.num_patients());
-  for (const auto& record : log.records()) {
-    double& cell =
-        rows[static_cast<size_t>(record.patient)]
-            [static_cast<uint32_t>(record.exam_type)];
-    switch (options.weighting) {
-      case VsmWeighting::kCount:
-      case VsmWeighting::kTfIdf:
-        cell += 1.0;
-        break;
-      case VsmWeighting::kBinary:
-        cell = 1.0;
-        break;
-    }
-  }
-  std::vector<double> idf;
-  if (options.weighting == VsmWeighting::kTfIdf) idf = IdfFactors(log);
-
-  CsrMatrix::Builder builder(log.num_exam_types());
-  std::vector<SparseEntry> entries;
-  for (auto& row : rows) {
-    entries.clear();
-    double norm_squared = 0.0;
-    for (auto& [column, value] : row) {
-      double weighted = value;
-      if (!idf.empty()) weighted *= idf[column];
-      if (weighted != 0.0) {
-        entries.push_back({column, weighted});
-        norm_squared += weighted * weighted;
-      }
-    }
-    if (options.normalization == VsmNormalization::kL2 &&
-        norm_squared > 0.0) {
-      double norm = std::sqrt(norm_squared);
-      for (SparseEntry& entry : entries) entry.value /= norm;
-    }
-    // Columns come out of the ordered map strictly increasing and in
-    // range; weights are finite products of counts and IDF logs.
-    ADA_CHECK_OK(builder.AddRow(entries));
-  }
-  return std::move(builder).Build();
-}
-
-VsmBuild BuildVsmAuto(const dataset::ExamLog& log, const VsmOptions& options,
-                      double density_threshold) {
-  VsmBuild out;
-  out.sparse = BuildSparseVsm(log, options);
-  out.density = out.sparse.Density();
-  if (out.density <= density_threshold) {
-    out.is_sparse = true;
-  } else {
-    out.dense = out.sparse.ToDense();
-    out.sparse = CsrMatrix();
-  }
-  return out;
 }
 
 const char* VsmWeightingName(VsmWeighting weighting) {

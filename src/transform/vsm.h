@@ -11,7 +11,6 @@
 #include "common/status.h"
 #include "dataset/exam_log.h"
 #include "transform/matrix.h"
-#include "transform/sparse_matrix.h"
 
 namespace adahealth {
 namespace transform {
@@ -45,33 +44,6 @@ struct VsmOptions {
 Matrix BuildVsm(const dataset::ExamLog& log,
                 const VsmOptions& options = VsmOptions());
 
-/// Builds the same VSM in CSR form without materializing the dense
-/// matrix (memory-efficient path for very sparse logs). Cell-for-cell
-/// bit-identical to BuildVsm (same weighting and normalization
-/// arithmetic in the same order), so downstream consumers may pick
-/// either representation freely.
-CsrMatrix BuildSparseVsm(const dataset::ExamLog& log,
-                         const VsmOptions& options = VsmOptions());
-
-/// VSM in whichever representation the measured density calls for:
-/// exactly one of `dense` / `sparse` is populated (`is_sparse` says
-/// which), `density` is the measured nnz fraction either way.
-struct VsmBuild {
-  Matrix dense;
-  CsrMatrix sparse;
-  bool is_sparse = false;
-  double density = 0.0;
-};
-
-/// Builds the VSM and keeps it in CSR form when the nnz density is at
-/// or below `density_threshold` (the paper cohort sits around 7%, far
-/// under the default), densifying otherwise. The sparse k-means path
-/// consumes the CSR form without ever materializing the dense matrix.
-VsmBuild BuildVsmAuto(
-    const dataset::ExamLog& log, const VsmOptions& options = VsmOptions(),
-    double density_threshold = kDefaultSparseDensityThreshold);
-
-/// Human-readable names for the enum values (for reports and the K-DB).
 const char* VsmWeightingName(VsmWeighting weighting);
 const char* VsmNormalizationName(VsmNormalization normalization);
 

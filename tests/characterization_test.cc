@@ -30,10 +30,10 @@ TEST(CharacterizationTest, StoreWritesDescriptorDocument) {
   kdb::DocumentId id = StoreCharacterization(report, "cohort-1", db);
   EXPECT_GT(id, 0);
   kdb::Collection& descriptors = db.GetOrCreate(kdb::Schema::kDescriptors);
-  auto stored = descriptors.FindOne(
+  std::vector<kdb::Document> stored = descriptors.Find(
       kdb::Query().Eq("dataset_id", common::Json("cohort-1")));
-  ASSERT_TRUE(stored.ok());
-  const common::Json* features = stored->Get("features");
+  ASSERT_EQ(stored.size(), 1u);
+  const common::Json* features = stored.front().Get("features");
   ASSERT_NE(features, nullptr);
   auto restored = stats::MetaFeatures::FromJson(*features);
   ASSERT_TRUE(restored.ok());
@@ -51,9 +51,10 @@ TEST(CharacterizationTest, MultipleDatasetsCoexist) {
   StoreCharacterization(report, "b", db);
   kdb::Collection& descriptors = db.GetOrCreate(kdb::Schema::kDescriptors);
   EXPECT_EQ(descriptors.size(), 2u);
-  EXPECT_EQ(descriptors.Count(
-                kdb::Query().Eq("dataset_id", common::Json("a"))),
-            1u);
+  EXPECT_EQ(
+      descriptors.Find(kdb::Query().Eq("dataset_id", common::Json("a")))
+          .size(),
+      1u);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Streaming-cohort coverage: batch-atomic ingestion, incremental §2.1
-// descriptors cross-checked against a full recompute, crash-safe
+// Streaming-cohort coverage: batch-atomic ingestion whose reported
+// counts match a full §2.1 recompute over the snapshot, crash-safe
 // persistence with torn-append salvage, the warm-start drift gate, the
 // scheduler's versioned fingerprints with stale-generation supersede,
 // cache supersede-exactly-once, the server's `ingest` verb — and the
@@ -154,7 +154,6 @@ TEST(CohortStoreTest, IngestAccumulatesLikeDirectAppend) {
   ASSERT_TRUE(snapshot.ok());
   EXPECT_EQ(snapshot.value().ToCsv(), direct.ToCsv());
 
-  EXPECT_EQ(store.num_cohorts(), 1u);
   service::CohortStoreStats stats = store.stats();
   EXPECT_EQ(stats.batches, 2);
   EXPECT_EQ(stats.records, 5);
@@ -182,9 +181,8 @@ TEST(CohortStoreTest, RejectsInvalidNamesBatchesAndRecords) {
             StatusCode::kInvalidArgument);
 
   // A rejected batch never materializes the cohort.
-  EXPECT_EQ(store.num_cohorts(), 0u);
+  EXPECT_EQ(store.stats().cohorts, 0);
   EXPECT_EQ(store.Snapshot("ward").status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(store.Descriptors("ward").status().code(), StatusCode::kNotFound);
   EXPECT_EQ(store.BuildCohortJob("ward").status().code(),
             StatusCode::kNotFound);
 }
@@ -199,16 +197,16 @@ TEST(CohortStoreTest, CohortNameValidation) {
 }
 
 // ---------------------------------------------------------------------
-// Incremental descriptors.
+// Ingest counts.
 
 TEST(CohortStoreTest, IncrementalDescriptorsMatchFullRecompute) {
   service::CohortStore store(service::CohortStoreOptions{});
   std::vector<dataset::RawExamRecord> rows = ToRaw(MakeSyntheticLog(17, 80));
   ASSERT_GT(rows.size(), 8u);
 
-  // Four uneven batches; after each the incrementally maintained
-  // descriptors must match stats::ComputeMetaFeatures run from scratch
-  // on the accumulated snapshot.
+  // Four uneven batches; after each the counts the ingest reports must
+  // match stats::ComputeMetaFeatures run from scratch on the
+  // accumulated snapshot.
   const size_t cuts[] = {rows.size() / 7, rows.size() / 3,
                          (rows.size() * 3) / 4, rows.size()};
   size_t start = 0;
@@ -217,32 +215,18 @@ TEST(CohortStoreTest, IncrementalDescriptorsMatchFullRecompute) {
     std::vector<dataset::RawExamRecord> batch(rows.begin() + start,
                                               rows.begin() + cut);
     start = cut;
-    ASSERT_TRUE(store.Ingest("icu", batch).ok());
+    auto ingested = store.Ingest("icu", batch);
+    ASSERT_TRUE(ingested.ok());
     ++generation;
 
-    auto descriptors = store.Descriptors("icu");
-    ASSERT_TRUE(descriptors.ok());
     auto snapshot = store.Snapshot("icu");
     ASSERT_TRUE(snapshot.ok());
     stats::MetaFeatures full = stats::ComputeMetaFeatures(snapshot.value());
 
-    EXPECT_EQ(descriptors.value().generation, generation);
-    EXPECT_EQ(descriptors.value().records, full.num_records);
-    EXPECT_EQ(descriptors.value().patients, full.num_patients);
-    EXPECT_EQ(descriptors.value().exam_types, full.num_exam_types);
-    EXPECT_DOUBLE_EQ(descriptors.value().density, full.density);
-    EXPECT_DOUBLE_EQ(descriptors.value().mean_records_per_patient,
-                     full.mean_records_per_patient);
-
-    // The marginals partition the record count.
-    int64_t marginal_sum = 0;
-    for (const auto& [exam, count] : descriptors.value().exam_marginals) {
-      EXPECT_GT(count, 0) << exam;
-      marginal_sum += count;
-    }
-    EXPECT_EQ(marginal_sum, full.num_records);
-    EXPECT_EQ(static_cast<int64_t>(descriptors.value().exam_marginals.size()),
-              full.num_exam_types);
+    EXPECT_EQ(ingested->generation, generation);
+    EXPECT_EQ(ingested->batch_records, static_cast<int64_t>(batch.size()));
+    EXPECT_EQ(ingested->total_records, full.num_records);
+    EXPECT_EQ(ingested->patients, full.num_patients);
   }
 }
 
@@ -255,7 +239,6 @@ TEST(CohortStoreTest, PersistsAndReloadsAcrossStores) {
   options.directory = dir;
 
   std::string csv;
-  service::CohortDescriptors before;
   {
     service::CohortStore store(options);
     ASSERT_TRUE(
@@ -265,22 +248,14 @@ TEST(CohortStoreTest, PersistsAndReloadsAcrossStores) {
     // warm state.
     store.OnAnalysisCommitted("ward", 2, 3, FakeSuccess(3, 5, 0.25));
     csv = store.Snapshot("ward").value().ToCsv();
-    before = store.Descriptors("ward").value();
   }
 
   service::CohortStore reloaded(options);
-  EXPECT_EQ(reloaded.num_cohorts(), 1u);
+  EXPECT_EQ(reloaded.stats().cohorts, 1);
+  EXPECT_EQ(reloaded.stats().generations, 2);
   auto snapshot = reloaded.Snapshot("ward");
   ASSERT_TRUE(snapshot.ok());
   EXPECT_EQ(snapshot.value().ToCsv(), csv);
-
-  auto after = reloaded.Descriptors("ward");
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after.value().generation, before.generation);
-  EXPECT_EQ(after.value().records, before.records);
-  EXPECT_EQ(after.value().patients, before.patients);
-  EXPECT_DOUBLE_EQ(after.value().density, before.density);
-  EXPECT_EQ(after.value().exam_marginals, before.exam_marginals);
 
   // The warm-start state survived the reload.
   auto job = reloaded.BuildCohortJob("ward");
@@ -350,11 +325,11 @@ TEST(CohortStoreTest, TornAppendResidueIsInvisibleAndTruncated) {
   // readable, the residue is never parsed.
   service::CohortStore salvaged(options);
   ASSERT_TRUE(salvaged.status().ok()) << salvaged.status().ToString();
-  EXPECT_EQ(salvaged.num_cohorts(), 1u);
+  EXPECT_EQ(salvaged.stats().cohorts, 1);
   auto snapshot = salvaged.Snapshot("ward");
   ASSERT_TRUE(snapshot.ok());
   EXPECT_EQ(snapshot.value().ToCsv(), committed_csv);
-  EXPECT_EQ(salvaged.Descriptors("ward").value().generation, 1);
+  EXPECT_EQ(salvaged.stats().generations, 1);
 
   // The next append is written at the committed end, over the residue,
   // so the log's committed entries stay parseable end to end.
@@ -370,7 +345,7 @@ TEST(CohortStoreTest, TornAppendResidueIsInvisibleAndTruncated) {
   auto final_snapshot = reloaded.Snapshot("ward");
   ASSERT_TRUE(final_snapshot.ok());
   EXPECT_EQ(final_snapshot.value().ToCsv(), direct.ToCsv());
-  EXPECT_EQ(reloaded.Descriptors("ward").value().generation, 2);
+  EXPECT_EQ(reloaded.stats().generations, 2);
 }
 
 TEST(CohortStoreTest, FirstBatchCrashResidueIsClearedNotAppendedAfter) {
@@ -397,7 +372,7 @@ TEST(CohortStoreTest, FirstBatchCrashResidueIsClearedNotAppendedAfter) {
 
   service::CohortStore store(options);
   ASSERT_TRUE(store.status().ok()) << store.status().ToString();
-  EXPECT_EQ(store.num_cohorts(), 0u);  // No committed entry, no cohort.
+  EXPECT_EQ(store.stats().cohorts, 0);  // No committed entry, no cohort.
 
   std::vector<dataset::RawExamRecord> batch = {Raw(0, "ecg", 1),
                                                Raw(1, "xray", 2)};
@@ -412,9 +387,9 @@ TEST(CohortStoreTest, FirstBatchCrashResidueIsClearedNotAppendedAfter) {
   EXPECT_EQ(store.Snapshot("ward").value().ToCsv(), direct.ToCsv());
   service::CohortStore reloaded(options);
   ASSERT_TRUE(reloaded.status().ok()) << reloaded.status().ToString();
-  ASSERT_EQ(reloaded.num_cohorts(), 1u);
+  ASSERT_EQ(reloaded.stats().cohorts, 1);
   EXPECT_EQ(reloaded.Snapshot("ward").value().ToCsv(), direct.ToCsv());
-  EXPECT_EQ(reloaded.Descriptors("ward").value().records, 2);
+  EXPECT_EQ(reloaded.Snapshot("ward")->num_records(), 2u);
 }
 
 /// One step of a generated store history: an ingest batch, or a
@@ -502,31 +477,24 @@ std::vector<HistoryStep> MakeHistory(uint64_t seed, bool warm_last) {
 void ExpectSameStore(service::CohortStore& actual,
                      service::CohortStore& expected,
                      const std::string& where) {
-  EXPECT_EQ(actual.num_cohorts(), expected.num_cohorts()) << where;
   const service::CohortStoreStats got = actual.stats();
   const service::CohortStoreStats want = expected.stats();
+  EXPECT_EQ(got.cohorts, want.cohorts) << where;
   EXPECT_EQ(got.batches, want.batches) << where;
   EXPECT_EQ(got.records, want.records) << where;
   EXPECT_EQ(got.generations, want.generations) << where;
   for (const std::string& cohort : HistoryCohorts()) {
-    auto want_descriptors = expected.Descriptors(cohort);
-    auto got_descriptors = actual.Descriptors(cohort);
-    ASSERT_EQ(got_descriptors.ok(), want_descriptors.ok()) << where << cohort;
-    if (!want_descriptors.ok()) continue;
-    EXPECT_EQ(got_descriptors->generation, want_descriptors->generation)
-        << where << cohort;
-    EXPECT_EQ(got_descriptors->records, want_descriptors->records);
-    EXPECT_EQ(got_descriptors->patients, want_descriptors->patients);
-    EXPECT_EQ(got_descriptors->exam_types, want_descriptors->exam_types);
-    EXPECT_EQ(got_descriptors->density, want_descriptors->density);
-    EXPECT_EQ(got_descriptors->exam_marginals,
-              want_descriptors->exam_marginals);
-    EXPECT_EQ(actual.Snapshot(cohort)->ToCsv(),
-              expected.Snapshot(cohort)->ToCsv())
+    auto want_snapshot = expected.Snapshot(cohort);
+    auto got_snapshot = actual.Snapshot(cohort);
+    ASSERT_EQ(got_snapshot.ok(), want_snapshot.ok()) << where << cohort;
+    if (!want_snapshot.ok()) continue;
+    EXPECT_EQ(got_snapshot->ToCsv(), want_snapshot->ToCsv())
         << where << cohort;
     auto got_job = actual.BuildCohortJob(cohort);
     auto want_job = expected.BuildCohortJob(cohort);
     ASSERT_TRUE(got_job.ok() && want_job.ok()) << where << cohort;
+    EXPECT_EQ(got_job->cohort_generation, want_job->cohort_generation)
+        << where << cohort;
     EXPECT_EQ(got_job->options.warm.centroids,
               want_job->options.warm.centroids)
         << where << cohort;
@@ -550,7 +518,8 @@ void ExpectRecovers(const std::string& dir,
     ASSERT_TRUE(recovered.status().ok())
         << where << recovered.status().ToString();
     ExpectSameStore(recovered, expected, where);
-    const int64_t generation = expected.Descriptors("alpha")->generation;
+    const int64_t generation =
+        expected.BuildCohortJob("alpha")->cohort_generation;
     auto committed = recovered.Ingest("alpha", next, generation);
     ASSERT_TRUE(committed.ok()) << where << committed.status().ToString();
     EXPECT_EQ(committed->generation, generation + 1) << where;
@@ -634,7 +603,7 @@ TEST(CohortStoreTest, CorruptCommittedEntryRefusesToOpen) {
         << store.status().ToString();
     // Nothing is served and nothing is written: committed batches are
     // never silently dropped or written over.
-    EXPECT_EQ(store.num_cohorts(), 0u);
+    EXPECT_EQ(store.stats().cohorts, 0);
     EXPECT_EQ(store.Ingest("ward", {Raw(9, "ecg", 9)}).status().code(),
               StatusCode::kDataLoss);
     EXPECT_EQ(ReadLog(dir), corrupt);
@@ -721,7 +690,7 @@ TEST(CohortStoreTest, RequestPathNeverRenamesAndFoldsDeadWarmBytes) {
   ASSERT_TRUE(reloaded.status().ok()) << reloaded.status().ToString();
   EXPECT_EQ(reloaded.Snapshot("ward")->ToCsv(),
             store.Snapshot("ward")->ToCsv());
-  EXPECT_EQ(reloaded.Descriptors("ward")->generation, 52);
+  EXPECT_EQ(reloaded.stats().generations, 52);
   EXPECT_EQ(reloaded.stats().batches, 52);
   EXPECT_EQ(reloaded.stats().records, store.stats().records);
   EXPECT_EQ(reloaded.BuildCohortJob("ward")->options.warm.centroids,
@@ -742,22 +711,22 @@ TEST(CohortStoreTest, ExpectedGenerationGuardsAgainstReplay) {
   // batch landed.
   auto replay = store.Ingest("ward", batch, /*expected_generation=*/0);
   EXPECT_EQ(replay.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(store.Descriptors("ward").value().generation, 1);
-  EXPECT_EQ(store.Descriptors("ward").value().records, 1);
+  EXPECT_EQ(store.stats().generations, 1);
+  EXPECT_EQ(store.Snapshot("ward")->num_records(), 1u);
 
   // The guard also refuses a fork: a fresh (empty) cohort cannot
   // absorb a guarded batch meant for generation 1 of the original.
   auto forked = store.Ingest("fork", batch, /*expected_generation=*/1);
   EXPECT_EQ(forked.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(store.num_cohorts(), 1u);
+  EXPECT_EQ(store.stats().cohorts, 1);
 
   // Matching generation commits; unconditional appends stay unchanged.
   ASSERT_TRUE(
       store.Ingest("ward", {Raw(1, "mri", 2)}, /*expected_generation=*/1)
           .ok());
   ASSERT_TRUE(store.Ingest("ward", {Raw(2, "ecg", 3)}).ok());
-  EXPECT_EQ(store.Descriptors("ward").value().generation, 3);
-  EXPECT_EQ(store.Descriptors("ward").value().records, 3);
+  EXPECT_EQ(store.stats().generations, 3);
+  EXPECT_EQ(store.Snapshot("ward")->num_records(), 3u);
 }
 
 // ---------------------------------------------------------------------

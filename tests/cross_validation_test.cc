@@ -143,7 +143,7 @@ TEST(StratifiedKFoldTest, MatchesTheSortBasedConstruction) {
     const int32_t num_classes = static_cast<int32_t>(rng.UniformInt(1, 9));
     std::vector<int32_t> labels;
     for (int32_t c = 0; c < num_classes; ++c) {
-      if (rng.Bernoulli(0.2)) continue;  // An empty class.
+      if (test::Bernoulli(rng, 0.2)) continue;  // An empty class.
       const int64_t members =
           num_folds + rng.UniformInt(0, round % 4 == 0 ? 2000 : 60);
       for (int64_t i = 0; i < members; ++i) labels.push_back(c);

@@ -35,7 +35,7 @@ TEST(DatabaseTest, EnsureSchemaCreatesAllSixCollections) {
   Database db;
   db.EnsureAdaHealthSchema();
   for (const std::string& name : Schema::CollectionNames()) {
-    EXPECT_TRUE(db.Has(name)) << name;
+    EXPECT_TRUE(db.Get(name).ok()) << name;
   }
   EXPECT_EQ(db.CollectionNames().size(), 6u);
   // Idempotent.
@@ -66,9 +66,10 @@ TEST(DatabaseTest, SaveAndLoadRoundTrip) {
       reloaded.LoadFrom(directory, Schema::CollectionNames()).ok());
   EXPECT_EQ(reloaded.GetOrCreate(Schema::kFeedback).size(), 1u);
   EXPECT_EQ(reloaded.GetOrCreate(Schema::kDescriptors).size(), 1u);
-  auto found = reloaded.GetOrCreate(Schema::kFeedback)
-                   .FindOne(Query().Eq("interest", Json("high")));
-  EXPECT_TRUE(found.ok());
+  EXPECT_EQ(reloaded.GetOrCreate(Schema::kFeedback)
+                .Find(Query().Eq("interest", Json("high")))
+                .size(),
+            1u);
 
   std::filesystem::remove_all(directory);
 }

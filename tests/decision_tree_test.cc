@@ -63,7 +63,7 @@ TEST(DecisionTreeTest, FitsAsymmetricXorWithDepthTwo) {
   }
   DecisionTreeClassifier tree;
   ASSERT_TRUE(tree.Fit(features, labels, 2).ok());
-  std::vector<int32_t> predicted = tree.PredictBatch(features);
+  std::vector<int32_t> predicted = test::PredictBatch(tree, features);
   EXPECT_EQ(predicted, labels);
   EXPECT_GE(tree.depth(), 2);
 }
@@ -114,7 +114,7 @@ TEST(DecisionTreeTest, GeneralizesOnBlobs) {
       {{0.0, 0.0}, {6.0, 0.0}, {0.0, 6.0}}, 30, 0.7, 52);
   DecisionTreeClassifier tree;
   ASSERT_TRUE(tree.Fit(train.points, train.labels, 3).ok());
-  std::vector<int32_t> predicted = tree.PredictBatch(test_set.points);
+  std::vector<int32_t> predicted = test::PredictBatch(tree, test_set.points);
   int correct = 0;
   for (size_t i = 0; i < predicted.size(); ++i) {
     if (predicted[i] == test_set.labels[i]) ++correct;
@@ -454,7 +454,7 @@ void FillColumn(common::Rng& rng, Matrix& features, size_t col) {
         break;
       case 4: {  // Huge magnitudes, up to ±DBL_MAX.
         const double scales[] = {0.5, 0.75, 0.9, 1.0};
-        value = (rng.Bernoulli(0.5) ? max : -max) *
+        value = (test::Bernoulli(rng, 0.5) ? max : -max) *
                 scales[rng.UniformUint64(std::size(scales))];
         break;
       }
@@ -560,7 +560,7 @@ void FillSparseColumn(common::Rng& rng, Matrix& features, size_t col) {
   const double zero_share = rng.UniformDouble(0.5, 0.97);
   const int64_t family = rng.UniformInt(0, 6);
   for (size_t row = 0; row < features.rows(); ++row) {
-    const bool zero = rng.Bernoulli(zero_share);
+    const bool zero = test::Bernoulli(rng, zero_share);
     double value = 0.0;
     switch (family) {
       case 0:  // VSM exam counts.
@@ -572,23 +572,23 @@ void FillSparseColumn(common::Rng& rng, Matrix& features, size_t col) {
       case 2:  // All zeros.
         break;
       case 3:  // No zeros: dense counts or dense reals of either sign.
-        value = rng.Bernoulli(0.5)
+        value = test::Bernoulli(rng, 0.5)
                     ? static_cast<double>(rng.UniformInt(1, 4))
                     : rng.UniformDouble(-1.0, 1.0);
         if (value == 0.0) value = 0.25;
         break;
       case 4:  // Negatives next to zero.
         if (!zero) {
-          value = rng.Bernoulli(0.5)
+          value = test::Bernoulli(rng, 0.5)
                       ? static_cast<double>(rng.UniformInt(-3, -1))
                       : -rng.UniformDouble(1e-3, 1.0);
-          if (rng.Bernoulli(0.3)) value = -value;
+          if (test::Bernoulli(rng, 0.3)) value = -value;
         }
         break;
       case 5:  // Denormals next to zero.
         if (!zero) {
           value = static_cast<double>(rng.UniformInt(1, 3)) * denormal;
-          if (rng.Bernoulli(0.5)) value = -value;
+          if (test::Bernoulli(rng, 0.5)) value = -value;
         }
         break;
       default:
@@ -597,9 +597,9 @@ void FillSparseColumn(common::Rng& rng, Matrix& features, size_t col) {
     features.At(row, col) = value;
   }
   if (family == 6) FillColumn(rng, features, col);
-  if (rng.Bernoulli(0.4)) {
+  if (test::Bernoulli(rng, 0.4)) {
     for (size_t row = 0; row < features.rows(); ++row) {
-      if (features.At(row, col) == 0.0 && rng.Bernoulli(0.5)) {
+      if (features.At(row, col) == 0.0 && test::Bernoulli(rng, 0.5)) {
         features.At(row, col) = -0.0;
       }
     }
@@ -612,7 +612,8 @@ TEST(DecisionTreePropertyTest, PresortedTreeMatchesSortPerNodeOracle) {
   int near_zero_thresholds = 0;
   for (int trial = 0; trial < 600; ++trial) {
     const size_t rows = static_cast<size_t>(
-        rng.Bernoulli(0.2) ? rng.UniformInt(200, 400) : rng.UniformInt(2, 120));
+        test::Bernoulli(rng, 0.2) ? rng.UniformInt(200, 400)
+                                  : rng.UniformInt(2, 120));
     const size_t cols = static_cast<size_t>(rng.UniformInt(1, 40));
     const int32_t num_classes = static_cast<int32_t>(rng.UniformInt(1, 8));
     Matrix features(rows, cols);
@@ -624,7 +625,7 @@ TEST(DecisionTreePropertyTest, PresortedTreeMatchesSortPerNodeOracle) {
       label = static_cast<int32_t>(rng.UniformInt(0, num_classes - 1));
     }
     DecisionTreeOptions options;
-    if (rng.Bernoulli(0.25)) {  // The end-goal engine's tree.
+    if (test::Bernoulli(rng, 0.25)) {  // The end-goal engine's tree.
       options.max_depth = 8;
       options.min_samples_leaf = 2;
       ++end_goal_cases;
@@ -701,14 +702,15 @@ TEST(DecisionTreePropertyTest, RowSubsetFitFromSharedPresortMatchesCopiedRows) {
   int fold_cases = 0;
   for (int trial = 0; trial < 400; ++trial) {
     const size_t rows = static_cast<size_t>(
-        rng.Bernoulli(0.2) ? rng.UniformInt(200, 400) : rng.UniformInt(2, 120));
+        test::Bernoulli(rng, 0.2) ? rng.UniformInt(200, 400)
+                                  : rng.UniformInt(2, 120));
     const size_t cols = static_cast<size_t>(rng.UniformInt(1, 30));
     const int32_t num_classes = static_cast<int32_t>(rng.UniformInt(1, 6));
     Matrix features(rows, cols);
     for (size_t col = 0; col < cols; ++col) {
       // The families above: ulp neighbours, denormals, ties and huge
       // magnitudes, and the zero-dominated VSM columns with signed zeros.
-      if (rng.Bernoulli(0.3)) {
+      if (test::Bernoulli(rng, 0.3)) {
         FillColumn(rng, features, col);
       } else {
         FillSparseColumn(rng, features, col);
@@ -729,7 +731,7 @@ TEST(DecisionTreePropertyTest, RowSubsetFitFromSharedPresortMatchesCopiedRows) {
       const double keep = rng.UniformDouble(0.05, 1.0);
       std::vector<size_t> subset;
       for (size_t row = 0; row < rows; ++row) {
-        if (rng.Bernoulli(keep)) subset.push_back(row);
+        if (test::Bernoulli(rng, keep)) subset.push_back(row);
       }
       if (subset.empty()) subset.push_back(rng.UniformUint64(rows));
       subsets.push_back(std::move(subset));

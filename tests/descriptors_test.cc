@@ -1,6 +1,8 @@
 #include "stats/descriptors.h"
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include <gtest/gtest.h>
 
@@ -101,6 +103,55 @@ TEST(TopFractionCoverageTest, KnownValues) {
 TEST(TopFractionCoverageTest, UnsortedInput) {
   std::vector<int64_t> counts{5, 70, 5, 20};
   EXPECT_DOUBLE_EQ(TopFractionCoverage(counts, 0.25), 0.70);
+}
+
+// Smallest number of most-frequent buckets whose mass reaches
+// `coverage` (in [0, 1]) of the total; counts.size() when the total is
+// zero and coverage > 0.
+size_t BucketsForCoverage(const std::vector<int64_t>& counts,
+                          double coverage) {
+  std::vector<int64_t> sorted = counts;
+  std::sort(sorted.begin(), sorted.end(), std::greater<int64_t>());
+  int64_t total = 0;
+  for (int64_t c : sorted) total += c;
+  if (total == 0) return coverage > 0.0 ? counts.size() : 0;
+  int64_t needed = static_cast<int64_t>(
+      std::ceil(coverage * static_cast<double>(total)));
+  if (needed <= 0) return 0;
+  int64_t covered = 0;
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    covered += sorted[i];
+    if (covered >= needed) return i + 1;
+  }
+  return sorted.size();
+}
+
+// Pearson correlation of two equal-length samples; 0 when either is
+// constant.
+double PearsonCorrelation(const std::vector<double>& x,
+                          const std::vector<double>& y) {
+  if (x.size() < 2) return 0.0;
+  const double n = static_cast<double>(x.size());
+  double mean_x = 0.0;
+  double mean_y = 0.0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    mean_x += x[i];
+    mean_y += y[i];
+  }
+  mean_x /= n;
+  mean_y /= n;
+  double cov = 0.0;
+  double var_x = 0.0;
+  double var_y = 0.0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    double dx = x[i] - mean_x;
+    double dy = y[i] - mean_y;
+    cov += dx * dy;
+    var_x += dx * dx;
+    var_y += dy * dy;
+  }
+  if (var_x <= 0.0 || var_y <= 0.0) return 0.0;
+  return cov / std::sqrt(var_x * var_y);
 }
 
 TEST(BucketsForCoverageTest, KnownValues) {

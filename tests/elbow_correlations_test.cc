@@ -1,10 +1,8 @@
-// Tests for the SSE-elbow analysis, maximal itemsets, and exam
-// correlation discovery.
+// Tests for the SSE-elbow analysis and exam correlation discovery.
 #include <gtest/gtest.h>
 #include "cluster/elbow.h"
 #include "common/rng.h"
 #include "dataset/synthetic_cohort.h"
-#include "patterns/fpgrowth.h"
 #include "stats/correlations.h"
 
 namespace adahealth {
@@ -52,38 +50,6 @@ TEST(ElbowTest, RejectsBadInput) {
   std::vector<cluster::SsePoint> fine{{2, 10.0}, {3, 5.0}, {4, 2.0}};
   EXPECT_FALSE(cluster::AnalyzeElbow(fine, 0.0).ok());
   EXPECT_FALSE(cluster::AnalyzeElbow(fine, 1.5).ok());
-}
-
-TEST(MaximalItemsetsTest, KeepsOnlySupersetFreeSets) {
-  std::vector<patterns::FrequentItemset> itemsets{
-      {{0}, 5}, {{1}, 4}, {{2}, 3}, {{0, 1}, 3}, {{0, 2}, 2}};
-  auto maximal = patterns::MaximalItemsets(itemsets);
-  auto contains = [&](const std::vector<patterns::ItemId>& items) {
-    for (const auto& itemset : maximal) {
-      if (itemset.items == items) return true;
-    }
-    return false;
-  };
-  EXPECT_FALSE(contains({0}));  // Subset of {0,1} and {0,2}.
-  EXPECT_FALSE(contains({1}));  // Subset of {0,1}.
-  EXPECT_FALSE(contains({2}));  // Subset of {0,2}.
-  EXPECT_TRUE(contains({0, 1}));
-  EXPECT_TRUE(contains({0, 2}));
-  EXPECT_EQ(maximal.size(), 2u);
-}
-
-TEST(MaximalItemsetsTest, MaximalSubsetOfClosed) {
-  // Every maximal itemset is closed (standard containment).
-  std::vector<patterns::FrequentItemset> itemsets{
-      {{0}, 5}, {{1}, 5}, {{0, 1}, 5}, {{2}, 4}, {{0, 2}, 2}};
-  auto closed = patterns::ClosedItemsets(itemsets);
-  auto maximal = patterns::MaximalItemsets(itemsets);
-  for (const auto& m : maximal) {
-    bool found = false;
-    for (const auto& c : closed) found |= c.items == m.items;
-    EXPECT_TRUE(found);
-  }
-  EXPECT_LE(maximal.size(), closed.size());
 }
 
 TEST(ExamCorrelationsTest, DetectsPlantedCorrelation) {

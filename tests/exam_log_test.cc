@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include <gtest/gtest.h>
+#include "common/csv.h"
 
 namespace adahealth {
 namespace dataset {
@@ -145,8 +146,10 @@ TEST(ExamLogTest, AppendRejectsAPatientIdSpanOverTheCap) {
 TEST(ExamLogTest, SaveAndLoad) {
   ExamLog log = MakeSmallLog();
   std::string path = testing::TempDir() + "/exam_log_test.csv";
-  ASSERT_TRUE(log.Save(path).ok());
-  auto loaded = ExamLog::Load(path);
+  ASSERT_TRUE(common::WriteStringToFile(path, log.ToCsv()).ok());
+  auto text = common::ReadFileToString(path);
+  ASSERT_TRUE(text.ok());
+  auto loaded = ExamLog::FromCsv(text.value());
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->num_records(), log.num_records());
   std::remove(path.c_str());

@@ -12,6 +12,7 @@
 #include <new>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -47,6 +48,25 @@ using common::RetryPolicy;
 using common::ScopedFailpoint;
 using common::Status;
 using common::StatusCode;
+
+/// The outcome of `stage` in `result`, or nullptr when absent.
+const core::StageOutcome* FindStage(const core::SessionResult& result,
+                                    std::string_view stage) {
+  for (const core::StageOutcome& outcome : result.stages) {
+    if (outcome.stage == stage) return &outcome;
+  }
+  return nullptr;
+}
+
+/// Number of stages of `result` in `state`.
+size_t CountStages(const core::SessionResult& result,
+                   core::StageState state) {
+  size_t count = 0;
+  for (const core::StageOutcome& outcome : result.stages) {
+    if (outcome.state == state) ++count;
+  }
+  return count;
+}
 
 /// Every test starts and ends with a dormant registry: failpoints are
 /// process-global state and must not leak across tests.
@@ -570,7 +590,7 @@ TEST_F(FaultInjectionSessionTest, TransientStageFailureIsRetriedToOk) {
                      OneShotError(StatusCode::kUnavailable));
   auto result = session.Run(cohort_.log, &cohort_.taxonomy, FastOptions());
   ASSERT_TRUE(result.ok());
-  const core::StageOutcome* outcome = result->FindStage("characterize");
+  const core::StageOutcome* outcome = FindStage(*result, "characterize");
   ASSERT_NE(outcome, nullptr);
   EXPECT_EQ(outcome->state, core::StageState::kOk);
   EXPECT_EQ(outcome->attempts, 2);
@@ -586,11 +606,11 @@ TEST_F(FaultInjectionSessionTest, NonEssentialStageDegradesRunStillOk) {
                      OneShotError(StatusCode::kInternal));
   auto result = session.Run(cohort_.log, &cohort_.taxonomy, FastOptions());
   ASSERT_TRUE(result.ok());
-  const core::StageOutcome* outcome = result->FindStage("knowledge");
+  const core::StageOutcome* outcome = FindStage(*result, "knowledge");
   ASSERT_NE(outcome, nullptr);
   EXPECT_EQ(outcome->state, core::StageState::kDegraded);
   EXPECT_EQ(outcome->status.code(), StatusCode::kInternal);
-  EXPECT_EQ(result->CountStages(core::StageState::kDegraded), 1u);
+  EXPECT_EQ(CountStages(*result, core::StageState::kDegraded), 1u);
   EXPECT_NE(result->summary.find("resilience:"), std::string::npos);
 }
 
@@ -601,7 +621,7 @@ TEST_F(FaultInjectionSessionTest, PartialMiningDegradesToFullDataset) {
                      OneShotError(StatusCode::kInternal));
   auto result = session.Run(cohort_.log, &cohort_.taxonomy, FastOptions());
   ASSERT_TRUE(result.ok());
-  const core::StageOutcome* outcome = result->FindStage("partial_mining");
+  const core::StageOutcome* outcome = FindStage(*result, "partial_mining");
   ASSERT_NE(outcome, nullptr);
   EXPECT_EQ(outcome->state, core::StageState::kDegraded);
   // Fallback: mine the full dataset.
@@ -620,13 +640,13 @@ TEST_F(FaultInjectionSessionTest, SweepRunFailureDegradesPartialMining) {
                      OneShotError(StatusCode::kInternal, "injected"));
   auto result = session.Run(cohort_.log, &cohort_.taxonomy, FastOptions());
   ASSERT_TRUE(result.ok());
-  const core::StageOutcome* outcome = result->FindStage("partial_mining");
+  const core::StageOutcome* outcome = FindStage(*result, "partial_mining");
   ASSERT_NE(outcome, nullptr);
   EXPECT_EQ(outcome->state, core::StageState::kDegraded);
   EXPECT_EQ(outcome->status.code(), StatusCode::kInternal);
   ASSERT_EQ(result->partial.steps.size(), 1u);
   EXPECT_DOUBLE_EQ(result->partial.steps[0].fraction, 1.0);
-  const core::StageOutcome* optimizer = result->FindStage("optimizer");
+  const core::StageOutcome* optimizer = FindStage(*result, "optimizer");
   ASSERT_NE(optimizer, nullptr);
   EXPECT_EQ(optimizer->state, core::StageState::kOk);
   EXPECT_EQ(result->optimizer.num_skipped(), 0u);
@@ -662,7 +682,7 @@ TEST_F(FaultInjectionSessionTest, StoreStageDegradesWhenPersistFails) {
                                 .value();
   auto result = session.Run(cohort_.log, &cohort_.taxonomy, options);
   ASSERT_TRUE(result.ok());
-  const core::StageOutcome* outcome = result->FindStage("kdb_store");
+  const core::StageOutcome* outcome = FindStage(*result, "kdb_store");
   ASSERT_NE(outcome, nullptr);
   EXPECT_EQ(outcome->state, core::StageState::kDegraded);
   EXPECT_EQ(outcome->status.code(), StatusCode::kUnavailable);
@@ -683,7 +703,7 @@ TEST_F(FaultInjectionSessionTest, SessionPersistsKdbWhenDirectoryGiven) {
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(FileExists(options.persist_directory + "/" +
                          kdb::Schema::kKnowledgeItems + ".jsonl"));
-  const core::StageOutcome* outcome = result->FindStage("kdb_store");
+  const core::StageOutcome* outcome = FindStage(*result, "kdb_store");
   ASSERT_NE(outcome, nullptr);
   EXPECT_EQ(outcome->state, core::StageState::kOk);
 }
@@ -693,7 +713,7 @@ TEST_F(FaultInjectionSessionTest, SkipsPatternMiningWithoutTaxonomy) {
   core::AnalysisSession session(&db);
   auto result = session.Run(cohort_.log, nullptr, FastOptions());
   ASSERT_TRUE(result.ok());
-  const core::StageOutcome* outcome = result->FindStage("pattern_mining");
+  const core::StageOutcome* outcome = FindStage(*result, "pattern_mining");
   ASSERT_NE(outcome, nullptr);
   EXPECT_EQ(outcome->state, core::StageState::kSkipped);
   EXPECT_EQ(outcome->attempts, 0);
@@ -708,7 +728,7 @@ TEST_F(FaultInjectionSessionTest, BudgetOverrunMarksStageDegraded) {
   options.resilience.stage_budget_seconds["optimizer"] = 1e-6;
   auto result = session.Run(cohort_.log, &cohort_.taxonomy, options);
   ASSERT_TRUE(result.ok());
-  const core::StageOutcome* outcome = result->FindStage("optimizer");
+  const core::StageOutcome* outcome = FindStage(*result, "optimizer");
   ASSERT_NE(outcome, nullptr);
   EXPECT_EQ(outcome->state, core::StageState::kDegraded);
   EXPECT_TRUE(outcome->over_budget);
@@ -981,10 +1001,10 @@ TEST_F(FaultInjectionTest, IngestAppendFaultLeavesPriorGenerationReadable) {
 
   // The failed batch never happened: generation 1 stays fully readable
   // in memory and from disk.
-  EXPECT_EQ(store.Descriptors("ward").value().generation, 1);
+  EXPECT_EQ(store.stats().generations, 1);
   EXPECT_EQ(store.Snapshot("ward").value().ToCsv(), committed);
   service::CohortStore reloaded(options);
-  EXPECT_EQ(reloaded.Descriptors("ward").value().generation, 1);
+  EXPECT_EQ(reloaded.stats().generations, 1);
   EXPECT_EQ(reloaded.Snapshot("ward").value().ToCsv(), committed);
 
   // With the fault cleared the same batch commits cleanly.
@@ -1012,14 +1032,14 @@ TEST_F(FaultInjectionTest, IngestSnapshotFaultRollsBackTheWholeBatch) {
     EXPECT_EQ(failed.status().code(), StatusCode::kDataLoss);
   }
 
-  EXPECT_EQ(store.Descriptors("ward").value().generation, 1);
-  EXPECT_EQ(store.Descriptors("ward").value().records, 1);
+  EXPECT_EQ(store.stats().generations, 1);
+  EXPECT_EQ(store.Snapshot("ward")->num_records(), 1u);
   EXPECT_EQ(store.Snapshot("ward").value().ToCsv(), committed);
   // A fresh store reads only the committed prefix: the appended but
   // never-manifested bytes are invisible.
   {
     service::CohortStore reloaded(options);
-    EXPECT_EQ(reloaded.Descriptors("ward").value().generation, 1);
+    EXPECT_EQ(reloaded.stats().generations, 1);
     EXPECT_EQ(reloaded.Snapshot("ward").value().ToCsv(), committed);
   }
 
@@ -1030,7 +1050,7 @@ TEST_F(FaultInjectionTest, IngestSnapshotFaultRollsBackTheWholeBatch) {
   ASSERT_TRUE(direct.Append(batch2).ok());
   service::CohortStore reloaded(options);
   EXPECT_EQ(reloaded.Snapshot("ward").value().ToCsv(), direct.ToCsv());
-  EXPECT_EQ(reloaded.Descriptors("ward").value().generation, 2);
+  EXPECT_EQ(reloaded.stats().generations, 2);
 }
 
 TEST_F(FaultInjectionTest, WarmSnapshotFaultDegradesNextJobToCold) {

@@ -17,17 +17,27 @@ stats::MetaFeatures CohortFeatures() {
   return stats::ComputeMetaFeatures(cohort->log);
 }
 
+// The noise-free label of a knowledge item: goal affinity + quality
+// term, thresholded to {low, medium, high} like FeedbackSimulator's
+// labels.
+Interest LabelItem(const PersonaConfig& persona, const KnowledgeItem& item) {
+  const double utility =
+      persona.goal_affinity[static_cast<size_t>(item.goal)] +
+      persona.quality_weight * item.quality;
+  if (utility >= persona.high_threshold) return Interest::kHigh;
+  if (utility >= persona.medium_threshold) return Interest::kMedium;
+  return Interest::kLow;
+}
+
 TEST(FeedbackSimTest, QualityDrivesItemLabels) {
   PersonaConfig persona = DiabetologistPersona();
-  persona.noise_stddev = 0.0;  // Deterministic.
-  FeedbackSimulator simulator(persona, 1);
   KnowledgeItem weak;
   weak.goal = EndGoal::kPatientGrouping;
   weak.quality = 0.0;
   KnowledgeItem strong = weak;
   strong.quality = 1.0;
-  Interest weak_label = simulator.LabelItem(weak);
-  Interest strong_label = simulator.LabelItem(strong);
+  Interest weak_label = LabelItem(persona, weak);
+  Interest strong_label = LabelItem(persona, strong);
   EXPECT_GE(static_cast<int>(strong_label), static_cast<int>(weak_label));
   EXPECT_EQ(strong_label, Interest::kHigh);
 }
@@ -87,15 +97,14 @@ TEST(FeedbackSimTest, ThresholdsOrderLabels) {
   persona.noise_stddev = 0.0;
   persona.high_threshold = 0.8;
   persona.medium_threshold = 0.4;
-  FeedbackSimulator simulator(persona, 13);
   KnowledgeItem item;
   item.goal = EndGoal::kComplianceOutcome;
   item.quality = 0.2;
-  EXPECT_EQ(simulator.LabelItem(item), Interest::kLow);
+  EXPECT_EQ(LabelItem(persona, item), Interest::kLow);
   item.quality = 0.6;
-  EXPECT_EQ(simulator.LabelItem(item), Interest::kMedium);
+  EXPECT_EQ(LabelItem(persona, item), Interest::kMedium);
   item.quality = 0.9;
-  EXPECT_EQ(simulator.LabelItem(item), Interest::kHigh);
+  EXPECT_EQ(LabelItem(persona, item), Interest::kHigh);
 }
 
 TEST(FeedbackSimTest, BuiltInPersonasAreDistinct) {

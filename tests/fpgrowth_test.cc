@@ -1,5 +1,6 @@
 #include "patterns/fpgrowth.h"
 
+#include <algorithm>
 #include <cmath>
 #include <ostream>
 
@@ -8,6 +9,7 @@
 #include "common/string_util.h"
 #include "dataset/synthetic_cohort.h"
 #include "patterns/transactions.h"
+#include "test_util.h"
 
 namespace adahealth {
 namespace patterns {
@@ -31,7 +33,7 @@ TransactionDb RandomDb(size_t num_transactions, size_t num_items,
   for (size_t t = 0; t < num_transactions; ++t) {
     std::vector<ItemId> transaction;
     for (size_t i = 0; i < num_items; ++i) {
-      if (rng.Bernoulli(item_probability)) {
+      if (test::Bernoulli(rng, item_probability)) {
         transaction.push_back(static_cast<ItemId>(i));
       }
     }
@@ -159,6 +161,53 @@ TEST(FpGrowthTest, AgreesOnSyntheticCohortTransactions) {
   EXPECT_GT(fpgrowth->size(), 0u);
 }
 
+// Filters `itemsets` down to the closed ones (no proper superset with
+// the same support). Input may be in any order.
+std::vector<FrequentItemset> ClosedItemsets(
+    std::vector<FrequentItemset> itemsets) {
+  SortCanonical(itemsets);
+  std::vector<FrequentItemset> closed;
+  for (size_t i = 0; i < itemsets.size(); ++i) {
+    bool is_closed = true;
+    // A superset with equal support must be strictly larger; canonical
+    // order sorts by size, so scan the tail.
+    for (size_t j = i + 1; j < itemsets.size(); ++j) {
+      if (itemsets[j].items.size() <= itemsets[i].items.size()) continue;
+      if (itemsets[j].support != itemsets[i].support) continue;
+      if (std::includes(itemsets[j].items.begin(), itemsets[j].items.end(),
+                        itemsets[i].items.begin(),
+                        itemsets[i].items.end())) {
+        is_closed = false;
+        break;
+      }
+    }
+    if (is_closed) closed.push_back(itemsets[i]);
+  }
+  return closed;
+}
+
+// Filters `itemsets` down to the maximal ones (no frequent proper
+// superset at all). Input may be in any order.
+std::vector<FrequentItemset> MaximalItemsets(
+    std::vector<FrequentItemset> itemsets) {
+  SortCanonical(itemsets);
+  std::vector<FrequentItemset> maximal;
+  for (size_t i = 0; i < itemsets.size(); ++i) {
+    bool is_maximal = true;
+    for (size_t j = i + 1; j < itemsets.size(); ++j) {
+      if (itemsets[j].items.size() <= itemsets[i].items.size()) continue;
+      if (std::includes(itemsets[j].items.begin(), itemsets[j].items.end(),
+                        itemsets[i].items.begin(),
+                        itemsets[i].items.end())) {
+        is_maximal = false;
+        break;
+      }
+    }
+    if (is_maximal) maximal.push_back(itemsets[i]);
+  }
+  return maximal;
+}
+
 TEST(ClosedItemsetsTest, FiltersNonClosed) {
   // {0} support 3 is not closed if {0,1} also has support 3.
   std::vector<FrequentItemset> itemsets{
@@ -175,6 +224,38 @@ TEST(ClosedItemsetsTest, FiltersNonClosed) {
   EXPECT_TRUE(contains({0, 1}));
   EXPECT_TRUE(contains({2}));   // Superset {0,2} has lower support.
   EXPECT_TRUE(contains({0, 2}));
+}
+
+TEST(MaximalItemsetsTest, KeepsOnlySupersetFreeSets) {
+  std::vector<FrequentItemset> itemsets{
+      {{0}, 5}, {{1}, 4}, {{2}, 3}, {{0, 1}, 3}, {{0, 2}, 2}};
+  auto maximal = MaximalItemsets(itemsets);
+  auto contains = [&](const std::vector<ItemId>& items) {
+    for (const auto& itemset : maximal) {
+      if (itemset.items == items) return true;
+    }
+    return false;
+  };
+  EXPECT_FALSE(contains({0}));  // Subset of {0,1} and {0,2}.
+  EXPECT_FALSE(contains({1}));  // Subset of {0,1}.
+  EXPECT_FALSE(contains({2}));  // Subset of {0,2}.
+  EXPECT_TRUE(contains({0, 1}));
+  EXPECT_TRUE(contains({0, 2}));
+  EXPECT_EQ(maximal.size(), 2u);
+}
+
+TEST(MaximalItemsetsTest, MaximalSubsetOfClosed) {
+  // Every maximal itemset is closed (standard containment).
+  std::vector<FrequentItemset> itemsets{
+      {{0}, 5}, {{1}, 5}, {{0, 1}, 5}, {{2}, 4}, {{0, 2}, 2}};
+  auto closed = ClosedItemsets(itemsets);
+  auto maximal = MaximalItemsets(itemsets);
+  for (const auto& m : maximal) {
+    bool found = false;
+    for (const auto& c : closed) found |= c.items == m.items;
+    EXPECT_TRUE(found);
+  }
+  EXPECT_LE(maximal.size(), closed.size());
 }
 
 TEST(TransactionsTest, BuildTransactionsDeduplicates) {

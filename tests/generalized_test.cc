@@ -58,7 +58,7 @@ TEST(GeneralizedTest, HigherLevelsAggregateSupport) {
   }
   for (const auto& [node, support] : support_by_node) {
     if (taxonomy.LevelOf(node) != 0) continue;
-    ItemId group_node = taxonomy.ParentOf(node);
+    ItemId group_node = taxonomy.GroupNode(taxonomy.GroupOfLeaf(node));
     auto group_it = support_by_node.find(group_node);
     if (group_it != support_by_node.end()) {
       EXPECT_GE(group_it->second, support);

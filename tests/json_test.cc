@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 #include "common/rng.h"
+#include "test_util.h"
 
 namespace adahealth {
 namespace common {
@@ -15,7 +16,7 @@ namespace {
 
 TEST(JsonTest, DefaultIsNull) {
   Json value;
-  EXPECT_TRUE(value.is_null());
+  EXPECT_TRUE(value.type() == Json::Type::kNull);
   EXPECT_EQ(value.Dump(), "null");
 }
 
@@ -33,7 +34,7 @@ TEST(JsonTest, IntIsAlsoNumericDouble) {
 }
 
 TEST(JsonParseTest, Scalars) {
-  EXPECT_TRUE(Json::Parse("null")->is_null());
+  EXPECT_TRUE(Json::Parse("null")->type() == Json::Type::kNull);
   EXPECT_TRUE(Json::Parse("true")->AsBool());
   EXPECT_FALSE(Json::Parse("false")->AsBool());
   EXPECT_EQ(Json::Parse("-17")->AsInt(), -17);
@@ -314,8 +315,10 @@ std::string GenerateStringDocument(Rng& rng) {
                   static_cast<char>(rng.UniformInt(0x20, 0x7e)));
     }
   }
-  if (rng.Bernoulli(0.9)) text.push_back('"');
-  if (rng.Bernoulli(0.1)) text += rng.Bernoulli(0.5) ? " \n" : " x";
+  if (test::Bernoulli(rng, 0.9)) text.push_back('"');
+  if (test::Bernoulli(rng, 0.1)) {
+    text += test::Bernoulli(rng, 0.5) ? " \n" : " x";
+  }
   return text;
 }
 
@@ -358,7 +361,7 @@ TEST(JsonStringOracleTest, EscapeMatchesByteAtATimeEscape) {
     const int64_t length = rng.UniformInt(0, 40);
     for (int64_t j = 0; j < length; ++j) {
       // Half plain runs, half any byte.
-      text.push_back(static_cast<char>(rng.Bernoulli(0.5)
+      text.push_back(static_cast<char>(test::Bernoulli(rng, 0.5)
                                            ? rng.UniformInt(0x20, 0x7e)
                                            : rng.UniformInt(0, 255)));
     }

@@ -26,6 +26,7 @@
 #include "transform/sampling.h"
 #include "transform/sparse_matrix.h"
 #include "transform/vsm.h"
+#include "test_util.h"
 
 namespace adahealth {
 namespace {
@@ -317,12 +318,14 @@ SweepCase MakeCase(uint64_t seed) {
   c.data = Matrix(rows, cols);
   for (size_t r = 0; r < rows; ++r) {
     // A few duplicate rows exercise ties.
-    if (r > 0 && rng.Bernoulli(0.05)) {
+    if (r > 0 && test::Bernoulli(rng, 0.05)) {
       for (size_t j = 0; j < cols; ++j) c.data.At(r, j) = c.data.At(r - 1, j);
       continue;
     }
     for (size_t j = 0; j < cols; ++j) {
-      if (rng.Bernoulli(c.density)) c.data.At(r, j) = rng.UniformDouble(0.1, 1.0);
+      if (test::Bernoulli(rng, c.density)) {
+        c.data.At(r, j) = rng.UniformDouble(0.1, 1.0);
+      }
     }
   }
   c.restarts = static_cast<int32_t>(1 + seed % 4);

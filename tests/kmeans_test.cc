@@ -433,7 +433,7 @@ Matrix OracleAdaptCentroids(const Matrix& data, const Clustering& source,
 Matrix GeneratedPoints(common::Rng& rng, size_t n, size_t dims) {
   Matrix points(n, dims);
   for (size_t i = 0; i < n; ++i) {
-    if (i > 0 && rng.Bernoulli(0.15)) {
+    if (i > 0 && test::Bernoulli(rng, 0.15)) {
       const size_t src = rng.UniformUint64(i);
       for (size_t d = 0; d < dims; ++d) points.At(i, d) = points.At(src, d);
       continue;

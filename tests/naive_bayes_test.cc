@@ -24,7 +24,7 @@ TEST(NaiveBayesTest, GeneralizesOnHeldOut) {
       {{0.0, 0.0}, {4.0, 0.0}, {0.0, 4.0}}, 40, 0.6, 64);
   GaussianNaiveBayes model;
   ASSERT_TRUE(model.Fit(train.points, train.labels, 3).ok());
-  std::vector<int32_t> predicted = model.PredictBatch(held_out.points);
+  std::vector<int32_t> predicted = test::PredictBatch(model, held_out.points);
   int correct = 0;
   for (size_t i = 0; i < predicted.size(); ++i) {
     if (predicted[i] == held_out.labels[i]) ++correct;

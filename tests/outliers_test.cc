@@ -1,5 +1,10 @@
 #include "cluster/outliers.h"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <numeric>
+
 #include <gtest/gtest.h>
 #include "test_util.h"
 
@@ -8,6 +13,36 @@ namespace cluster {
 namespace {
 
 using transform::Matrix;
+
+// Per-row mean Euclidean distance to the `k` nearest other rows (brute
+// force, O(n^2 d)), the k-NN distance outlier score. Requires
+// 1 <= k < data.rows().
+common::StatusOr<std::vector<double>> KnnOutlierScores(const Matrix& data,
+                                                       int32_t k) {
+  if (data.rows() < 2) {
+    return common::InvalidArgumentError(
+        "k-NN outlier scoring needs at least two rows");
+  }
+  if (k < 1 || static_cast<size_t>(k) >= data.rows()) {
+    return common::InvalidArgumentError("k must be in [1, rows)");
+  }
+  const size_t n = data.rows();
+  std::vector<double> scores(n, 0.0);
+  std::vector<double> distances(n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      distances[j] = j == i ? std::numeric_limits<double>::max()
+                            : std::sqrt(transform::SquaredDistance(
+                                  data.Row(i), data.Row(j)));
+    }
+    std::nth_element(distances.begin(), distances.begin() + (k - 1),
+                     distances.end());
+    double sum =
+        std::accumulate(distances.begin(), distances.begin() + k, 0.0);
+    scores[i] = sum / static_cast<double>(k);
+  }
+  return scores;
+}
 
 /// A blob of 40 points around the origin plus one far-away point.
 struct PlantedOutlier {

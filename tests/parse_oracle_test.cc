@@ -32,6 +32,7 @@
 #include "service/protocol.h"
 #include "stats/descriptors.h"
 #include "stats/meta_features.h"
+#include "test_util.h"
 
 namespace adahealth {
 namespace {
@@ -242,12 +243,14 @@ std::string GenerateExamCsv(common::Rng& rng, double error_rate) {
   const int64_t rows = rng.UniformInt(0, 40);
   for (int64_t r = 0; r < rows; ++r) {
     text += Pick(rng, kTerminators);
-    if (rng.Bernoulli(0.03)) continue;  // A blank line.
+    if (test::Bernoulli(rng, 0.03)) continue;  // A blank line.
     int64_t fields = 3;
-    if (rng.Bernoulli(error_rate)) fields = rng.Bernoulli(0.5) ? 2 : 4;
+    if (test::Bernoulli(rng, error_rate)) {
+      fields = test::Bernoulli(rng, 0.5) ? 2 : 4;
+    }
     for (int64_t f = 0; f < fields; ++f) {
       if (f > 0) text += ',';
-      const bool bad = rng.Bernoulli(error_rate);
+      const bool bad = test::Bernoulli(rng, error_rate);
       if (f == 1) {
         text += Pick(rng, bad ? kBadNames : kGoodNames);
       } else if (f == 0) {
@@ -257,7 +260,7 @@ std::string GenerateExamCsv(common::Rng& rng, double error_rate) {
       }
     }
   }
-  if (rng.Bernoulli(0.5)) text += Pick(rng, kTerminators);
+  if (test::Bernoulli(rng, 0.5)) text += Pick(rng, kTerminators);
   return text;
 }
 

@@ -1,13 +1,37 @@
 #include "cluster/profiles.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 #include "cluster/kmeans.h"
+#include "common/string_util.h"
 #include "dataset/synthetic_cohort.h"
 #include "transform/vsm.h"
 
 namespace adahealth {
 namespace cluster {
 namespace {
+
+// One-line rendering, e.g. "group 2: 456 patients, cohesion 0.31,
+// distinctive: fundus_exam (x4.1), retina_scan (x3.2)".
+std::string FormatClusterProfile(const ClusterProfile& profile,
+                                 const dataset::ExamLog& log) {
+  std::string out = common::StrFormat(
+      "group %d: %lld patients, cohesion %.3f, distinctive:",
+      profile.cluster, static_cast<long long>(profile.size),
+      profile.cohesion);
+  if (profile.top_by_lift.empty()) {
+    out += " (none)";
+    return out;
+  }
+  for (size_t i = 0; i < profile.top_by_lift.size(); ++i) {
+    const SignatureExam& exam = profile.top_by_lift[i];
+    out += common::StrFormat("%s %s (x%.1f)", i > 0 ? "," : "",
+                             log.dictionary().Name(exam.exam).c_str(),
+                             exam.lift);
+  }
+  return out;
+}
 
 struct Fixture {
   dataset::Cohort cohort;

@@ -1,8 +1,19 @@
-// Additional clustering-quality properties: the Calinski–Harabasz
-// index and cross-index consistency sweeps (parameterized).
+// Clustering quality indices beyond the paper's overall similarity: SSE
+// of an arbitrary labeling, silhouette, Davies–Bouldin and
+// Calinski–Harabasz. No pipeline computes them (k-means reports its own
+// SSE), so they are defined here next to their tests, followed by a
+// cross-index consistency sweep (parameterized) over SSE and overall
+// similarity.
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <span>
+
 #include <gtest/gtest.h>
 #include "cluster/kmeans.h"
 #include "cluster/quality.h"
+#include "common/check.h"
+#include "common/rng.h"
 #include "test_util.h"
 
 namespace adahealth {
@@ -10,6 +21,224 @@ namespace cluster {
 namespace {
 
 using transform::Matrix;
+using transform::SquaredDistance;
+
+// Total squared distance from each row to its assigned centroid.
+double SumSquaredError(const Matrix& data,
+                       const std::vector<int32_t>& assignments,
+                       const Matrix& centroids) {
+  double sse = 0.0;
+  for (size_t i = 0; i < data.rows(); ++i) {
+    sse += SquaredDistance(
+        data.Row(i), centroids.Row(static_cast<size_t>(assignments[i])));
+  }
+  return sse;
+}
+
+// Mean silhouette coefficient in [-1, 1]. Exact when data.rows() <=
+// `max_exact`; otherwise estimated on a deterministic sample of
+// `max_exact` points (seeded by `seed`). Requires k >= 2 and every
+// cluster non-empty.
+double SilhouetteScore(const Matrix& data,
+                       const std::vector<int32_t>& assignments, int32_t k,
+                       size_t max_exact = 2000, uint64_t seed = 7) {
+  ADA_CHECK_EQ(assignments.size(), data.rows());
+  ADA_CHECK_GE(k, 2);
+  std::vector<int64_t> sizes = ClusterSizes(assignments, k);
+  for (int64_t s : sizes) ADA_CHECK_GT(s, 0);
+
+  std::vector<size_t> sample;
+  if (data.rows() <= max_exact) {
+    sample.resize(data.rows());
+    for (size_t i = 0; i < sample.size(); ++i) sample[i] = i;
+  } else {
+    common::Rng rng(seed);
+    sample = rng.SampleWithoutReplacement(data.rows(), max_exact);
+  }
+
+  double silhouette_sum = 0.0;
+  size_t counted = 0;
+  std::vector<double> cluster_distance(static_cast<size_t>(k));
+  std::vector<int64_t> cluster_count(static_cast<size_t>(k));
+  for (size_t i : sample) {
+    std::fill(cluster_distance.begin(), cluster_distance.end(), 0.0);
+    std::fill(cluster_count.begin(), cluster_count.end(), 0);
+    std::span<const double> point = data.Row(i);
+    for (size_t j = 0; j < data.rows(); ++j) {
+      if (j == i) continue;
+      double dist = std::sqrt(SquaredDistance(point, data.Row(j)));
+      size_t c = static_cast<size_t>(assignments[j]);
+      cluster_distance[c] += dist;
+      ++cluster_count[c];
+    }
+    size_t own = static_cast<size_t>(assignments[i]);
+    if (cluster_count[own] == 0) continue;  // Singleton: silhouette 0.
+    double a = cluster_distance[own] /
+               static_cast<double>(cluster_count[own]);
+    double b = std::numeric_limits<double>::max();
+    for (size_t c = 0; c < static_cast<size_t>(k); ++c) {
+      if (c == own || cluster_count[c] == 0) continue;
+      b = std::min(b, cluster_distance[c] /
+                          static_cast<double>(cluster_count[c]));
+    }
+    double denom = std::max(a, b);
+    silhouette_sum += denom > 0.0 ? (b - a) / denom : 0.0;
+    ++counted;
+  }
+  return counted > 0 ? silhouette_sum / static_cast<double>(counted) : 0.0;
+}
+
+// Davies–Bouldin index (lower is better). Requires k >= 2 and every
+// cluster non-empty.
+double DaviesBouldinIndex(const Matrix& data,
+                          const std::vector<int32_t>& assignments,
+                          int32_t k) {
+  ADA_CHECK_EQ(assignments.size(), data.rows());
+  ADA_CHECK_GE(k, 2);
+  const size_t dims = data.cols();
+  std::vector<int64_t> sizes = ClusterSizes(assignments, k);
+  for (int64_t s : sizes) ADA_CHECK_GT(s, 0);
+
+  // Centroids and mean intra-cluster distances (scatter).
+  Matrix centroids(static_cast<size_t>(k), dims, 0.0);
+  for (size_t i = 0; i < data.rows(); ++i) {
+    std::span<double> centroid =
+        centroids.Row(static_cast<size_t>(assignments[i]));
+    std::span<const double> point = data.Row(i);
+    for (size_t d = 0; d < dims; ++d) centroid[d] += point[d];
+  }
+  for (size_t c = 0; c < static_cast<size_t>(k); ++c) {
+    std::span<double> centroid = centroids.Row(c);
+    for (size_t d = 0; d < dims; ++d) {
+      centroid[d] /= static_cast<double>(sizes[c]);
+    }
+  }
+  std::vector<double> scatter(static_cast<size_t>(k), 0.0);
+  for (size_t i = 0; i < data.rows(); ++i) {
+    size_t c = static_cast<size_t>(assignments[i]);
+    scatter[c] += std::sqrt(SquaredDistance(data.Row(i), centroids.Row(c)));
+  }
+  for (size_t c = 0; c < static_cast<size_t>(k); ++c) {
+    scatter[c] /= static_cast<double>(sizes[c]);
+  }
+
+  double db = 0.0;
+  for (size_t i = 0; i < static_cast<size_t>(k); ++i) {
+    double worst = 0.0;
+    for (size_t j = 0; j < static_cast<size_t>(k); ++j) {
+      if (i == j) continue;
+      double separation =
+          std::sqrt(SquaredDistance(centroids.Row(i), centroids.Row(j)));
+      if (separation <= 0.0) continue;
+      worst = std::max(worst, (scatter[i] + scatter[j]) / separation);
+    }
+    db += worst;
+  }
+  return db / static_cast<double>(k);
+}
+
+// Calinski–Harabasz index (between-cluster dispersion over
+// within-cluster dispersion, scaled by the degrees of freedom; higher is
+// better). Requires 2 <= k < data.rows() and every cluster non-empty;
+// 0 when within-cluster dispersion is zero.
+double CalinskiHarabaszIndex(const Matrix& data,
+                             const std::vector<int32_t>& assignments,
+                             int32_t k) {
+  ADA_CHECK_EQ(assignments.size(), data.rows());
+  ADA_CHECK_GE(k, 2);
+  ADA_CHECK_LT(static_cast<size_t>(k), data.rows());
+  const size_t dims = data.cols();
+  std::vector<int64_t> sizes = ClusterSizes(assignments, k);
+  for (int64_t s : sizes) ADA_CHECK_GT(s, 0);
+
+  std::vector<double> global_mean = data.ColumnMeans();
+  Matrix centroids(static_cast<size_t>(k), dims, 0.0);
+  for (size_t i = 0; i < data.rows(); ++i) {
+    std::span<double> centroid =
+        centroids.Row(static_cast<size_t>(assignments[i]));
+    std::span<const double> point = data.Row(i);
+    for (size_t d = 0; d < dims; ++d) centroid[d] += point[d];
+  }
+  for (size_t c = 0; c < static_cast<size_t>(k); ++c) {
+    std::span<double> centroid = centroids.Row(c);
+    for (size_t d = 0; d < dims; ++d) {
+      centroid[d] /= static_cast<double>(sizes[c]);
+    }
+  }
+  double between = 0.0;
+  for (size_t c = 0; c < static_cast<size_t>(k); ++c) {
+    between += static_cast<double>(sizes[c]) *
+               SquaredDistance(centroids.Row(c), global_mean);
+  }
+  double within = 0.0;
+  for (size_t i = 0; i < data.rows(); ++i) {
+    within += SquaredDistance(
+        data.Row(i), centroids.Row(static_cast<size_t>(assignments[i])));
+  }
+  if (within <= 0.0) return 0.0;
+  const double n = static_cast<double>(data.rows());
+  return (between / static_cast<double>(k - 1)) /
+         (within / (n - static_cast<double>(k)));
+}
+
+TEST(SseTest, MatchesManualComputation) {
+  Matrix points(3, 1);
+  points.At(0, 0) = 0.0;
+  points.At(1, 0) = 2.0;
+  points.At(2, 0) = 10.0;
+  Matrix centroids(2, 1);
+  centroids.At(0, 0) = 1.0;
+  centroids.At(1, 0) = 10.0;
+  std::vector<int32_t> assignments{0, 0, 1};
+  EXPECT_DOUBLE_EQ(SumSquaredError(points, assignments, centroids), 2.0);
+}
+
+TEST(SilhouetteTest, WellSeparatedNearOne) {
+  test::Blobs blobs = test::MakeBlobs({{0.0, 0.0}, {20.0, 0.0}}, 40, 0.5, 39);
+  KMeansOptions options;
+  options.k = 2;
+  auto clustering = RunKMeans(blobs.points, options);
+  ASSERT_TRUE(clustering.ok());
+  double score = SilhouetteScore(blobs.points, clustering->assignments, 2);
+  EXPECT_GT(score, 0.9);
+}
+
+TEST(SilhouetteTest, OverlappingClustersNearZero) {
+  test::Blobs blobs = test::MakeBlobs({{0.0, 0.0}, {0.5, 0.0}}, 40, 2.0, 41);
+  KMeansOptions options;
+  options.k = 2;
+  auto clustering = RunKMeans(blobs.points, options);
+  ASSERT_TRUE(clustering.ok());
+  double score = SilhouetteScore(blobs.points, clustering->assignments, 2);
+  EXPECT_LT(score, 0.5);
+}
+
+TEST(SilhouetteTest, SampledApproximationClose) {
+  test::Blobs blobs = test::MakeBlobs({{0.0}, {10.0}}, 300, 0.8, 43);
+  KMeansOptions options;
+  options.k = 2;
+  auto clustering = RunKMeans(blobs.points, options);
+  ASSERT_TRUE(clustering.ok());
+  double exact =
+      SilhouetteScore(blobs.points, clustering->assignments, 2, 10000);
+  double sampled =
+      SilhouetteScore(blobs.points, clustering->assignments, 2, 150);
+  EXPECT_NEAR(exact, sampled, 0.05);
+}
+
+TEST(DaviesBouldinTest, LowerForBetterSeparation) {
+  test::Blobs tight = test::MakeBlobs({{0.0, 0.0}, {20.0, 0.0}}, 30, 0.5, 45);
+  test::Blobs loose = test::MakeBlobs({{0.0, 0.0}, {3.0, 0.0}}, 30, 1.5, 45);
+  KMeansOptions options;
+  options.k = 2;
+  auto tight_clustering = RunKMeans(tight.points, options);
+  auto loose_clustering = RunKMeans(loose.points, options);
+  ASSERT_TRUE(tight_clustering.ok());
+  ASSERT_TRUE(loose_clustering.ok());
+  EXPECT_LT(
+      DaviesBouldinIndex(tight.points, tight_clustering->assignments, 2),
+      DaviesBouldinIndex(loose.points, loose_clustering->assignments, 2));
+}
 
 TEST(CalinskiHarabaszTest, HigherForBetterSeparation) {
   test::Blobs tight = test::MakeBlobs({{0.0, 0.0}, {20.0, 0.0}}, 40, 0.5,
@@ -50,8 +279,7 @@ TEST(CalinskiHarabaszTest, TrueLabelingBeatsRandom) {
 
 /// Property sweep: on well-separated blobs of every configuration, the
 /// k-means clustering at the true K must score better than a random
-/// labeling on every index (SSE lower, OS/silhouette/CH higher, DB
-/// lower).
+/// labeling on both indices (SSE lower, overall similarity higher).
 struct IndexSweepCase {
   int32_t k;
   size_t per_cluster;
@@ -107,15 +335,6 @@ TEST_P(QualityIndexSweep, AllIndicesPreferTrueStructure) {
   EXPECT_GT(OverallSimilarity(blobs.points, clustering->assignments,
                               param.k),
             OverallSimilarity(blobs.points, random, param.k));
-  EXPECT_GT(SilhouetteScore(blobs.points, clustering->assignments,
-                            param.k),
-            SilhouetteScore(blobs.points, random, param.k));
-  EXPECT_GT(CalinskiHarabaszIndex(blobs.points, clustering->assignments,
-                                  param.k),
-            CalinskiHarabaszIndex(blobs.points, random, param.k));
-  EXPECT_LT(DaviesBouldinIndex(blobs.points, clustering->assignments,
-                               param.k),
-            DaviesBouldinIndex(blobs.points, random, param.k));
 }
 
 INSTANTIATE_TEST_SUITE_P(

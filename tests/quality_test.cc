@@ -11,18 +11,6 @@ namespace {
 using test::MakeBlobs;
 using transform::Matrix;
 
-TEST(SseTest, MatchesManualComputation) {
-  Matrix points(3, 1);
-  points.At(0, 0) = 0.0;
-  points.At(1, 0) = 2.0;
-  points.At(2, 0) = 10.0;
-  Matrix centroids(2, 1);
-  centroids.At(0, 0) = 1.0;
-  centroids.At(1, 0) = 10.0;
-  std::vector<int32_t> assignments{0, 0, 1};
-  EXPECT_DOUBLE_EQ(SumSquaredError(points, assignments, centroids), 2.0);
-}
-
 TEST(OverallSimilarityTest, ClosedFormMatchesExactPairwise) {
   // The O(N) closed form must equal the O(N^2) definition.
   test::Blobs blobs = MakeBlobs(
@@ -85,53 +73,6 @@ TEST(OverallSimilarityTest, ZeroVectorsContributeNothing) {
   double fast = OverallSimilarity(points, assignments, 1);
   double exact = OverallSimilarityExact(points, assignments, 1);
   EXPECT_NEAR(fast, exact, 1e-12);
-}
-
-TEST(SilhouetteTest, WellSeparatedNearOne) {
-  test::Blobs blobs = MakeBlobs({{0.0, 0.0}, {20.0, 0.0}}, 40, 0.5, 39);
-  KMeansOptions options;
-  options.k = 2;
-  auto clustering = RunKMeans(blobs.points, options);
-  ASSERT_TRUE(clustering.ok());
-  double score = SilhouetteScore(blobs.points, clustering->assignments, 2);
-  EXPECT_GT(score, 0.9);
-}
-
-TEST(SilhouetteTest, OverlappingClustersNearZero) {
-  test::Blobs blobs = MakeBlobs({{0.0, 0.0}, {0.5, 0.0}}, 40, 2.0, 41);
-  KMeansOptions options;
-  options.k = 2;
-  auto clustering = RunKMeans(blobs.points, options);
-  ASSERT_TRUE(clustering.ok());
-  double score = SilhouetteScore(blobs.points, clustering->assignments, 2);
-  EXPECT_LT(score, 0.5);
-}
-
-TEST(SilhouetteTest, SampledApproximationClose) {
-  test::Blobs blobs = MakeBlobs({{0.0}, {10.0}}, 300, 0.8, 43);
-  KMeansOptions options;
-  options.k = 2;
-  auto clustering = RunKMeans(blobs.points, options);
-  ASSERT_TRUE(clustering.ok());
-  double exact =
-      SilhouetteScore(blobs.points, clustering->assignments, 2, 10000);
-  double sampled =
-      SilhouetteScore(blobs.points, clustering->assignments, 2, 150);
-  EXPECT_NEAR(exact, sampled, 0.05);
-}
-
-TEST(DaviesBouldinTest, LowerForBetterSeparation) {
-  test::Blobs tight = MakeBlobs({{0.0, 0.0}, {20.0, 0.0}}, 30, 0.5, 45);
-  test::Blobs loose = MakeBlobs({{0.0, 0.0}, {3.0, 0.0}}, 30, 1.5, 45);
-  KMeansOptions options;
-  options.k = 2;
-  auto tight_clustering = RunKMeans(tight.points, options);
-  auto loose_clustering = RunKMeans(loose.points, options);
-  ASSERT_TRUE(tight_clustering.ok());
-  ASSERT_TRUE(loose_clustering.ok());
-  EXPECT_LT(
-      DaviesBouldinIndex(tight.points, tight_clustering->assignments, 2),
-      DaviesBouldinIndex(loose.points, loose_clustering->assignments, 2));
 }
 
 }  // namespace

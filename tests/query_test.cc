@@ -21,8 +21,8 @@ Document MakeDocument() {
 }
 
 TEST(QueryTest, EmptyQueryMatchesEverything) {
-  EXPECT_TRUE(Query::All().Matches(MakeDocument()));
-  EXPECT_TRUE(Query::All().Matches(Document()));
+  EXPECT_TRUE(Query().Matches(MakeDocument()));
+  EXPECT_TRUE(Query().Matches(Document()));
 }
 
 TEST(QueryTest, EqOnStringsAndNumbers) {
@@ -93,8 +93,12 @@ TEST(QueryTest, OrderingOnMismatchedTypesNeverMatches) {
 
 TEST(QueryTest, ExistsChecksPresence) {
   Document document = MakeDocument();
-  EXPECT_TRUE(Query().Exists("flags.selected").Matches(document));
-  EXPECT_FALSE(Query().Exists("flags.missing").Matches(document));
+  EXPECT_TRUE(Query()
+                  .Where("flags.selected", QueryOp::kExists, Json())
+                  .Matches(document));
+  EXPECT_FALSE(Query()
+                   .Where("flags.missing", QueryOp::kExists, Json())
+                   .Matches(document));
 }
 
 TEST(QueryTest, DottedPathConditions) {

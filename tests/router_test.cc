@@ -412,8 +412,8 @@ TEST(RouterTest, CohortIngestAndSubmitPinToTheOwningShard) {
   // never heard of the cohort.
   service::AnalysisServer& owning = owner == 0 ? *shard0 : *shard1;
   service::AnalysisServer& other = owner == 0 ? *shard1 : *shard0;
-  EXPECT_EQ(owning.cohort_store().num_cohorts(), 1u);
-  EXPECT_EQ(other.cohort_store().num_cohorts(), 0u);
+  EXPECT_EQ(owning.cohort_store().stats().cohorts, 1);
+  EXPECT_EQ(other.cohort_store().stats().cohorts, 0);
 
   // The delta submit follows the same key to where the data lives, and
   // its fingerprint is versioned with the snapshot generation.
@@ -480,7 +480,7 @@ TEST(RouterTest, IngestIsForwardedAtMostOnceWhenTheOwnerDies) {
   // no re-route onto the surviving shard.
   EXPECT_EQ(router.stats().forwarded, forwarded_before + 2);
   EXPECT_EQ(router.stats().dead_shards, 1);
-  EXPECT_EQ(survivor.cohort_store().num_cohorts(), 0u);
+  EXPECT_EQ(survivor.cohort_store().stats().cohorts, 0);
 
   // The guarded retry now rides the ring to the survivor, which has
   // never seen the cohort, so the guard refuses it and nothing lands.
@@ -488,7 +488,7 @@ TEST(RouterTest, IngestIsForwardedAtMostOnceWhenTheOwnerDies) {
   auto retried = client.Call(batch);
   EXPECT_EQ(retried.status().code(), StatusCode::kFailedPrecondition)
       << retried.status().ToString();
-  EXPECT_EQ(survivor.cohort_store().num_cohorts(), 0u);
+  EXPECT_EQ(survivor.cohort_store().stats().cohorts, 0);
 
   router.Stop();
   shard0->Stop();

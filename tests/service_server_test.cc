@@ -169,6 +169,37 @@ TEST(ProtocolTest, CandidateKBeyond32BitsIsRejected) {
       "candidate_ks");
 }
 
+// Before the caps these bodies built a job that held a worker for as
+// long as it asked for (a 400-patient submit with 100000 restarts was
+// still running after 15 s); now they answer at once.
+TEST(ProtocolTest, RestartsOverTheCapAreRejected) {
+  ExpectRejectedNaming(
+      CsvBodyWithOption("restarts", Json(int64_t{100000})), "restarts");
+  ExpectRejectedNaming(
+      CsvBodyWithOption("restarts",
+                        Json(int64_t{service::kMaxRestarts + 1})),
+      "restarts");
+  EXPECT_TRUE(service::BuildJobRequest(
+                  Json(CsvBodyWithOption(
+                      "restarts", Json(int64_t{service::kMaxRestarts}))))
+                  .ok());
+}
+
+TEST(ProtocolTest, CandidateKsOverTheCapAreRejected) {
+  auto ks_body = [](size_t count) {
+    Json::Array ks;
+    for (size_t i = 0; i < count; ++i) {
+      ks.push_back(Json(static_cast<int64_t>(2 + i)));
+    }
+    return CsvBodyWithOption("candidate_ks", Json(std::move(ks)));
+  };
+  ExpectRejectedNaming(ks_body(service::kMaxCandidateKs + 1),
+                       "candidate_ks");
+  EXPECT_TRUE(
+      service::BuildJobRequest(Json(ks_body(service::kMaxCandidateKs)))
+          .ok());
+}
+
 TEST(ProtocolTest, CvFoldsBeyond32BitsIsRejected) {
   ExpectRejectedNaming(
       CsvBodyWithOption("cv_folds", Json(int64_t{4294967300LL})),

@@ -137,7 +137,7 @@ TEST(SimdKernelsTest, RepeatedCallsAreDeterministic) {
 /// subnormals, magnitudes whose squares sit near the top or bottom of
 /// the exponent range, and exact copies of the point's coordinate.
 double OracleValue(common::Rng& rng, double point_coord) {
-  const double sign = rng.Bernoulli(0.5) ? 1.0 : -1.0;
+  const double sign = test::Bernoulli(rng, 0.5) ? 1.0 : -1.0;
   switch (rng.UniformUint64(8)) {
     case 0:
       return sign * 0.0;
@@ -267,7 +267,7 @@ TEST(SimdKernelsTest, ExactRowsAreBitIdenticalToSquaredDistance) {
   }
   for (size_t n : counts) {
     for (size_t dims : {1u, 2u, 3u, 5u, 16u, 33u, 159u, 300u}) {
-      const size_t stride = dims + (rng.Bernoulli(0.3) ? 3 : 0);
+      const size_t stride = dims + (test::Bernoulli(rng, 0.3) ? 3 : 0);
       const RowsCase rows_case = MakeRowsCase(rng, n, dims, stride);
       // The last row needs only its dims, not a whole stride.
       const std::span<const double> rows(rows_case.rows.data(),
@@ -299,7 +299,7 @@ TEST(SimdKernelsTest, KMeansRowDistancesMatchTheOnePointKernels) {
       RowsCase rows_case = MakeRowsCase(rng, n, dims, dims);
       // Mostly zeros, as in an exam-count VSM.
       for (double& value : rows_case.rows) {
-        if (rng.Bernoulli(0.7)) value = 0.0;
+        if (test::Bernoulli(rng, 0.7)) value = 0.0;
       }
       Matrix dense(n, dims);
       for (size_t p = 0; p < n; ++p) {

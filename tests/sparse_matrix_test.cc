@@ -147,6 +147,37 @@ TEST(CsrMatrixTest, Density) {
   EXPECT_DOUBLE_EQ(m.Density(), 5.0 / 12.0);
 }
 
+// Dot product of two sparse rows (two-pointer merge).
+double SparseDot(std::span<const SparseEntry> a,
+                 std::span<const SparseEntry> b) {
+  double sum = 0.0;
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i].column == b[j].column) {
+      sum += a[i].value * b[j].value;
+      ++i;
+      ++j;
+    } else if (a[i].column < b[j].column) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return sum;
+}
+
+// Cosine similarity of two sparse rows; 0 when either is empty.
+double SparseCosineSimilarity(std::span<const SparseEntry> a,
+                              std::span<const SparseEntry> b) {
+  double norm_a = 0.0;
+  for (const SparseEntry& entry : a) norm_a += entry.value * entry.value;
+  double norm_b = 0.0;
+  for (const SparseEntry& entry : b) norm_b += entry.value * entry.value;
+  if (norm_a <= 0.0 || norm_b <= 0.0) return 0.0;
+  return SparseDot(a, b) / std::sqrt(norm_a * norm_b);
+}
+
 TEST(SparseOpsTest, SparseDotMergesColumns) {
   CsrMatrix m = MakeMatrix();
   // Row 0 = [1,0,2,0], row 2 = [0,3,4,5] -> dot = 8.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +12,16 @@ namespace kdb {
 namespace {
 
 using common::Json;
+
+// A fresh directory of its own under the test temp root: ctest runs test
+// processes in parallel, and two tests saving "test_items" into one
+// shared directory see each other's files.
+std::string OwnDirectory(const std::string& name) {
+  const std::string directory = testing::TempDir() + "storage_" + name;
+  std::filesystem::remove_all(directory);
+  std::filesystem::create_directories(directory);
+  return directory;
+}
 
 Collection MakeCollection() {
   Collection collection("test_items");
@@ -33,12 +45,7 @@ TEST(StorageTest, SerializeDeserializeRoundTrip) {
       DeserializeCollection("test_items", SerializeCollection(original));
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored->size(), original.size());
-  EXPECT_EQ(restored->last_id(), original.last_id());
-  for (const Document& document : original.documents()) {
-    auto found = restored->FindById(document.id());
-    ASSERT_TRUE(found.ok());
-    EXPECT_EQ(found.value(), document);
-  }
+  EXPECT_EQ(restored->documents(), original.documents());
 }
 
 TEST(StorageTest, InsertAfterReloadContinuesIds) {
@@ -48,7 +55,8 @@ TEST(StorageTest, InsertAfterReloadContinuesIds) {
   ASSERT_TRUE(restored.ok());
   Document fresh;
   fresh.Set("value", Json(int64_t{99}));
-  EXPECT_EQ(restored->Insert(std::move(fresh)), original.last_id() + 1);
+  EXPECT_EQ(restored->Insert(std::move(fresh)),
+            original.documents().back().id() + 1);
 }
 
 TEST(StorageTest, BlankLinesTolerated) {
@@ -71,12 +79,12 @@ TEST(StorageTest, MissingIdRejected) {
 
 TEST(StorageTest, FileRoundTrip) {
   Collection original = MakeCollection();
-  std::string directory = testing::TempDir();
+  std::string directory = OwnDirectory("file_round_trip");
   ASSERT_TRUE(SaveCollection(original, directory).ok());
   auto loaded = LoadCollection("test_items", directory);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->size(), original.size());
-  std::remove((directory + "/test_items.jsonl").c_str());
+  std::filesystem::remove_all(directory);
 }
 
 TEST(StorageTest, LoadMissingFileIsNotFound) {
@@ -111,7 +119,7 @@ TEST(StorageTest, SalvageRecoversPrefixBeforeTornFinalLine) {
   EXPECT_EQ(salvaged.dropped_lines, 1u);
   EXPECT_EQ(salvaged.detail.code(), common::StatusCode::kDataLoss);
   // IDs survive, so inserts after recovery do not collide.
-  EXPECT_TRUE(salvaged.collection.FindById(2).ok());
+  EXPECT_EQ(salvaged.collection.documents().back().id(), 2);
 }
 
 TEST(StorageTest, SalvageOfEmptyFileIsEmptyCollection) {
@@ -152,12 +160,12 @@ TEST(StorageTest, LoadCollectionSalvageRecoversTornFile) {
 
 TEST(StorageTest, SuccessfulSaveLeavesNoTmpResidue) {
   Collection original = MakeCollection();
-  std::string directory = testing::TempDir();
+  std::string directory = OwnDirectory("no_tmp_residue");
   ASSERT_TRUE(SaveCollection(original, directory).ok());
   FILE* tmp = std::fopen((directory + "/test_items.jsonl.tmp").c_str(), "r");
   EXPECT_EQ(tmp, nullptr);
   if (tmp != nullptr) std::fclose(tmp);
-  std::remove((directory + "/test_items.jsonl").c_str());
+  std::filesystem::remove_all(directory);
 }
 
 }  // namespace

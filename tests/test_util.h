@@ -5,10 +5,29 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "ml/classifier.h"
 #include "transform/matrix.h"
 
 namespace adahealth {
 namespace test {
+
+/// True with probability `p` (clamped to [0, 1]); draws one uniform
+/// double from `rng` only when 0 < p < 1.
+inline bool Bernoulli(common::Rng& rng, double p) {
+  if (p <= 0.0) return false;
+  if (p >= 1.0) return true;
+  return rng.UniformDouble() < p;
+}
+
+/// `classifier`'s predicted label for every row of `features`.
+inline std::vector<int32_t> PredictBatch(const ml::Classifier& classifier,
+                                         const transform::Matrix& features) {
+  std::vector<int32_t> labels(features.rows());
+  for (size_t i = 0; i < features.rows(); ++i) {
+    labels[i] = classifier.Predict(features.Row(i));
+  }
+  return labels;
+}
 
 /// Gaussian blob dataset with ground-truth labels.
 struct Blobs {

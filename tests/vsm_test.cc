@@ -1,8 +1,11 @@
 #include "transform/vsm.h"
 
 #include <cmath>
+#include <map>
+#include <vector>
 
 #include <gtest/gtest.h>
+#include "transform/sparse_matrix.h"
 
 namespace adahealth {
 namespace transform {
@@ -63,6 +66,67 @@ TEST(VsmTest, L2Normalization) {
   }
 }
 
+// The VSM built straight into CSR form, as an oracle for BuildVsm: the
+// same weighting and normalization arithmetic in the same order, so
+// every cell must be bit-identical to BuildVsm's.
+CsrMatrix BuildSparseVsm(const dataset::ExamLog& log,
+                         const VsmOptions& options) {
+  // Accumulate counts per patient with ordered maps so rows come out in
+  // ascending column order.
+  std::vector<std::map<uint32_t, double>> rows(log.num_patients());
+  for (const auto& record : log.records()) {
+    double& cell =
+        rows[static_cast<size_t>(record.patient)]
+            [static_cast<uint32_t>(record.exam_type)];
+    switch (options.weighting) {
+      case VsmWeighting::kCount:
+      case VsmWeighting::kTfIdf:
+        cell += 1.0;
+        break;
+      case VsmWeighting::kBinary:
+        cell = 1.0;
+        break;
+    }
+  }
+  std::vector<double> idf;
+  if (options.weighting == VsmWeighting::kTfIdf) {
+    // Per-column IDF factors; 0 for exams no patient underwent.
+    std::vector<int64_t> patients_per_exam = log.PatientsPerExam();
+    idf.assign(patients_per_exam.size(), 0.0);
+    const double num_patients = static_cast<double>(log.num_patients());
+    for (size_t e = 0; e < patients_per_exam.size(); ++e) {
+      if (patients_per_exam[e] > 0) {
+        idf[e] = std::log(num_patients /
+                          static_cast<double>(patients_per_exam[e]));
+      }
+    }
+  }
+
+  CsrMatrix::Builder builder(log.num_exam_types());
+  std::vector<SparseEntry> entries;
+  for (auto& row : rows) {
+    entries.clear();
+    double norm_squared = 0.0;
+    for (auto& [column, value] : row) {
+      double weighted = value;
+      if (!idf.empty()) weighted *= idf[column];
+      if (weighted != 0.0) {
+        entries.push_back({column, weighted});
+        norm_squared += weighted * weighted;
+      }
+    }
+    if (options.normalization == VsmNormalization::kL2 &&
+        norm_squared > 0.0) {
+      double norm = std::sqrt(norm_squared);
+      for (SparseEntry& entry : entries) entry.value /= norm;
+    }
+    // Columns come out of the ordered map strictly increasing and in
+    // range; weights are finite products of counts and IDF logs.
+    EXPECT_TRUE(builder.AddRow(entries).ok());
+  }
+  return std::move(builder).Build();
+}
+
 TEST(VsmTest, SparseMatchesDenseForAllConfigs) {
   dataset::ExamLog log = MakeLog();
   for (VsmWeighting weighting :
@@ -84,6 +148,33 @@ TEST(VsmTest, SparseMatchesDenseForAllConfigs) {
       }
     }
   }
+}
+
+// VSM in whichever representation the measured density calls for:
+// exactly one of `dense` / `sparse` is populated (`is_sparse` says
+// which), `density` is the measured nnz fraction either way.
+struct VsmBuild {
+  Matrix dense;
+  CsrMatrix sparse;
+  bool is_sparse = false;
+  double density = 0.0;
+};
+
+// Builds the VSM and keeps it in CSR form when the nnz density is at or
+// below `density_threshold`, densifying otherwise: the representation
+// choice `cluster::KMeansOptions::sparse_density_threshold` makes.
+VsmBuild BuildVsmAuto(const dataset::ExamLog& log, const VsmOptions& options,
+                      double density_threshold) {
+  VsmBuild out;
+  out.sparse = BuildSparseVsm(log, options);
+  out.density = out.sparse.Density();
+  if (out.density <= density_threshold) {
+    out.is_sparse = true;
+  } else {
+    out.dense = out.sparse.ToDense();
+    out.sparse = CsrMatrix();
+  }
+  return out;
 }
 
 TEST(VsmTest, BuildVsmAutoPicksRepresentationByDensity) {

@@ -107,10 +107,24 @@ Rules
                     analysis (the ADA_THREAD_SAFETY build gate) sees
                     every critical section; one raw lock is a silent
                     hole in the compile-time race check.
+  unreached-symbol  Every function declared in a src/**/*.h header has
+                    a use by name in src/ (other than a declaration or
+                    definition of that name), bench/, examples/, tools/
+                    or servicebench/src/ (read for callers only, never
+                    linted). Tests do not count: library code that only
+                    tests reach is deleted, or moved into its test.
+                    Macros, types, constructors, destructors, operators
+                    and overrides are skipped, and a use of any function
+                    of the same name counts. A function that stays for
+                    tests (an oracle or a test hook) carries
+                    `// ada-lint: allow(unreached-symbol)` on its
+                    declaration or in the comment right above it, with
+                    a reason naming the test.
 
 An individual finding can be waived with a trailing comment
 `// ada-lint: allow(<rule>)` on the offending line; use sparingly and
-say why next to it.
+say why next to it. tools/ada_lint_test.py seeds violations into a
+copy of the tree and checks that the rules catch them.
 """
 
 import argparse
@@ -468,6 +482,213 @@ def lint_file(path, rel_path):
     return findings
 
 
+# --- unreached-symbol (cross-file; see the module docstring) ---------------
+
+CALLER_ROOTS = ("src", "bench", "examples", "tools",
+                os.path.join("servicebench", "src"))
+UNREACHED_RULE = "unreached-symbol"
+
+IDENT_RE = re.compile(r"[A-Za-z_]\w*")
+MACRO_NAME_RE = re.compile(r"^[A-Z][A-Z0-9_]*$")
+ACCESS_RE = re.compile(r"\b(public|private|protected)\s*:(?!:)")
+TEMPLATE_RE = re.compile(r"\btemplate\s*<")
+TYPE_SCOPE_RE = re.compile(
+    r"^\s*(class|struct|union)\s+(?:[A-Z][A-Z0-9_]*(?:\s*\([^()]*\))?\s+)*"
+    r"([A-Za-z_]\w*)")
+NOT_DECLARING_RE = re.compile(r"\b(operator|override|using|typedef|friend)\b")
+NOT_A_FUNCTION = frozenset((
+    "alignas", "alignof", "decltype", "noexcept", "sizeof", "static_assert",
+    "typeid", "void", "explicit", "requires", "return"))
+
+
+def strip_template_heads(stmt):
+    """`stmt` with every `template <...>` head blanked (same length)."""
+    out = list(stmt)
+    for m in TEMPLATE_RE.finditer(stmt):
+        depth = 0
+        for i in range(m.end() - 1, len(stmt)):
+            if stmt[i] == "<":
+                depth += 1
+            elif stmt[i] == ">":
+                depth -= 1
+                if depth == 0:
+                    out[m.start():i + 1] = " " * (i + 1 - m.start())
+                    break
+    return "".join(out)
+
+
+def first_call_paren(stmt):
+    """Offset of the statement's first `(` outside template arguments,
+    or -1 when there is none or an `=` comes first (an initializer)."""
+    depth = 0
+    for i, c in enumerate(stmt):
+        if c == "<":
+            depth += 1
+        elif c == ">" and depth > 0:
+            depth -= 1
+        elif c == "=" and depth == 0:
+            return -1
+        elif c == "(" and depth == 0:
+            return i
+    return -1
+
+
+def declared_name(stmt, class_name):
+    """(name, offset in stmt) of the function that a namespace- or
+    class-scope statement declares or defines, or None. Constructors,
+    destructors, operators, overrides, macros and variables are skipped."""
+    stmt = ACCESS_RE.sub(lambda m: " " * len(m.group(0)), stmt)
+    stmt = strip_template_heads(stmt)
+    if NOT_DECLARING_RE.search(stmt):
+        return None
+    paren = first_call_paren(stmt)
+    if paren < 0:
+        return None
+    head = stmt[:paren].rstrip()
+    m = re.search(r"(~?)\s*([A-Za-z_]\w*)$", head)
+    if m is None or m.group(1):
+        return None
+    name = m.group(2)
+    if (name in NOT_A_FUNCTION or name == class_name
+            or MACRO_NAME_RE.match(name)):
+        return None
+    if class_name is None and not head[:m.start(2)].strip():
+        return None  # No return type at namespace scope: a macro call.
+    return name, m.start(2)
+
+
+def scan_declarations(code_lines):
+    """[(name, name_line, first_line)] of the functions declared or
+    defined at namespace or class scope (1-based lines). Bodies, enum
+    bodies and brace initializers are skipped: a name inside them is a
+    use, not a declaration."""
+    text = "\n".join(code_lines)
+    line_starts = [0]
+    for line in code_lines:
+        line_starts.append(line_starts[-1] + len(line) + 1)
+
+    def line_of(offset):
+        lo, hi = 0, len(line_starts) - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if line_starts[mid] <= offset:
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo + 1
+
+    found = []
+    # ("ns" | "class", class name) scopes declare; a "body" is skipped and
+    # ends its statement, an "init" (enum body, brace initializer) is
+    # skipped and leaves its statement open until the `;`.
+    scopes = [("ns", None)]
+    start = 0
+
+    def flush(end):
+        stmt = text[start:end]
+        kind, name = scopes[-1]
+        hit = declared_name(stmt, name if kind == "class" else None)
+        if hit is not None:
+            lead = len(stmt) - len(stmt.lstrip())
+            found.append((hit[0], line_of(start + hit[1]),
+                          line_of(start + lead)))
+
+    for i, c in enumerate(text):
+        declaring = scopes[-1][0] in ("ns", "class")
+        if c == "{":
+            if not declaring:
+                scopes.append(("body", None))
+                continue
+            stmt = strip_template_heads(
+                ACCESS_RE.sub(lambda m: " " * len(m.group(0)),
+                              text[start:i]))
+            type_scope = TYPE_SCOPE_RE.search(stmt)
+            if re.search(r"\b(namespace|extern)\b", stmt):
+                scopes.append(("ns", None))
+            elif re.search(r"\benum\b", stmt):
+                scopes.append(("init", None))
+                continue
+            elif type_scope is not None and "=" not in stmt:
+                scopes.append(("class", type_scope.group(2)))
+            elif first_call_paren(stmt) < 0:
+                scopes.append(("init", None))
+                continue
+            else:
+                flush(i)
+                scopes.append(("body", None))
+            start = i + 1
+        elif c == "}":
+            popped = scopes.pop() if len(scopes) > 1 else ("ns", None)
+            if popped[0] != "init" and scopes[-1][0] in ("ns", "class"):
+                start = i + 1
+        elif c == ";" and declaring:
+            flush(i)
+            start = i + 1
+    return found
+
+
+def strip_for_scan(raw_lines, keep_directives):
+    """Code-only lines: comments and literals removed and, unless
+    keep_directives, preprocessor lines (with their continuations)
+    blanked, so a macro body never reads as a declaration."""
+    lines = []
+    in_block = False
+    in_directive = False
+    for raw in raw_lines:
+        code, in_block = strip_strings_and_comments(raw, in_block)
+        directive = in_directive or code.lstrip().startswith("#")
+        in_directive = directive and raw.rstrip().endswith("\\")
+        lines.append("" if directive and not keep_directives else code)
+    return lines
+
+
+def read_lines(path):
+    with open(path, "r", encoding="utf-8", errors="replace") as f:
+        return f.read().splitlines()
+
+
+def used_names(root):
+    """Identifiers used in the caller roots under `root`, not counting
+    the lines where a function of that name is declared or defined."""
+    used = set()
+    dirs = [os.path.join(root, d) for d in CALLER_ROOTS]
+    for path in collect_files([d for d in dirs if os.path.isdir(d)]):
+        raw = read_lines(path)
+        sites = {(name, line) for name, line, _ in
+                 scan_declarations(strip_for_scan(raw, False))}
+        for lineno, code in enumerate(strip_for_scan(raw, True), 1):
+            used.update(m.group(0) for m in IDENT_RE.finditer(code)
+                        if (m.group(0), lineno) not in sites)
+    return used
+
+
+def unreached_waived(raw_lines, first, line):
+    """True when the declaration (lines first..line) or the comment block
+    right above it carries `ada-lint: allow(unreached-symbol)`."""
+    lo = first - 1
+    while lo > 0 and raw_lines[lo - 1].lstrip().startswith("//"):
+        lo -= 1
+    for text in raw_lines[lo:line]:
+        m = ALLOW_RE.search(text)
+        if m is not None and m.group(1) == UNREACHED_RULE:
+            return True
+    return False
+
+
+def lint_unreached(raw_lines, rel_path, used):
+    findings = []
+    for name, line, first in scan_declarations(
+            strip_for_scan(raw_lines, False)):
+        if name in used or unreached_waived(raw_lines, first, line):
+            continue
+        findings.append(Finding(
+            rel_path, line, UNREACHED_RULE,
+            f"`{name}` has no caller in src/, bench/, examples/, tools/ "
+            "or servicebench/src/; delete it, or waive it with a comment "
+            "that names the test it serves"))
+    return findings
+
+
 def collect_files(paths):
     files = []
     for path in paths:
@@ -505,9 +726,14 @@ def main(argv):
                            for d in ("src", "tests", "bench", "tools",
                                      "examples")]
     findings = []
+    used = None  # Built on the first src/ header.
     for path in collect_files(paths):
         rel = os.path.relpath(os.path.abspath(path), REPO_ROOT)
         findings.extend(lint_file(path, rel))
+        if rel.startswith("src" + os.sep) and rel.endswith(".h"):
+            if used is None:
+                used = used_names(REPO_ROOT)
+            findings.extend(lint_unreached(read_lines(path), rel, used))
 
     for finding in findings:
         print(finding)

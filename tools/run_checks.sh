@@ -3,7 +3,7 @@
 #
 # Usage:
 #   tools/run_checks.sh            # lint + warnings-as-errors build + tests
-#   tools/run_checks.sh --quick    # lint only (no build)
+#   tools/run_checks.sh --quick    # lint and its rule test only (no build)
 #   tools/run_checks.sh --tidy     # additionally run clang-tidy (needs the
 #                                  # clang-tidy binary on PATH)
 #
@@ -28,6 +28,9 @@ done
 
 echo "== ada_lint =="
 python3 tools/ada_lint.py src/ tests/ bench/ tools/ examples/
+
+echo "== ada_lint_test =="
+python3 tools/ada_lint_test.py
 
 if [[ "${QUICK}" == "1" ]]; then
   echo "run_checks: lint clean (quick mode, skipping build)"
