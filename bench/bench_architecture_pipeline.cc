@@ -129,10 +129,9 @@ int Run() {
   std::printf("\n%s\n", result->summary.c_str());
 
   // Per-stage wall-clock timings (session/* histograms) plus every
-  // other instrument the stages recorded, as machine-readable JSON.
+  // other instrument the stages recorded, as machine-readable JSON in a
+  // file: they differ run to run, and stdout stays reproducible.
   const common::MetricsRegistry& metrics = common::MetricsRegistry::Default();
-  std::printf("\n--- metrics report (JSON) ---\n%s\n",
-              metrics.ToJson().Pretty().c_str());
   const std::string metrics_path = "bench_architecture_pipeline_metrics.json";
   if (metrics.WriteJsonFile(metrics_path).ok()) {
     std::printf("[architecture_pipeline] metrics written to %s\n",

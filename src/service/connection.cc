@@ -68,7 +68,7 @@ void Connection::ProcessBuffered() {
   // recursing once per pipelined line.
   if (dispatching_) return;
   dispatching_ = true;
-  while (!closed_ && !awaiting_ && !close_after_flush_) {
+  while (!closed_ && !paused_ && !close_after_flush_) {
     size_t newline = inbuf_.find('\n', scan_pos_);
     if (newline == std::string::npos) {
       scan_pos_ = inbuf_.size();
@@ -86,7 +86,7 @@ void Connection::ProcessBuffered() {
   }
   // End-of-stream parity with the blocking LineReader: a final line
   // without a terminator is still a request.
-  if (peer_eof_ && !closed_ && !awaiting_ && !close_after_flush_) {
+  if (peer_eof_ && !closed_ && !paused_ && !close_after_flush_) {
     if (!inbuf_.empty() && !final_line_dispatched_) {
       final_line_dispatched_ = true;
       std::string line = std::move(inbuf_);
@@ -94,9 +94,9 @@ void Connection::ProcessBuffered() {
       scan_pos_ = 0;
       DispatchLine(std::move(line));
     }
-    // The dispatched final line may have parked the connection; only
+    // The dispatched final line may have paused the connection; only
     // finish once every response has been delivered.
-    if (!closed_ && !awaiting_) StartDrain();
+    if (!closed_ && !paused_) StartDrain();
   }
   dispatching_ = false;
 }
@@ -133,21 +133,22 @@ void Connection::EnqueueResponse(std::string data) {
 }
 
 void Connection::PauseRequests() {
-  awaiting_ = true;
+  paused_ = true;
   if (!closed_) UpdateInterest();
 }
 
 void Connection::ResumeRequests() {
-  if (closed_) return;
-  awaiting_ = false;
+  if (closed_ || !paused_) return;
+  paused_ = false;
   ProcessBuffered();  // A no-op inside a dispatch, whose loop goes on.
+  if (close_after_flush_ && outbuf_.empty()) CloseNow();  // Drained.
   if (!closed_) UpdateInterest();
 }
 
 void Connection::StartDrain() {
   if (closed_) return;
   close_after_flush_ = true;
-  if (outbuf_.empty()) {
+  if (outbuf_.empty() && !paused_) {
     CloseNow();
     return;
   }
@@ -187,12 +188,12 @@ void Connection::FlushOutput() {
   }
   outbuf_.clear();
   out_sent_ = 0;
-  if (close_after_flush_) CloseNow();
+  if (close_after_flush_ && !paused_) CloseNow();
 }
 
 void Connection::UpdateInterest() {
   uint32_t wanted = 0;
-  if (!awaiting_ && !peer_eof_ && !close_after_flush_) wanted |= EPOLLIN;
+  if (!paused_ && !peer_eof_ && !close_after_flush_) wanted |= EPOLLIN;
   if (!outbuf_.empty()) wanted |= EPOLLOUT;
   if (wanted == interest_) return;
   interest_ = wanted;
@@ -201,11 +202,47 @@ void Connection::UpdateInterest() {
   (void)loop_->SetInterest(fd_.get(), wanted);
 }
 
+struct Reply::State {
+  State(ConnectionHost* host, int64_t connection,
+        std::weak_ptr<EventLoop> loop)
+      : host(host), connection(connection), loop(std::move(loop)) {}
+  State(const State&) = delete;
+  State& operator=(const State&) = delete;
+  /// Unanswered: posts the abandon answer. A post after the loop exited
+  /// is dropped, and so is every connection with it.
+  ~State() {
+    if (answered) return;
+    if (auto live = loop.lock()) {
+      live->Post([host = host, id = connection,
+                  line = std::move(abandon)]() mutable {
+        host->Answer(id, std::move(line));
+      });
+    }
+  }
+
+  ConnectionHost* const host;
+  const int64_t connection;
+  const std::weak_ptr<EventLoop> loop;
+  bool answered = false;
+  std::string abandon;  // Empty: the host's default.
+};
+
+void Reply::Send(std::string line) const {
+  if (std::exchange(state_->answered, true)) return;
+  state_->host->Answer(state_->connection, std::move(line));
+}
+
+void Reply::AbandonWith(std::string line) const {
+  state_->abandon = std::move(line);
+}
+
 ConnectionHost::ConnectionHost(const char* name, ConnectionLimits limits)
     : name_(name),
       limits_{limits.port, std::max<size_t>(1, limits.max_connections),
               limits.idle_timeout_millis,
               std::max<size_t>(1, limits.max_line_bytes)},
+      abandon_answer_(ErrorResponse(common::UnavailableError(
+          common::StrFormat("%s dropped the request unanswered", name)))),
       loop_(std::make_shared<EventLoop>()) {}
 
 ConnectionHost::~ConnectionHost() { Stop(/*failsafe_millis=*/250.0); }
@@ -270,72 +307,52 @@ void ConnectionHost::OnAcceptable() {
       continue;
     }
     const int64_t id = next_connection_id_++;
-    auto conn = std::make_unique<Connection>(std::move(accepted).value(),
-                                             loop_.get(),
-                                             limits_.max_line_bytes,
-                                             &counters_.errors);
-    Status registered = conn->Register(
+    // The entry owns the connection, whose line callback holds it.
+    Entry& entry = connections_[id];
+    entry.conn = std::make_unique<Connection>(std::move(accepted).value(),
+                                              loop_.get(),
+                                              limits_.max_line_bytes,
+                                              &counters_.errors);
+    Status registered = entry.conn->Register(
         [this, id](uint32_t events) {
           auto it = connections_.find(id);
           if (it == connections_.end()) return;
           it->second.conn->HandleEvents(events);
           ReapIfClosed(id);
         },
-        [this, id](std::string line) { on_line_(id, std::move(line)); });
+        [this, id, &entry](std::string line) {
+          OnLine(id, entry, std::move(line));
+        });
     if (!registered.ok()) {
+      connections_.erase(id);
       counters_.errors.fetch_add(1);
       ADA_LOG(kWarning) << name_ << ": failed to register connection: "
                         << registered.ToString();
       continue;
     }
-    connections_[id].conn = std::move(conn);
     counters_.open.store(static_cast<int64_t>(connections_.size()));
   }
 }
 
-void ConnectionHost::Respond(int64_t id, std::string line) {
+void ConnectionHost::OnLine(int64_t id, Entry& entry, std::string line) {
+  auto state = std::make_shared<Reply::State>(this, id, loop_);
+  entry.reply = state;
+  on_line_(std::move(line), Reply(state));
+  // Unanswered: the lines behind this one wait until it is.
+  if (!state->answered) entry.conn->PauseRequests();
+}
+
+void ConnectionHost::Answer(int64_t id, std::string line) {
   auto it = connections_.find(id);
   if (it == connections_.end()) return;
-  it->second.conn->EnqueueResponse(std::move(line));
-  ReapLater(id, *it->second.conn);
-}
-
-uint64_t ConnectionHost::Park(int64_t id, Abandon abandon) {
-  auto it = connections_.find(id);
-  if (it == connections_.end()) return 0;
-  it->second.park = next_park_++;
-  it->second.abandon = std::move(abandon);
-  it->second.conn->PauseRequests();
-  return it->second.park;
-}
-
-bool ConnectionHost::Parked(int64_t id, uint64_t token) const {
-  auto it = connections_.find(id);
-  return it != connections_.end() && token != 0 && it->second.park == token;
-}
-
-void ConnectionHost::Resume(int64_t id, uint64_t token, std::string line) {
-  if (token == 0) {
-    Respond(id, std::move(line));
-    return;
-  }
-  if (!Parked(id, token)) return;
-  Entry& entry = connections_.find(id)->second;
-  entry.park = 0;
-  entry.abandon = nullptr;
-  entry.conn->EnqueueResponse(std::move(line));
-  entry.conn->ResumeRequests();
-  ReapLater(id, *entry.conn);
+  Connection& conn = *it->second.conn;
+  conn.EnqueueResponse(line.empty() ? abandon_answer_ : std::move(line));
+  conn.ResumeRequests();  // A no-op for an answer sent inside the dispatch.
+  ReapLater(id, conn);
 }
 
 void ConnectionHost::ReapLater(int64_t id, const Connection& conn) {
   if (conn.closed()) loop_->Post([this, id] { ReapIfClosed(id); });
-}
-
-std::string ConnectionHost::AbandonPark(Entry& entry) {
-  if (entry.park == 0) return std::string();
-  entry.park = 0;
-  return std::exchange(entry.abandon, nullptr)();
 }
 
 void ConnectionHost::BeginDrain(double failsafe_millis) {
@@ -344,41 +361,34 @@ void ConnectionHost::BeginDrain(double failsafe_millis) {
     loop_->Unwatch(listener_.fd());
     listener_.Shutdown();  // Pending un-accepted clients see EOF.
     for (auto& [id, entry] : connections_) {
-      if (entry.park != 0) entry.conn->EnqueueResponse(AbandonPark(entry));
+      // Closes once its owed answer, if any, is flushed. An abandon
+      // answer already posted arrives before the failsafe.
       entry.conn->StartDrain();
+      if (auto state = entry.reply.lock()) Reply(state).Send(state->abandon);
     }
     // Reap on a posted task: BeginDrain may run inside a connection's
     // own callback.
     loop_->Post([this] {
       std::erase_if(connections_, [](const auto& item) {
-        return item.second.conn->closed();  // Parks were all abandoned.
+        return item.second.conn->closed();
       });
       counters_.open.store(static_cast<int64_t>(connections_.size()));
       if (connections_.empty()) loop_->Quit();
     });
   }
   loop_->ScheduleAfter(failsafe_millis, [this] {
-    for (auto& [id, entry] : connections_) (void)AbandonPark(entry);
     connections_.clear();
     counters_.open.store(0);
     loop_->Quit();
   });
 }
 
-void ConnectionHost::RemoveConnection(int64_t id) {
+void ConnectionHost::ReapIfClosed(int64_t id) {
   auto it = connections_.find(id);
-  if (it == connections_.end()) return;
-  (void)AbandonPark(it->second);
+  if (it == connections_.end() || !it->second.conn->closed()) return;
   connections_.erase(it);
   counters_.open.store(static_cast<int64_t>(connections_.size()));
   if (draining_ && connections_.empty()) loop_->Quit();
-}
-
-void ConnectionHost::ReapIfClosed(int64_t id) {
-  auto it = connections_.find(id);
-  if (it != connections_.end() && it->second.conn->closed()) {
-    RemoveConnection(id);
-  }
 }
 
 void ConnectionHost::ScheduleIdleSweep() {
@@ -390,10 +400,10 @@ void ConnectionHost::ScheduleIdleSweep() {
     const auto budget = std::chrono::duration<double, std::milli>(
         limits_.idle_timeout_millis);
     const auto now = std::chrono::steady_clock::now();
-    // A parked connection's wait has its own bound; evicting it would
-    // drop a promised answer.
+    // A connection owed a reply waits on its owner, whose wait has its
+    // own bound; evicting it would drop the answer.
     const size_t evicted = std::erase_if(connections_, [&](const auto& item) {
-      return item.second.park == 0 &&
+      return !item.second.conn->paused() &&
              now - item.second.conn->last_activity() > budget;
     });
     counters_.idle_disconnects.fetch_add(static_cast<int64_t>(evicted));

@@ -8,13 +8,18 @@
 //
 // ConnectionHost is what the shard server and the router both own: the
 // listener, the loop thread, accept and shed at the connection budget,
-// the connection table, park/resume, the idle sweep and the drain. Its
-// owner answers each line at once (Respond), or parks the connection
-// and resumes it with the answer when its wait ends (a shard's `result`
-// wait, a router's forward). A parked connection holds no thread.
+// the connection table, the idle sweep and the drain. Its owner gets
+// each line with a Reply, the line's one answer. A line sent its answer
+// inside its own dispatch costs nothing more; otherwise the connection
+// pauses, and the lines behind it wait, until the reply is sent (a
+// shard's `result` wait, a router's forward). A waiting connection
+// holds no thread. A reply whose every copy is dropped unsent answers
+// with its abandon answer, and a drain sends that answer to every reply
+// still pending, so every line gets exactly one answer, in order.
 //
 // Threading: Start/Stop/Wait, the counters and EventLoop::Post are
-// thread-safe; everything else runs on the loop thread.
+// thread-safe, and a Reply copy may be dropped on any thread;
+// everything else runs on the loop thread.
 #ifndef ADAHEALTH_SERVICE_CONNECTION_H_
 #define ADAHEALTH_SERVICE_CONNECTION_H_
 
@@ -43,7 +48,7 @@ inline constexpr double kDefaultIdleTimeoutMillis = 300000.0;
 class Connection {
  public:
   /// Receives one complete line (no trailing newline). The handler
-  /// either answers it synchronously or parks the connection with
+  /// either answers it synchronously or pauses the connection with
   /// PauseRequests() and answers later.
   using LineHandler = std::function<void(std::string line)>;
 
@@ -69,21 +74,23 @@ class Connection {
   /// Queues bytes and flushes as much as the socket takes now; the rest
   /// resumes on EPOLLOUT.
   void EnqueueResponse(std::string data);
-  /// Parks the connection: buffered and future lines wait until
+  /// Pauses the connection: buffered and future lines wait until
   /// ResumeRequests(). Reading interest is dropped, so a peer that
-  /// floods pipelined lines during a park is throttled by TCP.
+  /// floods pipelined lines during a pause is throttled by TCP.
   void PauseRequests();
-  /// Ends a park and dispatches any buffered lines. Called from inside
+  /// Ends a pause and dispatches any buffered lines. Called from inside
   /// a line's own dispatch, it lets that dispatch loop go on instead.
   void ResumeRequests();
   /// Graceful teardown: consumes no further line, flushes what is
-  /// queued, then releases the socket.
+  /// queued, then releases the socket; a paused connection first waits
+  /// for ResumeRequests().
   void StartDrain();
   /// Immediate teardown (idle eviction, fatal errors): drops buffered
   /// output and releases the socket now.
   void CloseNow();
 
   [[nodiscard]] bool closed() const { return closed_; }
+  [[nodiscard]] bool paused() const { return paused_; }
   [[nodiscard]] std::chrono::steady_clock::time_point last_activity() const {
     return last_activity_;
   }
@@ -110,7 +117,7 @@ class Connection {
   /// outbuf_ prefix already sent; dropped once it passes half of it.
   size_t out_sent_ = 0;
 
-  bool awaiting_ = false;
+  bool paused_ = false;
   bool dispatching_ = false;  // ProcessBuffered is on the stack.
   bool peer_eof_ = false;
   bool final_line_dispatched_ = false;
@@ -125,7 +132,8 @@ struct ConnectionLimits {
   uint16_t port = 0;  // 0 = kernel-assigned (see ConnectionHost::port()).
   /// Accepts beyond this are shed with RESOURCE_EXHAUSTED (>= 1).
   size_t max_connections = kDefaultMaxConnections;
-  /// Silent (unparked) connections are evicted after this; <= 0: never.
+  /// Silent connections that owe no reply are evicted after this;
+  /// <= 0: never.
   double idle_timeout_millis = kDefaultIdleTimeoutMillis;
   size_t max_line_bytes = kMaxLineBytes;  // Clamped to >= 1.
 };
@@ -138,12 +146,33 @@ struct ConnectionCounters {
   std::atomic<int64_t> errors{0};  // I/O, oversized and unparsable lines.
 };
 
+class ConnectionHost;
+
+/// The answer one request line is owed. Copies share one state (a
+/// std::function cannot hold a move-only capture), and exactly one
+/// answer is sent: the first Send, or else the abandon answer, posted
+/// to the loop when the last copy goes away unsent or sent by a drain.
+class Reply {
+ public:
+  /// Answers the line and resumes its connection's intake. Only the
+  /// first Send takes effect, and none after the reply was abandoned.
+  /// Loop thread only.
+  void Send(std::string line) const;
+  /// Replaces the abandon answer (UNAVAILABLE by default). Loop thread
+  /// only, before a copy leaves it.
+  void AbandonWith(std::string line) const;
+
+ private:
+  friend class ConnectionHost;
+  struct State;
+  explicit Reply(std::shared_ptr<State> state) : state_(std::move(state)) {}
+
+  std::shared_ptr<State> state_;
+};
+
 class ConnectionHost {
  public:
-  using LineHandler = std::function<void(int64_t id, std::string line)>;
-  /// Runs when a parked connection is given up (drain, or the client
-  /// went away): undoes the owner's wait and returns the answer to send.
-  using Abandon = std::function<std::string()>;
+  using LineHandler = std::function<void(std::string line, Reply reply)>;
 
   /// `name` prefixes log lines and the shed message.
   ConnectionHost(const char* name, ConnectionLimits limits);
@@ -170,37 +199,34 @@ class ConnectionHost {
   /// loop exited is dropped, so holding the loop keeps it safe.
   [[nodiscard]] std::shared_ptr<EventLoop> shared_loop() { return loop_; }
 
-  /// Answers connection `id` (a no-op once it is gone).
-  void Respond(int64_t id, std::string line);
-  /// Parks connection `id`; returns the park's token (0: it is gone).
-  uint64_t Park(int64_t id, Abandon abandon);
-  [[nodiscard]] bool Parked(int64_t id, uint64_t token) const;
-  /// Answers park `token` and dispatches the connection's next lines;
-  /// a no-op once the park ended. Token 0 answers as Respond does.
-  void Resume(int64_t id, uint64_t token, std::string line);
-  /// Stops accepting, answers parked connections through their
-  /// Abandon, flushes and closes everything, then quits the loop (at
-  /// the latest after `failsafe_millis`).
+  /// Stops accepting, sends every pending reply its abandon answer,
+  /// flushes and closes everything, then quits the loop (at the latest
+  /// after `failsafe_millis`).
   void BeginDrain(double failsafe_millis);
   [[nodiscard]] bool draining() const { return draining_; }
 
  private:
+  friend class Reply;
+
   struct Entry {
     std::unique_ptr<Connection> conn;
-    uint64_t park = 0;  // 0 = not parked.
-    Abandon abandon;
+    /// The last line's reply; owed while the connection is paused.
+    std::weak_ptr<Reply::State> reply;
   };
 
   void OnAcceptable();
-  std::string AbandonPark(Entry& entry);
-  void RemoveConnection(int64_t id);
+  void OnLine(int64_t id, Entry& entry, std::string line);
+  /// Sends connection `id` its owed answer (empty: the default abandon
+  /// answer) and resumes its intake; a no-op once it is gone.
+  void Answer(int64_t id, std::string line);
   void ReapIfClosed(int64_t id);
-  /// Posted: Respond and Resume may run in the connection's callback.
+  /// Posted: Answer may run in the connection's callback.
   void ReapLater(int64_t id, const Connection& conn);
   void ScheduleIdleSweep();
 
   const char* const name_;
   const ConnectionLimits limits_;
+  const std::string abandon_answer_;  // A Reply's default abandon answer.
   LineHandler on_line_;
   ConnectionCounters counters_;
   // connections_ is destroyed before loop_: a Connection unwatches.
@@ -210,7 +236,6 @@ class ConnectionHost {
   uint16_t port_ = 0;
   bool draining_ = false;
   int64_t next_connection_id_ = 1;
-  uint64_t next_park_ = 1;
 
   common::Mutex join_mutex_;  // Start()'s assignment vs. Stop()/Wait().
   std::thread loop_thread_ ADA_GUARDED_BY(join_mutex_);

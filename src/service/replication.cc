@@ -24,8 +24,8 @@ constexpr double kAckTimeoutMillis = 5000.0;
 
 }  // namespace
 
-LogShipper::LogShipper(ReplicationOptions options, SnapshotProvider snapshot)
-    : options_(options), snapshot_(std::move(snapshot)) {}
+LogShipper::LogShipper(uint16_t follower_port, SnapshotProvider snapshot)
+    : follower_port_(follower_port), snapshot_(std::move(snapshot)) {}
 
 LogShipper::~LogShipper() { Stop(); }
 
@@ -56,7 +56,7 @@ void LogShipper::Stop() {
 void LogShipper::Enqueue(CachedAnalysis entry) {
   MutexLock lock(&mutex_);
   queue_.push_back(std::move(entry));
-  while (queue_.size() > options_.max_queue) {
+  while (queue_.size() > kReplicationMaxQueue) {
     // Oldest-first drops: the next reconnect snapshot re-covers a
     // dropped entry, while the newest entries are the ones a promoted
     // follower is most likely to be asked about first.
@@ -82,7 +82,7 @@ ReplicationStats LogShipper::stats() const {
 
 void LogShipper::ShipLoop() {
   std::optional<AnalysisClient> follower;
-  double backoff_millis = options_.reconnect_backoff_millis;
+  double backoff_millis = kReconnectBackoffMillis;
   for (;;) {
     {
       MutexLock lock(&mutex_);
@@ -101,10 +101,10 @@ void LogShipper::ShipLoop() {
           return;
         }
         backoff_millis = std::min(backoff_millis * 2.0,
-                                  options_.max_reconnect_backoff_millis);
+                                  kMaxReconnectBackoffMillis);
         continue;
       }
-      backoff_millis = options_.reconnect_backoff_millis;
+      backoff_millis = kReconnectBackoffMillis;
     }
     CachedAnalysis entry;
     {
@@ -142,7 +142,7 @@ void LogShipper::ShipLoop() {
 
 std::optional<AnalysisClient> LogShipper::ConnectAndCatchUp() {
   common::StatusOr<AnalysisClient> connected =
-      AnalysisClient::Connect(options_.follower_port, kAckTimeoutMillis);
+      AnalysisClient::Connect(follower_port_, kAckTimeoutMillis);
   if (!connected.ok()) return std::nullopt;
   AnalysisClient follower = std::move(connected).value();
   // Snapshot catch-up: ship the full cache (most recent first) before

@@ -45,17 +45,12 @@
 namespace adahealth {
 namespace service {
 
-struct ReplicationOptions {
-  /// Loopback port of the follower's NDJSON server.
-  uint16_t follower_port = 0;
-  /// Pending-entry bound; Enqueue drops the oldest entry beyond it.
-  size_t max_queue = 1024;
-  /// Backoff between reconnect attempts while the follower is down
-  /// grows exponentially from `reconnect_backoff_millis` to
-  /// `max_reconnect_backoff_millis`.
-  double reconnect_backoff_millis = 25.0;
-  double max_reconnect_backoff_millis = 1000.0;
-};
+/// Pending-entry bound; Enqueue drops the oldest entry beyond it.
+inline constexpr size_t kReplicationMaxQueue = 1024;
+/// Backoff between reconnect attempts while the follower is down grows
+/// exponentially from the first to the second.
+inline constexpr double kReconnectBackoffMillis = 25.0;
+inline constexpr double kMaxReconnectBackoffMillis = 1000.0;
 
 /// Point-in-time replication counters (exact, per-shipper).
 struct ReplicationStats {
@@ -75,7 +70,8 @@ class LogShipper {
   /// cache contents for catch-up; wire it to ResultCache::Entries().
   using SnapshotProvider = std::function<std::vector<CachedAnalysis>()>;
 
-  LogShipper(ReplicationOptions options, SnapshotProvider snapshot);
+  /// Ships to the follower's NDJSON server on loopback `follower_port`.
+  LogShipper(uint16_t follower_port, SnapshotProvider snapshot);
   ~LogShipper();  // Stop()s.
 
   LogShipper(const LogShipper&) = delete;
@@ -113,7 +109,7 @@ class LogShipper {
   [[nodiscard]] common::Status ShipEntry(AnalysisClient& follower,
                                          const CachedAnalysis& entry);
 
-  const ReplicationOptions options_;
+  const uint16_t follower_port_;
   const SnapshotProvider snapshot_;
 
   mutable common::Mutex mutex_;

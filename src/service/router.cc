@@ -164,8 +164,8 @@ Status Router::Start() {
   }
   std::sort(ring_.begin(), ring_.end());
   start_time_ = std::chrono::steady_clock::now();
-  ADA_RETURN_IF_ERROR(host_.Start([this](int64_t id, std::string line) {
-    OnLine(id, std::move(line));
+  ADA_RETURN_IF_ERROR(host_.Start([this](std::string line, Reply reply) {
+    OnLine(std::move(line), std::move(reply));
   }));
   host_.loop().Post([this] { ScheduleProbeRound(); });
   ADA_LOG(kInfo) << "router: listening on 127.0.0.1:" << port() << " with "
@@ -198,7 +198,7 @@ size_t Router::ShardFor(const std::string& fingerprint) const {
   return shards_.size();  // Every shard is dead.
 }
 
-void Router::OnLine(int64_t id, std::string line) {
+void Router::OnLine(std::string line, Reply reply) {
   auto prepared = std::make_shared<Prepared>();
   prepared->line = std::move(line);
   // A short line is parsed here and dispatched at once unless it is a
@@ -208,7 +208,7 @@ void Router::OnLine(int64_t id, std::string line) {
     prepared->request = ParseRequest(prepared->line);
     if (!prepared->request.ok() ||
         !NeedsFingerprint(prepared->request.value())) {
-      Dispatch(id, 0, std::move(*prepared));
+      Dispatch(std::move(reply), std::move(*prepared));
       return;
     }
   }
@@ -224,17 +224,16 @@ void Router::OnLine(int64_t id, std::string line) {
     if (!parse_here) {
       prepared->request = Request{"submit", std::move(prepared->upload.body)};
     }
-    Dispatch(id, 0, std::move(*prepared));
+    Dispatch(std::move(reply), std::move(*prepared));
     return;
   }
   // Parsing, building and fingerprinting a dataset takes milliseconds:
-  // a pool task does it while the connection waits parked. It holds the
-  // loop, not the router: a Post after the loop exited is dropped.
-  const uint64_t park = ParkClient(id);
-  std::function<void()> prepare = [this, loop = host_.shared_loop(), id, park,
+  // a pool task does it while the line waits for its reply. It holds
+  // the loop, not the router: a Post after the loop exited is dropped.
+  std::function<void()> prepare = [this, loop = host_.shared_loop(), reply,
                                    prepared, parse_here] {
-    // The parked client is owed a reply whatever the preparation does:
-    // a throw must not reach the pool's trap, which would swallow it.
+    // The error a throw maps to is the client's answer: a throw that
+    // reached the pool's trap would only abandon the reply.
     try {
       Prepare(*prepared, parse_here);
     } catch (const std::bad_alloc&) {
@@ -245,11 +244,11 @@ void Router::OnLine(int64_t id, std::string line) {
       prepared->request =
           common::InternalError("preparing the request threw");
     }
-    loop->Post([this, id, park, prepared] {
+    loop->Post([this, reply, prepared] {
       if (!prepared->upload.fingerprint.empty()) {
         memo_.Insert(prepared->memo_key, prepared->upload);
       }
-      if (host_.Parked(id, park)) Dispatch(id, park, std::move(*prepared));
+      Dispatch(reply, std::move(*prepared));
     });
   };
   if (!common::ThreadPool::Shared().TrySchedule(prepare)) prepare();
@@ -297,46 +296,36 @@ std::string& Router::Forward::WholeLine() {
   return line;
 }
 
-uint64_t Router::ParkClient(int64_t id) {
-  return host_.Park(id, [] {
-    return ErrorResponse(common::UnavailableError("router is stopping"));
-  });
-}
-
-void Router::Dispatch(int64_t id, uint64_t park, Prepared prepared) {
+void Router::Dispatch(Reply reply, Prepared prepared) {
   if (!prepared.request.ok()) {
-    host_.Resume(id, park, ErrorResponse(prepared.request.status()));
+    reply.Send(ErrorResponse(prepared.request.status()));
     return;
   }
   const std::string& verb = prepared.request.value().verb;
   if (prepared.request.value().body.Find("route_fingerprint") != nullptr) {
-    host_.Resume(id, park,
-                 ErrorResponse(common::InvalidArgumentError(
-                     "field 'route_fingerprint' is cluster-internal; it is "
-                     "not accepted at the router")));
+    reply.Send(ErrorResponse(common::InvalidArgumentError(
+        "field 'route_fingerprint' is cluster-internal; it is not accepted "
+        "at the router")));
   } else if (verb == "submit" || verb == "ingest" || verb == "status" ||
              verb == "result" || verb == "cancel") {
-    StartForward(id, park, std::move(prepared));
+    StartForward(std::move(reply), std::move(prepared));
   } else if (verb == "stats") {
-    HandleStats(id, park);
+    HandleStats(std::move(reply));
   } else if (verb == "health") {
-    host_.Resume(id, park, HandleHealth());
+    reply.Send(HandleHealth());
   } else if (verb == "shutdown") {
-    HandleShutdown(id, park);
+    HandleShutdown(std::move(reply));
   } else if (verb == "ping") {
     Json::Object fields;
     fields["service"] = "ada-health-router";
-    host_.Resume(id, park, OkResponse(std::move(fields)));
+    reply.Send(OkResponse(std::move(fields)));
   } else if (verb == "promote" || verb == "replicate") {
-    host_.Resume(id, park,
-                 ErrorResponse(common::InvalidArgumentError(common::StrFormat(
-                     "verb '%s' is cluster-internal; it is not accepted at "
-                     "the router",
-                     verb.c_str()))));
+    reply.Send(ErrorResponse(common::InvalidArgumentError(common::StrFormat(
+        "verb '%s' is cluster-internal; it is not accepted at the router",
+        verb.c_str()))));
   } else {
-    host_.Resume(id, park,
-                 ErrorResponse(common::InvalidArgumentError(common::StrFormat(
-                     "unknown verb '%s'", verb.c_str()))));
+    reply.Send(ErrorResponse(common::InvalidArgumentError(
+        common::StrFormat("unknown verb '%s'", verb.c_str()))));
   }
 }
 
@@ -346,11 +335,11 @@ void Router::Call(uint16_t port, std::string_view line, double timeout_millis,
   upstream_.Call(port, line, timeout_millis, fresh, std::move(done));
 }
 
-void Router::StartForward(int64_t id, uint64_t park, Prepared prepared) {
+void Router::StartForward(Reply reply, Prepared prepared) {
   const Request& request = prepared.request.value();
   const Json& body = request.body;
   const bool submit = request.verb == "submit";
-  auto forward = std::make_shared<Forward>();
+  auto forward = std::make_shared<Forward>(std::move(reply));
   forward->ingest = request.verb == "ingest";
   if (const Json* cohort = body.Find("cohort");
       forward->ingest || (submit && cohort != nullptr)) {
@@ -358,9 +347,8 @@ void Router::StartForward(int64_t id, uint64_t park, Prepared prepared) {
     // records. The shard validates the rest of the body.
     if (cohort == nullptr || !cohort->is_string() ||
         cohort->AsString().empty()) {
-      host_.Resume(id, park,
-                   ErrorResponse(common::InvalidArgumentError(
-                       "request must carry a non-empty string 'cohort'")));
+      forward->reply.Send(ErrorResponse(common::InvalidArgumentError(
+          "request must carry a non-empty string 'cohort'")));
       return;
     }
     forward->key = "cohort/" + cohort->AsString();
@@ -372,9 +360,8 @@ void Router::StartForward(int64_t id, uint64_t park, Prepared prepared) {
   } else {
     const Json* id_field = body.Find("job_id");
     if (id_field == nullptr || !id_field->is_int()) {
-      host_.Resume(id, park,
-                   ErrorResponse(common::InvalidArgumentError(
-                       "request must carry an integer 'job_id'")));
+      forward->reply.Send(ErrorResponse(common::InvalidArgumentError(
+          "request must carry an integer 'job_id'")));
       return;
     }
     forward->global_id = id_field->AsInt();
@@ -386,8 +373,6 @@ void Router::StartForward(int64_t id, uint64_t park, Prepared prepared) {
   // not hold the cohort. The failure still feeds failover; the client
   // retries with the `expected_generation` replay guard.
   forward->attempts_left = forward->ingest ? 1 : kMaxForwardAttempts;
-  forward->conn = id;
-  forward->park = park != 0 ? park : ParkClient(id);
   Attempt(forward);
 }
 
@@ -400,14 +385,12 @@ void Router::Attempt(const std::shared_ptr<Forward>& forward) {
     extra["job_id"] = Json(static_cast<int64_t>(f.global_id));
     auto it = routes_.find(f.global_id);
     if (it == routes_.end()) {
-      host_.Resume(f.conn, f.park,
-                   ErrorResponse(JobNotFoundError(f.global_id, next_job_id_),
-                                 extra));
+      f.reply.Send(
+          ErrorResponse(JobNotFoundError(f.global_id, next_job_id_), extra));
       return;
     }
     if (!it->second.redrive_failure.ok()) {
-      host_.Resume(f.conn, f.park,
-                   ErrorResponse(it->second.redrive_failure, extra));
+      f.reply.Send(ErrorResponse(it->second.redrive_failure, extra));
       return;
     }
     shard = it->second.shard;
@@ -415,8 +398,7 @@ void Router::Attempt(const std::shared_ptr<Forward>& forward) {
   } else {
     shard = ShardFor(f.key);
     if (shard >= shards_.size()) {
-      host_.Resume(
-          f.conn, f.park,
+      f.reply.Send(
           ErrorResponse(common::UnavailableError("every shard is down")));
       return;
     }
@@ -427,11 +409,10 @@ void Router::Attempt(const std::shared_ptr<Forward>& forward) {
     return;
   }
   if (!state.alive.load()) {
-    host_.Resume(f.conn, f.park,
-                 ErrorResponse(common::UnavailableError(common::StrFormat(
-                                   "shard %zu is down and has no follower",
-                                   shard)),
-                               extra));
+    f.reply.Send(ErrorResponse(
+        common::UnavailableError(common::StrFormat(
+            "shard %zu is down and has no follower", shard)),
+        extra));
     return;
   }
   f.shard = shard;
@@ -446,12 +427,12 @@ void Router::Attempt(const std::shared_ptr<Forward>& forward) {
   UpstreamPool::Done replied = [this, forward](StatusOr<std::string> response) {
     Forward& f = *forward;
     if (response.ok()) {
-      host_.Resume(f.conn, f.park, ShardReplied(f, response.value()));
+      f.reply.Send(ShardReplied(f, response.value()));
       return;
     }
     --f.attempts_left;
     if (host_.draining()) {
-      host_.Resume(f.conn, f.park, ForwardFailed(f, response.status()));
+      f.reply.Send(ForwardFailed(f, response.status()));
       return;
     }
     HandleShardFailure(f.shard, f.generation,
@@ -459,8 +440,8 @@ void Router::Attempt(const std::shared_ptr<Forward>& forward) {
                          if (forward->attempts_left > 0) {
                            Attempt(forward);
                          } else {
-                           host_.Resume(forward->conn, forward->park,
-                                        ForwardFailed(*forward, failure));
+                           forward->reply.Send(
+                               ForwardFailed(*forward, failure));
                          }
                        });
   };
@@ -623,7 +604,7 @@ void Router::FanOut(
   }
 }
 
-void Router::HandleStats(int64_t id, uint64_t park) {
+void Router::HandleStats(Reply reply) {
   auto entries = std::make_shared<std::vector<Json::Object>>();
   std::vector<uint16_t> ports;  // 0 for a dead shard: not asked.
   for (size_t shard = 0; shard < shards_.size(); ++shard) {
@@ -635,10 +616,6 @@ void Router::HandleStats(int64_t id, uint64_t park) {
     entry["using_follower"] = Json(state.using_follower);
     entries->push_back(std::move(entry));
     ports.push_back(state.alive.load() ? state.active_port : 0);
-  }
-  if (park == 0 && std::count(ports.begin(), ports.end(), 0) <
-                       static_cast<std::ptrdiff_t>(ports.size())) {
-    park = ParkClient(id);  // Some shard is asked: answered later.
   }
   FanOut(
       ports, kStatsLine,
@@ -653,8 +630,8 @@ void Router::HandleStats(int64_t id, uint64_t park) {
           entry["error"] = Json(stats.status().ToString());
         }
       },
-      [this, id, park, entries] {
-        host_.Resume(id, park, StatsResponse(std::move(*entries)));
+      [this, reply, entries] {
+        reply.Send(StatsResponse(std::move(*entries)));
       });
 }
 
@@ -718,7 +695,7 @@ std::string Router::HandleHealth() const {
   return OkResponse(std::move(fields));
 }
 
-void Router::HandleShutdown(int64_t id, uint64_t park) {
+void Router::HandleShutdown(Reply reply) {
   // Cascade first: every live endpoint — the active port and a
   // not-yet-promoted follower — gets a graceful shutdown, so
   // `ada_client --router shutdown` tears the whole cluster down. The
@@ -730,7 +707,6 @@ void Router::HandleShutdown(int64_t id, uint64_t park) {
       ports.push_back(shard->endpoints.follower_port);
     }
   }
-  if (!ports.empty() && park == 0) park = ParkClient(id);
   FanOut(
       ports, kShutdownLine,
       [ports](size_t i, StatusOr<std::string> response) {
@@ -740,10 +716,10 @@ void Router::HandleShutdown(int64_t id, uint64_t park) {
                             << " failed: " << response.status().message();
         }
       },
-      [this, id, park] {
+      [this, reply] {
         Json::Object fields;
         fields["stopping"] = true;
-        host_.Resume(id, park, OkResponse(std::move(fields)));
+        reply.Send(OkResponse(std::move(fields)));
         host_.BeginDrain(kDrainTimeoutMillis);
       });
 }

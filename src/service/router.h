@@ -34,10 +34,12 @@
 //
 // Connections: the router owns the same ConnectionHost as a shard, with
 // a shard's default budget, idle timeout and line cap. A forwarded
-// request parks its client connection until the shard answers, and
-// every shard call (forward, probe, failover check, promote, re-drive,
-// stats fan-out, shutdown cascade) runs on the loop through one
-// UpstreamPool, which keeps answered shard connections for reuse. No
+// request carries its line's Reply until the shard answers (the
+// client's later lines wait meanwhile), and every shard call (forward,
+// probe, failover check, promote, re-drive, stats fan-out, shutdown
+// cascade) runs on the loop through one UpstreamPool, which keeps
+// answered shard connections for reuse. A reply that every callback
+// drops unsent still answers: UNAVAILABLE, from the host. No
 // client costs a thread, and only the loop thread touches routing
 // state. Preparing a line that may carry a dataset (parse, build,
 // fingerprint) is the one task that runs on ThreadPool::Shared(), and
@@ -49,15 +51,16 @@
 // cannot double-run jobs), once per shard at a time, and
 // generation-stamped for idempotence: the follower is sent `promote`,
 // every job routed to the shard is re-driven against it and the shard's
-// active port flips; requests for the shard wait, parked, until it
-// ends. An in-flight job re-submits its forwarded line and re-runs
-// unless its result was replicated; a finished csv/synthetic job
-// re-submits only its fingerprint (the router drops the upload once it
-// sees the job terminal) and completes as a cache hit on the follower,
-// or answers UNAVAILABLE "result of job N was not replicated ...;
-// resubmit" when the follower does not hold it. Execution is
-// at-least-once, client-visible completion per job id exactly-once,
-// and reports stay byte-identical because sessions are deterministic.
+// active port flips; requests for the shard wait, holding their
+// replies, until it ends. An in-flight job re-submits its forwarded
+// line and re-runs unless its result was replicated; a finished
+// csv/synthetic job re-submits only its fingerprint (the router drops
+// the upload once it sees the job terminal) and completes as a cache
+// hit on the follower, or answers UNAVAILABLE "result of job N was not
+// replicated ...; resubmit" when the follower does not hold it.
+// Execution is at-least-once, client-visible completion per job id
+// exactly-once, and reports stay byte-identical because sessions are
+// deterministic.
 // A shard with no follower left is dead: its jobs fail UNAVAILABLE and
 // new work rides the ring to the next live shard.
 //
@@ -215,8 +218,9 @@ class Router {
   /// A client request on its way to a shard: submit and ingest route on
   /// `key`, the job verbs (status, result, cancel) on their route.
   struct Forward {
-    int64_t conn = 0;
-    uint64_t park = 0;
+    explicit Forward(Reply owed) : reply(std::move(owed)) {}
+
+    Reply reply;
     bool ingest = false;
     bool uploaded = false;
     std::string key;
@@ -248,15 +252,12 @@ class Router {
   };
 
   // Loop thread only, except Prepare, which runs on the pool.
-  void OnLine(int64_t id, std::string line);
+  void OnLine(std::string line, Reply reply);
   /// Parses the line unless it is parsed already, then fingerprints a
   /// csv/synthetic submit; any other request is left as it is.
   static void Prepare(Prepared& prepared, bool parsed);
-  /// `park` is 0 while the line is handled inside its connection's own
-  /// callback (host_.Resume then answers at once).
-  void Dispatch(int64_t id, uint64_t park, Prepared prepared);
-  [[nodiscard]] uint64_t ParkClient(int64_t id);
-  void StartForward(int64_t id, uint64_t park, Prepared prepared);
+  void Dispatch(Reply reply, Prepared prepared);
+  void StartForward(Reply reply, Prepared prepared);
   /// One attempt; a transport failure runs failover before the next.
   void Attempt(const std::shared_ptr<Forward>& forward);
   [[nodiscard]] std::string ShardReplied(Forward& forward,
@@ -267,11 +268,11 @@ class Router {
   void FanOut(const std::vector<uint16_t>& ports, std::string_view line,
               std::function<void(size_t, common::StatusOr<std::string>)> each,
               std::function<void()> finish);
-  void HandleStats(int64_t id, uint64_t park);
+  void HandleStats(Reply reply);
   [[nodiscard]] std::string StatsResponse(
       std::vector<common::Json::Object> shards) const;
   [[nodiscard]] std::string HandleHealth() const;
-  void HandleShutdown(int64_t id, uint64_t park);
+  void HandleShutdown(Reply reply);
   /// One exchange with a shard port, counted in RouterStats::forwarded;
   /// `fresh` as in UpstreamPool::Call.
   void Call(uint16_t port, std::string_view line, double timeout_millis,

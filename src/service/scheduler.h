@@ -283,6 +283,8 @@ class Scheduler {
   // with it.
   void Pause() ADA_EXCLUDES(mutex_);
   /// Resumes dispatching.
+  // ada-lint: allow(unreached-symbol) service_test, service_c10k_test
+  // and router_test release a paused scheduler's queued jobs with it.
   void Resume() ADA_EXCLUDES(mutex_);
 
   /// Blocks until the queue is empty and every worker has retired.

@@ -62,13 +62,12 @@ AnalysisServer::AnalysisServer(ServerOptions options)
 std::unique_ptr<LogShipper> AnalysisServer::MakeShipper(
     ServerOptions& options) {
   if (options.replicate_to_port == 0) return nullptr;
-  ReplicationOptions replication;
-  replication.follower_port = options.replicate_to_port;
   // The snapshot lambda runs only on the (started) ship thread and the
   // destructor stops that thread before scheduler_ dies, so capturing
   // `this` ahead of scheduler_'s construction is safe.
   auto shipper = std::make_unique<LogShipper>(
-      replication, [this] { return scheduler_.cache().Entries(); });
+      options.replicate_to_port,
+      [this] { return scheduler_.cache().Entries(); });
   LogShipper* raw = shipper.get();
   options.scheduler.on_result_committed =
       [raw](const CachedAnalysis& entry) { raw->Enqueue(entry); };
@@ -110,8 +109,8 @@ Status AnalysisServer::Start() {
   // corrupt log) must not serve as a silently empty store.
   ADA_RETURN_IF_ERROR(cohort_store_->status());
   start_time_ = std::chrono::steady_clock::now();
-  ADA_RETURN_IF_ERROR(host_.Start([this](int64_t id, std::string line) {
-    OnRequestLine(id, std::move(line));
+  ADA_RETURN_IF_ERROR(host_.Start([this](std::string line, Reply reply) {
+    OnRequestLine(std::move(line), std::move(reply));
   }));
   if (shipper_) shipper_->Start();
   ADA_LOG(kInfo) << "service: listening on 127.0.0.1:" << port() << " as "
@@ -127,7 +126,7 @@ void AnalysisServer::Stop() {
 
 void AnalysisServer::Wait() { host_.Wait(); }
 
-void AnalysisServer::OnRequestLine(int64_t id, std::string line) {
+void AnalysisServer::OnRequestLine(std::string line, Reply reply) {
   // Fault injection for the shard-failover tests: an armed
   // "service.shard.kill" failpoint makes the process die the way a
   // crashed shard does — no drain, no flushed responses, no cache
@@ -142,16 +141,16 @@ void AnalysisServer::OnRequestLine(int64_t id, std::string line) {
   auto request = ParseRequest(line);
   if (!request.ok()) {
     host_.counters().errors.fetch_add(1);
-    host_.Respond(id, ErrorResponse(request.status()));
+    reply.Send(ErrorResponse(request.status()));
     return;
   }
   if (request.value().verb == "result") {
-    // The one verb that may wait: parked on a completion subscription,
-    // never on the loop thread.
-    HandleResultVerb(id, request.value().body);
+    // The one verb that may wait: on a completion subscription, never
+    // on the loop thread.
+    HandleResultVerb(request.value().body, std::move(reply));
     return;
   }
-  host_.Respond(id, Dispatch(request.value()));
+  reply.Send(Dispatch(request.value()));
   if (request.value().verb == "shutdown") {
     // Graceful drain; the response just enqueued is flushed before the
     // connection goes away (close-after-flush).
@@ -186,79 +185,61 @@ std::string AnalysisServer::ResultTimeoutResponse(JobId job) const {
       std::move(extra));
 }
 
-void AnalysisServer::HandleResultVerb(int64_t id, const Json& body) {
+void AnalysisServer::HandleResultVerb(const Json& body, Reply reply) {
   auto job = ReadJobId(body);
   if (!job.ok()) {
-    host_.Respond(id, ErrorResponse(job.status()));
+    reply.Send(ErrorResponse(job.status()));
     return;
   }
   auto snapshot = scheduler_.Status(job.value());
   if (!snapshot.ok()) {
-    host_.Respond(id, ErrorResponse(snapshot.status()));
+    reply.Send(ErrorResponse(snapshot.status()));
     return;
   }
   if (IsTerminal(snapshot.value().state)) {
-    host_.Respond(id, OkResponse(SnapshotFields(snapshot.value(),
-                                                /*include_artifacts=*/true)));
+    reply.Send(OkResponse(SnapshotFields(snapshot.value(),
+                                         /*include_artifacts=*/true)));
     return;
   }
   if (host_.draining()) {
-    host_.Respond(id, ErrorResponse(
-                          common::UnavailableError("server is shutting down")));
+    reply.Send(ErrorResponse(
+        common::UnavailableError("server is shutting down")));
     return;
   }
-  // Park the connection: pipelined requests behind this one wait (in
+  // Unanswered on return: pipelined requests behind this one wait (in
   // order) and the loop thread moves on to other clients.
+  Json::Object extra;
+  extra["job_id"] = Json(static_cast<int64_t>(job.value()));
+  reply.AbandonWith(ErrorResponse(
+      common::UnavailableError("server stopped waiting before the job "
+                               "finished"),
+      std::move(extra)));
   auto wait = std::make_shared<ResultWait>();
-  wait->job = job.value();
-  const uint64_t park = host_.Park(id, [this, wait] {
-    ClearWait(*wait);
-    Json::Object extra;
-    extra["job_id"] = Json(static_cast<int64_t>(wait->job));
-    return ErrorResponse(common::UnavailableError(
-                             "server shutting down before the job finished"),
-                         std::move(extra));
-  });
-  wait->timer = host_.loop().ScheduleAfter(
-      EffectiveResultWait(body), [this, id, park, wait] {
-        // Subscription 0 = fired inline at Subscribe; a false
-        // Unsubscribe = the completion callback beat us. Either way the
-        // completion is in flight and will answer — never respond twice.
-        if (wait->subscription == 0 ||
-            !scheduler_.Unsubscribe(std::exchange(wait->subscription, 0))) {
-          return;
-        }
-        host_.Resume(id, park, ResultTimeoutResponse(wait->job));
-      });
   auto subscription = scheduler_.Subscribe(
-      job.value(), [this, id, park, wait](const JobSnapshot& terminal) {
+      job.value(), [this, reply, wait](const JobSnapshot& terminal) {
         // Runs on a scheduler worker (or inline); hop to the loop.
-        host_.loop().Post([this, id, park, wait, terminal] {
-          ClearWait(*wait);
-          host_.Resume(id, park,
-                       OkResponse(SnapshotFields(terminal,
-                                                 /*include_artifacts=*/true)));
+        host_.loop().Post([this, reply, wait, terminal] {
+          host_.loop().CancelTimer(wait->timer);
+          reply.Send(OkResponse(SnapshotFields(terminal,
+                                               /*include_artifacts=*/true)));
         });
       });
   if (!subscription.ok()) {
     // The job finished and was retired between Status and Subscribe
-    // (see kRetainedJobs): unwind the park and answer "expired".
-    ClearWait(*wait);
-    host_.Resume(id, park, ErrorResponse(subscription.status()));
+    // (see kRetainedJobs): answer "expired".
+    reply.Send(ErrorResponse(subscription.status()));
     return;
   }
-  // May be the inline sentinel 0 (job finished between Status and
-  // Subscribe) — the completion is already posted in that case.
+  // The inline sentinel 0 (the job finished between Status and
+  // Subscribe) never unsubscribes, so the posted completion answers.
   wait->subscription = subscription.value();
-}
-
-void AnalysisServer::ClearWait(ResultWait& wait) {
-  host_.loop().CancelTimer(wait.timer);  // False once it fired.
-  // False once the completion fired; its posted task finds the park
-  // answered and leaves.
-  if (wait.subscription != 0) {
-    (void)scheduler_.Unsubscribe(std::exchange(wait.subscription, 0));
-  }
+  wait->timer = host_.loop().ScheduleAfter(
+      EffectiveResultWait(body), [this, reply, wait, job = job.value()] {
+        // False: the completion fired and its posted answer comes first.
+        if (scheduler_.Unsubscribe(wait->subscription)) {
+          reply.Send(ResultTimeoutResponse(job));
+        }
+      });
 }
 
 common::Json AnalysisServer::ReplicationFields() const {
@@ -387,7 +368,7 @@ std::string AnalysisServer::Dispatch(const Request& request) {
   }
   if (request.verb == "result") {
     // `result` may wait, so only a connection serves it
-    // (HandleResultVerb parks it on a completion subscription).
+    // (HandleResultVerb waits on a completion subscription).
     return ErrorResponse(common::FailedPreconditionError(
         "verb 'result' is served on a connection"));
   }

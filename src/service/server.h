@@ -4,19 +4,21 @@
 // Connection model: a ConnectionHost (service/connection.h), as in the
 // router: one epoll loop thread multiplexes every connection, so no
 // client can starve another by being slow, holding its socket open, or
-// parking inside a long `result` wait. Pipelined requests are answered
-// strictly in order. All heavy work runs on the scheduler's workers;
-// the loop thread only parses, dispatches, and shuttles buffers. A
-// `result` wait parks the connection on a Scheduler::Subscribe
-// completion callback plus a timeout timer, whichever fires first.
+// waiting inside a long `result` wait. Pipelined requests are answered
+// strictly in order, each through its line's Reply. All heavy work runs
+// on the scheduler's workers; the loop thread only parses, dispatches,
+// and shuttles buffers. A `result` wait holds its Reply in a
+// Scheduler::Subscribe completion callback and a timeout timer, and
+// whichever fires first answers; the lines behind it wait until then.
 //
 // Resource policy: at most `max_connections` concurrent clients
 // (excess accepts are answered RESOURCE_EXHAUSTED and dropped),
-// connections idle beyond `idle_timeout_millis` are evicted, request
+// connections idle beyond `idle_timeout_millis` and owed no reply are
+// evicted, request
 // lines are capped at `max_line_bytes`, and `result` waits are capped
 // server-side at `max_result_wait_millis`. Shutdown (the `shutdown`
 // verb or Stop()) drains gracefully: the listener stops accepting,
-// pending responses are flushed, parked waits are resolved with
+// pending responses are flushed, pending `result` waits are answered
 // UNAVAILABLE, and a failsafe timer bounds the drain.
 #ifndef ADAHEALTH_SERVICE_SERVER_H_
 #define ADAHEALTH_SERVICE_SERVER_H_
@@ -119,9 +121,8 @@ class AnalysisServer {
   [[nodiscard]] std::string Dispatch(const Request& request);
 
  private:
-  /// A parked `result` wait's subscription and timer. Loop thread only.
+  /// A `result` wait's subscription and timer. Loop thread only.
   struct ResultWait {
-    JobId job = 0;
     Scheduler::SubscriptionId subscription = 0;
     EventLoop::TimerId timer{};
   };
@@ -150,10 +151,8 @@ class AnalysisServer {
   /// The submit verbs' reply: the admitted job's snapshot.
   [[nodiscard]] std::string SubmitResponse(JobId id) const;
 
-  void OnRequestLine(int64_t id, std::string line);
-  void HandleResultVerb(int64_t id, const common::Json& body);
-  /// Ends a parked wait's bookkeeping (timer + subscription).
-  void ClearWait(ResultWait& wait);
+  void OnRequestLine(std::string line, Reply reply);
+  void HandleResultVerb(const common::Json& body, Reply reply);
   double EffectiveResultWait(const common::Json& body) const;
   [[nodiscard]] std::string ResultTimeoutResponse(JobId job) const;
   /// The replication-counters object shared by `stats` and `health`

@@ -60,9 +60,7 @@ class ReplicationTest : public testing::Test {
 };
 
 TEST_F(ReplicationTest, ShipsEnqueuedEntryToFollower) {
-  service::ReplicationOptions options;
-  options.follower_port = follower_->port();
-  service::LogShipper shipper(options, [] {
+  service::LogShipper shipper(follower_->port(), [] {
     return std::vector<service::CachedAnalysis>{};
   });
   shipper.Start();
@@ -84,9 +82,7 @@ TEST_F(ReplicationTest, SnapshotCatchUpPrecedesLiveTail) {
   // late): the first connect must stream them before the live entry.
   std::vector<service::CachedAnalysis> backlog = {MakeEntry(10),
                                                   MakeEntry(11)};
-  service::ReplicationOptions options;
-  options.follower_port = follower_->port();
-  service::LogShipper shipper(options, [backlog] { return backlog; });
+  service::LogShipper shipper(follower_->port(), [backlog] { return backlog; });
   shipper.Start();
   shipper.Enqueue(MakeEntry(12));
   ASSERT_TRUE(shipper.WaitUntilDrained(10000.0));
@@ -99,9 +95,7 @@ TEST_F(ReplicationTest, SnapshotCatchUpPrecedesLiveTail) {
 TEST_F(ReplicationTest, DuplicateDeliveryIsIdempotent) {
   // At-least-once delivery: the same fingerprint shipped twice must
   // refresh, not duplicate, the follower's cache entry.
-  service::ReplicationOptions options;
-  options.follower_port = follower_->port();
-  service::LogShipper shipper(options, [] {
+  service::LogShipper shipper(follower_->port(), [] {
     return std::vector<service::CachedAnalysis>{};
   });
   shipper.Start();
@@ -119,9 +113,7 @@ TEST_F(ReplicationTest, NewCohortGenerationSupersedesOldOnFollower) {
   // versioning fields, and the follower's cache applies the same
   // supersede rule as the primary — shipping generation 2 evicts the
   // replicated generation 1 exactly once.
-  service::ReplicationOptions options;
-  options.follower_port = follower_->port();
-  service::LogShipper shipper(options, [] {
+  service::LogShipper shipper(follower_->port(), [] {
     return std::vector<service::CachedAnalysis>{};
   });
   shipper.Start();
@@ -153,9 +145,7 @@ TEST_F(ReplicationTest, NewCohortGenerationSupersedesOldOnFollower) {
 TEST_F(ReplicationTest, SendFailureRequeuesAndRedelivers) {
   // The failpoint kills the first wire send; the shipper must count
   // the failure, requeue the entry, reconnect, and deliver it.
-  service::ReplicationOptions options;
-  options.follower_port = follower_->port();
-  service::LogShipper shipper(options, [] {
+  service::LogShipper shipper(follower_->port(), [] {
     return std::vector<service::CachedAnalysis>{};
   });
   common::ScopedFailpoint broken_wire(
@@ -175,28 +165,21 @@ TEST_F(ReplicationTest, SendFailureRequeuesAndRedelivers) {
 
 TEST(ReplicationQueueTest, OverflowDropsOldestAndCounts) {
   // No Start(): the queue fills without a ship loop draining it.
-  service::ReplicationOptions options;
-  options.follower_port = DeadPort();
-  options.max_queue = 2;
-  service::LogShipper shipper(options, [] {
+  service::LogShipper shipper(DeadPort(), [] {
     return std::vector<service::CachedAnalysis>{};
   });
-  shipper.Enqueue(MakeEntry(40));
-  shipper.Enqueue(MakeEntry(41));
-  shipper.Enqueue(MakeEntry(42));
+  for (size_t i = 0; i <= service::kReplicationMaxQueue; ++i) {
+    shipper.Enqueue(MakeEntry(static_cast<int>(i)));
+  }
 
   service::ReplicationStats stats = shipper.stats();
   EXPECT_EQ(stats.dropped, 1);
-  EXPECT_EQ(stats.queue_depth, 2u);
+  EXPECT_EQ(stats.queue_depth, service::kReplicationMaxQueue);
   EXPECT_EQ(stats.shipped, 0);
 }
 
 TEST(ReplicationQueueTest, DrainTimesOutWhileFollowerUnreachable) {
-  service::ReplicationOptions options;
-  options.follower_port = DeadPort();
-  options.reconnect_backoff_millis = 10.0;
-  options.max_reconnect_backoff_millis = 20.0;
-  service::LogShipper shipper(options, [] {
+  service::LogShipper shipper(DeadPort(), [] {
     return std::vector<service::CachedAnalysis>{};
   });
   shipper.Start();

@@ -67,6 +67,12 @@ Rules
                     service process serves its clients from one event
                     loop thread, so a thread per client or per wait
                     cannot come back unnoticed.
+  service-reply     In src/service/, EnqueueResponse, PauseRequests and
+                    ResumeRequests appear only in connection.* (where a
+                    Reply answers its line) and client.* (UpstreamPool's
+                    outbound links). Server and router code answers a
+                    client only through the line's Reply, so every line
+                    gets exactly one answer, in order.
   simd-intrinsics   x86 vector intrinsics — the <immintrin.h> include
                     family, _mm*/_mm256*/_mm512* calls and __m128/__m256/
                     __m512 vector types — are allowed only in
@@ -162,6 +168,7 @@ FILE_IO_CALL_RE = re.compile(
 FILE_IO_INCLUDE_RE = re.compile(r"#\s*include\s*<(fstream|filesystem)>")
 OUTBOUND_RE = re.compile(r"\b(ConnectLoopback|SetRecvTimeout)\b")
 THREAD_RE = re.compile(r"\bstd::thread\b")
+REPLY_RE = re.compile(r"\b(EnqueueResponse|PauseRequests|ResumeRequests)\b")
 METRICS_INCLUDE_RE = re.compile(r'#\s*include\s*"common/metrics\.h"')
 METRICS_REGISTRY_RE = re.compile(r"\bMetricsRegistry\b")
 RAW_MUTEX_RE = re.compile(
@@ -290,6 +297,9 @@ def lint_file(path, rel_path):
     is_outbound_owner = any(
         rel_path.startswith(os.path.join("src", "service", stem + "."))
         for stem in ("net_socket", "client"))
+    is_reply_owner = any(
+        rel_path.startswith(os.path.join("src", "service", stem + "."))
+        for stem in ("connection", "client"))
     is_thread_owner = any(
         rel_path.startswith(os.path.join("src", "service", stem + "."))
         for stem in ("connection", "replication"))
@@ -414,6 +424,15 @@ def lint_file(path, rel_path):
                     "std::thread in src/service/ outside connection.* and "
                     "replication.*; serve clients and waits from the "
                     "connection host's event loop"))
+
+        # --- service-reply ----------------------------------------------
+        if in_service and not is_reply_owner:
+            m = REPLY_RE.search(code)
+            if m and not allowed(lineno, "service-reply"):
+                findings.append(Finding(
+                    rel_path, lineno, "service-reply",
+                    f"`{m.group(1)}` in src/service/ outside connection.* "
+                    "and client.*; answer a client line through its Reply"))
 
         # --- service-metrics --------------------------------------------
         if in_service and not allowed(lineno, "service-metrics"):

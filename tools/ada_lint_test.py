@@ -26,6 +26,43 @@ TREES = ("src", "tests", "bench", "tools", "examples",
 # rule -> (file created in the copy, its contents). Each file breaks
 # exactly one rule and nothing else.
 MUTANTS = {
+    "include-guard": (
+        os.path.join("src", "common", "lint_probe.h"),
+        "#ifndef LINT_PROBE_H_\n"
+        "#define LINT_PROBE_H_\n"
+        "#endif  // LINT_PROBE_H_\n"),
+    "naked-new": (
+        os.path.join("src", "kdb", "lint_probe.cc"),
+        "void Probe() { auto* value = new int(1); }\n"),
+    "stdout-in-lib": (
+        os.path.join("src", "kdb", "lint_probe.cc"),
+        "void Probe() { std::printf(\"probe\\n\"); }\n"),
+    "check-in-dataset": (
+        os.path.join("src", "dataset", "lint_probe.cc"),
+        "void Probe(int rows) { ADA_CHECK(rows > 0); }\n"),
+    "direct-random": (
+        os.path.join("src", "kdb", "lint_probe.cc"),
+        "#include <random>\n"),
+    "catch-swallow": (
+        os.path.join("src", "kdb", "lint_probe.cc"),
+        "void Probe() {\n"
+        "  try {\n"
+        "    Run();\n"
+        "  } catch (...) {\n"
+        "  }\n"
+        "}\n"),
+    "raw-socket": (
+        os.path.join("src", "kdb", "lint_probe.cc"),
+        "void Probe(int fd) { ::close(fd); }\n"),
+    "simd-intrinsics": (
+        os.path.join("src", "kdb", "lint_probe.cc"),
+        "#include <immintrin.h>\n"),
+    "service-file-io": (
+        os.path.join("src", "service", "lint_probe.cc"),
+        "void Probe() { unlink(\"probe\"); }\n"),
+    "service-reply": (
+        os.path.join("src", "service", "lint_probe.cc"),
+        "void Probe(Connection& conn) { conn.EnqueueResponse(\"\\n\"); }\n"),
     "unreached-symbol": (
         os.path.join("src", "common", "lint_probe.h"),
         "#ifndef ADAHEALTH_COMMON_LINT_PROBE_H_\n"
