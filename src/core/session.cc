@@ -337,7 +337,6 @@ StatusOr<SessionResult> AnalysisSession::Run(const ExamLog& log,
   // dumps included) carries them even when they stay at zero.
   metrics.GetCounter("stage_degraded_total");
   metrics.GetCounter("retry_attempts");
-  metrics.GetCounter("storage_salvaged_lines");
   common::ScopedTimer session_timer(metrics, "session/total_seconds");
   StageRunner stages(options.resilience, &result);
 

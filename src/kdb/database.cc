@@ -75,16 +75,8 @@ Status Database::LoadFrom(const std::string& directory,
     Status status = common::RetryWithPolicy(
         options.retry, "kdb.database.load:" + name, [&] {
           ADA_RETURN_IF_ERROR(ADA_FAILPOINT("kdb.database.load"));
-          if (options.salvage) {
-            auto salvaged = LoadCollectionSalvage(name, directory);
-            if (!salvaged.ok()) return salvaged.status();
-            loaded = std::move(salvaged)->collection;
-            return common::OkStatus();
-          }
-          auto strict = LoadCollection(name, directory);
-          if (!strict.ok()) return strict.status();
-          loaded = std::move(strict).value();
-          return common::OkStatus();
+          loaded = LoadCollection(name, directory);
+          return loaded.status();
         });
     if (!status.ok()) return status;
     collections_[name] =

@@ -5,6 +5,12 @@
 // distribution, (4-5) interesting and selected knowledge items
 // discovered through different data mining algorithms, and (6) user
 // interaction feedbacks."
+//
+// Persistence: SaveTo writes every collection crash-safely
+// (kdb/storage.h) when a session is given a persist directory; LoadFrom
+// reads such a directory back. The service's crash-safe state (cohort
+// store, result cache) does not go through the K-DB: it lives in the
+// append-only store log of service/store_log.h.
 #ifndef ADAHEALTH_KDB_DATABASE_H_
 #define ADAHEALTH_KDB_DATABASE_H_
 
@@ -61,9 +67,6 @@ class Database {
     /// Per-collection I/O retry (transient UNAVAILABLE/DEADLINE_EXCEEDED
     /// failures are re-attempted with deterministic backoff).
     common::RetryPolicy retry;
-    /// LoadFrom only: recover the valid prefix of a torn collection
-    /// file (counted in "storage_salvaged_lines") instead of failing.
-    bool salvage = false;
   };
 
   /// Persists every collection to `<directory>/<name>.jsonl`
@@ -80,6 +83,8 @@ class Database {
   /// Loads every `names` collection from the directory, replacing any
   /// in-memory collections of the same name. The directory is checked
   /// up front (UNAVAILABLE with the path when missing).
+  // ada-lint: allow(unreached-symbol) database_test, integration_test and
+  // fault_injection_test read SaveTo's files back through it.
   [[nodiscard]] common::Status LoadFrom(const std::string& directory,
                           const std::vector<std::string>& names) {
     return LoadFrom(directory, names, PersistOptions());

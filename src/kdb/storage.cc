@@ -8,7 +8,6 @@
 #include "common/csv.h"
 #include "common/failpoint.h"
 #include "common/logging.h"
-#include "common/metrics.h"
 #include "common/string_util.h"
 
 namespace adahealth {
@@ -34,25 +33,6 @@ Status AnnotateLine(const Status& status, const std::string& name,
                 "collection '" + name + "' line " +
                     std::to_string(line_number) + " (payload '" +
                     PayloadPreview(line) + "'): " + status.message());
-}
-
-/// Parses and restores one JSONL line into `collection`; OK for blank
-/// lines. Errors carry the line number and payload preview.
-Status RestoreLine(Collection& collection, const std::string& name,
-                   size_t line_number, const std::string& line) {
-  std::string_view trimmed = common::Trim(line);
-  if (trimmed.empty()) return common::OkStatus();
-  auto document = Document::Parse(trimmed);
-  if (!document.ok()) {
-    return AnnotateLine(
-        common::DataLossError(document.status().message()), name,
-        line_number, trimmed);
-  }
-  Status restored = collection.Restore(std::move(document).value());
-  if (!restored.ok()) {
-    return AnnotateLine(restored, name, line_number, trimmed);
-  }
-  return common::OkStatus();
 }
 
 }  // namespace
@@ -130,42 +110,19 @@ StatusOr<Collection> DeserializeCollection(const std::string& name,
   size_t line_number = 0;
   for (const std::string& line : common::Split(text, '\n')) {
     ++line_number;
-    Status restored = RestoreLine(collection, name, line_number, line);
-    if (!restored.ok()) return restored;
+    std::string_view trimmed = common::Trim(line);
+    if (trimmed.empty()) continue;
+    auto document = Document::Parse(trimmed);
+    if (!document.ok()) {
+      return AnnotateLine(common::DataLossError(document.status().message()),
+                          name, line_number, trimmed);
+    }
+    Status restored = collection.Restore(std::move(document).value());
+    if (!restored.ok()) {
+      return AnnotateLine(restored, name, line_number, trimmed);
+    }
   }
   return collection;
-}
-
-SalvagedCollection DeserializeCollectionSalvage(const std::string& name,
-                                                const std::string& text) {
-  SalvagedCollection salvaged{Collection(name)};
-  std::vector<std::string> lines = common::Split(text, '\n');
-  size_t line_number = 0;
-  for (size_t i = 0; i < lines.size(); ++i) {
-    ++line_number;
-    Status restored =
-        RestoreLine(salvaged.collection, name, line_number, lines[i]);
-    if (!restored.ok()) {
-      // The valid prefix ends here: drop this line and every non-empty
-      // line after it (the torn tail).
-      salvaged.detail = restored;
-      for (size_t j = i; j < lines.size(); ++j) {
-        if (!common::Trim(lines[j]).empty()) ++salvaged.dropped_lines;
-      }
-      break;
-    }
-    if (!common::Trim(lines[i]).empty()) ++salvaged.recovered_lines;
-  }
-  if (salvaged.dropped_lines > 0) {
-    common::MetricsRegistry::Default()
-        .GetCounter("storage_salvaged_lines")
-        .Increment(static_cast<int64_t>(salvaged.recovered_lines));
-    ADA_LOG(kWarning) << "salvaged collection '" << name << "': recovered "
-                      << salvaged.recovered_lines << " line(s), dropped "
-                      << salvaged.dropped_lines << " ("
-                      << salvaged.detail.ToString() << ")";
-  }
-  return salvaged;
 }
 
 Status SaveCollection(const Collection& collection,
@@ -180,14 +137,6 @@ StatusOr<Collection> LoadCollection(const std::string& name,
   auto text = common::ReadFileToString(directory + "/" + name + ".jsonl");
   if (!text.ok()) return text.status();
   return DeserializeCollection(name, text.value());
-}
-
-StatusOr<SalvagedCollection> LoadCollectionSalvage(
-    const std::string& name, const std::string& directory) {
-  ADA_RETURN_IF_ERROR(ADA_FAILPOINT("kdb.storage.read"));
-  auto text = common::ReadFileToString(directory + "/" + name + ".jsonl");
-  if (!text.ok()) return text.status();
-  return DeserializeCollectionSalvage(name, text.value());
 }
 
 }  // namespace kdb

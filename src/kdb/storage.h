@@ -4,16 +4,16 @@
 // Crash safety. SaveCollection is atomic: the serialized collection is
 // written to `<name>.jsonl.tmp`, flushed to disk (fsync), and renamed
 // over the final path, so a crash at any point leaves either the old
-// or the new file — never a torn mixture. LoadCollection is strict by
-// default (a malformed line is DATA_LOSS); LoadCollectionSalvage
-// recovers the valid JSONL prefix of a torn write instead, reporting
-// how much was dropped.
+// or the new file — never a torn mixture. LoadCollection is strict (a
+// malformed line is DATA_LOSS). The service's crash-safe state (the
+// cohort store and the result cache) lives in its own append-only
+// store log (service/store_log.h), which folds through AtomicWriteFile.
 //
 // Failpoints (common/failpoint.h): "kdb.storage.write",
 // "kdb.storage.fsync", "kdb.storage.rename" fire inside AtomicWriteFile
-// (so in SaveCollection and in the cohort store log's fold) before the
+// (so in SaveCollection and in a store log's fold) before the
 // corresponding syscall; "kdb.storage.read" fires inside
-// LoadCollection/LoadCollectionSalvage before the file is opened.
+// LoadCollection before the file is opened.
 #ifndef ADAHEALTH_KDB_STORAGE_H_
 #define ADAHEALTH_KDB_STORAGE_H_
 
@@ -43,31 +43,6 @@ std::string SerializeCollection(const Collection& collection);
 [[nodiscard]] common::StatusOr<Collection> DeserializeCollection(const std::string& name,
                                                    const std::string& text);
 
-/// Result of a salvage deserialization/load: the longest valid JSONL
-/// prefix, plus an accounting of what was dropped.
-struct SalvagedCollection {
-  Collection collection;
-  /// Documents restored (the valid prefix).
-  size_t recovered_lines = 0;
-  /// Non-empty lines discarded (the first bad line and everything
-  /// after it).
-  size_t dropped_lines = 0;
-  /// OK when nothing was dropped; otherwise the DATA_LOSS (or
-  /// duplicate-id) detail of the first bad line.
-  common::Status detail;
-
-  SalvagedCollection() : collection("") {}
-  explicit SalvagedCollection(Collection c) : collection(std::move(c)) {}
-};
-
-/// Salvage variant of DeserializeCollection: restores documents up to
-/// the first malformed or duplicate-id line and drops the rest (a torn
-/// tail from a crashed non-atomic append). Never fails on content —
-/// the damage is reported through `detail`/`dropped_lines` and counted
-/// in the "storage_salvaged_lines" metric.
-[[nodiscard]] SalvagedCollection DeserializeCollectionSalvage(
-    const std::string& name, const std::string& text);
-
 /// Atomically writes the collection to `<directory>/<name>.jsonl`
 /// (tmp + fsync + rename). On any failure the previous file is left
 /// untouched and the temporary file is removed.
@@ -77,11 +52,6 @@ struct SalvagedCollection {
 /// Loads `<directory>/<name>.jsonl` (strict).
 [[nodiscard]] common::StatusOr<Collection> LoadCollection(const std::string& name,
                                             const std::string& directory);
-
-/// Loads `<directory>/<name>.jsonl`, salvaging the valid prefix of a
-/// torn file. Fails only when the file cannot be read at all.
-[[nodiscard]] common::StatusOr<SalvagedCollection> LoadCollectionSalvage(
-    const std::string& name, const std::string& directory);
 
 }  // namespace kdb
 }  // namespace adahealth

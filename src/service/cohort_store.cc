@@ -1,21 +1,14 @@
 #include "service/cohort_store.h"
 
 #include <dirent.h>
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
-#include <cerrno>
 #include <cmath>
 #include <utility>
 
-#include "common/csv.h"
 #include "common/failpoint.h"
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "kdb/storage.h"
-#include "service/fingerprint.h"
-#include "service/net_socket.h"
+#include "service/store_log.h"
 
 namespace adahealth {
 namespace service {
@@ -31,45 +24,6 @@ constexpr size_t kMaxCohortName = 64;
 /// records arrived after the last analyzed generation, the prior
 /// centroids are considered stale and the next job runs cold.
 constexpr double kDriftThreshold = 0.5;
-/// Fold floor: dead bytes must exceed this as well as the live bytes
-/// before the log is rewritten, so a fold reclaims at least as much as
-/// it writes and small logs are never rewritten at all.
-constexpr size_t kFoldMinDeadBytes = size_t{1} << 20;
-/// The checksum is this many hex digits, then one space, then the body.
-constexpr size_t kChecksumChars = 16;
-
-std::string Checksum(std::string_view body) {
-  Fnv1a hash;
-  hash.Mix(body.data(), body.size());
-  return common::StrFormat("%016llx",
-                           static_cast<unsigned long long>(hash.digest()));
-}
-
-/// One committed log line: checksum, body, newline.
-std::string EntryLine(std::string_view body) {
-  std::string line = Checksum(body);
-  line.reserve(kChecksumChars + body.size() + 2);
-  line.push_back(' ');
-  line.append(body);
-  line.push_back('\n');
-  return line;
-}
-
-/// Parses one committed line (without its newline) into its JSON body.
-StatusOr<Json> ParseEntryLine(std::string_view line) {
-  if (line.size() <= kChecksumChars + 1 || line[kChecksumChars] != ' ') {
-    return common::DataLossError("entry has no checksum");
-  }
-  const std::string_view body = line.substr(kChecksumChars + 1);
-  if (line.substr(0, kChecksumChars) != Checksum(body)) {
-    return common::DataLossError("entry checksum mismatch");
-  }
-  ADA_ASSIGN_OR_RETURN(Json entry, Json::Parse(body));
-  if (!entry.is_object()) {
-    return common::DataLossError("entry is not a JSON object");
-  }
-  return entry;
-}
 
 StatusOr<int64_t> IntField(const Json& object, std::string_view key) {
   const Json* field = object.Find(key);
@@ -175,114 +129,6 @@ Status RefuseOldLayout(const std::string& directory) {
 
 }  // namespace
 
-/// The store log's write side: appends entries at the committed end.
-class CohortStore::Log {
- public:
-  explicit Log(std::string path) : path_(std::move(path)) {}
-
-  /// Reads the log and returns its committed prefix (every byte up to
-  /// the last newline); a tail past it is a torn append and is left for
-  /// the next Append to overwrite.
-  StatusOr<std::string> ReadCommitted() {
-    StatusOr<std::string> text = common::ReadFileToString(path_);
-    if (!text.ok()) {
-      if (text.status().code() != common::StatusCode::kNotFound) {
-        return text.status();
-      }
-      text = std::string();
-    }
-    const size_t newline = text->rfind('\n');
-    const size_t committed = newline == std::string::npos ? 0 : newline + 1;
-    if (text->size() > committed) {
-      ADA_LOG(kWarning) << "cohort store: ignoring " << text->size() - committed
-                        << " uncommitted byte(s) at the end of " << path_;
-    }
-    text->resize(committed);
-    end_ = static_cast<off_t>(committed);
-    return text;
-  }
-
-  /// Writes one entry at the committed end with one pwrite and makes it
-  /// durable with one fdatasync. Returns the entry's size in bytes.
-  StatusOr<size_t> Append(std::string_view body) {
-    ADA_RETURN_IF_ERROR(broken_);
-    ADA_RETURN_IF_ERROR(EnsureOpen());
-    const std::string line = EntryLine(body);
-    // The crash window: the body is down but its committing newline is
-    // not. A failed write leaves the same state (the newline is its
-    // last byte), and the next append overwrites it.
-    const Status torn = ADA_FAILPOINT("service.ingest.snapshot");
-    ADA_RETURN_IF_ERROR(
-        WriteAt(line.data(), torn.ok() ? line.size() : line.size() - 1));
-    ADA_RETURN_IF_ERROR(torn);
-    if (::fdatasync(fd_.get()) != 0) {
-      // The entry, newline included, may or may not be durable; only a
-      // replay can tell. Refuse to write after it until the store
-      // reopens, so no later entry lands behind one of unknown fate.
-      broken_ = common::DataLossError(
-          "fdatasync failed on " + path_ +
-          "; the store accepts no commit until it reopens");
-      return broken_;
-    }
-    end_ += static_cast<off_t>(line.size());
-    return line.size();
-  }
-
-  /// Replaces the whole log with `contents` (the fold). The next
-  /// Append opens the new file.
-  Status Rewrite(const std::string& contents) {
-    ADA_RETURN_IF_ERROR(kdb::AtomicWriteFile(path_, contents));
-    fd_.Close();  // It still names the replaced file.
-    end_ = static_cast<off_t>(contents.size());
-    return common::OkStatus();
-  }
-
- private:
-  /// Opens the log for writing, creating it on a store's first commit:
-  /// a store that never commits leaves no file behind.
-  Status EnsureOpen() {
-    if (fd_.valid()) return common::OkStatus();
-    fd_ = FileDescriptor(::open(path_.c_str(), O_WRONLY | O_CLOEXEC));
-    if (fd_.valid()) return common::OkStatus();
-    fd_ = FileDescriptor(
-        ::open(path_.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644));
-    if (!fd_.valid()) {
-      return common::UnavailableError("cannot open store log " + path_);
-    }
-    // Make the new file's name durable, so the first entry's fdatasync
-    // cannot outlive it.
-    const size_t slash = path_.find_last_of('/');
-    FileDescriptor dir(::open(path_.substr(0, slash).c_str(), O_RDONLY));
-    if (!dir.valid() || ::fsync(dir.get()) != 0) {
-      ADA_LOG(kWarning) << "cohort store: directory fsync failed for "
-                        << path_;
-    }
-    return common::OkStatus();
-  }
-
-  Status WriteAt(const char* data, size_t size) {
-    off_t offset = end_;
-    while (size > 0) {
-      const ssize_t written = ::pwrite(fd_.get(), data, size, offset);
-      if (written < 0 && errno == EINTR) continue;
-      if (written <= 0) {
-        return common::DataLossError("write error on " + path_);
-      }
-      data += written;
-      size -= static_cast<size_t>(written);
-      offset += written;
-    }
-    return common::OkStatus();
-  }
-
-  const std::string path_;
-  FileDescriptor fd_;
-  /// Offset just past the last committed entry.
-  off_t end_ = 0;
-  /// Set once an fdatasync failed.
-  Status broken_;
-};
-
 bool IsValidCohortName(std::string_view name) {
   if (name.empty() || name.size() > kMaxCohortName) return false;
   for (char c : name) {
@@ -309,25 +155,13 @@ CohortStore::CohortStore(CohortStoreOptions options)
 CohortStore::~CohortStore() = default;
 
 Status CohortStore::Open() {
-  ::mkdir(options_.directory.c_str(), 0755);  // Best-effort; may exist.
+  log_ = std::make_unique<StoreLog>(options_.directory, kStoreLogFile,
+                                    "service.ingest.snapshot");
   ADA_RETURN_IF_ERROR(RefuseOldLayout(options_.directory));
-  const std::string path = options_.directory + "/" + kStoreLogFile;
-  log_ = std::make_unique<Log>(path);
-  ADA_ASSIGN_OR_RETURN(const std::string text, log_->ReadCommitted());
-  size_t start = 0;
-  for (size_t number = 1; start < text.size(); ++number) {
-    const size_t newline = text.find('\n', start);
-    StatusOr<Json> entry =
-        ParseEntryLine(std::string_view(text).substr(start, newline - start));
-    Status applied =
-        entry.ok() ? ApplyEntry(*entry, newline + 1 - start) : entry.status();
-    if (!applied.ok()) {
-      return common::DataLossError(common::StrFormat(
-          "%s: committed entry %zu at byte %zu is corrupt: %s", path.c_str(),
-          number, start, applied.message().c_str()));
-    }
-    start = newline + 1;
-  }
+  ADA_RETURN_IF_ERROR(log_->Replay(
+      [this](const Json& entry, size_t bytes) ADA_REQUIRES(mutex_) {
+        return ApplyEntry(entry, bytes);
+      }));
   for (const auto& [name, state] : cohorts_) {
     stats_.batches += state.generation;
     stats_.records += static_cast<int64_t>(state.log.num_records());
@@ -453,10 +287,7 @@ std::string CohortStore::WarmEntry(const std::string& cohort,
 }
 
 void CohortStore::MaybeFold() {
-  if (log_ == nullptr || dead_bytes_ <= live_bytes_ ||
-      dead_bytes_ <= kFoldMinDeadBytes) {
-    return;
-  }
+  if (log_ == nullptr || !StoreLog::FoldDue(live_bytes_, dead_bytes_)) return;
   std::string contents;
   std::vector<size_t> warm_bytes;
   for (const auto& [name, state] : cohorts_) {
@@ -470,14 +301,7 @@ void CohortStore::MaybeFold() {
     warm_bytes.push_back(line.size());
     contents += line;
   }
-  if (Status folded = log_->Rewrite(contents); !folded.ok()) {
-    ADA_LOG(kWarning) << "cohort store: fold of " << dead_bytes_
-                      << " dead byte(s) failed (" << folded.ToString()
-                      << "); the log keeps them";
-    return;
-  }
-  ADA_LOG(kInfo) << "cohort store: folded " << dead_bytes_
-                 << " dead byte(s); the log holds " << contents.size();
+  if (!log_->Fold(contents).ok()) return;
   size_t i = 0;
   for (auto& [name, state] : cohorts_) state.warm_entry_bytes = warm_bytes[i++];
   live_bytes_ = contents.size();

@@ -9,27 +9,19 @@
 // generations (service/result_cache.h).
 //
 // Persistence (when a directory is configured) is one append-only
-// **store log** per directory (`cohort_store.log`), shared by every
-// cohort in it. Each commit is one newline-terminated entry:
+// **store log** per directory (`cohort_store.log`, a StoreLog:
+// service/store_log.h), shared by every cohort in it. An `ingest` entry
+// carries a cohort, the generation it commits and the batch's records;
+// a `warm` entry carries one analysis's warm state. Each is one
+// checksummed entry, written in one pwrite and made durable with one
+// fdatasync before it is applied: a batch is fully committed or never
+// happened. A malformed entry before the last newline is corruption,
+// and the store refuses to open (status()).
 //
-//   <16 hex FNV-1a of the body> <JSON body>\n
-//
-// An `ingest` entry carries a cohort, the generation it commits and
-// the batch's records; a `warm` entry carries one analysis's warm
-// state. An entry is written at the committed end of the log in one
-// pwrite and made durable with one fdatasync; the newline commits it.
-// An append never renames, truncates or unlinks a file; only the fold
-// below does, through one AtomicWriteFile. A crash mid-append leaves a
-// tail without a newline, which the next open ignores and the next
-// append overwrites: a batch is fully committed or never happened. A
-// malformed entry before the last newline is corruption, and the store
-// refuses to open (status()).
-//
-// Superseded warm entries are dead bytes. Once they exceed both the
-// live bytes and a 1 MiB floor, the store folds the log: one rewrite
-// of the live state through kdb::AtomicWriteFile (one ingest entry per
-// cohort carrying its whole log, then its warm entry). DESIGN.md §13
-// has the measurements behind this layout.
+// Superseded warm entries are dead bytes. When the store log's fold
+// rule says so, the store folds the log: one rewrite of the live state
+// (one ingest entry per cohort carrying its whole log, then its warm
+// entry). DESIGN.md §13 has the measurements behind this layout.
 //
 // The store keeps no §2.1 characterization of its own: a cohort job's
 // session characterizes the snapshot it analyzes
@@ -72,6 +64,8 @@
 
 namespace adahealth {
 namespace service {
+
+class StoreLog;
 
 struct CohortStoreOptions {
   /// Directory holding the store log. Empty = pure in-memory store
@@ -188,8 +182,6 @@ class CohortStore {
   const CohortStoreOptions& options() const { return options_; }
 
  private:
-  class Log;
-
   /// Warm-start state from the last committed analysis.
   struct WarmState {
     transform::Matrix centroids;
@@ -224,8 +216,8 @@ class CohortStore {
   /// The body of a warm entry for `cohort`.
   [[nodiscard]] static std::string WarmEntry(const std::string& cohort,
                                              const WarmState& warm);
-  /// Rewrites the log from memory when its dead bytes exceed both the
-  /// live bytes and the fold floor. A failure only leaves the log long.
+  /// Rewrites the log from memory when StoreLog::FoldDue. A failure
+  /// only leaves the log long.
   void MaybeFold() ADA_REQUIRES(mutex_);
 
   const CohortStoreOptions options_;
@@ -233,7 +225,7 @@ class CohortStore {
   mutable common::Mutex mutex_;
   common::Status open_status_ ADA_GUARDED_BY(mutex_);
   /// Null for an in-memory store or one that failed to open.
-  std::unique_ptr<Log> log_ ADA_GUARDED_BY(mutex_);
+  std::unique_ptr<StoreLog> log_ ADA_GUARDED_BY(mutex_);
   /// Bytes of live entries and of superseded warm entries in the log.
   size_t live_bytes_ ADA_GUARDED_BY(mutex_) = 0;
   size_t dead_bytes_ ADA_GUARDED_BY(mutex_) = 0;

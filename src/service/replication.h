@@ -1,21 +1,22 @@
 // Primary → follower replication of committed analysis results.
 //
 // Each shard primary owns a LogShipper: every result the scheduler
-// commits to its cache (the JSONL-persisted "result_cache" collection)
-// is enqueued here and streamed to the shard's follower as `replicate`
-// verbs over the loopback NDJSON protocol. The follower inserts each
-// entry into its own result cache and persists it through the same
-// crash-safe storage path, so on primary death the promoted follower
-// answers re-driven jobs from the replicated cache instead of
-// re-running the session — the no-double-run half of the failover
-// invariant (the router's re-drive is the no-lost half).
+// commits to its cache (with a cache directory, one entry of its
+// `result_cache.log` store log) is enqueued here and streamed to the
+// shard's follower as `replicate` verbs over the loopback NDJSON
+// protocol. The follower inserts each entry into its own result cache
+// and persists it through the same crash-safe store log, so on primary
+// death the promoted follower answers re-driven jobs from the
+// replicated cache instead of re-running the session — the
+// no-double-run half of the failover invariant (the router's re-drive
+// is the no-lost half).
 //
 // Catch-up: whenever the shipper (re)connects — a follower that
 // started late, restarted, or dropped the link — it first streams a
 // full snapshot of the primary's cache (most recent first, so a
 // smaller follower budget keeps the hottest entries) before the live
-// tail. Combined with the follower's own salvage-mode restore of its
-// JSONL log at boot, a follower is consistent after any crash order.
+// tail. Combined with the follower's own replay of its cache log at
+// boot, a follower is consistent after any crash order.
 //
 // The link is one AnalysisClient (5 s receive deadline) shared by
 // catch-up and the live tail; each entry is one `replicate` Call.

@@ -4,7 +4,8 @@
 #include <utility>
 
 #include "common/failpoint.h"
-#include "kdb/database.h"
+#include "common/logging.h"
+#include "service/store_log.h"
 
 namespace adahealth {
 namespace service {
@@ -12,10 +13,6 @@ namespace service {
 using common::Json;
 using common::Status;
 using common::StatusOr;
-
-namespace {
-constexpr const char* kCacheCollection = "result_cache";
-}  // namespace
 
 size_t CachedAnalysis::ByteSize() const {
   return sizeof(CachedAnalysis) + fingerprint.size() + dataset_id.size() +
@@ -49,36 +46,59 @@ StatusOr<CachedAnalysis> CachedAnalysis::FromJson(const Json& json) {
         "cached analysis is missing its fingerprint");
   }
   entry.fingerprint = fingerprint->AsString();
-  if (const Json* field = json.Find("dataset_id");
-      field != nullptr && field->is_string()) {
-    entry.dataset_id = field->AsString();
-  }
-  if (const Json* field = json.Find("summary");
-      field != nullptr && field->is_string()) {
-    entry.summary = field->AsString();
-  }
-  if (const Json* field = json.Find("report");
-      field != nullptr && field->is_string()) {
-    entry.report = field->AsString();
-  }
-  if (const Json* field = json.Find("knowledge_items");
-      field != nullptr && field->is_int()) {
-    entry.knowledge_items = field->AsInt();
-  }
-  // Tolerant: entries persisted before cohort versioning have neither
-  // field and restore as unversioned.
-  if (const Json* field = json.Find("cohort");
-      field != nullptr && field->is_string()) {
-    entry.cohort = field->AsString();
-  }
-  if (const Json* field = json.Find("generation");
-      field != nullptr && field->is_int()) {
-    entry.generation = field->AsInt();
-  }
+  // Every other field is optional: an unversioned entry carries no
+  // cohort or generation.
+  auto text = [&json](const char* key, std::string& out) {
+    const Json* field = json.Find(key);
+    if (field != nullptr && field->is_string()) out = field->AsString();
+  };
+  auto integer = [&json](const char* key, int64_t& out) {
+    const Json* field = json.Find(key);
+    if (field != nullptr && field->is_int()) out = field->AsInt();
+  };
+  text("dataset_id", entry.dataset_id);
+  text("summary", entry.summary);
+  text("report", entry.report);
+  integer("knowledge_items", entry.knowledge_items);
+  text("cohort", entry.cohort);
+  integer("generation", entry.generation);
   return entry;
 }
 
-ResultCache::ResultCache(size_t max_bytes) : max_bytes_(max_bytes) {}
+ResultCache::ResultCache(size_t max_bytes, const std::string& directory)
+    : max_bytes_(max_bytes) {
+  if (directory.empty()) return;
+  log_ = std::make_unique<StoreLog>(directory, kCacheLogFile,
+                                    "service.cache.store");
+  common::MutexLock commit(&commit_mutex_);
+  Status loaded = ADA_FAILPOINT("service.cache.load");
+  if (loaded.ok()) {
+    common::MutexLock lock(&mutex_);
+    loaded = log_->Replay(
+        [this](const Json& json, size_t bytes) ADA_REQUIRES(mutex_) {
+          ADA_ASSIGN_OR_RETURN(CachedAnalysis entry,
+                               CachedAnalysis::FromJson(json));
+          InsertLocked(std::move(entry), bytes);
+          return common::OkStatus();
+        });
+  }
+  if (loaded.ok()) {
+    ADA_LOG(kInfo) << "result cache: restored " << entries()
+                   << " cached analyses from " << log_->path();
+    return;
+  }
+  // A cache is an optimization: keep what replayed and fold the log
+  // down to it, so later appends do not land behind the bad entry.
+  ADA_LOG(kWarning) << "result cache: keeping the " << entries()
+                    << " entries replayed before a failed load ("
+                    << loaded.ToString() << ")";
+  if (!Fold()) {
+    ADA_LOG(kWarning) << "result cache: caching in memory only";
+    log_.reset();
+  }
+}
+
+ResultCache::~ResultCache() = default;
 
 std::optional<CachedAnalysis> ResultCache::Lookup(
     const std::string& fingerprint) {
@@ -98,19 +118,39 @@ std::optional<CachedAnalysis> ResultCache::Find(const std::string& fingerprint,
     if (count_miss) ++misses_;
     return std::nullopt;
   }
-  lru_.splice(lru_.begin(), lru_, it->second);
+  lru_.splice(lru_.begin(), lru_, it->second.entry);
   ++hits_;
-  return *it->second;
+  return *it->second.entry;
 }
 
-void ResultCache::Insert(CachedAnalysis entry) {
-  if (entry.fingerprint.empty()) return;
-  common::MutexLock lock(&mutex_);
-  auto it = index_.find(entry.fingerprint);
-  if (it != index_.end()) {
-    bytes_ -= it->second->ByteSize();
-    lru_.erase(it->second);
-    index_.erase(it);
+bool ResultCache::Insert(CachedAnalysis entry) {
+  if (entry.fingerprint.empty()) return true;
+  if (log_ == nullptr) {
+    common::MutexLock lock(&mutex_);
+    InsertLocked(std::move(entry), 0);
+    return true;
+  }
+  const std::string body = entry.ToJson().Dump();
+  common::MutexLock commit(&commit_mutex_);
+  StatusOr<size_t> appended = log_->Append(body);
+  if (!appended.ok()) {
+    ADA_LOG(kWarning) << "result cache: " << entry.fingerprint
+                      << " is cached in memory only; its append failed ("
+                      << appended.status().ToString() << ")";
+  }
+  bool fold_due = false;
+  {
+    common::MutexLock lock(&mutex_);
+    InsertLocked(std::move(entry), appended.ok() ? *appended : 0);
+    fold_due = StoreLog::FoldDue(log_live_bytes_, log_dead_bytes_);
+  }
+  if (fold_due) Fold();  // A failed fold only leaves the log long.
+  return appended.ok();
+}
+
+void ResultCache::InsertLocked(CachedAnalysis entry, size_t log_bytes) {
+  if (auto it = index_.find(entry.fingerprint); it != index_.end()) {
+    EraseLocked(it);
   }
   if (!entry.cohort.empty()) {
     // One consistent snapshot per cohort: drop every older cached
@@ -132,25 +172,35 @@ void ResultCache::Insert(CachedAnalysis entry) {
         ++victim;
         continue;
       }
-      bytes_ -= victim->ByteSize();
-      index_.erase(victim->fingerprint);
-      victim = lru_.erase(victim);
+      victim = EraseLocked(index_.find(victim->fingerprint));
       ++superseded_;
     }
     if (stale) {
       ++superseded_;
+      log_dead_bytes_ += log_bytes;
       return;
     }
   }
   size_t entry_bytes = entry.ByteSize();
   if (entry_bytes > max_bytes_) {
+    log_dead_bytes_ += log_bytes;
     return;  // Larger than the whole budget: never cacheable.
   }
   lru_.push_front(std::move(entry));
-  index_[lru_.front().fingerprint] = lru_.begin();
+  index_[lru_.front().fingerprint] = Slot{lru_.begin(), log_bytes};
   bytes_ += entry_bytes;
-  ++dirty_;
+  log_live_bytes_ += log_bytes;
   EvictLocked();
+}
+
+std::list<CachedAnalysis>::iterator ResultCache::EraseLocked(
+    Index::iterator slot) {
+  bytes_ -= slot->second.entry->ByteSize();
+  log_live_bytes_ -= slot->second.log_bytes;
+  log_dead_bytes_ += slot->second.log_bytes;
+  auto next = lru_.erase(slot->second.entry);
+  index_.erase(slot);
+  return next;
 }
 
 size_t ResultCache::entries() const {
@@ -183,11 +233,6 @@ int64_t ResultCache::superseded() const {
   return superseded_;
 }
 
-size_t ResultCache::dirty_entries() const {
-  common::MutexLock lock(&mutex_);
-  return dirty_;
-}
-
 std::vector<CachedAnalysis> ResultCache::Entries() const {
   common::MutexLock lock(&mutex_);
   return std::vector<CachedAnalysis>(lru_.begin(), lru_.end());
@@ -195,66 +240,34 @@ std::vector<CachedAnalysis> ResultCache::Entries() const {
 
 void ResultCache::EvictLocked() {
   while (bytes_ > max_bytes_ && !lru_.empty()) {
-    const CachedAnalysis& victim = lru_.back();
-    bytes_ -= victim.ByteSize();
-    index_.erase(victim.fingerprint);
-    lru_.pop_back();
+    EraseLocked(index_.find(lru_.back().fingerprint));
     ++evictions_;
   }
 }
 
-Status ResultCache::Persist(const std::string& directory) const {
-  ADA_RETURN_IF_ERROR(ADA_FAILPOINT("service.cache.store"));
-  kdb::Database db;
-  kdb::Collection& collection = db.GetOrCreate(kCacheCollection);
-  size_t snapshot_dirty = 0;
-  {
-    common::MutexLock lock(&mutex_);
-    snapshot_dirty = dirty_;
-    // Least-recently-used first: Restore() inserts in file order, so
-    // the most recent entries end up at the front of the rebuilt LRU
-    // and survive any budget trimming.
-    for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-      kdb::Document document;
-      document.Set("entry", it->ToJson());
-      collection.Insert(std::move(document));
-    }
+bool ResultCache::Fold() {
+  // Least-recently-used first: a replay inserts in log order, so the
+  // most recent entries end up at the front of the rebuilt LRU and
+  // survive any budget trimming.
+  std::vector<CachedAnalysis> live = Entries();
+  std::reverse(live.begin(), live.end());
+  std::string contents;
+  std::vector<size_t> line_bytes;
+  for (const CachedAnalysis& entry : live) {
+    const std::string line = EntryLine(entry.ToJson().Dump());
+    line_bytes.push_back(line.size());
+    contents += line;
   }
-  ADA_RETURN_IF_ERROR(db.SaveTo(directory));
-  // Only the debt captured in the snapshot is paid off; inserts that
-  // raced past the copy loop stay dirty for the next persist.
+  if (!log_->Fold(contents).ok()) return false;
+  // commit_mutex_ kept every insert out since the copy; lookups only
+  // reorder the same entries.
   common::MutexLock lock(&mutex_);
-  dirty_ -= std::min(dirty_, snapshot_dirty);
-  return common::OkStatus();
-}
-
-Status ResultCache::Restore(const std::string& directory) {
-  ADA_RETURN_IF_ERROR(ADA_FAILPOINT("service.cache.load"));
-  kdb::Database db;
-  kdb::Database::PersistOptions options;
-  options.salvage = true;  // A torn cache file costs entries, not boot.
-  ADA_RETURN_IF_ERROR(db.LoadFrom(directory, {kCacheCollection}, options));
-  auto collection = db.Get(kCacheCollection);
-  if (!collection.ok()) return collection.status();
-  common::MutexLock lock(&mutex_);
-  lru_.clear();
-  index_.clear();
-  bytes_ = 0;
-  for (const kdb::Document& document : collection.value()->documents()) {
-    const Json* payload = document.Get("entry");
-    if (payload == nullptr) continue;
-    auto entry = CachedAnalysis::FromJson(*payload);
-    if (!entry.ok()) continue;  // Skip malformed survivors of salvage.
-    size_t entry_bytes = entry.value().ByteSize();
-    if (entry_bytes > max_bytes_) continue;
-    if (index_.contains(entry.value().fingerprint)) continue;
-    lru_.push_front(std::move(entry).value());
-    index_[lru_.front().fingerprint] = lru_.begin();
-    bytes_ += entry_bytes;
-    EvictLocked();
+  for (size_t i = 0; i < live.size(); ++i) {
+    index_.find(live[i].fingerprint)->second.log_bytes = line_bytes[i];
   }
-  dirty_ = 0;  // The restored contents are exactly what is on disk.
-  return common::OkStatus();
+  log_live_bytes_ = contents.size();
+  log_dead_bytes_ = 0;
+  return true;
 }
 
 }  // namespace service

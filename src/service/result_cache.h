@@ -5,15 +5,28 @@
 // is LRU-bounded by a byte budget and serves repeat analyses of
 // near-identical cohorts from memory (the admission-time optimization
 // motivated by the repetitive hospital workloads of the EHR-mining
-// survey). Optionally it persists through the crash-safe K-DB storage
-// layer: entries are documents of a "result_cache" collection, written
-// atomically (tmp+fsync+rename) and restored with salvage-mode loads.
+// survey).
+//
+// Persistence (when a directory is given) is the store log the cohort
+// store also uses (service/store_log.h): `<directory>/result_cache.log`.
+// Opening replays it through the Insert rules (byte budget, cohort
+// supersede). Every Insert appends the entry's ToJson() with one pwrite
+// and one fdatasync before the entry is cached, so a result is on disk
+// before its job reads done. Evicted, superseded and refreshed entries
+// are dead bytes; when the fold rule says so, the cache rewrites its
+// live entries least-recently-used first, so a replay restores their
+// recency. The cache stays an optimization: a failed append still
+// caches the entry in memory, and a corrupt committed entry keeps the
+// replayed prefix, logs a warning and folds the log at once, so later
+// appends are not stranded behind it. No fdatasync runs under the lock
+// that Lookup and LookupHit take.
 #ifndef ADAHEALTH_SERVICE_RESULT_CACHE_H_
 #define ADAHEALTH_SERVICE_RESULT_CACHE_H_
 
 #include <cstdint>
 #include <list>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -24,6 +37,11 @@
 
 namespace adahealth {
 namespace service {
+
+class StoreLog;
+
+/// File name of the cache's store log inside its directory.
+inline constexpr char kCacheLogFile[] = "result_cache.log";
 
 /// The cached artifacts of one analysis: everything a repeat submission
 /// needs to be answered without re-running the session.
@@ -54,13 +72,19 @@ struct CachedAnalysis {
 
 /// Thread-safe LRU cache of CachedAnalysis keyed by fingerprint.
 ///
-/// Failpoints: "service.cache.store" (Persist) and "service.cache.load"
-/// (Restore).
+/// Failpoints: "service.cache.store" (inside every append, between the
+/// entry's body and its committing newline) and "service.cache.load"
+/// (the replay at open; a failure starts the cache cold and folds the
+/// log to empty).
 class ResultCache {
  public:
   /// `max_bytes` bounds the sum of entry ByteSize()s; an entry larger
-  /// than the whole budget is rejected silently (never cached).
-  explicit ResultCache(size_t max_bytes);
+  /// than the whole budget is rejected silently (never cached). A
+  /// non-empty `directory` replays `<directory>/result_cache.log` and
+  /// makes every later Insert durable there; an empty one keeps the
+  /// cache in memory, with no log and no commit lock.
+  explicit ResultCache(size_t max_bytes, const std::string& directory = {});
+  ~ResultCache();
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
@@ -81,8 +105,10 @@ class ResultCache {
   /// additionally evicts every cached older generation of its cohort
   /// exactly once (counted by superseded()) — the cache serves only
   /// the latest consistent snapshot — and is itself dropped when a
-  /// newer generation is already cached.
-  void Insert(CachedAnalysis entry) ADA_EXCLUDES(mutex_);
+  /// newer generation is already cached. With a log, the entry is
+  /// first appended and made durable; false when that append failed
+  /// (the entry is cached in memory all the same).
+  bool Insert(CachedAnalysis entry) ADA_EXCLUDES(commit_mutex_, mutex_);
 
   [[nodiscard]] size_t entries() const ADA_EXCLUDES(mutex_);
   [[nodiscard]] size_t bytes() const ADA_EXCLUDES(mutex_);
@@ -93,11 +119,6 @@ class ResultCache {
   /// Cohort generations evicted (or rejected) by a newer generation.
   [[nodiscard]] int64_t superseded() const ADA_EXCLUDES(mutex_);
 
-  /// Inserts not yet covered by a successful Persist(). Lets callers
-  /// batch persistence (full rewrites are O(all entries)) instead of
-  /// rewriting the file after every insert.
-  [[nodiscard]] size_t dirty_entries() const ADA_EXCLUDES(mutex_);
-
   /// Copy of every entry, most recently used first. Recency-order
   /// matters to the replication snapshot: a follower with a smaller
   /// byte budget keeps the hottest entries when it replays these in
@@ -105,36 +126,44 @@ class ResultCache {
   [[nodiscard]] std::vector<CachedAnalysis> Entries() const
       ADA_EXCLUDES(mutex_);
 
-  /// Persists every entry to `<directory>/result_cache.jsonl` through
-  /// the crash-safe K-DB storage layer (atomic write, no residue on
-  /// failure). The lock is NOT held across the disk write: entries are
-  /// copied out under one lock scope and the dirty debt settled under a
-  /// second, so inserts may race the write (they stay dirty).
-  [[nodiscard]] common::Status Persist(const std::string& directory) const
-      ADA_EXCLUDES(mutex_);
-
-  /// Replaces the cache contents with the persisted entries (salvage
-  /// mode: a torn file restores its valid prefix). Entries are loaded
-  /// in persisted-recency order, so the byte budget keeps the most
-  /// recently used ones.
-  [[nodiscard]] common::Status Restore(const std::string& directory)
-      ADA_EXCLUDES(mutex_);
-
  private:
+  struct Slot {
+    std::list<CachedAnalysis>::iterator entry;
+    /// Size of the log entry it was committed as (0 when not logged).
+    size_t log_bytes = 0;
+  };
+  using Index = std::map<std::string, Slot, std::less<>>;
+
   std::optional<CachedAnalysis> Find(const std::string& fingerprint,
                                      bool count_miss) ADA_EXCLUDES(mutex_);
+  /// The Insert rules, for an entry committed as `log_bytes` of log.
+  void InsertLocked(CachedAnalysis entry, size_t log_bytes)
+      ADA_REQUIRES(mutex_);
+  /// Drops one entry (its log bytes become dead); returns the next
+  /// entry in LRU order.
+  std::list<CachedAnalysis>::iterator EraseLocked(Index::iterator slot)
+      ADA_REQUIRES(mutex_);
   void EvictLocked() ADA_REQUIRES(mutex_);
+  /// Rewrites the log from the live entries, least-recently-used first.
+  /// False (the log left as it was) when the rewrite failed.
+  bool Fold() ADA_REQUIRES(commit_mutex_) ADA_EXCLUDES(mutex_);
 
   const size_t max_bytes_;
+  /// Serializes each append (and fold) with the insert it commits, so
+  /// the log holds entries in insert order. Taken before mutex_, and
+  /// never by a lookup.
+  common::Mutex commit_mutex_;
+  /// Null without a directory; set only by the constructor.
+  std::unique_ptr<StoreLog> log_ ADA_PT_GUARDED_BY(commit_mutex_);
+
   mutable common::Mutex mutex_;
   /// Front = most recently used.
   std::list<CachedAnalysis> lru_ ADA_GUARDED_BY(mutex_);
-  std::map<std::string, std::list<CachedAnalysis>::iterator, std::less<>>
-      index_ ADA_GUARDED_BY(mutex_);
+  Index index_ ADA_GUARDED_BY(mutex_);
   size_t bytes_ ADA_GUARDED_BY(mutex_) = 0;
-  /// Inserts since the last successful Persist (mutable: a successful
-  /// const Persist resets the debt it just paid off).
-  mutable size_t dirty_ ADA_GUARDED_BY(mutex_) = 0;
+  /// Log bytes of cached entries, and of entries no longer cached.
+  size_t log_live_bytes_ ADA_GUARDED_BY(mutex_) = 0;
+  size_t log_dead_bytes_ ADA_GUARDED_BY(mutex_) = 0;
   int64_t hits_ ADA_GUARDED_BY(mutex_) = 0;
   int64_t misses_ ADA_GUARDED_BY(mutex_) = 0;
   int64_t evictions_ ADA_GUARDED_BY(mutex_) = 0;

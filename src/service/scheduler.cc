@@ -1,6 +1,7 @@
 #include "service/scheduler.h"
 
 #include <algorithm>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -96,25 +97,10 @@ Scheduler::Scheduler(SchedulerOptions options)
     : options_([&options] {
         options.max_workers = std::max<size_t>(1, options.max_workers);
         options.max_queue_depth = std::max<size_t>(1, options.max_queue_depth);
-        options.cache_persist_threshold =
-            std::max<size_t>(1, options.cache_persist_threshold);
         return options;
       }()),
-      cache_(options_.cache_bytes),
-      paused_(options_.start_paused) {
-  if (!options_.cache_directory.empty()) {
-    common::Status restored = cache_.Restore(options_.cache_directory);
-    if (restored.ok()) {
-      ADA_LOG(kInfo) << "service: restored " << cache_.entries()
-                     << " cached analyses from " << options_.cache_directory;
-    } else {
-      // Normal on first boot (no persisted cache yet); any other
-      // failure degrades to a cold cache, never a failed start.
-      ADA_LOG(kInfo) << "service: starting with a cold result cache ("
-                     << restored.ToString() << ")";
-    }
-  }
-}
+      cache_(options_.cache_bytes, options_.cache_directory),
+      paused_(options_.start_paused) {}
 
 Scheduler::~Scheduler() {
   std::vector<Notification> notifications;
@@ -137,15 +123,6 @@ Scheduler::~Scheduler() {
   // Shutdown cancellations notify after every worker has retired and
   // the lock is gone; subscribers may still query the scheduler.
   FireNotifications(notifications);
-  // Final flush: pays off whatever dirty debt the persist threshold
-  // left batched up.
-  if (!options_.cache_directory.empty() && cache_.dirty_entries() > 0) {
-    common::Status persisted = cache_.Persist(options_.cache_directory);
-    if (!persisted.ok()) {
-      ADA_LOG(kWarning) << "service: final cache persist failed: "
-                        << persisted.ToString();
-    }
-  }
 }
 
 StatusOr<JobId> Scheduler::Submit(JobRequest request,
@@ -428,7 +405,6 @@ Json Scheduler::StatsJson() const {
   object["cache_served"] = Json(stats.cache_served);
   object["sessions_executed"] = Json(stats.sessions_executed);
   object["cache_persist_failures"] = Json(stats.cache_persist_failures);
-  object["cache_persist_skipped"] = Json(stats.cache_persist_skipped);
   object["jobs_retained"] = Json(static_cast<int64_t>(stats.retained));
   object["jobs_retired"] = Json(stats.retired);
   object["queue_depth"] = Json(static_cast<int64_t>(stats.queue_depth));
@@ -500,17 +476,36 @@ void Scheduler::DrainLoop() {
 }
 
 void Scheduler::RunJob(Job& job) {
-  common::Status injected = ADA_FAILPOINT("service.worker.session");
-  if (!injected.ok()) {
-    std::vector<Notification> notifications;
-    {
-      common::MutexLock lock(&mutex_);
-      FinishJob(job, JobState::kFailed, injected, &notifications);
+  // Read before the run: once a job is finished, retirement may free it
+  // whenever the lock is free.
+  const JobId id = job.id;
+  common::Status failure;
+  try {
+    failure = ADA_FAILPOINT("service.worker.session");
+    if (failure.ok()) {
+      RunSession(job);
+      return;
     }
-    FireNotifications(notifications);
-    return;
+  } catch (const std::bad_alloc&) {
+    failure = common::ResourceExhaustedError("out of memory running the job");
+  } catch (...) {
+    ADA_LOG(kWarning) << "service: job " << id << " threw";
+    failure = common::InternalError("running the job threw");
   }
+  std::vector<Notification> notifications;
+  {
+    common::MutexLock lock(&mutex_);
+    // A throw from a completion callback comes after FinishJob.
+    auto it = jobs_.find(id);
+    if (it != jobs_.end() && !IsTerminal(it->second->state)) {
+      FinishJob(*it->second, JobState::kFailed, std::move(failure),
+                &notifications);
+    }
+  }
+  FireNotifications(notifications);
+}
 
+void Scheduler::RunSession(Job& job) {
   // Admission answered every fingerprint cached by then; this lookup
   // catches a twin queued before the first of its kind finished. It
   // also counts the miss of every job that runs a session.
@@ -578,26 +573,11 @@ void Scheduler::RunJob(Job& job) {
 
 void Scheduler::CommitCacheEntry(CachedAnalysis entry, bool fire_hook) {
   CachedAnalysis committed = entry;  // The hook sees the full record.
-  cache_.Insert(std::move(entry));
-  if (!options_.cache_directory.empty()) {
-    // A persist is an O(all entries) full rewrite of the cache file;
-    // doing one per job made the write cost quadratic under load.
-    // Batch until enough inserts accumulate (the destructor flushes
-    // the remainder).
-    if (cache_.dirty_entries() >= options_.cache_persist_threshold) {
-      common::Status persisted = cache_.Persist(options_.cache_directory);
-      if (!persisted.ok()) {
-        // Persistence is an optimization for the next boot; a failed
-        // write degrades to in-memory caching only.
-        ADA_LOG(kWarning) << "service: cache persist failed: "
-                          << persisted.ToString();
-        common::MutexLock lock(&mutex_);
-        ++stats_.cache_persist_failures;
-      }
-    } else {
-      common::MutexLock lock(&mutex_);
-      ++stats_.cache_persist_skipped;
-    }
+  if (!cache_.Insert(std::move(entry))) {
+    // Persistence is an optimization for the next boot; a failed append
+    // degrades to in-memory caching only.
+    common::MutexLock lock(&mutex_);
+    ++stats_.cache_persist_failures;
   }
   if (fire_hook && options_.on_result_committed) {
     options_.on_result_committed(committed);

@@ -155,20 +155,15 @@ struct SchedulerOptions {
   size_t max_queue_depth = 64;
   /// Result-cache byte budget.
   size_t cache_bytes = 8 * 1024 * 1024;
-  /// When non-empty, the cache is restored from this directory at
-  /// construction, persisted (crash-safely) whenever the dirty-entry
-  /// threshold is reached, and flushed once more at destruction.
+  /// When non-empty, the cache replays its store log from this
+  /// directory at construction and commits every result there before
+  /// the job reads done (service/result_cache.h).
   std::string cache_directory;
-  /// Persist once this many inserts have accumulated since the last
-  /// successful persist (clamped to >= 1; 1 = persist after every
-  /// insert). Each persist is an O(all entries) full rewrite, so
-  /// batching keeps a busy scheduler from rewriting the file per job;
-  /// the destructor's final flush bounds the loss window to a crash.
-  size_t cache_persist_threshold = 8;
   /// Construction-time Pause() (tests: stage jobs deterministically).
   bool start_paused = false;
   /// Fired after a session's artifacts are committed to the result
-  /// cache (insert + batched persist), outside the scheduler lock —
+  /// cache (durable when a cache_directory is set), outside the
+  /// scheduler lock —
   /// the replication hook: a shard primary wires this to its
   /// LogShipper so every committed result streams to the follower.
   /// Runs on the worker thread that finished the job; must not block.
@@ -195,8 +190,7 @@ struct SchedulerStats {
   int64_t shed = 0;               // Admission-time rejections.
   int64_t cache_served = 0;       // kDone answered by the cache.
   int64_t sessions_executed = 0;  // Actual AnalysisSession::Run calls.
-  int64_t cache_persist_failures = 0;  // Failed cache-file rewrites.
-  int64_t cache_persist_skipped = 0;   // Inserts below the threshold.
+  int64_t cache_persist_failures = 0;  // Failed cache-log appends.
   int64_t retired = 0;            // Finished jobs dropped by retention.
   size_t retained = 0;            // Jobs in the table right now.
   size_t queue_depth = 0;
@@ -206,8 +200,7 @@ struct SchedulerStats {
 class Scheduler {
  public:
   explicit Scheduler(SchedulerOptions options);
-  /// Cancels the queued backlog, waits for running jobs, persists the
-  /// cache when a cache_directory is configured.
+  /// Cancels the queued backlog and waits for running jobs.
   ~Scheduler();
 
   Scheduler(const Scheduler&) = delete;
@@ -297,10 +290,10 @@ class Scheduler {
   /// Stats plus cache counters as one JSON object (the `stats` verb).
   [[nodiscard]] common::Json StatsJson() const ADA_EXCLUDES(mutex_);
 
-  /// Commits one finished analysis to the result cache: inserts the
-  /// entry, persists when the dirty-entry threshold is reached (and a
-  /// cache_directory is configured), and — when `fire_hook` — invokes
-  /// on_result_committed. Workers call this with fire_hook=true; a
+  /// Commits one finished analysis to the result cache (one durable
+  /// append when a cache_directory is configured; a failed one is
+  /// counted and the entry still cached) and — when `fire_hook` —
+  /// invokes on_result_committed. Workers call this with fire_hook=true; a
   /// follower applying a replicated entry calls it with false so a
   /// replica chain cannot loop a record back at its own primary.
   void CommitCacheEntry(CachedAnalysis entry, bool fire_hook)
@@ -354,7 +347,15 @@ class Scheduler {
                          std::vector<Notification>* notifications)
       ADA_REQUIRES(mutex_);
   void DrainLoop() ADA_EXCLUDES(mutex_);
+  /// Runs one dequeued job to a terminal state. The
+  /// "service.worker.session" failpoint's error fails the job, and so
+  /// does whatever RunSession throws (std::bad_alloc as
+  /// RESOURCE_EXHAUSTED, anything else as INTERNAL) instead of reaching
+  /// the pool's trap, which would leave the job running and its worker
+  /// never retired.
   void RunJob(Job& job) ADA_EXCLUDES(mutex_);
+  /// The run itself: cache re-check, session, cache commit.
+  void RunSession(Job& job) ADA_EXCLUDES(mutex_);
   /// Moves the job to a terminal state and appends its subscriptions
   /// to `notifications` instead of firing them — callbacks run outside
   /// the lock (see Subscribe), so every caller drains the vector with

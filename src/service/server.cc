@@ -129,9 +129,9 @@ void AnalysisServer::Wait() { host_.Wait(); }
 void AnalysisServer::OnRequestLine(std::string line, Reply reply) {
   // Fault injection for the shard-failover tests: an armed
   // "service.shard.kill" failpoint makes the process die the way a
-  // crashed shard does — no drain, no flushed responses, no cache
-  // flush — so the router's detection + promotion path is exercised
-  // against a realistic death, not a graceful shutdown.
+  // crashed shard does — no drain, no flushed responses — so the
+  // router's detection + promotion path is exercised against a
+  // realistic death, not a graceful shutdown.
   if (common::Status killed = ADA_FAILPOINT("service.shard.kill");
       !killed.ok()) {
     ADA_LOG(kError) << "service: shard kill failpoint fired: "

@@ -9,11 +9,13 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <new>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 
 #include <gtest/gtest.h>
 #include "common/failpoint.h"
@@ -381,7 +383,10 @@ TEST_F(FaultInjectionTest, ReadFailpointFailsBothLoadPaths) {
       }());
   EXPECT_EQ(kdb::LoadCollection("items", dir).status().code(),
             StatusCode::kUnavailable);
-  EXPECT_EQ(kdb::LoadCollectionSalvage("items", dir).status().code(),
+  kdb::Database db;
+  kdb::Database::PersistOptions no_retry;
+  no_retry.retry.max_attempts = 1;
+  EXPECT_EQ(db.LoadFrom(dir, {"items"}, no_retry).code(),
             StatusCode::kUnavailable);
 }
 
@@ -781,9 +786,6 @@ TEST_F(FaultInjectionServiceTest, AdmissionFailpointShedsWithoutLosingJobs) {
 TEST_F(FaultInjectionServiceTest, CacheStoreFailureDegradesNotFails) {
   service::SchedulerOptions options;
   options.cache_directory = MakeScratchDir("svc_store");
-  // Threshold 1 = persist after every insert, so the injected store
-  // failure is hit by this very job.
-  options.cache_persist_threshold = 1;
   service::Scheduler scheduler(options);
   ScopedFailpoint fp("service.cache.store",
                      OneShotError(StatusCode::kUnavailable));
@@ -853,6 +855,42 @@ TEST_F(FaultInjectionServiceTest, WorkerSessionFailureIsConfinedToOneJob) {
   EXPECT_EQ(stats.failed, 1);
   EXPECT_EQ(stats.completed, 1);
   EXPECT_EQ(stats.sessions_executed, 1);
+}
+
+TEST_F(FaultInjectionServiceTest, ThrowingJobFailsAndFreesItsWorker) {
+  service::SchedulerOptions options;
+  options.max_workers = 1;
+  auto scheduler = std::make_unique<service::Scheduler>(options);
+  // A throw out of a job must fail that job, not reach the shared
+  // pool's trap: there it would leave the job running and its worker
+  // never retired, so the destructor below would wait forever.
+  const std::pair<const char*, StatusCode> throws[] = {
+      {"bad_alloc", StatusCode::kResourceExhausted},
+      {"boom", StatusCode::kInternal}};
+  for (const auto& [message, code] : throws) {
+    SCOPED_TRACE(message);
+    FailpointConfig config;
+    config.kind = FailpointConfig::Kind::kThrow;
+    config.message = message;
+    config.max_activations = 1;
+    ScopedFailpoint fp("service.worker.session", config);
+    auto id = scheduler->Submit(MakeJob(std::string("threw-") + message));
+    ASSERT_TRUE(id.ok());
+    auto snapshot = scheduler->AwaitResult(id.value(), 30000);
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    EXPECT_EQ(snapshot->state, service::JobState::kFailed);
+    EXPECT_EQ(snapshot->status.code(), code) << snapshot->status.ToString();
+  }
+  // The one worker drains on.
+  auto next = scheduler->Submit(MakeJob("after-the-throws"));
+  ASSERT_TRUE(next.ok());
+  auto done = scheduler->AwaitResult(next.value(), 30000);
+  ASSERT_TRUE(done.ok()) << done.status().ToString();
+  EXPECT_EQ(done->state, service::JobState::kDone);
+  const service::SchedulerStats stats = scheduler->stats();
+  EXPECT_EQ(stats.failed, 2);
+  EXPECT_EQ(stats.completed, 1);
+  scheduler.reset();  // Returns: every worker retired.
 }
 
 // ---------------------------------------------------------------------

@@ -117,8 +117,8 @@ const KeySet kReplicationIntKeys = {
 const KeySet kShardStatsIntKeys = Union({
     {"jobs_submitted", "jobs_completed", "jobs_failed", "jobs_cancelled",
      "jobs_superseded", "jobs_expired", "jobs_shed", "cache_served",
-     "sessions_executed", "cache_persist_failures", "cache_persist_skipped",
-     "jobs_retained", "jobs_retired", "queue_depth", "active_workers",
+     "sessions_executed", "cache_persist_failures", "jobs_retained",
+     "jobs_retired", "queue_depth", "active_workers",
      "cache.entries", "cache.bytes", "cache.max_bytes", "cache.hits",
      "cache.misses", "cache.evictions", "cache.superseded",
      "server.open_connections",

@@ -1,14 +1,18 @@
 // Service-layer coverage: dataset fingerprints, the LRU result cache
-// (byte budget, persistence round-trip), and the job scheduler
+// (byte budget, its store log), and the job scheduler
 // (determinism against direct AnalysisSession runs, cache-served
 // repeats, priorities, load shedding, deadlines, cancellation).
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <future>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -188,28 +192,168 @@ TEST(ResultCacheTest, InsertRefreshesExistingFingerprint) {
   EXPECT_EQ(hit->summary, "updated");
 }
 
-TEST(ResultCacheTest, PersistRestoreRoundTripPreservesRecency) {
-  std::string dir = MakeScratchDir("cache_roundtrip");
-  {
-    service::ResultCache cache(1 << 20);
-    cache.Insert(MakeEntry("old", 100));
-    cache.Insert(MakeEntry("mid", 100));
-    cache.Insert(MakeEntry("new", 100));
-    ASSERT_TRUE(cache.Persist(dir).ok());
-  }
-  // A tighter budget on restore keeps the most recently used entries.
-  service::ResultCache restored(2 * MakeEntry("old", 100).ByteSize());
-  ASSERT_TRUE(restored.Restore(dir).ok());
-  EXPECT_EQ(restored.entries(), 2u);
-  EXPECT_TRUE(restored.Lookup("new").has_value());
-  EXPECT_TRUE(restored.Lookup("mid").has_value());
-  EXPECT_FALSE(restored.Lookup("old").has_value());
+std::string ReadCacheLog(const std::string& dir) {
+  std::ifstream in(dir + "/" + service::kCacheLogFile, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
-TEST(ResultCacheTest, RestoreFromEmptyDirectoryIsNotFound) {
-  service::ResultCache cache(1 << 20);
-  EXPECT_EQ(cache.Restore(MakeScratchDir("cache_empty")).code(),
-            StatusCode::kNotFound);
+void WriteCacheLog(const std::string& dir, std::string_view contents) {
+  std::ofstream out(dir + "/" + service::kCacheLogFile,
+                    std::ios::binary | std::ios::trunc);
+  out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
+}
+
+/// Everything a reader of the cache sees: its entries in LRU order.
+std::vector<std::string> CacheContents(const service::ResultCache& cache) {
+  std::vector<std::string> contents;
+  for (const service::CachedAnalysis& entry : cache.Entries()) {
+    contents.push_back(entry.ToJson().Dump());
+  }
+  return contents;
+}
+
+/// A seeded commit history: distinct entries, refreshes of earlier
+/// fingerprints, and cohort generations that supersede each other.
+std::vector<service::CachedAnalysis> MakeCommitHistory() {
+  std::vector<service::CachedAnalysis> history;
+  for (int i = 0; i < 12; ++i) {
+    service::CachedAnalysis entry =
+        MakeEntry("fp" + std::to_string(i % 7), 40 + 13 * i);
+    entry.summary = "commit " + std::to_string(i);
+    if (i % 4 == 3) {
+      entry.fingerprint = "ward@" + std::to_string(i) + "/x";
+      entry.cohort = "ward";
+      entry.generation = i;
+    }
+    history.push_back(std::move(entry));
+  }
+  return history;
+}
+
+/// Opens the cache log in `dir` and checks it against an in-memory
+/// cache fed the first `commits` entries; then the next commit must
+/// survive another reopen.
+void ExpectCacheRecovers(const std::string& dir,
+                         const std::vector<service::CachedAnalysis>& history,
+                         size_t commits, size_t budget,
+                         const std::string& where) {
+  service::ResultCache expected(budget);
+  for (size_t i = 0; i < commits; ++i) expected.Insert(history[i]);
+  const service::CachedAnalysis next = MakeEntry("next", 77);
+  {
+    service::ResultCache recovered(budget, dir);
+    EXPECT_EQ(CacheContents(recovered), CacheContents(expected)) << where;
+    EXPECT_TRUE(recovered.Insert(next)) << where;
+    expected.Insert(next);
+  }
+  service::ResultCache reopened(budget, dir);
+  EXPECT_EQ(CacheContents(reopened), CacheContents(expected))
+      << where << "after the next commit";
+}
+
+TEST(ResultCacheTest, OpenOverEmptyDirectoryStartsEmpty) {
+  const std::string dir = MakeScratchDir("cache_empty");
+  service::ResultCache cache(1 << 20, dir);
+  EXPECT_EQ(cache.entries(), 0u);
+  // A cache that never commits leaves no file behind.
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  ASSERT_TRUE(cache.Insert(MakeEntry("a", 100)));
+  service::ResultCache reopened(1 << 20, dir);
+  EXPECT_EQ(reopened.entries(), 1u);
+}
+
+TEST(ResultCacheTest, GeneratedCrashWindowRecoversTheCommittedEntries) {
+  const std::vector<service::CachedAnalysis> history = MakeCommitHistory();
+  // Tight enough that the history evicts, so the replay has to apply
+  // the budget the way the live cache did.
+  const size_t budget = 5 * MakeEntry("fp0", 200).ByteSize();
+  const std::string source = MakeScratchDir("cache_crash_source");
+  size_t last_entry_start = 0;
+  {
+    service::ResultCache cache(budget, source);
+    for (size_t i = 0; i + 1 < history.size(); ++i) {
+      ASSERT_TRUE(cache.Insert(history[i]));
+    }
+    last_entry_start = ReadCacheLog(source).size();
+    ASSERT_TRUE(cache.Insert(history.back()));
+    EXPECT_GT(cache.evictions() + cache.superseded(), 0);
+  }
+  const std::string log = ReadCacheLog(source);
+  ASSERT_GT(log.size(), last_entry_start);
+  ASSERT_EQ(log.back(), '\n');
+
+  // A crash at every byte offset inside the last entry: everything
+  // before it is committed, nothing of it is.
+  const std::string crash = MakeScratchDir("cache_crash_cut");
+  for (size_t cut = last_entry_start; cut < log.size(); ++cut) {
+    WriteCacheLog(crash, std::string_view(log).substr(0, cut));
+    ExpectCacheRecovers(crash, history, history.size() - 1, budget,
+                        "cut at byte " + std::to_string(cut) + ": ");
+    if (HasFailure()) return;
+  }
+  // A whole entry body whose newline never landed, after a complete
+  // log: the full history is committed, the body is not.
+  WriteCacheLog(crash, log + log.substr(last_entry_start,
+                                        log.size() - 1 - last_entry_start));
+  ExpectCacheRecovers(crash, history, history.size(), budget,
+                      "trailing body: ");
+}
+
+TEST(ResultCacheTest, CorruptCommittedEntryKeepsThePrefixAndFolds) {
+  const std::string dir = MakeScratchDir("cache_corrupt");
+  {
+    service::ResultCache cache(1 << 20, dir);
+    for (const char* fingerprint : {"a", "b", "c"}) {
+      ASSERT_TRUE(cache.Insert(MakeEntry(fingerprint, 100)));
+    }
+  }
+  std::string log = ReadCacheLog(dir);
+  const size_t first_end = log.find('\n') + 1;
+  log[first_end + 30] ^= 0x01;  // Inside the second entry.
+  WriteCacheLog(dir, log);
+
+  service::ResultCache cache(1 << 20, dir);
+  // The prefix before the bad entry is kept; the rest is lost.
+  EXPECT_EQ(cache.entries(), 1u);
+  EXPECT_TRUE(cache.Lookup("a").has_value());
+  // The open folded the log down to the prefix, so a later commit is
+  // not stranded behind the bad entry.
+  EXPECT_EQ(ReadCacheLog(dir), log.substr(0, first_end));
+  ASSERT_TRUE(cache.Insert(MakeEntry("d", 100)));
+  service::ResultCache reopened(1 << 20, dir);
+  EXPECT_EQ(reopened.entries(), 2u);
+  EXPECT_TRUE(reopened.Lookup("a").has_value());
+  EXPECT_TRUE(reopened.Lookup("d").has_value());
+}
+
+TEST(ResultCacheTest, FoldPreservesRecencyUnderTighterBudget) {
+  const std::string dir = MakeScratchDir("cache_fold");
+  constexpr size_t kReport = 120000;
+  size_t commits = 0;
+  {
+    service::ResultCache cache(1 << 23, dir);
+    for (const char* fingerprint : {"a", "b", "c"}) {
+      ASSERT_TRUE(cache.Insert(MakeEntry(fingerprint, kReport)));
+      ++commits;
+    }
+    ASSERT_TRUE(cache.Lookup("a").has_value());  // Now a is hotter than c.
+    // Refreshes make dead bytes; past 1 MiB (and the live bytes) the
+    // cache folds, writing its entries least-recently-used first.
+    for (int i = 0; i < 12; ++i) {
+      ASSERT_TRUE(cache.Insert(MakeEntry("z", kReport)));
+      ++commits;
+    }
+  }
+  const std::string log = ReadCacheLog(dir);
+  EXPECT_LT(static_cast<size_t>(std::count(log.begin(), log.end(), '\n')),
+            commits);
+  // A budget of two entries keeps the two most recently used: the
+  // refreshed z and the looked-up a, not the later-inserted c.
+  service::ResultCache restored(2 * MakeEntry("z", kReport).ByteSize(), dir);
+  EXPECT_EQ(restored.entries(), 2u);
+  EXPECT_TRUE(restored.Lookup("z").has_value());
+  EXPECT_TRUE(restored.Lookup("a").has_value());
+  EXPECT_FALSE(restored.Lookup("c").has_value());
 }
 
 // ---------------------------------------------------------------------
@@ -644,88 +788,62 @@ TEST(SchedulerTest, CachePersistsAcrossSchedulerInstances) {
   EXPECT_EQ(revived.stats().sessions_executed, 0);
 }
 
-TEST(SchedulerTest, CachePersistenceBatchesOnDirtyThreshold) {
-  std::string dir = MakeScratchDir("sched_batch");
+TEST(SchedulerTest, CacheCommitIsOnDiskBeforeTheJobReadsDone) {
+  std::string dir = MakeScratchDir("sched_durable");
   service::SchedulerOptions options;
   options.cache_directory = dir;
-  options.cache_persist_threshold = 4;
-  {
-    service::Scheduler scheduler(options);
-    auto id = scheduler.Submit(MakeJob(96, "batched"));
-    ASSERT_TRUE(id.ok());
-    ASSERT_TRUE(scheduler.AwaitResult(id.value()).ok());
-    // One completed job is below the 4-dirty-entry threshold: nothing
-    // hit the disk, the skipped persist was counted, and the entry
-    // stays marked dirty for the eventual flush.
-    EXPECT_TRUE(std::filesystem::is_empty(dir));
-    EXPECT_EQ(scheduler.stats().cache_persist_skipped, 1);
-    EXPECT_EQ(scheduler.cache().dirty_entries(), 1u);
-  }  // The destructor flushes whatever is still dirty.
-  EXPECT_FALSE(std::filesystem::is_empty(dir));
-  service::Scheduler revived(options);
-  EXPECT_EQ(revived.cache().entries(), 1u);
-  EXPECT_EQ(revived.cache().dirty_entries(), 0u);
-}
-
-TEST(SchedulerTest, CachePersistFiresExactlyAtDirtyThreshold) {
-  std::string dir = MakeScratchDir("sched_threshold");
-  service::SchedulerOptions options;
-  options.cache_directory = dir;
-  options.cache_persist_threshold = 3;
-  options.max_workers = 1;
   service::Scheduler scheduler(options);
-  // Two completed jobs leave the dirty debt one short of the
-  // threshold: nothing may reach the disk yet.
-  for (int64_t seed = 200; seed < 202; ++seed) {
-    auto id = scheduler.Submit(MakeJob(seed, "threshold"));
-    ASSERT_TRUE(id.ok());
-    ASSERT_TRUE(scheduler.AwaitResult(id.value()).ok());
-  }
-  EXPECT_TRUE(std::filesystem::is_empty(dir));
-  EXPECT_EQ(scheduler.cache().dirty_entries(), 2u);
-
-  // The third commit lands exactly on the threshold and must persist
-  // synchronously (the worker persists before marking the job done,
-  // so AwaitResult returning makes this deterministic).
-  auto id = scheduler.Submit(MakeJob(202, "threshold"));
+  auto id = scheduler.Submit(MakeJob(96, "durable"));
   ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(scheduler.AwaitResult(id.value()).ok());
-  EXPECT_FALSE(std::filesystem::is_empty(dir));
-  EXPECT_EQ(scheduler.cache().dirty_entries(), 0u);
-
-  service::Scheduler revived(options);
-  EXPECT_EQ(revived.cache().entries(), 3u);
-  EXPECT_EQ(revived.cache().dirty_entries(), 0u);
+  auto snapshot = scheduler.AwaitResult(id.value());
+  ASSERT_TRUE(snapshot.ok());
+  ASSERT_EQ(snapshot->state, service::JobState::kDone);
+  // The scheduler still lives: no shutdown flush has run, so the entry
+  // a second reader finds was committed before the job read done.
+  service::ResultCache reader(options.cache_bytes, dir);
+  EXPECT_EQ(reader.entries(), 1u);
+  auto entry = reader.Lookup(snapshot->fingerprint);
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_EQ(entry->report, snapshot->report);
 }
 
-TEST(SchedulerTest, DestructorFlushCoversFailedThresholdPersist) {
-  std::string dir = MakeScratchDir("sched_failed_persist");
+TEST(SchedulerTest, CacheHitIsNotHeldBehindADurableAppend) {
+  std::string dir = MakeScratchDir("sched_slow_append");
   service::SchedulerOptions options;
   options.cache_directory = dir;
-  options.cache_persist_threshold = 1;
-  {
-    service::Scheduler scheduler(options);
-    {
-      // The at-threshold persist hits the injected store error. A
-      // failed persist must degrade to in-memory caching — job still
-      // completes — and leave the dirty debt unpaid.
-      common::ScopedFailpoint broken_store(
-          "service.cache.store",
-          common::OneShotError(StatusCode::kUnavailable, "disk full"));
-      auto id = scheduler.Submit(MakeJob(210, "flush-after-failure"));
-      ASSERT_TRUE(id.ok());
-      auto snapshot = scheduler.AwaitResult(id.value());
-      ASSERT_TRUE(snapshot.ok());
-      EXPECT_EQ(snapshot->state, service::JobState::kDone);
-    }
-    EXPECT_TRUE(std::filesystem::is_empty(dir));
-    EXPECT_EQ(scheduler.cache().dirty_entries(), 1u);
-    EXPECT_EQ(scheduler.stats().cache_persist_failures, 1);
-  }  // Failpoint disarmed: the destructor flush settles the debt.
-  EXPECT_FALSE(std::filesystem::is_empty(dir));
-  service::Scheduler revived(options);
-  EXPECT_EQ(revived.cache().entries(), 1u);
-  EXPECT_EQ(revived.cache().dirty_entries(), 0u);
+  service::Scheduler scheduler(options);
+  auto cached = scheduler.Submit(MakeJob(97, "hot"));
+  ASSERT_TRUE(cached.ok());
+  ASSERT_TRUE(scheduler.AwaitResult(cached.value()).ok());
+
+  // The next commit stalls 500 ms inside its append, on a worker.
+  common::FailpointConfig slow;
+  slow.kind = common::FailpointConfig::Kind::kDelay;
+  slow.delay_millis = 500;
+  slow.max_activations = 1;
+  common::ScopedFailpoint stall("service.cache.store", slow);
+  common::FailpointRegistry& failpoints = common::FailpointRegistry::Default();
+  const int64_t appends = failpoints.hits("service.cache.store");
+  auto slow_job = scheduler.Submit(MakeJob(98, "slow"));
+  ASSERT_TRUE(slow_job.ok());
+  while (failpoints.hits("service.cache.store") == appends) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // A cache hit admitted meanwhile never waits for that fdatasync.
+  service::JobRequest hot = MakeJob(97, "hot");
+  const auto start = std::chrono::steady_clock::now();
+  auto hit = scheduler.Submit(std::move(hot));
+  const double millis = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+  ASSERT_TRUE(hit.ok());
+  EXPECT_LT(millis, 100.0);
+  auto hit_snapshot = scheduler.Status(hit.value());
+  ASSERT_TRUE(hit_snapshot.ok());
+  EXPECT_TRUE(hit_snapshot->cache_hit);
+  EXPECT_EQ(hit_snapshot->state, service::JobState::kDone);
+  ASSERT_TRUE(scheduler.AwaitResult(slow_job.value()).ok());
 }
 
 TEST(SchedulerTest, SubscribeDeliversTerminalSnapshotOnCompletion) {

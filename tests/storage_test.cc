@@ -111,38 +111,7 @@ TEST(StorageTest, PayloadPreviewIsTruncated) {
   EXPECT_NE(restored.status().message().find("..."), std::string::npos);
 }
 
-TEST(StorageTest, SalvageRecoversPrefixBeforeTornFinalLine) {
-  SalvagedCollection salvaged = DeserializeCollectionSalvage(
-      "x", "{\"_id\":1,\"a\":1}\n{\"_id\":2,\"a\":2}\n{\"_id\":3,  TORN");
-  EXPECT_EQ(salvaged.collection.size(), 2u);
-  EXPECT_EQ(salvaged.recovered_lines, 2u);
-  EXPECT_EQ(salvaged.dropped_lines, 1u);
-  EXPECT_EQ(salvaged.detail.code(), common::StatusCode::kDataLoss);
-  // IDs survive, so inserts after recovery do not collide.
-  EXPECT_EQ(salvaged.collection.documents().back().id(), 2);
-}
-
-TEST(StorageTest, SalvageOfEmptyFileIsEmptyCollection) {
-  SalvagedCollection salvaged = DeserializeCollectionSalvage("x", "");
-  EXPECT_EQ(salvaged.collection.size(), 0u);
-  EXPECT_EQ(salvaged.recovered_lines, 0u);
-  EXPECT_EQ(salvaged.dropped_lines, 0u);
-  EXPECT_TRUE(salvaged.detail.ok());
-}
-
-TEST(StorageTest, SalvageStopsAtDuplicateId) {
-  // A duplicated "_id" (e.g. a replayed append) poisons the tail: the
-  // prefix before the duplicate is kept, the rest is dropped.
-  SalvagedCollection salvaged = DeserializeCollectionSalvage(
-      "x",
-      "{\"_id\":1,\"a\":1}\n{\"_id\":1,\"a\":9}\n{\"_id\":2,\"a\":2}\n");
-  EXPECT_EQ(salvaged.collection.size(), 1u);
-  EXPECT_EQ(salvaged.recovered_lines, 1u);
-  EXPECT_EQ(salvaged.dropped_lines, 2u);
-  EXPECT_FALSE(salvaged.detail.ok());
-}
-
-TEST(StorageTest, LoadCollectionSalvageRecoversTornFile) {
+TEST(StorageTest, LoadCollectionRejectsTornFile) {
   std::string directory = testing::TempDir();
   std::string path = directory + "/torn.jsonl";
   FILE* file = std::fopen(path.c_str(), "w");
@@ -151,10 +120,6 @@ TEST(StorageTest, LoadCollectionSalvageRecoversTornFile) {
   std::fclose(file);
   auto strict = LoadCollection("torn", directory);
   EXPECT_EQ(strict.status().code(), common::StatusCode::kDataLoss);
-  auto salvaged = LoadCollectionSalvage("torn", directory);
-  ASSERT_TRUE(salvaged.ok());
-  EXPECT_EQ(salvaged->collection.size(), 2u);
-  EXPECT_EQ(salvaged->dropped_lines, 1u);
   std::remove(path.c_str());
 }
 

@@ -82,17 +82,17 @@ Rules
                     stay complete, and one grep audits the entire
                     unsafe-ISA surface.
   service-file-io   Direct file I/O — the fopen/fwrite/fread/fflush/
-                    fsync/ftruncate/truncate/rename/unlink call family
-                    and the <fstream>/<filesystem> includes — is allowed
-                    in src/service/ only inside cohort_store.cc, the
-                    streaming cohort store's crash-safe persistence
-                    module. Every other service-layer component persists
-                    through the K-DB storage layer (as the result cache
-                    does). cohort_store.cc itself appends to its store
-                    log directly but folds it through
-                    kdb::AtomicWriteFile, so the atomic-rename
-                    discipline and its failpoints live in one audited
-                    place.
+                    fsync/ftruncate/truncate/rename/unlink/mkdir/rmdir
+                    call family and the <fstream>/<filesystem> includes
+                    — is allowed
+                    in src/service/ only inside store_log.cc, the
+                    crash-safe append-only log that both the cohort
+                    store and the result cache persist through. Every
+                    other service-layer component persists through a
+                    StoreLog. store_log.cc itself appends directly but
+                    folds through kdb::AtomicWriteFile, so the
+                    atomic-rename discipline and its failpoints live in
+                    one audited place.
   service-metrics   src/service/ neither includes common/metrics.h nor
                     names MetricsRegistry. MetricsRegistry::Default() is
                     the pipeline layers' registry; a service component
@@ -292,8 +292,8 @@ def lint_file(path, rel_path):
                            os.path.join("src", "common", "sync.cc"))
     in_service = rel_path.startswith(
         os.path.join("src", "service") + os.sep)
-    is_cohort_store = rel_path == os.path.join(
-        "src", "service", "cohort_store.cc")
+    is_store_log = rel_path == os.path.join(
+        "src", "service", "store_log.cc")
     is_outbound_owner = any(
         rel_path.startswith(os.path.join("src", "service", stem + "."))
         for stem in ("net_socket", "client"))
@@ -399,21 +399,21 @@ def lint_file(path, rel_path):
                     "AnalysisClient or UpstreamPool"))
 
         # --- service-file-io --------------------------------------------
-        if in_service and not is_cohort_store:
+        if in_service and not is_store_log:
             m = FILE_IO_CALL_RE.search(code)
             if m and not allowed(lineno, "service-file-io"):
                 findings.append(Finding(
                     rel_path, lineno, "service-file-io",
                     f"direct `{m.group(1)}()` in src/service/ outside "
-                    "cohort_store.cc; service-layer persistence goes "
-                    "through the K-DB storage layer or the cohort store"))
+                    "store_log.cc; service-layer persistence goes "
+                    "through a StoreLog"))
             m = FILE_IO_INCLUDE_RE.search(code)
             if m and not allowed(lineno, "service-file-io"):
                 findings.append(Finding(
                     rel_path, lineno, "service-file-io",
                     f"#include <{m.group(1)}> in src/service/ outside "
-                    "cohort_store.cc; service-layer persistence goes "
-                    "through the K-DB storage layer or the cohort store"))
+                    "store_log.cc; service-layer persistence goes "
+                    "through a StoreLog"))
 
         # --- service-threads --------------------------------------------
         if in_service and not is_thread_owner:

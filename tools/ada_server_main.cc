@@ -3,16 +3,19 @@
 // Binds the NDJSON protocol server on the IPv4 loopback and serves
 // analysis jobs until a client sends the `shutdown` verb (or the
 // process receives SIGINT/SIGTERM, which the default handlers turn
-// into a plain exit; the result cache is persisted crash-safely on a
-// dirty-entry threshold and flushed at shutdown).
+// into a plain exit).
 //
 // Usage:
 //   ada_server [--port N] [--workers N] [--queue-depth N]
 //              [--cache-bytes N] [--cache-dir DIR] [--cohort-dir DIR]
-//              [--cache-persist-threshold N]
 //              [--max-connections N] [--idle-timeout-millis D]
 //              [--max-result-wait-ms D] [--max-line-bytes N]
 //              [--role primary|follower] [--replicate-to PORT]
+//
+// --cache-dir makes the result cache durable: every finished result is
+// one fdatasync'd entry of the directory's store log (result_cache.log)
+// before its job reads done, so a SIGKILL loses no finished result; the
+// next start replays it.
 //
 // --cohort-dir makes the streaming cohort store (the `ingest` verb)
 // durable: every cohort in the directory lives in one append-only store
@@ -44,7 +47,6 @@ void PrintUsage() {
       "usage: ada_server [--port N] [--workers N] [--queue-depth N]\n"
       "                  [--cache-bytes N] [--cache-dir DIR]\n"
       "                  [--cohort-dir DIR]\n"
-      "                  [--cache-persist-threshold N]\n"
       "                  [--max-connections N] [--idle-timeout-millis D]\n"
       "                  [--max-result-wait-ms D] [--max-line-bytes N]\n"
       "                  [--role primary|follower] [--replicate-to PORT]\n"
@@ -53,6 +55,9 @@ void PrintUsage() {
       "--port 0 (the default) picks an ephemeral port, printed on the\n"
       "\"listening on port N\" line. Stop the server with the `shutdown`\n"
       "verb (ada_client shutdown).\n"
+      "\n"
+      "--cache-dir DIR commits each finished result to DIR/result_cache.log\n"
+      "before its job reads done; the next start replays it.\n"
       "\n"
       "Sharded clusters: --role follower starts a warm replica that\n"
       "rejects submits until promoted; --replicate-to PORT makes a\n"
@@ -154,14 +159,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       options.cohort_directory = text;
-    } else if (std::strcmp(arg, "--cache-persist-threshold") == 0) {
-      const char* text = next();
-      if (text == nullptr || !ParseIntFlag(text, &value) || value < 1) {
-        std::fprintf(stderr,
-                     "ada_server: --cache-persist-threshold expects >= 1\n");
-        return 2;
-      }
-      options.scheduler.cache_persist_threshold = static_cast<size_t>(value);
     } else if (std::strcmp(arg, "--role") == 0) {
       const char* text = next();
       if (text != nullptr && std::strcmp(text, "primary") == 0) {

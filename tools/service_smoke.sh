@@ -12,7 +12,9 @@
 # deadlock here), and stops the server with the shutdown verb. Last, a
 # server with --cohort-dir is killed with SIGKILL after three guarded
 # ingests and restarted over the same directory: the store log must
-# bring back generation 3 exactly.
+# bring back generation 3 exactly. Then a server with --cache-dir is
+# killed with SIGKILL right after its first job reaches done, and the
+# restarted server must answer the resubmit from its replayed cache.
 #
 # Usage: tools/service_smoke.sh [BUILD_DIR]   (default: build)
 # CI runs this under ASan+UBSan (the service-smoke job).
@@ -23,6 +25,7 @@ SERVER="${BUILD_DIR}/tools/ada_server"
 CLIENT="${BUILD_DIR}/tools/ada_client"
 LOG="$(mktemp /tmp/ada_server_smoke.XXXXXX.log)"
 COHORT_DIR="$(mktemp -d /tmp/ada_cohort_smoke.XXXXXX)"
+CACHE_DIR="$(mktemp -d /tmp/ada_cache_smoke.XXXXXX)"
 SERVER_PID=""
 
 for binary in "${SERVER}" "${CLIENT}"; do
@@ -39,7 +42,7 @@ cleanup() {
     wait "${SERVER_PID}" 2>/dev/null || true
   fi
   rm -f "${LOG}"
-  rm -rf "${COHORT_DIR}"
+  rm -rf "${COHORT_DIR}" "${CACHE_DIR}"
 }
 trap cleanup EXIT
 
@@ -68,10 +71,19 @@ wait_for_port() {  # Sets PORT from the log of the server at SERVER_PID.
   echo "service_smoke: server up on port ${PORT} (pid ${SERVER_PID})"
 }
 
-ADA_FAILPOINTS='service.worker.session=delay(2000)*1@2' \
-  "${SERVER}" --port 0 --workers 1 >"${LOG}" 2>&1 &
-SERVER_PID=$!
-wait_for_port
+start_server() {  # start_server [ARGS...]: one-worker server at SERVER_PID.
+  : >"${LOG}"  # A previous server's port line must not be read.
+  "${SERVER}" --port 0 --workers 1 "$@" >"${LOG}" 2>&1 &
+  SERVER_PID=$!
+  wait_for_port
+}
+
+kill_server() {  # SIGKILL: no drain, no shutdown path.
+  kill -9 "${SERVER_PID}"
+  wait "${SERVER_PID}" 2>/dev/null || true
+}
+
+ADA_FAILPOINTS='service.worker.session=delay(2000)*1@2' start_server
 
 client() { "${CLIENT}" --port "${PORT}" "$@"; }
 
@@ -247,11 +259,7 @@ echo "== cohort store: SIGKILL and restart over --cohort-dir =="
 # a SIGKILL right after the third reply loses nothing: the restarted
 # server replays generation 3, commits the next guarded batch as
 # generation 4, and rejects a replay of it.
-: >"${LOG}"  # The previous server's port line must not be read.
-"${SERVER}" --port 0 --workers 1 --cohort-dir "${COHORT_DIR}" \
-  >"${LOG}" 2>&1 &
-SERVER_PID=$!
-wait_for_port
+start_server --cohort-dir "${COHORT_DIR}"
 for generation in 0 1 2; do
   OUT="$(ndjson_batch $((generation * 10)) 10 \
       | client ingest --cohort crash-ward --expect-generation "${generation}")" \
@@ -259,14 +267,9 @@ for generation in 0 1 2; do
   grep -q "^generation: $((generation + 1))$" <<<"${OUT}" \
     || fail "guarded ingest did not commit generation $((generation + 1))"
 done
-kill -9 "${SERVER_PID}"
-wait "${SERVER_PID}" 2>/dev/null || true
+kill_server
 
-: >"${LOG}"  # The previous server's port line must not be read.
-"${SERVER}" --port 0 --workers 1 --cohort-dir "${COHORT_DIR}" \
-  >"${LOG}" 2>&1 &
-SERVER_PID=$!
-wait_for_port
+start_server --cohort-dir "${COHORT_DIR}"
 OUT="$(ndjson_batch 30 5 \
     | client ingest --cohort crash-ward --expect-generation 3)" \
   || fail "ingest after the restart failed"
@@ -294,6 +297,29 @@ if bad:
 EOF
 client shutdown >/dev/null || fail "shutdown verb failed after restart"
 wait "${SERVER_PID}" || fail "restarted server exited non-zero"
+SERVER_PID=""
+
+echo "== result cache: SIGKILL and restart over --cache-dir =="
+# Each finished result is one fdatasync'd store-log entry before its job
+# reads done, so a SIGKILL right after the first job loses nothing: the
+# restarted server replays the entry and answers the resubmit from it.
+start_server --cache-dir "${CACHE_DIR}"
+CACHED_JOB=(submit --patients 80 --exam-types 20 --seed 5 \
+    --dataset-id smoke-durable --fast --wait)
+OUT="$(client "${CACHED_JOB[@]}")" || fail "job before the SIGKILL failed"
+grep -q '^state: done$' <<<"${OUT}" || fail "job before the SIGKILL not done"
+kill_server
+
+start_server --cache-dir "${CACHE_DIR}"
+OUT="$(client "${CACHED_JOB[@]}")" || fail "resubmit after the restart failed"
+grep -q '^cache_hit: true$' <<<"${OUT}" \
+  || fail "resubmit after the SIGKILL missed the replayed cache"
+CACHE_STATS="$(client stats)" || fail "stats verb failed after cache restart"
+python3 -c 'import json, sys
+sys.exit(json.loads(sys.argv[1])["cache"]["entries"] != 1)' "${CACHE_STATS}" \
+  || fail "replayed cache does not hold exactly 1 entry"
+client shutdown >/dev/null || fail "shutdown verb failed after cache restart"
+wait "${SERVER_PID}" || fail "restarted cache server exited non-zero"
 SERVER_PID=""
 
 echo "service_smoke: PASS"
